@@ -380,8 +380,7 @@ func BenchmarkSimulatorKernelInvocation(b *testing.B) {
 
 func BenchmarkControllerObserveDecide(b *testing.B) {
 	e := benchLab(b)
-	sys := NewSystem()
-	sys.UsePredictor(e.Predictor())
+	sys := NewSystem(WithPredictor(e.Predictor()))
 	ctrl := sys.Harmonia()
 	k := AllKernels()[0]
 	b.ResetTimer()
@@ -393,8 +392,7 @@ func BenchmarkControllerObserveDecide(b *testing.B) {
 
 func BenchmarkFullApplicationUnderHarmonia(b *testing.B) {
 	e := benchLab(b)
-	sys := NewSystem()
-	sys.UsePredictor(e.Predictor())
+	sys := NewSystem(WithPredictor(e.Predictor()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sys.Run(App("Sort"), sys.Harmonia()); err != nil {

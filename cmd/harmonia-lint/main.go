@@ -1,9 +1,9 @@
 // Command harmonia-lint runs the repo's domain-specific static
 // analyzers (internal/lint) over module packages and reports invariant
-// violations with file:line:col positions. Six analyzers are
-// intraprocedural; four (detertaint, ctxflow, spawnjoin, spanend) run
-// over a module-wide call graph with effect summaries propagated to a
-// fixed point, so they see through any wrapper depth.
+// violations with file:line:col positions. Two analyzers (floateq,
+// errdrop) are intraprocedural; two (nondeterminism, ctxflow) run over
+// a module-wide call graph with effect summaries propagated to a fixed
+// point, so they see through any wrapper depth.
 //
 // Usage:
 //
@@ -16,19 +16,15 @@
 // sound over the full graph) and findings are filtered to the requested
 // directories. Flags:
 //
-//	-checks a,b   run only the named checks (default: all ten)
+//	-checks a,b   run only the named checks (default: all four)
 //	-json         emit the stable JSON report instead of text
 //	-werror       treat warnings (malformed suppressions) as errors
 //	-list         print the available checks and exit
-//	-fix          apply suggested fixes in place (gofmt-clean, idempotent)
-//	-diff         print suggested fixes as a unified diff, change nothing
 //
 // The exit status is 1 when any error-severity finding survives
 // suppression (or any warning, under -werror), 2 on usage or load
-// failure, and 0 otherwise. -fix does not change the exit status: it
-// reflects the findings of this run, before fixes were applied, so a
-// fix-then-verify flow re-runs the linter. Suppress an individual
-// finding with a trailing or preceding comment:
+// failure, and 0 otherwise. Suppress an individual finding with a
+// trailing or preceding comment:
 //
 //	//lint:ignore <check> <reason>
 package main
@@ -50,19 +46,13 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("harmonia-lint", flag.ContinueOnError)
 	var (
-		checks   = fs.String("checks", "", "comma-separated checks to run (default all)")
-		asJSON   = fs.Bool("json", false, "emit the stable JSON report")
-		werror   = fs.Bool("werror", false, "treat warnings as errors")
-		list     = fs.Bool("list", false, "list available checks and exit")
-		applyFix = fs.Bool("fix", false, "apply suggested fixes in place")
-		showDiff = fs.Bool("diff", false, "print suggested fixes as a unified diff without applying")
-		rootDir  = fs.String("root", "", "module root (default: found from the working directory)")
+		checks  = fs.String("checks", "", "comma-separated checks to run (default all)")
+		asJSON  = fs.Bool("json", false, "emit the stable JSON report")
+		werror  = fs.Bool("werror", false, "treat warnings as errors")
+		list    = fs.Bool("list", false, "list available checks and exit")
+		rootDir = fs.String("root", "", "module root (default: found from the working directory)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *applyFix && *showDiff {
-		fmt.Fprintln(os.Stderr, "harmonia-lint: -fix and -diff are mutually exclusive")
 		return 2
 	}
 
@@ -110,39 +100,18 @@ func run(args []string) int {
 		names[i] = a.Name()
 	}
 	rep := lint.NewReport(root, names, diags)
-	switch {
-	case *showDiff:
-		res, err := lint.ApplyFixes(diags)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "harmonia-lint:", err)
-			return 2
-		}
-		fmt.Print(res.Diff(root))
-	case *asJSON:
+	if *asJSON {
 		if err := lint.WriteJSON(os.Stdout, rep); err != nil {
 			fmt.Fprintln(os.Stderr, "harmonia-lint:", err)
 			return 2
 		}
-	default:
+	} else {
 		for _, f := range rep.Findings {
 			fmt.Printf("%s:%d:%d: %s: [%s] %s\n", f.File, f.Line, f.Col, f.Severity, f.Check, f.Message)
 		}
 		if rep.Errors+rep.Warnings > 0 {
 			fmt.Printf("harmonia-lint: %d error(s), %d warning(s)\n", rep.Errors, rep.Warnings)
 		}
-	}
-	if *applyFix {
-		res, err := lint.ApplyFixes(diags)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "harmonia-lint:", err)
-			return 2
-		}
-		if err := res.WriteFiles(); err != nil {
-			fmt.Fprintln(os.Stderr, "harmonia-lint:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "harmonia-lint: applied %d fix(es) to %d file(s), %d skipped (overlap)\n",
-			res.Applied, len(res.Files), res.Skipped)
 	}
 
 	if rep.Errors > 0 || (*werror && rep.Warnings > 0) {

@@ -160,7 +160,8 @@ func main() {
 			Handler:           serve.DebugHandler(),
 			ReadHeaderTimeout: 10 * time.Second,
 		}
-		//lint:ignore spawnjoin the debug listener lives until process exit; a real listen error is fatal by design
+		// The debug listener lives until process exit; a real listen
+		// error is fatal by design.
 		go func() {
 			if err := debugSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Fatalf("debug listener on %s: %v", *debugAddr, err)

@@ -52,7 +52,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys.UsePredictor(pred)
+	// A System's predictor is fixed at construction, so managing the
+	// custom kernel takes a System built with the retrained one.
+	sys = harmonia.NewSystem(harmonia.WithPredictor(pred))
 
 	fmt.Printf("\npredicted sensitivities at the stock configuration:\n")
 	fmt.Printf("  CU count: %.2f   CU freq: %.2f   memory BW: %.2f\n",

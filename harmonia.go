@@ -151,22 +151,22 @@ const (
 // A System is safe for concurrent use: many goroutines may call
 // RunContext/Run and the controller constructors on one shared System
 // (the timing and power models are immutable calibration constants, the
-// predictor trains exactly once, and fault configuration is snapshotted
-// per run). The exceptions are the explicitly mutating setters —
-// EnableMemVoltageScaling and direct writes to Sim/Power — which must
-// happen before the System is shared.
+// predictor trains exactly once, and the predictor and fault
+// configuration are fixed at construction). The exceptions are the
+// explicitly mutating setters — EnableMemVoltageScaling and direct
+// writes to Sim/Power — which must happen before the System is shared.
 type System struct {
 	Sim   *gpusim.Model
 	Power *powermodel.Model
 
-	// predMu guards pred; trainOnce/trainErr serialize lazy training.
-	predMu    sync.Mutex
+	// pred is set by WithPredictor at construction, or else by the lazy
+	// training in trainOnce, and never written after trainOnce.Do returns.
 	pred      *sensitivity.Predictor
 	trainOnce sync.Once
 	trainErr  error
 
-	faultsMu sync.Mutex
-	faults   *faults.Config
+	// faults is set by WithFaultInjection at construction only.
+	faults *faults.Config
 
 	telemetry *telemetry.Registry
 
@@ -259,30 +259,12 @@ func (s *System) SimCacheStats() (hits, misses uint64) {
 // even under concurrent callers; every caller observes the same
 // predictor or the same training error.
 func (s *System) TrainedPredictor() (*Predictor, error) {
-	s.predMu.Lock()
-	if p := s.pred; p != nil {
-		s.predMu.Unlock()
-		return p, nil
-	}
-	s.predMu.Unlock()
 	s.trainOnce.Do(func() {
-		p, err := s.TrainPredictor(workloads.AllKernels())
-		if err != nil {
-			s.trainErr = err
-			return
+		if s.pred == nil {
+			s.pred, s.trainErr = s.TrainPredictor(workloads.AllKernels())
 		}
-		s.predMu.Lock()
-		if s.pred == nil { // an interleaved UsePredictor wins
-			s.pred = p
-		}
-		s.predMu.Unlock()
 	})
-	if s.trainErr != nil {
-		return nil, s.trainErr
-	}
-	s.predMu.Lock()
-	defer s.predMu.Unlock()
-	return s.pred, nil
+	return s.pred, s.trainErr
 }
 
 // must unwraps a (value, error) constructor result for the panicking
@@ -396,18 +378,6 @@ func (s *System) OracleWithWorkers(workers int, apps ...*Application) Policy {
 	return oracle.New(s.runner(), s.Power, apps...).WithWorkers(workers)
 }
 
-// faultConfig snapshots the armed fault configuration, so a run holds
-// an immutable copy even if WithFaults/WithoutFaults race with it.
-func (s *System) faultConfig() *faults.Config {
-	s.faultsMu.Lock()
-	defer s.faultsMu.Unlock()
-	if s.faults == nil {
-		return nil
-	}
-	fc := *s.faults
-	return &fc
-}
-
 // FaultProfile returns the canonical fault profile of the robustness
 // study at the given intensity in [0, 1]; intensity 0 disables
 // everything.
@@ -513,10 +483,9 @@ func (s *System) QualityEngine(maxSamples, workers int) *QualityEngine {
 // a canceled context stops the run before the next kernel launches and
 // returns the context's error. RunContext is safe for concurrent use on
 // one System — each call gets its own session, fault injector, and DAQ,
-// and the run's fault configuration is an immutable snapshot taken at
-// entry.
+// and the fault configuration it starts from is fixed at construction.
 func (s *System) RunContext(ctx context.Context, app *Application, p Policy, opts ...RunOption) (*Report, error) {
-	rs := runSettings{faults: s.faultConfig()}
+	rs := runSettings{faults: s.faults}
 	for _, opt := range opts {
 		opt(&rs)
 	}

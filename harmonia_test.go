@@ -16,7 +16,7 @@ var (
 func system() *System {
 	sysOnce.Do(func() {
 		sys = NewSystem()
-		sys.Predictor()
+		must(sys.TrainedPredictor())
 	})
 	return sys
 }
@@ -137,9 +137,8 @@ func TestTrainPredictorOnSubset(t *testing.T) {
 	if p.Bandwidth == nil || p.Compute == nil {
 		t.Fatal("incomplete predictor")
 	}
-	s.UsePredictor(p)
-	if s.Predictor() != p {
-		t.Error("UsePredictor not honored")
+	if got, err := NewSystem(WithPredictor(p)).TrainedPredictor(); err != nil || got != p {
+		t.Errorf("WithPredictor not honored: %p/%v, want %p", got, err, p)
 	}
 }
 

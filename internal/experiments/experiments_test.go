@@ -338,9 +338,11 @@ func TestFig10HeadlineED2Results(t *testing.T) {
 	if sum.BestED2 < 0.25 {
 		t.Errorf("best ED2 gain = %.1f%%, want >25%% (paper: 36%%)", sum.BestED2*100)
 	}
-	// Paper: Harmonia within ~3% of the oracle; allow 6.
-	if sum.OracleGapHarmonia > 0.06 {
-		t.Errorf("oracle gap = %.1f%%, want small (paper: 3%%)", sum.OracleGapHarmonia*100)
+	// Paper: Harmonia within ~3 points of the oracle. This suite measures
+	// 4.64 points (0.0464), so the bound of 5 trips if the gap widens by
+	// more than 0.36 points.
+	if sum.OracleGapHarmonia > 0.050 {
+		t.Errorf("oracle gap = %.2f points, want <= 5 (measured 4.64; paper: <= 3)", sum.OracleGapHarmonia*100)
 	}
 	// Oracle must dominate Harmonia per app (it is the upper bound).
 	for _, r := range rows {

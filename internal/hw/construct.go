@@ -4,10 +4,9 @@ package hw
 // operating points from numbers that did not come from the hw constants
 // or enumerators: every value is snapped to the nearest legal grid
 // point and clamped to the paper's tunable ranges (Section 3.1), so a
-// configuration built here is always Valid. The hwenvelope analyzer
-// (internal/lint) forbids raw tunable literals everywhere else in the
-// module, making this file plus the constants the envelope's single
-// source of truth.
+// configuration built here is always Valid. Off-grid points built any
+// other way are rejected where they enter a run (session checks
+// Config.Valid at every kernel boundary) or a request (ParseConfig).
 
 // snap rounds v to the nearest point of the arithmetic grid
 // [min, min+step, ..., max], clamping at the ends.

@@ -63,3 +63,29 @@ func TestParseConfigRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// FuzzParseConfig feeds arbitrary strings to the config parser, which
+// reads untrusted input (the serve API's fixed-policy config, CLI
+// flags). Any accepted string must name a legal grid point, and that
+// point must round-trip through its String() form.
+func FuzzParseConfig(f *testing.F) {
+	for _, seed := range []string{
+		"16/700/925", " 32 / 1000 / 1375 ", MinConfig().String(), MaxConfig().String(),
+		"32CU@1000MHz/mem@1375MHz(264GB/s)", "32CU@(900MHz)", "a/b/c", "", "//", "4/300/-475",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		cfg, err := ParseConfig(s)
+		if err != nil {
+			return
+		}
+		if !cfg.Valid() {
+			t.Fatalf("ParseConfig(%q) accepted off-grid %+v", s, cfg)
+		}
+		back, err := ParseConfig(cfg.String())
+		if err != nil || back != cfg {
+			t.Fatalf("ParseConfig(%q) = %v, which re-parses as %+v, %v", s, cfg, back, err)
+		}
+	})
+}

@@ -70,10 +70,12 @@ func namedFrom(t types.Type) (pkgPath, name string, ok bool) {
 
 // calleeFunc resolves the function or method object a call invokes, or
 // nil for builtins, conversions, indirect calls, and unresolved code.
-func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
-	fun := ast.Unparen(call.Fun)
+func calleeFunc(pkg *Package, call *ast.CallExpr) *types.Func {
+	if pkg.Info == nil {
+		return nil
+	}
 	var id *ast.Ident
-	switch f := fun.(type) {
+	switch f := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		id = f
 	case *ast.SelectorExpr:
@@ -81,8 +83,12 @@ func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
 	default:
 		return nil
 	}
-	fn, _ := pass.ObjectOf(id).(*types.Func)
+	fn, _ := pkg.Info.Uses[id].(*types.Func)
 	return fn
+}
+
+func shortPkg(path string) string {
+	return path[strings.LastIndex(path, "/")+1:]
 }
 
 // isErrorType reports whether t is the built-in error interface.

@@ -13,9 +13,8 @@ import (
 // call graph over every loaded package, per-function effect summaries,
 // and a fixed-point propagation that makes transitive facts ("this call
 // eventually reads the wall clock", "this helper does consult its
-// context") available to analyzers. The intraprocedural analyzers see
-// one function body at a time; the Program sees through any wrapper
-// depth.
+// context") available to analyzers. The Program sees through any
+// wrapper depth.
 //
 // Precision model, documented so analyzer semantics stay honest:
 //
@@ -29,11 +28,15 @@ import (
 //     not tracked through the call; effects inside a func literal are
 //     attributed to the function that lexically contains it, which
 //     covers the repo's closure idioms.
+//   - Package-level var initializers form one pseudo-function per
+//     package (Name "pkg.init"), so a clock read outside any function
+//     body is summarized like one inside.
 //   - Standard-library callees are opaque except for the recognized
-//     effect sources (time.Now, math/rand, sync primitives, channels).
+//     effect sources (time.Now/Since, the package-level math/rand
+//     draws, context consultation).
 
 // Effect is a bitmask of summarized behaviors.
-type Effect uint16
+type Effect uint8
 
 const (
 	// EffWallClock: the function (transitively) reads the wall clock.
@@ -43,21 +46,16 @@ const (
 	EffUnseededRand
 	// EffSpawnsGoroutine: contains a go statement.
 	EffSpawnsGoroutine
-	// EffAcquiresMutex: locks a sync.Mutex/RWMutex.
-	EffAcquiresMutex
 	// EffConsultsCtx: consults a context — calls Done/Err/Deadline on a
 	// context.Context value, or passes a context into a callee that
 	// (transitively) consults it.
 	EffConsultsCtx
-	// EffJoinSignal: signals completion or participates in a join — a
-	// sync.WaitGroup.Done, a channel send/receive/close, or a select.
-	// Spawned work with none of these (and no context consultation) has
-	// no edge back to its spawner: the spawnjoin leak class.
-	EffJoinSignal
 )
 
-// taintEffects are the effect bits detertaint propagates, and the bits
-// the clean-package barrier zeroes.
+// taintBits are the effects the nondeterminism check propagates, and
+// the bits the clean-package barrier zeroes.
+var taintBits = [...]Effect{EffWallClock, EffUnseededRand}
+
 const taintEffects = EffWallClock | EffUnseededRand
 
 // effectDesc names the seed of each taint bit for diagnostics.
@@ -66,6 +64,10 @@ var effectDesc = map[Effect]string{
 	EffUnseededRand: "unseeded math/rand draw",
 }
 
+// randConstructors are the math/rand entry points that do not touch the
+// global source: they build explicitly seeded generators.
+var randConstructors = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
+
 // CallEdge is one resolved call site.
 type CallEdge struct {
 	Pos    token.Pos
@@ -73,15 +75,19 @@ type CallEdge struct {
 	// PassesCtx marks a call that forwards a context.Context value;
 	// EffConsultsCtx propagates only across these edges.
 	PassesCtx bool
-	// spanArgs maps the callee's parameter index to true for arguments
-	// that are trace spans tracked by spanend (the wrapper-ends-my-span
-	// resolution).
-	spanArgs map[int]ast.Expr
 }
 
-// FuncNode is one declared function or method in the graph.
+// Seed is one direct taint source in a function body: a wall-clock
+// read or an unseeded rand draw, not covered by a suppression.
+type Seed struct {
+	Effect Effect
+	Pos    token.Pos
+	Call   string // "time.Now", "rand.Float64", "rand.IntN (v2)"
+}
+
+// FuncNode is one declared function or method in the graph, or the
+// var-initializer pseudo-function of a package (Decl nil).
 type FuncNode struct {
-	Fn   *types.Func
 	Decl *ast.FuncDecl
 	Pkg  *Package
 
@@ -89,41 +95,39 @@ type FuncNode struct {
 	Trans  Effect
 
 	Calls []*CallEdge
+	// Seeds lists every direct taint source in source order.
+	Seeds []Seed
 
-	// seedPos/seedDesc record where each Direct taint bit was
-	// introduced ("time.Now at internal/trace/trace.go:153").
-	seedPos  map[Effect]token.Position
-	seedDesc map[Effect]string
-	// via records, per transitive bit, the first call edge that carried
-	// it in — the witness used to print the offending call path.
+	// via records, per taint bit, the first call edge that carried it
+	// in — the witness used to print the offending call path.
 	via map[Effect]*CallEdge
-
-	// endsSpanParams marks parameter indices of type *trace.Span on
-	// which End is (transitively) called — the "helper closes my span"
-	// summary spanend consults.
-	endsSpanParams map[int]bool
 
 	// barrier marks functions in sanctioned-nondeterminism packages:
 	// their wall-clock/rand effects do not leak to callers.
 	barrier bool
+
+	// bodies are the syntax the summary covers: the declaration's body,
+	// or the package's var declarations.
+	bodies []ast.Node
 }
 
-// Name renders the node as "pkg.Func" or "pkg.Recv.Method" with the
-// short package name.
+// Name renders the node as "pkg.Func", "pkg.Recv.Method", or "pkg.init"
+// with the short package name.
 func (n *FuncNode) Name() string {
+	if n.Decl == nil {
+		return shortPkg(n.Pkg.Path) + ".init"
+	}
 	return shortPkg(n.Pkg.Path) + "." + strings.TrimPrefix(funcFullName(n.Pkg.Path, n.Decl), n.Pkg.Path+".")
 }
 
 // Program is the module-wide interprocedural index built once per Run.
 type Program struct {
 	Nodes   map[*types.Func]*FuncNode
-	ordered []*FuncNode // deterministic iteration order
+	ordered []*FuncNode // deterministic iteration order, grouped by package
 
 	// ifaceImpls maps an interface method object to the concrete module
 	// methods a dynamic call may dispatch to.
 	ifaceImpls map[*types.Func][]*FuncNode
-
-	fset *token.FileSet
 }
 
 // ProgramOptions configure summary construction.
@@ -134,9 +138,9 @@ type ProgramOptions struct {
 	// neither seed nor flow out of them.
 	CleanPackages []string
 	// SuppressedSeedLines holds "file:line" keys whose direct
-	// wall-clock/rand effects carry a //lint:ignore for nondeterminism
-	// or detertaint — sanctioned seeds (the trace package's injectable
-	// wall-clock default) must not taint their callers.
+	// wall-clock/rand effects carry a //lint:ignore nondeterminism —
+	// sanctioned seeds (the trace package's injectable wall-clock
+	// default) must not taint their callers.
 	SuppressedSeedLines map[string]bool
 }
 
@@ -157,42 +161,42 @@ func BuildProgram(pkgs []*Package, opts ProgramOptions) *Program {
 		Nodes:      make(map[*types.Func]*FuncNode),
 		ifaceImpls: make(map[*types.Func][]*FuncNode),
 	}
-	if len(pkgs) > 0 {
-		prog.fset = pkgs[0].Fset
-	}
 
-	// Pass 1: index declared functions.
+	// Pass 1: index declared functions, plus one var-initializer node
+	// per package.
 	for _, pkg := range pkgs {
-		barrier := matchAny(pkg.Path, opts.CleanPackages)
+		if pkg.Info == nil {
+			continue
+		}
+		newNode := func() *FuncNode {
+			return &FuncNode{Pkg: pkg, via: make(map[Effect]*CallEdge), barrier: matchAny(pkg.Path, opts.CleanPackages)}
+		}
+		vars := newNode()
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil || pkg.Info == nil {
-					continue
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					obj, _ := pkg.Info.Defs[d.Name].(*types.Func)
+					if obj == nil || d.Body == nil {
+						continue
+					}
+					node := newNode()
+					node.Decl, node.bodies = d, []ast.Node{d.Body}
+					prog.Nodes[obj] = node
+					prog.ordered = append(prog.ordered, node)
+				case *ast.GenDecl:
+					if d.Tok == token.VAR {
+						vars.bodies = append(vars.bodies, d)
+					}
 				}
-				obj, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-				if obj == nil {
-					continue
-				}
-				node := &FuncNode{
-					Fn: obj, Decl: fd, Pkg: pkg,
-					seedPos:        make(map[Effect]token.Position),
-					seedDesc:       make(map[Effect]string),
-					via:            make(map[Effect]*CallEdge),
-					endsSpanParams: make(map[int]bool),
-					barrier:        barrier,
-				}
-				prog.Nodes[obj] = node
-				prog.ordered = append(prog.ordered, node)
 			}
 		}
-	}
-	sort.Slice(prog.ordered, func(i, j int) bool {
-		a, b := prog.ordered[i], prog.ordered[j]
-		if a.Pkg.Path != b.Pkg.Path {
-			return a.Pkg.Path < b.Pkg.Path
+		if len(vars.bodies) > 0 {
+			prog.ordered = append(prog.ordered, vars)
 		}
-		return a.Decl.Pos() < b.Decl.Pos()
+	}
+	sort.SliceStable(prog.ordered, func(i, j int) bool {
+		return prog.ordered[i].Pkg.Path < prog.ordered[j].Pkg.Path
 	})
 
 	prog.resolveInterfaces(pkgs)
@@ -206,16 +210,12 @@ func BuildProgram(pkgs []*Package, opts ProgramOptions) *Program {
 	return prog
 }
 
-// NodeOf returns the graph node for a resolved function object.
-func (p *Program) NodeOf(fn *types.Func) *FuncNode { return p.Nodes[fn] }
-
 // resolveInterfaces builds the dynamic-dispatch table for the module's
 // small interface surfaces.
 func (p *Program) resolveInterfaces(pkgs []*Package) {
 	// Locate the interface types among the loaded packages (they may be
 	// absent in fixture-only runs).
 	var ifaces []*types.Interface
-	var ifaceObjs []*types.TypeName
 	for _, pkg := range pkgs {
 		if pkg.Types == nil {
 			continue
@@ -230,15 +230,9 @@ func (p *Program) resolveInterfaces(pkgs []*Package) {
 			}
 			if it, ok := obj.Type().Underlying().(*types.Interface); ok {
 				ifaces = append(ifaces, it)
-				ifaceObjs = append(ifaceObjs, obj)
 			}
 		}
 	}
-	// Also resolve through dependency-loaded module packages: a fixture
-	// importing gpusim sees the interface via the dependency path even
-	// when gpusim is not among the analyzed pkgs. The Uses map at call
-	// sites references those objects directly, so collecting interfaces
-	// from analyzed packages is only needed to enumerate method objects.
 	if len(ifaces) == 0 {
 		return
 	}
@@ -260,8 +254,7 @@ func (p *Program) resolveInterfaces(pkgs []*Package) {
 				continue
 			}
 			ptr := types.NewPointer(named)
-			for i, it := range ifaces {
-				_ = ifaceObjs[i]
+			for _, it := range ifaces {
 				var impl types.Type
 				switch {
 				case types.Implements(named, it):
@@ -299,159 +292,83 @@ func (p *Program) resolveInterfaces(pkgs []*Package) {
 
 // summarize extracts node's direct effects and outgoing call edges.
 func (p *Program) summarize(node *FuncNode, opts ProgramOptions) {
-	pkg := node.Pkg
-	file := fileOf(pkg, node.Decl.Pos())
-	timeName, timeOK := localImportName(file, "time")
-	randName, randOK := localImportName(file, "math/rand")
-	randV2Name, randV2OK := localImportName(file, "math/rand/v2")
-
-	seed := func(eff Effect, pos token.Pos, desc string) {
-		position := pkg.Fset.Position(pos)
-		if eff&taintEffects != 0 && opts.SuppressedSeedLines[seedKey(position)] {
-			return
-		}
-		if node.Direct&eff == 0 {
-			node.Direct |= eff
-			node.seedPos[eff] = position
-			node.seedDesc[eff] = desc
-		}
-	}
-
-	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			node.Direct |= EffSpawnsGoroutine
-		case *ast.SendStmt, *ast.SelectStmt:
-			node.Direct |= EffJoinSignal
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				node.Direct |= EffJoinSignal
+	for _, body := range node.bodies {
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				node.Direct |= EffSpawnsGoroutine
+			case *ast.CallExpr:
+				p.summarizeCall(node, n, opts)
 			}
-		case *ast.RangeStmt:
-			if t := typeOf(pkg, n.X); t != nil {
-				if _, isChan := t.Underlying().(*types.Chan); isChan {
-					node.Direct |= EffJoinSignal
-				}
-			}
-		case *ast.CallExpr:
-			p.summarizeCall(node, n, seed, timeName, timeOK, randName, randOK, randV2Name, randV2OK)
-		}
-		return true
-	})
-}
-
-// summarizeCall classifies one call expression: an effect source, a
-// context consultation, a join signal, or a resolved call edge.
-func (p *Program) summarizeCall(node *FuncNode, call *ast.CallExpr,
-	seed func(Effect, token.Pos, string),
-	timeName string, timeOK bool, randName string, randOK bool, randV2Name string, randV2OK bool) {
-
-	pkg := node.Pkg
-
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "close" {
-		if _, isFn := objOf(pkg, id).(*types.Func); !isFn { // the builtin
-			node.Direct |= EffJoinSignal
-		}
-	}
-
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		// Effect sources by qualified package call.
-		if id, ok := sel.X.(*ast.Ident); ok && isPkgIdent(pkg, id) {
-			switch {
-			case timeOK && id.Name == timeName && (sel.Sel.Name == "Now" || sel.Sel.Name == "Since"):
-				seed(EffWallClock, call.Pos(), "time."+sel.Sel.Name)
-			case randOK && id.Name == randName && !randConstructors[sel.Sel.Name]:
-				seed(EffUnseededRand, call.Pos(), "rand."+sel.Sel.Name)
-			case randV2OK && id.Name == randV2Name && !randConstructors[sel.Sel.Name]:
-				seed(EffUnseededRand, call.Pos(), "rand."+sel.Sel.Name+" (v2)")
-			}
-		}
-		// Mutex / WaitGroup / context / span method calls by receiver type.
-		if recvT := typeOf(pkg, sel.X); recvT != nil {
-			recvPath, recvName, named := namedFrom(recvT)
-			switch {
-			case named && recvPath == "sync" && (recvName == "Mutex" || recvName == "RWMutex"):
-				if sel.Sel.Name == "Lock" || sel.Sel.Name == "RLock" {
-					node.Direct |= EffAcquiresMutex
-				}
-			case named && recvPath == "sync" && recvName == "WaitGroup":
-				if sel.Sel.Name == "Done" || sel.Sel.Name == "Wait" {
-					node.Direct |= EffJoinSignal
-				}
-			case isContextType(recvT):
-				switch sel.Sel.Name {
-				case "Done", "Err", "Deadline":
-					node.Direct |= EffConsultsCtx
-				}
-			case named && recvPath == tracePkg && recvName == "Span" && sel.Sel.Name == "End":
-				if i := spanParamIndex(node, sel.X, pkg); i >= 0 {
-					node.endsSpanParams[i] = true
-				}
-			}
-		}
-	}
-
-	// Resolve the callee to graph nodes.
-	callees := p.resolveCallees(pkg, call)
-	if len(callees) == 0 {
-		return
-	}
-	passesCtx := false
-	spanArgs := map[int]ast.Expr{}
-	for i, arg := range call.Args {
-		t := typeOf(pkg, arg)
-		if isContextType(t) {
-			passesCtx = true
-		}
-		if isSpanType(t) {
-			spanArgs[i] = arg
-		}
-	}
-	if len(spanArgs) == 0 {
-		spanArgs = nil
-	}
-	for _, callee := range callees {
-		node.Calls = append(node.Calls, &CallEdge{
-			Pos: call.Pos(), Callee: callee, PassesCtx: passesCtx, spanArgs: spanArgs,
+			return true
 		})
 	}
 }
 
-// resolveCallees maps a call to its possible targets within the graph:
-// the statically bound function, or every implementation of an
-// interface method.
-func (p *Program) resolveCallees(pkg *Package, call *ast.CallExpr) []*FuncNode {
-	fun := ast.Unparen(call.Fun)
-	var id *ast.Ident
-	switch f := fun.(type) {
-	case *ast.Ident:
-		id = f
-	case *ast.SelectorExpr:
-		id = f.Sel
-	default:
-		return nil
+// summarizeCall classifies one call expression: a taint seed, a
+// context consultation, or a resolved call edge.
+func (p *Program) summarizeCall(node *FuncNode, call *ast.CallExpr, opts ProgramOptions) {
+	pkg := node.Pkg
+	fn := calleeFunc(pkg, call)
+	if fn == nil {
+		return
 	}
-	obj, _ := objOf(pkg, id).(*types.Func)
-	if obj == nil {
-		return nil
+	sig := fn.Type().(*types.Signature)
+
+	// Taint seeds: package-level time and math/rand functions.
+	if fn.Pkg() != nil && sig.Recv() == nil {
+		var eff Effect
+		name := fn.Name()
+		switch fn.Pkg().Path() {
+		case "time":
+			if name == "Now" || name == "Since" {
+				eff, name = EffWallClock, "time."+name
+			}
+		case "math/rand":
+			if !randConstructors[name] {
+				eff, name = EffUnseededRand, "rand."+name
+			}
+		case "math/rand/v2":
+			if !randConstructors[name] {
+				eff, name = EffUnseededRand, "rand."+name+" (v2)"
+			}
+		}
+		if eff != 0 && !opts.SuppressedSeedLines[seedKey(pkg.Fset.Position(call.Pos()))] {
+			node.Direct |= eff
+			node.Seeds = append(node.Seeds, Seed{Effect: eff, Pos: call.Pos(), Call: name})
+		}
 	}
-	if node := p.Nodes[obj]; node != nil {
-		return []*FuncNode{node}
+
+	// Context consultation by receiver type.
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && isContextType(typeOf(pkg, sel.X)) {
+		switch sel.Sel.Name {
+		case "Done", "Err", "Deadline":
+			node.Direct |= EffConsultsCtx
+		}
 	}
-	if impls := p.ifaceImpls[obj]; len(impls) > 0 {
-		return impls
+
+	// Resolve the callee to graph nodes.
+	callees := p.ifaceImpls[fn]
+	if n := p.Nodes[fn]; n != nil {
+		callees = []*FuncNode{n}
 	}
-	// Interface method objects obtained through embedding resolve to a
-	// distinct *types.Func per embedding level; match by name against
-	// the declared surfaces as a fallback.
-	return nil
+	if len(callees) == 0 {
+		return
+	}
+	passesCtx := false
+	for _, arg := range call.Args {
+		if isContextType(typeOf(pkg, arg)) {
+			passesCtx = true
+		}
+	}
+	for _, callee := range callees {
+		node.Calls = append(node.Calls, &CallEdge{Pos: call.Pos(), Callee: callee, PassesCtx: passesCtx})
+	}
 }
 
 // propagate runs the effect fixed point: Trans = Direct ∪ callee Trans,
 // with wall-clock/rand blocked at barrier nodes and context
-// consultation flowing only across context-passing edges. Span-param
-// closure (endsSpanParams through helper chains) reaches a fixed point
-// in the same loop.
+// consultation flowing only across context-passing edges.
 func (p *Program) propagate() {
 	for _, n := range p.ordered {
 		n.Trans = n.Direct
@@ -469,23 +386,12 @@ func (p *Program) propagate() {
 				}
 				if add := in &^ n.Trans; add != 0 {
 					n.Trans |= add
-					for _, bit := range []Effect{EffWallClock, EffUnseededRand, EffSpawnsGoroutine, EffAcquiresMutex, EffConsultsCtx, EffJoinSignal} {
+					for _, bit := range taintBits {
 						if add&bit != 0 && n.via[bit] == nil {
 							n.via[bit] = e
 						}
 					}
 					changed = true
-				}
-				// Span closure: passing our span param into a callee
-				// position that (transitively) Ends it means we end it.
-				for argIdx, argExpr := range e.spanArgs {
-					if !e.Callee.endsSpanParams[argIdx] {
-						continue
-					}
-					if i := spanParamIndex(n, argExpr, n.Pkg); i >= 0 && !n.endsSpanParams[i] {
-						n.endsSpanParams[i] = true
-						changed = true
-					}
 				}
 			}
 		}
@@ -499,14 +405,14 @@ func (p *Program) propagate() {
 func (p *Program) TaintPath(node *FuncNode, bit Effect, root string) string {
 	var parts []string
 	seen := map[*FuncNode]bool{}
-	cur := node
-	for cur != nil && !seen[cur] {
+	for cur := node; cur != nil && !seen[cur]; {
 		seen[cur] = true
 		parts = append(parts, cur.Name())
-		if cur.Direct&bit != 0 {
-			pos := cur.seedPos[bit]
-			parts = append(parts, cur.seedDesc[bit]+" ("+relPos(pos, root)+")")
-			return strings.Join(parts, " → ")
+		for _, s := range cur.Seeds {
+			if s.Effect == bit {
+				parts = append(parts, s.Call+" ("+relPos(cur.Pkg.Fset.Position(s.Pos), root)+")")
+				return strings.Join(parts, " → ")
+			}
 		}
 		edge := cur.via[bit]
 		if edge == nil {
@@ -517,49 +423,10 @@ func (p *Program) TaintPath(node *FuncNode, bit Effect, root string) string {
 	return strings.Join(parts, " → ")
 }
 
-// EndsSpanParam reports whether fn (transitively) calls End on its i-th
-// parameter.
-func (p *Program) EndsSpanParam(fn *types.Func, i int) bool {
-	node := p.Nodes[fn]
-	return node != nil && node.endsSpanParams[i]
-}
-
-const tracePkg = "harmonia/internal/trace"
-
-// spanParamIndex resolves an expression to the index of the enclosing
-// function's parameter it denotes, or -1. Used to summarize "this
-// function Ends its span argument".
-func spanParamIndex(node *FuncNode, e ast.Expr, pkg *Package) int {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return -1
-	}
-	obj := objOf(pkg, id)
-	if obj == nil {
-		return -1
-	}
-	sig, ok := node.Fn.Type().(*types.Signature)
-	if !ok {
-		return -1
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if sig.Params().At(i) == obj {
-			return i
-		}
-	}
-	return -1
-}
-
 // isContextType reports whether t is context.Context.
 func isContextType(t types.Type) bool {
 	path, name, ok := namedFrom(t)
 	return ok && path == "context" && name == "Context"
-}
-
-// isSpanType reports whether t is *trace.Span (or trace.Span).
-func isSpanType(t types.Type) bool {
-	path, name, ok := namedFrom(t)
-	return ok && path == tracePkg && name == "Span"
 }
 
 func typeOf(pkg *Package, e ast.Expr) types.Type {
@@ -567,35 +434,6 @@ func typeOf(pkg *Package, e ast.Expr) types.Type {
 		return nil
 	}
 	return pkg.Info.TypeOf(e)
-}
-
-func objOf(pkg *Package, id *ast.Ident) types.Object {
-	if pkg.Info == nil {
-		return nil
-	}
-	if obj := pkg.Info.Uses[id]; obj != nil {
-		return obj
-	}
-	return pkg.Info.Defs[id]
-}
-
-func isPkgIdent(pkg *Package, id *ast.Ident) bool {
-	obj := objOf(pkg, id)
-	if obj == nil {
-		return true
-	}
-	_, ok := obj.(*types.PkgName)
-	return ok
-}
-
-// fileOf returns the *ast.File of pkg containing pos.
-func fileOf(pkg *Package, pos token.Pos) *ast.File {
-	for _, f := range pkg.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return pkg.Files[0]
 }
 
 // seedKey renders a position as the "file:line" suppression key.

@@ -141,7 +141,7 @@ func delegationWrapperCall(fd *ast.FuncDecl) *ast.CallExpr {
 // another package (batch.Map) is the implementation, not a wrapper, and
 // stays flagged.
 func delegatesWithinPackage(pass *Pass, call *ast.CallExpr) bool {
-	fn := calleeFunc(pass, call)
+	fn := calleeFunc(pass.Pkg, call)
 	if fn == nil || fn.Pkg() == nil || pass.Pkg.Types == nil {
 		return false
 	}
@@ -258,7 +258,7 @@ func (a *CtxFlow) loopFansOut(pass *Pass, body *ast.BlockStmt) (bool, string) {
 		if !ok {
 			return true
 		}
-		fn := calleeFunc(pass, call)
+		fn := calleeFunc(pass.Pkg, call)
 		if fn == nil || fn.Pkg() == nil {
 			return true
 		}
@@ -315,7 +315,7 @@ func (a *CtxFlow) loopConsultsCtx(pass *Pass, body *ast.BlockStmt, ctxParam type
 				}
 				continue
 			}
-			fn := calleeFunc(pass, call)
+			fn := calleeFunc(pass.Pkg, call)
 			if fn == nil || pass.Prog == nil {
 				consults = true // unresolved: assume the callee consults
 				return false

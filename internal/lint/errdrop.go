@@ -43,7 +43,7 @@ func (a *ErrDrop) Run(pass *Pass) {
 // moduleCallErrors returns the callee's rendered name and the indices
 // of its error results when the call targets a module function.
 func moduleCallErrors(pass *Pass, call *ast.CallExpr) (name string, errIdx []int) {
-	fn := calleeFunc(pass, call)
+	fn := calleeFunc(pass.Pkg, call)
 	if fn == nil || fn.Pkg() == nil {
 		return "", nil
 	}
@@ -68,49 +68,9 @@ func moduleCallErrors(pass *Pass, call *ast.CallExpr) (name string, errIdx []int
 }
 
 func (a *ErrDrop) checkBareCall(pass *Pass, call *ast.CallExpr) {
-	name, errIdx := moduleCallErrors(pass, call)
-	if len(errIdx) == 0 {
-		return
+	if name, errIdx := moduleCallErrors(pass, call); len(errIdx) > 0 {
+		pass.Reportf(call.Pos(), "error from %s discarded; handle it or annotate with lint:ignore errdrop <reason>", name)
 	}
-	msg := "error from %s discarded; handle it or annotate with lint:ignore errdrop <reason>"
-	if fix, ok := a.handleStubFix(pass, call, name, errIdx); ok {
-		pass.ReportFixf(call.Pos(), fix, msg, name)
-		return
-	}
-	pass.Reportf(call.Pos(), msg, name)
-}
-
-// handleStubFix rewrites a bare statement call into an explicit
-// error-handling stub:
-//
-//	pkg.Fn(args)   →   if err := pkg.Fn(args); err != nil {
-//	                       // TODO(harmonia-lint): handle this error explicitly.
-//	                   }
-//
-// Non-error results are discarded with blanks. Only offered for a call
-// with exactly one error result; the stub compiles, is gofmt-clean, and
-// re-linting the fixed tree reports nothing (the error is no longer
-// discarded).
-func (a *ErrDrop) handleStubFix(pass *Pass, call *ast.CallExpr, name string, errIdx []int) (SuggestedFix, bool) {
-	if len(errIdx) != 1 {
-		return SuggestedFix{}, false
-	}
-	fn := calleeFunc(pass, call)
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return SuggestedFix{}, false
-	}
-	lhs := make([]string, sig.Results().Len())
-	for i := range lhs {
-		lhs[i] = "_"
-	}
-	lhs[errIdx[0]] = "err"
-	repl := "if " + strings.Join(lhs, ", ") + " := " + pass.srcText(call.Pos(), call.End()) +
-		"; err != nil {\n// TODO(harmonia-lint): handle this error from " + name + " explicitly.\n}"
-	return SuggestedFix{
-		Message: "wrap the call in an explicit error-handling stub",
-		Edits:   []TextEdit{pass.edit(call.Pos(), call.End(), repl)},
-	}, true
 }
 
 // checkBlankAssign flags `_`-assigned error results of module calls,

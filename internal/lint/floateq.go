@@ -54,94 +54,12 @@ func (a *FloatEq) Run(pass *Pass) {
 					return true
 				}
 				if isFloat(pass.TypeOf(bin.X)) || isFloat(pass.TypeOf(bin.Y)) {
-					msg := "%s on float operands; NaN breaks exact comparison — use internal/floats helpers or an epsilon"
-					if fix, ok := a.suggestFix(pass, f, bin); ok {
-						pass.ReportFixf(bin.Pos(), fix, msg, bin.Op)
-					} else {
-						pass.Reportf(bin.Pos(), msg, bin.Op)
-					}
+					pass.Reportf(bin.Pos(), "%s on float operands; NaN breaks exact comparison — use internal/floats helpers or an epsilon", bin.Op)
 				}
 				return true
 			})
 		}
 	}
-}
-
-// floatsPkg holds the approved comparison helpers the fixes target.
-const floatsPkg = "harmonia/internal/floats"
-
-// suggestFix rewrites `a == b` to floats.Equal(a, b), `a != b` to
-// !floats.Equal(a, b), and the zero-literal forms to floats.Zero. Fixes
-// are attached only when both operands fit the helpers' float64
-// signatures, so applying an edit can never break the build.
-func (a *FloatEq) suggestFix(pass *Pass, f *ast.File, bin *ast.BinaryExpr) (SuggestedFix, bool) {
-	if pass.Pkg.Path == floatsPkg {
-		return SuggestedFix{}, false // the helpers define the comparisons
-	}
-	if !float64Compatible(pass, bin.X) || !float64Compatible(pass, bin.Y) {
-		return SuggestedFix{}, false
-	}
-	impEdit, local, needsImport := pass.importEdit(f, floatsPkg)
-
-	neg := ""
-	if bin.Op == token.NEQ {
-		neg = "!"
-	}
-	var repl string
-	switch {
-	case isZeroLiteral(bin.Y):
-		repl = neg + local + ".Zero(" + pass.srcText(bin.X.Pos(), bin.X.End()) + ")"
-	case isZeroLiteral(bin.X):
-		repl = neg + local + ".Zero(" + pass.srcText(bin.Y.Pos(), bin.Y.End()) + ")"
-	default:
-		repl = neg + local + ".Equal(" + pass.srcText(bin.X.Pos(), bin.X.End()) + ", " + pass.srcText(bin.Y.Pos(), bin.Y.End()) + ")"
-	}
-	fix := SuggestedFix{
-		Message: "replace exact float comparison with " + local + " helper",
-		Edits:   []TextEdit{pass.edit(bin.Pos(), bin.End(), repl)},
-	}
-	if needsImport {
-		fix.Edits = append(fix.Edits, impEdit)
-	}
-	return fix, true
-}
-
-// float64Compatible reports whether e can be passed to a float64
-// parameter verbatim: typed float64, or an untyped constant.
-func float64Compatible(pass *Pass, e ast.Expr) bool {
-	t := pass.TypeOf(e)
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	if !ok {
-		return false
-	}
-	if b.Kind() == types.Float64 {
-		return true
-	}
-	// Untyped constants adapt to the helper's parameter type.
-	if pass.Pkg.Info != nil {
-		if tv, ok := pass.Pkg.Info.Types[e]; ok && tv.Value != nil {
-			return b.Info()&(types.IsUntyped|types.IsNumeric) == types.IsUntyped|types.IsNumeric ||
-				b.Kind() == types.Float64
-		}
-	}
-	return false
-}
-
-// isZeroLiteral reports whether e is the literal 0 or 0.0 (possibly
-// parenthesized).
-func isZeroLiteral(e ast.Expr) bool {
-	bl, ok := ast.Unparen(e).(*ast.BasicLit)
-	if !ok || (bl.Kind != token.INT && bl.Kind != token.FLOAT) {
-		return false
-	}
-	switch bl.Value {
-	case "0", "0.0", "0.":
-		return true
-	}
-	return false
 }
 
 func isFloat(t types.Type) bool {

@@ -8,19 +8,15 @@ import (
 
 // Finding is the machine-readable form of a Diagnostic. Field order is
 // part of the output contract (see DESIGN.md §10.4): check, severity,
-// file, line, col, message, suggested_fixes — encoding/json emits
-// struct fields in declaration order, and TestJSONStableSchema pins it.
-// suggested_fixes is omitted when the finding carries no
-// machine-applicable fix, so fix-free reports are byte-identical to the
-// pre-fix schema.
+// file, line, col, message — encoding/json emits struct fields in
+// declaration order, and TestJSONStableSchema pins it.
 type Finding struct {
-	Check          string         `json:"check"`
-	Severity       string         `json:"severity"`
-	File           string         `json:"file"`
-	Line           int            `json:"line"`
-	Col            int            `json:"col"`
-	Message        string         `json:"message"`
-	SuggestedFixes []SuggestedFix `json:"suggested_fixes,omitempty"`
+	Check    string `json:"check"`
+	Severity string `json:"severity"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Col      int    `json:"col"`
+	Message  string `json:"message"`
 }
 
 // Report is the top-level -json document.
@@ -50,13 +46,12 @@ func NewReport(root string, checks []string, diags []Diagnostic) Report {
 			rep.Errors++
 		}
 		rep.Findings = append(rep.Findings, Finding{
-			Check:          d.Check,
-			Severity:       string(d.Severity),
-			File:           file,
-			Line:           d.Pos.Line,
-			Col:            d.Pos.Column,
-			Message:        d.Message,
-			SuggestedFixes: relativizeFixes(root, d.Fixes),
+			Check:    d.Check,
+			Severity: string(d.Severity),
+			File:     file,
+			Line:     d.Pos.Line,
+			Col:      d.Pos.Column,
+			Message:  d.Message,
 		})
 	}
 	return rep
@@ -69,25 +64,6 @@ func relToRoot(root, file string) string {
 		return filepath.ToSlash(rel)
 	}
 	return file
-}
-
-// relativizeFixes deep-copies fixes with edit paths made root-relative.
-// The in-memory fixes keep absolute paths (ApplyFixes reads the files);
-// only the serialized form is relativized.
-func relativizeFixes(root string, fixes []SuggestedFix) []SuggestedFix {
-	if len(fixes) == 0 {
-		return nil
-	}
-	out := make([]SuggestedFix, len(fixes))
-	for i, fix := range fixes {
-		out[i] = fix
-		out[i].Edits = make([]TextEdit, len(fix.Edits))
-		for j, e := range fix.Edits {
-			e.File = relToRoot(root, e.File)
-			out[i].Edits[j] = e
-		}
-	}
-	return out
 }
 
 // WriteJSON emits the report as indented JSON followed by a newline.

@@ -9,8 +9,7 @@ import (
 // TestJSONStableSchema pins the -json output contract byte-for-byte:
 // top-level field order (module, checks, errors, warnings, findings)
 // and per-finding field order (check, severity, file, line, col,
-// message, suggested_fixes — the last omitted when the finding carries
-// no fix). The serve/CI layer may ingest this format; changing it is an
+// message). The serve/CI layer may ingest this format; changing it is an
 // API break and must update DESIGN.md §10.4 alongside this test.
 func TestJSONStableSchema(t *testing.T) {
 	diags := []Diagnostic{
@@ -63,78 +62,6 @@ func TestJSONStableSchema(t *testing.T) {
 `
 	if buf.String() != want {
 		t.Errorf("JSON schema drifted:\n--- got ---\n%s--- want ---\n%s", buf.String(), want)
-	}
-}
-
-// TestJSONSuggestedFixes pins the suggested_fixes serialization: fix
-// messages and byte-offset edits with root-relative file paths, nested
-// under the finding. In-memory fixes keep absolute paths (application
-// reads the files); only the serialized form is relativized.
-func TestJSONSuggestedFixes(t *testing.T) {
-	diags := []Diagnostic{
-		{
-			Check:    "floateq",
-			Severity: SevError,
-			Pos:      token.Position{Filename: "/repo/internal/core/core.go", Line: 8, Column: 9},
-			Message:  "== on float operands",
-			Fixes: []SuggestedFix{{
-				Message: "replace exact float comparison with floats helper",
-				Edits: []TextEdit{
-					{File: "/repo/internal/core/core.go", Start: 120, End: 126, NewText: "floats.Equal(a, b)"},
-					{File: "/repo/internal/core/core.go", Start: 40, End: 40, NewText: "\n\"harmonia/internal/floats\""},
-				},
-			}},
-		},
-	}
-	rep := NewReport("/repo", []string{"floateq"}, diags)
-	if got := diags[0].Fixes[0].Edits[0].File; got != "/repo/internal/core/core.go" {
-		t.Errorf("NewReport mutated the in-memory fix path: %s", got)
-	}
-
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, rep); err != nil {
-		t.Fatal(err)
-	}
-	want := `{
-  "module": "harmonia",
-  "checks": [
-    "floateq"
-  ],
-  "errors": 1,
-  "warnings": 0,
-  "findings": [
-    {
-      "check": "floateq",
-      "severity": "error",
-      "file": "internal/core/core.go",
-      "line": 8,
-      "col": 9,
-      "message": "== on float operands",
-      "suggested_fixes": [
-        {
-          "message": "replace exact float comparison with floats helper",
-          "edits": [
-            {
-              "file": "internal/core/core.go",
-              "start": 120,
-              "end": 126,
-              "new_text": "floats.Equal(a, b)"
-            },
-            {
-              "file": "internal/core/core.go",
-              "start": 40,
-              "end": 40,
-              "new_text": "\n\"harmonia/internal/floats\""
-            }
-          ]
-        }
-      ]
-    }
-  ]
-}
-`
-	if buf.String() != want {
-		t.Errorf("suggested_fixes schema drifted:\n--- got ---\n%s--- want ---\n%s", buf.String(), want)
 	}
 }
 

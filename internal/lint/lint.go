@@ -1,38 +1,27 @@
-// Package lint is harmonia's domain-specific static-analysis framework.
-// The repo's load-bearing guarantees — bit-identical memoized runs,
-// order-identical parallel fan-out, and the paper's exact 448-point
-// tunable space — are invariants that ordinary tests only catch after a
-// violation ships. This package makes them machine-checked at review
-// time: a stdlib-only (go/parser, go/ast, go/token, go/types) analysis
-// pass with a common Analyzer interface, per-package policy scoping,
+// Package lint is harmonia's domain-specific static-analysis framework:
+// a stdlib-only (go/parser, go/ast, go/token, go/types) analysis pass
+// with a common Analyzer interface, per-package policy scoping,
 // position-accurate diagnostics, and //lint:ignore suppression, exposed
 // through cmd/harmonia-lint.
 //
-// Ten domain analyzers ship with the framework. Six are
-// intraprocedural (one function body at a time):
+// The runtime byte-identity tests (golden float bits, traced, timeline
+// and budget equivalence, crash-replay identity) are what prove the
+// repo's determinism. Lint is the cheap review-time layer on top: it
+// names the offending line before a test has to find the symptom. Four
+// analyzers ship, kept because each catches a bug class that no runtime
+// gate pins to a source line:
 //
-//   - nondeterminism: wall-clock reads, unseeded math/rand, and
-//     output-reaching map iteration inside the deterministic packages
-//   - hwenvelope: raw frequency/CU-count literals outside internal/hw
-//   - lockscope: mutexes held across calls into gpusim/sweep/batch
+//   - nondeterminism: wall-clock reads and unseeded math/rand in the
+//     deterministic packages, directly or through any call path (the
+//     offending path is printed), plus output-reaching map iteration
 //   - floateq: ==/!= on floating-point operands outside approved helpers
 //   - errdrop: discarded error returns from module APIs
-//   - workerbudget: raw runtime.GOMAXPROCS/NumCPU widths in the workers
-//     argument of batch/sweep fan-out calls
-//
-// Four run over the module-wide call graph (callgraph.go) with
-// per-function effect summaries propagated to a fixed point, so they see
-// through any wrapper depth:
-//
-//   - detertaint: calls in deterministic packages that transitively
-//     reach wall-clock/unseeded-rand, offending path printed
 //   - ctxflow: context.Background outside main, ctx struct fields, and
 //     fan-out loops that never consult ctx
-//   - spawnjoin: goroutines with no join or cancellation edge
-//   - spanend: trace spans started but not Ended on every return path
 //
-// Analyzers may attach machine-applicable suggested fixes (fix.go);
-// cmd/harmonia-lint applies them with -fix or previews with -diff.
+// nondeterminism and ctxflow run over the module-wide call graph
+// (callgraph.go), whose per-function effect summaries are propagated to
+// a fixed point.
 //
 // See DESIGN.md §10 for each analyzer's invariant and rationale.
 package lint
@@ -66,9 +55,6 @@ type Diagnostic struct {
 	Severity Severity
 	Pos      token.Position // absolute file path
 	Message  string
-	// Fixes holds machine-applicable alternatives; applying all edits of
-	// any one fix resolves the finding.
-	Fixes []SuggestedFix
 }
 
 func (d Diagnostic) String() string {
@@ -208,62 +194,30 @@ func DeterministicPackages() []string {
 // DefaultPolicy is the repo's enforcement policy: nondeterminism is
 // confined to the deterministic packages (serve/telemetry/faults are
 // explicitly allowlisted — wall-clock and seeded randomness are their
-// job, as are resilience's breaker cooldowns and rate-limiter refills),
-// hwenvelope exempts internal/hw itself (the single source of truth),
-// floateq exempts internal/floats (the approved comparison helpers),
-// and workerbudget exempts internal/batch (the budget arithmetic's
-// home) and internal/serve (which legitimately derives per-request
-// shares from the machine width).
+// job, as are resilience's breaker cooldowns and rate-limiter refills;
+// the exempt packages double as taint barriers), and floateq exempts
+// internal/floats (the approved comparison helpers).
 func DefaultPolicy() Policy {
-	nondetExempt := []string{
-		"harmonia/internal/serve",
-		"harmonia/internal/telemetry",
-		"harmonia/internal/faults",
-		// resilience is timer-driven by design: breaker cooldowns,
-		// token-bucket refill, and journal timestamps read the
-		// clock through an injectable now() that tests pin.
-		"harmonia/internal/resilience",
-	}
 	return Policy{Scopes: map[string]Scope{
 		"nondeterminism": {
-			Only:   DeterministicPackages(),
-			Exempt: nondetExempt,
+			Only: DeterministicPackages(),
+			Exempt: []string{
+				"harmonia/internal/serve",
+				"harmonia/internal/telemetry",
+				"harmonia/internal/faults",
+				// resilience is timer-driven by design: breaker cooldowns,
+				// token-bucket refill, and journal timestamps read the
+				// clock through an injectable now() that tests pin.
+				"harmonia/internal/resilience",
+			},
 		},
-		// detertaint is nondeterminism's interprocedural companion: same
-		// scope, and the exempt packages double as taint barriers (their
-		// wall-clock/rand effects do not leak to callers).
-		"detertaint": {
-			Only:   DeterministicPackages(),
-			Exempt: nondetExempt,
-		},
-		"hwenvelope": {Exempt: []string{"harmonia/internal/hw"}},
-		"floateq":    {Exempt: []string{"harmonia/internal/floats"}},
-		"workerbudget": {Exempt: []string{
-			// batch owns the budget arithmetic: resolving 0 to GOMAXPROCS
-			// is its job, not a violation.
-			"harmonia/internal/batch",
-			// serve derives per-request sweep shares from GOMAXPROCS by
-			// design (the machine width divided by the pool size).
-			"harmonia/internal/serve",
-		}},
+		"floateq": {Exempt: []string{"harmonia/internal/floats"}},
 	}}
 }
 
-// Analyzers returns the ten domain analyzers in stable order: the six
-// intraprocedural checks first, then the four call-graph checks.
+// Analyzers returns the four domain analyzers in stable order.
 func Analyzers() []Analyzer {
-	return []Analyzer{
-		&Nondeterminism{},
-		&HWEnvelope{},
-		&LockScope{},
-		NewFloatEq(),
-		&ErrDrop{},
-		&WorkerBudget{},
-		&DeterTaint{},
-		&CtxFlow{},
-		&SpawnJoin{},
-		&SpanEnd{},
-	}
+	return []Analyzer{&Nondeterminism{}, NewFloatEq(), &ErrDrop{}, &CtxFlow{}}
 }
 
 // Select filters analyzers by a comma-separated name list; an empty
@@ -343,28 +297,24 @@ func Run(pkgs []*Package, analyzers []Analyzer, pol Policy) []Diagnostic {
 	}
 
 	// Build the interprocedural Program once when any selected analyzer
-	// declares it needs one. The detertaint exempt packages double as
+	// declares it needs one. The nondeterminism exempt packages double as
 	// taint barriers, and any direct wall-clock/rand seed carrying a
-	// //lint:ignore for nondeterminism or detertaint is a sanctioned
-	// seed that must not taint callers.
+	// //lint:ignore nondeterminism is a sanctioned seed that must not
+	// taint callers.
 	var prog *Program
 	root := moduleRootOf(pkgs)
 	if NeedsProgram(analyzers) {
-		clean := pol.Scopes["detertaint"].Exempt
-		if len(clean) == 0 {
-			clean = pol.Scopes["nondeterminism"].Exempt
-		}
 		sanctioned := make(map[string]bool)
 		for _, pkg := range pkgs {
 			for _, d := range directivesFor(pkg) {
-				if d.check == "nondeterminism" || d.check == "detertaint" {
+				if d.check == "nondeterminism" {
 					sanctioned[fmt.Sprintf("%s:%d", d.pos.Filename, d.pos.Line)] = true
 					sanctioned[fmt.Sprintf("%s:%d", d.pos.Filename, d.pos.Line+1)] = true
 				}
 			}
 		}
 		prog = BuildProgram(pkgs, ProgramOptions{
-			CleanPackages:       clean,
+			CleanPackages:       pol.Scopes["nondeterminism"].Exempt,
 			SuppressedSeedLines: sanctioned,
 		})
 	}

@@ -41,8 +41,8 @@ func TestPolicyDefaultsAndUnknownChecks(t *testing.T) {
 	if !pol.Applies("nondeterminism", "harmonia/internal/sweep") {
 		t.Error("sweep must be under nondeterminism enforcement")
 	}
-	if pol.Applies("hwenvelope", "harmonia/internal/hw") {
-		t.Error("hw itself must be exempt from hwenvelope")
+	if pol.Applies("floateq", "harmonia/internal/floats") {
+		t.Error("the approved float helpers must be exempt from floateq")
 	}
 	if !pol.Applies("errdrop", "harmonia/internal/anything") {
 		t.Error("checks without a scope must run everywhere")

@@ -70,9 +70,6 @@ func NewLoader(root string) *Loader {
 	}
 }
 
-// Fset returns the loader's file set, shared by every loaded package.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // FindModuleRoot walks up from dir to the directory containing go.mod.
 func FindModuleRoot(dir string) (string, error) {
 	dir, err := filepath.Abs(dir)

@@ -5,18 +5,30 @@ import (
 	"strings"
 )
 
-// Nondeterminism forbids the three bug classes that break bit-identical
-// replay inside the deterministic packages (see DeterministicPackages):
+// Nondeterminism forbids the bug classes that break bit-identical replay
+// inside the deterministic packages (see DeterministicPackages). It runs
+// over the module call graph, so it sees through any wrapper depth:
 //
-//   - wall-clock reads (time.Now, time.Since): any value derived from
-//     the clock poisons memoization keys and run/rerun equivalence.
-//   - unseeded math/rand: the package-level functions draw from the
-//     shared global source, whose state depends on everything else in
-//     the process; randomness must flow from rand.New(rand.NewSource)
-//     with an explicit seed.
+//   - direct wall-clock reads (time.Now, time.Since) and unseeded
+//     math/rand draws, taken from the Program's per-function seeds (a
+//     package-level var initializer counts as a function body): any
+//     value derived from the clock poisons memoization keys and
+//     run/rerun equivalence, and randomness must flow from
+//     rand.New(rand.NewSource) with an explicit seed.
+//   - calls whose callee lies outside the deterministic scope and
+//     transitively reaches one of those seeds. The finding sits where
+//     the taint enters the scope and prints the offending call path, so
+//     each root cause surfaces once: a tainted callee inside the scope
+//     carries its own finding.
 //   - map iteration whose order can reach output: ranging over a map
 //     while appending to a slice or writing to a stream bakes Go's
 //     randomized iteration order into the result.
+//
+// Sanctioned sinks do not taint: functions in the policy's exempt
+// packages (serve, telemetry, faults, resilience under the default
+// policy) are barriers, and seeds carrying a //lint:ignore
+// nondeterminism directive — the trace package's injectable wall-clock
+// default — are not seeds at all.
 type Nondeterminism struct{}
 
 // Name implements Analyzer.
@@ -24,46 +36,60 @@ func (*Nondeterminism) Name() string { return "nondeterminism" }
 
 // Doc implements Analyzer.
 func (*Nondeterminism) Doc() string {
-	return "forbid wall-clock reads, unseeded math/rand, and output-reaching map iteration in deterministic packages"
+	return "forbid wall-clock reads, unseeded math/rand (direct or through any call path), and output-reaching map iteration in deterministic packages"
 }
 
-// randConstructors are the math/rand entry points that do not touch the
-// global source: they build explicitly seeded generators.
-var randConstructors = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
+func (*Nondeterminism) needsProgram() bool { return true }
+
+// seedMessages explain each direct seed; %s is the call ("time.Now").
+var seedMessages = map[Effect]string{
+	EffWallClock:    "%s reads the wall clock; deterministic packages must take time as an input",
+	EffUnseededRand: "%s draws from the unseeded global source; use rand.New(rand.NewSource(seed))",
+}
 
 // Run implements Analyzer.
 func (a *Nondeterminism) Run(pass *Pass) {
+	for _, node := range pass.Prog.ordered {
+		if node.Pkg != pass.Pkg {
+			continue
+		}
+		for _, s := range node.Seeds {
+			pass.Reportf(s.Pos, seedMessages[s.Effect], s.Call)
+		}
+		a.checkTaintedCalls(pass, node)
+	}
 	for _, f := range pass.Pkg.Files {
-		timeName, timeOK := localImportName(f, "time")
-		randName, randOK := localImportName(f, "math/rand")
-		randV2Name, randV2OK := localImportName(f, "math/rand/v2")
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				sel, ok := n.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				id, ok := sel.X.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				if timeOK && id.Name == timeName && isPkgRef(pass, id) {
-					if sel.Sel.Name == "Now" || sel.Sel.Name == "Since" {
-						pass.Reportf(n.Pos(), "time.%s reads the wall clock; deterministic packages must take time as an input", sel.Sel.Name)
-					}
-				}
-				if randOK && id.Name == randName && isPkgRef(pass, id) && !randConstructors[sel.Sel.Name] {
-					pass.Reportf(n.Pos(), "rand.%s draws from the unseeded global source; use rand.New(rand.NewSource(seed))", sel.Sel.Name)
-				}
-				if randV2OK && id.Name == randV2Name && isPkgRef(pass, id) && !randConstructors[sel.Sel.Name] {
-					pass.Reportf(n.Pos(), "rand.%s (math/rand/v2) draws from a runtime-seeded source; use rand.New with an explicit seed", sel.Sel.Name)
-				}
-			case *ast.RangeStmt:
-				a.checkMapRange(pass, n)
+			if rng, ok := n.(*ast.RangeStmt); ok {
+				a.checkMapRange(pass, rng)
 			}
 			return true
 		})
+	}
+}
+
+// checkTaintedCalls reports node's calls that leave the deterministic
+// scope for a non-barrier callee that transitively reaches a seed.
+func (a *Nondeterminism) checkTaintedCalls(pass *Pass, node *FuncNode) {
+	seen := map[string]bool{}
+	for _, edge := range node.Calls {
+		callee := edge.Callee
+		if pass.Scope.Applies(callee.Pkg.Path) || callee.barrier {
+			continue
+		}
+		for _, bit := range taintBits {
+			if callee.Trans&bit == 0 {
+				continue
+			}
+			key := pass.Pkg.Fset.Position(edge.Pos).String() + callee.Name()
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+			pass.Reportf(edge.Pos,
+				"call to %s transitively reaches a %s: %s; deterministic packages must take time/randomness as inputs",
+				callee.Name(), effectDesc[bit], pass.Prog.TaintPath(callee, bit, pass.Root))
+		}
 	}
 }
 
@@ -75,7 +101,8 @@ func (a *Nondeterminism) checkMapRange(pass *Pass, rng *ast.RangeStmt) {
 	if t == nil || !isMapType(t) {
 		return
 	}
-	var escape ast.Node
+	var escape *ast.CallExpr
+	name := ""
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		if escape != nil {
 			return false
@@ -87,32 +114,18 @@ func (a *Nondeterminism) checkMapRange(pass *Pass, rng *ast.RangeStmt) {
 		switch fun := call.Fun.(type) {
 		case *ast.Ident:
 			if fun.Name == "append" {
-				escape = call
+				escape, name = call, fun.Name
 			}
 		case *ast.SelectorExpr:
-			name := fun.Sel.Name
-			if strings.HasPrefix(name, "Write") || strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fprint") {
-				escape = call
+			sel := fun.Sel.Name
+			if strings.HasPrefix(sel, "Write") || strings.HasPrefix(sel, "Print") || strings.HasPrefix(sel, "Fprint") {
+				escape, name = call, sel
 			}
 		}
 		return true
 	})
 	if escape != nil {
 		pass.Reportf(escape.Pos(), "%s inside map iteration (line %d) bakes random order into output; collect and sort keys first",
-			describeEscape(escape), pass.Pkg.Fset.Position(rng.Pos()).Line)
+			name, pass.Pkg.Fset.Position(rng.Pos()).Line)
 	}
-}
-
-func describeEscape(n ast.Node) string {
-	call, ok := n.(*ast.CallExpr)
-	if !ok {
-		return "write"
-	}
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		return fun.Sel.Name
-	}
-	return "write"
 }

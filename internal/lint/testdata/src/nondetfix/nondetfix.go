@@ -51,3 +51,7 @@ func SuppressedStamp() int64 {
 	//lint:ignore nondeterminism fixture demonstrating an annotated, justified clock read
 	return time.Now().UnixNano()
 }
+
+// t0 reads the clock at package initialization, outside any function
+// body. (true positive: time.Now in a var initializer)
+var t0 = time.Now()

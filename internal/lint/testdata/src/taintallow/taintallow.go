@@ -1,4 +1,4 @@
-// Package taintallow is the detertaint fixture's allowlisted sink: it
+// Package taintallow is the nondeterminism fixture's allowlisted sink: it
 // reads the clock by design (mirroring serve/telemetry/faults), and the
 // policy exemption makes it a barrier — its taint does not flow into
 // deterministic callers.

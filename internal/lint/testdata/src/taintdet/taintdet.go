@@ -1,6 +1,6 @@
 // Package taintdet is the deterministic-scoped package of the
-// detertaint fixture: calls out of it are judged against the module
-// call graph.
+// nondeterminism call-graph fixture: calls out of it are judged against
+// the module call graph.
 package taintdet
 
 import (
@@ -8,8 +8,8 @@ import (
 	"harmonia/internal/lint/testdata/src/taintwrap"
 )
 
-// Tainted reaches time.Now two wrapper hops away: the true positive the
-// intraprocedural check misses.
+// Tainted reaches time.Now two wrapper hops away: the true positive a
+// body-local check misses.
 func Tainted() int64 { return taintwrap.Stamp() }
 
 // Sanctioned calls a wrapper whose seed carries an ignore directive; a
@@ -25,6 +25,6 @@ func Clean(a int) int { return taintwrap.Pure(a, a) }
 
 // Suppressed commits the violation under an in-file suppression.
 func Suppressed() int64 {
-	//lint:ignore detertaint fixture: demonstrating the in-file suppression
+	//lint:ignore nondeterminism fixture: demonstrating the in-file suppression
 	return taintwrap.Stamp()
 }

@@ -1,6 +1,6 @@
-// Package taintwrap is the wrapper layer of the detertaint fixture: it
-// sits outside the deterministic scope and hides a wall-clock read one
-// call deep, the indirection the intraprocedural nondeterminism check
+// Package taintwrap is the wrapper layer of the nondeterminism
+// call-graph fixture: it sits outside the deterministic scope and hides
+// a wall-clock read one call deep, an indirection a body-local check
 // cannot see.
 package taintwrap
 
@@ -18,6 +18,6 @@ func Pure(a, b int) int { return a + b }
 // keeps the read out of the taint summaries, mirroring the trace
 // package's injectable wall-clock default.
 func SanctionedID() int64 {
-	//lint:ignore detertaint fixture: injectable-clock default, sanctioned seed
+	//lint:ignore nondeterminism fixture: injectable-clock default, sanctioned seed
 	return time.Now().UnixNano()
 }

@@ -128,8 +128,10 @@ func TestHarmoniaSuiteWithinOracleHeadline(t *testing.T) {
 	gapPP := gainOR - gainHM
 	t.Logf("geomean ED2 gain: harmonia %.1f%%, oracle %.1f%%, gap %.1f points (paper: within ~3)",
 		gainHM*100, gainOR*100, gapPP*100)
-	if gapPP > 0.06 {
-		t.Fatalf("oracle gap %.1f points exceeds the headline bound of 6", gapPP*100)
+	// The suite measures 4.64 points (0.0464) against the paper's <= 3,
+	// so the bound of 5 trips if the gap widens by more than 0.36 points.
+	if gapPP > 0.050 {
+		t.Fatalf("oracle gap %.2f points exceeds the headline bound of 5 (measured 4.64; paper: <= 3)", gapPP*100)
 	}
 	if gapPP < 0 {
 		t.Fatalf("negative suite gap %.2f points", gapPP*100)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -157,8 +158,16 @@ func (s *State) Apply(rec Record) {
 }
 
 // maxJournalLine bounds one journal line; anything longer is treated as
-// corruption rather than buffered without limit.
+// corruption. readState stops reading as soon as a line outgrows it, so
+// a stream with no newline costs at most maxJournalLine plus one read
+// buffer, never the whole stream.
 const maxJournalLine = 1 << 20
+
+// journalReadBuf is readState's read-buffer size.
+const journalReadBuf = 64 * 1024
+
+// errLineTooLong reports a journal line that outgrew maxJournalLine.
+var errLineTooLong = errors.New("journal line too long")
 
 // ReadState folds a journal stream into a State. A torn final line — the
 // signature of a crash mid-append — terminates the read cleanly; a
@@ -173,12 +182,12 @@ func ReadState(r io.Reader) (*State, error) {
 // line, so OpenJournal can truncate a torn tail before appending.
 func readState(r io.Reader) (*State, int64, error) {
 	s := NewState()
-	br := bufio.NewReaderSize(r, 64*1024)
+	br := bufio.NewReaderSize(r, journalReadBuf)
 	var pos, intact int64
 	sawTorn := false
 	line := 0
 	for {
-		raw, err := br.ReadBytes('\n')
+		raw, err := readLine(br)
 		if len(raw) > 0 {
 			line++
 			pos += int64(len(raw))
@@ -190,7 +199,7 @@ func readState(r io.Reader) (*State, int64, error) {
 				}
 			case sawTorn:
 				return nil, 0, fmt.Errorf("resilience: journal line %d: well-formed record after a torn line", line)
-			case len(body) > maxJournalLine:
+			case err == errLineTooLong || len(body) > maxJournalLine:
 				return nil, 0, fmt.Errorf("resilience: journal line %d exceeds %d bytes", line, maxJournalLine)
 			default:
 				var rec Record
@@ -211,6 +220,23 @@ func readState(r io.Reader) (*State, int64, error) {
 		}
 	}
 	return s, intact, nil
+}
+
+// readLine reads one line, '\n' included (the stream's last line may
+// lack it). It gives up with errLineTooLong once the line holds more
+// than maxJournalLine bytes plus room for a '\r' and still no '\n'.
+func readLine(br *bufio.Reader) ([]byte, error) {
+	var line []byte
+	for {
+		frag, err := br.ReadSlice('\n')
+		line = append(line, frag...)
+		if err != bufio.ErrBufferFull {
+			return line, err
+		}
+		if len(line) > maxJournalLine+1 {
+			return line, errLineTooLong
+		}
+	}
 }
 
 // Journal is an append-only JSONL write-ahead log. Append is safe for

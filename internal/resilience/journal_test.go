@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -162,6 +163,65 @@ func TestJournalRejectsMidStreamCorruption(t *testing.T) {
 		`{"t":"done","id":"run-000001"}` + "\n"
 	if _, err := ReadState(strings.NewReader(body)); err == nil {
 		t.Fatal("mid-stream corruption should be an error, not a silent skip")
+	}
+}
+
+// unterminatedReader serves left bytes of 'x' with no newline and
+// counts how many it handed out.
+type unterminatedReader struct{ left, served int }
+
+func (r *unterminatedReader) Read(p []byte) (int, error) {
+	if r.left == 0 {
+		return 0, io.EOF
+	}
+	n := min(len(p), r.left)
+	for i := range p[:n] {
+		p[i] = 'x'
+	}
+	r.left -= n
+	r.served += n
+	return n, nil
+}
+
+// TestJournalOverlongLineStopsReading pins the line bound as a memory
+// bound: a 64 MiB stream with no newline is rejected after at most
+// maxJournalLine bytes plus one read buffer, not read in full first.
+func TestJournalOverlongLineStopsReading(t *testing.T) {
+	r := &unterminatedReader{left: 64 << 20}
+	_, err := ReadState(r)
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("unterminated 64 MiB line: err = %v, want an exceeds-limit error", err)
+	}
+	if limit := maxJournalLine + journalReadBuf; r.served > limit {
+		t.Errorf("read %d bytes before rejecting the line; the bound is %d", r.served, limit)
+	}
+}
+
+// TestJournalLineLimitBoundary pins the limit at the line body: a record
+// of exactly maxJournalLine bytes folds, with either terminator, and one
+// byte more is rejected.
+func TestJournalLineLimitBoundary(t *testing.T) {
+	record := func(n int) string {
+		head, tail := `{"t":"run","id":"`, `"}`
+		return head + strings.Repeat("r", n-len(head)-len(tail)) + tail
+	}
+	for _, tc := range []struct {
+		name, journal string
+		ok            bool
+	}{
+		{"at limit, LF", record(maxJournalLine) + "\n", true},
+		{"at limit, CRLF", record(maxJournalLine) + "\r\n", true},
+		{"at limit, unterminated", record(maxJournalLine), true},
+		{"over limit", record(maxJournalLine+1) + "\n", false},
+		{"over limit, unterminated", record(maxJournalLine + 1), false},
+	} {
+		st, err := ReadState(strings.NewReader(tc.journal))
+		if tc.ok && (err != nil || st.Records != 1) {
+			t.Errorf("%s: err = %v, want one folded record", tc.name, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "exceeds")) {
+			t.Errorf("%s: err = %v, want an exceeds-limit error", tc.name, err)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 )
@@ -210,6 +211,45 @@ func TestParseTraceparent(t *testing.T) {
 			t.Errorf("malformed header accepted: %q", h)
 		}
 	}
+}
+
+// FuzzParseTraceparent feeds arbitrary headers to the W3C traceparent
+// parser, which reads an untrusted inbound HTTP header. Accepted IDs
+// must be lowercase hex of the spec's widths and not all zero, and the
+// canonical header rebuilt from them must parse back to the same pair.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, seed := range []string{
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",
+		"",
+	} {
+		f.Add(seed)
+	}
+	lowerHex := func(s string, width int) bool {
+		if len(s) != width || strings.Trim(s, "0") == "" {
+			return false
+		}
+		return strings.Trim(s, "0123456789abcdef") == ""
+	}
+	f.Fuzz(func(t *testing.T, header string) {
+		traceID, parentID, ok := ParseTraceparent(header)
+		if !ok {
+			if traceID != "" || parentID != "" {
+				t.Fatalf("rejected %q but returned IDs %q/%q", header, traceID, parentID)
+			}
+			return
+		}
+		if !lowerHex(traceID, 32) || !lowerHex(parentID, 16) {
+			t.Fatalf("accepted %q with malformed IDs %q/%q", header, traceID, parentID)
+		}
+		canonical := "00-" + traceID + "-" + parentID + "-01"
+		t2, p2, ok := ParseTraceparent(canonical)
+		if !ok || t2 != traceID || p2 != parentID {
+			t.Fatalf("canonical %q parses as %q/%q/%v, want %q/%q", canonical, t2, p2, ok, traceID, parentID)
+		}
+	})
 }
 
 func TestContextCarriesSpan(t *testing.T) {

@@ -1,13 +1,12 @@
 #!/bin/sh
 # Pre-commit gate: formatting, build, vet, the harmonia-lint domain
 # analyzers (-werror: malformed suppressions fail too; timed against a
-# 10s budget, with the suggested-fix layer gated on -diff emptiness and
-# the fix-application tests), race-detector
-# test run, a focused race pass over the concurrent service layer, an
-# observability smoke (the spans endpoint in both formats, the tracing
-# inertness gates, and the debug mux), the hot-path equivalence gates
-# (golden float bits across the gpusim invariant hoisting, budgeted
-# nested parallelism vs serial, allocation-free sweeps), a bounded
+# 10s budget), race-detector test run, a focused race pass over the
+# concurrent service layer, an observability smoke (the spans endpoint
+# in both formats, the tracing inertness gates, and the debug mux), the
+# hot-path equivalence gates (golden float bits across the gpusim
+# invariant hoisting, budgeted nested parallelism vs serial,
+# allocation-free sweeps), a bounded
 # chaos-soak of the resilience layer (make soak), and the benchmark
 # gate (simulation-memo speedup, the disabled-tracing overhead cap,
 # the sweep allocation ceiling, and the machine-aware parallel-scaling
@@ -22,7 +21,7 @@ if [ -n "$unformatted" ]; then
 fi
 go build ./...
 go vet ./...
-# Domain lint must stay fast enough for pre-commit use: the ten-analyzer
+# Domain lint must stay fast enough for pre-commit use: the four-analyzer
 # run, including the module-wide call-graph build, is budgeted at 10
 # seconds (the binary is already built, so this times analysis).
 lint_start=$(date +%s)
@@ -32,17 +31,6 @@ if [ "$lint_elapsed" -gt 10 ]; then
 	echo "harmonia-lint took ${lint_elapsed}s; the pre-commit budget is 10s" >&2
 	exit 1
 fi
-# lint-fix-check: the suggested-fix layer stays machine-applicable.
-# -diff over the clean tree must print nothing (no fixable findings
-# pending), and the scratch-module fix tests pin the -fix output bytes,
-# gofmt cleanliness, and idempotence.
-fixdiff="$(go run ./cmd/harmonia-lint -diff ./... || true)"
-if [ -n "$fixdiff" ]; then
-	echo "harmonia-lint -diff shows pending fixable findings:" >&2
-	echo "$fixdiff" >&2
-	exit 1
-fi
-go test -count=1 -run 'TestFixApply|TestFixDiff' ./internal/lint/
 # The full race pass needs explicit headroom: this container is
 # single-CPU and internal/eventsim alone runs close to go test's
 # default 10m per-binary alarm under the race detector.

@@ -34,10 +34,6 @@ func TestTrainedPredictorRaceRegression(t *testing.T) {
 			t.Fatalf("goroutine %d saw predictor %p, goroutine 0 saw %p", i, preds[i], preds[0])
 		}
 	}
-	// The deprecated panicking accessor must agree.
-	if s.Predictor() != preds[0] {
-		t.Error("Predictor() disagrees with TrainedPredictor()")
-	}
 }
 
 // TestConcurrentControllerConstruction drives every lazy-training
@@ -82,20 +78,24 @@ func TestFunctionalOptions(t *testing.T) {
 	if s.Telemetry() != reg {
 		t.Error("WithTelemetry not honoured")
 	}
-	// WithFaultInjection must behave exactly like the deprecated
-	// mutate-and-chain WithFaults.
+	// The panicking constructors work on an installed predictor.
+	if c := s.Harmonia(); c == nil {
+		t.Error("Harmonia returned nil")
+	}
+	// WithFaultInjection must behave exactly like arming the same
+	// faults per run.
 	app := App("Graph500")
 	rep1, err := s.Run(app, s.Baseline())
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := NewSystem().WithFaults(fc)
-	rep2, err := legacy.Run(app, legacy.Baseline())
+	plain := NewSystem()
+	rep2, err := plain.RunContext(context.Background(), app, plain.Baseline(), RunWithFaults(fc))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Float64bits(rep1.ED2()) != math.Float64bits(rep2.ED2()) {
-		t.Errorf("option-armed faults %v != chain-armed faults %v", rep1.ED2(), rep2.ED2())
+		t.Errorf("construction-armed faults %v != per-run faults %v", rep1.ED2(), rep2.ED2())
 	}
 }
 
@@ -129,7 +129,7 @@ func TestRunOptionsOverrideSystemFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	armedWant := NewSystem().WithFaults(fc)
+	armedWant := NewSystem(WithFaultInjection(fc))
 	want, err := armedWant.Run(app, armedWant.Baseline())
 	if err != nil {
 		t.Fatal(err)
@@ -213,22 +213,5 @@ func TestConcurrentRunsOnSharedSystem(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
-	}
-}
-
-// TestDeprecatedWrappersStillWork pins the v1 surface: chain-style
-// construction and the panicking constructors keep working.
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	s := NewSystem().WithFaults(FaultProfile(42, 0.25)).WithoutFaults()
-	if s.faultConfig() != nil {
-		t.Error("WithoutFaults left faults armed")
-	}
-	pre := PaperTable3()
-	s.UsePredictor(pre)
-	if s.Predictor() != pre {
-		t.Error("UsePredictor/Predictor roundtrip broken")
-	}
-	if c := s.Harmonia(); c == nil {
-		t.Error("Harmonia returned nil")
 	}
 }

@@ -31,11 +31,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Infrastructure benchmarks: memoized oracle sweep vs uncached, and the
-# suite under the serial vs parallel batch pool. Emits BENCH_sweep.json
-# and fails if the cached sweep speedup drops below 5x.
+# The layered benchmark of record (perfbench/README.md): the two gated
+# workloads, end to end. Each prints its result JSON as the last line;
+# rerun with --trace 1 for the per-layer metrics.
 bench:
-	sh scripts/bench.sh
+	python3 perfbench/run.py --workload lib-runs --seed 1 --seconds 20 --trace 0
+	python3 perfbench/run.py --workload suite-cold --seed 1 --seconds 20 --trace 0
 
 # Chaos soak: the mixed-workload resilience harness (panicking backend,
 # overload shedding, drain mid-flight, journal audit) under the race
@@ -52,7 +53,8 @@ serve:
 
 # Short fuzzing pass over every fuzz target: the controller under
 # faults, the OLS fitter, and the untrusted-input parsers (journal
-# lines, config strings, traceparent headers).
+# lines, config strings, traceparent headers, ?res= re-bucketing, and
+# the POST /v1/runs and /v1/batch bodies).
 fuzz:
 	$(GO) test ./internal/core/ -fuzz FuzzControllerUnderFaults -fuzztime 15s
 	$(GO) test ./internal/core/ -fuzz FuzzInjectorDeterminism -fuzztime 15s
@@ -62,3 +64,5 @@ fuzz:
 	$(GO) test ./internal/resilience/ -fuzz FuzzReadState -fuzztime 15s
 	$(GO) test ./internal/hw/ -fuzz FuzzParseConfig -fuzztime 15s
 	$(GO) test ./internal/trace/ -fuzz FuzzParseTraceparent -fuzztime 15s
+	$(GO) test ./internal/timeline/ -fuzz FuzzCoarsen -fuzztime 15s
+	$(GO) test ./internal/serve/ -fuzz FuzzCreateRun -fuzztime 15s

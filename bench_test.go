@@ -9,20 +9,14 @@ package harmonia
 
 import (
 	"context"
-
 	"sync"
 	"testing"
 
 	"harmonia/internal/experiments"
 	"harmonia/internal/gpusim"
-	"harmonia/internal/hw"
 	"harmonia/internal/oracle"
-	"harmonia/internal/policy"
 	"harmonia/internal/power"
-	"harmonia/internal/session"
 	"harmonia/internal/simcache"
-	"harmonia/internal/sweep"
-	"harmonia/internal/trace"
 )
 
 // The experiment environment is shared across benchmarks: predictor
@@ -412,25 +406,19 @@ func BenchmarkOracleExhaustiveSearch(b *testing.B) {
 	}
 }
 
-// --- Simulation memo and batch engine (DESIGN.md section 9) ---------------
+// --- Oracle sweep cost (DESIGN.md section 13) -------------------------------
 //
-// The remaining benchmarks quantify the tentpole infrastructure rather
-// than a paper figure: how much a warm simulation memo accelerates the
-// oracle's exhaustive sweep, and what the bounded worker pool buys the
-// five-policy suite. scripts/bench.sh runs them and records the headline
-// ratios in BENCH_sweep.json.
+// The uncached and memoized oracle sweeps, the pair DESIGN.md §13.5's
+// profiling recipe runs under -memprofile/-cpuprofile, and the
+// allocation gate on the uncached sweep.
 
 // oracleSweep builds a fresh Oracle (so its per-kernel decision cache
-// cannot hide the sweep) and decides every kernel of the app, forcing a
-// full exhaustive search over hw.ConfigSpace per kernel. A non-nil rec
-// attaches the span recorder, the way a traced served run would.
-func oracleSweep(b *testing.B, sim gpusim.Runner, rec *trace.Recorder) {
-	b.Helper()
+// cannot hide the sweep) and decides every kernel of LUD at iter 0,
+// forcing a full exhaustive search over hw.ConfigSpace per kernel
+// unless sim's memo already holds the answer.
+func oracleSweep(sim gpusim.Runner) {
 	app := App("LUD")
 	o := oracle.New(sim, power.Default(), app)
-	if rec != nil {
-		o.AttachTracer(rec)
-	}
 	for _, k := range app.Kernels {
 		o.Decide(k.Name, 0)
 	}
@@ -439,145 +427,38 @@ func oracleSweep(b *testing.B, sim gpusim.Runner, rec *trace.Recorder) {
 func BenchmarkOracleSweepUncached(b *testing.B) {
 	sim := gpusim.Default()
 	for i := 0; i < b.N; i++ {
-		oracleSweep(b, sim, nil)
+		oracleSweep(sim)
 	}
 }
 
 func BenchmarkOracleSweepCached(b *testing.B) {
 	// One memo shared across iterations: the first sweep populates it,
 	// every later sweep answers from cache — the steady state a served
-	// deployment reaches after its first oracle run. No recorder is
-	// attached, so this measures the disabled-tracing (nil fast path)
-	// cost; scripts/bench.sh gates BenchmarkOracleSweepCachedTraced
-	// against it at <5% overhead, and the disabled path is a strict
-	// subset of the traced one.
+	// deployment reaches after its first oracle run.
 	runner := simcache.For(gpusim.Default(), simcache.New())
-	oracleSweep(b, runner, nil) // warm
+	oracleSweep(runner) // warm
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		oracleSweep(b, runner, nil)
+		oracleSweep(runner)
 	}
 }
 
-// The disabled-tracing gate: sweep.MinTraced with a nil span must cost
-// the same as plain sweep.Min over a warm memo — the nil fast path is
-// one branch. scripts/bench.sh asserts the pair stays within 5%.
-
-func cachedSweepEval(b *testing.B) ([]hw.Config, sweep.Eval) {
-	b.Helper()
-	runner := simcache.For(gpusim.Default(), simcache.New())
-	k := AllKernels()[0]
-	space := hw.ConfigSpace()
-	eval := func(cfg hw.Config) float64 { return runner.Run(k, 0, cfg).Time }
-	sweep.Min(space, 1, eval) // warm the memo
-	return space, eval
-}
-
-func BenchmarkCachedSweepMin(b *testing.B) {
-	space, eval := cachedSweepEval(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sweep.Min(space, 1, eval)
-	}
-}
-
-func BenchmarkCachedSweepMinNilTraced(b *testing.B) {
-	space, eval := cachedSweepEval(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sweep.MinTraced(nil, space, 1, eval)
-	}
-}
-
-func BenchmarkOracleSweepCachedTraced(b *testing.B) {
-	// The same steady-state sweep with a live span recorder: each
-	// iteration records one decision span (with its sweep child and
-	// argmin attributes) per kernel. A fresh recorder per iteration
-	// keeps the span slice from growing across b.N.
-	runner := simcache.For(gpusim.Default(), simcache.New())
-	oracleSweep(b, runner, nil) // warm
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		oracleSweep(b, runner, trace.New(uint64(i)+1))
-	}
-}
-
-// The disabled-flight-recorder gate: a cached run with no timeline
-// recorder attached must cost what driving the session directly costs —
-// the recorder-off path adds only a nil check per kernel boundary.
-// scripts/bench.sh takes the minimum of repeated interleaved runs of
-// this trio and fails if Off exceeds Base by more than 5%. The Off/On
-// pair is reported as timeline recording overhead but not gated:
-// recording does real work (bucketing every DAQ sample and appending a
-// decision record per boundary).
-
-func BenchmarkCachedRunBase(b *testing.B) {
-	runner := simcache.For(gpusim.Default(), simcache.New())
-	pow := power.Default()
-	app := App("SRAD")
-	warm := &session.Session{Sim: runner, Power: pow, Policy: policy.NewBaseline()}
-	if _, err := warm.Run(app); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := &session.Session{Sim: runner, Power: pow, Policy: policy.NewBaseline()}
-		if _, err := s.Run(app); err != nil {
-			b.Fatal(err)
+// TestUncachedOracleSweepAllocs is the sweep allocation gate: a fresh
+// serial oracle deciding LUD's three kernels — three exhaustive sweeps
+// of 448 cells — allocates 15 times in all, where the same three
+// sweeps took 387 before the zero-allocation path of DESIGN.md §13.3.
+// The bound of 30 leaves room for incidental growth; one allocation per
+// swept cell would exceed it forty-fold.
+func TestUncachedOracleSweepAllocs(t *testing.T) {
+	app := App("LUD")
+	sim, pow := gpusim.Default(), power.Default()
+	allocs := testing.AllocsPerRun(5, func() {
+		o := oracle.New(sim, pow, app).WithWorkers(1)
+		for _, k := range app.Kernels {
+			o.Decide(k.Name, 0)
 		}
+	})
+	if allocs > 30 {
+		t.Fatalf("uncached oracle sweep of LUD allocated %v times, want <= 30", allocs)
 	}
 }
-
-func BenchmarkCachedRunTimelineOff(b *testing.B) {
-	sys := NewSystem(WithSimCache())
-	app := App("SRAD")
-	if _, err := sys.Run(app, sys.Baseline()); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.Run(app, sys.Baseline()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCachedRunTimelineOn(b *testing.B) {
-	sys := NewSystem(WithSimCache())
-	app := App("SRAD")
-	if _, err := sys.Run(app, sys.Baseline()); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec := NewTimelineRecorder()
-		if _, err := sys.RunContext(context.Background(), app, sys.Baseline(), RunWithTimeline(rec)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchSuite evaluates the full five-policy suite from scratch with the
-// given worker bound. Each iteration builds a fresh environment (fresh
-// memo, fresh predictor) so serial and parallel runs do identical work.
-func benchSuite(b *testing.B, workers int) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		e := experiments.NewEnv()
-		e.Workers = workers
-		if _, err := e.Results(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// The worker-count axis: scripts/bench.sh derives
-// suite.speedup_by_workers from these (Serial doubles as the 1-worker
-// point, Parallel as the GOMAXPROCS point) and gates the 4-worker
-// speedup against a machine-aware floor — the single serial/parallel
-// pair this file used to record is what let the 1.17× scaling bug hide
-// in trend data.
-func BenchmarkSuiteSerial(b *testing.B)   { benchSuite(b, 1) }
-func BenchmarkSuiteWorkers2(b *testing.B) { benchSuite(b, 2) }
-func BenchmarkSuiteWorkers4(b *testing.B) { benchSuite(b, 4) }
-func BenchmarkSuiteParallel(b *testing.B) { benchSuite(b, 0) }

@@ -408,12 +408,15 @@ func RunWithoutFaults() RunOption {
 	return func(rs *runSettings) { rs.faults = nil }
 }
 
-// RunWithTrace records this run's span tree — run, kernel, and
-// decide/simulate/observe phase spans, plus the policy's decision spans
-// — onto rec (see NewTraceRecorder). Tracing is pure observation: the
-// traced run's Report is bit-identical to an untraced one, and two
-// same-seed recorders over the same run produce byte-identical span
-// trees (given the same clock).
+// RunWithTrace records this run's span tree onto rec (see
+// NewTraceRecorder): a root run span, kernel spans with
+// decide/simulate/observe phases, and, for policies that annotate their
+// decisions (Harmonia, the oracle), a decision span per boundary
+// carrying the same source, bins and proxy as the timeline. The session
+// opens every span, so the policy keeps no hold on rec after the run.
+// Tracing is pure observation: the traced run's Report is bit-identical
+// to an untraced one, and two same-seed recorders over the same run
+// produce byte-identical span trees (given the same clock).
 func RunWithTrace(rec *TraceRecorder) RunOption {
 	return func(rs *runSettings) { rs.tracer = rec }
 }

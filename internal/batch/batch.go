@@ -23,8 +23,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"harmonia/internal/trace"
 )
 
 // Workers clamps a requested worker count against the job count: zero or
@@ -148,13 +146,6 @@ func PeakWorkers() int64 { return peakWorkers.Load() }
 // run spawns only W-1 extra goroutines, and a width-1 run spawns none
 // and allocates no synchronization state at all — the serial fast path
 // a budgeted inner sweep rides at every kernel boundary.
-//
-// When ctx carries a trace span (trace.NewContext), every executed job
-// is recorded as a "cell" child span under it — index, and the error
-// text on failure. The spans are pure observation and do not change
-// scheduling or results; under workers > 1 their start order follows
-// scheduling, so traced parallel runs have deterministic results but
-// scheduling-ordered span sequences.
 func Map[J, R any](ctx context.Context, workers int, jobs []J, fn func(ctx context.Context, i int, job J) (R, error)) ([]R, error) {
 	out := make([]R, len(jobs))
 	if len(jobs) == 0 {
@@ -162,7 +153,6 @@ func Map[J, R any](ctx context.Context, workers int, jobs []J, fn func(ctx conte
 	}
 	errs := make([]error, len(jobs))
 	workers = Workers(workers, len(jobs))
-	root := trace.FromContext(ctx)
 
 	if workers == 1 {
 		// Serial fast path: no derived context, no goroutines. A job
@@ -174,15 +164,10 @@ func Map[J, R any](ctx context.Context, workers int, jobs []J, fn func(ctx conte
 				errs[i] = err
 				break
 			}
-			cs := root.Child("cell")
-			cs.Int("index", int64(i))
 			out[i], errs[i] = fn(ctx, i, jobs[i])
 			if errs[i] != nil {
-				cs.Attr("error", errs[i].Error())
-				cs.End()
 				break
 			}
-			cs.End()
 		}
 		return out, firstError(errs)
 	}
@@ -206,14 +191,10 @@ func Map[J, R any](ctx context.Context, workers int, jobs []J, fn func(ctx conte
 				errs[i] = err
 				continue
 			}
-			cs := root.Child("cell")
-			cs.Int("index", int64(i))
 			out[i], errs[i] = fn(jobCtx, i, jobs[i])
 			if errs[i] != nil {
-				cs.Attr("error", errs[i].Error())
 				cancel()
 			}
-			cs.End()
 		}
 	}
 

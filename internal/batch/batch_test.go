@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-
-	"harmonia/internal/trace"
 )
 
 func TestMapPreservesInputOrder(t *testing.T) {
@@ -320,61 +318,5 @@ func TestBudgetedNestingStaysWithinAllowance(t *testing.T) {
 		if p := PeakWorkers(); p+1 > int64(total) {
 			t.Fatalf("budget %d: peak spawned workers %d (+1 caller) exceeds allowance", total, p)
 		}
-	}
-}
-
-// TestMapRecordsCellSpans: a context carrying a span yields one "cell"
-// child per job, indexed, with failures annotated — and a bare context
-// records nothing.
-func TestMapRecordsCellSpans(t *testing.T) {
-	rec := trace.New(1)
-	root := rec.Start(nil, "batch")
-	ctx := trace.NewContext(context.Background(), root)
-	boom := errors.New("job 2 failed")
-	_, err := Map(ctx, 1, []int{10, 20, 30}, func(_ context.Context, i int, j int) (int, error) {
-		if i == 2 {
-			return 0, boom
-		}
-		return j, nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatal(err)
-	}
-	root.End()
-
-	snap := rec.Snapshot()
-	var cells []trace.SpanData
-	for _, sp := range snap.Spans {
-		if sp.Name == "cell" {
-			cells = append(cells, sp)
-		}
-	}
-	if len(cells) != 3 {
-		t.Fatalf("got %d cell spans, want 3", len(cells))
-	}
-	for i, sp := range cells {
-		attrs := map[string]string{}
-		for _, a := range sp.Attrs {
-			attrs[a.Key] = a.Value
-		}
-		if attrs["index"] != fmt.Sprint(i) {
-			t.Fatalf("cell %d index attr = %q", i, attrs["index"])
-		}
-		if i == 2 && attrs["error"] == "" {
-			t.Fatal("failed cell span missing error attr")
-		}
-		if !sp.Ended {
-			t.Fatalf("cell %d span left open", i)
-		}
-	}
-
-	// Untraced contexts must stay span-free.
-	if _, err := Map(context.Background(), 2, []int{1}, func(_ context.Context, _ int, j int) (int, error) {
-		return j, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Len() != 4 {
-		t.Fatalf("untraced Map added spans: %d", rec.Len())
 	}
 }

@@ -37,7 +37,6 @@ import (
 	"harmonia/internal/hw"
 	"harmonia/internal/sensitivity"
 	"harmonia/internal/timeline"
-	"harmonia/internal/trace"
 )
 
 // Options configures a Controller.
@@ -269,12 +268,6 @@ type Controller struct {
 
 	// log is the bounded decision log (most recent last).
 	log []Action
-
-	// tracer, when attached, receives one "decision" span per Observe;
-	// span is the live span of the Observe in flight, annotated by
-	// record. Tracing never feeds back into decisions.
-	tracer *trace.Recorder
-	span   *trace.Span
 }
 
 // maxLogEntries bounds the decision log so long sessions cannot grow it
@@ -286,16 +279,6 @@ const maxLogEntries = 4096
 func (c *Controller) Log() []Action { return c.log }
 
 func (c *Controller) record(a Action) {
-	// Every Observe records exactly one Action (the guard paths record
-	// and return; the main path records via defer), so annotating here
-	// puts the decision's outcome on the span of the Observe in flight.
-	if sp := c.span; sp != nil {
-		sp.Attr("action", a.Kind.String()).
-			Attr("bins", a.Bins.CUs.String()+"/"+a.Bins.CUFreq.String()+"/"+a.Bins.MemFreq.String()).
-			Attr("from", a.From.String()).
-			Attr("to", a.To.String()).
-			Float("proxy", a.Proxy)
-	}
 	if len(c.log) >= maxLogEntries {
 		copy(c.log, c.log[1:])
 		c.log = c.log[:len(c.log)-1]
@@ -450,14 +433,6 @@ func (c *Controller) Decide(kernel string, _ int) hw.Config {
 	return c.state(kernel).next
 }
 
-// AttachTracer implements trace.Traceable: subsequent Observe calls
-// each open a "decision" span under the recorder's ambient parent,
-// carrying the predictor inputs (busy fractions), the sensitivity bins,
-// the configurations before and after, and the action taken — including
-// the hardening layer's reject/retry/degrade outcomes. The span is pure
-// observation; the controller's decisions are identical without it.
-func (c *Controller) AttachTracer(rec *trace.Recorder) { c.tracer = rec }
-
 // TimelineDecision implements timeline.Annotator: queried by the
 // session right after Observe, it classifies the boundary just
 // processed — the action taken (hold/cg/fg/revert/freeze/...), the
@@ -477,29 +452,9 @@ func (c *Controller) TimelineDecision(kernel string, _ int) (timeline.Detail, bo
 	}, true
 }
 
-// Observe implements policy.Policy: it opens the decision span when a
-// tracer is attached, then runs one step of Algorithm 1 via observe.
-func (c *Controller) Observe(kernel string, iter int, res gpusim.Result) {
-	sp := c.tracer.StartAmbient("decision")
-	// The sp != nil guard is about the disabled path's cost, not safety:
-	// span methods are nil-safe, but argument expressions like
-	// Config.String() would still run (and allocate) on every untraced
-	// Observe.
-	if sp != nil {
-		sp.Attr("kernel", kernel).
-			Attr("config", res.Config.String()).
-			Float("valu_busy", res.Counters.VALUBusy).
-			Float("mem_unit_busy", res.Counters.MemUnitBusy)
-	}
-	c.span = sp
-	c.observe(kernel, iter, res)
-	c.span = nil
-	sp.End()
-}
-
-// observe runs one step of Algorithm 1, fronted (unless Robust.Disabled)
-// by the hardening layer of guard.
-func (c *Controller) observe(kernel string, _ int, res gpusim.Result) {
+// Observe implements policy.Policy: one step of Algorithm 1, fronted
+// (unless Robust.Disabled) by the hardening layer of guard.
+func (c *Controller) Observe(kernel string, _ int, res gpusim.Result) {
 	st := c.state(kernel)
 	if !c.opts.Robust.Disabled && c.guard(kernel, st, res) {
 		return

@@ -21,8 +21,9 @@ import (
 //   - Static calls to module functions and methods resolve exactly
 //     (go/types object identity).
 //   - Calls through the module's small interface surfaces
-//     (policy.Policy, gpusim.Runner, gpusim.PreparedRunner,
-//     trace.Traceable) resolve to every module type implementing the
+//     (policy.Policy, gpusim.Runner, gpusim.PreparedRunner, and
+//     timeline.Annotator, which the session calls at every recorded
+//     kernel boundary) resolve to every module type implementing the
 //     interface — sound fan-out, not points-to precision.
 //   - Function values passed as arguments (batch.Map callbacks) are
 //     not tracked through the call; effects inside a func literal are
@@ -150,7 +151,7 @@ var ifaceSurfaces = [][2]string{
 	{"harmonia/internal/policy", "Policy"},
 	{"harmonia/internal/gpusim", "Runner"},
 	{"harmonia/internal/gpusim", "PreparedRunner"},
-	{"harmonia/internal/trace", "Traceable"},
+	{"harmonia/internal/timeline", "Annotator"},
 }
 
 // BuildProgram indexes every function declared in pkgs, extracts direct

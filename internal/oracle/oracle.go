@@ -15,7 +15,6 @@ import (
 	"harmonia/internal/simcache"
 	"harmonia/internal/sweep"
 	"harmonia/internal/timeline"
-	"harmonia/internal/trace"
 	"harmonia/internal/workloads"
 )
 
@@ -71,19 +70,21 @@ type Oracle struct {
 	memo  *simcache.Cache
 	model *gpusim.Model
 
-	mu     sync.Mutex
-	cache  map[cacheKey]hw.Config
-	tracer *trace.Recorder
-	// sources remembers, per invocation, how the answer was produced
-	// (oracle-cache / oracle-memo / oracle-sweep), for the timeline's
-	// decision records. Allocated only once a timeline recorder is
-	// attached, keeping the unrecorded Decide path allocation-free.
-	sources map[cacheKey]string
+	mu    sync.Mutex
+	cache map[cacheKey]cacheEntry
 }
 
 type cacheKey struct {
 	kernel string
 	iter   int
+}
+
+// cacheEntry is one decided invocation: the answer and how it was
+// first produced (oracle-memo or oracle-sweep), which TimelineDecision
+// reports.
+type cacheEntry struct {
+	cfg    hw.Config
+	source string
 }
 
 // New returns the ED² oracle for the kernels of the given applications.
@@ -108,7 +109,7 @@ func NewFor(obj Objective, sim gpusim.Runner, pow *power.Model, apps ...*workloa
 		objective: obj,
 		kernels:   kernels,
 		space:     hw.ConfigSpace(),
-		cache:     make(map[cacheKey]hw.Config),
+		cache:     make(map[cacheKey]cacheEntry),
 	}
 	if cached, ok := sim.(simcache.Cached); ok && cached.Cache != nil {
 		o.memo, o.model = cached.Cache, cached.Model
@@ -136,53 +137,18 @@ func (o *Oracle) Name() string {
 	return "oracle-" + o.objective.String()
 }
 
-// AttachTracer implements trace.Traceable: decision spans — one per
-// Decide, annotated with how the answer was produced (local cache, the
-// shared decision memo, or a fresh exhaustive sweep) — are recorded
-// under rec's ambient parent. Tracing is pure observation; decisions
-// are identical with or without a recorder.
-func (o *Oracle) AttachTracer(rec *trace.Recorder) {
-	o.mu.Lock()
-	o.tracer = rec
-	o.mu.Unlock()
-}
-
-// AttachTimeline implements timeline.Attachable: once attached, Decide
-// remembers each invocation's answer source so TimelineDecision can
-// report it. Pure observation — decisions are identical either way.
-func (o *Oracle) AttachTimeline(*timeline.Recorder) {
-	o.mu.Lock()
-	if o.sources == nil {
-		o.sources = make(map[cacheKey]string)
-	}
-	o.mu.Unlock()
-}
-
-// TimelineDecision implements timeline.Annotator, classifying how the
-// invocation's answer was produced. It reports nothing until a
-// timeline recorder is attached.
+// TimelineDecision implements timeline.Annotator: how the invocation's
+// answer was first produced — the shared decision memo (oracle-memo)
+// or a fresh exhaustive sweep (oracle-sweep). Invocations not yet
+// decided report nothing.
 func (o *Oracle) TimelineDecision(kernel string, iter int) (timeline.Detail, bool) {
 	o.mu.Lock()
-	src, ok := o.sources[cacheKey{kernel, iter}]
+	e, ok := o.cache[cacheKey{kernel, iter}]
 	o.mu.Unlock()
 	if !ok {
 		return timeline.Detail{}, false
 	}
-	return timeline.Detail{Source: src}, true
-}
-
-// noteSource records the answer source for one invocation when a
-// timeline recorder is attached (no-op otherwise). Sources are sticky:
-// later decision-cache hits do not overwrite how the answer was first
-// computed.
-func (o *Oracle) noteSource(key cacheKey, src string) {
-	o.mu.Lock()
-	if o.sources != nil {
-		if _, ok := o.sources[key]; !ok {
-			o.sources[key] = src
-		}
-	}
-	o.mu.Unlock()
+	return timeline.Detail{Source: e.source}, true
 }
 
 // Decide implements policy.Policy: the ED²-minimal configuration for this
@@ -190,31 +156,13 @@ func (o *Oracle) noteSource(key cacheKey, src string) {
 func (o *Oracle) Decide(kernel string, iter int) hw.Config {
 	key := cacheKey{kernel, iter}
 	o.mu.Lock()
-	cfg, ok := o.cache[key]
-	tracer := o.tracer
-	recordSources := o.sources != nil
+	e, ok := o.cache[key]
 	o.mu.Unlock()
-	// sp != nil guards below keep the untraced path free of the
-	// allocation the Config.String() arguments would otherwise cost.
-	sp := tracer.StartAmbient("oracle.decide")
-	if sp != nil {
-		sp.Attr("kernel", kernel).Int("iter", int64(iter))
-	}
-	defer sp.End()
 	if ok {
-		if sp != nil {
-			sp.Attr("source", "decision-cache").Attr("config", cfg.String())
-		}
-		if recordSources {
-			o.noteSource(key, "oracle-cache")
-		}
-		return cfg
+		return e.cfg
 	}
 	k, ok := o.kernels[kernel]
 	if !ok {
-		if sp != nil {
-			sp.Attr("source", "unknown-kernel").Attr("config", hw.MaxConfig().String())
-		}
 		return hw.MaxConfig()
 	}
 	// A shared decision memo may already hold this sweep's argmin —
@@ -222,40 +170,34 @@ func (o *Oracle) Decide(kernel string, iter int) hw.Config {
 	// or by any other oracle over the same cache.
 	if o.memo != nil {
 		if cfg, ok := o.memo.Decision(o.model, o.pow.Params(), k, iter, int(o.objective), len(o.space)); ok {
-			o.mu.Lock()
-			o.cache[key] = cfg
-			o.mu.Unlock()
-			if sp != nil {
-				sp.Attr("source", "memo").Attr("config", cfg.String())
-			}
-			if recordSources {
-				o.noteSource(key, "oracle-memo")
-			}
-			return cfg
+			return o.remember(key, cfg, "oracle-memo")
 		}
 	}
 	// Exhaustive profiling of the whole configuration space; the
 	// simulator is pure, so the search fans out over a worker pool with
 	// deterministic earliest-index tie-breaking. The lock is NOT held
 	// across the sweep: concurrent callers may race to compute the same
-	// key, but the sweep is deterministic so both write the same value.
-	best, _, ok := sweep.MinTraced(sp, o.space, o.workers, o.evalFor(k, iter))
+	// key, but the sweep is deterministic so both find the same value.
+	best, _, ok := sweep.Min(o.space, o.workers, o.evalFor(k, iter))
 	if !ok {
 		best = hw.MaxConfig()
 	}
 	if o.memo != nil {
 		o.memo.StoreDecision(o.model, o.pow.Params(), k, iter, int(o.objective), len(o.space), best)
 	}
+	return o.remember(key, best, "oracle-sweep")
+}
+
+// remember caches one decided invocation and returns cfg. The first
+// answer wins: a concurrent caller that raced to the same (identical)
+// configuration does not overwrite how it was first produced.
+func (o *Oracle) remember(key cacheKey, cfg hw.Config, source string) hw.Config {
 	o.mu.Lock()
-	o.cache[key] = best
+	if _, ok := o.cache[key]; !ok {
+		o.cache[key] = cacheEntry{cfg: cfg, source: source}
+	}
 	o.mu.Unlock()
-	if sp != nil {
-		sp.Attr("source", "sweep").Attr("config", best.String())
-	}
-	if recordSources {
-		o.noteSource(key, "oracle-sweep")
-	}
-	return best
+	return cfg
 }
 
 // Observe implements policy.Policy; the oracle needs no feedback.

@@ -221,4 +221,18 @@ func TestFreshOracleReusesMemoizedDecisions(t *testing.T) {
 	if hits1 == hits0 {
 		t.Fatal("second oracle never hit the shared decision memo")
 	}
+	// Each oracle annotates how it first produced every answer: the
+	// first swept or hit its own earlier memo entries, the second only
+	// ever read the memo.
+	for _, k := range app.Kernels {
+		for iter := 0; iter < 3; iter++ {
+			d, ok := first.TimelineDecision(k.Name, iter)
+			if !ok || (d.Source != "oracle-sweep" && d.Source != "oracle-memo") {
+				t.Fatalf("%s iter %d: first oracle annotated %+v (ok=%v), want oracle-sweep or oracle-memo", k.Name, iter, d, ok)
+			}
+			if d, ok := second.TimelineDecision(k.Name, iter); !ok || d.Source != "oracle-memo" {
+				t.Fatalf("%s iter %d: second oracle annotated %+v (ok=%v), want oracle-memo", k.Name, iter, d, ok)
+			}
+		}
+	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 
@@ -41,8 +42,8 @@ func (s *Server) handleGetTimeline(w http.ResponseWriter, r *http.Request) {
 	snap := tl.Snapshot()
 	if resStr := r.URL.Query().Get("res"); resStr != "" {
 		res, err := strconv.ParseFloat(resStr, 64)
-		if err != nil || res <= 0 {
-			writeError(w, http.StatusBadRequest, "bad res %q (want seconds > 0)", resStr)
+		if err != nil || math.IsNaN(res) || math.IsInf(res, 0) || res <= 0 {
+			writeError(w, http.StatusBadRequest, "bad res %q (want finite seconds > 0)", resStr)
 			return
 		}
 		snap = snap.Coarsen(res)

@@ -121,8 +121,10 @@ func TestGetTimelineJSONAndCSV(t *testing.T) {
 	if status, _ := getTimeline(t, ts, id, "?format=xml"); status != http.StatusBadRequest {
 		t.Fatalf("unknown format = %d, want 400", status)
 	}
-	if status, _ := getTimeline(t, ts, id, "?res=-1"); status != http.StatusBadRequest {
-		t.Fatalf("negative res = %d, want 400", status)
+	for _, res := range []string{"-1", "NaN", "Inf", "-Inf"} {
+		if status, _ := getTimeline(t, ts, id, "?res="+res); status != http.StatusBadRequest {
+			t.Fatalf("res=%s = %d, want 400", res, status)
+		}
 	}
 	if status, _ := getTimeline(t, ts, "run-999999", ""); status != http.StatusNotFound {
 		t.Fatalf("unknown run = %d, want 404", status)

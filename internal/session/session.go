@@ -13,6 +13,7 @@ import (
 
 	"harmonia/internal/daq"
 	"harmonia/internal/faults"
+	"harmonia/internal/floats"
 	"harmonia/internal/gpusim"
 	"harmonia/internal/hw"
 	"harmonia/internal/metrics"
@@ -46,22 +47,22 @@ type Session struct {
 	// observation: it never perturbs the simulated physics, so a run
 	// with telemetry is bit-identical to one without.
 	Telemetry *telemetry.Registry
-	// Tracer, when non-nil, records the run as a span tree: one run span
-	// (nested under the recorder's ambient parent, if any), a kernel
-	// span per invocation, and decide/simulate/observe phase spans under
-	// it. Policies implementing trace.Traceable get the recorder
-	// attached at run start so their decision spans nest under the
-	// active phase. Like Telemetry, tracing is pure observation — a
-	// traced run's Report is bit-identical to an untraced one.
+	// Tracer, when non-nil, records the run as a span tree: one root
+	// run span, a kernel span per invocation, and decide/simulate/observe
+	// phase spans under it. When the policy implements
+	// timeline.Annotator, each observe span also gets a "decision" child
+	// carrying the policy's Detail. The session opens every span; the
+	// policy never sees the recorder. Like Telemetry, tracing is pure
+	// observation — a traced run's Report is bit-identical to an
+	// untraced one.
 	Tracer *trace.Recorder
 	// Timeline, when non-nil, flight-records the run: the DAQ power
 	// stream folded into bounded buckets, one decision record per
-	// kernel boundary (annotated by the policy when it implements
-	// timeline.Annotator), and configuration transitions. Policies
-	// implementing timeline.Attachable are attached at run start.
-	// Like Tracer, the recorder is pure observation — a recorded run's
-	// Report is bit-identical to an unrecorded one, and the disabled
-	// path costs one nil check per boundary.
+	// kernel boundary (annotated with the same Detail as the decision
+	// span), and configuration transitions. Like Tracer, the recorder
+	// is pure observation — a recorded run's Report is bit-identical to
+	// an unrecorded one, and the disabled path costs one nil check per
+	// boundary.
 	Timeline *timeline.Recorder
 }
 
@@ -160,29 +161,25 @@ func (s *Session) Run(app *workloads.Application) (*Report, error) {
 // context's error (no partial report).
 func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*Report, error) {
 	ins := s.instrumentsFor()
-	tr := s.Tracer
+	tr, tl := s.Tracer, s.Timeline
 	var runSpan *trace.Span
 	if tr != nil {
-		if t, ok := s.Policy.(trace.Traceable); ok {
-			t.AttachTracer(tr)
-		}
-		runSpan = tr.StartAmbient("run")
+		runSpan = tr.Start(nil, "run")
 		runSpan.Attr("app", app.Name).
 			Attr("policy", s.Policy.Name()).
 			Int("iterations", int64(app.Iterations))
 		defer runSpan.End()
 	}
-	tl := s.Timeline
-	var ann timeline.Annotator
 	if tl != nil {
 		tl.StartRun(app.Name, s.Policy.Name())
 		// Finish on every exit (including error returns) so live
 		// subscribers always see the stream terminate; Finish is
 		// idempotent and the serve layer may call it again.
 		defer tl.Finish()
-		if a, ok := s.Policy.(timeline.Attachable); ok {
-			a.AttachTimeline(tl)
-		}
+	}
+	// The policy's Detail is read only when a recorder will write it.
+	var ann timeline.Annotator
+	if tr != nil || tl != nil {
 		ann, _ = s.Policy.(timeline.Annotator)
 	}
 	if err := app.Validate(); err != nil {
@@ -234,9 +231,7 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 				ks.Attr("name", k.Name).Int("iter", int64(iter))
 			}
 			ds := ks.Child("decide")
-			prevAmb := tr.SetAmbient(ds)
 			cfg := s.Policy.Decide(k.Name, iter)
-			tr.SetAmbient(prevAmb)
 			if ds != nil {
 				ds.Attr("config", cfg.String())
 			}
@@ -285,9 +280,16 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 				obs = s.Faults.Observation(k.Name, res)
 			}
 			os := ks.Child("observe")
-			prevAmb = tr.SetAmbient(os)
 			s.Policy.Observe(k.Name, iter, obs)
-			tr.SetAmbient(prevAmb)
+			// The policy describes the boundary it just processed once;
+			// the decision span and the timeline record both carry it.
+			det, annotated := timeline.Detail{}, false
+			if ann != nil {
+				det, annotated = ann.TimelineDecision(k.Name, iter)
+			}
+			if annotated && os != nil {
+				recordDecision(os, obs, det)
+			}
 			os.End()
 			ks.End()
 			rep.Runs = append(rep.Runs, KernelRun{
@@ -297,9 +299,8 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 				// Power first, then the decision, so a live subscriber
 				// woken by the boundary event sees the power stream up
 				// to it. The decision carries the true physics (actual
-				// config, exact time/energy); the annotator — queried
-				// after Observe so it reflects this boundary's action —
-				// adds the policy's view.
+				// config, exact time/energy); the Detail adds the
+				// policy's view.
 				all := rec.Samples()
 				tl.ObserveSamples(all[sampleLo:])
 				sampleLo = len(all)
@@ -311,13 +312,11 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 					Config: timeline.ConfigOf(actual), Commanded: timeline.ConfigOf(cfg),
 					VALUBusy: res.Counters.VALUBusy, MemUnitBusy: res.Counters.MemUnitBusy,
 				}
-				if ann != nil {
-					if det, ok := ann.TimelineDecision(k.Name, iter); ok {
-						d.Source, d.Proxy = det.Source, det.Proxy
-						if det.HaveBins {
-							b := timeline.BinsOf(det.Bins)
-							d.Bins = &b
-						}
+				if annotated {
+					d.Source, d.Proxy = det.Source, det.Proxy
+					if det.HaveBins {
+						b := timeline.BinsOf(det.Bins)
+						d.Bins = &b
 					}
 				}
 				tl.RecordDecision(d)
@@ -340,6 +339,26 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 			Float("ed2", rep.ED2())
 	}
 	return rep, nil
+}
+
+// recordDecision writes the policy's Detail for one boundary as a
+// "decision" span under the observe phase, next to the observation the
+// policy was given. Attribute names follow the timeline's decision
+// record; proxy is omitted when zero, as there.
+func recordDecision(observe *trace.Span, obs gpusim.Result, det timeline.Detail) {
+	sp := observe.Child("decision")
+	sp.Attr("config", obs.Config.String()).
+		Float("valu_busy", obs.Counters.VALUBusy).
+		Float("mem_unit_busy", obs.Counters.MemUnitBusy).
+		Attr("source", det.Source)
+	if det.HaveBins {
+		b := timeline.BinsOf(det.Bins)
+		sp.Attr("bins", b.CUs+"/"+b.CUFreq+"/"+b.MemFreq)
+	}
+	if !floats.Zero(det.Proxy) {
+		sp.Float("proxy", det.Proxy)
+	}
+	sp.End()
 }
 
 // hitRunner is the optional simulator interface (implemented by

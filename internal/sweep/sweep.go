@@ -24,7 +24,6 @@ import (
 
 	"harmonia/internal/batch"
 	"harmonia/internal/hw"
-	"harmonia/internal/trace"
 )
 
 // Eval scores one configuration.
@@ -143,26 +142,6 @@ func Min(space []hw.Config, workers int, eval Eval) (hw.Config, float64, bool) {
 		return hw.Config{}, 0, false
 	}
 	return best, val, true
-}
-
-// MinTraced is Min, recording the sweep as a child span of sp (when sp
-// is non-nil): the swept space size and, when a winner exists, the
-// argmin configuration and its value. The annotation is pure
-// observation — the returned values are exactly Min's.
-func MinTraced(sp *trace.Span, space []hw.Config, workers int, eval Eval) (hw.Config, float64, bool) {
-	if sp == nil {
-		return Min(space, workers, eval)
-	}
-	ss := sp.Child("sweep")
-	ss.Int("space", int64(len(space)))
-	best, val, ok := Min(space, workers, eval)
-	if ok {
-		ss.Attr("argmin", best.String()).Float("value", val)
-	} else {
-		ss.Bool("no_finite_value", true)
-	}
-	ss.End()
-	return best, val, ok
 }
 
 // Result pairs a configuration with its value.

@@ -76,13 +76,17 @@ func (r *Recorder) Snapshot() *Snapshot {
 
 // Coarsen returns a snapshot whose power timeline is re-bucketed at the
 // nearest integer multiple of the base resolution to resS (at least the
-// base). Decision and transition streams are unchanged. resS values
-// that are not positive finite return the receiver unchanged.
+// base, at most the whole timeline in one bucket). Decision and
+// transition streams are unchanged. resS values that are not positive
+// finite return the receiver unchanged.
 func (s *Snapshot) Coarsen(resS float64) *Snapshot {
 	if s == nil || resS <= 0 || math.IsInf(resS, 0) || math.IsNaN(resS) || s.ResolutionS <= 0 {
 		return s
 	}
-	factor := int(math.Round(resS / s.ResolutionS))
+	// Clamp in float before converting: a factor past the bucket count
+	// merges no further, and a larger one would overflow the int
+	// bucket arithmetic below.
+	factor := int(math.Min(math.Round(resS/s.ResolutionS), float64(len(s.Power))))
 	if factor <= 1 {
 		return s
 	}

@@ -8,7 +8,7 @@
 //   - one decision record per kernel boundary: the counters the policy
 //     saw, the sensitivity bins it predicted, the configuration the
 //     hardware ran, and the action source (CG, FG, revert, oracle
-//     cache/memo/sweep, ...);
+//     memo/sweep, ...);
 //   - frequency/CU state transitions, whenever the configuration
 //     actually changed between consecutive invocations.
 //
@@ -77,12 +77,15 @@ func BinsOf(b sensitivity.Bins) Bins {
 
 // Detail is a policy's annotation of one decision: how the action was
 // produced and what the controller believed at the time. Policies that
-// can provide it implement Annotator.
+// can provide it implement Annotator. It is the only description of a
+// kernel boundary a policy gives: the session writes it into both the
+// timeline's decision record and the run's "decision" span.
 type Detail struct {
 	// Source classifies the action: the controller's ActionKind string
 	// (hold, cg, fg, revert, freeze, reject, retry, degrade, recover)
-	// or the oracle's answer source (oracle-cache, oracle-memo,
-	// oracle-sweep).
+	// or the oracle's answer source (oracle-memo when the shared
+	// decision memo answered, oracle-sweep for a fresh exhaustive
+	// sweep).
 	Source string
 	// Bins is the sensitivity classification in effect; HaveBins is
 	// false for policies that do not predict sensitivities.
@@ -94,18 +97,19 @@ type Detail struct {
 
 // Annotator is implemented by policies (the Harmonia controller, the
 // oracle) that can annotate the decision they took at a kernel
-// boundary. The session queries it after Observe, so the annotation
-// reflects the boundary just processed. Recording is pure observation:
-// the session only calls it when a recorder is attached.
+// boundary. The session queries it once per boundary, right after
+// Observe, so the annotation reflects the boundary just processed, and
+// only when a span or timeline recorder is attached. Answering must be
+// pure observation: a read of state Decide and Observe already
+// produced.
 type Annotator interface {
 	TimelineDecision(kernel string, iter int) (Detail, bool)
 }
 
-// Attachable is implemented by policies that must be told a timeline
-// recorder is active before they can answer Annotator queries (the
-// oracle starts remembering per-invocation answer sources only once
-// attached, keeping the unrecorded path allocation-free). The session
-// attaches the recorder at run start; unrecorded runs never call it.
+// Attachable was the policy hook that announced a timeline recorder.
+//
+// Deprecated: the session never calls it; Annotator answers without
+// being attached.
 type Attachable interface {
 	AttachTimeline(*Recorder)
 }

@@ -2,6 +2,7 @@ package timeline
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -92,6 +93,50 @@ func TestSnapshotCoarsenRebuckets(t *testing.T) {
 	if again := snap.Coarsen(0.001); again != snap {
 		t.Fatal("finer Coarsen must return the receiver unchanged")
 	}
+	// A factor near MaxInt64 once overflowed the bucket arithmetic and
+	// panicked; past the bucket count it merges the whole timeline into
+	// one bucket.
+	long := bucketSnapshot(8000)
+	one := long.Coarsen(9.223372036854774e15)
+	if len(one.Power) != 1 || one.Power[0].Samples != 8000 || one.ResolutionS != 8 {
+		t.Fatalf("huge resolution gave %d buckets at res %v (first %+v)", len(one.Power), one.ResolutionS, one.Power[0])
+	}
+}
+
+// bucketSnapshot returns a 1 ms snapshot of n one-sample buckets.
+func bucketSnapshot(n int) *Snapshot {
+	s := &Snapshot{ResolutionS: 0.001, SampleCount: n, Power: make([]PowerBucket, n)}
+	for i := range s.Power {
+		s.Power[i] = PowerBucket{TimeS: float64(i) * 0.001, Samples: 1, GPUW: float64(i % 7)}
+	}
+	return s
+}
+
+// FuzzCoarsen re-buckets snapshots at arbitrary resolutions, including
+// the huge, tiny and non-finite values ?res= can carry. Coarsen must
+// never panic, must keep every sample, and must never add buckets.
+func FuzzCoarsen(f *testing.F) {
+	for _, seed := range []struct {
+		n   int
+		res float64
+	}{{3, 0.002}, {213, 0.016}, {8000, 9.223372036854774e15}, {10, math.Inf(1)}, {10, math.NaN()}, {0, 1}, {1, 5}, {64, -1}} {
+		f.Add(seed.n, seed.res)
+	}
+	f.Fuzz(func(t *testing.T, n int, res float64) {
+		n = min(max(n, 0), 10000)
+		s := bucketSnapshot(n)
+		out := s.Coarsen(res)
+		if len(out.Power) > len(s.Power) {
+			t.Fatalf("Coarsen(%v) grew %d buckets to %d", res, len(s.Power), len(out.Power))
+		}
+		total := 0
+		for _, b := range out.Power {
+			total += b.Samples
+		}
+		if total != n {
+			t.Fatalf("Coarsen(%v) of %d samples kept %d", res, n, total)
+		}
+	})
 }
 
 func TestDecisionTransitionsAndCaps(t *testing.T) {

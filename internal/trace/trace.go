@@ -1,8 +1,10 @@
 // Package trace is a stdlib-only hierarchical span recorder for run
-// observability: every run, kernel boundary, controller decision, and
-// oracle sweep can open a span, attach attributes and point events, and
-// export the resulting tree as native JSON or Chrome trace-event JSON
-// (loadable in Perfetto / chrome://tracing).
+// observability: spans carry attributes and point events, and the tree
+// exports as native JSON or Chrome trace-event JSON (loadable in
+// Perfetto / chrome://tracing). One layer opens spans: internal/session
+// opens the run span, a kernel span per invocation, its
+// decide/simulate/observe phases, and a decision span carrying the
+// policy's timeline.Detail. Policies never see the recorder.
 //
 // The recorder is built around two guarantees the rest of the repo
 // depends on:
@@ -21,14 +23,13 @@
 //     in the package is the default wall clock, which callers replace
 //     with WithClock when they need reproducible timelines.
 //
-// Concurrent span creation (e.g. internal/batch fanning cells out over
-// a worker pool) is safe — one mutex guards the recorder — but start
-// order, and therefore ID assignment, then follows scheduling; the
-// byte-identical guarantee holds for single-goroutine recorders.
+// Concurrent span creation is safe — one mutex guards the recorder —
+// but start order, and therefore ID assignment, then follows
+// scheduling; the byte-identical guarantee holds for single-goroutine
+// recorders.
 package trace
 
 import (
-	"context"
 	"strconv"
 	"sync"
 	"time"
@@ -85,14 +86,13 @@ type Span struct {
 // New. A nil *Recorder is the disabled recorder: Start returns a nil
 // span and everything downstream no-ops without allocating.
 type Recorder struct {
-	// mu guards idState, spans, ambient, and every span's data.
+	// mu guards idState, spans, and every span's data.
 	mu      sync.Mutex
 	idState uint64
 	traceID string
 	attrs   []Attr
 	clock   func() time.Duration
 	spans   []*SpanData
-	ambient *Span
 }
 
 // Option configures a Recorder at construction.
@@ -207,32 +207,6 @@ func (r *Recorder) Start(parent *Span, name string) *Span {
 	}
 	r.spans = append(r.spans, d)
 	return &Span{rec: r, d: d}
-}
-
-// SetAmbient installs sp as the implicit parent StartAmbient uses and
-// returns the previous ambient span. The session layer scopes it around
-// policy callbacks so controller decision spans nest under the right
-// kernel span without the policy interface carrying a span parameter.
-func (r *Recorder) SetAmbient(sp *Span) (prev *Span) {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	prev = r.ambient
-	r.ambient = sp
-	return prev
-}
-
-// StartAmbient opens a span under the current ambient parent.
-func (r *Recorder) StartAmbient(name string) *Span {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	parent := r.ambient
-	r.mu.Unlock()
-	return r.Start(parent, name)
 }
 
 // Len returns the number of spans started so far.
@@ -354,29 +328,13 @@ func (s *Span) ID() string {
 	return formatID(s.d.ID)
 }
 
-// Traceable is implemented by policies (the Harmonia controller, the
-// oracle) that can emit decision spans. The session layer attaches its
-// recorder to the policy at run start when tracing is enabled; untraced
-// runs never call it.
+// Traceable was the policy hook that handed a policy the run's
+// recorder.
+//
+// Deprecated: the session opens every span and never calls it; a policy
+// describes its decisions through timeline.Annotator instead.
 type Traceable interface {
 	AttachTracer(*Recorder)
-}
-
-type ctxKey struct{}
-
-// NewContext returns ctx carrying sp, for layers (internal/batch) whose
-// call chain crosses API boundaries that don't speak spans.
-func NewContext(ctx context.Context, sp *Span) context.Context {
-	if sp == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, sp)
-}
-
-// FromContext returns the span carried by ctx, or nil.
-func FromContext(ctx context.Context) *Span {
-	sp, _ := ctx.Value(ctxKey{}).(*Span)
-	return sp
 }
 
 // ParseTraceparent parses a W3C traceparent header

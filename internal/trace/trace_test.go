@@ -55,12 +55,6 @@ func TestNilRecorderIsInert(t *testing.T) {
 	if r.TraceID() != "" || r.Len() != 0 {
 		t.Fatal("nil recorder reports state")
 	}
-	if prev := r.SetAmbient(nil); prev != nil {
-		t.Fatal("nil recorder has an ambient span")
-	}
-	if r.StartAmbient("x") != nil {
-		t.Fatal("nil recorder started an ambient span")
-	}
 	snap := r.Snapshot()
 	if snap.TraceID != "" || len(snap.Spans) != 0 {
 		t.Fatal("nil recorder snapshot is not empty")
@@ -130,40 +124,6 @@ func TestSpanIDsSeedDeterministic(t *testing.T) {
 	}
 	if len(r1.TraceID()) != 32 {
 		t.Fatalf("trace ID %q is not 32 hex digits", r1.TraceID())
-	}
-}
-
-func TestAmbientParentScoping(t *testing.T) {
-	r := New(1)
-	outer := r.Start(nil, "outer")
-	prev := r.SetAmbient(outer)
-	if prev != nil {
-		t.Fatal("fresh recorder had an ambient span")
-	}
-	child := r.StartAmbient("decision")
-	inner := r.SetAmbient(child)
-	if inner != outer {
-		t.Fatal("SetAmbient did not return the previous ambient span")
-	}
-	grandchild := r.StartAmbient("sweep")
-	r.SetAmbient(prev)
-
-	snap := r.Snapshot()
-	byName := map[string]SpanData{}
-	for _, sp := range snap.Spans {
-		byName[sp.Name] = sp
-	}
-	if byName["decision"].Parent != byName["outer"].ID {
-		t.Fatal("ambient child not parented under the ambient span")
-	}
-	if byName["sweep"].Parent != byName["decision"].ID {
-		t.Fatal("nested ambient scope not honored")
-	}
-	if r.StartAmbient("root") == nil || grandchild == nil {
-		t.Fatal("ambient starts failed")
-	}
-	if rootish := r.Snapshot().Spans[len(r.Snapshot().Spans)-1]; rootish.Parent != 0 {
-		t.Fatal("after restoring a nil ambient, new ambient spans should be roots")
 	}
 }
 
@@ -250,21 +210,6 @@ func FuzzParseTraceparent(f *testing.F) {
 			t.Fatalf("canonical %q parses as %q/%q/%v, want %q/%q", canonical, t2, p2, ok, traceID, parentID)
 		}
 	})
-}
-
-func TestContextCarriesSpan(t *testing.T) {
-	r := New(3)
-	sp := r.Start(nil, "x")
-	ctx := NewContext(t.Context(), sp)
-	if FromContext(ctx) != sp {
-		t.Fatal("span did not round-trip through context")
-	}
-	if FromContext(t.Context()) != nil {
-		t.Fatal("empty context yielded a span")
-	}
-	if got := NewContext(t.Context(), nil); FromContext(got) != nil {
-		t.Fatal("nil span stored in context")
-	}
 }
 
 // TestChromeSchema pins the Chrome trace-event schema: field names and

@@ -167,6 +167,76 @@ func TestRunSpanTreeShape(t *testing.T) {
 	if !sawHit {
 		t.Fatal("no simulate span carried simcache_hit=true over a warm memo")
 	}
+	// The session writes the controller's Detail onto every decision
+	// span: an action source and, for Harmonia, the sensitivity bins.
+	for _, sp := range snap.Spans {
+		if sp.Name != "decision" {
+			continue
+		}
+		attrs := spanAttrs(sp)
+		if attrs["source"] == "" {
+			t.Fatalf("decision span without a source attr: %v", sp.Attrs)
+		}
+		if attrs["bins"] == "" {
+			t.Fatalf("harmonia decision span without bins: %v", sp.Attrs)
+		}
+	}
+
+	// The oracle's decision spans carry its answer source.
+	orec := NewTraceRecorder(10)
+	if _, err := sys.RunContext(t.Context(), App("LUD"), sys.Oracle(App("LUD")), RunWithTrace(orec)); err != nil {
+		t.Fatal(err)
+	}
+	oracleDecisions := 0
+	for _, sp := range orec.Snapshot().Spans {
+		if sp.Name != "decision" {
+			continue
+		}
+		oracleDecisions++
+		if src := spanAttrs(sp)["source"]; src != "oracle-sweep" && src != "oracle-memo" {
+			t.Fatalf("oracle decision span source %q, want oracle-sweep or oracle-memo", src)
+		}
+	}
+	if oracleDecisions == 0 {
+		t.Fatal("oracle run recorded no decision spans")
+	}
+}
+
+// spanAttrs indexes a span's attributes by key.
+func spanAttrs(sp trace.SpanData) map[string]string {
+	out := make(map[string]string, len(sp.Attrs))
+	for _, a := range sp.Attrs {
+		out[a.Key] = a.Value
+	}
+	return out
+}
+
+// TestReusedPolicyLeavesEarlierRecorderAlone: a policy keeps no hold on
+// the recorder of a run it served. Reusing one Harmonia controller (on
+// SRAD) and one oracle (on LUD) for an untraced run after a traced one
+// must not add spans to the traced run's recorder.
+func TestReusedPolicyLeavesEarlierRecorderAlone(t *testing.T) {
+	sys := NewSystem(WithSimCache())
+	for _, tc := range []struct {
+		app string
+		pol Policy
+	}{
+		{"SRAD", sys.Harmonia()},
+		{"LUD", sys.Oracle(App("LUD"))},
+	} {
+		rec := NewTraceRecorder(1)
+		if _, err := sys.RunContext(t.Context(), App(tc.app), tc.pol, RunWithTrace(rec)); err != nil {
+			t.Fatal(err)
+		}
+		traced := rec.Len()
+		if _, err := sys.Run(App(tc.app), tc.pol); err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Len(); got != traced {
+			t.Fatalf("%s on %s: untraced rerun grew the first run's recorder from %d to %d spans",
+				tc.pol.Name(), tc.app, traced, got)
+		}
+	}
 }
 
 // TestSentinelErrors: the v2 sentinels work with errors.Is through the

@@ -6,11 +6,9 @@
 # in both formats, the tracing inertness gates, and the debug mux), the
 # hot-path equivalence gates (golden float bits across the gpusim
 # invariant hoisting, budgeted nested parallelism vs serial,
-# allocation-free sweeps), a bounded
-# chaos-soak of the resilience layer (make soak), and the benchmark
-# gate (simulation-memo speedup, the disabled-tracing overhead cap,
-# the sweep allocation ceiling, and the machine-aware parallel-scaling
-# floor, BENCH_sweep.json).
+# allocation-free sweeps and the oracle sweep's allocation ceiling), and
+# a bounded chaos-soak of the resilience layer (make soak). Timing lives
+# in the layered benchmark, perfbench (make bench).
 set -eux
 cd "$(dirname "$0")/.."
 unformatted="$(gofmt -l .)"
@@ -47,10 +45,11 @@ go test -count=1 -run 'TestTracedRunBitIdentical|TestSameSeedSpanTreesByteIdenti
 go test -count=1 -run 'TestTimelineRunBitIdentical|TestSameSeedTimelinesByteIdentical' .
 # Hot-path equivalence gates: the hoisted gpusim invariants must stay
 # bit-exact against the embedded golden float bits, budgeted nested
-# parallelism must reproduce the serial pipeline byte for byte, and the
-# pooled sweep scratch must stay allocation-free at steady state.
+# parallelism must reproduce the serial pipeline byte for byte, the
+# pooled sweep scratch must stay allocation-free at steady state, and a
+# fresh oracle's uncached sweeps must stay under their allocation
+# ceiling.
 go test -count=1 -run 'TestGoldenBits' ./internal/gpusim/
-go test -count=1 -run 'TestBudgetedNestedSweepBitIdentical|TestEnvBudgetSplitSuiteBitIdentical' .
+go test -count=1 -run 'TestBudgetedNestedSweepBitIdentical|TestEnvBudgetSplitSuiteBitIdentical|TestUncachedOracleSweepAllocs' .
 go test -count=1 -run 'TestMinAllocationFree' ./internal/sweep/
 make soak SOAK_ITERS="${SOAK_ITERS:-4}"
-sh scripts/bench.sh

@@ -679,9 +679,12 @@ func (c *Controller) isOutlier(st *kernelState, res gpusim.Result) bool {
 	return exceeds(w.vb, res.Counters.VALUBusy) || exceeds(w.mb, res.Counters.MemUnitBusy)
 }
 
-// median returns the median of xs (not modifying it).
+// median returns the median of xs (not modifying it). A window up to the
+// default size is sorted in a stack array; a larger one spills to the
+// heap.
 func median(xs []float64) float64 {
-	tmp := append([]float64(nil), xs...)
+	var buf [defaultHistoryWindow]float64
+	tmp := append(buf[:0], xs...)
 	sort.Float64s(tmp)
 	n := len(tmp)
 	if n%2 == 1 {
@@ -692,9 +695,10 @@ func median(xs []float64) float64 {
 
 // mad returns the median absolute deviation of xs about med.
 func mad(xs []float64, med float64) float64 {
-	dev := make([]float64, len(xs))
-	for i, x := range xs {
-		dev[i] = math.Abs(x - med)
+	var buf [defaultHistoryWindow]float64
+	dev := buf[:0]
+	for _, x := range xs {
+		dev = append(dev, math.Abs(x-med))
 	}
 	return median(dev)
 }

@@ -143,29 +143,42 @@ func ExtendedFeatureNames() []string {
 		FeatDivergenceImpact)
 }
 
-// BandwidthFeatures extracts the bandwidth-model feature vector in the
-// order of BandwidthFeatureNames.
-func (s Set) BandwidthFeatures() []float64 {
-	return []float64{
+// AppendBandwidthFeatures appends the bandwidth-model feature vector,
+// in the order of BandwidthFeatureNames, to dst. The Append extractors
+// are the one definition of each feature order: training lays out its
+// design matrices with them, and prediction fills stack buffers.
+func (s Set) AppendBandwidthFeatures(dst []float64) []float64 {
+	return append(dst,
 		s.VALUUtilization, s.WriteUnitStalled, s.MemUnitBusy,
-		s.MemUnitStalled, s.ICActivity, s.NormVGPR, s.NormSGPR,
-	}
+		s.MemUnitStalled, s.ICActivity, s.NormVGPR, s.NormSGPR)
 }
 
-// ComputeFeatures extracts the compute-model feature vector in the order
-// of ComputeFeatureNames.
-func (s Set) ComputeFeatures() []float64 {
-	return []float64{s.CToMIntensity(), s.NormVGPR, s.NormSGPR}
+// AppendComputeFeatures appends the compute-model feature vector, in the
+// order of ComputeFeatureNames, to dst.
+func (s Set) AppendComputeFeatures(dst []float64) []float64 {
+	return append(dst, s.CToMIntensity(), s.NormVGPR, s.NormSGPR)
 }
 
-// ExtendedFeatures extracts the per-tunable compute-model feature vector
-// in the order of ExtendedFeatureNames.
-func (s Set) ExtendedFeatures() []float64 {
-	return append(s.BandwidthFeatures(),
+// AppendExtendedFeatures appends the per-tunable compute-model feature
+// vector, in the order of ExtendedFeatureNames, to dst.
+func (s Set) AppendExtendedFeatures(dst []float64) []float64 {
+	return append(s.AppendBandwidthFeatures(dst),
 		s.CToMIntensity(), s.VALUBusy, s.Occupancy,
 		s.NormCUsActive, s.NormCUClock, s.NormMemClock,
 		s.DivergenceImpact())
 }
+
+// BandwidthFeatures returns the bandwidth-model feature vector in the
+// order of BandwidthFeatureNames.
+func (s Set) BandwidthFeatures() []float64 { return s.AppendBandwidthFeatures(nil) }
+
+// ComputeFeatures returns the compute-model feature vector in the order
+// of ComputeFeatureNames.
+func (s Set) ComputeFeatures() []float64 { return s.AppendComputeFeatures(nil) }
+
+// ExtendedFeatures returns the per-tunable compute-model feature vector
+// in the order of ExtendedFeatureNames.
+func (s Set) ExtendedFeatures() []float64 { return s.AppendExtendedFeatures(nil) }
 
 // DivergenceImpact is the Section 3.5 insight that control divergence
 // matters in proportion to how much vector issue the kernel actually

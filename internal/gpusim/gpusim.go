@@ -346,8 +346,8 @@ func (inv *Invariants) Run(cfg hw.Config) Result {
 // Prepare returns an evaluator bound to one invocation whose results
 // are bit-identical to Run's. The evaluator must be safe for concurrent
 // use by sweep workers. internal/simcache's Cached satisfies this with
-// a prebuilt memo key; the raw Model satisfies it with hoisted
-// Invariants.
+// the invocation's memo entry, resolved once; the raw Model satisfies
+// it with hoisted Invariants.
 type PreparedRunner interface {
 	Runner
 	Prepare(k *workloads.Kernel, iter int) func(cfg hw.Config) Result

@@ -232,9 +232,17 @@ func MaxConfig() Config {
 	}
 }
 
+// Grid sizes of the three tunable axes.
+const (
+	numCUCounts = (MaxCUs-MinCUs)/CUStep + 1
+	numCUFreqs  = int((MaxCUFreq-MinCUFreq)/CUFreqStep) + 1
+	numMemFreqs = int((MaxMemFreq-MinMemFreq)/MemFreqStep) + 1
+	numConfigs  = numCUCounts * numCUFreqs * numMemFreqs
+)
+
 // CUCounts returns the legal active-CU counts in increasing order.
 func CUCounts() []int {
-	out := make([]int, 0, (MaxCUs-MinCUs)/CUStep+1)
+	out := make([]int, 0, numCUCounts)
 	for n := MinCUs; n <= MaxCUs; n += CUStep {
 		out = append(out, n)
 	}
@@ -243,7 +251,7 @@ func CUCounts() []int {
 
 // CUFreqs returns the legal compute frequencies in increasing order.
 func CUFreqs() []MHz {
-	out := make([]MHz, 0, int(MaxCUFreq-MinCUFreq)/int(CUFreqStep)+1)
+	out := make([]MHz, 0, numCUFreqs)
 	for f := MinCUFreq; f <= MaxCUFreq; f += CUFreqStep {
 		out = append(out, f)
 	}
@@ -252,7 +260,7 @@ func CUFreqs() []MHz {
 
 // MemFreqs returns the legal memory bus frequencies in increasing order.
 func MemFreqs() []MHz {
-	out := make([]MHz, 0, int(MaxMemFreq-MinMemFreq)/int(MemFreqStep)+1)
+	out := make([]MHz, 0, numMemFreqs)
 	for f := MinMemFreq; f <= MaxMemFreq; f += MemFreqStep {
 		out = append(out, f)
 	}
@@ -283,8 +291,18 @@ func ConfigSpace() []Config {
 }
 
 // NumConfigs returns the size of the configuration space.
-func NumConfigs() int {
-	return len(CUCounts()) * len(CUFreqs()) * len(MemFreqs())
+func NumConfigs() int { return numConfigs }
+
+// Index returns the configuration's position in ConfigSpace(), or false
+// when the configuration is off the legal grid.
+func (c Config) Index() (int, bool) {
+	if !c.Valid() {
+		return 0, false
+	}
+	cu := TunableCUs.LevelFor(c)
+	cf := TunableCUFreq.LevelFor(c)
+	mf := TunableMemFreq.LevelFor(c)
+	return (cu*numCUFreqs+cf)*numMemFreqs + mf, true
 }
 
 // Step direction for tunable adjustment.
@@ -390,11 +408,11 @@ func (t Tunable) Value(c Config) int {
 func (t Tunable) Levels() int {
 	switch t {
 	case TunableCUs:
-		return len(CUCounts())
+		return numCUCounts
 	case TunableCUFreq:
-		return len(CUFreqs())
+		return numCUFreqs
 	case TunableMemFreq:
-		return len(MemFreqs())
+		return numMemFreqs
 	default:
 		return 0
 	}

@@ -31,6 +31,30 @@ func TestConfigSpaceAllValidAndUnique(t *testing.T) {
 	}
 }
 
+func TestConfigIndex(t *testing.T) {
+	for i, c := range ConfigSpace() {
+		if got, ok := c.Index(); !ok || got != i {
+			t.Fatalf("ConfigSpace()[%d].Index() = %d, %v; want %d, true", i, got, ok, i)
+		}
+	}
+	max := MaxConfig()
+	offGrid := map[string]Config{"zero": {}}
+	c := max
+	c.Compute.CUs = 6
+	offGrid["6 CUs"] = c
+	c = max
+	c.Compute.Freq = 350
+	offGrid["350 MHz compute"] = c
+	c = max
+	c.Memory.BusFreq = 500
+	offGrid["500 MHz bus"] = c
+	for name, c := range offGrid {
+		if i, ok := c.Index(); ok {
+			t.Errorf("%s: Index() = %d, true; want false", name, i)
+		}
+	}
+}
+
 func TestTunableGrids(t *testing.T) {
 	if got := CUCounts(); len(got) != 8 || got[0] != 4 || got[7] != 32 {
 		t.Errorf("CUCounts = %v", got)

@@ -74,6 +74,73 @@ func TestFitShapeErrors(t *testing.T) {
 	}
 }
 
+// TestFitManyMatchesFit: each model of a shared-design fit must be
+// bit-equal to Fit of its target alone, and the shape checks must match
+// Fit's.
+func TestFitManyMatchesFit(t *testing.T) {
+	seed := uint64(977)
+	next := func() float64 {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return float64(seed>>40)/float64(1<<24) - 0.5
+	}
+	const n, p = 300, 4
+	X := make([][]float64, n)
+	ys := make([][]float64, 3)
+	for t := range ys {
+		ys[t] = make([]float64, n)
+	}
+	for r := range X {
+		X[r] = []float64{next() * 10, next(), next() * 100, next() * 0.01}
+		ys[0][r] = 1 + 2*X[r][0] - X[r][2]/50 + next()
+		ys[1][r] = -3*X[r][1] + 40*X[r][3] + next()*0.1
+		ys[2][r] = next()
+	}
+	names := []string{"a", "b", "c", "d"}
+	many, err := FitMany(X, ys, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(many) != len(ys) {
+		t.Fatalf("FitMany returned %d models, want %d", len(many), len(ys))
+	}
+	bits := func(m *Model) []uint64 {
+		out := []uint64{math.Float64bits(m.Intercept), math.Float64bits(m.R2), math.Float64bits(m.Corr)}
+		for _, c := range m.Coeffs {
+			out = append(out, math.Float64bits(c))
+		}
+		return out
+	}
+	for i, y := range ys {
+		one, err := Fit(X, y, names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := bits(many[i]), bits(one)
+		if len(got) != len(want) {
+			t.Fatalf("target %d: %d coefficients, want %d", i, len(many[i].Coeffs), len(one.Coeffs))
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Errorf("target %d: FitMany = %v, Fit = %v", i, many[i], one)
+				break
+			}
+		}
+	}
+
+	if _, err := FitMany(nil, [][]float64{nil}, nil); err == nil {
+		t.Error("empty fit should error")
+	}
+	if _, err := FitMany([][]float64{{1, 2}, {3, 4}}, [][]float64{{1, 2}, {3, 4}}, nil); err == nil {
+		t.Error("n <= p fit should error")
+	}
+	if _, err := FitMany([][]float64{{1}, {2, 3}, {4}}, [][]float64{{1, 2, 3}, {4, 5, 6}}, nil); err == nil {
+		t.Error("ragged rows should error")
+	}
+	if _, err := FitMany([][]float64{{1}, {2}, {3}}, [][]float64{{1, 2, 3}, {1, 2}}, nil); err == nil {
+		t.Error("a target of mismatched length should error")
+	}
+}
+
 func TestPredictErrorsOnWrongLength(t *testing.T) {
 	m := &Model{Intercept: 1, Coeffs: []float64{1, 2}}
 	if _, err := m.Predict([]float64{1}); err == nil {

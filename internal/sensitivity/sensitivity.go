@@ -175,14 +175,20 @@ func predict(m *regress.Model, x []float64) float64 {
 	return clampSens(v)
 }
 
+// featureBuf holds the largest feature vector (the 14 extended
+// features) on the stack, so predictions do not allocate.
+type featureBuf [14]float64
+
 // PredictBandwidth returns the predicted memory-bandwidth sensitivity.
 func (p *Predictor) PredictBandwidth(cs counters.Set) float64 {
-	return predict(p.Bandwidth, cs.BandwidthFeatures())
+	var buf featureBuf
+	return predict(p.Bandwidth, cs.AppendBandwidthFeatures(buf[:0]))
 }
 
 // PredictCompute returns the predicted aggregate compute sensitivity.
 func (p *Predictor) PredictCompute(cs counters.Set) float64 {
-	return predict(p.Compute, cs.ComputeFeatures())
+	var buf featureBuf
+	return predict(p.Compute, cs.AppendComputeFeatures(buf[:0]))
 }
 
 // PredictCUs returns the predicted CU-count sensitivity.
@@ -190,7 +196,8 @@ func (p *Predictor) PredictCUs(cs counters.Set) float64 {
 	if p.CUs == nil {
 		return p.PredictCompute(cs)
 	}
-	return predict(p.CUs, cs.ExtendedFeatures())
+	var buf featureBuf
+	return predict(p.CUs, cs.AppendExtendedFeatures(buf[:0]))
 }
 
 // PredictCUFreq returns the predicted compute-frequency sensitivity.
@@ -198,7 +205,8 @@ func (p *Predictor) PredictCUFreq(cs counters.Set) float64 {
 	if p.CUFreq == nil {
 		return p.PredictCompute(cs)
 	}
-	return predict(p.CUFreq, cs.ExtendedFeatures())
+	var buf featureBuf
+	return predict(p.CUFreq, cs.AppendExtendedFeatures(buf[:0]))
 }
 
 // PredictBins returns the per-tunable sensitivity bins for a counter
@@ -298,7 +306,11 @@ func BuildConfigTrainingSetN(m gpusim.Runner, kernels []*workloads.Kernel, worke
 		func(_ context.Context, _ int, k *workloads.Kernel) ([]TrainingPoint, error) {
 			return kernelConfigRows(m, k, space), nil
 		})
-	points := make([]TrainingPoint, 0, len(kernels)*len(space))
+	n := 0
+	for _, rows := range perKernel {
+		n += len(rows)
+	}
+	points := make([]TrainingPoint, 0, n)
 	for _, rows := range perKernel {
 		points = append(points, rows...)
 	}
@@ -316,8 +328,8 @@ func kernelConfigRows(m gpusim.Runner, k *workloads.Kernel, space []hw.Config) [
 	if k.Phases != nil {
 		iters = measureIters
 	}
-	// Hoist the per-iteration invariant work (and the memo-key
-	// projection, when m is a cache) out of the configuration loop. The
+	// Hoist the per-iteration invariant work (and the memo-entry
+	// lookup, when m is a cache) out of the configuration loop. The
 	// row order — configuration-outer, iteration-inner — is what the
 	// fitted predictor's bit-identity depends on, so only the per-call
 	// evaluation changes, never the loop structure.
@@ -343,41 +355,53 @@ func kernelConfigRows(m gpusim.Runner, k *workloads.Kernel, space []hw.Config) [
 }
 
 // Train fits the four linear sensitivity models on the training set
-// (Section 4.3).
+// (Section 4.3). Each feature set is laid out as one flat design matrix,
+// and the CU and CU-frequency models, which share the extended design,
+// are fit in one pass over it.
 func Train(points []TrainingPoint) (*Predictor, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("sensitivity: empty training set")
 	}
-	bwX := make([][]float64, len(points))
-	compX := make([][]float64, len(points))
-	extX := make([][]float64, len(points))
-	var bwY, compY, cuY, cufY []float64
+	bwNames := counters.BandwidthFeatureNames()
+	compNames := counters.ComputeFeatureNames()
+	extNames := counters.ExtendedFeatureNames()
+	bwX := design(points, len(bwNames), counters.Set.AppendBandwidthFeatures)
+	compX := design(points, len(compNames), counters.Set.AppendComputeFeatures)
+	extX := design(points, len(extNames), counters.Set.AppendExtendedFeatures)
+	n := len(points)
+	bwY, compY, cuY, cufY := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
 	for i, pt := range points {
-		bwX[i] = pt.Features.BandwidthFeatures()
-		compX[i] = pt.Features.ComputeFeatures()
-		extX[i] = pt.Features.ExtendedFeatures()
-		bwY = append(bwY, pt.Truth.Bandwidth)
-		compY = append(compY, pt.Truth.Compute)
-		cuY = append(cuY, pt.Truth.CUs)
-		cufY = append(cufY, pt.Truth.CUFreq)
+		bwY[i] = pt.Truth.Bandwidth
+		compY[i] = pt.Truth.Compute
+		cuY[i] = pt.Truth.CUs
+		cufY[i] = pt.Truth.CUFreq
 	}
-	bw, err := regress.Fit(bwX, bwY, counters.BandwidthFeatureNames())
+	bw, err := regress.Fit(bwX, bwY, bwNames)
 	if err != nil {
 		return nil, fmt.Errorf("sensitivity: bandwidth model: %w", err)
 	}
-	comp, err := regress.Fit(compX, compY, counters.ComputeFeatureNames())
+	comp, err := regress.Fit(compX, compY, compNames)
 	if err != nil {
 		return nil, fmt.Errorf("sensitivity: compute model: %w", err)
 	}
-	cus, err := regress.Fit(extX, cuY, counters.ExtendedFeatureNames())
+	ext, err := regress.FitMany(extX, [][]float64{cuY, cufY}, extNames)
 	if err != nil {
-		return nil, fmt.Errorf("sensitivity: CU model: %w", err)
+		return nil, fmt.Errorf("sensitivity: CU and CU-frequency models: %w", err)
 	}
-	cuf, err := regress.Fit(extX, cufY, counters.ExtendedFeatureNames())
-	if err != nil {
-		return nil, fmt.Errorf("sensitivity: CU-frequency model: %w", err)
+	return &Predictor{Bandwidth: bw, Compute: comp, CUs: ext[0], CUFreq: ext[1]}, nil
+}
+
+// design extracts one row of p features per training point into a
+// single backing array, returning the rows as slices of it.
+func design(points []TrainingPoint, p int, extract func(counters.Set, []float64) []float64) [][]float64 {
+	flat := make([]float64, 0, len(points)*p)
+	rows := make([][]float64, len(points))
+	for i, pt := range points {
+		start := len(flat)
+		flat = extract(pt.Features, flat)
+		rows[i] = flat[start:len(flat):len(flat)]
 	}
-	return &Predictor{Bandwidth: bw, Compute: comp, CUs: cus, CUFreq: cuf}, nil
+	return rows
 }
 
 // Accuracy reports mean absolute prediction error for the bandwidth and

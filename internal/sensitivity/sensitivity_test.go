@@ -191,6 +191,21 @@ func TestPredictedBinsMatchKeyBehaviours(t *testing.T) {
 	}
 }
 
+// TestPredictBinsAllocationFree: the controller predicts bins at every
+// kernel boundary, so a prediction must build its feature vectors
+// without touching the heap.
+func TestPredictBinsAllocationFree(t *testing.T) {
+	pts, pred := trained(t)
+	cs := point(t, pts, "Graph500.BottomStepUp").Features
+	var sink Bins
+	if allocs := testing.AllocsPerRun(100, func() { sink = pred.PredictBins(cs) }); allocs != 0 {
+		t.Fatalf("PredictBins allocates %.1f times per call, want 0", allocs)
+	}
+	if sink != pred.PredictBins(cs) {
+		t.Fatal("PredictBins is not deterministic")
+	}
+}
+
 func TestStreamclusterEdgeOfBinMiss(t *testing.T) {
 	// Section 7.1: Streamcluster's CG slowdown comes from a prediction
 	// "narrowly missing the HIGH bin". Verify the trained model

@@ -1,34 +1,29 @@
 // Package simcache memoizes the interval simulator. The paper's entire
 // methodology is exhaustive re-simulation: sensitivity training sweeps
-// every kernel across all ~448 hardware configurations, the Section 7
+// every kernel across all 448 hardware configurations, the Section 7
 // oracle re-sweeps the space for every kernel invocation, and every
 // ablation replays the same suite — so the same (kernel, iteration,
 // configuration) triples are evaluated over and over. The simulator is
 // pure, which makes its results perfectly memoizable: a cached run is
 // bit-identical to an uncached one.
 //
-// The cache key covers exactly what gpusim.(*Model).Run reads — the
-// model's calibration constants, every numeric field of the kernel
-// descriptor, the phase resolved for the iteration, and the hardware
-// configuration — so distinct Model calibrations never collide, two
-// kernels that happen to share a name never collide, and iterations that
-// resolve to the same phase share one entry (phase-stable kernels hit
-// the cache after a single iteration).
-//
-// The store is sharded to keep concurrent sweeps from serializing on one
-// lock: each shard has its own RWMutex-guarded map, and the shard is
-// picked by an FNV-1a hash of the kernel name, iteration phase, and
-// configuration.
-//
-// The cache memoizes at two granularities: individual simulation
-// results (Run), and whole sweep decisions (Decision/StoreDecision) —
-// the argmin configuration an oracle's exhaustive search produces for a
-// kernel invocation. The decision level is what makes repeat-invocation
-// sweeps cheap: one lookup instead of re-scoring the entire
-// configuration space.
+// The memo holds one interned entry per invocation: a model calibration
+// and a kernel projection with the iteration's phase resolved. The
+// projection covers exactly what gpusim.(*Model).Run reads, and an entry
+// matches only on equality of the whole (model, kernel) value, so
+// distinct Model calibrations never collide, two kernels that happen to
+// share a name never collide, and iterations that resolve to the same
+// phase share one entry (phase-stable kernels hit the cache after a
+// single iteration). Each entry holds one result slot per configuration
+// of hw.ConfigSpace(), indexed by hw.Config.Index, and the sweep
+// decisions — the argmin configuration an oracle's exhaustive search
+// produces — made for that invocation. The decision level is what makes
+// repeat-invocation sweeps cheap: one lookup instead of re-scoring the
+// entire configuration space.
 package simcache
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -38,9 +33,12 @@ import (
 	"harmonia/internal/workloads"
 )
 
-// shardCount is a power of two so shard selection is a mask. 64 shards
-// keep lock contention negligible at sweep-pool concurrency.
-const shardCount = 64
+// shardBits sets the shard count; shards are picked by the top bits of
+// the entry hash, which the multiplicative hash mixes best.
+const (
+	shardBits  = 6
+	shardCount = 1 << shardBits
+)
 
 // kernelKey is the comparable projection of a kernel descriptor: every
 // field gpusim.(*Model).Run reads, with the per-iteration phase function
@@ -59,16 +57,6 @@ type kernelKey struct {
 	serial       float64
 	launch       float64
 	phase        workloads.Phase
-}
-
-// key is one memo entry's identity: model calibration, kernel
-// projection, and hardware configuration. gpusim.Model is a struct of
-// calibration floats, so embedding its value keeps two differently
-// calibrated simulators from ever sharing entries.
-type key struct {
-	model  gpusim.Model
-	kernel kernelKey
-	cfg    hw.Config
 }
 
 // kernelKeyOf resolves the iteration to its phase and projects the
@@ -91,107 +79,139 @@ func kernelKeyOf(k *workloads.Kernel, iter int) kernelKey {
 	}
 }
 
-func keyOf(m *gpusim.Model, k *workloads.Kernel, iter int, cfg hw.Config) key {
-	return key{model: *m, kernel: kernelKeyOf(k, iter), cfg: cfg}
+// hash folds the kernel name and resolved phase — the parts that tell
+// the invocations of one suite apart — into an FNV-1a style hash. It
+// only buckets entries; equality of the full key decides a match.
+func (k *kernelKey) hash() uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(k.name); i++ {
+		h = (h ^ uint64(k.name[i])) * prime
+	}
+	for _, v := range [...]float64{k.phase.WorkScale, k.phase.Divergence, k.phase.FetchScale} {
+		h = (h ^ math.Float64bits(v)) * prime
+	}
+	return h
 }
 
-// shard is one lock-striped slice of the store.
-type shard struct {
-	mu sync.RWMutex
-	m  map[key]gpusim.Result
-}
-
-// decShard is one lock-striped slice of the decision memo. Decisions
-// were originally a single RWMutex-guarded map while results were
-// 64-way striped — every sweep in every worker funneled through one
-// lock word, and under the race detector (which serializes RLock
-// bookkeeping) the hit path stopped scaling entirely.
-type decShard struct {
-	mu sync.RWMutex
-	m  map[decisionKey]hw.Config
-}
-
-// decisionKey identifies one exhaustive-sweep argmin: the sweep's
-// output is a pure function of the simulator calibration, the power
-// calibration, the kernel-plus-phase projection, the objective, and the
-// configuration space swept. The space is hw.ConfigSpace() for every
-// oracle; its length is kept as a guard against a future variant
-// sweeping a subset.
-type decisionKey struct {
-	model     gpusim.Model
+// decisionID identifies one sweep decision of an invocation: the
+// sweep's output is a pure function of the invocation, the power
+// calibration, the objective, and the configuration space swept. The
+// space is hw.ConfigSpace() for every oracle; its length is kept as a
+// guard against a future variant sweeping a subset.
+type decisionID struct {
 	pow       power.Params
-	kernel    kernelKey
 	objective int
 	spaceLen  int
 }
 
-// Cache is a sharded, concurrency-safe memo of simulation results. The
-// zero value is not usable; construct with New. A Cache may back any
-// number of Cached runners over any number of models simultaneously.
+type decision struct {
+	id  decisionID
+	cfg hw.Config
+}
+
+// invocation is one interned entry: its identity, a result slot per
+// configuration, and the sweep decisions made for it. gpusim.Model is a
+// struct of calibration floats, so keeping its value keeps two
+// differently calibrated simulators from ever sharing entries.
+type invocation struct {
+	model  gpusim.Model
+	kernel kernelKey
+	slots  []atomic.Pointer[gpusim.Result] // by hw.Config.Index; first store wins
+
+	mu        sync.Mutex                 // serializes decision stores
+	decisions atomic.Pointer[[]decision] // never nil; copy-on-write, read without locking
+}
+
+// shard is one lock-striped slice of the entry index, bucketed by hash.
+type shard struct {
+	mu sync.RWMutex
+	m  map[uint64][]*invocation
+}
+
+// Cache is a sharded, concurrency-safe memo of simulation results and
+// sweep decisions. A Cache may back any number of Cached runners over
+// any number of models simultaneously.
 //
-// Beyond per-invocation results the cache holds a second, coarser level:
-// memoized sweep decisions (the argmin configuration of an exhaustive
-// oracle sweep). Per-result memoization cannot beat the analytic
-// interval model on wall-clock — a model evaluation costs about as much
-// as a map probe — but a decision entry replaces an entire ~450-point
-// sweep (simulation, power rails, and pool scheduling) with one lookup,
-// which is where the repeat-invocation speedup comes from.
+// A lookup hashes only the kernel name and phase, then compares the
+// full key; a sweep resolves its entry once through Prepare, after which
+// each probe is one index and one atomic load — cheaper than the
+// simulation it replaces. Configurations off the legal grid have no slot
+// and are simulated unstored. A decision entry replaces an entire
+// 448-point sweep (simulation, power rails, and pool scheduling) with
+// one lookup, which is where the repeat-invocation speedup comes from.
 type Cache struct {
 	shards [shardCount]shard
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
+	stored atomic.Int64
 
-	decShards [shardCount]decShard
 	decHits   atomic.Uint64
 	decMisses atomic.Uint64
 }
 
 // New returns an empty cache.
-func New() *Cache {
-	c := &Cache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[key]gpusim.Result)
+func New() *Cache { return &Cache{} }
+
+// entry returns the interned entry for m's kernel k at iteration iter,
+// creating it on first use. A key that is not equal to itself (a NaN in
+// the calibration or the descriptor) could never be found again, so it
+// gets no entry and the caller simulates unstored.
+func (c *Cache) entry(m *gpusim.Model, k *workloads.Kernel, iter int) *invocation {
+	kk := kernelKeyOf(k, iter)
+	h := kk.hash()
+	sh := &c.shards[h>>(64-shardBits)]
+	sh.mu.RLock()
+	e := sh.find(h, m, &kk)
+	sh.mu.RUnlock()
+	if e != nil || *m != *m || kk != kk {
+		return e
 	}
-	for i := range c.decShards {
-		c.decShards[i].m = make(map[decisionKey]hw.Config)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if e := sh.find(h, m, &kk); e != nil {
+		return e
 	}
-	return c
+	if sh.m == nil {
+		sh.m = make(map[uint64][]*invocation)
+	}
+	e = &invocation{model: *m, kernel: kk, slots: make([]atomic.Pointer[gpusim.Result], hw.NumConfigs())}
+	e.decisions.Store(new([]decision))
+	sh.m[h] = append(sh.m[h], e)
+	return e
 }
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// fnvString folds s into an FNV-1a hash state.
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
+// find returns the entry for (m, kk) in bucket h, or nil.
+func (sh *shard) find(h uint64, m *gpusim.Model, kk *kernelKey) *invocation {
+	for _, e := range sh.m[h] {
+		if e.model == *m && e.kernel == *kk {
+			return e
+		}
 	}
-	return h
+	return nil
 }
 
-// shardFor hashes the cheap, high-entropy parts of the key (kernel name,
-// phase work scale, configuration) with FNV-1a to pick a shard.
-func (c *Cache) shardFor(k *key) *shard {
-	h := fnvString(fnvOffset64, k.kernel.name)
-	h = (h ^ uint64(k.cfg.Compute.CUs)) * fnvPrime64
-	h = (h ^ uint64(k.cfg.Compute.Freq)) * fnvPrime64
-	h = (h ^ uint64(k.cfg.Memory.BusFreq)) * fnvPrime64
-	h = (h ^ uint64(k.kernel.phase.WorkScale*1024)) * fnvPrime64
-	return &c.shards[h&(shardCount-1)]
-}
-
-// decShardFor picks a decision shard from the kernel name, resolved
-// phase, and objective — the parts of a decision key that vary across
-// concurrent sweeps sharing one cache.
-func (c *Cache) decShardFor(dk *decisionKey) *decShard {
-	h := fnvString(fnvOffset64, dk.kernel.name)
-	h = (h ^ uint64(dk.objective)) * fnvPrime64
-	h = (h ^ uint64(dk.kernel.phase.WorkScale*1024)) * fnvPrime64
-	h = (h ^ uint64(dk.kernel.phase.FetchScale*1024)) * fnvPrime64
-	return &c.decShards[h&(shardCount-1)]
+// probe returns e's result at cfg, simulating it with run on a miss.
+// Without an entry or a slot for cfg the result is simulated unstored;
+// when concurrent misses race on a slot the first store wins (the
+// results are identical).
+func (c *Cache) probe(e *invocation, cfg hw.Config, run func(hw.Config) gpusim.Result) (gpusim.Result, bool) {
+	i, ok := cfg.Index()
+	if !ok || e == nil {
+		c.misses.Add(1)
+		return run(cfg), false
+	}
+	if r := e.slots[i].Load(); r != nil {
+		c.hits.Add(1)
+		return *r, true
+	}
+	c.misses.Add(1)
+	r := run(cfg)
+	if e.slots[i].CompareAndSwap(nil, &r) {
+		c.stored.Add(1)
+	}
+	return r, false
 }
 
 // Run returns the memoized result of m.Run(k, iter, cfg), simulating
@@ -207,49 +227,23 @@ func (c *Cache) Run(m *gpusim.Model, k *workloads.Kernel, iter int, cfg hw.Confi
 // identical either way; the flag exists so the tracing layer can
 // annotate simulate spans with cache behaviour without touching it.
 func (c *Cache) RunHit(m *gpusim.Model, k *workloads.Kernel, iter int, cfg hw.Config) (gpusim.Result, bool) {
-	ky := keyOf(m, k, iter, cfg)
-	sh := c.shardFor(&ky)
-	sh.mu.RLock()
-	r, ok := sh.m[ky]
-	sh.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-		return r, true
+	var e *invocation
+	if cfg.Valid() {
+		e = c.entry(m, k, iter)
 	}
-	c.misses.Add(1)
-	r = m.Run(k, iter, cfg)
-	sh.mu.Lock()
-	sh.m[ky] = r
-	sh.mu.Unlock()
-	return r, false
+	return c.probe(e, cfg, func(cfg hw.Config) gpusim.Result { return m.Run(k, iter, cfg) })
 }
 
 // Prepare returns a single-invocation evaluator for m's kernel k at
-// iteration iter whose results are bit-identical to Run's. The memo key
-// is built once — per probe only the configuration field changes — so
-// the sweep-read path does no key projection, no phase resolution, and
-// no allocation; misses fall through to the model's own hoisted
-// Invariants. The evaluator is safe for concurrent sweep workers: each
-// probe works on its own stack copy of the key.
+// iteration iter whose results are bit-identical to Run's. The entry is
+// resolved once, so a probe does no key projection, no hashing, and no
+// allocation on a hit; misses fall through to the model's own hoisted
+// Invariants. The evaluator is safe for concurrent sweep workers.
 func (c *Cache) Prepare(m *gpusim.Model, k *workloads.Kernel, iter int) func(cfg hw.Config) gpusim.Result {
-	base := keyOf(m, k, iter, hw.Config{})
+	e := c.entry(m, k, iter)
 	run := m.Prepare(k, iter)
 	return func(cfg hw.Config) gpusim.Result {
-		ky := base
-		ky.cfg = cfg
-		sh := c.shardFor(&ky)
-		sh.mu.RLock()
-		r, ok := sh.m[ky]
-		sh.mu.RUnlock()
-		if ok {
-			c.hits.Add(1)
-			return r
-		}
-		c.misses.Add(1)
-		r = run(cfg)
-		sh.mu.Lock()
-		sh.m[ky] = r
-		sh.mu.Unlock()
+		r, _ := c.probe(e, cfg, run)
 		return r
 	}
 }
@@ -260,38 +254,43 @@ func (c *Cache) Prepare(m *gpusim.Model, k *workloads.Kernel, iter int) func(cfg
 // an entry, so a phase-stable kernel pays for one sweep across all its
 // invocations — and across every oracle sharing the cache.
 func (c *Cache) Decision(m *gpusim.Model, pow power.Params, k *workloads.Kernel, iter, objective, spaceLen int) (hw.Config, bool) {
-	dk := decisionKey{
-		model: *m, pow: pow, kernel: kernelKeyOf(k, iter),
-		objective: objective, spaceLen: spaceLen,
+	id := decisionID{pow: pow, objective: objective, spaceLen: spaceLen}
+	if e := c.entry(m, k, iter); e != nil {
+		for _, d := range *e.decisions.Load() {
+			if d.id == id {
+				c.decHits.Add(1)
+				return d.cfg, true
+			}
+		}
 	}
-	sh := c.decShardFor(&dk)
-	sh.mu.RLock()
-	cfg, ok := sh.m[dk]
-	sh.mu.RUnlock()
-	if ok {
-		c.decHits.Add(1)
-	} else {
-		c.decMisses.Add(1)
-	}
-	return cfg, ok
+	c.decMisses.Add(1)
+	return hw.Config{}, false
 }
 
 // StoreDecision records a sweep argmin under the same key Decision
 // reads. The sweep that produced cfg must be deterministic (the sweep
 // layer breaks ties toward the earliest index), so concurrent callers
-// racing to store the same key write the same value.
+// racing to store the same key store the same value; the first wins.
 func (c *Cache) StoreDecision(m *gpusim.Model, pow power.Params, k *workloads.Kernel, iter, objective, spaceLen int, cfg hw.Config) {
-	dk := decisionKey{
-		model: *m, pow: pow, kernel: kernelKeyOf(k, iter),
-		objective: objective, spaceLen: spaceLen,
+	e := c.entry(m, k, iter)
+	if e == nil {
+		return
 	}
-	sh := c.decShardFor(&dk)
-	sh.mu.Lock()
-	sh.m[dk] = cfg
-	sh.mu.Unlock()
+	id := decisionID{pow: pow, objective: objective, spaceLen: spaceLen}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	old := *e.decisions.Load()
+	for _, d := range old {
+		if d.id == id {
+			return
+		}
+	}
+	ds := append(append(make([]decision, 0, len(old)+1), old...), decision{id: id, cfg: cfg})
+	e.decisions.Store(&ds)
 }
 
-// Stats reports the lifetime hit and miss counts.
+// Stats reports the lifetime hit and miss counts. Every miss is one
+// simulation.
 func (c *Cache) Stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
 }
@@ -301,16 +300,8 @@ func (c *Cache) DecisionStats() (hits, misses uint64) {
 	return c.decHits.Load(), c.decMisses.Load()
 }
 
-// Len returns the number of memoized results.
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.RLock()
-		n += len(c.shards[i].m)
-		c.shards[i].mu.RUnlock()
-	}
-	return n
-}
+// Len returns the number of distinct memoized results.
+func (c *Cache) Len() int { return int(c.stored.Load()) }
 
 // Cached binds a model to a cache as a gpusim.Runner, the form the
 // session, oracle, and sensitivity layers consume. A nil cache degrades
@@ -340,8 +331,8 @@ func (c Cached) RunHit(k *workloads.Kernel, iter int, cfg hw.Config) (gpusim.Res
 }
 
 // Prepare implements gpusim.PreparedRunner: the returned evaluator
-// probes the memo with a prebuilt key and falls through to the model's
-// hoisted Invariants on a miss, bit-identical to Run either way.
+// probes the invocation's entry, resolved once, and falls through to the
+// model's hoisted Invariants on a miss, bit-identical to Run either way.
 func (c Cached) Prepare(k *workloads.Kernel, iter int) func(cfg hw.Config) gpusim.Result {
 	if c.Cache == nil {
 		return c.Model.Prepare(k, iter)

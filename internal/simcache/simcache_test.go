@@ -1,6 +1,7 @@
 package simcache
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -169,6 +170,101 @@ func TestConcurrentMixedSweep(t *testing.T) {
 	}
 }
 
+// TestOffGridConfigBypassesMemo: a configuration off the legal grid has
+// no slot, so it is simulated directly as an unstored miss.
+func TestOffGridConfigBypassesMemo(t *testing.T) {
+	m := gpusim.Default()
+	c := New()
+	k := testKernel(t, "LUD.Internal")
+	cfg := hw.MaxConfig()
+	c.Run(m, k, 0, cfg)
+	cfg.Compute.CUs = 6
+	for i := 1; i <= 2; i++ {
+		if got, want := c.Run(m, k, 0, cfg), m.Run(k, 0, cfg); got != want {
+			t.Fatalf("off-grid run diverged:\n got %+v\nwant %+v", got, want)
+		}
+		if hits, misses := c.Stats(); hits != 0 || misses != uint64(1+i) {
+			t.Fatalf("after %d off-grid runs: hits=%d misses=%d, want 0/%d", i, hits, misses, 1+i)
+		}
+		if n := c.Len(); n != 1 {
+			t.Fatalf("off-grid run changed Len to %d, want 1", n)
+		}
+	}
+	eval := Cached{Model: m, Cache: c}.Prepare(k, 0)
+	if got, want := eval(cfg), m.Run(k, 0, cfg); got != want {
+		t.Fatal("prepared off-grid probe diverged")
+	}
+	if n := c.Len(); n != 1 {
+		t.Fatalf("prepared off-grid probe changed Len to %d, want 1", n)
+	}
+}
+
+// TestNaNKeyIsNotInterned: a key that is not equal to itself could never
+// be found again, so it must be simulated unstored rather than add an
+// entry per call.
+func TestNaNKeyIsNotInterned(t *testing.T) {
+	m := gpusim.Default()
+	k := workloads.NewKernel("NaN").MustBuild()
+	k.SerialCycles = math.NaN()
+	c := New()
+	for i := 0; i < 3; i++ {
+		c.Run(m, k, 0, hw.MaxConfig())
+		c.StoreDecision(m, power.DefaultParams(), k, 0, 0, 448, hw.MaxConfig())
+	}
+	if hits, misses := c.Stats(); hits != 0 || misses != 3 {
+		t.Fatalf("hits=%d misses=%d, want 0/3", hits, misses)
+	}
+	if n := c.Len(); n != 0 {
+		t.Fatalf("Len() = %d, want 0", n)
+	}
+	for i := range c.shards {
+		if len(c.shards[i].m) != 0 {
+			t.Fatal("NaN key interned an entry")
+		}
+	}
+}
+
+// TestConcurrentSlotFill: goroutines racing to fill overlapping slots
+// store each result once (the first store wins) and all read the
+// model's result. Run under -race.
+func TestConcurrentSlotFill(t *testing.T) {
+	m := gpusim.Default()
+	c := New()
+	kernels := []*workloads.Kernel{testKernel(t, "LUD.Internal"), testKernel(t, "Graph500.BottomStepUp")}
+	space := hw.ConfigSpace()
+	const goroutines, iters = 8, 2
+	var wg sync.WaitGroup
+	var bad sync.Once
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, k := range kernels {
+				eval := Cached{Model: m, Cache: c}.Prepare(k, g%iters)
+				// Each goroutine covers half the space, offset so that
+				// every slot is contended by several of them.
+				for i := 0; i < len(space)/2; i++ {
+					cfg := space[(i+g*len(space)/goroutines)%len(space)]
+					if eval(cfg) != m.Run(k, g%iters, cfg) {
+						bad.Do(func() { t.Errorf("kernel %s: concurrent fill diverged at %v", k.Name, cfg) })
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	// LUD.Internal is phase-stable (one entry for both iterations);
+	// Graph500.BottomStepUp's first two iterations are distinct phases.
+	want := len(space) * 3
+	if n := c.Len(); n != want {
+		t.Fatalf("Len() = %d, want %d distinct slots", n, want)
+	}
+	hits, misses := c.Stats()
+	if hits+misses != uint64(goroutines*len(kernels)*len(space)/2) || misses < uint64(want) {
+		t.Fatalf("hits=%d misses=%d: want %d probes and at least %d misses", hits, misses, goroutines*len(kernels)*len(space)/2, want)
+	}
+}
+
 func TestForNilCacheReturnsModel(t *testing.T) {
 	m := gpusim.Default()
 	if r := For(m, nil); r != gpusim.Runner(m) {
@@ -300,12 +396,12 @@ func TestDecisionShardContention(t *testing.T) {
 		}
 	}
 	used := 0
-	for i := range c.decShards {
-		c.decShards[i].mu.RLock()
-		if len(c.decShards[i].m) > 0 {
+	for i := range c.shards {
+		c.shards[i].mu.RLock()
+		if len(c.shards[i].m) > 0 {
 			used++
 		}
-		c.decShards[i].mu.RUnlock()
+		c.shards[i].mu.RUnlock()
 	}
 	if used < shardCount/4 {
 		t.Fatalf("decision keys landed on %d/%d shards; striping collapsed", used, shardCount)
@@ -355,4 +451,23 @@ func BenchmarkDecisionHitParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkRunHitWarm measures the per-boundary hit path: the lookup a
+// session pays for each kernel invocation on a warm memo.
+func BenchmarkRunHitWarm(b *testing.B) {
+	m := gpusim.Default()
+	c := New()
+	kernels := workloads.AllKernels()
+	cfg := hw.MaxConfig()
+	for _, k := range kernels {
+		c.Run(m, k, 0, cfg)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, hit := c.RunHit(m, kernels[i%len(kernels)], 0, cfg); !hit {
+			b.Fatal("miss on warmed memo")
+		}
+	}
 }

@@ -413,10 +413,11 @@ func RunWithoutFaults() RunOption {
 // decide/simulate/observe phases, and, for policies that annotate their
 // decisions (Harmonia, the oracle), a decision span per boundary
 // carrying the same source, bins and proxy as the timeline. The session
-// opens every span, so the policy keeps no hold on rec after the run.
-// Tracing is pure observation: the traced run's Report is bit-identical
-// to an untraced one, and two same-seed recorders over the same run
-// produce byte-identical span trees (given the same clock).
+// records one entry per kernel boundary and the tree is built from them
+// when read, so the policy keeps no hold on rec after the run. Tracing
+// is pure observation: the traced run's Report is bit-identical to an
+// untraced one, and two same-seed recorders over the same run produce
+// byte-identical span trees (given the same clock).
 func RunWithTrace(rec *TraceRecorder) RunOption {
 	return func(rs *runSettings) { rs.tracer = rec }
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"harmonia"
-	"harmonia/internal/timeline"
 )
 
 // Batch aggregates one POST /v1/batch submission: the full app × policy
@@ -376,14 +375,16 @@ func (s *Server) handleCreateBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	var b *Batch
 	runs := make([]*Run, len(cells))
+	cellOpts := make([][]harmonia.RunOption, len(cells))
 	func() {
 		// admit left the drain read-lock held; release it only after the
 		// enqueues so shutdown cannot drain between reservation and send.
 		defer s.admitted()
 		for i, c := range cells {
 			runs[i] = s.reg.create(c.app.Name, c.pol.Name())
-			runs[i].setTracer(s.newRunTracer(r, runs[i]))
-			runs[i].setTimeline(timeline.New())
+			// Full-slice append: each cell must get its own recorders
+			// without cells sharing (and clobbering) one backing array.
+			cellOpts[i] = append(opts[:len(opts):len(opts)], s.attachRecorders(r, runs[i])...)
 		}
 		s.retained.Set(float64(s.reg.size()))
 		b = s.batches.create(req.Apps, req.Policies, runs)
@@ -400,11 +401,7 @@ func (s *Server) handleCreateBatch(w http.ResponseWriter, r *http.Request) {
 				Config: req.Config, TDPWatts: req.TDPWatts,
 				FaultSeed: req.FaultSeed, FaultIntensity: req.FaultIntensity}
 			s.journalSubmit(runs[i].ID, c.app.Name, &rr, b.ID)
-			// Full-slice append: each cell must get its own RunWithTrace
-			// without cells sharing (and clobbering) one backing array.
-			cellOpts := append(opts[:len(opts):len(opts)],
-				harmonia.RunWithTrace(runs[i].Tracer()), harmonia.RunWithTimeline(runs[i].Timeline()))
-			j := s.newJob(jobCtx, runs[i], c.app, c.pol, cellOpts)
+			j := s.newJob(jobCtx, runs[i], c.app, c.pol, cellOpts[i])
 			// The matrix shares one admission; its first cell carries the
 			// half-open probe slot if this submission was granted it.
 			j.probe = probe && i == 0

@@ -64,23 +64,22 @@ type Run struct {
 	// persisted. Live runs leave it nil and serve the report instead.
 	headline *headline
 	restored bool
-	// tracer records the run's span tree (GET /v1/runs/{id}/spans). Nil
-	// for journal-restored records, whose execution predates this
-	// process.
-	tracer *trace.Recorder
-	// timeline flight-records the run (GET /v1/runs/{id}/timeline and
-	// the /live SSE stream). Nil for journal-restored terminal records;
-	// journal-replayed re-executions get a fresh recorder.
+	// tracer records the run's span tree (GET /v1/runs/{id}/spans) and
+	// timeline flight-records it (GET /v1/runs/{id}/timeline and the
+	// /live SSE stream). Both are nil for journal-restored terminal
+	// records, whose execution predates this process; journal-replayed
+	// re-executions get fresh ones.
+	tracer   *trace.Recorder
 	timeline *timeline.Recorder
 
 	done chan struct{}
 }
 
-// setTracer installs the run's span recorder; called between create and
-// enqueue, before any worker touches the record.
-func (r *Run) setTracer(rec *trace.Recorder) {
+// setRecorders installs the run's span and flight recorders; called
+// between create and enqueue, before any worker touches the record.
+func (r *Run) setRecorders(tr *trace.Recorder, tl *timeline.Recorder) {
 	r.mu.Lock()
-	r.tracer = rec
+	r.tracer, r.timeline = tr, tl
 	r.mu.Unlock()
 }
 
@@ -89,14 +88,6 @@ func (r *Run) Tracer() *trace.Recorder {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.tracer
-}
-
-// setTimeline installs the run's flight recorder; called between create
-// and enqueue, before any worker touches the record.
-func (r *Run) setTimeline(rec *timeline.Recorder) {
-	r.mu.Lock()
-	r.timeline = rec
-	r.mu.Unlock()
 }
 
 // Timeline returns the run's flight recorder, or nil for restored

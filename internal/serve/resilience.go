@@ -13,7 +13,6 @@ import (
 
 	"harmonia"
 	"harmonia/internal/resilience"
-	"harmonia/internal/timeline"
 )
 
 // journalAppend writes one record to the journal, if any. Append
@@ -173,11 +172,9 @@ func (s *Server) rebuildJob(rs *resilience.RunState, run *Run) (*job, error) {
 	if rs.FaultIntensity > 0 {
 		opts = append(opts, harmonia.RunWithFaults(harmonia.FaultProfile(rs.FaultSeed, rs.FaultIntensity)))
 	}
-	// A replayed re-execution records a fresh timeline: the flight
+	// A replayed re-execution records fresh recorders: the flight
 	// recorder is a pure function of the run's inputs, so the replay's
 	// timeline is byte-identical to the one the crashed process lost.
-	tl := timeline.New()
-	run.setTimeline(tl)
-	opts = append(opts, harmonia.RunWithTimeline(tl))
+	opts = append(opts, s.attachRecorders(nil, run)...)
 	return s.newJob(s.baseCtx, run, app, pol, opts), nil
 }

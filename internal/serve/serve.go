@@ -679,23 +679,29 @@ func (s *Server) enqueue(j *job) {
 	s.jobs <- j
 }
 
-// newRunTracer builds the per-run span recorder: span IDs seeded
-// deterministically by the run's registry sequence number, the trace ID
-// adopted from an inbound W3C traceparent header when the caller sent
-// one (joining the run's spans to the caller's distributed trace), and
-// header attributes linking the run to the request that submitted it.
-func (s *Server) newRunTracer(r *http.Request, run *Run) *trace.Recorder {
+// attachRecorders gives run a fresh span recorder and flight recorder
+// and returns the RunOptions that record onto them. Span IDs are seeded
+// by the run's registry sequence number. r is the submitting request, or
+// nil for a journal-replayed re-execution: a request adds its ID as a
+// header attribute next to run_id, and an inbound W3C traceparent
+// header donates the trace ID, joining the run's spans to the caller's
+// distributed trace.
+func (s *Server) attachRecorders(r *http.Request, run *Run) []harmonia.RunOption {
 	attrs := []trace.Attr{{Key: "run_id", Value: run.ID}}
-	if rid := requestIDFrom(r.Context()); rid != "" {
-		attrs = append(attrs, trace.Attr{Key: "request_id", Value: rid})
+	var opts []trace.Option
+	if r != nil {
+		if rid := requestIDFrom(r.Context()); rid != "" {
+			attrs = append(attrs, trace.Attr{Key: "request_id", Value: rid})
+		}
+		if tid, parent, ok := trace.ParseTraceparent(r.Header.Get("traceparent")); ok {
+			opts = append(opts, trace.WithTraceID(tid))
+			attrs = append(attrs, trace.Attr{Key: "parent_span_id", Value: parent})
+		}
 	}
-	opts := []trace.Option{}
-	if tid, parent, ok := trace.ParseTraceparent(r.Header.Get("traceparent")); ok {
-		opts = append(opts, trace.WithTraceID(tid))
-		attrs = append(attrs, trace.Attr{Key: "parent_span_id", Value: parent})
-	}
-	opts = append(opts, trace.WithAttrs(attrs...))
-	return trace.New(uint64(run.seq), opts...)
+	tr := trace.New(uint64(run.seq), append(opts, trace.WithAttrs(attrs...))...)
+	tl := timeline.New()
+	run.setRecorders(tr, tl)
+	return []harmonia.RunOption{harmonia.RunWithTrace(tr), harmonia.RunWithTimeline(tl)}
 }
 
 // newJob builds a job under the per-run deadline, when one is set.
@@ -987,13 +993,10 @@ func (s *Server) handleCreateRun(w http.ResponseWriter, r *http.Request) {
 		// enqueue so shutdown cannot drain between reservation and send.
 		defer s.admitted()
 		run = s.reg.create(req.App, pol.Name())
-		rec := s.newRunTracer(r, run)
-		run.setTracer(rec)
-		tl := timeline.New()
-		run.setTimeline(tl)
+		opts = append(opts, s.attachRecorders(r, run)...)
 		s.retained.Set(float64(s.reg.size()))
 		s.journalSubmit(run.ID, req.App, &req, "")
-		j := s.newJob(jobCtx, run, app, pol, append(opts, harmonia.RunWithTrace(rec), harmonia.RunWithTimeline(tl)))
+		j := s.newJob(jobCtx, run, app, pol, opts)
 		j.probe = probe
 		s.enqueue(j)
 	}()
@@ -1054,11 +1057,12 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, run.JSON())
 }
 
-// handleGetSpans is GET /v1/runs/{id}/spans: the run's recorded span
-// tree, as the native span schema (default) or Chrome trace-event JSON
-// (?format=chrome) loadable at ui.perfetto.dev or chrome://tracing.
-// Safe to call while the run is still executing — open spans export
-// with ended=false.
+// handleGetSpans is GET /v1/runs/{id}/spans: the run's span tree, built
+// from its boundary records on this read, as the native span schema
+// (default) or Chrome trace-event JSON (?format=chrome) loadable at
+// ui.perfetto.dev or chrome://tracing. Safe to call while the run is
+// still executing: the tree holds every completed boundary, and the run
+// span exports ended=false.
 func (s *Server) handleGetSpans(w http.ResponseWriter, r *http.Request) {
 	run, ok := s.reg.get(r.PathValue("id"))
 	if !ok {

@@ -309,8 +309,9 @@ func TestQualityStatsEndpoint(t *testing.T) {
 // crash drill: batch cells interrupted by a "crash" are re-executed by
 // the restarted daemon, and because the recorder is a pure function of
 // the run's inputs, each replayed cell's timeline is byte-identical to
-// an uninterrupted reference run's. Cells that finished before the
-// crash are journal-restored without a recorder and answer 409.
+// an uninterrupted reference run's; each also records a span tree.
+// Cells that finished before the crash are journal-restored without
+// recorders and answer 409.
 func TestReplayedTimelineByteIdentical(t *testing.T) {
 	const batchBody = `{"apps":["SRAD","LUD"],"policies":["baseline","fixed"],"config":"16/700/925","wait":false}`
 	dir := t.TempDir()
@@ -397,6 +398,33 @@ func TestReplayedTimelineByteIdentical(t *testing.T) {
 		if !bytes.Equal(replayed, reference) {
 			t.Errorf("cell %d (%s/%s): replayed timeline differs from uninterrupted reference",
 				i, cell.App, cell.Policy)
+		}
+	}
+
+	// Replayed cells also record spans, headed by their run ID; restored
+	// cells have none.
+	for i, cell := range resumed.Cells {
+		var doc struct {
+			Attrs []struct{ Key, Value string }
+		}
+		status := getJSON(t, tsB.URL+"/v1/runs/"+cell.RunID+"/spans", &doc)
+		if i < 2 {
+			if status != http.StatusConflict {
+				t.Errorf("restored cell %s spans = %d, want 409", cell.RunID, status)
+			}
+			continue
+		}
+		if status != http.StatusOK {
+			t.Fatalf("replayed cell %s spans = %d, want 200", cell.RunID, status)
+		}
+		runID := ""
+		for _, a := range doc.Attrs {
+			if a.Key == "run_id" {
+				runID = a.Value
+			}
+		}
+		if runID != cell.RunID {
+			t.Errorf("replayed cell %s spans carry run_id %q", cell.RunID, runID)
 		}
 	}
 }

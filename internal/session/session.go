@@ -13,7 +13,6 @@ import (
 
 	"harmonia/internal/daq"
 	"harmonia/internal/faults"
-	"harmonia/internal/floats"
 	"harmonia/internal/gpusim"
 	"harmonia/internal/hw"
 	"harmonia/internal/metrics"
@@ -47,22 +46,22 @@ type Session struct {
 	// observation: it never perturbs the simulated physics, so a run
 	// with telemetry is bit-identical to one without.
 	Telemetry *telemetry.Registry
-	// Tracer, when non-nil, records the run as a span tree: one root
-	// run span, a kernel span per invocation, and decide/simulate/observe
-	// phase spans under it. When the policy implements
-	// timeline.Annotator, each observe span also gets a "decision" child
-	// carrying the policy's Detail. The session opens every span; the
-	// policy never sees the recorder. Like Telemetry, tracing is pure
-	// observation — a traced run's Report is bit-identical to an
-	// untraced one.
+	// Tracer, when non-nil, records the run's span tree. The session
+	// hands it one record per kernel boundary, the same
+	// timeline.Decision the Timeline gets, plus a trace.Boundary tail of
+	// phase clock readings and the observation the policy was given; the
+	// recorder builds the run → kernel → decide/simulate/observe →
+	// decision tree from those records when it is read. The policy never
+	// sees the recorder. Like Telemetry, tracing is pure observation — a
+	// traced run's Report is bit-identical to an untraced one — and an
+	// untraced run builds no record and reads no clock.
 	Tracer *trace.Recorder
 	// Timeline, when non-nil, flight-records the run: the DAQ power
 	// stream folded into bounded buckets, one decision record per
-	// kernel boundary (annotated with the same Detail as the decision
-	// span), and configuration transitions. Like Tracer, the recorder
-	// is pure observation — a recorded run's Report is bit-identical to
-	// an unrecorded one, and the disabled path costs one nil check per
-	// boundary.
+	// kernel boundary (annotated with the policy's Detail), and
+	// configuration transitions. Like Tracer, the recorder is pure
+	// observation — a recorded run's Report is bit-identical to an
+	// unrecorded one.
 	Timeline *timeline.Recorder
 }
 
@@ -162,13 +161,8 @@ func (s *Session) Run(app *workloads.Application) (*Report, error) {
 func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*Report, error) {
 	ins := s.instrumentsFor()
 	tr, tl := s.Tracer, s.Timeline
-	var runSpan *trace.Span
 	if tr != nil {
-		runSpan = tr.Start(nil, "run")
-		runSpan.Attr("app", app.Name).
-			Attr("policy", s.Policy.Name()).
-			Int("iterations", int64(app.Iterations))
-		defer runSpan.End()
+		tr.StartRun(app.Name, s.Policy.Name(), app.Iterations)
 	}
 	if tl != nil {
 		tl.StartRun(app.Name, s.Policy.Name())
@@ -177,18 +171,31 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 		// idempotent and the serve layer may call it again.
 		defer tl.Finish()
 	}
-	// The policy's Detail is read only when a recorder will write it.
-	var ann timeline.Annotator
-	if tr != nil || tl != nil {
+	// A boundary record is built only when a recorder will store it, so
+	// only then is the policy's Detail read; the memo-hit flag is asked
+	// for only when a span recorder will show it.
+	recording := tr != nil || tl != nil
+	var (
+		ann  timeline.Annotator
+		hits hitRunner
+		bins []timeline.Bins
+	)
+	if recording {
 		ann, _ = s.Policy.(timeline.Annotator)
+	}
+	if ann != nil {
+		// One slab holds the run's bins, so a record's Bins pointer
+		// costs no allocation per boundary.
+		bins = make([]timeline.Bins, 0, app.Iterations*len(app.Kernels))
+	}
+	if tr != nil {
+		hits, _ = s.Sim.(hitRunner)
 	}
 	if err := app.Validate(); err != nil {
 		if ins.failed != nil {
 			ins.failed.Inc()
 		}
-		if runSpan != nil {
-			runSpan.Attr("error", err.Error())
-		}
+		tr.FailRun(err)
 		return nil, err
 	}
 	if ins.started != nil {
@@ -217,35 +224,25 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 				}
 				err = fmt.Errorf("session: run of %s canceled at %s iter %d: %w",
 					app.Name, k.Name, iter, err)
-				if runSpan != nil {
-					runSpan.Attr("error", err.Error())
-				}
+				tr.FailRun(err)
 				return nil, err
 			}
-			// Tracing note: span methods are nil-safe no-ops, so the
-			// untraced path runs them freely; only annotations whose
-			// argument expressions allocate (Config.String()) sit behind
-			// nil checks.
-			ks := runSpan.Child("kernel")
-			if ks != nil {
-				ks.Attr("name", k.Name).Int("iter", int64(iter))
-			}
-			ds := ks.Child("decide")
+			// tb is the boundary's trace-only tail. Now reads no clock on
+			// a nil recorder, so the untraced path leaves it zero.
+			var tb trace.Boundary
+			tb.Clock[0] = tr.Now()
 			cfg := s.Policy.Decide(k.Name, iter)
-			if ds != nil {
-				ds.Attr("config", cfg.String())
-			}
-			ds.End()
+			tb.Clock[1] = tr.Now()
 			if !cfg.Valid() {
 				if ins.failed != nil {
 					ins.failed.Inc()
 				}
 				err := fmt.Errorf("session: policy %s returned invalid config %v for %s",
 					s.Policy.Name(), cfg, k.Name)
-				if runSpan != nil {
-					ks.Attr("error", err.Error())
-					ks.End()
-					runSpan.Attr("error", err.Error())
+				if tr != nil {
+					tb.Err = err.Error()
+					tr.RecordDecision(timeline.Decision{Kernel: k.Name, Iter: iter, Commanded: timeline.ConfigOf(cfg)}, tb)
+					tr.FailRun(err)
 				}
 				return nil, err
 			}
@@ -253,22 +250,13 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 			if s.Faults != nil {
 				actual = s.Faults.ApplyConfig(cfg)
 			}
-			sim := ks.Child("simulate")
 			var res gpusim.Result
-			if hr, ok := s.Sim.(hitRunner); ok && sim != nil {
-				// The RunHit variant returns bit-identical results plus
-				// the memo-hit flag; it is only consulted when tracing so
-				// the untraced call path is untouched.
-				var hit bool
-				res, hit = hr.RunHit(k, iter, actual)
-				sim.Bool("simcache_hit", hit)
+			if hits != nil {
+				res, tb.Hit = hits.RunHit(k, iter, actual)
 			} else {
 				res = s.Sim.Run(k, iter, actual)
 			}
-			if sim != nil {
-				sim.Attr("config", actual.String()).Float("time_s", res.Time)
-			}
-			sim.End()
+			tb.Clock[2] = tr.Now()
 			rails := s.Power.Rails(actual, power.Activity{
 				VALUBusyFrac:    res.Counters.VALUBusy / 100,
 				MemUnitBusyFrac: res.Counters.MemUnitBusy / 100,
@@ -279,31 +267,16 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 			if s.Faults != nil {
 				obs = s.Faults.Observation(k.Name, res)
 			}
-			os := ks.Child("observe")
 			s.Policy.Observe(k.Name, iter, obs)
-			// The policy describes the boundary it just processed once;
-			// the decision span and the timeline record both carry it.
-			det, annotated := timeline.Detail{}, false
-			if ann != nil {
-				det, annotated = ann.TimelineDecision(k.Name, iter)
-			}
-			if annotated && os != nil {
-				recordDecision(os, obs, det)
-			}
-			os.End()
-			ks.End()
+			tb.Clock[3] = tr.Now()
 			rep.Runs = append(rep.Runs, KernelRun{
 				Kernel: k.Name, Iter: iter, Config: actual, Commanded: cfg, Result: res, Rails: rails,
 			})
-			if tl != nil {
-				// Power first, then the decision, so a live subscriber
-				// woken by the boundary event sees the power stream up
-				// to it. The decision carries the true physics (actual
-				// config, exact time/energy); the Detail adds the
-				// policy's view.
-				all := rec.Samples()
-				tl.ObserveSamples(all[sampleLo:])
-				sampleLo = len(all)
+			if recording {
+				// One record per boundary, handed to both recorders. It
+				// carries the true physics (actual config, exact
+				// time/energy); the policy's Detail, read once right after
+				// Observe, adds its view.
 				endS := rec.Now()
 				d := timeline.Decision{
 					Kernel: k.Name, Iter: iter,
@@ -312,14 +285,32 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 					Config: timeline.ConfigOf(actual), Commanded: timeline.ConfigOf(cfg),
 					VALUBusy: res.Counters.VALUBusy, MemUnitBusy: res.Counters.MemUnitBusy,
 				}
-				if annotated {
-					d.Source, d.Proxy = det.Source, det.Proxy
-					if det.HaveBins {
-						b := timeline.BinsOf(det.Bins)
-						d.Bins = &b
+				if ann != nil {
+					var det timeline.Detail
+					det, tb.Annotated = ann.TimelineDecision(k.Name, iter)
+					if tb.Annotated {
+						d.Source, d.Proxy = det.Source, det.Proxy
+						if det.HaveBins {
+							bins = append(bins, timeline.BinsOf(det.Bins))
+							d.Bins = &bins[len(bins)-1]
+						}
 					}
 				}
-				tl.RecordDecision(d)
+				if tl != nil {
+					// Power first, then the decision, so a live subscriber
+					// woken by the boundary event sees the power stream up
+					// to it.
+					all := rec.Samples()
+					tl.ObserveSamples(all[sampleLo:])
+					sampleLo = len(all)
+					tl.RecordDecision(d)
+				}
+				if tr != nil {
+					tb.Observed = obs.Config
+					tb.VALUBusy, tb.MemUnitBusy = obs.Counters.VALUBusy, obs.Counters.MemUnitBusy
+					tb.Memo = hits != nil
+					tr.RecordDecision(d, tb)
+				}
 			}
 			if ins.kernels != nil {
 				ins.kernels.Inc()
@@ -333,37 +324,15 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 		ins.completed.Inc()
 		ins.ed2.Observe(rep.ED2())
 	}
-	if runSpan != nil {
-		runSpan.Float("total_time_s", rep.TotalTime()).
-			Float("total_energy_j", rep.TotalEnergy()).
-			Float("ed2", rep.ED2())
+	if tr != nil {
+		tr.EndRun(rep.TotalTime(), rep.TotalEnergy(), rep.ED2())
 	}
 	return rep, nil
 }
 
-// recordDecision writes the policy's Detail for one boundary as a
-// "decision" span under the observe phase, next to the observation the
-// policy was given. Attribute names follow the timeline's decision
-// record; proxy is omitted when zero, as there.
-func recordDecision(observe *trace.Span, obs gpusim.Result, det timeline.Detail) {
-	sp := observe.Child("decision")
-	sp.Attr("config", obs.Config.String()).
-		Float("valu_busy", obs.Counters.VALUBusy).
-		Float("mem_unit_busy", obs.Counters.MemUnitBusy).
-		Attr("source", det.Source)
-	if det.HaveBins {
-		b := timeline.BinsOf(det.Bins)
-		sp.Attr("bins", b.CUs+"/"+b.CUFreq+"/"+b.MemFreq)
-	}
-	if !floats.Zero(det.Proxy) {
-		sp.Float("proxy", det.Proxy)
-	}
-	sp.End()
-}
-
 // hitRunner is the optional simulator interface (implemented by
-// simcache.Cached) reporting whether a result came from the memo, so
-// traced simulate spans can carry cache behaviour.
+// simcache.Cached) reporting whether a result came from the memo; a
+// traced run records the flag for its simulate spans.
 type hitRunner interface {
 	RunHit(k *workloads.Kernel, iter int, cfg hw.Config) (gpusim.Result, bool)
 }
@@ -444,36 +413,4 @@ func (r *Report) KernelResidency(kernel string, t hw.Tunable) map[int]float64 {
 		}
 	}
 	return out
-}
-
-// Comparison holds one application's results under the evaluated policies,
-// normalized the way the paper's Figures 10-13 are: ratios of the policy
-// metric to the baseline metric.
-type Comparison struct {
-	App      string
-	Baseline metrics.Sample
-	Policies map[string]metrics.Sample
-}
-
-// Compare runs the application under the baseline and each given policy
-// factory, returning the comparison. Policies are constructed fresh per
-// application so no state leaks between apps.
-func Compare(app *workloads.Application, factories map[string]func() policy.Policy) (*Comparison, error) {
-	base, err := New(policy.NewBaseline()).Run(app)
-	if err != nil {
-		return nil, err
-	}
-	cmp := &Comparison{
-		App:      app.Name,
-		Baseline: base.Sample(),
-		Policies: make(map[string]metrics.Sample),
-	}
-	for name, factory := range factories {
-		rep, err := New(factory()).Run(app)
-		if err != nil {
-			return nil, err
-		}
-		cmp.Policies[name] = rep.Sample()
-	}
-	return cmp, nil
 }

@@ -137,30 +137,6 @@ func TestRunRejectsInvalidPolicyConfig(t *testing.T) {
 	}
 }
 
-func TestCompare(t *testing.T) {
-	cmp, err := Compare(workloads.MaxFlops(), map[string]func() policy.Policy{
-		"min": func() policy.Policy { return policy.NewFixed(hw.MinConfig()) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.App != "MaxFlops" {
-		t.Errorf("app = %q", cmp.App)
-	}
-	minS, ok := cmp.Policies["min"]
-	if !ok {
-		t.Fatal("missing policy result")
-	}
-	// The minimum config must be far slower than baseline for MaxFlops.
-	if minS.Seconds < cmp.Baseline.Seconds*5 {
-		t.Errorf("min config only %vx slower", minS.Seconds/cmp.Baseline.Seconds)
-	}
-	// But draw less power.
-	if minS.Watts >= cmp.Baseline.Watts {
-		t.Errorf("min config power %v >= baseline %v", minS.Watts, cmp.Baseline.Watts)
-	}
-}
-
 func TestSessionDeterminism(t *testing.T) {
 	run := func() float64 {
 		rep, err := New(policy.NewBaseline()).Run(workloads.Graph500())

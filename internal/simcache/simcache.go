@@ -224,8 +224,9 @@ func (c *Cache) Run(m *gpusim.Model, k *workloads.Kernel, iter int, cfg hw.Confi
 
 // RunHit is Run, additionally reporting whether the result came from
 // the memo (true) or a fresh simulation (false). The result value is
-// identical either way; the flag exists so the tracing layer can
-// annotate simulate spans with cache behaviour without touching it.
+// identical either way; a traced session records the flag in each
+// boundary's record, and the span tree shows it as the simulate span's
+// simcache_hit attribute.
 func (c *Cache) RunHit(m *gpusim.Model, k *workloads.Kernel, iter int, cfg hw.Config) (gpusim.Result, bool) {
 	var e *invocation
 	if cfg.Valid() {

@@ -78,8 +78,9 @@ func BinsOf(b sensitivity.Bins) Bins {
 // Detail is a policy's annotation of one decision: how the action was
 // produced and what the controller believed at the time. Policies that
 // can provide it implement Annotator. It is the only description of a
-// kernel boundary a policy gives: the session writes it into both the
-// timeline's decision record and the run's "decision" span.
+// kernel boundary a policy gives: the session copies it into the
+// boundary's Decision, which both the timeline and the span recorder
+// store (the span tree shows it as a "decision" span).
 type Detail struct {
 	// Source classifies the action: the controller's ActionKind string
 	// (hold, cg, fg, revert, freeze, reject, retry, degrade, recover)

@@ -2,8 +2,8 @@
 // GET /v1/runs/{id}/spans and the Chrome trace-event form
 // (?format=chrome) that loads directly into Perfetto or
 // chrome://tracing. Both writers are deterministic — field order is
-// fixed by struct layout, attribute order is insertion order, and
-// floats use strconv's exact shortest form — so byte-identical span
+// fixed by struct layout, attribute order is fixed by the tree builder,
+// and floats use strconv's exact shortest form — so byte-identical span
 // trees serialize to byte-identical documents.
 
 package trace
@@ -21,17 +21,10 @@ type spanJSON struct {
 	Name   string `json:"name"`
 	// StartUS/DurUS are microseconds from the trace epoch; fractional
 	// microseconds carry full nanosecond precision.
-	StartUS float64     `json:"start_us"`
-	DurUS   float64     `json:"dur_us"`
-	Ended   bool        `json:"ended"`
-	Attrs   []Attr      `json:"attrs,omitempty"`
-	Events  []eventJSON `json:"events,omitempty"`
-}
-
-type eventJSON struct {
-	Name  string  `json:"name"`
-	AtUS  float64 `json:"at_us"`
-	Attrs []Attr  `json:"attrs,omitempty"`
+	StartUS float64 `json:"start_us"`
+	DurUS   float64 `json:"dur_us"`
+	Ended   bool    `json:"ended"`
+	Attrs   []Attr  `json:"attrs,omitempty"`
 }
 
 // traceJSON is the native document: header plus spans in start order.
@@ -58,9 +51,6 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 		if sp.Parent != 0 {
 			j.Parent = formatID(sp.Parent)
 		}
-		for _, ev := range sp.Events {
-			j.Events = append(j.Events, eventJSON{Name: ev.Name, AtUS: micros(ev.At), Attrs: ev.Attrs})
-		}
 		doc.Spans[i] = j
 	}
 	enc := json.NewEncoder(w)
@@ -70,9 +60,8 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 
 // chromeEvent is one entry of the Chrome trace-event format
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU):
-// ph "X" complete events carry ts+dur, ph "i" instant events mark span
-// point events, ph "M" metadata names the process. ts and dur are
-// microseconds. All spans share pid/tid 1; viewers nest same-track "X"
+// ph "X" complete events carry ts+dur and ph "M" metadata names the
+// process. ts and dur are microseconds. All spans share pid/tid 1; viewers nest same-track "X"
 // events by interval containment, which reproduces the span hierarchy.
 type chromeEvent struct {
 	Name string            `json:"name"`
@@ -82,7 +71,6 @@ type chromeEvent struct {
 	Dur  *float64          `json:"dur,omitempty"`
 	PID  int               `json:"pid"`
 	TID  int               `json:"tid"`
-	S    string            `json:"s,omitempty"`
 	Args map[string]string `json:"args,omitempty"`
 }
 
@@ -122,17 +110,6 @@ func (s Snapshot) WriteChrome(w io.Writer) error {
 			Name: sp.Name, Cat: "harmonia", Ph: "X",
 			TS: micros(sp.Start), Dur: &dur, PID: 1, TID: 1, Args: args,
 		})
-		for _, ev := range sp.Events {
-			evArgs := make(map[string]string, len(ev.Attrs)+1)
-			for _, a := range ev.Attrs {
-				evArgs[a.Key] = a.Value
-			}
-			evArgs["span_id"] = formatID(sp.ID)
-			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-				Name: ev.Name, Cat: "harmonia", Ph: "i",
-				TS: micros(ev.At), PID: 1, TID: 1, S: "t", Args: evArgs,
-			})
-		}
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -1,63 +1,54 @@
-// Package trace is a stdlib-only hierarchical span recorder for run
-// observability: spans carry attributes and point events, and the tree
-// exports as native JSON or Chrome trace-event JSON (loadable in
-// Perfetto / chrome://tracing). One layer opens spans: internal/session
-// opens the run span, a kernel span per invocation, its
-// decide/simulate/observe phases, and a decision span carrying the
-// policy's timeline.Detail. Policies never see the recorder.
+// Package trace records a run's span tree and exports it as native
+// JSON or Chrome trace-event JSON (loadable in Perfetto /
+// chrome://tracing). The recorder stores records, not spans:
+// internal/session writes one when the run starts, one per completed
+// kernel boundary (the same timeline.Decision the flight recorder
+// stores, plus the trace-only Boundary tail) and one when the run ends.
+// Snapshot builds the tree from those records when it is read: a root
+// run span, a kernel span per boundary with its decide/simulate/observe
+// phases, and, for a policy that annotated the boundary, a decision
+// span under observe carrying its timeline.Detail. Spans have no point
+// events, and policies never see the recorder.
 //
 // The recorder is built around two guarantees the rest of the repo
 // depends on:
 //
 //   - Inertness. Tracing is pure observation: attaching a recorder to a
 //     run never changes a single computed value, so a traced run's
-//     Report is bit-identical to an untraced one. The nil-recorder fast
-//     path makes the disabled case free — every method is safe on a nil
-//     *Recorder or nil *Span and allocates nothing.
+//     Report is bit-identical to an untraced one. Every method is safe
+//     on a nil *Recorder and allocates nothing there; an untraced
+//     session builds no record and reads no clock.
 //
 //   - Determinism. Span IDs are drawn from a SplitMix64 stream seeded
-//     by the run seed, timestamps come from an injectable monotonic
-//     clock, and attributes serialize in insertion order, so two
-//     single-threaded runs with the same seed (and the same injected
-//     clock) produce byte-identical span trees. The only nondeterminism
-//     in the package is the default wall clock, which callers replace
-//     with WithClock when they need reproducible timelines.
+//     by the run seed, in span start order, each time a tree is built;
+//     timestamps come from an injectable monotonic clock, and attributes
+//     serialize in a fixed order, so two single-threaded runs with the
+//     same seed (and the same injected clock) produce byte-identical
+//     span trees. The only nondeterminism in the package is the default
+//     wall clock, which callers replace with WithClock when they need
+//     reproducible timelines.
 //
-// Concurrent span creation is safe — one mutex guards the recorder —
-// but start order, and therefore ID assignment, then follows
-// scheduling; the byte-identical guarantee holds for single-goroutine
-// recorders.
+// One mutex guards the recorder, so a snapshot may be taken while the
+// run is recording: it holds every boundary completed so far, and the
+// run span exports ended=false until the run ends.
 package trace
 
 import (
 	"strconv"
 	"sync"
 	"time"
+
+	"harmonia/internal/floats"
+	"harmonia/internal/hw"
+	"harmonia/internal/timeline"
 )
 
 // Attr is one key/value annotation. Values are strings so that span
-// trees serialize deterministically; the typed Span helpers (Int,
-// Float, Bool) format through strconv with exact round-trip forms.
+// trees serialize deterministically; numbers format through strconv
+// with exact round-trip forms.
 type Attr struct {
 	Key   string `json:"key"`
 	Value string `json:"value"`
-}
-
-// Int64Attr formats v as an Attr.
-func Int64Attr(key string, v int64) Attr {
-	return Attr{Key: key, Value: strconv.FormatInt(v, 10)}
-}
-
-// FloatAttr formats v as an Attr with the shortest exact representation.
-func FloatAttr(key string, v float64) Attr {
-	return Attr{Key: key, Value: strconv.FormatFloat(v, 'g', -1, 64)}
-}
-
-// Event is a point-in-time annotation within a span.
-type Event struct {
-	Name  string
-	At    time.Duration // offset from the recorder's epoch
-	Attrs []Attr
 }
 
 // SpanData is the immutable export form of one span. Times are offsets
@@ -71,28 +62,62 @@ type SpanData struct {
 	End    time.Duration
 	Ended  bool
 	Attrs  []Attr
-	Events []Event
 }
 
-// Span is one live interval in the recorder's tree. All methods are
-// nil-safe no-ops, so call sites never branch on whether tracing is
-// enabled.
-type Span struct {
-	rec *Recorder
-	d   *SpanData
+// Boundary is the trace-only tail of one kernel-boundary record: what
+// the span tree shows that the timeline's Decision does not carry. It
+// never enters the timeline, so recording it cannot move timeline
+// bytes.
+type Boundary struct {
+	// Clock holds the recorder's clock at the kernel's start and at the
+	// end of its decide, simulate and observe phases.
+	Clock [4]time.Duration
+	// Observed, VALUBusy and MemUnitBusy are the observation the policy
+	// was given; under faults it may be noisy or stale.
+	Observed              hw.Config
+	VALUBusy, MemUnitBusy float64
+	// Annotated reports that the policy described the boundary through
+	// timeline.Annotator, so the Decision's Source, Bins and Proxy
+	// become a decision span.
+	Annotated bool
+	// Memo reports that the simulator tells memo hits apart; Hit is
+	// whether this boundary's simulation came from the memo.
+	Memo, Hit bool
+	// Err is the error that stopped the run at this boundary's decide
+	// phase (the policy returned an invalid config). Such a boundary has
+	// no simulate or observe phase, and its kernel ends with decide.
+	Err string
 }
 
-// Recorder collects spans. The zero value is not usable; construct with
-// New. A nil *Recorder is the disabled recorder: Start returns a nil
-// span and everything downstream no-ops without allocating.
+// boundary is one stored kernel-boundary record.
+type boundary struct {
+	d timeline.Decision
+	b Boundary
+}
+
+// runRecord is the run span's record: opened by StartRun, closed by
+// EndRun with the run's totals or by FailRun with its error.
+type runRecord struct {
+	started, ended bool
+	app, policy    string
+	iterations     int
+	start, end     time.Duration
+	err            string     // set by FailRun
+	totals         [3]float64 // time, energy, ED²; set by EndRun
+}
+
+// Recorder collects one run's records. The zero value is not usable;
+// construct with New. A nil *Recorder is the disabled recorder: every
+// method no-ops without allocating.
 type Recorder struct {
-	// mu guards idState, spans, and every span's data.
+	// mu guards every field below.
 	mu      sync.Mutex
-	idState uint64
+	ids     uint64 // span-ID stream state before the first span
 	traceID string
 	attrs   []Attr
 	clock   func() time.Duration
-	spans   []*SpanData
+	run     runRecord
+	bounds  []boundary
 }
 
 // Option configures a Recorder at construction.
@@ -124,17 +149,16 @@ func WithAttrs(attrs ...Attr) Option {
 }
 
 // New returns a recorder whose span IDs are the SplitMix64 stream
-// seeded by seed: same seed, same single-goroutine span sequence, same
-// IDs. The default trace ID is derived from the seed's first two
-// outputs.
+// seeded by seed: same seed, same span sequence, same IDs. The default
+// trace ID is derived from the seed's first two outputs.
 func New(seed uint64, opts ...Option) *Recorder {
-	r := &Recorder{idState: seed}
+	r := &Recorder{ids: seed}
 	// Derive the trace ID before any span draws from the stream, then
 	// re-seed so span IDs are independent of whether the trace ID was
 	// overridden.
-	hi, lo := splitmix64(&r.idState), splitmix64(&r.idState)
+	hi, lo := splitmix64(&r.ids), splitmix64(&r.ids)
 	r.traceID = formatID(hi) + formatID(lo)
-	r.idState = seed ^ 0xa5a5a5a5a5a5a5a5
+	r.ids = seed ^ 0xa5a5a5a5a5a5a5a5
 	for _, opt := range opts {
 		opt(r)
 	}
@@ -147,7 +171,7 @@ func New(seed uint64, opts ...Option) *Recorder {
 // wallClock is the default clock: wall time elapsed since the recorder
 // was constructed. It is the package's single sanctioned source of
 // nondeterminism; everything else in a span tree is a pure function of
-// the seed and the call sequence.
+// the seed and the recorded run.
 func wallClock() func() time.Duration {
 	//lint:ignore nondeterminism the default clock is wall time by design; determinism tests inject a virtual clock via WithClock
 	start := time.Now()
@@ -185,65 +209,156 @@ func (r *Recorder) TraceID() string {
 	return r.traceID
 }
 
-// now reads the clock under the lock the caller already holds.
-func (r *Recorder) now() time.Duration { return r.clock() }
-
-// Start opens a span under parent (nil parent means a root span) and
-// returns it. On a nil recorder it returns nil, and every operation on
-// the nil span is a free no-op.
-func (r *Recorder) Start(parent *Span, name string) *Span {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	d := &SpanData{
-		ID:    splitmix64(&r.idState),
-		Name:  name,
-		Start: r.now(),
-	}
-	if parent != nil && parent.d != nil {
-		d.Parent = parent.d.ID
-	}
-	r.spans = append(r.spans, d)
-	return &Span{rec: r, d: d}
-}
-
-// Len returns the number of spans started so far.
-func (r *Recorder) Len() int {
+// Now reads the recorder's clock; the session stamps each boundary's
+// phases with it. A nil recorder reads no clock and returns 0.
+func (r *Recorder) Now() time.Duration {
 	if r == nil {
 		return 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.spans)
+	return r.clock()
 }
 
-// Snapshot copies the recorder's state for export: trace header plus
-// every span in start order. Safe to call while spans are still open
-// (their Ended flag is false and End holds the snapshot instant).
+// StartRun opens the run span. A Recorder records one run.
+func (r *Recorder) StartRun(app, policy string, iterations int) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.run = runRecord{started: true, app: app, policy: policy, iterations: iterations, start: r.clock()}
+	r.mu.Unlock()
+}
+
+// RecordDecision stores one completed kernel boundary: d is the record
+// the flight recorder stores, b the trace-only tail.
+func (r *Recorder) RecordDecision(d timeline.Decision, b Boundary) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.bounds = append(r.bounds, boundary{d: d, b: b})
+	r.mu.Unlock()
+}
+
+// EndRun closes the run span with the run's total time, energy and
+// ED². Only the first EndRun or FailRun counts.
+func (r *Recorder) EndRun(timeS, energyJ, ed2 float64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	if !r.run.ended {
+		r.run.ended, r.run.end = true, r.clock()
+		r.run.totals = [3]float64{timeS, energyJ, ed2}
+	}
+	r.mu.Unlock()
+}
+
+// FailRun closes the run span with the error that stopped the run.
+// Only the first EndRun or FailRun counts.
+func (r *Recorder) FailRun(err error) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	if !r.run.ended {
+		r.run.ended, r.run.end = true, r.clock()
+		r.run.err = err.Error()
+	}
+	r.mu.Unlock()
+}
+
+// Len returns the number of spans the recorded run has so far.
+func (r *Recorder) Len() int { return len(r.Snapshot().Spans) }
+
+// Snapshot builds the span tree from the records: trace header plus
+// every span in start order. Safe to call while the run is recording;
+// the run span is then open (Ended false, End the snapshot instant).
 func (r *Recorder) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	now := r.now()
-	out := Snapshot{
-		TraceID: r.traceID,
-		Attrs:   append([]Attr(nil), r.attrs...),
-		Spans:   make([]SpanData, len(r.spans)),
+	out := Snapshot{TraceID: r.traceID, Attrs: append([]Attr(nil), r.attrs...)}
+	if !r.run.started {
+		return out
 	}
-	for i, d := range r.spans {
-		c := *d
-		c.Attrs = append([]Attr(nil), d.Attrs...)
-		c.Events = append([]Event(nil), d.Events...)
-		if !c.Ended {
-			c.End = now
-		}
-		out.Spans[i] = c
+	ids := r.ids
+	out.Spans = make([]SpanData, 0, 1+5*len(r.bounds))
+	out.Spans = append(out.Spans, r.run.span(splitmix64(&ids), r.clock))
+	for i := range r.bounds {
+		out.Spans = r.bounds[i].appendSpans(out.Spans, out.Spans[0].ID, &ids)
 	}
 	return out
+}
+
+// span builds the run span; clock supplies End while the run is open.
+func (run *runRecord) span(id uint64, clock func() time.Duration) SpanData {
+	sp := SpanData{ID: id, Name: "run", Start: run.start, End: run.end, Ended: run.ended,
+		Attrs: []Attr{{"app", run.app}, {"policy", run.policy}, intAttr("iterations", run.iterations)}}
+	switch {
+	case run.err != "":
+		sp.Attrs = append(sp.Attrs, Attr{"error", run.err})
+	case run.ended:
+		sp.Attrs = append(sp.Attrs, floatAttr("total_time_s", run.totals[0]),
+			floatAttr("total_energy_j", run.totals[1]), floatAttr("ed2", run.totals[2]))
+	default:
+		sp.End = clock()
+	}
+	return sp
+}
+
+// appendSpans appends the boundary's spans under the run span parent,
+// drawing their IDs from ids in start order.
+func (rec *boundary) appendSpans(spans []SpanData, parent uint64, ids *uint64) []SpanData {
+	d, b := &rec.d, &rec.b
+	span := func(parent uint64, name string, start, end time.Duration, attrs ...Attr) SpanData {
+		return SpanData{ID: splitmix64(ids), Parent: parent, Name: name, Start: start, End: end, Ended: true, Attrs: attrs}
+	}
+	kernel := span(parent, "kernel", b.Clock[0], b.Clock[3], Attr{"name", d.Kernel}, intAttr("iter", d.Iter))
+	decide := span(kernel.ID, "decide", b.Clock[0], b.Clock[1], Attr{"config", d.Commanded.HW().String()})
+	if b.Err != "" {
+		kernel.End = b.Clock[1]
+		kernel.Attrs = append(kernel.Attrs, Attr{"error", b.Err})
+		return append(spans, kernel, decide)
+	}
+	simAttrs := make([]Attr, 0, 3)
+	if b.Memo {
+		simAttrs = append(simAttrs, Attr{"simcache_hit", strconv.FormatBool(b.Hit)})
+	}
+	simAttrs = append(simAttrs, Attr{"config", d.Config.HW().String()}, floatAttr("time_s", d.TimeS))
+	simulate := span(kernel.ID, "simulate", b.Clock[1], b.Clock[2], simAttrs...)
+	observe := span(kernel.ID, "observe", b.Clock[2], b.Clock[3])
+	spans = append(spans, kernel, decide, simulate, observe)
+	if !b.Annotated {
+		return spans
+	}
+	// The decision span carries the observation the policy was given,
+	// then its Detail under the timeline's names; proxy is omitted when
+	// zero, as there.
+	attrs := []Attr{
+		{"config", b.Observed.String()},
+		floatAttr("valu_busy", b.VALUBusy),
+		floatAttr("mem_unit_busy", b.MemUnitBusy),
+		{"source", d.Source},
+	}
+	if d.Bins != nil {
+		attrs = append(attrs, Attr{"bins", d.Bins.CUs + "/" + d.Bins.CUFreq + "/" + d.Bins.MemFreq})
+	}
+	if !floats.Zero(d.Proxy) {
+		attrs = append(attrs, floatAttr("proxy", d.Proxy))
+	}
+	return append(spans, span(observe.ID, "decision", b.Clock[3], b.Clock[3], attrs...))
+}
+
+func intAttr(key string, v int) Attr {
+	return Attr{Key: key, Value: strconv.Itoa(v)}
+}
+
+func floatAttr(key string, v float64) Attr {
+	return Attr{Key: key, Value: strconv.FormatFloat(v, 'g', -1, 64)}
 }
 
 // Snapshot is an exported copy of a recorder's span tree.
@@ -253,86 +368,11 @@ type Snapshot struct {
 	Spans   []SpanData
 }
 
-// Attr appends a string attribute and returns the span for chaining.
-func (s *Span) Attr(key, value string) *Span {
-	if s == nil {
-		return nil
-	}
-	s.rec.mu.Lock()
-	s.d.Attrs = append(s.d.Attrs, Attr{Key: key, Value: value})
-	s.rec.mu.Unlock()
-	return s
-}
-
-// Int appends an integer attribute.
-func (s *Span) Int(key string, v int64) *Span {
-	if s == nil {
-		return nil
-	}
-	return s.Attr(key, strconv.FormatInt(v, 10))
-}
-
-// Float appends a float attribute with the shortest exact form.
-func (s *Span) Float(key string, v float64) *Span {
-	if s == nil {
-		return nil
-	}
-	return s.Attr(key, strconv.FormatFloat(v, 'g', -1, 64))
-}
-
-// Bool appends a boolean attribute.
-func (s *Span) Bool(key string, v bool) *Span {
-	if s == nil {
-		return nil
-	}
-	return s.Attr(key, strconv.FormatBool(v))
-}
-
-// Event records a point event at the current clock reading.
-func (s *Span) Event(name string, attrs ...Attr) {
-	if s == nil {
-		return
-	}
-	s.rec.mu.Lock()
-	s.d.Events = append(s.d.Events, Event{Name: name, At: s.rec.now(), Attrs: attrs})
-	s.rec.mu.Unlock()
-}
-
-// Child opens a sub-span of s.
-func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	return s.rec.Start(s, name)
-}
-
-// End closes the span. Idempotent: the first End wins.
-func (s *Span) End() {
-	if s == nil {
-		return
-	}
-	s.rec.mu.Lock()
-	if !s.d.Ended {
-		s.d.Ended = true
-		s.d.End = s.rec.now()
-	}
-	s.rec.mu.Unlock()
-}
-
-// ID returns the span's identifier as 16 lowercase hex digits, or ""
-// for a nil span.
-func (s *Span) ID() string {
-	if s == nil {
-		return ""
-	}
-	return formatID(s.d.ID)
-}
-
 // Traceable was the policy hook that handed a policy the run's
 // recorder.
 //
-// Deprecated: the session opens every span and never calls it; a policy
-// describes its decisions through timeline.Annotator instead.
+// Deprecated: the session records every boundary and never calls it; a
+// policy describes its decisions through timeline.Annotator instead.
 type Traceable interface {
 	AttachTracer(*Recorder)
 }

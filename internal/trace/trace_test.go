@@ -3,9 +3,14 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"harmonia/internal/hw"
+	"harmonia/internal/timeline"
 )
 
 // counterClock returns an injectable clock ticking 1ms per reading —
@@ -18,39 +23,42 @@ func counterClock() func() time.Duration {
 	}
 }
 
-// buildTree records a representative span tree: root with attrs and an
-// event, two children, one left open.
+// boundaryAt returns a tail whose phase readings come from r's clock.
+func boundaryAt(r *Recorder) Boundary {
+	var b Boundary
+	for i := range b.Clock {
+		b.Clock[i] = r.Now()
+	}
+	return b
+}
+
+// buildTree records a representative run: an annotated boundary with
+// bins and a proxy, an unannotated one the memo answered, and the
+// run's totals.
 func buildTree(r *Recorder) {
-	root := r.Start(nil, "run")
-	root.Attr("app", "Graph500").Int("iterations", 3).Float("ed2", 1.25).Bool("ok", true)
-	root.Event("checkpoint", Int64Attr("kernel", 2))
-	k1 := root.Child("kernel")
-	k1.Attr("name", "bfs")
-	k1.End()
-	k2 := root.Child("kernel")
-	k2.Attr("name", "sssp")
-	k2.End()
-	root.End()
-	open := r.Start(nil, "dangling")
-	open.Attr("state", "open")
-	// deliberately not ended: Snapshot must handle open spans.
+	r.StartRun("Graph500", "harmonia", 3)
+	cfg := timeline.ConfigOf(hw.MaxConfig())
+	b := boundaryAt(r)
+	b.Observed, b.VALUBusy, b.MemUnitBusy, b.Annotated = hw.MinConfig(), 41.5, 12.25, true
+	r.RecordDecision(timeline.Decision{
+		Kernel: "bfs", Iter: 0, Config: cfg, Commanded: cfg, TimeS: 0.5,
+		Source: "cg", Proxy: 0.75, Bins: &timeline.Bins{CUs: "LOW", CUFreq: "MED", MemFreq: "HIGH"},
+	}, b)
+	b = boundaryAt(r)
+	b.Memo, b.Hit = true, true
+	r.RecordDecision(timeline.Decision{Kernel: "sssp", Iter: 0, Config: cfg, Commanded: cfg, TimeS: 0.25}, b)
+	r.EndRun(0.75, 90, 1.25)
 }
 
 func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
-	sp := r.Start(nil, "x")
-	if sp != nil {
-		t.Fatal("nil recorder returned a live span")
-	}
-	// Every span operation must be a safe no-op on the nil span.
-	sp.Attr("k", "v").Int("i", 1).Float("f", 2).Bool("b", true)
-	sp.Event("e")
-	sp.End()
-	if got := sp.Child("c"); got != nil {
-		t.Fatal("nil span spawned a child")
-	}
-	if sp.ID() != "" {
-		t.Fatal("nil span has an ID")
+	// Every method must be a safe no-op on the nil recorder.
+	r.StartRun("app", "policy", 1)
+	r.RecordDecision(timeline.Decision{}, Boundary{})
+	r.EndRun(1, 2, 3)
+	r.FailRun(errors.New("boom"))
+	if r.Now() != 0 {
+		t.Fatal("nil recorder read a clock")
 	}
 	if r.TraceID() != "" || r.Len() != 0 {
 		t.Fatal("nil recorder reports state")
@@ -61,18 +69,19 @@ func TestNilRecorderIsInert(t *testing.T) {
 	}
 }
 
-// TestNilSpanZeroAlloc pins the disabled-tracing cost: operating on the
-// nil span allocates nothing. (Call sites guard allocating *argument*
-// expressions with `if sp != nil`; this test covers the method side.)
+// TestNilSpanZeroAlloc pins the disabled-tracing cost: recording into
+// the nil recorder allocates nothing, so an untraced session pays no
+// allocation for the calls it makes unguarded.
 func TestNilSpanZeroAlloc(t *testing.T) {
-	var sp *Span
 	var r *Recorder
+	err := errors.New("boom")
 	allocs := testing.AllocsPerRun(100, func() {
-		child := r.Start(nil, "x")
-		child.Attr("k", "v").Int("i", 42).Float("f", 3.14)
-		child.Event("e")
-		child.End()
-		sp.Child("c").End()
+		r.StartRun("app", "policy", 1)
+		b := Boundary{}
+		b.Clock[0] = r.Now()
+		r.RecordDecision(timeline.Decision{Kernel: "k"}, b)
+		r.EndRun(1, 2, 3)
+		r.FailRun(err)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-path tracing allocated %v times per op, want 0", allocs)
@@ -115,12 +124,14 @@ func TestChromeExportMatchesNativeTree(t *testing.T) {
 
 func TestSpanIDsSeedDeterministic(t *testing.T) {
 	r1, r2 := New(99), New(99)
-	s1, s2 := r1.Start(nil, "a"), r2.Start(nil, "a")
-	if s1.ID() != s2.ID() {
-		t.Fatalf("same seed, different first span IDs: %s vs %s", s1.ID(), s2.ID())
+	r1.StartRun("a", "p", 1)
+	r2.StartRun("a", "p", 1)
+	s1, s2 := r1.Snapshot().Spans[0], r2.Snapshot().Spans[0]
+	if s1.ID != s2.ID {
+		t.Fatalf("same seed, different first span IDs: %x vs %x", s1.ID, s2.ID)
 	}
-	if len(s1.ID()) != 16 {
-		t.Fatalf("span ID %q is not 16 hex digits", s1.ID())
+	if id := formatID(s1.ID); len(id) != 16 {
+		t.Fatalf("span ID %q is not 16 hex digits", id)
 	}
 	if len(r1.TraceID()) != 32 {
 		t.Fatalf("trace ID %q is not 32 hex digits", r1.TraceID())
@@ -128,24 +139,83 @@ func TestSpanIDsSeedDeterministic(t *testing.T) {
 }
 
 func TestSnapshotWhileOpen(t *testing.T) {
-	clock := counterClock()
-	r := New(5, WithClock(clock))
-	sp := r.Start(nil, "open")
+	r := New(5, WithClock(counterClock()))
+	r.StartRun("app", "policy", 1)
 	snap := r.Snapshot()
 	if len(snap.Spans) != 1 {
 		t.Fatalf("got %d spans, want 1", len(snap.Spans))
 	}
 	if snap.Spans[0].Ended {
-		t.Fatal("open span exported as ended")
+		t.Fatal("open run span exported as ended")
 	}
 	if snap.Spans[0].End <= snap.Spans[0].Start {
-		t.Fatal("open span's End was not stamped with the snapshot instant")
+		t.Fatal("open run span's End was not stamped with the snapshot instant")
 	}
-	sp.End()
-	end1 := r.Snapshot().Spans[0].End
-	sp.End() // idempotent: second End must not move the timestamp
-	if end2 := r.Snapshot().Spans[0].End; end2 != end1 {
-		t.Fatalf("second End moved the close time: %v -> %v", end1, end2)
+	r.EndRun(1, 2, 3)
+	end1 := r.Snapshot().Spans[0]
+	// Idempotent: a second close must not move the close time or attrs.
+	r.EndRun(4, 5, 6)
+	r.FailRun(errors.New("late"))
+	if end2 := r.Snapshot().Spans[0]; !reflect.DeepEqual(end2, end1) {
+		t.Fatalf("second close changed the run span: %+v -> %+v", end1, end2)
+	}
+}
+
+// TestTreeFromRecords checks how each kind of record becomes spans: an
+// annotated boundary gets a decision span under observe, a memo-aware
+// one a simcache_hit attr, and a rejected one stops after decide with
+// its error on the kernel span. Len counts what Snapshot builds.
+func TestTreeFromRecords(t *testing.T) {
+	r := New(3, WithClock(counterClock()))
+	buildTree(r)
+	b := boundaryAt(r)
+	b.Err = "invalid config"
+	r.RecordDecision(timeline.Decision{Kernel: "bad", Iter: 1, Commanded: timeline.ConfigOf(hw.MinConfig())}, b)
+	spans := r.Snapshot().Spans
+	if r.Len() != len(spans) {
+		t.Fatalf("Len %d, Snapshot built %d spans", r.Len(), len(spans))
+	}
+	names := make([]string, len(spans))
+	byID := map[uint64]SpanData{}
+	for i, sp := range spans {
+		names[i] = sp.Name
+		byID[sp.ID] = sp
+	}
+	want := []string{"run",
+		"kernel", "decide", "simulate", "observe", "decision",
+		"kernel", "decide", "simulate", "observe",
+		"kernel", "decide"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("span names %v, want %v", names, want)
+	}
+	parentOf := func(i int) string { return byID[spans[i].Parent].Name }
+	for i, wantParent := range map[int]string{1: "run", 2: "kernel", 5: "observe", 10: "run", 11: "kernel"} {
+		if got := parentOf(i); got != wantParent {
+			t.Errorf("%s span %d parented under %q, want %q", spans[i].Name, i, got, wantParent)
+		}
+	}
+	attrs := func(sp SpanData) map[string]string {
+		out := map[string]string{}
+		for _, a := range sp.Attrs {
+			out[a.Key] = a.Value
+		}
+		return out
+	}
+	if got := attrs(spans[5]); got["bins"] != "LOW/MED/HIGH" || got["source"] != "cg" ||
+		got["proxy"] != "0.75" || got["valu_busy"] != "41.5" || got["config"] != hw.MinConfig().String() {
+		t.Errorf("decision span attrs %v", got)
+	}
+	if _, ok := attrs(spans[3])["simcache_hit"]; ok {
+		t.Error("simulate span of a memo-less boundary carries simcache_hit")
+	}
+	if got := attrs(spans[8])["simcache_hit"]; got != "true" {
+		t.Errorf("memo-hit simulate span simcache_hit = %q", got)
+	}
+	if got := attrs(spans[10])["error"]; got != "invalid config" {
+		t.Errorf("rejected kernel span error = %q", got)
+	}
+	if spans[10].End != spans[11].End {
+		t.Error("rejected kernel span does not end with its decide phase")
 	}
 }
 
@@ -234,7 +304,7 @@ func TestChromeSchema(t *testing.T) {
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("no trace events")
 	}
-	var sawMeta, sawComplete, sawInstant bool
+	var sawMeta, sawComplete bool
 	for _, ev := range doc.TraceEvents {
 		var ph string
 		if err := json.Unmarshal(ev["ph"], &ph); err != nil {
@@ -267,17 +337,11 @@ func TestChromeSchema(t *testing.T) {
 			if len(args["span_id"]) != 16 {
 				t.Fatalf("complete event span_id %q is not 16 hex digits", args["span_id"])
 			}
-		case "i":
-			sawInstant = true
-			var scope string
-			if err := json.Unmarshal(ev["s"], &scope); err != nil || scope != "t" {
-				t.Fatalf("instant event scope = %q, want t", scope)
-			}
 		default:
 			t.Fatalf("unexpected ph %q", ph)
 		}
 	}
-	if !sawMeta || !sawComplete || !sawInstant {
-		t.Fatalf("missing event kinds: M=%v X=%v i=%v", sawMeta, sawComplete, sawInstant)
+	if !sawMeta || !sawComplete {
+		t.Fatalf("missing event kinds: M=%v X=%v", sawMeta, sawComplete)
 	}
 }

@@ -28,8 +28,8 @@ func tickClock() func() time.Duration {
 
 // TestTracedRunBitIdentical is the inertness gate: attaching a span
 // recorder must not change a single computed value, across the
-// controller (decision spans), the oracle (sweep spans), and the
-// simulation memo (hit/miss annotations).
+// controller (decision spans), the oracle (its answer-source
+// annotations), and the simulation memo (hit/miss annotations).
 func TestTracedRunBitIdentical(t *testing.T) {
 	cases := []struct {
 		name  string

@@ -36,10 +36,11 @@ fi
 go test -race -timeout 30m ./...
 go test -race -count=1 ./internal/serve/... ./internal/telemetry/...
 # Observability smoke: spans endpoint round-trips (native + chrome),
-# request/trace correlation, tracing inertness, and the pprof/expvar
-# debug handler.
+# request/trace correlation, tracing inertness, the pinned span trees,
+# the traced run's allocations per kernel boundary, and the
+# pprof/expvar debug handler.
 go test -count=1 -run 'TestGetSpans|TestTraceparentAdopted|TestRequestIDMintedAndEchoed|TestDebugHandler' ./internal/serve/
-go test -count=1 -run 'TestTracedRunBitIdentical|TestSameSeedSpanTreesByteIdentical' .
+go test -count=1 -run 'TestTracedRunBitIdentical|TestSameSeedSpanTreesByteIdentical|TestSpanTreeGolden|TestTracedRunAllocs' .
 # Flight-recorder smoke: recorder inertness and same-seed timeline
 # byte-identity (the determinism the /v1/runs/{id}/timeline contract
 # rests on).

@@ -35,7 +35,7 @@ func FuzzFitStability(f *testing.F) {
 			X[i] = []float64{x0, x1}
 			y[i] = a*x0 + b*x1 + next()
 		}
-		m, err := Fit(X, y, nil)
+		m, err := Fit(columns(X), y, nil)
 		if err != nil {
 			return // singular designs are allowed to fail cleanly
 		}

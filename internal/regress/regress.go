@@ -1,12 +1,15 @@
 // Package regress implements the small amount of statistics the paper's
 // methodology needs, from scratch on the standard library: ordinary
 // least-squares linear regression (used to fit the sensitivity predictors
-// of Section 4.3), Pearson correlation (used for counter selection), and
-// basic model-quality summaries.
+// of Section 4.3), Pearson correlation (the fitted models' reported
+// correlation coefficient), and basic model-quality summaries.
 //
 // The solver uses the normal equations with ridge-stabilized Gaussian
-// elimination, which is plenty for the small, well-conditioned design
-// matrices involved (at most 14 counters over 14,784 training rows).
+// elimination, which is plenty for the small, well-conditioned designs
+// involved (at most 14 counters over 14,784 training rows). Designs are
+// passed as feature columns, one contiguous slice per feature, so each
+// AᵀA and Aᵀy entry is a single dot product summed in row order; that
+// fixed summation order is what keeps fitted models bit-identical.
 package regress
 
 import (
@@ -67,9 +70,9 @@ func (m *Model) String() string {
 // ErrBadShape reports a degenerate training set.
 var ErrBadShape = errors.New("regress: need at least one more observation than features")
 
-// Fit performs ordinary least squares of y on the rows of X (one row per
-// observation, one column per feature), with an intercept term. A tiny
-// ridge term stabilizes nearly collinear designs.
+// Fit performs ordinary least squares of y on the feature columns X
+// (X[j][r] is feature j of observation r), with an intercept term. A
+// tiny ridge term stabilizes nearly collinear designs.
 func Fit(X [][]float64, y []float64, names []string) (*Model, error) {
 	ms, err := FitMany(X, [][]float64{y}, names)
 	if err != nil {
@@ -78,12 +81,24 @@ func Fit(X [][]float64, y []float64, names []string) (*Model, error) {
 	return ms[0], nil
 }
 
-// FitMany fits one model per target in ys over the shared design X,
-// forming AᵀA once. Each accumulation runs in Fit's order, so every
-// model is bit-identical to Fit of its target alone.
+// FitMany fits one model per target in ys over the shared feature
+// columns X, forming AᵀA once. The observation count n comes from the
+// targets, and every column must hold n values. Each AᵀA and Aᵀy entry
+// is one dot product of two columns summed in row order, and each fitted
+// value adds its terms in Predict's order, so every model is
+// bit-identical to Fit of its target alone and to a row-by-row
+// accumulation (TestFitManyMatchesRowReference). The inputs are only
+// read.
+//
+// X is [][]float64 in either layout, so a caller passing one slice per
+// observation still compiles; it is rejected only when its shape cannot
+// be read as n-value columns.
 func FitMany(X [][]float64, ys [][]float64, names []string) ([]*Model, error) {
-	n := len(X)
-	if n == 0 || len(ys) == 0 {
+	if len(ys) == 0 {
+		return nil, ErrBadShape
+	}
+	n, p := len(ys[0]), len(X)
+	if n == 0 || n <= p {
 		return nil, ErrBadShape
 	}
 	for _, y := range ys {
@@ -91,43 +106,37 @@ func FitMany(X [][]float64, ys [][]float64, names []string) ([]*Model, error) {
 			return nil, ErrBadShape
 		}
 	}
-	p := len(X[0])
-	if n <= p {
-		return nil, ErrBadShape
-	}
-	for i, row := range X {
-		if len(row) != p {
-			return nil, fmt.Errorf("regress: row %d has %d features, want %d", i, len(row), p)
+	for j, col := range X {
+		if len(col) != n {
+			return nil, fmt.Errorf("regress: column %d has %d observations, want %d", j, len(col), n)
 		}
 	}
 
-	// Build the augmented design matrix A = [1 | X] and solve the normal
-	// equations (AᵀA + λI)β = Aᵀy for each target.
+	// The augmented design is A = [1 | X]; the normal equations
+	// (AᵀA + λI)β = Aᵀy are solved for each target. Row i of AᵀA and
+	// entry i of every Aᵀy come from one pass over column i.
 	k := p + 1
-	ata := make([][]float64, k)
-	for i := range ata {
-		ata[i] = make([]float64, k)
+	ones := make([]float64, n)
+	for r := range ones {
+		ones[r] = 1
 	}
+	cols := make([][]float64, 0, k+len(ys))
+	cols = append(append(append(cols, ones), X...), ys...)
+	ata := make([][]float64, k)
 	aty := make([][]float64, len(ys))
 	for t := range aty {
 		aty[t] = make([]float64, k)
 	}
-	row := make([]float64, k)
-	for r := 0; r < n; r++ {
-		row[0] = 1
-		copy(row[1:], X[r])
-		for i := 0; i < k; i++ {
-			for t, y := range ys {
-				aty[t][i] += row[i] * y[r]
-			}
-			for j := i; j < k; j++ {
-				ata[i][j] += row[i] * row[j]
-			}
-		}
-	}
 	for i := 0; i < k; i++ {
+		// g holds row i of AᵀA, then entry i of each Aᵀy.
+		g := make([]float64, len(cols))
+		dots(g[i:], cols[i], cols[i:])
 		for j := 0; j < i; j++ {
-			ata[i][j] = ata[j][i]
+			g[j] = ata[j][i]
+		}
+		ata[i] = g[:k:k]
+		for t := range ys {
+			aty[t][i] = g[k+t]
 		}
 	}
 	const ridge = 1e-9
@@ -144,14 +153,41 @@ func FitMany(X [][]float64, ys [][]float64, names []string) ([]*Model, error) {
 		}
 		m := &Model{Intercept: beta[0], Coeffs: beta[1:], Names: names}
 		// Training-set quality.
-		for r := 0; r < n; r++ {
-			fitted[r] = m.eval(X[r])
+		for r := range fitted {
+			fitted[r] = m.Intercept
+		}
+		for j, c := range m.Coeffs {
+			for r, x := range X[j] {
+				fitted[r] += c * x
+			}
 		}
 		m.R2 = rSquared(y, fitted)
 		m.Corr = Pearson(y, fitted)
 		models[t] = m
 	}
 	return models, nil
+}
+
+// dots sets out[j] to the dot product of a with cols[j]. Each product is
+// summed in row order by an accumulator of its own, and four columns
+// share one pass over a; a short last tile repeats its final column and
+// discards the repeated sums. Every column must be at least as long as a.
+func dots(out, a []float64, cols [][]float64) {
+	last := len(cols) - 1
+	for j := 0; j <= last; j += 4 {
+		c0 := cols[j][:len(a)]
+		c1 := cols[min(j+1, last)][:len(a)]
+		c2 := cols[min(j+2, last)][:len(a)]
+		c3 := cols[min(j+3, last)][:len(a)]
+		var s0, s1, s2, s3 float64
+		for r, v := range a {
+			s0 += v * c0[r]
+			s1 += v * c1[r]
+			s2 += v * c2[r]
+			s3 += v * c3[r]
+		}
+		copy(out[j:], []float64{s0, s1, s2, s3})
+	}
 }
 
 // solve performs Gaussian elimination with partial pivoting on a copy of
@@ -251,23 +287,4 @@ func MeanAbsError(want, got []float64) float64 {
 		sum += math.Abs(want[i] - got[i])
 	}
 	return sum / float64(n)
-}
-
-// ColumnCorrelations returns the Pearson correlation of each column of X
-// against y, used for the paper's counter-selection step (Section 4.3,
-// threshold ±0.5 per Bircher et al.).
-func ColumnCorrelations(X [][]float64, y []float64) []float64 {
-	if len(X) == 0 {
-		return nil
-	}
-	p := len(X[0])
-	out := make([]float64, p)
-	col := make([]float64, len(X))
-	for j := 0; j < p; j++ {
-		for i := range X {
-			col[i] = X[i][j]
-		}
-		out[j] = Pearson(col, y)
-	}
-	return out
 }

@@ -2,11 +2,28 @@ package regress
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// columns transposes one slice per observation into the feature columns
+// Fit takes. A ragged row leaves a short column, so ragged input still
+// fails Fit's shape check.
+func columns(rows [][]float64) [][]float64 {
+	var cols [][]float64
+	for _, row := range rows {
+		for j, v := range row {
+			if j == len(cols) {
+				cols = append(cols, nil)
+			}
+			cols[j] = append(cols[j], v)
+		}
+	}
+	return cols
+}
 
 func TestFitRecoversExactLinearModel(t *testing.T) {
 	// y = 2 + 3*x0 - 0.5*x1, noiseless.
@@ -18,7 +35,7 @@ func TestFitRecoversExactLinearModel(t *testing.T) {
 		X = append(X, []float64{x0, x1})
 		y = append(y, 2+3*x0-0.5*x1)
 	}
-	m, err := Fit(X, y, []string{"a", "b"})
+	m, err := Fit(columns(X), y, []string{"a", "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +64,7 @@ func TestFitWithNoiseIsUnbiasedEnough(t *testing.T) {
 		X = append(X, []float64{x0, x1})
 		y = append(y, 1+2*x0+4*x1+next()*0.1)
 	}
-	m, err := Fit(X, y, nil)
+	m, err := Fit(columns(X), y, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,13 +80,13 @@ func TestFitShapeErrors(t *testing.T) {
 	if _, err := Fit(nil, nil, nil); err == nil {
 		t.Error("empty fit should error")
 	}
-	if _, err := Fit([][]float64{{1, 2}}, []float64{1}, nil); err == nil {
+	if _, err := Fit(columns([][]float64{{1, 2}}), []float64{1}, nil); err == nil {
 		t.Error("n <= p fit should error")
 	}
-	if _, err := Fit([][]float64{{1, 2}, {1}}, []float64{1, 2}, nil); err == nil {
+	if _, err := Fit(columns([][]float64{{1, 2}, {1}}), []float64{1, 2}, nil); err == nil {
 		t.Error("ragged rows should error")
 	}
-	if _, err := Fit([][]float64{{1}, {2}}, []float64{1}, nil); err == nil {
+	if _, err := Fit(columns([][]float64{{1}, {2}}), []float64{1}, nil); err == nil {
 		t.Error("mismatched y should error")
 	}
 }
@@ -96,7 +113,7 @@ func TestFitManyMatchesFit(t *testing.T) {
 		ys[2][r] = next()
 	}
 	names := []string{"a", "b", "c", "d"}
-	many, err := FitMany(X, ys, names)
+	many, err := FitMany(columns(X), ys, names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +128,7 @@ func TestFitManyMatchesFit(t *testing.T) {
 		return out
 	}
 	for i, y := range ys {
-		one, err := Fit(X, y, names)
+		one, err := Fit(columns(X), y, names)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,14 +147,142 @@ func TestFitManyMatchesFit(t *testing.T) {
 	if _, err := FitMany(nil, [][]float64{nil}, nil); err == nil {
 		t.Error("empty fit should error")
 	}
-	if _, err := FitMany([][]float64{{1, 2}, {3, 4}}, [][]float64{{1, 2}, {3, 4}}, nil); err == nil {
+	if _, err := FitMany(columns([][]float64{{1, 2}, {3, 4}}), [][]float64{{1, 2}, {3, 4}}, nil); err == nil {
 		t.Error("n <= p fit should error")
 	}
-	if _, err := FitMany([][]float64{{1}, {2, 3}, {4}}, [][]float64{{1, 2, 3}, {4, 5, 6}}, nil); err == nil {
+	if _, err := FitMany(columns([][]float64{{1}, {2, 3}, {4}}), [][]float64{{1, 2, 3}, {4, 5, 6}}, nil); err == nil {
 		t.Error("ragged rows should error")
 	}
-	if _, err := FitMany([][]float64{{1}, {2}, {3}}, [][]float64{{1, 2, 3}, {1, 2}}, nil); err == nil {
+	if _, err := FitMany(columns([][]float64{{1}, {2}, {3}}), [][]float64{{1, 2, 3}, {1, 2}}, nil); err == nil {
 		t.Error("a target of mismatched length should error")
+	}
+}
+
+// rowReference is the row-by-row least-squares accumulation, the
+// bit-exact reference for FitMany's column kernel: X holds one slice per
+// observation, each row is augmented with the intercept's 1, every AᵀA
+// and Aᵀy entry grows by one product per row, and fitted values come
+// from eval row by row.
+func rowReference(X [][]float64, ys [][]float64) ([]*Model, error) {
+	n, k := len(X), len(X[0])+1
+	ata := make([][]float64, k)
+	for i := range ata {
+		ata[i] = make([]float64, k)
+	}
+	aty := make([][]float64, len(ys))
+	for t := range aty {
+		aty[t] = make([]float64, k)
+	}
+	row := make([]float64, k)
+	for r := 0; r < n; r++ {
+		row[0] = 1
+		copy(row[1:], X[r])
+		for i := 0; i < k; i++ {
+			for t, y := range ys {
+				aty[t][i] += row[i] * y[r]
+			}
+			for j := i; j < k; j++ {
+				ata[i][j] += row[i] * row[j]
+			}
+		}
+	}
+	for i := 0; i < k; i++ {
+		for j := 0; j < i; j++ {
+			ata[i][j] = ata[j][i]
+		}
+	}
+	const ridge = 1e-9
+	for i := 1; i < k; i++ {
+		ata[i][i] += ridge * float64(n)
+	}
+	models := make([]*Model, len(ys))
+	fitted := make([]float64, n)
+	for t, y := range ys {
+		beta, err := solve(ata, aty[t])
+		if err != nil {
+			return nil, err
+		}
+		m := &Model{Intercept: beta[0], Coeffs: beta[1:]}
+		for r := 0; r < n; r++ {
+			fitted[r] = m.eval(X[r])
+		}
+		m.R2 = rSquared(y, fitted)
+		m.Corr = Pearson(y, fitted)
+		models[t] = m
+	}
+	return models, nil
+}
+
+// TestFitManyMatchesRowReference: the column kernel must reproduce the
+// row-by-row accumulation bit for bit, intercept, coefficients, R² and
+// Corr, over feature counts, target counts and observation counts that
+// are not multiples of its four-column tile, and must leave every input
+// column and target unchanged (Train hands the same columns to three
+// fits).
+func TestFitManyMatchesRowReference(t *testing.T) {
+	seed := uint64(4242)
+	next := func() float64 {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return float64(seed>>40)/float64(1<<24) - 0.5
+	}
+	bitsOf := func(vs []float64) []uint64 {
+		out := make([]uint64, len(vs))
+		for i, v := range vs {
+			out[i] = math.Float64bits(v)
+		}
+		return out
+	}
+	for _, p := range []int{1, 3, 7, 14} {
+		for _, n := range []int{p + 1, 37, 1001} {
+			for targets := 1; targets <= 4; targets++ {
+				X := make([][]float64, n)
+				for r := range X {
+					X[r] = make([]float64, p)
+					for j := range X[r] {
+						// Spread the column scales over five decades.
+						X[r][j] = next() * math.Pow(10, float64(j%5-2))
+					}
+				}
+				ys := make([][]float64, targets)
+				for tg := range ys {
+					ys[tg] = make([]float64, n)
+					for r := range ys[tg] {
+						y := float64(tg) + next()
+						for j, x := range X[r] {
+							y += float64((j+tg)%3-1) * x
+						}
+						ys[tg][r] = y
+					}
+				}
+				cols := columns(X)
+				var inBits [][]uint64
+				for _, v := range append(append([][]float64(nil), cols...), ys...) {
+					inBits = append(inBits, bitsOf(v))
+				}
+
+				got, err := FitMany(cols, ys, nil)
+				if err != nil {
+					t.Fatalf("p=%d n=%d targets=%d: %v", p, n, targets, err)
+				}
+				want, err := rowReference(X, ys)
+				if err != nil {
+					t.Fatalf("p=%d n=%d targets=%d: reference: %v", p, n, targets, err)
+				}
+				for tg := range want {
+					g := append([]float64{got[tg].Intercept, got[tg].R2, got[tg].Corr}, got[tg].Coeffs...)
+					w := append([]float64{want[tg].Intercept, want[tg].R2, want[tg].Corr}, want[tg].Coeffs...)
+					if !reflect.DeepEqual(bitsOf(g), bitsOf(w)) {
+						t.Errorf("p=%d n=%d target %d/%d: column fit %v (R2 %v, Corr %v), row reference %v (R2 %v, Corr %v)",
+							p, n, tg, targets, got[tg], got[tg].R2, got[tg].Corr, want[tg], want[tg].R2, want[tg].Corr)
+					}
+				}
+				for i, v := range append(append([][]float64(nil), cols...), ys...) {
+					if !reflect.DeepEqual(bitsOf(v), inBits[i]) {
+						t.Errorf("p=%d n=%d targets=%d: FitMany modified input slice %d", p, n, targets, i)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -202,7 +347,7 @@ func TestFitConstantTargetProperty(t *testing.T) {
 			X = append(X, []float64{float64(i), float64((i * 3) % 5)})
 			y = append(y, float64(c))
 		}
-		m, err := Fit(X, y, nil)
+		m, err := Fit(columns(X), y, nil)
 		if err != nil {
 			return false
 		}
@@ -223,18 +368,6 @@ func TestMeanAbsError(t *testing.T) {
 	}
 	if got := MeanAbsError([]float64{1}, []float64{1, 2}); !math.IsNaN(got) {
 		t.Errorf("MAE of mismatched = %v, want NaN", got)
-	}
-}
-
-func TestColumnCorrelations(t *testing.T) {
-	X := [][]float64{{1, 4}, {2, 3}, {3, 2}, {4, 1}}
-	y := []float64{1, 2, 3, 4}
-	got := ColumnCorrelations(X, y)
-	if len(got) != 2 || !almost(got[0], 1, 1e-12) || !almost(got[1], -1, 1e-12) {
-		t.Errorf("ColumnCorrelations = %v", got)
-	}
-	if got := ColumnCorrelations(nil, nil); got != nil {
-		t.Errorf("empty = %v", got)
 	}
 }
 

@@ -275,26 +275,33 @@ func BuildTrainingSet(m gpusim.Runner, kernels []*workloads.Kernel) []TrainingPo
 
 // BuildConfigTrainingSet measures every kernel at every hardware
 // configuration, keeping one training row per (kernel, configuration)
-// pair — about 26 x 448 = 11648 rows, matching the scale of the paper's
-// 11250 raw counter vectors (Section 4.2) before its averaging step. The
-// paper could collapse configurations because its hardware counters
-// varied little across them; on this platform the time-fraction counters
-// (VALUBusy, MemUnitBusy, icActivity) shift materially with the
-// configuration, so keeping per-configuration rows is what makes runtime
-// predictions — taken at whatever configuration the kernel last ran at —
+// pair, and per iteration phase for phase-varying kernels — 14,784 rows
+// for the 26-kernel suite, the scale of the paper's 11250 raw counter
+// vectors (Section 4.2) before its averaging step. The paper could
+// collapse configurations because its hardware counters varied little
+// across them; on this platform the time-fraction counters (VALUBusy,
+// MemUnitBusy, icActivity) shift materially with the configuration, so
+// keeping per-configuration rows is what makes runtime predictions —
+// taken at whatever configuration the kernel last ran at —
 // in-distribution. This substitution is recorded in DESIGN.md.
 func BuildConfigTrainingSet(m gpusim.Runner, kernels []*workloads.Kernel) []TrainingPoint {
 	return BuildConfigTrainingSetN(m, kernels, 0)
 }
 
 // BuildConfigTrainingSetN is BuildConfigTrainingSet fanned out over a
-// bounded worker pool, one job per kernel. Rows are assembled in kernel
-// order with each kernel's rows generated serially, so the training set
-// — and therefore the fitted predictor — is bit-identical for every
-// worker count. workers follows the batch pool convention: 0 means
-// GOMAXPROCS, 1 forces serial execution.
+// bounded worker pool, one job per kernel. The training set is sized
+// once, and each job fills its kernel's own range of it, in kernel order
+// and with the kernel's rows generated serially, so the training set —
+// and therefore the fitted predictor — is bit-identical for every worker
+// count. workers follows the batch pool convention: 0 means GOMAXPROCS,
+// 1 forces serial execution.
 func BuildConfigTrainingSetN(m gpusim.Runner, kernels []*workloads.Kernel, workers int) []TrainingPoint {
 	space := hw.ConfigSpace()
+	start := make([]int, len(kernels)+1)
+	for i, k := range kernels {
+		start[i+1] = start[i] + phases(k)*len(space)
+	}
+	points := make([]TrainingPoint, start[len(kernels)])
 	// Training-set construction is deliberately uncancelable: it is the
 	// one-time memoized sweep behind every predictor, bit-identical by
 	// construction, and its callers (lazy sync.Once paths included) gate
@@ -302,32 +309,30 @@ func BuildConfigTrainingSetN(m gpusim.Runner, kernels []*workloads.Kernel, worke
 	//lint:ignore ctxflow the training sweep is a one-time memoized computation with no caller ctx to thread
 	ctx := context.Background()
 	//lint:ignore errdrop kernelConfigRows never errors and the background context is never canceled
-	perKernel, _ := batch.Map(ctx, workers, kernels,
-		func(_ context.Context, _ int, k *workloads.Kernel) ([]TrainingPoint, error) {
-			return kernelConfigRows(m, k, space), nil
+	batch.Map(ctx, workers, kernels,
+		func(_ context.Context, i int, k *workloads.Kernel) (struct{}, error) {
+			kernelConfigRows(points[start[i]:start[i+1]], m, k, space)
+			return struct{}{}, nil
 		})
-	n := 0
-	for _, rows := range perKernel {
-		n += len(rows)
-	}
-	points := make([]TrainingPoint, 0, n)
-	for _, rows := range perKernel {
-		points = append(points, rows...)
-	}
 	return points
 }
 
-// kernelConfigRows generates one kernel's training rows across the
-// configuration space.
-func kernelConfigRows(m gpusim.Runner, k *workloads.Kernel, space []hw.Config) []TrainingPoint {
-	truth := Measure(m, k)
-	// A phase-stable kernel contributes one row per configuration;
-	// phase-varying kernels contribute one per iteration phase, so that
-	// runtime samples taken during any phase are in-distribution.
-	iters := 1
+// phases is how many training rows a kernel contributes per
+// configuration: one for a phase-stable kernel, one per iteration phase
+// for a phase-varying kernel, so that runtime samples taken during any
+// phase are in-distribution.
+func phases(k *workloads.Kernel) int {
 	if k.Phases != nil {
-		iters = measureIters
+		return measureIters
 	}
+	return 1
+}
+
+// kernelConfigRows fills dst, which holds exactly phases(k)·len(space)
+// rows, with one kernel's training rows across the configuration space.
+func kernelConfigRows(dst []TrainingPoint, m gpusim.Runner, k *workloads.Kernel, space []hw.Config) {
+	truth := Measure(m, k)
+	iters := phases(k)
 	// Hoist the per-iteration invariant work (and the memo-entry
 	// lookup, when m is a cache) out of the configuration loop. The
 	// row order — configuration-outer, iteration-inner — is what the
@@ -341,67 +346,75 @@ func kernelConfigRows(m gpusim.Runner, k *workloads.Kernel, space []hw.Config) [
 		}
 		run = func(iter int, cfg hw.Config) gpusim.Result { return prepared[iter](cfg) }
 	}
-	rows := make([]TrainingPoint, 0, iters*len(space))
+	r := 0
 	for _, cfg := range space {
 		for i := 0; i < iters; i++ {
-			rows = append(rows, TrainingPoint{
+			dst[r] = TrainingPoint{
 				Kernel:   k.Name,
 				Features: run(i, cfg).Counters,
 				Truth:    truth,
-			})
+			}
+			r++
 		}
 	}
-	return rows
 }
 
 // Train fits the four linear sensitivity models on the training set
-// (Section 4.3). Each feature set is laid out as one flat design matrix,
-// and the CU and CU-frequency models, which share the extended design,
-// are fit in one pass over it.
+// (Section 4.3). The 14 extended features and the four ground truths are
+// laid out once as columns; the bandwidth and compute models fit over
+// the columns their feature sets name, and the CU and CU-frequency
+// models, which share the whole extended set, are fit in one pass.
 func Train(points []TrainingPoint) (*Predictor, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("sensitivity: empty training set")
 	}
-	bwNames := counters.BandwidthFeatureNames()
-	compNames := counters.ComputeFeatureNames()
+	// Columns 0..p-1 hold the extended features in ExtendedFeatureNames
+	// order; p..p+3 the bandwidth, compute, CU and CU-frequency truths.
 	extNames := counters.ExtendedFeatureNames()
-	bwX := design(points, len(bwNames), counters.Set.AppendBandwidthFeatures)
-	compX := design(points, len(compNames), counters.Set.AppendComputeFeatures)
-	extX := design(points, len(extNames), counters.Set.AppendExtendedFeatures)
-	n := len(points)
-	bwY, compY, cuY, cufY := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
-	for i, pt := range points {
-		bwY[i] = pt.Truth.Bandwidth
-		compY[i] = pt.Truth.Compute
-		cuY[i] = pt.Truth.CUs
-		cufY[i] = pt.Truth.CUFreq
+	n, p := len(points), len(extNames)
+	backing := make([]float64, (p+4)*n)
+	cols := make([][]float64, p+4)
+	for j := range cols {
+		cols[j] = backing[j*n : (j+1)*n : (j+1)*n]
 	}
-	bw, err := regress.Fit(bwX, bwY, bwNames)
+	var buf featureBuf
+	for r := range points {
+		pt := &points[r]
+		for j, v := range pt.Features.AppendExtendedFeatures(buf[:0]) {
+			cols[j][r] = v
+		}
+		cols[p][r] = pt.Truth.Bandwidth
+		cols[p+1][r] = pt.Truth.Compute
+		cols[p+2][r] = pt.Truth.CUs
+		cols[p+3][r] = pt.Truth.CUFreq
+	}
+	byName := make(map[string][]float64, p)
+	for j, name := range extNames {
+		byName[name] = cols[j]
+	}
+	pick := func(names []string) [][]float64 {
+		X := make([][]float64, len(names))
+		for j, name := range names {
+			X[j] = byName[name]
+		}
+		return X
+	}
+
+	bwNames := counters.BandwidthFeatureNames()
+	bw, err := regress.Fit(pick(bwNames), cols[p], bwNames)
 	if err != nil {
 		return nil, fmt.Errorf("sensitivity: bandwidth model: %w", err)
 	}
-	comp, err := regress.Fit(compX, compY, compNames)
+	compNames := counters.ComputeFeatureNames()
+	comp, err := regress.Fit(pick(compNames), cols[p+1], compNames)
 	if err != nil {
 		return nil, fmt.Errorf("sensitivity: compute model: %w", err)
 	}
-	ext, err := regress.FitMany(extX, [][]float64{cuY, cufY}, extNames)
+	ext, err := regress.FitMany(cols[:p], cols[p+2:], extNames)
 	if err != nil {
 		return nil, fmt.Errorf("sensitivity: CU and CU-frequency models: %w", err)
 	}
 	return &Predictor{Bandwidth: bw, Compute: comp, CUs: ext[0], CUFreq: ext[1]}, nil
-}
-
-// design extracts one row of p features per training point into a
-// single backing array, returning the rows as slices of it.
-func design(points []TrainingPoint, p int, extract func(counters.Set, []float64) []float64) [][]float64 {
-	flat := make([]float64, 0, len(points)*p)
-	rows := make([][]float64, len(points))
-	for i, pt := range points {
-		start := len(flat)
-		flat = extract(pt.Features, flat)
-		rows[i] = flat[start:len(flat):len(flat)]
-	}
-	return rows
 }
 
 // Accuracy reports mean absolute prediction error for the bandwidth and

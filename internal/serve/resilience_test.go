@@ -358,7 +358,7 @@ func TestCrashRestartReplayByteIdentical(t *testing.T) {
 	optsB.Workers = 1
 	optsB.Journal = jB
 	optsB.Replay = stB
-	_, tsB, _ := newChaosServer(t, optsB)
+	srvB, tsB, _ := newChaosServer(t, optsB)
 
 	var resumed BatchJSON
 	waitFor(t, 60*time.Second, "replayed batch to finish", func() bool {
@@ -387,7 +387,10 @@ func TestCrashRestartReplayByteIdentical(t *testing.T) {
 	}
 
 	// A third daemon over the now-complete journal restores everything
-	// terminally with no re-execution.
+	// terminally with no re-execution. The batch reads done once its
+	// cells are, but its watcher journals the batch outcome after that;
+	// closing daemon B waits for the watcher and closes its journal.
+	srvB.Close()
 	jC, stC, err := resilience.OpenJournal(walB)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,8 @@
 # concurrent service layer, an observability smoke (the spans endpoint
 # in both formats, the tracing inertness gates, and the debug mux), the
 # hot-path equivalence gates (golden float bits across the gpusim
-# invariant hoisting and the trained predictor, budgeted nested
+# invariant hoisting and the trained predictor, the column regression
+# kernel against its row-by-row reference, budgeted nested
 # parallelism vs serial, allocation-free sweeps and the oracle sweep's
 # allocation ceiling), and a bounded chaos-soak of the resilience layer
 # (make soak). Timing lives in the layered benchmark, perfbench (make
@@ -47,13 +48,15 @@ go test -count=1 -run 'TestTracedRunBitIdentical|TestSameSeedSpanTreesByteIdenti
 go test -count=1 -run 'TestTimelineRunBitIdentical|TestSameSeedTimelinesByteIdentical' .
 # Hot-path equivalence gates: the hoisted gpusim invariants and the
 # trained predictor must stay bit-exact against their embedded golden
-# float bits, budgeted nested
+# float bits, the column least-squares kernel must match the row-by-row
+# reference bit for bit, budgeted nested
 # parallelism must reproduce the serial pipeline byte for byte, the
 # pooled sweep scratch must stay allocation-free at steady state, and a
 # fresh oracle's uncached sweeps must stay under their allocation
 # ceiling.
 go test -count=1 -run 'TestGoldenBits' ./internal/gpusim/
 go test -count=1 -run 'TestTrainedPredictorGoldenBits' ./internal/sensitivity/
+go test -count=1 -run 'TestFitManyMatchesRowReference' ./internal/regress/
 go test -count=1 -run 'TestBudgetedNestedSweepBitIdentical|TestEnvBudgetSplitSuiteBitIdentical|TestUncachedOracleSweepAllocs' .
 go test -count=1 -run 'TestMinAllocationFree' ./internal/sweep/
 make soak SOAK_ITERS="${SOAK_ITERS:-4}"

@@ -2,6 +2,7 @@ package harmonia
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -155,17 +156,17 @@ func TestKernelBuilderThroughAPI(t *testing.T) {
 
 func TestControllerDecisionLogThroughAPI(t *testing.T) {
 	s := system()
-	ctrl := s.Harmonia()
-	if _, err := s.Run(App("Sort"), ctrl); err != nil {
+	rec := NewTimelineRecorder()
+	if _, err := s.RunContext(context.Background(), App("Sort"), s.Harmonia(), RunWithTimeline(rec)); err != nil {
 		t.Fatal(err)
 	}
-	log := ctrl.Log()
-	if len(log) == 0 {
+	decs := rec.Snapshot().Decisions
+	if len(decs) == 0 {
 		t.Fatal("empty decision log")
 	}
-	for _, a := range log {
-		if a.Kernel == "" || !a.To.Valid() {
-			t.Fatalf("malformed log entry %+v", a)
+	for _, d := range decs {
+		if d.Kernel == "" || d.Source == "" || !d.Commanded.HW().Valid() {
+			t.Fatalf("malformed decision %+v", d)
 		}
 	}
 }

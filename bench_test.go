@@ -9,6 +9,7 @@ package harmonia
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -460,5 +461,33 @@ func TestUncachedOracleSweepAllocs(t *testing.T) {
 	})
 	if allocs > 30 {
 		t.Fatalf("uncached oracle sweep of LUD allocated %v times, want <= 30", allocs)
+	}
+}
+
+// TestControllerRunAllocBytes gates the bytes one Harmonia run allocates
+// on a warm memo: a fresh controller running SRAD to completion
+// allocates about 50 KiB. A controller that also kept its own
+// per-boundary decision log allocated 82 KiB, so the 64 KiB bound
+// catches a second account of the run coming back.
+func TestControllerRunAllocBytes(t *testing.T) {
+	sys := NewSystem(WithSimCache())
+	app := App("SRAD")
+	if _, err := sys.Run(app, sys.Harmonia()); err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := sys.Run(app, sys.Harmonia()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("warm SRAD Harmonia run: %.1f KiB", perRun/1024)
+	if perRun > 64<<10 {
+		t.Fatalf("warm SRAD Harmonia run allocated %.1f KiB, want <= 64", perRun/1024)
 	}
 }

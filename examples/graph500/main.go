@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -20,8 +21,10 @@ func main() {
 	sys := harmonia.NewSystem()
 	app := harmonia.App("Graph500")
 
-	ctrl := sys.Harmonia()
-	rep, err := sys.Run(app, ctrl)
+	// The flight recorder keeps one decision per kernel boundary,
+	// annotated with the controller's action.
+	rec := harmonia.NewTimelineRecorder()
+	rep, err := sys.RunContext(context.Background(), app, sys.Harmonia(), harmonia.RunWithTimeline(rec))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,5 +66,10 @@ func main() {
 		harmonia.Improvement(base.ED2(), rep.ED2())*100,
 		-harmonia.Improvement(base.AveragePower(), rep.AveragePower())*100,
 		(rep.TotalTime()/base.TotalTime()-1)*100)
-	fmt.Println("controller:", ctrl)
+	sum := rec.Snapshot().Summary()
+	fmt.Printf("controller actions over %d kernels:", len(sum.Kernels))
+	for _, a := range sum.Actions {
+		fmt.Printf(" %s=%d", a.Source, a.N)
+	}
+	fmt.Println()
 }

@@ -92,9 +92,6 @@ type (
 	Controller = core.Controller
 	// ControllerOptions configures a Controller.
 	ControllerOptions = core.Options
-	// RobustOptions configures the controller's hardening layer
-	// (outlier rejection, configuration verification, watchdog).
-	RobustOptions = core.RobustOptions
 
 	// FaultConfig parameterizes the platform fault-injection layer
 	// (WithFaultInjection / RunWithFaults). The zero value injects
@@ -525,10 +522,7 @@ func (s *System) HarmoniaNaiveE() (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.New(core.Options{
-		Predictor: p,
-		Robust:    core.RobustOptions{Disabled: true},
-	}), nil
+	return core.New(core.Options{Predictor: p, DisableHardening: true}), nil
 }
 
 // TrainPredictor trains sensitivity models on the given kernels using

@@ -64,7 +64,7 @@ func FuzzControllerUnderFaults(f *testing.F) {
 		k := kernelByName(t, "Sort.BottomScan")
 		for _, c := range []*Controller{
 			New(Options{Predictor: predictor()}),
-			New(Options{Predictor: predictor(), Robust: RobustOptions{Disabled: true}}),
+			New(naiveOptions()),
 		} {
 			var stale *gpusim.Result
 			for i, b := range seq {

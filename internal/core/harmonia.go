@@ -28,7 +28,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -51,6 +50,12 @@ type Options struct {
 	// DisableFG turns off the fine-grain feedback loop, yielding the
 	// paper's "CG" configuration (Figures 10-13).
 	DisableFG bool
+	// DisableHardening turns off the hardening layer that protects the
+	// loop from degraded telemetry (see guard), yielding the naive
+	// controller of the robustness study. On a clean platform the layer
+	// never fires, so the hardened and naive controllers are bit-for-bit
+	// identical.
+	DisableHardening bool
 	// MaxDither is the number of oscillations of one tunable the FG loop
 	// tolerates before freezing it at the last good state. Zero means
 	// the default of 1.
@@ -61,96 +66,40 @@ type Options struct {
 	SmoothAlpha float64
 	// Deadband is the relative change in the utilization proxy treated
 	// as "no change" (Algorithm 1's gradient-zero case). Zero means the
-	// default of 2%.
+	// default of 0.5%.
 	Deadband float64
-	// Initial is the configuration used before the first observation of
-	// each kernel; zero value means the baseline maximum configuration.
-	Initial hw.Config
-	// Robust configures the hardening layer that protects the loop from
-	// degraded telemetry (see RobustOptions). The zero value enables
-	// hardening with defaults; set Robust.Disabled for the naive
-	// controller. On a clean platform the hardening layer never fires,
-	// so the hardened and naive controllers are bit-for-bit identical.
-	Robust RobustOptions
 }
 
-// RobustOptions configures the controller's hardening layer: outlier
-// rejection on monitoring samples before they reach the EMA,
-// verification that a commanded configuration actually took effect
-// (with bounded retry), and a graceful-degradation watchdog that
-// freezes fine-grain tuning and falls back to the last known-good
-// configuration while telemetry is unreliable, recovering automatically
-// when readings stabilize. All of these react only to evidence of
-// faults — samples that contradict per-kernel history or a DPM readback
-// that contradicts the command — so on clean telemetry the hardened
-// controller takes exactly the decisions the naive one does.
-type RobustOptions struct {
-	// Disabled turns the hardening layer off entirely (the naive
-	// controller of the robustness study).
-	Disabled bool
-	// OutlierK is the MAD multiplier of the outlier test: a sample
-	// whose VALUBusy or MemUnitBusy deviates more than
-	// max(OutlierK·MAD, OutlierFloor) from the per-kernel history at
-	// the same configuration is rejected. Zero means the default of 6.
-	OutlierK float64
-	// OutlierFloor is the absolute deviation (percentage points) below
-	// which a sample is never an outlier, guarding against a zero MAD
-	// on deterministic histories. Zero means the default of 8.
-	OutlierFloor float64
-	// HistoryWindow is how many accepted samples per (kernel,
-	// configuration) the outlier test remembers. Zero means 12.
-	HistoryWindow int
-	// MinHistory is how many samples the window needs before the
-	// outlier test may reject. Zero means 5.
-	MinHistory int
-	// VerifyRetries is how many times a commanded configuration that
-	// did not take effect (per the sample's DPM-state readback) is
-	// re-issued before the controller gives up and adopts the actual
-	// hardware state. Zero means 2.
-	VerifyRetries int
-	// WatchdogM is how many consecutive unreliable samples (outliers or
-	// failed transitions) trip the degradation watchdog. Zero means 3.
-	WatchdogM int
-	// RecoverN is how many consecutive clean samples end degraded mode.
-	// Zero means 2.
-	RecoverN int
-}
-
-// Hardening defaults.
+// The hardening layer's tuning (see guard). All of it reacts only to
+// evidence of faults — samples that contradict per-kernel history or a
+// DPM readback that contradicts the command — so on clean telemetry the
+// hardened controller takes exactly the decisions the naive one does.
 const (
-	defaultOutlierK      = 6
-	defaultOutlierFloor  = 8
-	defaultHistoryWindow = 12
-	defaultMinHistory    = 5
-	defaultVerifyRetries = 2
-	defaultWatchdogM     = 3
-	defaultRecoverN      = 2
+	// outlierK is the MAD multiplier of the outlier test: a sample
+	// whose VALUBusy or MemUnitBusy deviates more than
+	// max(outlierK·MAD, outlierFloor) from the per-kernel history at the
+	// same configuration is rejected.
+	outlierK = 6
+	// outlierFloor is the absolute deviation (percentage points) below
+	// which a sample is never an outlier, guarding against a zero MAD on
+	// deterministic histories.
+	outlierFloor = 8
+	// historyWindow is how many accepted samples per (kernel,
+	// configuration) the outlier test remembers.
+	historyWindow = 12
+	// minHistory is how many samples the window needs before the outlier
+	// test may reject.
+	minHistory = 5
+	// verifyRetries is how many times a commanded configuration that did
+	// not take effect (per the sample's DPM-state readback) is re-issued
+	// before the controller adopts the actual hardware state.
+	verifyRetries = 2
+	// watchdogM is how many consecutive unreliable samples (outliers or
+	// failed transitions) trip the degradation watchdog.
+	watchdogM = 3
+	// recoverN is how many consecutive clean samples end degraded mode.
+	recoverN = 2
 )
-
-func (r RobustOptions) withDefaults() RobustOptions {
-	if r.OutlierK <= 0 {
-		r.OutlierK = defaultOutlierK
-	}
-	if r.OutlierFloor <= 0 {
-		r.OutlierFloor = defaultOutlierFloor
-	}
-	if r.HistoryWindow <= 0 {
-		r.HistoryWindow = defaultHistoryWindow
-	}
-	if r.MinHistory <= 0 {
-		r.MinHistory = defaultMinHistory
-	}
-	if r.VerifyRetries <= 0 {
-		r.VerifyRetries = defaultVerifyRetries
-	}
-	if r.WatchdogM <= 0 {
-		r.WatchdogM = defaultWatchdogM
-	}
-	if r.RecoverN <= 0 {
-		r.RecoverN = defaultRecoverN
-	}
-	return r
-}
 
 // cgTarget maps a sensitivity bin to the grid level a tunable is set to
 // during coarse-grain tuning: the "empirically fixed high, medium, or low
@@ -185,7 +134,8 @@ func cgTarget(t hw.Tunable, b sensitivity.Bin) int {
 	}
 }
 
-// ActionKind classifies one controller decision for the decision log.
+// ActionKind classifies one controller decision; its String is the
+// Source of the boundary's TimelineDecision.
 type ActionKind int
 
 const (
@@ -241,49 +191,12 @@ func (a ActionKind) String() string {
 	}
 }
 
-// Action is one entry of the controller's decision log.
-type Action struct {
-	Kernel string
-	Kind   ActionKind
-	// From and To are the configurations before and after the decision.
-	From, To hw.Config
-	// Bins is the sensitivity classification in effect.
-	Bins sensitivity.Bins
-	// Proxy is the machine-utilization reading that drove the decision.
-	Proxy float64
-}
-
 // Controller is the Harmonia policy. It implements policy.Policy.
 type Controller struct {
 	opts     Options
 	pred     *sensitivity.Predictor
 	tunables []hw.Tunable
 	kernels  map[string]*kernelState
-
-	// Counters for introspection and the CG-vs-FG experiments.
-	cgActions, fgActions, reverts int
-
-	// Hardening-layer counters.
-	rejected, retried, degradeEvents int
-
-	// log is the bounded decision log (most recent last).
-	log []Action
-}
-
-// maxLogEntries bounds the decision log so long sessions cannot grow it
-// without bound.
-const maxLogEntries = 4096
-
-// Log returns the controller's decision log, most recent last. The log
-// is bounded; old entries fall off the front.
-func (c *Controller) Log() []Action { return c.log }
-
-func (c *Controller) record(a Action) {
-	if len(c.log) >= maxLogEntries {
-		copy(c.log, c.log[1:])
-		c.log = c.log[:len(c.log)-1]
-	}
-	c.log = append(c.log, a)
 }
 
 // kernelState is the per-kernel controller memory (Section 5.1: "use each
@@ -325,14 +238,14 @@ type kernelState struct {
 	degraded   bool // watchdog tripped; FG frozen, holding lastGood
 }
 
-// obsWindow is a bounded ring of accepted counter samples at one
-// configuration.
+// obsWindow is a bounded ring of the last historyWindow accepted
+// counter samples at one configuration.
 type obsWindow struct {
 	vb, mb []float64
 }
 
-func (w *obsWindow) push(vb, mb float64, cap int) {
-	if len(w.vb) >= cap {
+func (w *obsWindow) push(vb, mb float64) {
+	if len(w.vb) >= historyWindow {
 		w.vb = append(w.vb[:0], w.vb[1:]...)
 		w.mb = append(w.mb[:0], w.mb[1:]...)
 	}
@@ -358,12 +271,6 @@ func New(opts Options) *Controller {
 	}
 	if opts.SmoothAlpha <= 0 || opts.SmoothAlpha > 1 {
 		opts.SmoothAlpha = 0.3
-	}
-	if !opts.Initial.Valid() {
-		opts.Initial = hw.MaxConfig()
-	}
-	if !opts.Robust.Disabled {
-		opts.Robust = opts.Robust.withDefaults()
 	}
 	return &Controller{
 		opts:     opts,
@@ -392,33 +299,15 @@ func (c *Controller) Name() string {
 	}
 }
 
-// Stats reports how many coarse-grain actions, fine-grain actions, and
-// reverts the controller has taken.
-func (c *Controller) Stats() (cg, fg, reverts int) {
-	return c.cgActions, c.fgActions, c.reverts
-}
-
-// RobustStats reports the hardening layer's activity: outlier-rejected
-// samples, re-issued commands, and watchdog degradation events. All
-// three are zero on a clean platform.
-func (c *Controller) RobustStats() (rejected, retried, degraded int) {
-	return c.rejected, c.retried, c.degradeEvents
-}
-
-// Degraded reports whether the named kernel is currently running in
-// degraded mode (FG frozen, holding the last known-good configuration).
-func (c *Controller) Degraded(kernel string) bool {
-	st, ok := c.kernels[kernel]
-	return ok && st.degraded
-}
-
 func (c *Controller) state(kernel string) *kernelState {
 	st, ok := c.kernels[kernel]
 	if !ok {
+		// Before its first observation a kernel runs at the baseline
+		// maximum configuration.
 		st = &kernelState{
-			next:     c.opts.Initial,
-			prev:     c.opts.Initial,
-			lastGood: c.opts.Initial,
+			next:     hw.MaxConfig(),
+			prev:     hw.MaxConfig(),
+			lastGood: hw.MaxConfig(),
 			dither:   make(map[hw.Tunable]int),
 			frozen:   make(map[hw.Tunable]bool),
 			obsHist:  make(map[hw.Config]*obsWindow),
@@ -453,10 +342,10 @@ func (c *Controller) TimelineDecision(kernel string, _ int) (timeline.Detail, bo
 }
 
 // Observe implements policy.Policy: one step of Algorithm 1, fronted
-// (unless Robust.Disabled) by the hardening layer of guard.
+// (unless DisableHardening) by the hardening layer of guard.
 func (c *Controller) Observe(kernel string, _ int, res gpusim.Result) {
 	st := c.state(kernel)
-	if !c.opts.Robust.Disabled && c.guard(kernel, st, res) {
+	if !c.opts.DisableHardening && c.guard(st, res) {
 		return
 	}
 	cur := res.Config
@@ -478,7 +367,6 @@ func (c *Controller) Observe(kernel string, _ int, res gpusim.Result) {
 		st.proxy = proxy
 		st.haveProxy = true
 		st.prevRaw = bins
-		c.record(Action{Kernel: kernel, Kind: st.lastKind, From: cur, To: st.next, Bins: st.bins, Proxy: proxy})
 	}()
 
 	// First observation of this kernel: adopt the bins and take the
@@ -548,19 +436,11 @@ func (c *Controller) Observe(kernel string, _ int, res gpusim.Result) {
 // platform fall straight through — guard then only records history — so
 // the hardened controller's decisions are bit-for-bit those of the
 // naive one until a fault is actually observed.
-func (c *Controller) guard(kernel string, st *kernelState, res gpusim.Result) bool {
+func (c *Controller) guard(st *kernelState, res gpusim.Result) bool {
 	commanded := st.next
 	mismatch := res.Config != commanded
 	outlier := !mismatch && c.isOutlier(st, res)
 	unreliable := mismatch || outlier
-
-	record := func(kind ActionKind, to hw.Config) {
-		c.record(Action{
-			Kernel: kernel, Kind: kind, From: res.Config, To: to,
-			Bins: st.bins, Proxy: gpusim.MachineUtilization(res.Counters, res.Config),
-		})
-		st.lastKind = kind
-	}
 
 	if st.degraded {
 		// Degraded mode: hold the last known-good configuration, take no
@@ -580,17 +460,17 @@ func (c *Controller) guard(kernel string, st *kernelState, res gpusim.Result) bo
 			c.pushObs(st, res)
 		}
 		st.next = st.lastGood
-		if st.cleanRun >= c.opts.Robust.RecoverN {
+		if st.cleanRun >= recoverN {
 			st.degraded = false
 			st.unreliable, st.cleanRun, st.cmdRetries = 0, 0, 0
 			// Resume with a clean slate: no pending move to blame and no
 			// stale proxy baseline from before the fault burst.
 			st.lastMoved, st.lastCG = nil, false
 			st.haveProxy = false
-			record(ActionRecover, st.next)
+			st.lastKind = ActionRecover
 			return true
 		}
-		record(ActionDegrade, st.next)
+		st.lastKind = ActionDegrade
 		return true
 	}
 
@@ -603,14 +483,13 @@ func (c *Controller) guard(kernel string, st *kernelState, res gpusim.Result) bo
 
 	st.unreliable++
 	if mismatch {
-		if st.cmdRetries < c.opts.Robust.VerifyRetries {
+		if st.cmdRetries < verifyRetries {
 			// The DPM readback contradicts the command: re-issue it
 			// rather than interpret a gradient measured at the wrong
 			// operating point.
 			st.cmdRetries++
-			c.retried++
 			st.next = commanded
-			record(ActionRetry, st.next)
+			st.lastKind = ActionRetry
 			return true
 		}
 		// Retries exhausted: the transition genuinely is not taking
@@ -623,11 +502,11 @@ func (c *Controller) guard(kernel string, st *kernelState, res gpusim.Result) bo
 		st.unreliable = 0
 		st.lastMoved, st.lastCG = nil, false
 		st.next = res.Config
-		record(ActionHold, st.next)
+		st.lastKind = ActionHold
 		return true
 	}
 
-	if st.unreliable >= c.opts.Robust.WatchdogM {
+	if st.unreliable >= watchdogM {
 		// Telemetry has been unreliable for M consecutive samples: freeze
 		// FG and fall back to the last configuration that demonstrably
 		// performed (Section 5.2's safety intent, extended to faults).
@@ -635,16 +514,14 @@ func (c *Controller) guard(kernel string, st *kernelState, res gpusim.Result) bo
 		st.cleanRun = 0
 		st.lastMoved, st.lastCG = nil, false
 		st.next = st.lastGood
-		c.degradeEvents++
-		record(ActionDegrade, st.next)
+		st.lastKind = ActionDegrade
 		return true
 	}
 
 	// Outlier: discard the sample before it reaches the EMA or the
 	// gradient, and hold.
-	c.rejected++
 	st.next = commanded
-	record(ActionReject, st.next)
+	st.lastKind = ActionReject
 	return true
 }
 
@@ -656,34 +533,32 @@ func (c *Controller) pushObs(st *kernelState, res gpusim.Result) {
 		w = &obsWindow{}
 		st.obsHist[res.Config] = w
 	}
-	w.push(res.Counters.VALUBusy, res.Counters.MemUnitBusy, c.opts.Robust.HistoryWindow)
+	w.push(res.Counters.VALUBusy, res.Counters.MemUnitBusy)
 }
 
 // isOutlier applies the robust deviation test: a sample is an outlier
 // when VALUBusy or MemUnitBusy deviates from the median of the
 // per-kernel history at the same configuration by more than
-// max(OutlierK·MAD, OutlierFloor). Histories shorter than MinHistory
+// max(outlierK·MAD, outlierFloor). Histories shorter than minHistory
 // never reject, and the absolute floor keeps deterministic (zero-MAD)
 // histories from rejecting legitimate small shifts.
 func (c *Controller) isOutlier(st *kernelState, res gpusim.Result) bool {
 	w := st.obsHist[res.Config]
-	if w == nil || len(w.vb) < c.opts.Robust.MinHistory {
+	if w == nil || len(w.vb) < minHistory {
 		return false
 	}
-	r := c.opts.Robust
 	exceeds := func(hist []float64, v float64) bool {
 		med := median(hist)
-		thr := math.Max(r.OutlierK*mad(hist, med), r.OutlierFloor)
+		thr := math.Max(outlierK*mad(hist, med), outlierFloor)
 		return math.Abs(v-med) > thr
 	}
 	return exceeds(w.vb, res.Counters.VALUBusy) || exceeds(w.mb, res.Counters.MemUnitBusy)
 }
 
-// median returns the median of xs (not modifying it). A window up to the
-// default size is sorted in a stack array; a larger one spills to the
-// heap.
+// median returns the median of xs (not modifying it), sorting a copy in
+// a stack array: a window holds at most historyWindow samples.
 func median(xs []float64) float64 {
-	var buf [defaultHistoryWindow]float64
+	var buf [historyWindow]float64
 	tmp := append(buf[:0], xs...)
 	sort.Float64s(tmp)
 	n := len(tmp)
@@ -695,7 +570,7 @@ func median(xs []float64) float64 {
 
 // mad returns the median absolute deviation of xs about med.
 func mad(xs []float64, med float64) float64 {
-	var buf [defaultHistoryWindow]float64
+	var buf [historyWindow]float64
 	dev := buf[:0]
 	for _, x := range xs {
 		dev = append(dev, math.Abs(x-med))
@@ -748,7 +623,6 @@ func (c *Controller) applyCG(st *kernelState, cur hw.Config, bins sensitivity.Bi
 	st.lastMoved = moved
 	st.lastCG = len(moved) > 0
 	if len(moved) > 0 {
-		c.cgActions++
 		st.lastKind = ActionCG
 	}
 }
@@ -763,7 +637,6 @@ func (c *Controller) revertTo(st *kernelState, cur, prev hw.Config, moved []hw.T
 	st.lastMoved = nil
 	st.lastCG = false
 	st.lastKind = ActionRevert
-	c.reverts++
 }
 
 func (c *Controller) resetFG(st *kernelState) {
@@ -818,7 +691,6 @@ func (c *Controller) fineGrain(st *kernelState, cur hw.Config, proxy float64) {
 				// instead of pinning the tunable at the baseline.
 				st.isolate = append(st.isolate, t)
 				st.lastKind = ActionRevert
-				c.reverts++
 				return
 			}
 			// A fine-grain step failed: count the oscillation; past
@@ -834,7 +706,6 @@ func (c *Controller) fineGrain(st *kernelState, cur hw.Config, proxy float64) {
 				// Re-probe later, after the other suspects.
 				st.isolate = append(st.isolate, t)
 			}
-			c.reverts++
 			return
 		}
 		// Several tunables moved together (a CG jump or a concurrent FG
@@ -861,7 +732,6 @@ func (c *Controller) fineGrain(st *kernelState, cur hw.Config, proxy float64) {
 			st.next = next
 			st.lastMoved = []hw.Tunable{t}
 			st.lastKind = ActionFG
-			c.fgActions++
 			return
 		}
 	}
@@ -888,35 +758,4 @@ func (c *Controller) fineGrain(st *kernelState, cur hw.Config, proxy float64) {
 	st.next = next
 	st.lastMoved = movedNow
 	st.lastKind = ActionFG
-	c.fgActions++
-}
-
-// Snapshot describes the controller's current per-kernel decisions, for
-// reporting and debugging.
-type Snapshot struct {
-	Kernel string
-	Config hw.Config
-	Bins   sensitivity.Bins
-}
-
-// Snapshots returns the current state for every kernel seen so far, in
-// kernel-name order.
-func (c *Controller) Snapshots() []Snapshot {
-	names := make([]string, 0, len(c.kernels))
-	for name := range c.kernels {
-		names = append(names, name) //lint:ignore nondeterminism keys are sorted before use
-	}
-	sort.Strings(names)
-	out := make([]Snapshot, 0, len(names))
-	for _, name := range names {
-		st := c.kernels[name]
-		out = append(out, Snapshot{Kernel: name, Config: st.next, Bins: st.bins})
-	}
-	return out
-}
-
-func (c *Controller) String() string {
-	cg, fg, rv := c.Stats()
-	return fmt.Sprintf("%s: %d kernels, %d CG, %d FG, %d reverts",
-		c.Name(), len(c.kernels), cg, fg, rv)
 }

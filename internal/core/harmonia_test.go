@@ -8,6 +8,7 @@ import (
 	"harmonia/internal/gpusim"
 	"harmonia/internal/hw"
 	"harmonia/internal/sensitivity"
+	"harmonia/internal/timeline"
 	"harmonia/internal/workloads"
 )
 
@@ -45,6 +46,47 @@ func drive(c *Controller, k *workloads.Kernel, n int) []hw.Config {
 		c.Observe(k.Name, i, sim.Run(k, i, cfg))
 	}
 	return visited
+}
+
+// observe feeds one sample to the controller and returns the boundary's
+// TimelineDecision, whose Source names the action taken.
+func observe(t *testing.T, c *Controller, kernel string, iter int, res gpusim.Result) timeline.Detail {
+	t.Helper()
+	c.Observe(kernel, iter, res)
+	d, ok := c.TimelineDecision(kernel, iter)
+	if !ok {
+		t.Fatalf("%s: no decision after Observe", kernel)
+	}
+	return d
+}
+
+// boundary is one kernel boundary as the controller describes it: its
+// TimelineDecision, the configuration that ran, and the one chosen next.
+type boundary struct {
+	timeline.Detail
+	From, To hw.Config
+}
+
+// boundaries drives the controller like drive and returns each boundary.
+func boundaries(t *testing.T, c *Controller, k *workloads.Kernel, n int) []boundary {
+	t.Helper()
+	sim := gpusim.Default()
+	out := make([]boundary, n)
+	for i := range out {
+		cfg := c.Decide(k.Name, i)
+		d := observe(t, c, k.Name, i, sim.Run(k, i, cfg))
+		out[i] = boundary{Detail: d, From: cfg, To: c.Decide(k.Name, i+1)}
+	}
+	return out
+}
+
+// tally counts boundaries by Source.
+func tally(bs []boundary) map[string]int {
+	n := make(map[string]int)
+	for _, b := range bs {
+		n[b.Source]++
+	}
+	return n
 }
 
 func TestControllerName(t *testing.T) {
@@ -159,10 +201,10 @@ func TestComputeOnlyTouchesOnlyFrequency(t *testing.T) {
 
 func TestCGOnlyNeverFineTunes(t *testing.T) {
 	c := New(Options{Predictor: predictor(), DisableFG: true})
+	fg := 0
 	for _, k := range workloads.AllKernels() {
-		drive(c, k, 10)
+		fg += tally(boundaries(t, c, k, 10))["fg"]
 	}
-	_, fg, _ := c.Stats()
 	if fg != 0 {
 		t.Errorf("CG-only controller took %d FG actions", fg)
 	}
@@ -234,7 +276,6 @@ func TestRevertOnArtificialSensitivityChange(t *testing.T) {
 		cfg := c.Decide(k.Name, i)
 		c.Observe(k.Name, i, sim.Run(k, i, cfg))
 	}
-	_, _, reverts := c.Stats()
 	// Some reverts should have occurred during convergence (probing),
 	// and the controller must have settled: the next decisions repeat.
 	a := c.Decide(k.Name, 20)
@@ -244,36 +285,16 @@ func TestRevertOnArtificialSensitivityChange(t *testing.T) {
 	if a != b {
 		t.Errorf("controller not settled after 20 iterations: %v -> %v", a, b)
 	}
-	_ = reverts
 }
 
 func TestStatsCounting(t *testing.T) {
 	c := New(Options{Predictor: predictor()})
-	drive(c, kernelByName(t, "MaxFlops.Main"), 15)
-	cg, fg, _ := c.Stats()
-	if cg < 1 {
-		t.Errorf("CG actions = %d, want >= 1", cg)
+	n := tally(boundaries(t, c, kernelByName(t, "MaxFlops.Main"), 15))
+	if n["cg"] < 1 {
+		t.Errorf("CG actions = %d, want >= 1", n["cg"])
 	}
-	if fg < 1 {
-		t.Errorf("FG actions = %d, want >= 1 (memory walk)", fg)
-	}
-	if c.String() == "" {
-		t.Error("String() empty")
-	}
-}
-
-func TestSnapshots(t *testing.T) {
-	c := New(Options{Predictor: predictor()})
-	drive(c, kernelByName(t, "MaxFlops.Main"), 5)
-	drive(c, kernelByName(t, "Sort.BottomScan"), 5)
-	snaps := c.Snapshots()
-	if len(snaps) != 2 {
-		t.Fatalf("got %d snapshots, want 2", len(snaps))
-	}
-	for _, s := range snaps {
-		if !s.Config.Valid() {
-			t.Errorf("%s: invalid snapshot config", s.Kernel)
-		}
+	if n["fg"] < 1 {
+		t.Errorf("FG actions = %d, want >= 1 (memory walk)", n["fg"])
 	}
 }
 
@@ -284,20 +305,6 @@ func TestOptionDefaults(t *testing.T) {
 	}
 	if len(c.tunables) != 3 {
 		t.Errorf("default tunables = %v", c.tunables)
-	}
-	if c.opts.Initial != hw.MaxConfig() {
-		t.Errorf("default initial = %v", c.opts.Initial)
-	}
-}
-
-func TestCustomInitialConfig(t *testing.T) {
-	init := hw.Config{
-		Compute: hw.ComputeConfig{CUs: 16, Freq: 700},
-		Memory:  hw.MemConfig{BusFreq: 925},
-	}
-	c := New(Options{Predictor: predictor(), Initial: init})
-	if got := c.Decide("x.y", 0); got != init {
-		t.Errorf("initial decision = %v, want %v", got, init)
 	}
 }
 

@@ -2,74 +2,52 @@ package core
 
 import (
 	"testing"
-
-	"harmonia/internal/gpusim"
-	"harmonia/internal/hw"
 )
 
 func TestDecisionLogRecordsEveryBoundary(t *testing.T) {
 	c := New(Options{Predictor: predictor()})
 	k := kernelByName(t, "Sort.BottomScan")
 	const n = 20
-	drive(c, k, n)
-	log := c.Log()
-	if len(log) != n {
-		t.Fatalf("log has %d entries, want %d", len(log), n)
-	}
-	kinds := map[ActionKind]int{}
-	for i, a := range log {
-		if a.Kernel != k.Name {
-			t.Errorf("entry %d kernel = %q", i, a.Kernel)
+	bs := boundaries(t, c, k, n)
+	for i, b := range bs {
+		if !b.From.Valid() || !b.To.Valid() {
+			t.Errorf("boundary %d has invalid configs", i)
 		}
-		if !a.From.Valid() || !a.To.Valid() {
-			t.Errorf("entry %d has invalid configs", i)
+		if b.Proxy <= 0 {
+			t.Errorf("boundary %d proxy = %v", i, b.Proxy)
 		}
-		if a.Proxy <= 0 {
-			t.Errorf("entry %d proxy = %v", i, a.Proxy)
+		if !b.HaveBins {
+			t.Errorf("boundary %d has no bins", i)
 		}
-		kinds[a.Kind]++
 	}
-	if kinds[ActionCG] == 0 {
-		t.Error("no CG action logged")
+	kinds := tally(bs)
+	if kinds["cg"] == 0 {
+		t.Error("no CG action recorded")
 	}
-	if kinds[ActionFG] == 0 {
-		t.Error("no FG action logged")
+	if kinds["fg"] == 0 {
+		t.Error("no FG action recorded")
 	}
-	// Once converged, the tail of the log should be holds.
-	if last := log[len(log)-1]; last.Kind != ActionHold {
-		t.Errorf("last action = %v, want hold after convergence", last.Kind)
+	// Once converged, the tail should be holds.
+	if last := bs[len(bs)-1]; last.Source != "hold" {
+		t.Errorf("last action = %v, want hold after convergence", last.Source)
 	}
 }
 
 func TestDecisionLogKindsMatchTransitions(t *testing.T) {
 	c := New(Options{Predictor: predictor()})
 	k := kernelByName(t, "MaxFlops.Main")
-	drive(c, k, 15)
-	for i, a := range c.Log() {
-		changed := a.From != a.To
-		switch a.Kind {
-		case ActionHold:
+	for i, b := range boundaries(t, c, k, 15) {
+		changed := b.From != b.To
+		switch b.Source {
+		case "hold":
 			if changed {
-				t.Errorf("entry %d: hold but config changed %v -> %v", i, a.From, a.To)
+				t.Errorf("boundary %d: hold but config changed %v -> %v", i, b.From, b.To)
 			}
-		case ActionCG, ActionFG:
+		case "cg", "fg":
 			if !changed {
-				t.Errorf("entry %d: %v but config unchanged", i, a.Kind)
+				t.Errorf("boundary %d: %v but config unchanged", i, b.Source)
 			}
 		}
-	}
-}
-
-func TestDecisionLogBounded(t *testing.T) {
-	c := New(Options{Predictor: predictor()})
-	sim := gpusim.Default()
-	k := kernelByName(t, "Stencil.Step")
-	for i := 0; i < maxLogEntries+50; i++ {
-		cfg := c.Decide(k.Name, i)
-		c.Observe(k.Name, i, sim.Run(k, i, cfg))
-	}
-	if got := len(c.Log()); got != maxLogEntries {
-		t.Errorf("log length = %d, want bounded at %d", got, maxLogEntries)
 	}
 }
 
@@ -87,17 +65,9 @@ func TestActionKindStrings(t *testing.T) {
 
 func TestFreezeAppearsInLogForDitheringTunable(t *testing.T) {
 	// Streamcluster's CU probes fail repeatedly; the dithering budget
-	// must eventually freeze and the log must show it.
+	// must eventually freeze and the decisions must show it.
 	c := New(Options{Predictor: predictor()})
-	drive(c, kernelByName(t, "Streamcluster.PGain"), 40)
-	sawFreeze := false
-	for _, a := range c.Log() {
-		if a.Kind == ActionFreeze {
-			sawFreeze = true
-		}
+	if tally(boundaries(t, c, kernelByName(t, "Streamcluster.PGain"), 40))["freeze"] == 0 {
+		t.Error("no freeze action recorded for a dithering kernel")
 	}
-	if !sawFreeze {
-		t.Error("no freeze action logged for a dithering kernel")
-	}
-	_ = hw.MaxConfig()
 }

@@ -1,17 +1,19 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"harmonia/internal/faults"
 	"harmonia/internal/gpusim"
 	"harmonia/internal/hw"
 	"harmonia/internal/session"
+	"harmonia/internal/timeline"
 	"harmonia/internal/workloads"
 )
 
 func naiveOptions() Options {
-	return Options{Predictor: predictor(), Robust: RobustOptions{Disabled: true}}
+	return Options{Predictor: predictor(), DisableHardening: true}
 }
 
 // TestCleanPathEquivalence is the acceptance gate for the hardening
@@ -19,20 +21,25 @@ func naiveOptions() Options {
 // reproduce the naive (seed) controller's results bit-for-bit on the
 // whole 14-application suite — every decision and therefore every ED²
 // identical. The hardening layer only reacts to evidence of faults, so
-// a clean platform must never trigger it.
+// a clean platform must never trigger it: the two runs' timelines, which
+// name every boundary's action, are byte-identical.
 func TestCleanPathEquivalence(t *testing.T) {
 	for _, app := range workloads.Suite() {
-		hardened := New(Options{Predictor: predictor()})
-		naive := New(naiveOptions())
-
-		repH, err := session.New(hardened).Run(app)
-		if err != nil {
-			t.Fatalf("%s hardened: %v", app.Name, err)
+		run := func(opts Options) (*session.Report, []byte) {
+			s := session.New(New(opts))
+			s.Timeline = timeline.New()
+			rep, err := s.Run(app)
+			if err != nil {
+				t.Fatalf("%s: %v", app.Name, err)
+			}
+			var b bytes.Buffer
+			if err := s.Timeline.Snapshot().WriteJSON(&b); err != nil {
+				t.Fatal(err)
+			}
+			return rep, b.Bytes()
 		}
-		repN, err := session.New(naive).Run(app)
-		if err != nil {
-			t.Fatalf("%s naive: %v", app.Name, err)
-		}
+		repH, tlH := run(Options{Predictor: predictor()})
+		repN, tlN := run(naiveOptions())
 
 		if repH.ED2() != repN.ED2() {
 			t.Errorf("%s: hardened ED2 %v != naive ED2 %v", app.Name, repH.ED2(), repN.ED2())
@@ -46,22 +53,22 @@ func TestCleanPathEquivalence(t *testing.T) {
 					app.Name, i, repH.Runs[i].Config, repN.Runs[i].Config)
 			}
 		}
-		rej, ret, deg := hardened.RobustStats()
-		if rej != 0 || ret != 0 || deg != 0 {
-			t.Errorf("%s: hardening fired on clean platform: %d rejected, %d retried, %d degraded",
-				app.Name, rej, ret, deg)
+		if !bytes.Equal(tlH, tlN) {
+			t.Errorf("%s: hardened and naive timelines differ", app.Name)
 		}
 	}
 }
 
 // converge drives a hardened controller on the clean simulator until it
-// settles, returning the settled config and the iteration reached.
+// settles, returning the settled config and the iteration reached. The
+// hardening layer must not fire on the way.
 func converge(t *testing.T, c *Controller, k *workloads.Kernel, n int) (hw.Config, int) {
 	t.Helper()
-	sim := gpusim.Default()
-	for i := 0; i < n; i++ {
-		cfg := c.Decide(k.Name, i)
-		c.Observe(k.Name, i, sim.Run(k, i, cfg))
+	for i, b := range boundaries(t, c, k, n) {
+		switch b.Source {
+		case "reject", "retry", "degrade", "recover":
+			t.Fatalf("boundary %d: hardening fired on a clean platform (%s)", i, b.Source)
+		}
 	}
 	return c.Decide(k.Name, n), n
 }
@@ -85,17 +92,11 @@ func TestFaultHandlingPaths(t *testing.T) {
 			res := sim.Run(k, iter, settled)
 			res.Counters.VALUBusy /= 4
 			res.Counters.MemUnitBusy = 95
-			c.Observe(k.Name, iter, res)
-
+			if got := observe(t, c, k.Name, iter, res).Source; got != "reject" {
+				t.Errorf("noisy sample's action = %v, want reject", got)
+			}
 			if got := c.Decide(k.Name, iter+1); got != settled {
 				t.Errorf("noisy sample moved config %v -> %v", settled, got)
-			}
-			rej, _, _ := c.RobustStats()
-			if rej != 1 {
-				t.Errorf("rejected = %d, want 1", rej)
-			}
-			if lg := c.Log(); lg[len(lg)-1].Kind != ActionReject {
-				t.Errorf("last action = %v, want reject", lg[len(lg)-1].Kind)
 			}
 		}},
 		{"stuck tunable retried then adopted", func(t *testing.T) {
@@ -105,27 +106,27 @@ func TestFaultHandlingPaths(t *testing.T) {
 
 			// The hardware sticks at one fewer CU level than commanded:
 			// every readback reports `stuck`, not the command. The
-			// controller must re-issue the command VerifyRetries times,
+			// controller must re-issue the command verifyRetries times,
 			// then give up and adopt reality.
 			commanded := c.Decide(k.Name, iter)
 			stuck := hw.TunableCUs.WithLevel(commanded, hw.TunableCUs.LevelFor(commanded)-1)
 			if stuck == commanded {
 				stuck = hw.TunableCUs.WithLevel(commanded, hw.TunableCUs.LevelFor(commanded)+1)
 			}
-			for i := 0; i < defaultVerifyRetries; i++ {
-				c.Observe(k.Name, iter, sim.Run(k, iter, stuck))
+			for i := 0; i < verifyRetries; i++ {
+				if got := observe(t, c, k.Name, iter, sim.Run(k, iter, stuck)).Source; got != "retry" {
+					t.Errorf("retry %d: action = %v, want retry", i, got)
+				}
 				if got := c.Decide(k.Name, iter+1); got != commanded {
 					t.Fatalf("retry %d: command changed %v -> %v", i, commanded, got)
 				}
 			}
 			// Retries exhausted: the next mismatch adopts the stuck state.
-			c.Observe(k.Name, iter, sim.Run(k, iter, stuck))
+			if got := observe(t, c, k.Name, iter, sim.Run(k, iter, stuck)).Source; got != "hold" {
+				t.Errorf("adoption action = %v, want hold", got)
+			}
 			if got := c.Decide(k.Name, iter+1); got != stuck {
 				t.Fatalf("after retries, want adopted %v, got %v", stuck, got)
-			}
-			_, ret, _ := c.RobustStats()
-			if ret != defaultVerifyRetries {
-				t.Errorf("retried = %d, want %d", ret, defaultVerifyRetries)
 			}
 		}},
 		{"watchdog degrades after M unreliable samples and recovers", func(t *testing.T) {
@@ -134,37 +135,34 @@ func TestFaultHandlingPaths(t *testing.T) {
 			settled, iter := converge(t, c, k, 30)
 
 			// M consecutive garbage samples (outliers at the settled
-			// config) must trip the watchdog.
-			for i := 0; i < defaultWatchdogM; i++ {
+			// config) must trip the watchdog: M-1 rejects, then degrade.
+			for i := 0; i < watchdogM; i++ {
 				res := sim.Run(k, iter+i, settled)
 				res.Counters.VALUBusy = 0
 				res.Counters.MemUnitBusy = 100
-				c.Observe(k.Name, iter+i, res)
+				want := "reject"
+				if i == watchdogM-1 {
+					want = "degrade"
+				}
+				if got := observe(t, c, k.Name, iter+i, res).Source; got != want {
+					t.Fatalf("unreliable sample %d: action = %v, want %v", i, got, want)
+				}
 			}
-			if !c.Degraded(k.Name) {
-				t.Fatal("watchdog did not trip after M unreliable samples")
-			}
-			_, _, deg := c.RobustStats()
-			if deg != 1 {
-				t.Errorf("degrade events = %d, want 1", deg)
-			}
-			held := c.Decide(k.Name, iter+defaultWatchdogM)
+			held := c.Decide(k.Name, iter+watchdogM)
 			if !held.Valid() {
 				t.Fatalf("degraded hold config invalid: %v", held)
 			}
 
-			// Telemetry stabilizes: RecoverN clean samples end degraded
-			// mode automatically.
-			for i := 0; i < defaultRecoverN; i++ {
-				c.Observe(k.Name, iter+defaultWatchdogM+i,
-					sim.Run(k, 0, held))
-			}
-			if c.Degraded(k.Name) {
-				t.Fatal("controller did not recover after clean samples")
-			}
-			lg := c.Log()
-			if lg[len(lg)-1].Kind != ActionRecover {
-				t.Errorf("last action = %v, want recover", lg[len(lg)-1].Kind)
+			// Telemetry stabilizes: recoverN clean samples end degraded
+			// mode automatically; until then the kernel stays degraded.
+			for i := 0; i < recoverN; i++ {
+				want := "degrade"
+				if i == recoverN-1 {
+					want = "recover"
+				}
+				if got := observe(t, c, k.Name, iter+watchdogM+i, sim.Run(k, 0, held)).Source; got != want {
+					t.Fatalf("clean sample %d: action = %v, want %v", i, got, want)
+				}
 			}
 		}},
 		{"repeated noise bursts do not dither config", func(t *testing.T) {
@@ -174,21 +172,22 @@ func TestFaultHandlingPaths(t *testing.T) {
 			c := New(Options{Predictor: predictor()})
 			k := kernelByName(t, "Sort.BottomScan")
 			settled, iter := converge(t, c, k, 50)
-			cgBefore, _, _ := c.Stats()
+			cg := 0
 			for i := 0; i < 12; i++ {
 				res := sim.Run(k, iter+i, settled)
 				if i%2 == 0 {
 					res.Counters.VALUBusy *= 0.3
 				}
-				c.Observe(k.Name, iter+i, res)
+				if observe(t, c, k.Name, iter+i, res).Source == "cg" {
+					cg++
+				}
 				got := c.Decide(k.Name, iter+i+1)
 				if dist(got, settled) > 1 {
 					t.Fatalf("iteration %d: config ran away: %v -> %v", i, settled, got)
 				}
 			}
-			cgAfter, _, _ := c.Stats()
-			if cgAfter != cgBefore {
-				t.Errorf("noise bursts caused %d spurious CG jumps", cgAfter-cgBefore)
+			if cg != 0 {
+				t.Errorf("noise bursts caused %d spurious CG jumps", cg)
 			}
 		}},
 	}
@@ -220,9 +219,9 @@ func TestHardenedSurvivesInjectedFaultSession(t *testing.T) {
 	if app == nil {
 		t.Fatal("Graph500 missing from suite")
 	}
-	hardened := New(Options{Predictor: predictor()})
-	sess := session.New(hardened)
+	sess := session.New(New(Options{Predictor: predictor()}))
 	sess.Faults = faults.New(faults.Profile(99, 1))
+	sess.Timeline = timeline.New()
 	rep, err := sess.Run(app)
 	if err != nil {
 		t.Fatal(err)
@@ -232,8 +231,13 @@ func TestHardenedSurvivesInjectedFaultSession(t *testing.T) {
 			t.Fatalf("illegal config in faulted run: %+v", run)
 		}
 	}
-	rej, ret, _ := hardened.RobustStats()
-	if rej+ret == 0 {
+	engaged := 0
+	for _, a := range timeline.Census(sess.Timeline.Snapshot().Decisions) {
+		if a.Source == "reject" || a.Source == "retry" {
+			engaged += a.N
+		}
+	}
+	if engaged == 0 {
 		t.Error("full-intensity faults never engaged the hardening layer")
 	}
 }

@@ -7,11 +7,11 @@ import (
 	"strings"
 
 	"harmonia/internal/batch"
-	"harmonia/internal/core"
 	"harmonia/internal/hw"
 	"harmonia/internal/metrics"
 	"harmonia/internal/policy"
 	"harmonia/internal/session"
+	"harmonia/internal/timeline"
 	"harmonia/internal/workloads"
 )
 
@@ -277,8 +277,9 @@ type Fig18Row struct {
 	// FGIncrement is the additional ED² improvement FG adds (Harmonia
 	// minus CG-only).
 	FGIncrement float64
-	// CGIterations and FGIterations count the controller actions taken
-	// by the full Harmonia controller.
+	// CGActions, FGActions and Reverts count the full Harmonia
+	// controller's actions in its run's action census; Reverts includes
+	// the freezes that end a dithering revert.
 	CGActions, FGActions, Reverts int
 }
 
@@ -298,18 +299,26 @@ func Fig18CGvsFG(ctx context.Context, e *Env) ([]Fig18Row, error) {
 			if err != nil {
 				return Fig18Row{}, err
 			}
-			hmCtrl := core.New(core.Options{Predictor: e.Predictor()})
-			hmRep, err := e.session(hmCtrl).Run(workloads.ByName(name))
+			hm := e.session(e.harmonia())
+			hm.Timeline = timeline.New()
+			hmRep, err := hm.Run(workloads.ByName(name))
 			if err != nil {
 				return Fig18Row{}, err
 			}
 			cgGain := metrics.Improvement(base.ED2(), cgRep.ED2())
 			hmGain := metrics.Improvement(base.ED2(), hmRep.ED2())
-			cgN, fgN, rev := hmCtrl.Stats()
-			return Fig18Row{
-				App: name, CGGain: cgGain, FGIncrement: hmGain - cgGain,
-				CGActions: cgN, FGActions: fgN, Reverts: rev,
-			}, nil
+			row := Fig18Row{App: name, CGGain: cgGain, FGIncrement: hmGain - cgGain}
+			for _, a := range timeline.Census(hm.Timeline.Snapshot().Decisions) {
+				switch a.Source {
+				case "cg":
+					row.CGActions = a.N
+				case "fg":
+					row.FGActions = a.N
+				case "revert", "freeze":
+					row.Reverts += a.N
+				}
+			}
+			return row, nil
 		})
 }
 

@@ -559,11 +559,24 @@ func TestFig18FGRescuesCGOutliers(t *testing.T) {
 	if len(rows) != len(fig18Apps) {
 		t.Fatalf("got %d rows", len(rows))
 	}
+	// The controller's CG, FG and revert(+freeze) counts per app, pinned
+	// from the action census of each Harmonia run.
+	wantActions := map[string][3]int{
+		"CoMD":          {3, 10, 8},
+		"Graph500":      {3, 14, 10},
+		"LUD":           {4, 21, 11},
+		"SPMV":          {1, 4, 3},
+		"Streamcluster": {1, 2, 3},
+		"XSBench":       {2, 1, 1},
+	}
 	byApp := map[string]Fig18Row{}
 	for _, r := range rows {
 		byApp[r.App] = r
 		if r.CGActions < 1 {
 			t.Errorf("%s: no CG actions recorded", r.App)
+		}
+		if got := [3]int{r.CGActions, r.FGActions, r.Reverts}; got != wantActions[r.App] {
+			t.Errorf("%s: CG/FG/revert actions = %v, want %v", r.App, got, wantActions[r.App])
 		}
 	}
 	// Streamcluster: CG-only hurts; FG's increment must be strongly

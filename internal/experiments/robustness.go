@@ -86,11 +86,7 @@ func Robustness(ctx context.Context, e *Env, seed int64, intensities []float64) 
 				cfg := faults.Profile(appSeed, intensity)
 
 				runOne := func(hardened bool) (*session.Report, error) {
-					p := core.Options{Predictor: e.Predictor()}
-					if !hardened {
-						p.Robust = core.RobustOptions{Disabled: true}
-					}
-					sess := e.session(core.New(p))
+					sess := e.session(core.New(core.Options{Predictor: e.Predictor(), DisableHardening: !hardened}))
 					if cfg.Enabled() {
 						sess.Faults = faults.New(cfg)
 						// Fault-injected runs bypass the simulation memo:

@@ -316,24 +316,18 @@ func (e *Engine) confusion(kernels map[string]*workloads.Kernel, decs []timeline
 
 // fgStats digests the action stream.
 func fgStats(decs []timeline.Decision) FGStats {
-	var st FGStats
-	counts := make(map[string]int)
+	st := FGStats{Actions: timeline.Census(decs)}
 	// Dither streaks are per kernel: an fg step answered by a revert
 	// deepens the streak; a hold or cg jump resets it.
 	streak := make(map[string]int)
 	prev := make(map[string]string)
 	lastMove := -1
 	for i, d := range decs {
-		src := d.Source
-		if src == "" {
-			src = "(none)"
-		}
-		counts[src]++
-		switch src {
+		switch d.Source {
 		case "cg", "fg", "revert", "freeze":
 			lastMove = i
 		}
-		switch src {
+		switch d.Source {
 		case "revert", "freeze":
 			if prev[d.Kernel] == "fg" || prev[d.Kernel] == "revert" || prev[d.Kernel] == "freeze" {
 				streak[d.Kernel]++
@@ -346,20 +340,12 @@ func fgStats(decs []timeline.Decision) FGStats {
 		case "hold", "cg":
 			streak[d.Kernel] = 0
 		}
-		prev[d.Kernel] = src
+		prev[d.Kernel] = d.Source
 	}
 	st.TailHolds = len(decs) - 1 - lastMove
 	if lastMove < 0 {
 		st.TailHolds = len(decs)
 	}
 	st.Converged = len(decs) > 0 && st.TailHolds > 0
-	srcs := make([]string, 0, len(counts))
-	for s := range counts {
-		srcs = append(srcs, s) //lint:ignore nondeterminism keys are sorted before use
-	}
-	sort.Strings(srcs)
-	for _, s := range srcs {
-		st.Actions = append(st.Actions, timeline.ActionCount{Source: s, N: counts[s]})
-	}
 	return st
 }

@@ -58,7 +58,8 @@ func TestRunContextCancelsAtKernelBoundary(t *testing.T) {
 
 // TestCancellationCountsAsCanceledNotFailed: a context-canceled run
 // increments harmonia_runs_canceled_total, leaving the failed family —
-// the one alerting thresholds watch — untouched.
+// the one alerting thresholds watch — untouched, and still counts the
+// kernel invocations it completed.
 func TestCancellationCountsAsCanceledNotFailed(t *testing.T) {
 	reg := telemetry.New()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -73,6 +74,10 @@ func TestCancellationCountsAsCanceledNotFailed(t *testing.T) {
 	failed := reg.CounterVec(MetricRunsFailed, "", "policy").With("halting")
 	if canceled.Value() != 1 || failed.Value() != 0 {
 		t.Errorf("canceled/failed = %v/%v, want 1/0", canceled.Value(), failed.Value())
+	}
+	// The run halts after its two decided boundaries.
+	if got := reg.CounterVec(MetricKernelInvocations, "", "policy").With("halting").Value(); got != 2 {
+		t.Errorf("kernel invocations = %v, want 2", got)
 	}
 }
 

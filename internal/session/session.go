@@ -85,7 +85,7 @@ const (
 var ed2Buckets = telemetry.ExponentialBuckets(1, math.Sqrt(10), 13)
 
 // instruments bundles the session's telemetry handles; the zero value
-// (nil registry) is a no-op.
+// (nil registry) holds nil instruments, which are no-ops.
 type instruments struct {
 	started, completed, failed *telemetry.Counter
 	canceled                   *telemetry.Counter
@@ -192,15 +192,11 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 		hits, _ = s.Sim.(hitRunner)
 	}
 	if err := app.Validate(); err != nil {
-		if ins.failed != nil {
-			ins.failed.Inc()
-		}
+		ins.failed.Inc()
 		tr.FailRun(err)
 		return nil, err
 	}
-	if ins.started != nil {
-		ins.started.Inc()
-	}
+	ins.started.Inc()
 	rec := daq.New(s.DAQRateHz)
 	if s.Faults != nil {
 		rec.Drop = s.Faults.DropDAQSample
@@ -209,6 +205,13 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 	// The run count is known up front; growing the slice inside the
 	// kernel-boundary loop would reallocate log(n) times per session.
 	rep.Runs = make([]KernelRun, 0, app.Iterations*len(app.Kernels))
+	// Invocations and simulated seconds are counted once per run, from
+	// the boundaries that completed, on every exit from here on:
+	// success, cancellation and an invalid configuration.
+	defer func() {
+		ins.kernels.Add(float64(len(rep.Runs)))
+		ins.simSeconds.Add(rep.TotalTime())
+	}()
 	// sampleLo marks how much of the DAQ stream the timeline has
 	// already consumed; each boundary feeds it the fresh segment.
 	sampleLo := 0
@@ -219,9 +222,7 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 				// server canceling runs at kernel boundaries is not a sign
 				// of a sick backend, and alerting thresholds on the failed
 				// family must not fire for it.
-				if ins.canceled != nil {
-					ins.canceled.Inc()
-				}
+				ins.canceled.Inc()
 				err = fmt.Errorf("session: run of %s canceled at %s iter %d: %w",
 					app.Name, k.Name, iter, err)
 				tr.FailRun(err)
@@ -234,9 +235,7 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 			cfg := s.Policy.Decide(k.Name, iter)
 			tb.Clock[1] = tr.Now()
 			if !cfg.Valid() {
-				if ins.failed != nil {
-					ins.failed.Inc()
-				}
+				ins.failed.Inc()
 				err := fmt.Errorf("session: policy %s returned invalid config %v for %s",
 					s.Policy.Name(), cfg, k.Name)
 				if tr != nil {
@@ -312,18 +311,12 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 					tr.RecordDecision(d, tb)
 				}
 			}
-			if ins.kernels != nil {
-				ins.kernels.Inc()
-				ins.simSeconds.Add(res.Time)
-			}
 		}
 	}
 	rep.Energy = rec.Energy()
 	rep.Trace = rec.Samples()
-	if ins.completed != nil {
-		ins.completed.Inc()
-		ins.ed2.Observe(rep.ED2())
-	}
+	ins.completed.Inc()
+	ins.ed2.Observe(rep.ED2())
 	if tr != nil {
 		tr.EndRun(rep.TotalTime(), rep.TotalEnergy(), rep.ED2())
 	}

@@ -114,7 +114,9 @@ func (f *family) get(labelValues []string) *series {
 	return s
 }
 
-// Counter is a monotonically increasing value.
+// Counter is a monotonically increasing value. A nil *Counter is a
+// no-op that reads as zero, so a caller without a registry needs no
+// guard.
 type Counter struct{ s *series }
 
 // Inc adds one.
@@ -122,7 +124,7 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds v; negative deltas are ignored (counters only go up).
 func (c *Counter) Add(v float64) {
-	if v < 0 || math.IsNaN(v) {
+	if c == nil || v < 0 || math.IsNaN(v) {
 		return
 	}
 	c.s.mu.Lock()
@@ -132,6 +134,9 @@ func (c *Counter) Add(v float64) {
 
 // Value returns the current count.
 func (c *Counter) Value() float64 {
+	if c == nil {
+		return 0
+	}
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()
 	return c.s.value
@@ -161,7 +166,8 @@ func (g *Gauge) Value() float64 {
 	return g.s.value
 }
 
-// Histogram accumulates observations into fixed buckets.
+// Histogram accumulates observations into fixed buckets. A nil
+// *Histogram is a no-op that reads as empty.
 type Histogram struct {
 	f *family
 	s *series
@@ -169,7 +175,7 @@ type Histogram struct {
 
 // Observe records one observation.
 func (h *Histogram) Observe(v float64) {
-	if math.IsNaN(v) {
+	if h == nil || math.IsNaN(v) {
 		return
 	}
 	h.s.mu.Lock()
@@ -185,6 +191,9 @@ func (h *Histogram) Observe(v float64) {
 
 // Count returns the number of observations so far.
 func (h *Histogram) Count() uint64 {
+	if h == nil {
+		return 0
+	}
 	h.s.mu.Lock()
 	defer h.s.mu.Unlock()
 	return h.s.count
@@ -192,6 +201,9 @@ func (h *Histogram) Count() uint64 {
 
 // Sum returns the sum of all observations so far.
 func (h *Histogram) Sum() float64 {
+	if h == nil {
+		return 0
+	}
 	h.s.mu.Lock()
 	defer h.s.mu.Unlock()
 	return h.s.sum

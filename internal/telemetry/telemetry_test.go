@@ -161,6 +161,19 @@ func TestExpositionBytePinned(t *testing.T) {
 	}
 }
 
+// TestNilInstrumentsAreNoOps: the nil counter and histogram a caller
+// without a registry holds ignore writes and read as zero.
+func TestNilInstrumentsAreNoOps(t *testing.T) {
+	var c *Counter
+	c.Inc()
+	c.Add(2)
+	var h *Histogram
+	h.Observe(1)
+	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+		t.Errorf("nil instruments read %v, %d, %v; want zeros", c.Value(), h.Count(), h.Sum())
+	}
+}
+
 func TestTypeMismatchPanics(t *testing.T) {
 	r := New()
 	r.Counter("dup", "h")

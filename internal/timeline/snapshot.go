@@ -167,6 +167,27 @@ type ActionCount struct {
 	N      int    `json:"n"`
 }
 
+// Census counts decisions by action source, an unannotated decision
+// counting as "(none)". The result is sorted by source, and nil when
+// decs is empty.
+func Census(decs []Decision) []ActionCount {
+	var out []ActionCount
+	for _, d := range decs {
+		src := d.Source
+		if src == "" {
+			src = "(none)"
+		}
+		i := sort.Search(len(out), func(i int) bool { return out[i].Source >= src })
+		if i == len(out) || out[i].Source != src {
+			out = append(out, ActionCount{})
+			copy(out[i+1:], out[i:])
+			out[i] = ActionCount{Source: src}
+		}
+		out[i].N++
+	}
+	return out
+}
+
 // Summary is the per-kernel energy breakdown and action census of a
 // timeline, the report-friendly digest of the flight recording.
 type Summary struct {
@@ -191,9 +212,9 @@ func (s *Snapshot) Summary() Summary {
 		Boundaries:  len(s.Decisions) + s.DroppedDecisions,
 		DurationS:   s.DurationS,
 		Transitions: len(s.Transitions) + s.DroppedTransitions,
+		Actions:     Census(s.Decisions),
 	}
 	perKernel := make(map[string]*KernelSummary)
-	actions := make(map[string]int)
 	order := make([]string, 0, 4)
 	for _, d := range s.Decisions {
 		ks := perKernel[d.Kernel]
@@ -209,11 +230,6 @@ func (s *Snapshot) Summary() Summary {
 			ks.Transitions++
 		}
 		sum.EnergyJ += d.EnergyJ
-		src := d.Source
-		if src == "" {
-			src = "(none)"
-		}
-		actions[src]++
 	}
 	sort.Strings(order)
 	for _, name := range order {
@@ -222,14 +238,6 @@ func (s *Snapshot) Summary() Summary {
 			ks.EnergyShare = ks.EnergyJ / sum.EnergyJ
 		}
 		sum.Kernels = append(sum.Kernels, ks)
-	}
-	srcs := make([]string, 0, len(actions))
-	for src := range actions {
-		srcs = append(srcs, src) //lint:ignore nondeterminism keys are sorted before use
-	}
-	sort.Strings(srcs)
-	for _, src := range srcs {
-		sum.Actions = append(sum.Actions, ActionCount{Source: src, N: actions[src]})
 	}
 	return sum
 }

@@ -273,3 +273,23 @@ func TestSnapshotWriters(t *testing.T) {
 		t.Fatalf("summary rendering missing fields:\n%s", got)
 	}
 }
+
+func TestCensusSortedWithUnannotatedAsNone(t *testing.T) {
+	if got := Census(nil); got != nil {
+		t.Errorf("Census(nil) = %v, want nil", got)
+	}
+	var decs []Decision
+	for _, src := range []string{"hold", "fg", "", "cg", "hold", "revert", "fg", "hold", ""} {
+		decs = append(decs, Decision{Source: src})
+	}
+	want := []ActionCount{{"(none)", 2}, {"cg", 1}, {"fg", 2}, {"hold", 3}, {"revert", 1}}
+	got := Census(decs)
+	if len(got) != len(want) {
+		t.Fatalf("Census = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Census = %v, want %v", got, want)
+		}
+	}
+}

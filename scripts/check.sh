@@ -7,8 +7,9 @@
 # hot-path equivalence gates (golden float bits across the gpusim
 # invariant hoisting and the trained predictor, the column regression
 # kernel against its row-by-row reference, budgeted nested
-# parallelism vs serial, allocation-free sweeps and the oracle sweep's
-# allocation ceiling), and a bounded chaos-soak of the resilience layer
+# parallelism vs serial, allocation-free sweeps, the oracle sweep's
+# allocation ceiling and a warm controller run's allocated bytes), and a
+# bounded chaos-soak of the resilience layer
 # (make soak). Timing lives in the layered benchmark, perfbench (make
 # bench).
 set -eux
@@ -51,12 +52,13 @@ go test -count=1 -run 'TestTimelineRunBitIdentical|TestSameSeedTimelinesByteIden
 # float bits, the column least-squares kernel must match the row-by-row
 # reference bit for bit, budgeted nested
 # parallelism must reproduce the serial pipeline byte for byte, the
-# pooled sweep scratch must stay allocation-free at steady state, and a
+# pooled sweep scratch must stay allocation-free at steady state, a
 # fresh oracle's uncached sweeps must stay under their allocation
+# ceiling, and a warm Harmonia run must stay under its allocated-bytes
 # ceiling.
 go test -count=1 -run 'TestGoldenBits' ./internal/gpusim/
 go test -count=1 -run 'TestTrainedPredictorGoldenBits' ./internal/sensitivity/
 go test -count=1 -run 'TestFitManyMatchesRowReference' ./internal/regress/
-go test -count=1 -run 'TestBudgetedNestedSweepBitIdentical|TestEnvBudgetSplitSuiteBitIdentical|TestUncachedOracleSweepAllocs' .
+go test -count=1 -run 'TestBudgetedNestedSweepBitIdentical|TestEnvBudgetSplitSuiteBitIdentical|TestUncachedOracleSweepAllocs|TestControllerRunAllocBytes' .
 go test -count=1 -run 'TestMinAllocationFree' ./internal/sweep/
 make soak SOAK_ITERS="${SOAK_ITERS:-4}"

@@ -29,13 +29,13 @@ func main() {
 	kernelPts := sensitivity.BuildTrainingSet(sim, kernels)
 
 	fmt.Println("training on per-configuration rows (Section 4.2 scale)...")
-	cfgPts := sensitivity.BuildConfigTrainingSet(sim, kernels)
-	pred, err := sensitivity.Train(cfgPts)
+	cfgSet := sensitivity.BuildConfigTrainingSet(sim, kernels)
+	pred, err := sensitivity.Train(cfgSet)
 	if err != nil {
 		panic(err)
 	}
 
-	fmt.Printf("\nTable 3 (platform-trained) — %d training rows\n", len(cfgPts))
+	fmt.Printf("\nTable 3 (platform-trained) — %d training rows\n", cfgSet.Len())
 	fmt.Printf("  bandwidth sensitivity model (corr %.3f):\n    %v\n", pred.Bandwidth.Corr, pred.Bandwidth)
 	fmt.Printf("  compute sensitivity model   (corr %.3f):\n    %v\n", pred.Compute.Corr, pred.Compute)
 

@@ -501,13 +501,12 @@ type Table3Result struct {
 // Table3Model trains the sensitivity predictors and reports coefficients
 // and accuracy (Sections 4.2-4.3).
 func Table3Model(e *Env) Table3Result {
-	pts := sensitivity.BuildConfigTrainingSet(e.Runner(), workloads.AllKernels())
 	pred := e.Predictor()
 	kernelPts := sensitivity.BuildTrainingSet(e.Runner(), workloads.AllKernels())
 	return Table3Result{
 		Bandwidth:      pred.Bandwidth,
 		Compute:        pred.Compute,
-		TrainingPoints: len(pts),
+		TrainingPoints: e.trainRows,
 		Accuracy:       sensitivity.Evaluate(pred, kernelPts),
 		Paper:          sensitivity.PaperModel(),
 	}

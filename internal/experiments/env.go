@@ -49,8 +49,9 @@ type Env struct {
 	// the worker count never changes any study's numbers.
 	Workers int
 
-	predOnce sync.Once
-	pred     *sensitivity.Predictor
+	predOnce  sync.Once
+	pred      *sensitivity.Predictor
+	trainRows int // rows pred was trained on
 
 	resultsOnce sync.Once
 	results     []AppResult
@@ -74,12 +75,12 @@ func (e *Env) Runner() gpusim.Runner {
 // on first use exactly as DefaultPredictor does.
 func (e *Env) Predictor() *sensitivity.Predictor {
 	e.predOnce.Do(func() {
-		p, err := sensitivity.Train(
-			sensitivity.BuildConfigTrainingSetN(e.Runner(), workloads.AllKernels(), e.Workers))
+		set := sensitivity.BuildConfigTrainingSetN(e.Runner(), workloads.AllKernels(), e.Workers)
+		p, err := sensitivity.Train(set)
 		if err != nil {
 			panic(err) // fixed known-good training set; see DefaultPredictor
 		}
-		e.pred = p
+		e.pred, e.trainRows = p, set.Len()
 	})
 	return e.pred
 }

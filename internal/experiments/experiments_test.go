@@ -305,9 +305,11 @@ func TestTable3ModelQuality(t *testing.T) {
 		t.Errorf("MAE = %.3f/%.3f (paper: 0.0303/0.0571)",
 			r.Accuracy.BandwidthMAE, r.Accuracy.ComputeMAE)
 	}
-	// Training scale comparable to the paper's 11250 vectors.
-	if r.TrainingPoints < 5000 {
-		t.Errorf("training rows = %d, want thousands", r.TrainingPoints)
+	// Training scale comparable to the paper's 11250 vectors: one row
+	// per configuration for each phase-stable kernel, one per
+	// configuration and iteration for each phase-varying one.
+	if r.TrainingPoints != 14784 {
+		t.Errorf("training rows = %d, want 14784", r.TrainingPoints)
 	}
 	if len(r.Paper.Bandwidth.Coeffs) != 7 {
 		t.Error("paper reference model missing")

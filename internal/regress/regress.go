@@ -9,7 +9,11 @@
 // involved (at most 14 counters over 14,784 training rows). Designs are
 // passed as feature columns, one contiguous slice per feature, so each
 // AᵀA and Aᵀy entry is a single dot product summed in row order; that
-// fixed summation order is what keeps fitted models bit-identical.
+// fixed summation order is what keeps fitted models bit-identical. It
+// also lets several models share one system: FitMany forms AᵀA and
+// every Aᵀy once, and each model solves the sub-system of the feature
+// columns it names, which holds exactly the sums a fit of that model
+// alone would form.
 package regress
 
 import (
@@ -74,37 +78,61 @@ var ErrBadShape = errors.New("regress: need at least one more observation than f
 // (X[j][r] is feature j of observation r), with an intercept term. A
 // tiny ridge term stabilizes nearly collinear designs.
 func Fit(X [][]float64, y []float64, names []string) (*Model, error) {
-	ms, err := FitMany(X, [][]float64{y}, names)
+	ms, err := FitMany(X, []Target{{Y: y, Names: names}})
 	if err != nil {
 		return nil, err
 	}
 	return ms[0], nil
 }
 
-// FitMany fits one model per target in ys over the shared feature
-// columns X, forming AᵀA once. The observation count n comes from the
-// targets, and every column must hold n values. Each AᵀA and Aᵀy entry
-// is one dot product of two columns summed in row order, and each fitted
-// value adds its terms in Predict's order, so every model is
-// bit-identical to Fit of its target alone and to a row-by-row
-// accumulation (TestFitManyMatchesRowReference). The inputs are only
-// read.
-//
-// X is [][]float64 in either layout, so a caller passing one slice per
-// observation still compiles; it is rejected only when its shape cannot
-// be read as n-value columns.
-func FitMany(X [][]float64, ys [][]float64, names []string) ([]*Model, error) {
-	if len(ys) == 0 {
+// Target is one model of a FitMany call: the observations it fits and
+// the design columns it regresses on.
+type Target struct {
+	// Y holds the observed value of every row.
+	Y []float64
+	// Features indexes the columns of FitMany's X the model regresses on,
+	// in coefficient order; nil selects every column in order.
+	Features []int
+	// Names labels the coefficients (Model.Names).
+	Names []string
+}
+
+// FitMany fits one model per target over the shared feature columns X.
+// AᵀA and every target's Aᵀy are formed once over A = [1 | X]; each
+// model solves the sub-system its Features select, so models over
+// overlapping feature sets share every dot product. The observation
+// count n comes from the targets, and every column must hold n values.
+// Each AᵀA and Aᵀy entry is one dot product of two columns summed in
+// row order, the same sum whichever sub-system reads it, and each fitted
+// value adds its terms in Predict's order, so every model is bit-identical
+// to Fit over its own features alone and to a row-by-row accumulation
+// over its own design (TestFitManyMatchesRowReference). The inputs are
+// only read.
+func FitMany(X [][]float64, targets []Target) ([]*Model, error) {
+	if len(targets) == 0 {
 		return nil, ErrBadShape
 	}
-	n, p := len(ys[0]), len(X)
-	if n == 0 || n <= p {
-		return nil, ErrBadShape
-	}
-	for _, y := range ys {
-		if len(y) != n {
+	n, p := len(targets[0].Y), len(X)
+	// sels[t] lists target t's columns of A = [1 | X]: the intercept,
+	// then column 1+j for each feature j it selects.
+	sels := make([][]int, len(targets))
+	for t, tg := range targets {
+		sel := []int{0}
+		if tg.Features == nil {
+			for j := range X {
+				sel = append(sel, 1+j)
+			}
+		}
+		for _, j := range tg.Features {
+			if j < 0 || j >= p {
+				return nil, fmt.Errorf("regress: target %d selects column %d of %d", t, j, p)
+			}
+			sel = append(sel, 1+j)
+		}
+		if len(tg.Y) != n || n < len(sel) {
 			return nil, ErrBadShape
 		}
+		sels[t] = sel
 	}
 	for j, col := range X {
 		if len(col) != n {
@@ -113,17 +141,21 @@ func FitMany(X [][]float64, ys [][]float64, names []string) ([]*Model, error) {
 	}
 
 	// The augmented design is A = [1 | X]; the normal equations
-	// (AᵀA + λI)β = Aᵀy are solved for each target. Row i of AᵀA and
-	// entry i of every Aᵀy come from one pass over column i.
+	// (AᵀA + λI)β = Aᵀy are solved for each target over its columns of A.
+	// Row i of AᵀA and entry i of every Aᵀy come from one pass over
+	// column i.
 	k := p + 1
 	ones := make([]float64, n)
 	for r := range ones {
 		ones[r] = 1
 	}
-	cols := make([][]float64, 0, k+len(ys))
-	cols = append(append(append(cols, ones), X...), ys...)
+	cols := make([][]float64, 0, k+len(targets))
+	cols = append(append(cols, ones), X...)
+	for _, tg := range targets {
+		cols = append(cols, tg.Y)
+	}
 	ata := make([][]float64, k)
-	aty := make([][]float64, len(ys))
+	aty := make([][]float64, len(targets))
 	for t := range aty {
 		aty[t] = make([]float64, k)
 	}
@@ -135,7 +167,7 @@ func FitMany(X [][]float64, ys [][]float64, names []string) ([]*Model, error) {
 			g[j] = ata[j][i]
 		}
 		ata[i] = g[:k:k]
-		for t := range ys {
+		for t := range targets {
 			aty[t][i] = g[k+t]
 		}
 	}
@@ -144,25 +176,35 @@ func FitMany(X [][]float64, ys [][]float64, names []string) ([]*Model, error) {
 		ata[i][i] += ridge * float64(n)
 	}
 
-	models := make([]*Model, len(ys))
+	models := make([]*Model, len(targets))
 	fitted := make([]float64, n)
-	for t, y := range ys {
-		beta, err := solve(ata, aty[t])
+	for t, tg := range targets {
+		sel := sels[t]
+		sub := make([][]float64, len(sel))
+		rhs := make([]float64, len(sel))
+		for a, i := range sel {
+			sub[a] = make([]float64, len(sel))
+			for b, j := range sel {
+				sub[a][b] = ata[i][j]
+			}
+			rhs[a] = aty[t][i]
+		}
+		beta, err := solve(sub, rhs)
 		if err != nil {
 			return nil, err
 		}
-		m := &Model{Intercept: beta[0], Coeffs: beta[1:], Names: names}
+		m := &Model{Intercept: beta[0], Coeffs: beta[1:], Names: tg.Names}
 		// Training-set quality.
 		for r := range fitted {
 			fitted[r] = m.Intercept
 		}
-		for j, c := range m.Coeffs {
-			for r, x := range X[j] {
+		for a, c := range m.Coeffs {
+			for r, x := range cols[sel[a+1]] {
 				fitted[r] += c * x
 			}
 		}
-		m.R2 = rSquared(y, fitted)
-		m.Corr = Pearson(y, fitted)
+		m.R2 = rSquared(tg.Y, fitted)
+		m.Corr = Pearson(tg.Y, fitted)
 		models[t] = m
 	}
 	return models, nil

@@ -113,7 +113,7 @@ func TestFitManyMatchesFit(t *testing.T) {
 		ys[2][r] = next()
 	}
 	names := []string{"a", "b", "c", "d"}
-	many, err := FitMany(columns(X), ys, names)
+	many, err := FitMany(columns(X), targetsOf(ys, names))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,18 +144,39 @@ func TestFitManyMatchesFit(t *testing.T) {
 		}
 	}
 
-	if _, err := FitMany(nil, [][]float64{nil}, nil); err == nil {
+	if _, err := FitMany(nil, targetsOf([][]float64{nil}, nil)); err == nil {
 		t.Error("empty fit should error")
 	}
-	if _, err := FitMany(columns([][]float64{{1, 2}, {3, 4}}), [][]float64{{1, 2}, {3, 4}}, nil); err == nil {
+	if _, err := FitMany(columns([][]float64{{1, 2}, {3, 4}}), targetsOf([][]float64{{1, 2}, {3, 4}}, nil)); err == nil {
 		t.Error("n <= p fit should error")
 	}
-	if _, err := FitMany(columns([][]float64{{1}, {2, 3}, {4}}), [][]float64{{1, 2, 3}, {4, 5, 6}}, nil); err == nil {
+	if _, err := FitMany(columns([][]float64{{1}, {2, 3}, {4}}), targetsOf([][]float64{{1, 2, 3}, {4, 5, 6}}, nil)); err == nil {
 		t.Error("ragged rows should error")
 	}
-	if _, err := FitMany(columns([][]float64{{1}, {2}, {3}}), [][]float64{{1, 2, 3}, {1, 2}}, nil); err == nil {
+	if _, err := FitMany(columns([][]float64{{1}, {2}, {3}}), targetsOf([][]float64{{1, 2, 3}, {1, 2}}, nil)); err == nil {
 		t.Error("a target of mismatched length should error")
 	}
+	// A feature subset narrows the shape check to its own width, and an
+	// index outside X is rejected.
+	two := columns([][]float64{{1, 2}, {3, 5}})
+	if _, err := FitMany(two, []Target{{Y: []float64{1, 2}, Features: []int{1}}}); err != nil {
+		t.Errorf("one-feature subset over two rows: %v", err)
+	}
+	if _, err := FitMany(two, []Target{{Y: []float64{1, 2}, Features: []int{2}}}); err == nil {
+		t.Error("an out-of-range feature index should error")
+	}
+	if _, err := FitMany(two, nil); err == nil {
+		t.Error("a fit without targets should error")
+	}
+}
+
+// targetsOf makes one all-feature target per series of ys.
+func targetsOf(ys [][]float64, names []string) []Target {
+	targets := make([]Target, len(ys))
+	for t, y := range ys {
+		targets[t] = Target{Y: y, Names: names}
+	}
+	return targets
 }
 
 // rowReference is the row-by-row least-squares accumulation, the
@@ -217,8 +238,11 @@ func rowReference(X [][]float64, ys [][]float64) ([]*Model, error) {
 // row-by-row accumulation bit for bit, intercept, coefficients, R² and
 // Corr, over feature counts, target counts and observation counts that
 // are not multiples of its four-column tile, and must leave every input
-// column and target unchanged (Train hands the same columns to three
-// fits).
+// column and target unchanged. Beside the all-feature targets, each
+// design also fits feature subsets in a non-leading, non-monotone order
+// (the compute model reads the extended columns 7, 5, 6); each such
+// model must match the row reference over that subset's own design, as
+// Train's sub-system fits must.
 func TestFitManyMatchesRowReference(t *testing.T) {
 	seed := uint64(4242)
 	next := func() float64 {
@@ -231,6 +255,11 @@ func TestFitManyMatchesRowReference(t *testing.T) {
 			out[i] = math.Float64bits(v)
 		}
 		return out
+	}
+	subsets := map[int][][]int{
+		3:  {{2, 0}},
+		7:  {{4, 2, 3}, {6}},
+		14: {{7, 5, 6}, {0, 1, 2, 3, 4, 5, 6}, {13, 0, 9}},
 	}
 	for _, p := range []int{1, 3, 7, 14} {
 		for _, n := range []int{p + 1, 37, 1001} {
@@ -259,8 +288,16 @@ func TestFitManyMatchesRowReference(t *testing.T) {
 				for _, v := range append(append([][]float64(nil), cols...), ys...) {
 					inBits = append(inBits, bitsOf(v))
 				}
+				// Subset s fits ys[(s+1)%targets], not the series of the
+				// all-feature target at its index, so that a fit reading
+				// another target's Aᵀy shows.
+				specs := targetsOf(ys, nil)
+				subs := subsets[p]
+				for s, sub := range subs {
+					specs = append(specs, Target{Y: ys[(s+1)%targets], Features: sub})
+				}
 
-				got, err := FitMany(cols, ys, nil)
+				got, err := FitMany(cols, specs)
 				if err != nil {
 					t.Fatalf("p=%d n=%d targets=%d: %v", p, n, targets, err)
 				}
@@ -268,12 +305,25 @@ func TestFitManyMatchesRowReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("p=%d n=%d targets=%d: reference: %v", p, n, targets, err)
 				}
+				for s, sub := range subs {
+					subX := make([][]float64, n)
+					for r := range subX {
+						for _, j := range sub {
+							subX[r] = append(subX[r], X[r][j])
+						}
+					}
+					ref, err := rowReference(subX, [][]float64{ys[(s+1)%targets]})
+					if err != nil {
+						t.Fatalf("p=%d n=%d features %v: reference: %v", p, n, sub, err)
+					}
+					want = append(want, ref[0])
+				}
 				for tg := range want {
 					g := append([]float64{got[tg].Intercept, got[tg].R2, got[tg].Corr}, got[tg].Coeffs...)
 					w := append([]float64{want[tg].Intercept, want[tg].R2, want[tg].Corr}, want[tg].Coeffs...)
 					if !reflect.DeepEqual(bitsOf(g), bitsOf(w)) {
-						t.Errorf("p=%d n=%d target %d/%d: column fit %v (R2 %v, Corr %v), row reference %v (R2 %v, Corr %v)",
-							p, n, tg, targets, got[tg], got[tg].R2, got[tg].Corr, want[tg], want[tg].R2, want[tg].Corr)
+						t.Errorf("p=%d n=%d target %d/%d (features %v): column fit %v (R2 %v, Corr %v), row reference %v (R2 %v, Corr %v)",
+							p, n, tg, len(specs), specs[tg].Features, got[tg], got[tg].R2, got[tg].Corr, want[tg], want[tg].R2, want[tg].Corr)
 					}
 				}
 				for i, v := range append(append([][]float64(nil), cols...), ys...) {

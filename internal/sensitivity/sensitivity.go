@@ -241,9 +241,11 @@ func PaperModel() *Predictor {
 	}
 }
 
-// TrainingPoint is one row of the training set: a kernel's counter
+// TrainingPoint is one row of the per-kernel training set
+// BuildTrainingSet returns and Evaluate scores: a kernel's counter
 // vector averaged across all hardware configurations (the data reduction
-// of Section 4.2) paired with its measured sensitivities.
+// of Section 4.2) paired with its measured sensitivities. The
+// per-configuration set the predictor is trained on is a TrainingSet.
 type TrainingPoint struct {
 	Kernel   string
 	Features counters.Set
@@ -273,6 +275,27 @@ func BuildTrainingSet(m gpusim.Runner, kernels []*workloads.Kernel) []TrainingPo
 	return points
 }
 
+// numFeatures is the width of the extended feature vector, the largest
+// feature set the models read.
+const numFeatures = len(featureBuf{})
+
+// TrainingSet is the per-configuration training set, column-major: one
+// column per extended feature, in ExtendedFeatureNames order, then the
+// bandwidth, compute, CU and CU-frequency truths. Row r of every column
+// is the same training row; rows run kernel by kernel, then
+// configuration by configuration, then iteration by iteration.
+type TrainingSet struct {
+	cols [numFeatures + 4][]float64
+}
+
+// Len returns the number of training rows (0 for a nil set).
+func (s *TrainingSet) Len() int {
+	if s == nil {
+		return 0
+	}
+	return len(s.cols[0])
+}
+
 // BuildConfigTrainingSet measures every kernel at every hardware
 // configuration, keeping one training row per (kernel, configuration)
 // pair, and per iteration phase for phase-varying kernels — 14,784 rows
@@ -283,25 +306,33 @@ func BuildTrainingSet(m gpusim.Runner, kernels []*workloads.Kernel) []TrainingPo
 // MemUnitBusy, icActivity) shift materially with the configuration, so
 // keeping per-configuration rows is what makes runtime predictions —
 // taken at whatever configuration the kernel last ran at —
-// in-distribution. This substitution is recorded in DESIGN.md.
-func BuildConfigTrainingSet(m gpusim.Runner, kernels []*workloads.Kernel) []TrainingPoint {
+// in-distribution. This substitution is recorded in DESIGN.md. Each row
+// keeps only what Train reads: the extended features of its counter
+// sample and its kernel's four measured sensitivities.
+func BuildConfigTrainingSet(m gpusim.Runner, kernels []*workloads.Kernel) *TrainingSet {
 	return BuildConfigTrainingSetN(m, kernels, 0)
 }
 
 // BuildConfigTrainingSetN is BuildConfigTrainingSet fanned out over a
-// bounded worker pool, one job per kernel. The training set is sized
-// once, and each job fills its kernel's own range of it, in kernel order
-// and with the kernel's rows generated serially, so the training set —
-// and therefore the fitted predictor — is bit-identical for every worker
-// count. workers follows the batch pool convention: 0 means GOMAXPROCS,
-// 1 forces serial execution.
-func BuildConfigTrainingSetN(m gpusim.Runner, kernels []*workloads.Kernel, workers int) []TrainingPoint {
+// bounded worker pool, one job per kernel. Every column is sized once,
+// and each job writes its kernel's own row range of every column
+// straight from the simulated counters, with the kernel's rows
+// generated serially, so the training set — and therefore the fitted
+// predictor — is bit-identical for every worker count. workers follows
+// the batch pool convention: 0 means GOMAXPROCS, 1 forces serial
+// execution.
+func BuildConfigTrainingSetN(m gpusim.Runner, kernels []*workloads.Kernel, workers int) *TrainingSet {
 	space := hw.ConfigSpace()
 	start := make([]int, len(kernels)+1)
 	for i, k := range kernels {
 		start[i+1] = start[i] + phases(k)*len(space)
 	}
-	points := make([]TrainingPoint, start[len(kernels)])
+	n := start[len(kernels)]
+	set := &TrainingSet{}
+	backing := make([]float64, len(set.cols)*n)
+	for j := range set.cols {
+		set.cols[j] = backing[j*n : (j+1)*n : (j+1)*n]
+	}
 	// Training-set construction is deliberately uncancelable: it is the
 	// one-time memoized sweep behind every predictor, bit-identical by
 	// construction, and its callers (lazy sync.Once paths included) gate
@@ -311,10 +342,10 @@ func BuildConfigTrainingSetN(m gpusim.Runner, kernels []*workloads.Kernel, worke
 	//lint:ignore errdrop kernelConfigRows never errors and the background context is never canceled
 	batch.Map(ctx, workers, kernels,
 		func(_ context.Context, i int, k *workloads.Kernel) (struct{}, error) {
-			kernelConfigRows(points[start[i]:start[i+1]], m, k, space)
+			kernelConfigRows(set, start[i], m, k, space)
 			return struct{}{}, nil
 		})
-	return points
+	return set
 }
 
 // phases is how many training rows a kernel contributes per
@@ -328,9 +359,10 @@ func phases(k *workloads.Kernel) int {
 	return 1
 }
 
-// kernelConfigRows fills dst, which holds exactly phases(k)·len(space)
-// rows, with one kernel's training rows across the configuration space.
-func kernelConfigRows(dst []TrainingPoint, m gpusim.Runner, k *workloads.Kernel, space []hw.Config) {
+// kernelConfigRows writes one kernel's training rows across the
+// configuration space into rows [at, at+phases(k)·len(space)) of every
+// column of set.
+func kernelConfigRows(set *TrainingSet, at int, m gpusim.Runner, k *workloads.Kernel, space []hw.Config) {
 	truth := Measure(m, k)
 	iters := phases(k)
 	// Hoist the per-iteration invariant work (and the memo-entry
@@ -338,83 +370,68 @@ func kernelConfigRows(dst []TrainingPoint, m gpusim.Runner, k *workloads.Kernel,
 	// row order — configuration-outer, iteration-inner — is what the
 	// fitted predictor's bit-identity depends on, so only the per-call
 	// evaluation changes, never the loop structure.
-	run := func(iter int, cfg hw.Config) gpusim.Result { return m.Run(k, iter, cfg) }
-	if pr, ok := m.(gpusim.PreparedRunner); ok {
-		prepared := make([]func(hw.Config) gpusim.Result, iters)
-		for i := range prepared {
-			prepared[i] = pr.Prepare(k, i)
+	run := make([]func(hw.Config) gpusim.Result, iters)
+	pr, prepared := m.(gpusim.PreparedRunner)
+	for i := range run {
+		if prepared {
+			run[i] = pr.Prepare(k, i)
+		} else {
+			run[i] = func(cfg hw.Config) gpusim.Result { return m.Run(k, i, cfg) }
 		}
-		run = func(iter int, cfg hw.Config) gpusim.Result { return prepared[iter](cfg) }
 	}
-	r := 0
+	r := at
+	var buf featureBuf
 	for _, cfg := range space {
-		for i := 0; i < iters; i++ {
-			dst[r] = TrainingPoint{
-				Kernel:   k.Name,
-				Features: run(i, cfg).Counters,
-				Truth:    truth,
+		for _, eval := range run {
+			cs := eval(cfg).Counters
+			for j, v := range cs.AppendExtendedFeatures(buf[:0]) {
+				set.cols[j][r] = v
 			}
 			r++
+		}
+	}
+	for j, v := range [...]float64{truth.Bandwidth, truth.Compute, truth.CUs, truth.CUFreq} {
+		col := set.cols[numFeatures+j][at:r]
+		for i := range col {
+			col[i] = v
 		}
 	}
 }
 
 // Train fits the four linear sensitivity models on the training set
-// (Section 4.3). The 14 extended features and the four ground truths are
-// laid out once as columns; the bandwidth and compute models fit over
-// the columns their feature sets name, and the CU and CU-frequency
-// models, which share the whole extended set, are fit in one pass.
-func Train(points []TrainingPoint) (*Predictor, error) {
-	if len(points) == 0 {
+// (Section 4.3) in one regress.FitMany call: AᵀA and the four Aᵀy are
+// formed once over the 14 extended feature columns, the CU and
+// CU-frequency models solve over all of them, and the bandwidth and
+// compute models solve the sub-systems of the columns their Table 3
+// feature sets name.
+func Train(set *TrainingSet) (*Predictor, error) {
+	if set.Len() == 0 {
 		return nil, fmt.Errorf("sensitivity: empty training set")
 	}
-	// Columns 0..p-1 hold the extended features in ExtendedFeatureNames
-	// order; p..p+3 the bandwidth, compute, CU and CU-frequency truths.
 	extNames := counters.ExtendedFeatureNames()
-	n, p := len(points), len(extNames)
-	backing := make([]float64, (p+4)*n)
-	cols := make([][]float64, p+4)
-	for j := range cols {
-		cols[j] = backing[j*n : (j+1)*n : (j+1)*n]
-	}
-	var buf featureBuf
-	for r := range points {
-		pt := &points[r]
-		for j, v := range pt.Features.AppendExtendedFeatures(buf[:0]) {
-			cols[j][r] = v
-		}
-		cols[p][r] = pt.Truth.Bandwidth
-		cols[p+1][r] = pt.Truth.Compute
-		cols[p+2][r] = pt.Truth.CUs
-		cols[p+3][r] = pt.Truth.CUFreq
-	}
-	byName := make(map[string][]float64, p)
+	column := make(map[string]int, len(extNames))
 	for j, name := range extNames {
-		byName[name] = cols[j]
+		column[name] = j
 	}
-	pick := func(names []string) [][]float64 {
-		X := make([][]float64, len(names))
+	pick := func(names []string) []int {
+		idx := make([]int, len(names))
 		for j, name := range names {
-			X[j] = byName[name]
+			idx[j] = column[name]
 		}
-		return X
+		return idx
 	}
-
-	bwNames := counters.BandwidthFeatureNames()
-	bw, err := regress.Fit(pick(bwNames), cols[p], bwNames)
+	bwNames, compNames := counters.BandwidthFeatureNames(), counters.ComputeFeatureNames()
+	truth := set.cols[numFeatures:]
+	models, err := regress.FitMany(set.cols[:numFeatures], []regress.Target{
+		{Y: truth[0], Features: pick(bwNames), Names: bwNames},
+		{Y: truth[1], Features: pick(compNames), Names: compNames},
+		{Y: truth[2], Names: extNames},
+		{Y: truth[3], Names: extNames},
+	})
 	if err != nil {
-		return nil, fmt.Errorf("sensitivity: bandwidth model: %w", err)
+		return nil, fmt.Errorf("sensitivity: %w", err)
 	}
-	compNames := counters.ComputeFeatureNames()
-	comp, err := regress.Fit(pick(compNames), cols[p+1], compNames)
-	if err != nil {
-		return nil, fmt.Errorf("sensitivity: compute model: %w", err)
-	}
-	ext, err := regress.FitMany(cols[:p], cols[p+2:], extNames)
-	if err != nil {
-		return nil, fmt.Errorf("sensitivity: CU and CU-frequency models: %w", err)
-	}
-	return &Predictor{Bandwidth: bw, Compute: comp, CUs: ext[0], CUFreq: ext[1]}, nil
+	return &Predictor{Bandwidth: models[0], Compute: models[1], CUs: models[2], CUFreq: models[3]}, nil
 }
 
 // Accuracy reports mean absolute prediction error for the bandwidth and

@@ -20,6 +20,17 @@
 // produces — made for that invocation. The decision level is what makes
 // repeat-invocation sweeps cheap: one lookup instead of re-scoring the
 // entire configuration space.
+//
+// Slots hold results by value. An entry allocates all 448 of them
+// (about 93 KB) when it is created, the memory a filled entry needs
+// anyway, so storing a result allocates nothing. Each slot has an
+// atomic state that goes empty → filling → ready: the prober that
+// claims an empty slot writes it and publishes it as ready, and a
+// prober that finds it being filled simulates the same pure result for
+// itself. The hit, miss and stored counts live in the entries, so
+// concurrent sweeps of different kernels count on different cache
+// lines; Stats and Len sum them on read, and the cache itself counts
+// only the misses that have no entry or no slot.
 package simcache
 
 import (
@@ -110,14 +121,28 @@ type decision struct {
 	cfg hw.Config
 }
 
+// Slot states: a slot goes empty → filling → ready exactly once. The
+// prober that moves it from empty to filling owns the write; ready
+// publishes the stored result to every later reader.
+const (
+	slotEmpty uint32 = iota
+	slotFilling
+	slotReady
+)
+
 // invocation is one interned entry: its identity, a result slot per
-// configuration, and the sweep decisions made for it. gpusim.Model is a
-// struct of calibration floats, so keeping its value keeps two
-// differently calibrated simulators from ever sharing entries.
+// configuration, its probe counts, and the sweep decisions made for it.
+// gpusim.Model is a struct of calibration floats, so keeping its value
+// keeps two differently calibrated simulators from ever sharing entries.
 type invocation struct {
-	model  gpusim.Model
-	kernel kernelKey
-	slots  []atomic.Pointer[gpusim.Result] // by hw.Config.Index; first store wins
+	model   gpusim.Model
+	kernel  kernelKey
+	results []gpusim.Result // by hw.Config.Index; readable once state is slotReady
+	state   []atomic.Uint32 // by hw.Config.Index; the slot's state
+
+	// The entry's share of Cache.Stats and Cache.Len. Kept per entry, so
+	// workers sweeping different kernels count on different cache lines.
+	hits, misses, stored atomic.Uint64
 
 	mu        sync.Mutex                 // serializes decision stores
 	decisions atomic.Pointer[[]decision] // never nil; copy-on-write, read without locking
@@ -135,17 +160,18 @@ type shard struct {
 //
 // A lookup hashes only the kernel name and phase, then compares the
 // full key; a sweep resolves its entry once through Prepare, after which
-// each probe is one index and one atomic load — cheaper than the
-// simulation it replaces. Configurations off the legal grid have no slot
-// and are simulated unstored. A decision entry replaces an entire
-// 448-point sweep (simulation, power rails, and pool scheduling) with
-// one lookup, which is where the repeat-invocation speedup comes from.
+// each probe is one index, one atomic load of the slot's state and a
+// copy of its result — cheaper than the simulation it replaces.
+// Configurations off the legal grid have no slot and are simulated
+// unstored. A decision entry replaces an entire 448-point sweep
+// (simulation, power rails, and pool scheduling) with one lookup, which
+// is where the repeat-invocation speedup comes from.
 type Cache struct {
 	shards [shardCount]shard
 
-	hits   atomic.Uint64
+	// misses counts the probes that found no entry or no slot; every
+	// other probe is counted by its entry.
 	misses atomic.Uint64
-	stored atomic.Int64
 
 	decHits   atomic.Uint64
 	decMisses atomic.Uint64
@@ -176,7 +202,11 @@ func (c *Cache) entry(m *gpusim.Model, k *workloads.Kernel, iter int) *invocatio
 	if sh.m == nil {
 		sh.m = make(map[uint64][]*invocation)
 	}
-	e = &invocation{model: *m, kernel: kk, slots: make([]atomic.Pointer[gpusim.Result], hw.NumConfigs())}
+	e = &invocation{
+		model: *m, kernel: kk,
+		results: make([]gpusim.Result, hw.NumConfigs()),
+		state:   make([]atomic.Uint32, hw.NumConfigs()),
+	}
 	e.decisions.Store(new([]decision))
 	sh.m[h] = append(sh.m[h], e)
 	return e
@@ -193,25 +223,29 @@ func (sh *shard) find(h uint64, m *gpusim.Model, kk *kernelKey) *invocation {
 }
 
 // probe returns e's result at cfg, simulating it with run on a miss.
-// Without an entry or a slot for cfg the result is simulated unstored;
-// when concurrent misses race on a slot the first store wins (the
-// results are identical).
+// Without an entry or a slot for cfg the result is simulated unstored.
+// The first prober to claim an empty slot stores its result; a prober
+// that finds the slot being filled simulates the same pure result and
+// returns it unstored.
 func (c *Cache) probe(e *invocation, cfg hw.Config, run func(hw.Config) gpusim.Result) (gpusim.Result, bool) {
 	i, ok := cfg.Index()
 	if !ok || e == nil {
 		c.misses.Add(1)
 		return run(cfg), false
 	}
-	if r := e.slots[i].Load(); r != nil {
-		c.hits.Add(1)
-		return *r, true
+	st := &e.state[i]
+	if st.Load() == slotReady {
+		e.hits.Add(1)
+		return e.results[i], true
 	}
-	c.misses.Add(1)
-	r := run(cfg)
-	if e.slots[i].CompareAndSwap(nil, &r) {
-		c.stored.Add(1)
+	e.misses.Add(1)
+	if !st.CompareAndSwap(slotEmpty, slotFilling) {
+		return run(cfg), false
 	}
-	return r, false
+	e.results[i] = run(cfg)
+	st.Store(slotReady)
+	e.stored.Add(1)
+	return e.results[i], false
 }
 
 // Run returns the memoized result of m.Run(k, iter, cfg), simulating
@@ -290,10 +324,15 @@ func (c *Cache) StoreDecision(m *gpusim.Model, pow power.Params, k *workloads.Ke
 	e.decisions.Store(&ds)
 }
 
-// Stats reports the lifetime hit and miss counts. Every miss is one
-// simulation.
+// Stats reports the lifetime hit and miss counts, summed over the
+// entries. Every miss is one simulation.
 func (c *Cache) Stats() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
+	misses = c.misses.Load()
+	c.each(func(e *invocation) {
+		hits += e.hits.Load()
+		misses += e.misses.Load()
+	})
+	return hits, misses
 }
 
 // DecisionStats reports the lifetime decision-memo hit and miss counts.
@@ -302,7 +341,25 @@ func (c *Cache) DecisionStats() (hits, misses uint64) {
 }
 
 // Len returns the number of distinct memoized results.
-func (c *Cache) Len() int { return int(c.stored.Load()) }
+func (c *Cache) Len() int {
+	n := uint64(0)
+	c.each(func(e *invocation) { n += e.stored.Load() })
+	return int(n)
+}
+
+// each calls f on every entry, one shard at a time under its read lock.
+func (c *Cache) each(f func(*invocation)) {
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.RLock()
+		for _, bucket := range sh.m {
+			for _, e := range bucket {
+				f(e)
+			}
+		}
+		sh.mu.RUnlock()
+	}
+}
 
 // Cached binds a model to a cache as a gpusim.Runner, the form the
 // session, oracle, and sensitivity layers consume. A nil cache degrades

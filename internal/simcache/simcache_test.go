@@ -225,8 +225,11 @@ func TestNaNKeyIsNotInterned(t *testing.T) {
 }
 
 // TestConcurrentSlotFill: goroutines racing to fill overlapping slots
-// store each result once (the first store wins) and all read the
-// model's result. Run under -race.
+// store each result once (the first claimant stores it) and all read the
+// model's result, whether a probe finds the slot empty, being filled or
+// ready. Half the goroutines fill through Prepare, the other half read
+// through RunHit, so by-value slots are written and read concurrently.
+// Run under -race.
 func TestConcurrentSlotFill(t *testing.T) {
 	m := gpusim.Default()
 	c := New()
@@ -240,12 +243,21 @@ func TestConcurrentSlotFill(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for _, k := range kernels {
-				eval := Cached{Model: m, Cache: c}.Prepare(k, g%iters)
+				iter := g % iters
+				// Goroutines 0, 1, 4 and 5 fill through Prepare; 2, 3, 6
+				// and 7 read the same iterations through RunHit.
+				eval := func(cfg hw.Config) gpusim.Result {
+					r, _ := c.RunHit(m, k, iter, cfg)
+					return r
+				}
+				if g/iters%2 == 0 {
+					eval = Cached{Model: m, Cache: c}.Prepare(k, iter)
+				}
 				// Each goroutine covers half the space, offset so that
 				// every slot is contended by several of them.
 				for i := 0; i < len(space)/2; i++ {
 					cfg := space[(i+g*len(space)/goroutines)%len(space)]
-					if eval(cfg) != m.Run(k, g%iters, cfg) {
+					if eval(cfg) != m.Run(k, iter, cfg) {
 						bad.Do(func() { t.Errorf("kernel %s: concurrent fill diverged at %v", k.Name, cfg) })
 					}
 				}

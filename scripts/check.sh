@@ -6,12 +6,12 @@
 # in both formats, the tracing inertness gates, and the debug mux), the
 # hot-path equivalence gates (golden float bits across the gpusim
 # invariant hoisting and the trained predictor, the column regression
-# kernel against its row-by-row reference, budgeted nested
-# parallelism vs serial, allocation-free sweeps, the oracle sweep's
-# allocation ceiling and a warm controller run's allocated bytes), and a
-# bounded chaos-soak of the resilience layer
-# (make soak). Timing lives in the layered benchmark, perfbench (make
-# bench).
+# kernel against its row-by-row reference, budgeted nested parallelism
+# vs serial, allocation-free sweeps, the oracle sweep's and the cold
+# training sweep's allocation ceilings and a warm controller run's
+# allocated bytes), a repeated race pass over the memo's result slots,
+# and a bounded chaos-soak of the resilience layer (make soak). Timing
+# lives in the layered benchmark, perfbench (make bench).
 set -eux
 cd "$(dirname "$0")/.."
 unformatted="$(gofmt -l .)"
@@ -37,6 +37,9 @@ fi
 # default 10m per-binary alarm under the race detector.
 go test -race -timeout 30m ./...
 go test -race -count=1 ./internal/serve/... ./internal/telemetry/...
+# The memo's by-value result slots under concurrent fillers and readers,
+# repeated so that the empty/filling/ready interleavings get exercised.
+go test -race -count=10 -run 'TestConcurrentSlotFill|TestConcurrentMixedSweep' ./internal/simcache/
 # Observability smoke: spans endpoint round-trips (native + chrome),
 # request/trace correlation, tracing inertness, the pinned span trees,
 # the traced run's allocations per kernel boundary, and the
@@ -50,14 +53,15 @@ go test -count=1 -run 'TestTimelineRunBitIdentical|TestSameSeedTimelinesByteIden
 # Hot-path equivalence gates: the hoisted gpusim invariants and the
 # trained predictor must stay bit-exact against their embedded golden
 # float bits, the column least-squares kernel must match the row-by-row
-# reference bit for bit, budgeted nested
+# reference bit for bit, the cold training sweep must stay under its
+# allocation ceiling, budgeted nested
 # parallelism must reproduce the serial pipeline byte for byte, the
 # pooled sweep scratch must stay allocation-free at steady state, a
 # fresh oracle's uncached sweeps must stay under their allocation
 # ceiling, and a warm Harmonia run must stay under its allocated-bytes
 # ceiling.
 go test -count=1 -run 'TestGoldenBits' ./internal/gpusim/
-go test -count=1 -run 'TestTrainedPredictorGoldenBits' ./internal/sensitivity/
+go test -count=1 -run 'TestTrainedPredictorGoldenBits|TestColdTrainingSweepAllocs' ./internal/sensitivity/
 go test -count=1 -run 'TestFitManyMatchesRowReference' ./internal/regress/
 go test -count=1 -run 'TestBudgetedNestedSweepBitIdentical|TestEnvBudgetSplitSuiteBitIdentical|TestUncachedOracleSweepAllocs|TestControllerRunAllocBytes' .
 go test -count=1 -run 'TestMinAllocationFree' ./internal/sweep/

@@ -2,9 +2,12 @@ GO ?= go
 
 .PHONY: check build vet test race bench fuzz serve fmt-check lint soak
 
-# The full pre-commit gate: formatting, build, vet, the domain linters,
-# and the test suite under the race detector.
-check: fmt-check build vet lint race
+# The full pre-commit gate is scripts/check.sh: formatting, build, vet,
+# the domain linters against their time budget, the test suite under the
+# race detector, the focused race passes, the observability smoke, the
+# hot-path gates and a bounded chaos soak.
+check:
+	sh scripts/check.sh
 
 fmt-check:
 	@unformatted="$$(gofmt -l .)"; \

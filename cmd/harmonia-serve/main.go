@@ -6,10 +6,16 @@
 // Usage:
 //
 //	harmonia-serve [-addr :8792] [-workers N] [-run-ttl 1h] [-max-runs 4096]
-//	               [-pretrain] [-simcache] [-journal wal.jsonl]
+//	               [-pretrain] [-journal wal.jsonl] [-queue-depth 0]
 //	               [-request-timeout 0] [-drain-timeout 30s]
 //	               [-rate 0] [-burst 0] [-breaker-threshold 5]
-//	               [-debug-addr localhost:8793]
+//	               [-breaker-cooldown 10s] [-http-timeout 1m]
+//	               [-quality-samples 8] [-debug-addr localhost:8793]
+//
+// Simulation results are always memoized across served runs (the memo
+// is bit-identical to re-simulating; fault-injected runs bypass it).
+// All logging goes to stderr: the daemon's own lines and the service's
+// structured request, run and error lines.
 //
 // Endpoints:
 //
@@ -38,8 +44,10 @@
 // runs get -drain-timeout to finish before being canceled at their next
 // kernel boundary. With -journal, every submission and outcome is
 // write-ahead logged; a restarted daemon replays the journal, restores
-// finished runs bit-exactly, quarantines interrupted standalone runs,
-// and re-executes unfinished batch cells.
+// finished runs bit-exactly under the policy name they were served
+// with, quarantines interrupted standalone runs, and re-executes
+// unfinished batch cells through the same validation a POST gets (a
+// cell POST would refuse finishes failed instead).
 //
 // Example:
 //
@@ -70,7 +78,6 @@ func main() {
 		runTTL   = flag.Duration("run-ttl", time.Hour, "how long finished runs stay pollable (negative = forever)")
 		maxRuns  = flag.Int("max-runs", 4096, "cap on retained run records (negative = unbounded)")
 		pretrain = flag.Bool("pretrain", true, "train the sensitivity predictor at startup instead of on the first harmonia request")
-		simcache = flag.Bool("simcache", true, "memoize simulation results across served runs (bit-identical; fault-injected runs always bypass it)")
 
 		journalPath = flag.String("journal", "", "write-ahead journal path for checkpoint/resume (empty = no journal)")
 		queueDepth  = flag.Int("queue-depth", 0, "admission bound on queued+executing runs; beyond it submissions get 429 (0 = 1024 + 4x workers)")
@@ -89,11 +96,7 @@ func main() {
 	logger := log.New(os.Stderr, "harmonia-serve ", log.LstdFlags|log.LUTC)
 
 	reg := harmonia.NewTelemetry()
-	sysOpts := []harmonia.Option{harmonia.WithTelemetry(reg)}
-	if *simcache {
-		sysOpts = append(sysOpts, harmonia.WithSimCache())
-	}
-	sys := harmonia.NewSystem(sysOpts...)
+	sys := harmonia.NewSystem(harmonia.WithTelemetry(reg), harmonia.WithSimCache())
 	if *pretrain {
 		t0 := time.Now()
 		if _, err := sys.TrainedPredictor(); err != nil {

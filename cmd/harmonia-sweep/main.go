@@ -2,10 +2,12 @@
 // kernel: it simulates every compute/memory configuration, prints the
 // balance curves of the paper's Figure 3, and reports the best
 // configuration under each objective (performance, energy, ED²).
+// Simulation results are always memoized; the memo is bit-identical to
+// re-simulating and the fixed suite bounds its size.
 //
 // Usage:
 //
-//	harmonia-sweep -kernel LUD.Internal [-curves] [-workers N] [-cache=false]
+//	harmonia-sweep -kernel LUD.Internal [-curves] [-workers N]
 //	harmonia-sweep -faults [-fault-seed 42] [-fault-intensities 0,0.25,0.5,1]
 package main
 
@@ -33,7 +35,6 @@ func main() {
 		curves      = flag.Bool("curves", false, "print every balance-curve point")
 		list        = flag.Bool("list", false, "list available kernels and exit")
 		workers     = flag.Int("workers", 0, "parallel sweep workers (0 = GOMAXPROCS, 1 = serial; results are identical either way)")
-		useCache    = flag.Bool("cache", true, "memoize simulation results across sweeps (bit-identical; -cache=false re-simulates everything)")
 		faultsSweep = flag.Bool("faults", false, "run the fault-injection robustness study instead of a kernel sweep")
 		faultSeed   = flag.Int64("fault-seed", 42, "fault-injection seed for -faults")
 		intensities = flag.String("fault-intensities", "", "comma-separated fault intensities for -faults (default 0,0.25,0.5,1)")
@@ -54,9 +55,6 @@ func main() {
 		}
 		env := experiments.NewEnv()
 		env.Workers = *workers
-		if !*useCache {
-			env.Cache = nil
-		}
 		// A robustness sweep runs the whole suite per intensity; an
 		// interrupt cancels at the next kernel boundary.
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -89,11 +87,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	var sysOpts []harmonia.Option
-	if *useCache {
-		sysOpts = append(sysOpts, harmonia.WithSimCache())
-	}
-	sys := harmonia.NewSystem(sysOpts...)
+	sys := harmonia.NewSystem(harmonia.WithSimCache())
 	lab := sys.Lab()
 	lab.Workers = *workers
 
@@ -126,7 +120,7 @@ func main() {
 	}
 	// Evaluate every configuration on the batch pool (input-order
 	// results, so the winner scan below is deterministic regardless of
-	// worker count), through the Lab's simulation memo when -cache is on.
+	// worker count), through the Lab's simulation memo.
 	space := hw.ConfigSpace()
 	runner := lab.Runner()
 	//lint:ignore errdrop the eval closure never errors and the background context is never canceled

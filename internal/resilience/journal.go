@@ -39,9 +39,12 @@ type Record struct {
 	T  string `json:"t"`
 	ID string `json:"id"`
 
-	// Submission fields (RecRun).
+	// Submission fields (RecRun). Policy is the request's policy name,
+	// the replayable form; Name is the resolved instance name the live
+	// run showed, e.g. "fixed:16CU@700MHz/mem@925MHz(178GB/s)".
 	App            string  `json:"app,omitempty"`
 	Policy         string  `json:"policy,omitempty"`
+	Name           string  `json:"name,omitempty"`
 	Config         string  `json:"config,omitempty"`
 	TDPWatts       float64 `json:"tdp_watts,omitempty"`
 	FaultSeed      int64   `json:"fault_seed,omitempty"`
@@ -67,6 +70,7 @@ type RunState struct {
 	ID             string
 	App            string
 	Policy         string
+	Name           string
 	Config         string
 	TDPWatts       float64
 	FaultSeed      int64
@@ -124,7 +128,7 @@ func (s *State) Apply(rec Record) {
 			return
 		}
 		s.Runs[rec.ID] = &RunState{
-			ID: rec.ID, App: rec.App, Policy: rec.Policy, Config: rec.Config,
+			ID: rec.ID, App: rec.App, Policy: rec.Policy, Name: rec.Name, Config: rec.Config,
 			TDPWatts: rec.TDPWatts, FaultSeed: rec.FaultSeed, FaultIntensity: rec.FaultIntensity,
 			Batch: rec.Batch,
 		}

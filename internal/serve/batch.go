@@ -1,15 +1,9 @@
 package serve
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
-
-	"harmonia"
 )
 
 // Batch aggregates one POST /v1/batch submission: the full app × policy
@@ -154,129 +148,54 @@ func (b *Batch) JSON() BatchJSON {
 	return out
 }
 
-// batchRegistry stores batch records with the same TTL-plus-cap
-// retention the run registry applies: finished batches are kept for TTL
-// so clients can poll the aggregate, oldest finished go first past the
-// cap, and in-flight batches are never evicted.
+// newBatch returns the store constructor of a batch over the given
+// cells. restored marks a journal replay; muted suppresses the onDone
+// callback of a replayed batch the journal already records as done.
+func newBatch(apps, policies []string, cells []*Run, restored, muted bool) func(string, int, time.Time) *Batch {
+	return func(id string, seq int, now time.Time) *Batch {
+		return &Batch{ID: id, seq: seq, apps: apps, policies: policies, cells: cells,
+			restored: restored, muted: muted, createdAt: now, done: make(chan struct{})}
+	}
+}
+
+func (b *Batch) order() int { return b.seq }
+
+// batchRegistry is the batch store plus each batch's completion watcher.
 type batchRegistry struct {
-	ttl time.Duration
-	max int
-	now func() time.Time
+	*store[*Batch]
 	// onDone, when non-nil, observes each batch reaching its terminal
 	// state (the server journals a batchdone record there).
 	onDone func(*Batch)
-
-	mu      sync.Mutex
-	batches map[string]*Batch
-	seq     int
 	// watchers tracks the per-batch watcher goroutines so shutdown can
 	// wait for all of them (the goroutine-leak gate).
 	watchers sync.WaitGroup
 }
 
 func newBatchRegistry(ttl time.Duration, max int, now func() time.Time) *batchRegistry {
-	return &batchRegistry{ttl: ttl, max: max, now: now, batches: make(map[string]*Batch)}
+	return &batchRegistry{store: newStore[*Batch]("batch", ttl, max, now)}
 }
 
 // create stores a batch over the given cells and starts its watcher.
 func (g *batchRegistry) create(apps, policies []string, cells []*Run) *Batch {
-	now := g.now()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.evictLocked(now)
-	g.seq++
-	b := &Batch{
-		ID:        fmt.Sprintf("batch-%06d", g.seq),
-		seq:       g.seq,
-		apps:      apps,
-		policies:  policies,
-		cells:     cells,
-		createdAt: now,
-		done:      make(chan struct{}),
-	}
-	g.batches[b.ID] = b
-	g.startWatcher(b)
-	return b
-}
-
-// restore re-inserts a replayed batch under its original journal ID,
-// advancing the sequence counter past it. A batch whose every cell is
-// already terminal completes immediately (watchers over closed Done
-// channels return at once); one with re-executed cells watches them
-// like a live batch.
-func (g *batchRegistry) restore(id string, apps, policies []string, cells []*Run, alreadyDone bool) *Batch {
-	now := g.now()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	seq := seqOf(id)
-	if seq > g.seq {
-		g.seq = seq
-	}
-	b := &Batch{
-		ID:        id,
-		seq:       seq,
-		apps:      apps,
-		policies:  policies,
-		cells:     cells,
-		restored:  true,
-		muted:     alreadyDone,
-		createdAt: now,
-		done:      make(chan struct{}),
-	}
-	g.batches[id] = b
-	g.startWatcher(b)
-	return b
+	return g.startWatcher(g.store.create(newBatch(apps, policies, cells, false, false)))
 }
 
 // startWatcher launches b's completion watcher under the registry's
-// WaitGroup. Callers hold g.mu.
-func (g *batchRegistry) startWatcher(b *Batch) {
+// WaitGroup and returns b. A restored batch whose every cell is already
+// terminal completes at once (its watcher ranges over closed Done
+// channels).
+func (g *batchRegistry) startWatcher(b *Batch) *Batch {
 	g.watchers.Add(1)
 	go func() {
 		defer g.watchers.Done()
 		b.watch(g.now, g.onDone)
 	}()
+	return b
 }
 
 // wait blocks until every watcher goroutine has exited (all batches
 // terminal). Only meaningful once no new batches can be created.
 func (g *batchRegistry) wait() { g.watchers.Wait() }
-
-func (g *batchRegistry) get(id string) (*Batch, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.evictLocked(g.now())
-	b, ok := g.batches[id]
-	return b, ok
-}
-
-// evictLocked mirrors registry.evictLocked for batches. Callers hold
-// g.mu.
-func (g *batchRegistry) evictLocked(now time.Time) {
-	if g.ttl > 0 {
-		cutoff := now.Add(-g.ttl)
-		for id, b := range g.batches {
-			if b.terminalSince(cutoff) {
-				delete(g.batches, id)
-			}
-		}
-	}
-	if g.max > 0 && len(g.batches) > g.max {
-		finished := make([]*Batch, 0, len(g.batches))
-		for _, b := range g.batches {
-			if b.terminalSince(now) {
-				finished = append(finished, b)
-			}
-		}
-		sort.Slice(finished, func(i, j int) bool { return finished[i].seq < finished[j].seq })
-		for _, b := range finished {
-			if len(g.batches) <= g.max {
-				break
-			}
-			delete(g.batches, b.ID)
-		}
-	}
-}
 
 // BatchRequest is the body of POST /v1/batch: the cross product of apps
 // and policies, each cell sharing the request's config, TDP, and fault
@@ -307,11 +226,9 @@ const maxBatchCells = 1024
 
 // handleCreateBatch is POST /v1/batch.
 func (s *Server) handleCreateBatch(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
 	var req BatchRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := decodeBody(r, &req); err != nil {
+		writeErr(w, err)
 		return
 	}
 	if len(req.Apps) == 0 || len(req.Policies) == 0 {
@@ -322,86 +239,52 @@ func (s *Server) handleCreateBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "batch of %d cells exceeds the %d-cell limit", n, maxBatchCells)
 		return
 	}
-	if req.FaultIntensity < 0 || req.FaultIntensity > 1 {
-		writeError(w, http.StatusBadRequest, "fault_intensity must be in [0, 1], got %g", req.FaultIntensity)
-		return
-	}
 
-	// Validate the whole matrix before creating anything: one bad cell
-	// rejects the batch with nothing scheduled. Policies are stateful,
-	// so each cell gets its own instance.
-	type cell struct {
-		app *harmonia.Application
-		pol harmonia.Policy
-	}
-	cells := make([]cell, 0, len(req.Apps)*len(req.Policies))
-	for _, appName := range req.Apps {
-		app := harmonia.App(appName)
-		if app == nil {
-			writeError(w, http.StatusBadRequest, "unknown app %q (GET /v1/apps lists the suite)", appName)
-			return
-		}
-		for _, polName := range req.Policies {
-			rr := RunRequest{App: appName, Policy: polName, Config: req.Config, TDPWatts: req.TDPWatts}
-			pol, msg, err := s.buildPolicy(&rr, app)
+	// Resolve the whole matrix before creating anything: one bad cell
+	// rejects the batch with nothing scheduled.
+	jobs := make([]*job, 0, len(req.Apps)*len(req.Policies))
+	for _, app := range req.Apps {
+		for _, pol := range req.Policies {
+			j, err := s.resolve(&RunRequest{App: app, Policy: pol, Config: req.Config, TDPWatts: req.TDPWatts,
+				FaultIntensity: req.FaultIntensity, FaultSeed: req.FaultSeed})
 			if err != nil {
 				writeErr(w, err)
 				return
 			}
-			if msg != "" {
-				writeError(w, http.StatusBadRequest, "%s", msg)
-				return
-			}
-			cells = append(cells, cell{app: app, pol: pol})
+			jobs = append(jobs, j)
 		}
 	}
-
-	var opts []harmonia.RunOption
-	if req.FaultIntensity > 0 {
-		opts = append(opts, harmonia.RunWithFaults(harmonia.FaultProfile(req.FaultSeed, req.FaultIntensity)))
-	}
 	wait := req.Wait == nil || *req.Wait
-	jobCtx := s.baseCtx
-	if wait {
-		jobCtx = r.Context()
-	}
 
 	// Admission is all-or-nothing: the whole matrix gets slots or the
 	// batch is shed with nothing scheduled.
-	probe, shed := s.admit(len(cells))
+	probe, shed := s.admit(len(jobs))
 	if shed != nil {
 		s.writeShed(w, shed)
 		return
 	}
 	var b *Batch
-	runs := make([]*Run, len(cells))
-	cellOpts := make([][]harmonia.RunOption, len(cells))
 	func() {
 		// admit left the drain read-lock held; release it only after the
 		// enqueues so shutdown cannot drain between reservation and send.
 		defer s.admitted()
-		for i, c := range cells {
-			runs[i] = s.reg.create(c.app.Name, c.pol.Name())
-			// Full-slice append: each cell must get its own recorders
-			// without cells sharing (and clobbering) one backing array.
-			cellOpts[i] = append(opts[:len(opts):len(opts)], s.attachRecorders(r, runs[i])...)
+		runs := make([]*Run, len(jobs))
+		for i, j := range jobs {
+			runs[i] = s.reg.create(j.app.Name, j.pol.Name())
+			s.bind(j, runs[i], r, wait)
 		}
 		s.retained.Set(float64(s.reg.size()))
 		b = s.batches.create(req.Apps, req.Policies, runs)
 		s.batchesTotal.Inc()
-		s.batchCells.Add(float64(len(cells)))
+		s.batchCells.Add(float64(len(jobs)))
 
 		// Journal the batch before its cells so replay never sees a cell
 		// pointing at an unknown batch, and enqueue after the records
 		// exist so a poller never sees a dangling ID. Admitted enqueues
 		// cannot block or fail.
-		s.journalBatch(b, &req, runs)
-		for i, c := range cells {
-			rr := RunRequest{App: c.app.Name, Policy: req.Policies[i%len(req.Policies)],
-				Config: req.Config, TDPWatts: req.TDPWatts,
-				FaultSeed: req.FaultSeed, FaultIntensity: req.FaultIntensity}
-			s.journalSubmit(runs[i].ID, c.app.Name, &rr, b.ID)
-			j := s.newJob(jobCtx, runs[i], c.app, c.pol, cellOpts[i])
+		s.journalBatch(b)
+		for i, j := range jobs {
+			s.journalSubmit(j, b.ID)
 			// The matrix shares one admission; its first cell carries the
 			// half-open probe slot if this submission was granted it.
 			j.probe = probe && i == 0

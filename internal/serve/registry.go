@@ -2,7 +2,7 @@ package serve
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -248,57 +248,64 @@ func (r *Run) JSON() RunJSON {
 	return out
 }
 
-// registry is the in-memory run store with TTL-based retention,
-// modelled on a production exporter's retention manager: finished runs
-// are kept for TTL so clients can poll results, then evicted; a hard
-// cap bounds memory under bursts (oldest finished runs go first;
-// in-flight runs are never evicted).
-type registry struct {
-	ttl time.Duration
-	max int
-	now func() time.Time
+// record is what a store retains: a run or a batch.
+type record interface {
+	// order is the record's creation sequence number.
+	order() int
+	terminalSince(cutoff time.Time) bool
+}
+
+func (r *Run) order() int { return r.seq }
+
+// store is the in-memory retention store runs and batches share,
+// modelled on a production exporter's retention manager: finished
+// records are kept for TTL so clients can poll them, then evicted; a
+// hard cap bounds memory under bursts (oldest finished first, by
+// creation order; in-flight records are never evicted).
+type store[R record] struct {
+	prefix string
+	ttl    time.Duration
+	max    int
+	now    func() time.Time
 	// onEvict, when non-nil, observes how many records each eviction
 	// pass dropped (feeds the retention counter on /metrics).
 	onEvict func(n int)
 
 	mu   sync.Mutex
-	runs map[string]*Run
+	recs map[string]R
 	seq  int
 }
 
-// newRegistry returns an empty registry. ttl <= 0 means keep forever
-// (until the cap); max <= 0 means unbounded.
-func newRegistry(ttl time.Duration, max int, now func() time.Time) *registry {
-	return &registry{ttl: ttl, max: max, now: now, runs: make(map[string]*Run)}
+// newStore returns an empty store minting IDs as prefix-000001. ttl <= 0
+// means keep forever (until the cap); max <= 0 means unbounded.
+func newStore[R record](prefix string, ttl time.Duration, max int, now func() time.Time) *store[R] {
+	return &store[R]{prefix: prefix, ttl: ttl, max: max, now: now, recs: make(map[string]R)}
 }
 
-// create allocates a run record with a fresh sequential ID and stores
-// it, evicting expired runs first.
-func (g *registry) create(app, policy string) *Run {
+// create stores the record mk builds under a fresh sequential ID,
+// evicting expired records first.
+func (g *store[R]) create(mk func(id string, seq int, now time.Time) R) R {
 	now := g.now()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.evictLocked(now)
 	g.seq++
-	run := newRun(fmt.Sprintf("run-%06d", g.seq), g.seq, app, policy, now)
-	g.runs[run.ID] = run
-	return run
+	id := fmt.Sprintf("%s-%06d", g.prefix, g.seq)
+	g.recs[id] = mk(id, g.seq, now)
+	return g.recs[id]
 }
 
-// restore re-inserts a run under its original journal ID and advances
-// the sequence counter past it, so IDs minted after a replay never
-// collide with replayed ones.
-func (g *registry) restore(id, app, policy string) *Run {
+// restore stores the record mk builds under its original journal ID and
+// advances the sequence counter past it, so IDs minted after a replay
+// never collide with replayed ones.
+func (g *store[R]) restore(id string, mk func(id string, seq int, now time.Time) R) R {
 	now := g.now()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	seq := seqOf(id)
-	if seq > g.seq {
-		g.seq = seq
-	}
-	run := newRun(id, seq, app, policy, now)
-	g.runs[id] = run
-	return run
+	g.seq = max(g.seq, seq)
+	g.recs[id] = mk(id, seq, now)
+	return g.recs[id]
 }
 
 // seqOf extracts the numeric sequence from an "x-000123" style ID, or 0.
@@ -314,64 +321,82 @@ func seqOf(id string) int {
 	return n
 }
 
-// get returns the run by ID.
-func (g *registry) get(id string) (*Run, bool) {
+// get returns the record by ID.
+func (g *store[R]) get(id string) (R, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.evictLocked(g.now())
-	run, ok := g.runs[id]
-	return run, ok
+	rec, ok := g.recs[id]
+	return rec, ok
 }
 
-// list returns every retained run, newest first.
-func (g *registry) list() []*Run {
+// list returns every retained record, newest first.
+func (g *store[R]) list() []R {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.evictLocked(g.now())
-	out := make([]*Run, 0, len(g.runs))
-	for _, run := range g.runs {
-		out = append(out, run)
+	out := make([]R, 0, len(g.recs))
+	for _, rec := range g.recs {
+		out = append(out, rec)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq > out[j].seq })
+	slices.SortFunc(out, func(a, b R) int { return b.order() - a.order() })
 	return out
 }
 
-// size returns the number of retained runs.
-func (g *registry) size() int {
+// size returns the number of retained records.
+func (g *store[R]) size() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return len(g.runs)
+	return len(g.recs)
 }
 
-// evictLocked drops finished runs older than TTL, then — if the store
-// still exceeds the cap — the oldest finished runs beyond it. Callers
-// hold g.mu.
-func (g *registry) evictLocked(now time.Time) {
-	before := len(g.runs)
+// evictLocked drops finished records older than TTL, then — if the
+// store still exceeds the cap — the oldest finished records beyond it.
+// Callers hold g.mu.
+func (g *store[R]) evictLocked(now time.Time) {
+	before := len(g.recs)
 	if g.ttl > 0 {
 		cutoff := now.Add(-g.ttl)
-		for id, run := range g.runs {
-			if run.terminalSince(cutoff) {
-				delete(g.runs, id)
+		for id, rec := range g.recs {
+			if rec.terminalSince(cutoff) {
+				delete(g.recs, id)
 			}
 		}
 	}
-	if g.max > 0 && len(g.runs) > g.max {
-		finished := make([]*Run, 0, len(g.runs))
-		for _, run := range g.runs {
-			if run.terminalSince(now) {
-				finished = append(finished, run)
+	if g.max > 0 && len(g.recs) > g.max {
+		// A store at its cap runs this on every create and read, so it
+		// sorts (seq, ID) pairs rather than calling into each record.
+		type aged struct {
+			seq int
+			id  string
+		}
+		finished := make([]aged, 0, len(g.recs))
+		for id, rec := range g.recs {
+			if rec.terminalSince(now) {
+				finished = append(finished, aged{rec.order(), id})
 			}
 		}
-		sort.Slice(finished, func(i, j int) bool { return finished[i].seq < finished[j].seq })
-		for _, run := range finished {
-			if len(g.runs) <= g.max {
+		slices.SortFunc(finished, func(a, b aged) int { return a.seq - b.seq })
+		for _, f := range finished {
+			if len(g.recs) <= g.max {
 				break
 			}
-			delete(g.runs, run.ID)
+			delete(g.recs, f.id)
 		}
 	}
-	if n := before - len(g.runs); n > 0 && g.onEvict != nil {
+	if n := before - len(g.recs); n > 0 && g.onEvict != nil {
 		g.onEvict(n)
 	}
+}
+
+// registry is the run store.
+type registry struct{ *store[*Run] }
+
+func newRegistry(ttl time.Duration, max int, now func() time.Time) *registry {
+	return &registry{newStore[*Run]("run", ttl, max, now)}
+}
+
+// create stores a queued run record under a fresh sequential ID.
+func (g *registry) create(app, policy string) *Run {
+	return g.store.create(func(id string, seq int, now time.Time) *Run { return newRun(id, seq, app, policy, now) })
 }

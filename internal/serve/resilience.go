@@ -1,17 +1,17 @@
 // Journal wiring and crash recovery for the serve layer: every
 // submission and outcome is appended to the optional write-ahead
-// journal, and replay folds a previous process's journal back into live
-// registry state — terminal runs restored with their recorded numbers,
-// interrupted standalone runs quarantined, and unfinished batch cells
-// re-executed under their recorded settings.
+// journal, and replay folds a previous process's journal back into the
+// live stores — terminal runs restored with their recorded numbers and
+// policy names, interrupted standalone runs quarantined, and unfinished
+// batch cells re-executed under their recorded settings through the
+// resolver POST uses.
 
 package serve
 
 import (
 	"errors"
-	"fmt"
+	"time"
 
-	"harmonia"
 	"harmonia/internal/resilience"
 )
 
@@ -23,33 +23,35 @@ func (s *Server) journalAppend(rec resilience.Record) {
 		return
 	}
 	if err := s.journal.Append(rec); err != nil {
-		s.log.Printf("journal append t=%s id=%s error=%q", rec.T, rec.ID, err)
+		s.slog.Error("journal append", "t", rec.T, "id", rec.ID, "error", err.Error())
 		return
 	}
 	s.journalRecords.Inc()
 }
 
-// journalSubmit records a run submission with everything replay needs
-// to re-execute it. Policy is the request's policy name (the replayable
-// form), not the resolved instance name.
-func (s *Server) journalSubmit(id, app string, req *RunRequest, batch string) {
+// journalSubmit records a bound job's submission with everything replay
+// needs to re-execute it: the request it was resolved from (Policy is
+// the request's policy name, the replayable form) and the resolved
+// instance name the run record shows.
+func (s *Server) journalSubmit(j *job, batch string) {
 	s.journalAppend(resilience.Record{
-		T: resilience.RecRun, ID: id, App: app, Policy: req.Policy,
-		Config: req.Config, TDPWatts: req.TDPWatts,
-		FaultSeed: req.FaultSeed, FaultIntensity: req.FaultIntensity,
+		T: resilience.RecRun, ID: j.run.ID, App: j.req.App,
+		Policy: j.req.Policy, Name: j.pol.Name(),
+		Config: j.req.Config, TDPWatts: j.req.TDPWatts,
+		FaultSeed: j.req.FaultSeed, FaultIntensity: j.req.FaultIntensity,
 		Batch: batch,
 	})
 }
 
 // journalBatch records a batch submission and its cell run IDs.
-func (s *Server) journalBatch(b *Batch, req *BatchRequest, runs []*Run) {
-	ids := make([]string, len(runs))
-	for i, run := range runs {
+func (s *Server) journalBatch(b *Batch) {
+	ids := make([]string, len(b.cells))
+	for i, run := range b.cells {
 		ids[i] = run.ID
 	}
 	s.journalAppend(resilience.Record{
 		T: resilience.RecBatch, ID: b.ID,
-		Apps: req.Apps, Policies: req.Policies, Runs: ids,
+		Apps: b.apps, Policies: b.policies, Runs: ids,
 	})
 }
 
@@ -78,19 +80,28 @@ func (s *Server) journalOutcome(run *Run) {
 }
 
 // replay folds a previous process's journal state into the live
-// registries. Runs with recorded outcomes are restored as terminal
-// records (done runs keep their bit-exact headline numbers). Standalone
-// runs the crash interrupted are quarantined as "interrupted" — their
-// submitter is gone, so re-executing would burn capacity no one polls.
-// Unfinished batch cells ARE re-executed, under their recorded policy,
-// config, and fault seed: batches are pollable by ID, so the restarted
-// daemon finishes the matrix as if never interrupted. Batch records are
-// rebuilt over their (restored or re-executing) cells.
+// stores. Every run is restored under its journal ID and the policy
+// name the live run showed. Runs with recorded outcomes are restored as
+// terminal records (done runs keep their bit-exact headline numbers).
+// Standalone runs the crash interrupted are quarantined as
+// "interrupted" — their submitter is gone, so re-executing would burn
+// capacity no one polls. Unfinished batch cells ARE re-executed, under
+// their recorded policy, config, and fault seed, through the same
+// resolve a POST takes: batches are pollable by ID, so the restarted
+// daemon finishes the matrix as if never interrupted, and a cell POST
+// would refuse fails instead. Batch records are rebuilt over their
+// (restored or re-executing) cells.
 func (s *Server) replay(st *resilience.State) {
 	var resub []*job
 	for _, id := range st.RunOrder {
 		rs := st.Runs[id]
-		run := s.reg.restore(rs.ID, rs.App, rs.Policy)
+		name := rs.Name
+		if name == "" { // a journal written before Record.Name existed
+			name = rs.Policy
+		}
+		run := s.reg.restore(rs.ID, func(id string, seq int, now time.Time) *Run {
+			return newRun(id, seq, rs.App, name, now)
+		})
 		switch {
 		case rs.Status == "done":
 			run.finishRestored(StatusDone, "",
@@ -104,13 +115,19 @@ func (s *Server) replay(st *resilience.State) {
 			s.journalOutcome(run)
 			s.journalReplayed.With("interrupted").Inc()
 		default:
-			j, err := s.rebuildJob(rs, run)
+			j, err := s.resolve(&RunRequest{App: rs.App, Policy: rs.Policy, Config: rs.Config,
+				TDPWatts: rs.TDPWatts, FaultSeed: rs.FaultSeed, FaultIntensity: rs.FaultIntensity})
 			if err != nil {
 				run.finishRestored(StatusFailed, "replaying from journal: "+err.Error(), nil, s.now())
 				s.journalOutcome(run)
 				s.journalReplayed.With("interrupted").Inc()
 				continue
 			}
+			// A replayed re-execution records fresh recorders: the flight
+			// recorder is a pure function of the run's inputs, so the
+			// replay's timeline is byte-identical to the one the crashed
+			// process lost.
+			s.bind(j, run, nil, false)
 			resub = append(resub, j)
 			s.journalReplayed.With("resubmitted").Inc()
 		}
@@ -125,7 +142,7 @@ func (s *Server) replay(st *resilience.State) {
 				cells = append(cells, run)
 			}
 		}
-		s.batches.restore(bs.ID, bs.Apps, bs.Policies, cells, bs.Done)
+		s.batches.startWatcher(s.batches.restore(bs.ID, newBatch(bs.Apps, bs.Policies, cells, true, bs.Done)))
 	}
 	s.retained.Set(float64(s.reg.size()))
 	if len(resub) == 0 {
@@ -138,7 +155,7 @@ func (s *Server) replay(st *resilience.State) {
 	s.runsWG.Add(len(resub))
 	s.pending.Add(int64(len(resub)))
 	s.inflight.Add(float64(len(resub)))
-	s.log.Printf("journal replay: re-executing %d unfinished batch cells", len(resub))
+	s.slog.Info("journal replay", "resubmitted_cells", len(resub))
 	go func() {
 		for _, j := range resub {
 			select {
@@ -150,31 +167,4 @@ func (s *Server) replay(st *resilience.State) {
 			}
 		}
 	}()
-}
-
-// rebuildJob reconstructs an executable job from a journaled
-// submission: resolve the app, rebuild a fresh policy instance from the
-// recorded request fields, and re-arm the recorded fault profile.
-func (s *Server) rebuildJob(rs *resilience.RunState, run *Run) (*job, error) {
-	app := harmonia.App(rs.App)
-	if app == nil {
-		return nil, fmt.Errorf("unknown app %q", rs.App)
-	}
-	req := RunRequest{App: rs.App, Policy: rs.Policy, Config: rs.Config, TDPWatts: rs.TDPWatts}
-	pol, msg, err := s.buildPolicy(&req, app)
-	if err != nil {
-		return nil, err
-	}
-	if msg != "" {
-		return nil, errors.New(msg)
-	}
-	var opts []harmonia.RunOption
-	if rs.FaultIntensity > 0 {
-		opts = append(opts, harmonia.RunWithFaults(harmonia.FaultProfile(rs.FaultSeed, rs.FaultIntensity)))
-	}
-	// A replayed re-execution records fresh recorders: the flight
-	// recorder is a pure function of the run's inputs, so the replay's
-	// timeline is byte-identical to the one the crashed process lost.
-	opts = append(opts, s.attachRecorders(nil, run)...)
-	return s.newJob(s.baseCtx, run, app, pol, opts), nil
 }

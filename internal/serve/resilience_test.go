@@ -373,6 +373,9 @@ func TestCrashRestartReplayByteIdentical(t *testing.T) {
 	}
 	for i, cell := range resumed.Cells {
 		want := ref.Cells[i]
+		if cell.Policy != want.Policy {
+			t.Errorf("cell %d policy = %q, want the live run's %q", i, cell.Policy, want.Policy)
+		}
 		if cell.RunID != want.RunID || cell.App != want.App || cell.Status != StatusDone {
 			t.Errorf("cell %d = %s/%s/%s, want %s/%s/done", i, cell.RunID, cell.App, cell.Status, want.RunID, want.App)
 			continue
@@ -449,6 +452,69 @@ func TestInterruptedStandaloneRunQuarantined(t *testing.T) {
 	}
 	if rs := st2.Runs["run-000007"]; rs == nil || rs.Status != StatusInterrupted {
 		t.Errorf("second restart sees %+v, want journaled interrupted outcome", st2.Runs["run-000007"])
+	}
+}
+
+// TestReplayRefusesWhatPostRefuses: replay resolves an unfinished batch
+// cell through the same path POST takes, so a journaled cell that POST
+// answers 400 (fault_intensity 2) finishes failed with that message
+// instead of running, and the restart journals the outcome.
+func TestReplayRefusesWhatPostRefuses(t *testing.T) {
+	dir := t.TempDir()
+	wal := filepath.Join(dir, "wal.jsonl")
+	seed := `{"t":"batch","id":"batch-000001","apps":["SRAD"],"policies":["baseline"],"runs":["run-000001"]}` + "\n" +
+		`{"t":"run","id":"run-000001","app":"SRAD","policy":"baseline","fault_intensity":2,"batch":"batch-000001"}` + "\n"
+	if err := os.WriteFile(wal, []byte(seed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, st, err := resilience.OpenJournal(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opts Options
+	opts.Workers = 1
+	opts.Journal = j
+	opts.Replay = st
+	srv, ts, _ := newChaosServer(t, opts)
+
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json",
+		strings.NewReader(`{"app":"SRAD","policy":"baseline","fault_intensity":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refused errorJSON
+	if err := json.NewDecoder(resp.Body).Decode(&refused); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || refused.Error == "" {
+		t.Fatalf("POST of the journaled cell = %d %q, want 400", resp.StatusCode, refused.Error)
+	}
+	want := "replaying from journal: " + refused.Error
+
+	var got RunJSON
+	if code := getJSON(t, ts.URL+"/v1/runs/run-000001", &got); code != http.StatusOK {
+		t.Fatalf("GET replayed cell = %d", code)
+	}
+	if got.Status != StatusFailed || got.Error != want {
+		t.Errorf("replayed cell = %s %q, want failed %q", got.Status, got.Error, want)
+	}
+	var b BatchJSON
+	waitFor(t, 5*time.Second, "replayed batch to finish", func() bool {
+		getJSON(t, ts.URL+"/v1/batch/batch-000001", &b)
+		return b.FinishedAt != nil
+	})
+	if b.Status != StatusFailed {
+		t.Errorf("replayed batch = %s, want failed", b.Status)
+	}
+	srv.Close()
+
+	_, st2, err := resilience.OpenJournal(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs := st2.Runs["run-000001"]; rs == nil || rs.Status != StatusFailed || rs.Err != want {
+		t.Errorf("second restart sees %+v, want journaled failed outcome %q", rs, want)
 	}
 }
 

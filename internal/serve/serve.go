@@ -63,7 +63,8 @@ type Options struct {
 	// and HTTP instrumentation land in one scrape, or a fresh registry
 	// if the system has none.
 	Telemetry *telemetry.Registry
-	// Logger receives one-line request summaries; nil uses log.Default.
+	// Logger's writer receives the service's structured log lines
+	// (requests, finished runs, errors); nil uses log.Default.
 	Logger *log.Logger
 	// Now is the clock, injectable for retention tests; nil means
 	// time.Now.
@@ -125,10 +126,9 @@ type Server struct {
 	reg     *registry
 	batches *batchRegistry
 	tel     *telemetry.Registry
-	log     *log.Logger
-	// slog is the structured logger (request and run lifecycle lines
-	// with request/trace-ID correlation), derived from log's writer so
-	// both loggers share one destination.
+	// slog is the structured logger (request, run lifecycle and error
+	// lines with request/trace-ID correlation), writing to
+	// Options.Logger's writer.
 	slog   *slog.Logger
 	now    func() time.Time
 	reqSeq atomic.Uint64
@@ -204,15 +204,17 @@ type Server struct {
 	qualityAgg    *quality.Aggregator
 }
 
-// job is one queued evaluation. cancel, when non-nil, releases the
-// per-run deadline timer and must run once the job is terminal. probe
-// marks the job that holds the circuit breaker's half-open probe slot;
-// its outcome (or cancellation) must resolve the slot.
+// job is one queued evaluation: the request it was resolved from, its
+// app, policy instance and run options. cancel, when non-nil, releases
+// the per-run deadline timer and must run once the job is terminal.
+// probe marks the job that holds the circuit breaker's half-open probe
+// slot; its outcome (or cancellation) must resolve the slot.
 type job struct {
 	//lint:ignore ctxflow a queued job carries its admission-time run context to the worker that executes it — the documented request-scoped exception
 	ctx    context.Context
 	cancel context.CancelFunc
 	run    *Run
+	req    RunRequest
 	app    *harmonia.Application
 	pol    harmonia.Policy
 	opts   []harmonia.RunOption
@@ -282,7 +284,6 @@ func New(sys *harmonia.System, opts Options) *Server {
 		reg:            newRegistry(ttl, maxRuns, now),
 		batches:        newBatchRegistry(ttl, maxRuns, now),
 		tel:            tel,
-		log:            logger,
 		slog:           slog.New(slog.NewTextHandler(logger.Writer(), nil)),
 		now:            now,
 		jobs:           make(chan *job, depth),
@@ -419,14 +420,9 @@ func (s *Server) shutdown(ctx context.Context) error {
 	// hangs. Admitted enqueues happen under the drain read-lock, so every
 	// admitted job is already executed or sitting in the channel — but
 	// the journal-replay resubmitter races its sends against the
-	// base-context cancellation, so drain and wait concurrently until
-	// the run accounting settles instead of trusting one pass over the
+	// base-context cancellation, so drain until the run accounting
+	// settles (drained closes) instead of trusting one pass over the
 	// channel.
-	settled := make(chan struct{})
-	go func() {
-		s.runsWG.Wait()
-		close(settled)
-	}()
 drain:
 	for {
 		select {
@@ -435,7 +431,7 @@ drain:
 			j.run.finish(nil, errors.New("server shut down before the run was scheduled"), s.now())
 			s.journalOutcome(j.run)
 			s.jobDone(j)
-		case <-settled:
+		case <-drained:
 			break drain
 		}
 	}
@@ -480,7 +476,7 @@ func (s *Server) execute(j *job) {
 	case stack != "":
 		j.run.finishPanic(err, stack, now)
 		s.panicsTotal.Inc()
-		s.log.Printf("run=%s panic quarantined: %v", j.run.ID, err)
+		s.slog.Error("run panic quarantined", "run_id", j.run.ID, "error", err.Error())
 		s.breakerFeed(false)
 	case err != nil:
 		j.run.finish(nil, err, now)
@@ -591,10 +587,19 @@ func (e *shedError) Error() string { return e.msg }
 // sentinel, so callers holding only an error can errors.Is it.
 func (e *shedError) Unwrap() error { return harmonia.ErrShedding }
 
+// badRequest is a request the server refuses; statusFor maps it to 400.
+type badRequest string
+
+func (e badRequest) Error() string { return string(e) }
+
+func badRequestf(format string, args ...any) error {
+	return badRequest(fmt.Sprintf(format, args...))
+}
+
 // statusFor is the single place backend errors map to HTTP status
 // codes: the harmonia sentinel errors each have exactly one status, a
-// shed keeps the status admission control chose, and anything
-// unrecognized is a 500.
+// shed keeps the status admission control chose, a refused request is
+// a 400, and anything unrecognized is a 500.
 func statusFor(err error) int {
 	var shed *shedError
 	switch {
@@ -602,7 +607,7 @@ func statusFor(err error) int {
 		return shed.status
 	case errors.Is(err, harmonia.ErrRunNotFound):
 		return http.StatusNotFound
-	case errors.Is(err, harmonia.ErrInvalidConfig):
+	case errors.Is(err, harmonia.ErrInvalidConfig), errors.As(err, new(badRequest)):
 		return http.StatusBadRequest
 	case errors.Is(err, harmonia.ErrShedding):
 		return http.StatusServiceUnavailable
@@ -679,14 +684,23 @@ func (s *Server) enqueue(j *job) {
 	s.jobs <- j
 }
 
-// attachRecorders gives run a fresh span recorder and flight recorder
-// and returns the RunOptions that record onto them. Span IDs are seeded
-// by the run's registry sequence number. r is the submitting request, or
-// nil for a journal-replayed re-execution: a request adds its ID as a
-// header attribute next to run_id, and an inbound W3C traceparent
-// header donates the trace ID, joining the run's spans to the caller's
-// distributed trace.
-func (s *Server) attachRecorders(r *http.Request, run *Run) []harmonia.RunOption {
+// bind ties a resolved job to its run record. The run gets a fresh span
+// recorder and flight recorder, whose span IDs are seeded by the run's
+// registry sequence number. r is the submitting request, or nil for a
+// journal-replayed re-execution: a request adds its ID as a header
+// attribute next to run_id, and an inbound W3C traceparent header
+// donates the trace ID, joining the run's spans to the caller's
+// distributed trace. A waiting submitter that disconnects cancels the
+// run at its next kernel boundary; a detached or replayed run only
+// stops at shutdown. The per-run deadline, when set, bounds either.
+func (s *Server) bind(j *job, run *Run, r *http.Request, wait bool) {
+	j.run, j.ctx = run, s.baseCtx
+	if wait {
+		j.ctx = r.Context()
+	}
+	if s.requestTimeout > 0 {
+		j.ctx, j.cancel = context.WithTimeout(j.ctx, s.requestTimeout)
+	}
 	attrs := []trace.Attr{{Key: "run_id", Value: run.ID}}
 	var opts []trace.Option
 	if r != nil {
@@ -701,17 +715,7 @@ func (s *Server) attachRecorders(r *http.Request, run *Run) []harmonia.RunOption
 	tr := trace.New(uint64(run.seq), append(opts, trace.WithAttrs(attrs...))...)
 	tl := timeline.New()
 	run.setRecorders(tr, tl)
-	return []harmonia.RunOption{harmonia.RunWithTrace(tr), harmonia.RunWithTimeline(tl)}
-}
-
-// newJob builds a job under the per-run deadline, when one is set.
-func (s *Server) newJob(parent context.Context, run *Run, app *harmonia.Application, pol harmonia.Policy, opts []harmonia.RunOption) *job {
-	ctx := parent
-	var cancel context.CancelFunc
-	if s.requestTimeout > 0 {
-		ctx, cancel = context.WithTimeout(parent, s.requestTimeout)
-	}
-	return &job{ctx: ctx, cancel: cancel, run: run, app: app, pol: pol, opts: opts}
+	j.opts = append(j.opts, harmonia.RunWithTrace(tr), harmonia.RunWithTimeline(tl))
 }
 
 // writeShed rejects a submission with Retry-After and counts it.
@@ -787,7 +791,8 @@ func (s *Server) recovered(next http.Handler) http.Handler {
 		defer func() {
 			if p := recover(); p != nil {
 				s.panicsTotal.Inc()
-				s.log.Printf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
+				s.slog.Error("panic serving request", "method", r.Method, "path", r.URL.Path,
+					"panic", fmt.Sprint(p), "stack", string(debug.Stack()))
 				writeError(w, http.StatusInternalServerError, "internal error")
 			}
 		}()
@@ -893,113 +898,108 @@ func PolicyNames() []string {
 	return []string{"harmonia", "naive", "cg-only", "compute-only", "baseline", "powertune", "oracle", "fixed"}
 }
 
-// buildPolicy resolves a request's policy. A 4xx-worthy problem returns
-// (nil, msg, nil); an internal failure (predictor training) returns the
-// error.
-func (s *Server) buildPolicy(req *RunRequest, app *harmonia.Application) (harmonia.Policy, string, error) {
+// decodeBody strictly decodes a POST body into v: unknown fields are
+// refused, and so is anything past 1 MiB.
+func decodeBody(r *http.Request, v any) error {
+	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return badRequestf("bad request body: %v", err)
+	}
+	return nil
+}
+
+// resolve turns a request into a job ready to bind. It is the one path
+// shared by POST /v1/runs, every POST /v1/batch cell and journal replay:
+// it looks up the app, checks fault_intensity, arms the fault profile
+// and builds a fresh policy instance (policies are stateful, so every
+// run gets its own). A request the server refuses returns a badRequest;
+// an internal failure (predictor training) returns the backend's error.
+func (s *Server) resolve(req *RunRequest) (*job, error) {
+	j := &job{req: *req, app: harmonia.App(req.App)}
+	if j.app == nil {
+		return nil, badRequestf("unknown app %q (GET /v1/apps lists the suite)", req.App)
+	}
+	if req.FaultIntensity < 0 || req.FaultIntensity > 1 {
+		return nil, badRequestf("fault_intensity must be in [0, 1], got %g", req.FaultIntensity)
+	}
+	if req.FaultIntensity > 0 {
+		j.opts = []harmonia.RunOption{harmonia.RunWithFaults(harmonia.FaultProfile(req.FaultSeed, req.FaultIntensity))}
+	}
+	var err error
 	switch req.Policy {
 	case "harmonia":
-		p, err := s.sys.HarmoniaE()
-		return p, "", err
+		j.pol, err = s.sys.HarmoniaE()
 	case "naive":
-		p, err := s.sys.HarmoniaNaiveE()
-		return p, "", err
+		j.pol, err = s.sys.HarmoniaNaiveE()
 	case "cg-only":
-		p, err := s.sys.CGOnlyE()
-		return p, "", err
+		j.pol, err = s.sys.CGOnlyE()
 	case "compute-only":
-		p, err := s.sys.ComputeDVFSOnlyE()
-		return p, "", err
+		j.pol, err = s.sys.ComputeDVFSOnlyE()
 	case "baseline":
-		return s.sys.Baseline(), "", nil
+		j.pol = s.sys.Baseline()
 	case "powertune":
 		tdp := req.TDPWatts
 		if floats.Zero(tdp) {
 			tdp = 250
 		}
 		if tdp < 0 {
-			return nil, fmt.Sprintf("tdp_watts must be positive, got %g", tdp), nil
+			return nil, badRequestf("tdp_watts must be positive, got %g", tdp)
 		}
-		return s.sys.PowerTune(tdp), "", nil
+		j.pol = s.sys.PowerTune(tdp)
 	case "oracle":
 		// Budgeted: the worker pool provides the run-level parallelism,
 		// so each run's oracle sweeps with its share of the machine.
-		return s.sys.OracleWithWorkers(s.sweepShare, app), "", nil
+		j.pol = s.sys.OracleWithWorkers(s.sweepShare, j.app)
 	case "fixed":
 		if req.Config == "" {
-			return nil, `policy "fixed" needs "config", e.g. "16/700/925"`, nil
+			return nil, badRequestf(`policy "fixed" needs "config", e.g. "16/700/925"`)
 		}
 		// harmonia.ParseConfig wraps ErrInvalidConfig, which statusFor
-		// maps to 400; returning it as the error keeps the status
-		// mapping in that one place.
-		cfg, err := harmonia.ParseConfig(req.Config)
-		if err != nil {
-			return nil, "", err
+		// maps to 400.
+		var cfg harmonia.Config
+		if cfg, err = harmonia.ParseConfig(req.Config); err == nil {
+			j.pol = s.sys.Fixed(cfg)
 		}
-		return s.sys.Fixed(cfg), "", nil
 	default:
-		return nil, fmt.Sprintf("unknown policy %q (want one of %s)",
-			req.Policy, strings.Join(PolicyNames(), ", ")), nil
+		return nil, badRequestf("unknown policy %q (want one of %s)",
+			req.Policy, strings.Join(PolicyNames(), ", "))
 	}
+	if err != nil {
+		return nil, err
+	}
+	return j, nil
 }
 
 // handleCreateRun is POST /v1/runs.
 func (s *Server) handleCreateRun(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
 	var req RunRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := decodeBody(r, &req); err != nil {
+		writeErr(w, err)
 		return
 	}
-	app := harmonia.App(req.App)
-	if app == nil {
-		writeError(w, http.StatusBadRequest, "unknown app %q (GET /v1/apps lists the suite)", req.App)
-		return
-	}
-	if req.FaultIntensity < 0 || req.FaultIntensity > 1 {
-		writeError(w, http.StatusBadRequest, "fault_intensity must be in [0, 1], got %g", req.FaultIntensity)
-		return
-	}
-	pol, msg, err := s.buildPolicy(&req, app)
+	j, err := s.resolve(&req)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	if msg != "" {
-		writeError(w, http.StatusBadRequest, "%s", msg)
-		return
-	}
-	var opts []harmonia.RunOption
-	if req.FaultIntensity > 0 {
-		opts = append(opts, harmonia.RunWithFaults(harmonia.FaultProfile(req.FaultSeed, req.FaultIntensity)))
-	}
 	wait := req.Wait == nil || *req.Wait
-
-	jobCtx := s.baseCtx
-	if wait {
-		// A synchronous caller that disconnects cancels its run at the
-		// next kernel boundary; detached runs only stop at shutdown.
-		jobCtx = r.Context()
-	}
 	probe, shed := s.admit(1)
 	if shed != nil {
 		s.writeShed(w, shed)
 		return
 	}
-	var run *Run
 	func() {
 		// admit left the drain read-lock held; release it only after the
 		// enqueue so shutdown cannot drain between reservation and send.
 		defer s.admitted()
-		run = s.reg.create(req.App, pol.Name())
-		opts = append(opts, s.attachRecorders(r, run)...)
+		s.bind(j, s.reg.create(req.App, j.pol.Name()), r, wait)
 		s.retained.Set(float64(s.reg.size()))
-		s.journalSubmit(run.ID, req.App, &req, "")
-		j := s.newJob(jobCtx, run, app, pol, opts)
+		s.journalSubmit(j, "")
 		j.probe = probe
 		s.enqueue(j)
 	}()
+	run := j.run
 	if !wait {
 		writeJSON(w, http.StatusAccepted, run.JSON())
 		return
@@ -1107,19 +1107,19 @@ func (s *Server) handleGetTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "run %s has no report (status %s)", run.ID, run.JSON().Status)
 		return
 	}
+	var err error
 	switch r.URL.Query().Get("format") {
 	case "", "csv":
 		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		if err := export.WriteTraceCSV(w, rep.Trace); err != nil {
-			s.log.Printf("method=%s path=%s error=%q", r.Method, r.URL.Path, err)
-		}
+		err = export.WriteTraceCSV(w, rep.Trace)
 	case "json":
 		w.Header().Set("Content-Type", "application/json")
-		if err := export.WriteTraceJSON(w, rep.Trace); err != nil {
-			s.log.Printf("method=%s path=%s error=%q", r.Method, r.URL.Path, err)
-		}
+		err = export.WriteTraceJSON(w, rep.Trace)
 	default:
 		writeError(w, http.StatusBadRequest, "unknown format %q (want csv or json)", r.URL.Query().Get("format"))
+	}
+	if err != nil {
+		s.slog.Error("writing trace", "run_id", run.ID, "error", err.Error())
 	}
 }
 
@@ -1217,6 +1217,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.retained.Set(float64(s.reg.size()))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.tel.WritePrometheus(w); err != nil {
-		s.log.Printf("method=%s path=%s error=%q", r.Method, r.URL.Path, err)
+		s.slog.Error("writing metrics", "error", err.Error())
 	}
 }

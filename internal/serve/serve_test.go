@@ -564,32 +564,57 @@ func TestListOrderSurvivesSeqRollover(t *testing.T) {
 }
 
 // TestCapEvictionSurvivesSeqRollover: capacity eviction must drop the
-// oldest finished runs by creation order, not by ID string, across the
-// same boundary.
+// oldest finished records by creation order, not by ID string, across
+// the same boundary, in the run store and the batch store alike.
 func TestCapEvictionSurvivesSeqRollover(t *testing.T) {
 	reg := newRegistry(0, 2, time.Now)
-	reg.seq = 999997
-	var created []*Run
+	t.Run("runs", func(t *testing.T) {
+		capEvictsOldestFirst(t, reg.store, func() string {
+			run := reg.create("app", "pol")
+			run.start(time.Now())
+			run.finish(nil, nil, time.Now())
+			return run.ID
+		})
+	})
+	batches := newBatchRegistry(0, 2, time.Now)
+	t.Run("batches", func(t *testing.T) {
+		capEvictsOldestFirst(t, batches.store, func() string {
+			cell := newRun("run-000001", 1, "app", "pol", time.Now())
+			cell.finish(nil, nil, time.Now())
+			b := batches.create([]string{"app"}, []string{"pol"}, []*Run{cell})
+			<-b.Done()
+			return b.ID
+		})
+	})
+}
+
+// capEvictsOldestFirst creates four finished records in a store capped
+// at two, the last two past the six-digit ID pad, and checks that the
+// two oldest went first.
+func capEvictsOldestFirst[R record](t *testing.T, g *store[R], createFinished func() string) {
+	t.Helper()
+	g.seq = 999997
+	var created []string
 	for i := 0; i < 4; i++ {
-		run := reg.create("app", "pol")
-		run.start(time.Now())
-		run.finish(nil, nil, time.Now())
-		created = append(created, run)
+		created = append(created, createFinished())
 	}
-	reg.list() // trigger eviction down to the cap
-	if got := reg.size(); got != 2 {
-		t.Fatalf("registry size = %d, want 2", got)
+	if !strings.HasSuffix(created[1], "-999999") || !strings.HasSuffix(created[2], "-1000000") {
+		t.Fatalf("unexpected IDs around rollover: %s, %s", created[1], created[2])
 	}
-	// The two newest (run-1000000, run-1000001) survive; with string
-	// ordering the buggy code would have evicted them first.
-	for _, run := range created[2:] {
-		if _, ok := reg.get(run.ID); !ok {
-			t.Errorf("newest run %s was evicted; oldest should go first", run.ID)
+	g.list() // trigger eviction down to the cap
+	if got := g.size(); got != 2 {
+		t.Fatalf("store size = %d, want 2", got)
+	}
+	// The two newest survive; with string ordering the buggy code would
+	// have evicted them first.
+	for _, id := range created[2:] {
+		if _, ok := g.get(id); !ok {
+			t.Errorf("newest record %s was evicted; oldest should go first", id)
 		}
 	}
-	for _, run := range created[:2] {
-		if _, ok := reg.get(run.ID); ok {
-			t.Errorf("oldest run %s survived past the cap", run.ID)
+	for _, id := range created[:2] {
+		if _, ok := g.get(id); ok {
+			t.Errorf("oldest record %s survived past the cap", id)
 		}
 	}
 }

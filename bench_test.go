@@ -396,6 +396,46 @@ func BenchmarkFullApplicationUnderHarmonia(b *testing.B) {
 	}
 }
 
+// BenchmarkWarmLibraryRuns times perfbench's lib-runs operation, one
+// System.RunContext on a shared System with a warm memo, as a profiling
+// entry point (DESIGN.md §13.5). Operation i runs suite application
+// i mod 14 under the (i/14) mod 6-th of the six served policies, and one
+// operation in eight runs under the fault profile at intensity 0.5, so
+// it bypasses the memo and simulates.
+func BenchmarkWarmLibraryRuns(b *testing.B) {
+	sys := NewSystem(WithSimCache())
+	if _, err := sys.TrainedPredictor(); err != nil {
+		b.Fatal(err)
+	}
+	suite := Suite()
+	policies := []func(*Application) Policy{
+		func(*Application) Policy { return sys.Baseline() },
+		func(*Application) Policy { return sys.PowerTune(250) },
+		func(*Application) Policy { return sys.Harmonia() },
+		func(*Application) Policy { return sys.CGOnly() },
+		func(*Application) Policy { return sys.ComputeDVFSOnly() },
+		func(app *Application) Policy { return sys.OracleWithWorkers(1, app) },
+	}
+	run := func(i int, faulted bool) {
+		app := App(suite[i%len(suite)].Name)
+		var opts []RunOption
+		if faulted {
+			opts = append(opts, RunWithFaults(FaultProfile(int64(i), 0.5)))
+		}
+		pol := policies[i/len(suite)%len(policies)](app)
+		if _, err := sys.RunContext(context.Background(), app, pol, opts...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < len(suite)*len(policies); i++ {
+		run(i, false) // warm the memo with the fault-free matrix
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(i, i%8 == 7)
+	}
+}
+
 func BenchmarkOracleExhaustiveSearch(b *testing.B) {
 	sys := NewSystem()
 	app := App("SPMV")
@@ -489,5 +529,43 @@ func TestControllerRunAllocBytes(t *testing.T) {
 	t.Logf("warm SRAD Harmonia run: %.1f KiB", perRun/1024)
 	if perRun > 64<<10 {
 		t.Fatalf("warm SRAD Harmonia run allocated %.1f KiB, want <= 64", perRun/1024)
+	}
+}
+
+// TestWarmHarmoniaRunAllocs gates the allocations of one warm library
+// run: a fresh Harmonia controller running SRAD to completion on a warm
+// memo allocates 73 times. A controller that kept its outlier windows
+// as growing slices in a per-kernel map, and its dithering and freeze
+// records as maps, allocated 148 times, so the bound of 100 catches
+// those coming back.
+func TestWarmHarmoniaRunAllocs(t *testing.T) {
+	sys := NewSystem(WithSimCache())
+	app := App("SRAD")
+	if _, err := sys.Run(app, sys.Harmonia()); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := sys.Run(app, sys.Harmonia()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("warm SRAD Harmonia run: %v allocations", allocs)
+	if allocs > 100 {
+		t.Fatalf("warm SRAD Harmonia run allocated %v times, want <= 100", allocs)
+	}
+}
+
+// TestAppLookupAllocs gates App's cost: looking up one application
+// builds only that application, 4 allocations for SRAD, where building
+// the whole 14-application catalog to return one took 55.
+func TestAppLookupAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(20, func() {
+		if App("SRAD") == nil {
+			t.Fatal("App(SRAD) = nil")
+		}
+	})
+	t.Logf("App(SRAD): %v allocations", allocs)
+	if allocs > 8 {
+		t.Fatalf("App(SRAD) allocated %v times, want <= 8", allocs)
 	}
 }

@@ -547,6 +547,8 @@ func (s *System) Lab() *Lab {
 func Suite() []*Application { return workloads.Suite() }
 
 // App returns the named suite application (e.g. "Graph500"), or nil.
+// Each call builds only that application and returns a fresh one the
+// caller owns.
 func App(name string) *Application { return workloads.ByName(name) }
 
 // AllKernels returns every kernel of the suite.

@@ -29,7 +29,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"harmonia/internal/counters"
 	"harmonia/internal/gpusim"
@@ -44,7 +43,10 @@ type Options struct {
 	// predictor on the standard workload suite.
 	Predictor *sensitivity.Predictor
 	// Tunables restricts which hardware tunables the controller manages;
-	// empty means all three. The paper's compute-frequency-only study
+	// empty means all three. New copies the list, counting a repeated
+	// tunable once (at its first occurrence) and dropping values outside
+	// [0, hw.NumTunables), which name no tunable: a list of only such
+	// values manages nothing. The paper's compute-frequency-only study
 	// (Section 7.2) is this controller with only TunableCUFreq.
 	Tunables []hw.Tunable
 	// DisableFG turns off the fine-grain feedback loop, yielding the
@@ -221,36 +223,122 @@ type kernelState struct {
 	lastMoved []hw.Tunable // tunables we changed between prev and next
 	lastCG    bool         // whether that change was a CG jump
 
-	isolate  []hw.Tunable // single-step blame-isolation queue
-	dither   map[hw.Tunable]int
-	frozen   map[hw.Tunable]bool
+	isolate  []hw.Tunable         // single-step blame-isolation queue
+	dither   [hw.NumTunables]int  // failed FG steps per tunable
+	frozen   [hw.NumTunables]bool // tunables pinned after dithering
 	lastGood hw.Config
 
 	lastKind ActionKind // classification of the most recent decision
 
-	// Hardening-layer state. obsHist keeps a bounded window of accepted
-	// VALUBusy/MemUnitBusy samples per configuration, the per-kernel
-	// history the outlier test measures deviation against.
-	obsHist    map[hw.Config]*obsWindow
+	// Hardening-layer state. obs keeps, per configuration the kernel ran
+	// at, a bounded window of accepted VALUBusy/MemUnitBusy samples: the
+	// per-kernel history the outlier test measures deviation against. A
+	// kernel visits few configurations, so a slice searched by
+	// configuration serves.
+	obs        []*obsWindow
 	cmdRetries int  // consecutive re-issues of the current command
 	unreliable int  // consecutive unreliable samples (watchdog input)
 	cleanRun   int  // consecutive clean samples while degraded
 	degraded   bool // watchdog tripped; FG frozen, holding lastGood
 }
 
-// obsWindow is a bounded ring of the last historyWindow accepted
-// counter samples at one configuration.
+// obsWindow is the outlier test's history at one configuration.
 type obsWindow struct {
-	vb, mb []float64
+	cfg    hw.Config
+	vb, mb window
 }
 
-func (w *obsWindow) push(vb, mb float64) {
-	if len(w.vb) >= historyWindow {
-		w.vb = append(w.vb[:0], w.vb[1:]...)
-		w.mb = append(w.mb[:0], w.mb[1:]...)
+// window holds the last historyWindow samples of one counter twice: in
+// arrival order, a ring whose oldest sample leaves first, and in
+// sort.Float64s order (NaN first, then ascending; equal samples, which
+// no verdict tells apart, in arrival order), kept by inserting each
+// sample as it arrives, so the outlier test reads a median without
+// sorting.
+type window struct {
+	ring   [historyWindow]float64
+	sorted [historyWindow]float64
+	n      int // samples held
+	next   int // ring slot of the next sample: the oldest once full
+}
+
+// push adds v, evicting the oldest sample from a full window.
+func (w *window) push(v float64) {
+	if w.n == historyWindow {
+		// Samples with the same bits are interchangeable, so removing
+		// the first one that matches the oldest removes the oldest.
+		old := math.Float64bits(w.ring[w.next])
+		i := 0
+		for math.Float64bits(w.sorted[i]) != old {
+			i++
+		}
+		copy(w.sorted[i:], w.sorted[i+1:w.n])
+		w.n--
 	}
-	w.vb = append(w.vb, vb)
-	w.mb = append(w.mb, mb)
+	w.ring[w.next] = v
+	w.next = (w.next + 1) % historyWindow
+	// One insertion-sort step: v goes after every sample it does not
+	// sort before.
+	i := w.n
+	for ; i > 0 && less(v, w.sorted[i-1]); i-- {
+		w.sorted[i] = w.sorted[i-1]
+	}
+	w.sorted[i] = v
+	w.n++
+}
+
+// less is sort.Float64s' order: NaN before every number.
+func less(a, b float64) bool { return a < b || (math.IsNaN(a) && !math.IsNaN(b)) }
+
+// exceeds reports whether v deviates from the window's median by more
+// than max(outlierK·MAD, outlierFloor). That threshold is never below
+// the floor, so the MAD is computed only for a deviation past it.
+func (w *window) exceeds(v float64) bool {
+	med := middle(w.sorted[:w.n])
+	d := math.Abs(v - med)
+	return d > outlierFloor && d > outlierK*w.mad(med)
+}
+
+// mad returns the median absolute deviation of the window about med,
+// taking the deviations in the order sort.Float64s would give them.
+// Walking outward from med — down through the samples below it, up
+// through the rest — meets non-decreasing deviations, so merging the two
+// walks orders them. NaN deviations, of NaN samples or of a sample equal
+// to an infinite median, go first.
+func (w *window) mad(med float64) float64 {
+	var dev, down, up [historyWindow]float64
+	k, nd, nu := 0, 0, 0
+	for _, x := range w.sorted[:w.n] {
+		switch d := math.Abs(x - med); {
+		case math.IsNaN(d):
+			dev[k] = d
+			k++
+		case x < med:
+			down[nd] = d
+			nd++
+		default:
+			up[nu] = d
+			nu++
+		}
+	}
+	for i, j := nd-1, 0; i >= 0 || j < nu; k++ {
+		if j == nu || (i >= 0 && down[i] <= up[j]) {
+			dev[k] = down[i]
+			i--
+		} else {
+			dev[k] = up[j]
+			j++
+		}
+	}
+	return middle(dev[:k])
+}
+
+// middle returns the median of sorted samples.
+func middle(s []float64) float64 {
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // New returns a Harmonia controller.
@@ -258,10 +346,6 @@ func New(opts Options) *Controller {
 	pred := opts.Predictor
 	if pred == nil {
 		pred = sensitivity.DefaultPredictor()
-	}
-	tunables := opts.Tunables
-	if len(tunables) == 0 {
-		tunables = hw.Tunables()
 	}
 	if opts.MaxDither <= 0 {
 		opts.MaxDither = 1
@@ -275,9 +359,29 @@ func New(opts Options) *Controller {
 	return &Controller{
 		opts:     opts,
 		pred:     pred,
-		tunables: tunables,
+		tunables: managed(opts.Tunables),
 		kernels:  make(map[string]*kernelState),
 	}
+}
+
+// managed returns the tunables a controller manages given
+// Options.Tunables: all three for an empty list, otherwise a copy of the
+// list without repeats (the first occurrence stays) and without values
+// that name no tunable.
+func managed(ts []hw.Tunable) []hw.Tunable {
+	if len(ts) == 0 {
+		return hw.Tunables()
+	}
+	var seen [hw.NumTunables]bool
+	out := make([]hw.Tunable, 0, len(ts))
+	for _, t := range ts {
+		if t < 0 || t >= hw.NumTunables || seen[t] {
+			continue
+		}
+		seen[t] = true
+		out = append(out, t)
+	}
+	return out
 }
 
 // NewComputeOnly returns the compute-frequency-and-voltage-scaling-only
@@ -308,9 +412,6 @@ func (c *Controller) state(kernel string) *kernelState {
 			next:     hw.MaxConfig(),
 			prev:     hw.MaxConfig(),
 			lastGood: hw.MaxConfig(),
-			dither:   make(map[hw.Tunable]int),
-			frozen:   make(map[hw.Tunable]bool),
-			obsHist:  make(map[hw.Config]*obsWindow),
 		}
 		c.kernels[kernel] = st
 	}
@@ -345,7 +446,7 @@ func (c *Controller) TimelineDecision(kernel string, _ int) (timeline.Detail, bo
 // (unless DisableHardening) by the hardening layer of guard.
 func (c *Controller) Observe(kernel string, _ int, res gpusim.Result) {
 	st := c.state(kernel)
-	if !c.opts.DisableHardening && c.guard(st, res) {
+	if !c.opts.DisableHardening && c.guard(st, &res) {
 		return
 	}
 	cur := res.Config
@@ -436,7 +537,7 @@ func (c *Controller) Observe(kernel string, _ int, res gpusim.Result) {
 // platform fall straight through — guard then only records history — so
 // the hardened controller's decisions are bit-for-bit those of the
 // naive one until a fault is actually observed.
-func (c *Controller) guard(st *kernelState, res gpusim.Result) bool {
+func (c *Controller) guard(st *kernelState, res *gpusim.Result) bool {
 	commanded := st.next
 	mismatch := res.Config != commanded
 	outlier := !mismatch && c.isOutlier(st, res)
@@ -525,15 +626,26 @@ func (c *Controller) guard(st *kernelState, res gpusim.Result) bool {
 	return true
 }
 
+// obsAt returns the kernel's outlier history at cfg, or nil.
+func (st *kernelState) obsAt(cfg hw.Config) *obsWindow {
+	for _, w := range st.obs {
+		if w.cfg == cfg {
+			return w
+		}
+	}
+	return nil
+}
+
 // pushObs folds an accepted sample into the per-configuration history
 // the outlier test uses.
-func (c *Controller) pushObs(st *kernelState, res gpusim.Result) {
-	w := st.obsHist[res.Config]
+func (c *Controller) pushObs(st *kernelState, res *gpusim.Result) {
+	w := st.obsAt(res.Config)
 	if w == nil {
-		w = &obsWindow{}
-		st.obsHist[res.Config] = w
+		w = &obsWindow{cfg: res.Config}
+		st.obs = append(st.obs, w)
 	}
-	w.push(res.Counters.VALUBusy, res.Counters.MemUnitBusy)
+	w.vb.push(res.Counters.VALUBusy)
+	w.mb.push(res.Counters.MemUnitBusy)
 }
 
 // isOutlier applies the robust deviation test: a sample is an outlier
@@ -542,58 +654,20 @@ func (c *Controller) pushObs(st *kernelState, res gpusim.Result) {
 // max(outlierK·MAD, outlierFloor). Histories shorter than minHistory
 // never reject, and the absolute floor keeps deterministic (zero-MAD)
 // histories from rejecting legitimate small shifts.
-func (c *Controller) isOutlier(st *kernelState, res gpusim.Result) bool {
-	w := st.obsHist[res.Config]
-	if w == nil || len(w.vb) < minHistory {
+func (c *Controller) isOutlier(st *kernelState, res *gpusim.Result) bool {
+	w := st.obsAt(res.Config)
+	if w == nil || w.vb.n < minHistory {
 		return false
 	}
-	exceeds := func(hist []float64, v float64) bool {
-		med := median(hist)
-		thr := math.Max(outlierK*mad(hist, med), outlierFloor)
-		return math.Abs(v-med) > thr
-	}
-	return exceeds(w.vb, res.Counters.VALUBusy) || exceeds(w.mb, res.Counters.MemUnitBusy)
-}
-
-// median returns the median of xs (not modifying it), sorting a copy in
-// a stack array: a window holds at most historyWindow samples.
-func median(xs []float64) float64 {
-	var buf [historyWindow]float64
-	tmp := append(buf[:0], xs...)
-	sort.Float64s(tmp)
-	n := len(tmp)
-	if n%2 == 1 {
-		return tmp[n/2]
-	}
-	return (tmp[n/2-1] + tmp[n/2]) / 2
-}
-
-// mad returns the median absolute deviation of xs about med.
-func mad(xs []float64, med float64) float64 {
-	var buf [historyWindow]float64
-	dev := buf[:0]
-	for _, x := range xs {
-		dev = append(dev, math.Abs(x-med))
-	}
-	return median(dev)
+	return w.vb.exceeds(res.Counters.VALUBusy) || w.mb.exceeds(res.Counters.MemUnitBusy)
 }
 
 // binsFor predicts sensitivity bins from a (smoothed) counter sample,
-// with unmanaged tunables reported as High so that CG pins them at their
+// building its feature vector once for every managed tunable, with
+// unmanaged tunables reported as High so that CG pins them at their
 // maximum (i.e. leaves them at the baseline value).
 func (c *Controller) binsFor(cs counters.Set) sensitivity.Bins {
-	bins := sensitivity.Bins{CUs: sensitivity.High, CUFreq: sensitivity.High, MemFreq: sensitivity.High}
-	for _, t := range c.tunables {
-		switch t {
-		case hw.TunableCUs:
-			bins.CUs = sensitivity.BinOf(c.pred.PredictCUs(cs))
-		case hw.TunableCUFreq:
-			bins.CUFreq = sensitivity.BinOf(c.pred.PredictCUFreq(cs))
-		case hw.TunableMemFreq:
-			bins.MemFreq = sensitivity.BinOf(c.pred.PredictBandwidth(cs))
-		}
-	}
-	return bins
+	return c.pred.PredictBinsFor(cs, c.tunables)
 }
 
 func binFor(bins sensitivity.Bins, t hw.Tunable) sensitivity.Bin {
@@ -641,8 +715,8 @@ func (c *Controller) revertTo(st *kernelState, cur, prev hw.Config, moved []hw.T
 
 func (c *Controller) resetFG(st *kernelState) {
 	st.isolate = nil
-	st.dither = make(map[hw.Tunable]int)
-	st.frozen = make(map[hw.Tunable]bool)
+	st.dither = [hw.NumTunables]int{}
+	st.frozen = [hw.NumTunables]bool{}
 }
 
 // fgEligible reports whether the FG loop may step t downward: the

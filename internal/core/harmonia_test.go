@@ -199,6 +199,54 @@ func TestComputeOnlyTouchesOnlyFrequency(t *testing.T) {
 	}
 }
 
+// TestTunableListNormalized: Options.Tunables is copied, a repeated
+// tunable counts once and a value that names no tunable manages nothing.
+// Listed twice, the memory clock once took two FG steps per boundary
+// (1375 → 1225 → 925 → 625 MHz on Sort.BottomScan, where listed once it
+// walks 1375 → 1225 → 1075 → 925).
+func TestTunableListNormalized(t *testing.T) {
+	p := predictor()
+	k := kernelByName(t, "Sort.BottomScan")
+	walk := func(ts ...hw.Tunable) []hw.Config {
+		return drive(New(Options{Predictor: p, Tunables: ts}), k, 12)
+	}
+	mem := walk(hw.TunableMemFreq)
+	for _, tc := range []struct {
+		name string
+		got  []hw.Config
+	}{
+		{"repeated", walk(hw.TunableMemFreq, hw.TunableMemFreq)},
+		{"out of range", walk(hw.Tunable(-1), hw.TunableMemFreq, hw.NumTunables, hw.TunableMemFreq)},
+	} {
+		for i := range mem {
+			if tc.got[i] != mem[i] {
+				t.Fatalf("%s: boundary %d ran %v, want %v as with MemFreq listed once", tc.name, i, tc.got[i], mem[i])
+			}
+		}
+	}
+
+	if got := New(Options{Predictor: p, Tunables: []hw.Tunable{hw.TunableCUFreq, hw.TunableCUFreq}}).Name(); got != "compute-dvfs-only" {
+		t.Errorf("{CUFreq, CUFreq} Name = %q, want compute-dvfs-only", got)
+	}
+
+	none := New(Options{Predictor: p, Tunables: []hw.Tunable{hw.NumTunables, 7, -2}})
+	if len(none.tunables) != 0 {
+		t.Errorf("out-of-range list manages %v, want nothing", none.tunables)
+	}
+	for i, cfg := range drive(none, k, 12) {
+		if cfg != hw.MaxConfig() {
+			t.Fatalf("out-of-range list: boundary %d ran %v, want the baseline", i, cfg)
+		}
+	}
+
+	ts := []hw.Tunable{hw.TunableMemFreq}
+	c := New(Options{Predictor: p, Tunables: ts})
+	ts[0] = hw.TunableCUs
+	if len(c.tunables) != 1 || c.tunables[0] != hw.TunableMemFreq {
+		t.Errorf("caller's edit reached the controller: manages %v", c.tunables)
+	}
+}
+
 func TestCGOnlyNeverFineTunes(t *testing.T) {
 	c := New(Options{Predictor: predictor(), DisableFG: true})
 	fg := 0

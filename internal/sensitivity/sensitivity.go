@@ -212,11 +212,46 @@ func (p *Predictor) PredictCUFreq(cs counters.Set) float64 {
 // PredictBins returns the per-tunable sensitivity bins for a counter
 // sample.
 func (p *Predictor) PredictBins(cs counters.Set) Bins {
-	return Bins{
-		CUs:     BinOf(p.PredictCUs(cs)),
-		CUFreq:  BinOf(p.PredictCUFreq(cs)),
-		MemFreq: BinOf(p.PredictBandwidth(cs)),
+	return p.PredictBinsFor(cs, hw.Tunables())
+}
+
+// numBandwidth is the width of the bandwidth feature vector, which opens
+// the extended one: AppendExtendedFeatures begins with
+// AppendBandwidthFeatures.
+const numBandwidth = 7
+
+// PredictBinsFor returns the bins of the listed tunables and High — the
+// conservative answer, keep the resource up — for every other tunable.
+// It builds cs's extended feature vector once for every model: the CU
+// and CU-frequency models read all of it and the bandwidth model its
+// first numBandwidth entries, the numbers their own Predict methods
+// build, so the bins are BinOf of PredictCUs, PredictCUFreq and
+// PredictBandwidth.
+func (p *Predictor) PredictBinsFor(cs counters.Set, tunables []hw.Tunable) Bins {
+	var buf featureBuf
+	x := cs.AppendExtendedFeatures(buf[:0])
+	bins := Bins{CUs: High, CUFreq: High, MemFreq: High}
+	for _, t := range tunables {
+		switch t {
+		case hw.TunableCUs:
+			bins.CUs = BinOf(p.perTunable(p.CUs, x, &cs))
+		case hw.TunableCUFreq:
+			bins.CUFreq = BinOf(p.perTunable(p.CUFreq, x, &cs))
+		case hw.TunableMemFreq:
+			bins.MemFreq = BinOf(predict(p.Bandwidth, x[:numBandwidth]))
+		}
 	}
+	return bins
+}
+
+// perTunable evaluates a per-tunable compute model on the extended
+// features x of cs or, for a predictor without one (PaperModel), falls
+// back to PredictCompute.
+func (p *Predictor) perTunable(m *regress.Model, x []float64, cs *counters.Set) float64 {
+	if m == nil {
+		return p.PredictCompute(*cs)
+	}
+	return predict(m, x)
 }
 
 // PaperModel returns the predictor with the paper's published Table 3

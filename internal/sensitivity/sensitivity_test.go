@@ -2,11 +2,14 @@ package sensitivity
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"harmonia/internal/counters"
 	"harmonia/internal/gpusim"
+	"harmonia/internal/hw"
 	"harmonia/internal/workloads"
 )
 
@@ -204,6 +207,90 @@ func TestPredictBinsAllocationFree(t *testing.T) {
 	if sink != pred.PredictBins(cs) {
 		t.Fatal("PredictBins is not deterministic")
 	}
+}
+
+// TestPredictBinsForMatchesPerModelPredictions: bins predicted from one
+// shared extended feature vector are BinOf each model's own prediction,
+// and the predictions behind them have the same bits, for the trained
+// predictor and for PaperModel (whose missing per-tunable models fall
+// back to the compute model), over seeded random counter sets and every
+// subset of managed tunables; unmanaged tunables read High.
+func TestPredictBinsForMatchesPerModelPredictions(t *testing.T) {
+	_, trainedPred := trained(t)
+	sim, kernels, space := gpusim.Default(), workloads.AllKernels(), hw.ConfigSpace()
+	r := rand.New(rand.NewSource(977))
+	for _, tc := range []struct {
+		name string
+		p    *Predictor
+	}{{"trained", trainedPred}, {"paper", PaperModel()}} {
+		p := tc.p
+		seen := map[Bins]bool{}
+		for i := 0; i < 400; i++ {
+			// Half the sets are simulated samples, half arbitrary ones.
+			cs := randomCounters(r)
+			if i%2 == 0 {
+				cs = sim.Run(kernels[r.Intn(len(kernels))], r.Intn(8), space[r.Intn(len(space))]).Counters
+			}
+			var buf featureBuf
+			x := cs.AppendExtendedFeatures(buf[:0])
+			for j, pair := range [...][2]float64{
+				{p.perTunable(p.CUs, x, &cs), p.PredictCUs(cs)},
+				{p.perTunable(p.CUFreq, x, &cs), p.PredictCUFreq(cs)},
+				{predict(p.Bandwidth, x[:numBandwidth]), p.PredictBandwidth(cs)},
+			} {
+				if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+					t.Fatalf("%s set %d model %d: %v from the shared vector, %v from its own", tc.name, i, j, pair[0], pair[1])
+				}
+			}
+			all := Bins{CUs: BinOf(p.PredictCUs(cs)), CUFreq: BinOf(p.PredictCUFreq(cs)), MemFreq: BinOf(p.PredictBandwidth(cs))}
+			seen[all] = true
+			if got := p.PredictBins(cs); got != all {
+				t.Fatalf("%s set %d: PredictBins = %+v, want %+v", tc.name, i, got, all)
+			}
+			for mask := 0; mask < 1<<hw.NumTunables; mask++ {
+				var ts []hw.Tunable
+				want := Bins{CUs: High, CUFreq: High, MemFreq: High}
+				for _, tu := range hw.Tunables() {
+					if mask&(1<<tu) == 0 {
+						continue
+					}
+					ts = append(ts, tu)
+					switch tu {
+					case hw.TunableCUs:
+						want.CUs = all.CUs
+					case hw.TunableCUFreq:
+						want.CUFreq = all.CUFreq
+					case hw.TunableMemFreq:
+						want.MemFreq = all.MemFreq
+					}
+				}
+				if got := p.PredictBinsFor(cs, ts); got != want {
+					t.Fatalf("%s set %d tunables %v: PredictBinsFor = %+v, want %+v", tc.name, i, ts, got, want)
+				}
+			}
+		}
+		if len(seen) < 4 {
+			t.Errorf("%s: the counter sets reached only %d bin triples; they do not spread", tc.name, len(seen))
+		}
+	}
+}
+
+// randomCounters draws a counter set with every field in its range and,
+// one time in eight, an idle memory unit.
+func randomCounters(r *rand.Rand) counters.Set {
+	pct := func() float64 { return r.Float64() * 100 }
+	cs := counters.Set{
+		VALUBusy: pct(), VALUUtilization: pct(), MemUnitBusy: pct(),
+		MemUnitStalled: pct(), WriteUnitStalled: pct(),
+		NormVGPR: r.Float64(), NormSGPR: r.Float64(), ICActivity: r.Float64(),
+		L2HitRate: r.Float64(), Occupancy: r.Float64(),
+		VALUInsts: r.Float64() * 1e9, VFetchInsts: r.Float64() * 1e8, VWriteInsts: r.Float64() * 1e8,
+		NormCUsActive: r.Float64(), NormCUClock: r.Float64(), NormMemClock: r.Float64(),
+	}
+	if r.Intn(8) == 0 {
+		cs.MemUnitBusy = 0
+	}
+	return cs
 }
 
 func TestStreamclusterEdgeOfBinMiss(t *testing.T) {

@@ -330,11 +330,13 @@ type hitRunner interface {
 	RunHit(k *workloads.Kernel, iter int, cfg hw.Config) (gpusim.Result, bool)
 }
 
-// TotalTime returns application execution time in seconds.
+// TotalTime returns application execution time in seconds. Like every
+// total below it reads each run in place: ranging over Runs by value
+// would copy every KernelRun.
 func (r *Report) TotalTime() float64 {
 	sum := 0.0
-	for _, run := range r.Runs {
-		sum += run.Result.Time
+	for i := range r.Runs {
+		sum += r.Runs[i].Result.Time
 	}
 	return sum
 }
@@ -343,17 +345,17 @@ func (r *Report) TotalTime() float64 {
 func (r *Report) TotalEnergy() float64 { return r.Energy.Total() }
 
 // AveragePower returns mean card power in watts.
-func (r *Report) AveragePower() float64 {
-	t := r.TotalTime()
-	if t <= 0 {
-		return 0
-	}
-	return r.TotalEnergy() / t
-}
+func (r *Report) AveragePower() float64 { return r.Sample().Watts }
 
-// Sample returns the whole run as a metrics sample.
+// Sample returns the whole run as a metrics sample: the run time, summed
+// once, at mean card power.
 func (r *Report) Sample() metrics.Sample {
-	return metrics.Sample{Seconds: r.TotalTime(), Watts: r.AveragePower()}
+	s := metrics.Sample{Seconds: r.TotalTime()}
+	if s.Seconds <= 0 {
+		return s
+	}
+	s.Watts = r.TotalEnergy() / s.Seconds
+	return s
 }
 
 // ED2 returns the application's energy-delay-squared product.
@@ -365,8 +367,8 @@ func (r *Report) ED() float64 { return r.Sample().ED() }
 // KernelSample aggregates the runs of one kernel into a metrics sample.
 func (r *Report) KernelSample(kernel string) metrics.Sample {
 	var out metrics.Sample
-	for _, run := range r.Runs {
-		if run.Kernel == kernel {
+	for i := range r.Runs {
+		if run := &r.Runs[i]; run.Kernel == kernel {
 			out = out.Add(run.Sample())
 		}
 	}
@@ -382,7 +384,8 @@ func (r *Report) Residency(t hw.Tunable) map[int]float64 {
 	if total <= 0 {
 		return out
 	}
-	for _, run := range r.Runs {
+	for i := range r.Runs {
+		run := &r.Runs[i]
 		out[t.Value(run.Config)] += run.Result.Time / total
 	}
 	return out
@@ -391,8 +394,8 @@ func (r *Report) Residency(t hw.Tunable) map[int]float64 {
 // KernelResidency is Residency restricted to one kernel's invocations.
 func (r *Report) KernelResidency(kernel string, t hw.Tunable) map[int]float64 {
 	total := 0.0
-	for _, run := range r.Runs {
-		if run.Kernel == kernel {
+	for i := range r.Runs {
+		if run := &r.Runs[i]; run.Kernel == kernel {
 			total += run.Result.Time
 		}
 	}
@@ -400,8 +403,8 @@ func (r *Report) KernelResidency(kernel string, t hw.Tunable) map[int]float64 {
 	if total <= 0 {
 		return out
 	}
-	for _, run := range r.Runs {
-		if run.Kernel == kernel {
+	for i := range r.Runs {
+		if run := &r.Runs[i]; run.Kernel == kernel {
 			out[t.Value(run.Config)] += run.Result.Time / total
 		}
 	}

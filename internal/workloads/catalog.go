@@ -439,13 +439,28 @@ func Graph500() *Application {
 	}
 }
 
+// catalog is the evaluation suite as a name → constructor table, in the
+// order the paper's result figures present the applications. Suite and
+// ByName both read it, so the list and its order live here once.
+var catalog = [...]struct {
+	name  string
+	build func() *Application
+}{
+	{"BPT", BPT}, {"CFD", CFD}, {"CoMD", CoMD}, {"DeviceMemory", DeviceMemory},
+	{"Graph500", Graph500}, {"LUD", LUD}, {"MaxFlops", MaxFlops},
+	{"miniFE", MiniFE}, {"Sort", Sort}, {"SPMV", SPMV}, {"SRAD", SRAD},
+	{"Stencil", Stencil}, {"Streamcluster", Streamcluster}, {"XSBench", XSBench},
+}
+
 // Suite returns the full 14-application evaluation suite in the order the
-// paper's result figures present them.
+// paper's result figures present them. Every call builds fresh
+// applications the caller owns.
 func Suite() []*Application {
-	return []*Application{
-		BPT(), CFD(), CoMD(), DeviceMemory(), Graph500(), LUD(), MaxFlops(),
-		MiniFE(), Sort(), SPMV(), SRAD(), Stencil(), Streamcluster(), XSBench(),
+	out := make([]*Application, len(catalog))
+	for i, e := range catalog {
+		out[i] = e.build()
 	}
+	return out
 }
 
 // NonStress returns the suite without the MaxFlops and DeviceMemory
@@ -461,11 +476,13 @@ func NonStress() []*Application {
 	return out
 }
 
-// ByName returns the application with the given name, or nil.
+// ByName returns the application with the given name, or nil. It builds
+// only that application, and every call returns a fresh one the caller
+// owns: mutating it never reaches another caller.
 func ByName(name string) *Application {
-	for _, a := range Suite() {
-		if a.Name == name {
-			return a
+	for _, e := range catalog {
+		if e.name == name {
+			return e.build()
 		}
 	}
 	return nil

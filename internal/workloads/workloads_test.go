@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -77,6 +78,76 @@ func TestByName(t *testing.T) {
 	}
 	if ByName("NoSuchApp") != nil {
 		t.Error("ByName of unknown app should be nil")
+	}
+}
+
+// TestCatalogLookup: Suite keeps the paper's order, and ByName builds
+// the same application Suite does — same name, kernels and descriptor
+// fields — as a fresh value per call, so one caller's mutation never
+// reaches another.
+func TestCatalogLookup(t *testing.T) {
+	order := []string{
+		"BPT", "CFD", "CoMD", "DeviceMemory", "Graph500", "LUD", "MaxFlops",
+		"miniFE", "Sort", "SPMV", "SRAD", "Stencil", "Streamcluster", "XSBench",
+	}
+	suite := Suite()
+	if len(suite) != len(order) {
+		t.Fatalf("Suite() has %d applications, want %d", len(suite), len(order))
+	}
+	for i, want := range suite {
+		if want.Name != order[i] {
+			t.Errorf("Suite()[%d] = %s, want %s", i, want.Name, order[i])
+		}
+		got := ByName(want.Name)
+		if got == nil {
+			t.Errorf("ByName(%q) = nil", want.Name)
+			continue
+		}
+		sameApplication(t, got, want)
+		other := ByName(want.Name)
+		if other == got || &other.Kernels[0] == &got.Kernels[0] || other.Kernels[0] == got.Kernels[0] {
+			t.Errorf("%s: two ByName calls share storage", want.Name)
+		}
+		other.Iterations++
+		other.Kernels[0].Workgroups++
+		other.Kernels = other.Kernels[:0]
+		sameApplication(t, got, want)
+		sameApplication(t, ByName(want.Name), want)
+	}
+	for _, name := range []string{"NoSuchApp", "", "minife", "SRAD.Prepare"} {
+		if a := ByName(name); a != nil {
+			t.Errorf("ByName(%q) = %s, want nil", name, a.Name)
+		}
+	}
+}
+
+// sameApplication fails t unless got and want describe the same
+// application field for field; kernel phase functions, which cannot be
+// compared, must agree over two BFS periods.
+func sameApplication(t *testing.T, got, want *Application) {
+	t.Helper()
+	if got.Name != want.Name || got.Iterations != want.Iterations || got.Stress != want.Stress {
+		t.Errorf("%s: got %s, %d iterations, stress %v; want %s, %d, %v", want.Name,
+			got.Name, got.Iterations, got.Stress, want.Name, want.Iterations, want.Stress)
+	}
+	if !reflect.DeepEqual(got.KernelNames(), want.KernelNames()) {
+		t.Errorf("%s: kernels %v, want %v", want.Name, got.KernelNames(), want.KernelNames())
+		return
+	}
+	for i, k := range want.Kernels {
+		g, w := *got.Kernels[i], *k
+		if (g.Phases == nil) != (w.Phases == nil) {
+			t.Errorf("%s: phases installed %v, want %v", k.Name, g.Phases != nil, w.Phases != nil)
+		}
+		for iter := 0; iter < 16; iter++ {
+			if g.PhaseFor(iter) != w.PhaseFor(iter) {
+				t.Errorf("%s iter %d: phase %+v, want %+v", k.Name, iter, g.PhaseFor(iter), w.PhaseFor(iter))
+			}
+		}
+		g.Phases, w.Phases = nil, nil
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: descriptor %+v, want %+v", k.Name, g, w)
+		}
 	}
 }
 

@@ -8,8 +8,9 @@
 # invariant hoisting and the trained predictor, the column regression
 # kernel against its row-by-row reference, budgeted nested parallelism
 # vs serial, allocation-free sweeps, the oracle sweep's and the cold
-# training sweep's allocation ceilings and a warm controller run's
-# allocated bytes), a repeated race pass over the memo's result slots,
+# training sweep's allocation ceilings, a warm controller run's
+# allocated bytes and allocation count, and one application lookup's
+# allocations), a repeated race pass over the memo's result slots,
 # and a bounded chaos-soak of the resilience layer (make soak). Timing
 # lives in the layered benchmark, perfbench (make bench).
 set -eux
@@ -32,9 +33,9 @@ if [ "$lint_elapsed" -gt 10 ]; then
 	echo "harmonia-lint took ${lint_elapsed}s; the pre-commit budget is 10s" >&2
 	exit 1
 fi
-# The full race pass needs explicit headroom: this container is
-# single-CPU and internal/eventsim alone runs close to go test's
-# default 10m per-binary alarm under the race detector.
+# The full race pass needs explicit headroom: on the 2-CPU reference
+# machine internal/eventsim alone runs past go test's default 10m
+# per-binary alarm under the race detector (about 15 minutes).
 go test -race -timeout 30m ./...
 go test -race -count=1 ./internal/serve/... ./internal/telemetry/...
 # The memo's by-value result slots under concurrent fillers and readers,
@@ -58,11 +59,12 @@ go test -count=1 -run 'TestTimelineRunBitIdentical|TestSameSeedTimelinesByteIden
 # parallelism must reproduce the serial pipeline byte for byte, the
 # pooled sweep scratch must stay allocation-free at steady state, a
 # fresh oracle's uncached sweeps must stay under their allocation
-# ceiling, and a warm Harmonia run must stay under its allocated-bytes
-# ceiling.
+# ceiling, a warm Harmonia run must stay under its allocated-bytes and
+# allocation-count ceilings, and looking up one application must build
+# only that application.
 go test -count=1 -run 'TestGoldenBits' ./internal/gpusim/
 go test -count=1 -run 'TestTrainedPredictorGoldenBits|TestColdTrainingSweepAllocs' ./internal/sensitivity/
 go test -count=1 -run 'TestFitManyMatchesRowReference' ./internal/regress/
-go test -count=1 -run 'TestBudgetedNestedSweepBitIdentical|TestEnvBudgetSplitSuiteBitIdentical|TestUncachedOracleSweepAllocs|TestControllerRunAllocBytes' .
+go test -count=1 -run 'TestBudgetedNestedSweepBitIdentical|TestEnvBudgetSplitSuiteBitIdentical|TestUncachedOracleSweepAllocs|TestControllerRunAllocBytes|TestWarmHarmoniaRunAllocs|TestAppLookupAllocs' .
 go test -count=1 -run 'TestMinAllocationFree' ./internal/sweep/
 make soak SOAK_ITERS="${SOAK_ITERS:-4}"

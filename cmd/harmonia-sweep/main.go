@@ -26,7 +26,6 @@ import (
 	"harmonia/internal/experiments"
 	"harmonia/internal/hw"
 	"harmonia/internal/metrics"
-	"harmonia/internal/power"
 )
 
 func main() {
@@ -127,11 +126,7 @@ func main() {
 	samples, _ := batch.Map(context.Background(), *workers, space,
 		func(_ context.Context, _ int, cfg harmonia.Config) (metrics.Sample, error) {
 			r := runner.Run(kernel, 0, cfg)
-			rails := sys.Power.Rails(cfg, power.Activity{
-				VALUBusyFrac:    r.Counters.VALUBusy / 100,
-				MemUnitBusyFrac: r.Counters.MemUnitBusy / 100,
-				AchievedGBs:     r.AchievedGBs,
-			})
+			rails := sys.Power.Rails(cfg, r.Activity())
 			return metrics.Sample{Seconds: r.Time, Watts: rails.Card()}, nil
 		})
 	for ci, cfg := range space {

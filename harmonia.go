@@ -409,11 +409,16 @@ func RunWithoutFaults() RunOption {
 // NewTraceRecorder): a root run span, kernel spans with
 // decide/simulate/observe phases, and, for policies that annotate their
 // decisions (Harmonia, the oracle), a decision span per boundary
-// carrying the same source, bins and proxy as the timeline. The session
-// records one entry per kernel boundary and the tree is built from them
-// when read, so the policy keeps no hold on rec after the run. Tracing
-// is pure observation: the traced run's Report is bit-identical to an
-// untraced one, and two same-seed recorders over the same run produce
+// carrying the same source, bins and proxy as the timeline. The tree is
+// built when read from the run's timeline (RunWithTimeline's recorder,
+// or a private one when the run has none) and the phase clock readings
+// rec keeps per boundary, so it holds the boundaries the timeline kept,
+// and the policy keeps no hold on rec after the run. A run without
+// RunWithTimeline is therefore capped at the private timeline's 16,384
+// boundaries (timeline.DefaultMaxEvents); past any cap the run span
+// counts the boundaries left out as boundaries_dropped. Tracing is pure
+// observation: the traced run's Report is bit-identical to an untraced
+// one, and two same-seed recorders over the same run produce
 // byte-identical span trees (given the same clock).
 func RunWithTrace(rec *TraceRecorder) RunOption {
 	return func(rs *runSettings) { rs.tracer = rec }

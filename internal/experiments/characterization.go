@@ -35,11 +35,7 @@ type Fig1Result struct {
 func Fig1PowerBreakdown(e *Env) Fig1Result {
 	k := kernelByName("XSBench.Lookup")
 	r := e.Runner().Run(k, 0, hw.MaxConfig())
-	rails := e.Power.Rails(hw.MaxConfig(), power.Activity{
-		VALUBusyFrac:    r.Counters.VALUBusy / 100,
-		MemUnitBusyFrac: r.Counters.MemUnitBusy / 100,
-		AchievedGBs:     r.AchievedGBs,
-	})
+	rails := e.Power.Rails(hw.MaxConfig(), r.Activity())
 	card := rails.Card()
 	return Fig1Result{
 		Rails:      rails,
@@ -204,11 +200,7 @@ type Fig4Result struct {
 // cardPowerAt runs the kernel and evaluates card power.
 func cardPowerAt(e *Env, k *workloads.Kernel, cfg hw.Config) float64 {
 	r := e.Runner().Run(k, 0, cfg)
-	return e.Power.Rails(cfg, power.Activity{
-		VALUBusyFrac:    r.Counters.VALUBusy / 100,
-		MemUnitBusyFrac: r.Counters.MemUnitBusy / 100,
-		AchievedGBs:     r.AchievedGBs,
-	}).Card()
+	return e.Power.Rails(cfg, r.Activity()).Card()
 }
 
 // Fig4ComputePowerRange reproduces Figure 4: DeviceMemory's board power
@@ -317,11 +309,7 @@ func Fig6MetricComparison(e *Env) Fig6Result {
 			for iter := 0; iter < app.Iterations; iter++ {
 				for _, k := range app.Kernels {
 					r := e.Runner().Run(k, iter, cfg)
-					rails := e.Power.Rails(cfg, power.Activity{
-						VALUBusyFrac:    r.Counters.VALUBusy / 100,
-						MemUnitBusyFrac: r.Counters.MemUnitBusy / 100,
-						AchievedGBs:     r.AchievedGBs,
-					})
+					rails := e.Power.Rails(cfg, r.Activity())
 					total = total.Add(metrics.Sample{Seconds: r.Time, Watts: rails.Card()})
 				}
 			}

@@ -31,6 +31,7 @@ import (
 
 	"harmonia/internal/counters"
 	"harmonia/internal/hw"
+	"harmonia/internal/power"
 	"harmonia/internal/workloads"
 )
 
@@ -102,6 +103,17 @@ type Result struct {
 	SerialTime  float64
 	// BandwidthBound reports which limiter set the effective bandwidth.
 	Limiter BandwidthLimiter
+}
+
+// Activity is the result's activity as the power model reads it: the
+// VALU and memory-unit busy counters as fractions, and the achieved
+// DRAM bandwidth.
+func (r *Result) Activity() power.Activity {
+	return power.Activity{
+		VALUBusyFrac:    r.Counters.VALUBusy / 100,
+		MemUnitBusyFrac: r.Counters.MemUnitBusy / 100,
+		AchievedGBs:     r.AchievedGBs,
+	}
 }
 
 // BandwidthLimiter identifies what bounded effective DRAM bandwidth.

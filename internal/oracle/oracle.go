@@ -223,11 +223,7 @@ func (o *Oracle) evaluate(k *workloads.Kernel, iter int, cfg hw.Config) float64 
 
 // score folds one simulation result into the oracle's figure of merit.
 func (o *Oracle) score(r gpusim.Result, cfg hw.Config) float64 {
-	rails := o.pow.Rails(cfg, power.Activity{
-		VALUBusyFrac:    r.Counters.VALUBusy / 100,
-		MemUnitBusyFrac: r.Counters.MemUnitBusy / 100,
-		AchievedGBs:     r.AchievedGBs,
-	})
+	rails := o.pow.Rails(cfg, r.Activity())
 	energy := rails.Card() * r.Time
 	switch o.objective {
 	case MinED:
@@ -245,11 +241,7 @@ func (o *Oracle) score(r gpusim.Result, cfg hw.Config) float64 {
 // regardless of the oracle's configured objective (used by tests).
 func (o *Oracle) ed2(k *workloads.Kernel, iter int, cfg hw.Config) float64 {
 	r := o.sim.Run(k, iter, cfg)
-	rails := o.pow.Rails(cfg, power.Activity{
-		VALUBusyFrac:    r.Counters.VALUBusy / 100,
-		MemUnitBusyFrac: r.Counters.MemUnitBusy / 100,
-		AchievedGBs:     r.AchievedGBs,
-	})
+	rails := o.pow.Rails(cfg, r.Activity())
 	energy := rails.Card() * r.Time
 	return energy * r.Time * r.Time
 }

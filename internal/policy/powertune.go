@@ -87,11 +87,7 @@ func (p *PowerTune) Observe(kernel string, _ int, res gpusim.Result) {
 	if p.Power == nil {
 		return
 	}
-	rails := p.Power.Rails(res.Config, power.Activity{
-		VALUBusyFrac:    res.Counters.VALUBusy / 100,
-		MemUnitBusyFrac: res.Counters.MemUnitBusy / 100,
-		AchievedGBs:     res.AchievedGBs,
-	})
+	rails := p.Power.Rails(res.Config, res.Activity())
 	lvl := p.levelOf(kernel)
 	switch {
 	case rails.Card() > p.TDPWatts && lvl > 0:

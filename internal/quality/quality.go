@@ -243,11 +243,7 @@ func (e *Engine) oracleGap(app *workloads.Application, kernels map[string]*workl
 // so the gap compares like with like.
 func (e *Engine) score(k *workloads.Kernel, iter int, cfg hw.Config) (energyJ, timeS float64) {
 	r := e.sim.Run(k, iter, cfg)
-	rails := e.pow.Rails(cfg, power.Activity{
-		VALUBusyFrac:    r.Counters.VALUBusy / 100,
-		MemUnitBusyFrac: r.Counters.MemUnitBusy / 100,
-		AchievedGBs:     r.AchievedGBs,
-	})
+	rails := e.pow.Rails(cfg, r.Activity())
 	return rails.Card() * r.Time, r.Time
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"harmonia/internal/daq"
 	"harmonia/internal/export"
 	"harmonia/internal/session"
 	"harmonia/internal/timeline"
@@ -58,10 +59,13 @@ type Run struct {
 	createdAt  time.Time
 	startedAt  time.Time
 	finishedAt time.Time
-	report     *session.Report
-	// headline carries the recorded result numbers of a run restored
-	// from the journal, whose full report (kernel runs, trace) was not
-	// persisted. Live runs leave it nil and serve the report instead.
+	// A run that finished here keeps only what its endpoints serve: the
+	// report body, built once at finish, and the DAQ samples /trace
+	// serves (the timeline's buckets cannot rebuild their timestamps).
+	report  *export.ReportJSON
+	samples []daq.Sample
+	// headline is the result numbers batch cells and the journal show:
+	// pointers into report, or a restored run's journaled numbers.
 	headline *headline
 	restored bool
 	// tracer records the run's span tree (GET /v1/runs/{id}/spans) and
@@ -128,16 +132,19 @@ func (r *Run) start(now time.Time) {
 	r.mu.Unlock()
 }
 
-// finish records the outcome and releases waiters.
+// finish records the outcome and releases waiters. A successful run
+// keeps its report body, its power samples and its headline, not rep.
 func (r *Run) finish(rep *session.Report, err error, now time.Time) {
 	r.mu.Lock()
 	r.finishedAt = now
-	if err != nil {
-		r.status = StatusFailed
-		r.err = err.Error()
-	} else {
-		r.status = StatusDone
-		r.report = rep
+	r.status = StatusDone
+	switch {
+	case err != nil:
+		r.status, r.err = StatusFailed, err.Error()
+	case rep != nil:
+		body := export.Report(rep)
+		r.report, r.samples = &body, rep.Trace
+		r.headline = &headline{ed2: &body.ED2, timeS: &body.TimeS, energyJ: &body.EnergyJ}
 	}
 	r.mu.Unlock()
 	close(r.done)
@@ -170,16 +177,11 @@ func (r *Run) finishRestored(status, errMsg string, h *headline, now time.Time) 
 	close(r.done)
 }
 
-// Headline returns the run's result numbers: from the full report when
-// the run executed in this process, from the journal-restored headline
-// otherwise. Returns nil for runs without results.
+// Headline returns the run's result numbers, or nil for runs without
+// results.
 func (r *Run) Headline() *headline {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.report != nil {
-		ed2, t, e := r.report.ED2(), r.report.TotalTime(), r.report.TotalEnergy()
-		return &headline{ed2: &ed2, timeS: &t, energyJ: &e}
-	}
 	return r.headline
 }
 
@@ -190,11 +192,12 @@ func (r *Run) Status() string {
 	return r.status
 }
 
-// Report returns the finished run's report, or nil.
-func (r *Run) Report() *session.Report {
+// Samples returns the finished run's DAQ power samples, and false for a
+// run without a report.
+func (r *Run) Samples() ([]daq.Sample, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.report
+	return r.samples, r.report != nil
 }
 
 // terminalSince reports whether the run finished at or before cutoff.
@@ -241,10 +244,7 @@ func (r *Run) JSON() RunJSON {
 		t := r.finishedAt
 		out.FinishedAt = &t
 	}
-	if r.report != nil {
-		rep := export.Report(r.report)
-		out.Report = &rep
-	}
+	out.Report = r.report
 	return out
 }
 

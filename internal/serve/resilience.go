@@ -63,15 +63,13 @@ func (s *Server) journalOutcome(run *Run) {
 		return
 	}
 	run.mu.Lock()
-	status, errMsg, rep := run.status, run.err, run.report
+	status, errMsg, h := run.status, run.err, run.headline
 	run.mu.Unlock()
 	switch status {
 	case StatusDone:
 		rec := resilience.Record{T: resilience.RecDone, ID: run.ID}
-		if rep != nil {
-			rec.ED2 = resilience.F64(rep.ED2())
-			rec.TimeS = resilience.F64(rep.TotalTime())
-			rec.EnergyJ = resilience.F64(rep.TotalEnergy())
+		if h != nil {
+			rec.ED2, rec.TimeS, rec.EnergyJ = h.ed2, h.timeS, h.energyJ
 		}
 		s.journalAppend(rec)
 	case StatusFailed, StatusPanicked, StatusInterrupted:

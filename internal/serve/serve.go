@@ -1102,19 +1102,19 @@ func (s *Server) handleGetTrace(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, errRunNotFound("run", r.PathValue("id")))
 		return
 	}
-	rep := run.Report()
-	if rep == nil {
-		writeError(w, http.StatusConflict, "run %s has no report (status %s)", run.ID, run.JSON().Status)
+	samples, ok := run.Samples()
+	if !ok {
+		writeError(w, http.StatusConflict, "run %s has no report (status %s)", run.ID, run.Status())
 		return
 	}
 	var err error
 	switch r.URL.Query().Get("format") {
 	case "", "csv":
 		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		err = export.WriteTraceCSV(w, rep.Trace)
+		err = export.WriteTraceCSV(w, samples)
 	case "json":
 		w.Header().Set("Content-Type", "application/json")
-		err = export.WriteTraceJSON(w, rep.Trace)
+		err = export.WriteTraceJSON(w, samples)
 	default:
 		writeError(w, http.StatusBadRequest, "unknown format %q (want csv or json)", r.URL.Query().Get("format"))
 	}

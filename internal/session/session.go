@@ -31,8 +31,6 @@ type Session struct {
 	Sim    gpusim.Runner
 	Power  *power.Model
 	Policy policy.Policy
-	// DAQRateHz is the power sampling rate; zero uses the paper's 1 kHz.
-	DAQRateHz float64
 	// Faults, when non-nil, injects platform faults between the
 	// simulator and what the policy and DAQ observe: commanded
 	// configurations may fail to latch or be thermally throttled, the
@@ -47,14 +45,17 @@ type Session struct {
 	// with telemetry is bit-identical to one without.
 	Telemetry *telemetry.Registry
 	// Tracer, when non-nil, records the run's span tree. The session
-	// hands it one record per kernel boundary, the same
-	// timeline.Decision the Timeline gets, plus a trace.Boundary tail of
-	// phase clock readings and the observation the policy was given; the
+	// gives it the run's timeline (Timeline, or a private one when that
+	// is nil) and, per kernel boundary, a trace.Boundary tail of phase
+	// clock readings and the observation the policy was given; the
 	// recorder builds the run → kernel → decide/simulate/observe →
-	// decision tree from those records when it is read. The policy never
-	// sees the recorder. Like Telemetry, tracing is pure observation — a
-	// traced run's Report is bit-identical to an untraced one — and an
-	// untraced run builds no record and reads no clock.
+	// decision tree from the timeline's decisions and those tails when
+	// it is read, so it holds the boundaries the timeline's event cap
+	// kept and its run span counts the rest as boundaries_dropped. The
+	// policy never sees the recorder. Like Telemetry, tracing is pure
+	// observation — a traced run's Report is bit-identical to an
+	// untraced one — and an untraced, unrecorded run builds no record
+	// and reads no clock.
 	Tracer *trace.Recorder
 	// Timeline, when non-nil, flight-records the run: the DAQ power
 	// stream folded into bounded buckets, one decision record per
@@ -161,8 +162,22 @@ func (s *Session) Run(app *workloads.Application) (*Report, error) {
 func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*Report, error) {
 	ins := s.instrumentsFor()
 	tr, tl := s.Tracer, s.Timeline
+	// A boundary record is built only when the timeline will store it,
+	// so only then is the policy's Detail read; the memo-hit flag is
+	// asked for only when a span recorder will show it.
+	var (
+		ann  timeline.Annotator
+		hits hitRunner
+		bins []timeline.Bins
+	)
 	if tr != nil {
-		tr.StartRun(app.Name, s.Policy.Name(), app.Iterations)
+		if tl == nil {
+			// The span tree is built from the timeline's decisions, so a
+			// traced run the caller gave no timeline records into its own.
+			tl = timeline.New()
+		}
+		tr.StartRun(app.Name, s.Policy.Name(), app.Iterations, tl)
+		hits, _ = s.Sim.(hitRunner)
 	}
 	if tl != nil {
 		tl.StartRun(app.Name, s.Policy.Name())
@@ -170,17 +185,6 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 		// subscribers always see the stream terminate; Finish is
 		// idempotent and the serve layer may call it again.
 		defer tl.Finish()
-	}
-	// A boundary record is built only when a recorder will store it, so
-	// only then is the policy's Detail read; the memo-hit flag is asked
-	// for only when a span recorder will show it.
-	recording := tr != nil || tl != nil
-	var (
-		ann  timeline.Annotator
-		hits hitRunner
-		bins []timeline.Bins
-	)
-	if recording {
 		ann, _ = s.Policy.(timeline.Annotator)
 	}
 	if ann != nil {
@@ -188,16 +192,13 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 		// costs no allocation per boundary.
 		bins = make([]timeline.Bins, 0, app.Iterations*len(app.Kernels))
 	}
-	if tr != nil {
-		hits, _ = s.Sim.(hitRunner)
-	}
 	if err := app.Validate(); err != nil {
 		ins.failed.Inc()
 		tr.FailRun(err)
 		return nil, err
 	}
 	ins.started.Inc()
-	rec := daq.New(s.DAQRateHz)
+	rec := daq.New(daq.DefaultRateHz)
 	if s.Faults != nil {
 		rec.Drop = s.Faults.DropDAQSample
 	}
@@ -239,9 +240,7 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 				err := fmt.Errorf("session: policy %s returned invalid config %v for %s",
 					s.Policy.Name(), cfg, k.Name)
 				if tr != nil {
-					tb.Err = err.Error()
-					tr.RecordDecision(timeline.Decision{Kernel: k.Name, Iter: iter, Commanded: timeline.ConfigOf(cfg)}, tb)
-					tr.FailRun(err)
+					tr.FailDecide(timeline.Decision{Kernel: k.Name, Iter: iter, Commanded: timeline.ConfigOf(cfg)}, tb, err)
 				}
 				return nil, err
 			}
@@ -256,11 +255,7 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 				res = s.Sim.Run(k, iter, actual)
 			}
 			tb.Clock[2] = tr.Now()
-			rails := s.Power.Rails(actual, power.Activity{
-				VALUBusyFrac:    res.Counters.VALUBusy / 100,
-				MemUnitBusyFrac: res.Counters.MemUnitBusy / 100,
-				AchievedGBs:     res.AchievedGBs,
-			})
+			rails := s.Power.Rails(actual, res.Activity())
 			rec.Observe(res.Time, rails)
 			obs := res
 			if s.Faults != nil {
@@ -271,8 +266,8 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 			rep.Runs = append(rep.Runs, KernelRun{
 				Kernel: k.Name, Iter: iter, Config: actual, Commanded: cfg, Result: res, Rails: rails,
 			})
-			if recording {
-				// One record per boundary, handed to both recorders. It
+			if tl != nil {
+				// One record per boundary, kept by the timeline alone. It
 				// carries the true physics (actual config, exact
 				// time/energy); the policy's Detail, read once right after
 				// Observe, adds its view.
@@ -295,20 +290,18 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 						}
 					}
 				}
-				if tl != nil {
-					// Power first, then the decision, so a live subscriber
-					// woken by the boundary event sees the power stream up
-					// to it.
-					all := rec.Samples()
-					tl.ObserveSamples(all[sampleLo:])
-					sampleLo = len(all)
-					tl.RecordDecision(d)
-				}
+				// Power first, then the decision, so a live subscriber
+				// woken by the boundary event sees the power stream up to
+				// it.
+				all := rec.Samples()
+				tl.ObserveSamples(all[sampleLo:])
+				sampleLo = len(all)
+				tl.RecordDecision(d)
 				if tr != nil {
 					tb.Observed = obs.Config
 					tb.VALUBusy, tb.MemUnitBusy = obs.Counters.VALUBusy, obs.Counters.MemUnitBusy
 					tb.Memo = hits != nil
-					tr.RecordDecision(d, tb)
+					tr.RecordBoundary(tb)
 				}
 			}
 		}

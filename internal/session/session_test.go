@@ -2,11 +2,15 @@ package session
 
 import (
 	"math"
+	"slices"
+	"strconv"
 	"testing"
 
 	"harmonia/internal/gpusim"
 	"harmonia/internal/hw"
 	"harmonia/internal/policy"
+	"harmonia/internal/timeline"
+	"harmonia/internal/trace"
 	"harmonia/internal/workloads"
 )
 
@@ -195,5 +199,48 @@ func TestED2BucketEdges(t *testing.T) {
 		if math.Abs(ratio-math.Sqrt(10)) > 1e-9 {
 			t.Errorf("edge ratio %d = %v, want sqrt(10)", i, ratio)
 		}
+	}
+}
+
+// TestSpanTreeFollowsTimelineCap: the span tree is built from the run's
+// timeline, so when the caller's timeline keeps only two decisions the
+// tree holds a closed run span, which counts the dropped boundaries, and
+// the spans of exactly those two boundaries.
+func TestSpanTreeFollowsTimelineCap(t *testing.T) {
+	tl := timeline.New(timeline.WithMaxEvents(2))
+	tr := trace.New(1)
+	s := New(policy.NewBaseline())
+	s.Timeline, s.Tracer = tl, tr
+	rep, err := s.Run(workloads.Graph500())
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, dropped, _ := tl.Counts()
+	if kept != 2 || dropped != len(rep.Runs)-2 {
+		t.Fatalf("timeline kept %d and dropped %d of %d decisions, want 2 kept", kept, dropped, len(rep.Runs))
+	}
+	spans := tr.Snapshot().Spans
+	if len(spans) == 0 || spans[0].Name != "run" || !spans[0].Ended {
+		t.Fatalf("span tree does not open with a closed run span: %+v", spans)
+	}
+	if !slices.Contains(spans[0].Attrs, trace.Attr{Key: "boundaries_dropped", Value: strconv.Itoa(dropped)}) {
+		t.Errorf("run span attrs %v do not report boundaries_dropped=%d", spans[0].Attrs, dropped)
+	}
+	var kernels []string
+	for _, sp := range spans[1:] {
+		switch sp.Name {
+		case "kernel":
+			kernels = append(kernels, sp.Attrs[0].Value+"#"+sp.Attrs[1].Value)
+		case "decide", "simulate", "observe":
+		default:
+			t.Errorf("unexpected %q span", sp.Name)
+		}
+	}
+	var want []string
+	for _, d := range tl.Snapshot().Decisions {
+		want = append(want, d.Kernel+"#"+strconv.Itoa(d.Iter))
+	}
+	if len(spans) != 9 || !slices.Equal(kernels, want) {
+		t.Fatalf("%d spans with kernels %v, want 9 spans with kernels %v", len(spans), kernels, want)
 	}
 }

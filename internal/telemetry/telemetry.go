@@ -242,19 +242,6 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 	return &Counter{s: v.f.get(labelValues)}
 }
 
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// GaugeVec returns the labelled gauge family with the given name.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{f: r.lookup(name, help, typeGauge, labelNames, nil)}
-}
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	return &Gauge{s: v.f.get(labelValues)}
-}
-
 // HistogramVec is a histogram family with labels.
 type HistogramVec struct{ f *family }
 
@@ -301,13 +288,6 @@ func LinearBuckets(start, width float64, n int) []float64 {
 // seconds.
 var DefDurationBuckets = []float64{
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
-
-// Families returns the number of metric families registered.
-func (r *Registry) Families() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.fams)
 }
 
 // WritePrometheus renders every family in the Prometheus text exposition

@@ -163,11 +163,7 @@ func (t *Throttle) Decide(kernel string, iter int) hw.Config {
 // Observe implements policy.Policy: advance the die model and adjust the
 // cap, then forward the observation to the inner policy.
 func (t *Throttle) Observe(kernel string, iter int, res gpusim.Result) {
-	rails := t.Power.Rails(res.Config, power.Activity{
-		VALUBusyFrac:    res.Counters.VALUBusy / 100,
-		MemUnitBusyFrac: res.Counters.MemUnitBusy / 100,
-		AchievedGBs:     res.AchievedGBs,
-	})
+	rails := t.Power.Rails(res.Config, res.Activity())
 	temp := t.Die.Step(t.Die.DiePower(rails), res.Time)
 	if temp > t.PeakC {
 		t.PeakC = temp

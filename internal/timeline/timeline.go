@@ -79,8 +79,8 @@ func BinsOf(b sensitivity.Bins) Bins {
 // produced and what the controller believed at the time. Policies that
 // can provide it implement Annotator. It is the only description of a
 // kernel boundary a policy gives: the session copies it into the
-// boundary's Decision, which both the timeline and the span recorder
-// store (the span tree shows it as a "decision" span).
+// boundary's Decision, which the timeline stores and the span tree
+// reads from there (as a "decision" span).
 type Detail struct {
 	// Source classifies the action: the controller's ActionKind string
 	// (hold, cg, fg, revert, freeze, reject, retry, degrade, recover)
@@ -391,6 +391,19 @@ func (r *Recorder) Since(cursor int) (events []Decision, next int, done bool, ch
 		r.notify = make(chan struct{})
 	}
 	return events, len(r.decisions), r.finished, r.notify
+}
+
+// Decisions returns the retained decision records in boundary order.
+// A record is never written again once appended, so the slice shares
+// the recorder's storage instead of copying it; callers must not modify
+// it. Safe on a nil Recorder (returns nil).
+func (r *Recorder) Decisions() []Decision {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.decisions[:len(r.decisions):len(r.decisions)]
 }
 
 // Counts reports the event totals: decisions retained, decisions

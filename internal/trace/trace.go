@@ -1,14 +1,14 @@
 // Package trace records a run's span tree and exports it as native
 // JSON or Chrome trace-event JSON (loadable in Perfetto /
-// chrome://tracing). The recorder stores records, not spans:
-// internal/session writes one when the run starts, one per completed
-// kernel boundary (the same timeline.Decision the flight recorder
-// stores, plus the trace-only Boundary tail) and one when the run ends.
-// Snapshot builds the tree from those records when it is read: a root
-// run span, a kernel span per boundary with its decide/simulate/observe
-// phases, and, for a policy that annotated the boundary, a decision
-// span under observe carrying its timeline.Detail. Spans have no point
-// events, and policies never see the recorder.
+// chrome://tracing). The recorder stores neither spans nor decisions:
+// internal/session gives it the run's timeline at the start, then one
+// trace-only Boundary tail per kernel boundary the timeline kept, and
+// the run's end. Snapshot builds the tree when it is read from the
+// timeline's decisions and those tails: a root run span, a kernel span
+// per boundary with its decide/simulate/observe phases, and, for a
+// policy that annotated the boundary, a decision span under observe
+// carrying its timeline.Detail. Spans have no point events, and
+// policies never see the recorder.
 //
 // The recorder is built around two guarantees the rest of the repo
 // depends on:
@@ -17,7 +17,7 @@
 //     run never changes a single computed value, so a traced run's
 //     Report is bit-identical to an untraced one. Every method is safe
 //     on a nil *Recorder and allocates nothing there; an untraced
-//     session builds no record and reads no clock.
+//     session builds no tail and reads no clock.
 //
 //   - Determinism. Span IDs are drawn from a SplitMix64 stream seeded
 //     by the run seed, in span start order, each time a tree is built;
@@ -83,16 +83,14 @@ type Boundary struct {
 	// Memo reports that the simulator tells memo hits apart; Hit is
 	// whether this boundary's simulation came from the memo.
 	Memo, Hit bool
-	// Err is the error that stopped the run at this boundary's decide
-	// phase (the policy returned an invalid config). Such a boundary has
-	// no simulate or observe phase, and its kernel ends with decide.
-	Err string
 }
 
-// boundary is one stored kernel-boundary record.
-type boundary struct {
-	d timeline.Decision
-	b Boundary
+// rejection is the boundary whose decide stopped the run, which the
+// timeline never sees, and its error.
+type rejection struct {
+	d   timeline.Decision
+	b   Boundary
+	err string
 }
 
 // runRecord is the run span's record: opened by StartRun, closed by
@@ -117,7 +115,10 @@ type Recorder struct {
 	attrs   []Attr
 	clock   func() time.Duration
 	run     runRecord
-	bounds  []boundary
+	// tl holds the run's decisions; tails[i] is the tail of its i-th.
+	tl       *timeline.Recorder
+	tails    []Boundary
+	rejected *rejection
 }
 
 // Option configures a Recorder at construction.
@@ -220,25 +221,43 @@ func (r *Recorder) Now() time.Duration {
 	return r.clock()
 }
 
-// StartRun opens the run span. A Recorder records one run.
-func (r *Recorder) StartRun(app, policy string, iterations int) {
+// StartRun opens the run span over tl, the timeline whose decisions
+// the kernel spans are built from. A Recorder records one run.
+func (r *Recorder) StartRun(app, policy string, iterations int, tl *timeline.Recorder) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	r.run = runRecord{started: true, app: app, policy: policy, iterations: iterations, start: r.clock()}
+	r.tl = tl
 	r.mu.Unlock()
 }
 
-// RecordDecision stores one completed kernel boundary: d is the record
-// the flight recorder stores, b the trace-only tail.
-func (r *Recorder) RecordDecision(d timeline.Decision, b Boundary) {
+// RecordBoundary stores the tail of the decision the timeline recorded
+// last, unless the timeline dropped that decision past its event cap.
+func (r *Recorder) RecordBoundary(b Boundary) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.bounds = append(r.bounds, boundary{d: d, b: b})
+	if kept, _, _ := r.tl.Counts(); len(r.tails) < kept {
+		r.tails = append(r.tails, b)
+	}
 	r.mu.Unlock()
+}
+
+// FailDecide fails the run with err at a boundary whose decide returned
+// an invalid config: d's kernel, iteration and commanded config and b's
+// first two clock readings become a kernel span that ends with its
+// decide phase and carries err.
+func (r *Recorder) FailDecide(d timeline.Decision, b Boundary, err error) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.rejected = &rejection{d: d, b: b, err: err.Error()}
+	r.mu.Unlock()
+	r.FailRun(err)
 }
 
 // EndRun closes the run span with the run's total time, energy and
@@ -285,19 +304,33 @@ func (r *Recorder) Snapshot() Snapshot {
 	if !r.run.started {
 		return out
 	}
+	// The session records a decision before its tail, so a snapshot
+	// taken between the two sees one decision more than tails.
+	decs := r.tl.Decisions()
+	_, dropped, _ := r.tl.Counts()
+	n := min(len(decs), len(r.tails))
 	ids := r.ids
-	out.Spans = make([]SpanData, 0, 1+5*len(r.bounds))
-	out.Spans = append(out.Spans, r.run.span(splitmix64(&ids), r.clock))
-	for i := range r.bounds {
-		out.Spans = r.bounds[i].appendSpans(out.Spans, out.Spans[0].ID, &ids)
+	out.Spans = make([]SpanData, 0, 3+5*n)
+	out.Spans = append(out.Spans, r.run.span(splitmix64(&ids), r.clock, dropped))
+	root := out.Spans[0].ID
+	for i := 0; i < n; i++ {
+		out.Spans = appendSpans(out.Spans, root, &ids, &decs[i], &r.tails[i], "")
+	}
+	if rj := r.rejected; rj != nil {
+		out.Spans = appendSpans(out.Spans, root, &ids, &rj.d, &rj.b, rj.err)
 	}
 	return out
 }
 
 // span builds the run span; clock supplies End while the run is open.
-func (run *runRecord) span(id uint64, clock func() time.Duration) SpanData {
+// A positive dropped, the boundaries the timeline's cap left out of the
+// tree, is shown as boundaries_dropped.
+func (run *runRecord) span(id uint64, clock func() time.Duration, dropped int) SpanData {
 	sp := SpanData{ID: id, Name: "run", Start: run.start, End: run.end, Ended: run.ended,
 		Attrs: []Attr{{"app", run.app}, {"policy", run.policy}, intAttr("iterations", run.iterations)}}
+	if dropped > 0 {
+		sp.Attrs = append(sp.Attrs, intAttr("boundaries_dropped", dropped))
+	}
 	switch {
 	case run.err != "":
 		sp.Attrs = append(sp.Attrs, Attr{"error", run.err})
@@ -310,18 +343,19 @@ func (run *runRecord) span(id uint64, clock func() time.Duration) SpanData {
 	return sp
 }
 
-// appendSpans appends the boundary's spans under the run span parent,
-// drawing their IDs from ids in start order.
-func (rec *boundary) appendSpans(spans []SpanData, parent uint64, ids *uint64) []SpanData {
-	d, b := &rec.d, &rec.b
+// appendSpans appends one boundary's spans under the run span parent,
+// drawing their IDs from ids in start order. A non-empty rejected is the
+// error of a decide that stopped the run there: the kernel then ends
+// with its decide phase.
+func appendSpans(spans []SpanData, parent uint64, ids *uint64, d *timeline.Decision, b *Boundary, rejected string) []SpanData {
 	span := func(parent uint64, name string, start, end time.Duration, attrs ...Attr) SpanData {
 		return SpanData{ID: splitmix64(ids), Parent: parent, Name: name, Start: start, End: end, Ended: true, Attrs: attrs}
 	}
 	kernel := span(parent, "kernel", b.Clock[0], b.Clock[3], Attr{"name", d.Kernel}, intAttr("iter", d.Iter))
 	decide := span(kernel.ID, "decide", b.Clock[0], b.Clock[1], Attr{"config", d.Commanded.HW().String()})
-	if b.Err != "" {
+	if rejected != "" {
 		kernel.End = b.Clock[1]
-		kernel.Attrs = append(kernel.Attrs, Attr{"error", b.Err})
+		kernel.Attrs = append(kernel.Attrs, Attr{"error", rejected})
 		return append(spans, kernel, decide)
 	}
 	simAttrs := make([]Attr, 0, 3)

@@ -34,27 +34,31 @@ func boundaryAt(r *Recorder) Boundary {
 
 // buildTree records a representative run: an annotated boundary with
 // bins and a proxy, an unannotated one the memo answered, and the
-// run's totals.
+// run's totals. The decisions go to the run's timeline, the tails to r.
 func buildTree(r *Recorder) {
-	r.StartRun("Graph500", "harmonia", 3)
+	tl := timeline.New()
+	r.StartRun("Graph500", "harmonia", 3, tl)
 	cfg := timeline.ConfigOf(hw.MaxConfig())
 	b := boundaryAt(r)
 	b.Observed, b.VALUBusy, b.MemUnitBusy, b.Annotated = hw.MinConfig(), 41.5, 12.25, true
-	r.RecordDecision(timeline.Decision{
+	tl.RecordDecision(timeline.Decision{
 		Kernel: "bfs", Iter: 0, Config: cfg, Commanded: cfg, TimeS: 0.5,
 		Source: "cg", Proxy: 0.75, Bins: &timeline.Bins{CUs: "LOW", CUFreq: "MED", MemFreq: "HIGH"},
-	}, b)
+	})
+	r.RecordBoundary(b)
 	b = boundaryAt(r)
 	b.Memo, b.Hit = true, true
-	r.RecordDecision(timeline.Decision{Kernel: "sssp", Iter: 0, Config: cfg, Commanded: cfg, TimeS: 0.25}, b)
+	tl.RecordDecision(timeline.Decision{Kernel: "sssp", Iter: 0, Config: cfg, Commanded: cfg, TimeS: 0.25})
+	r.RecordBoundary(b)
 	r.EndRun(0.75, 90, 1.25)
 }
 
 func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
 	// Every method must be a safe no-op on the nil recorder.
-	r.StartRun("app", "policy", 1)
-	r.RecordDecision(timeline.Decision{}, Boundary{})
+	r.StartRun("app", "policy", 1, nil)
+	r.RecordBoundary(Boundary{})
+	r.FailDecide(timeline.Decision{}, Boundary{}, errors.New("boom"))
 	r.EndRun(1, 2, 3)
 	r.FailRun(errors.New("boom"))
 	if r.Now() != 0 {
@@ -76,10 +80,11 @@ func TestNilSpanZeroAlloc(t *testing.T) {
 	var r *Recorder
 	err := errors.New("boom")
 	allocs := testing.AllocsPerRun(100, func() {
-		r.StartRun("app", "policy", 1)
+		r.StartRun("app", "policy", 1, nil)
 		b := Boundary{}
 		b.Clock[0] = r.Now()
-		r.RecordDecision(timeline.Decision{Kernel: "k"}, b)
+		r.RecordBoundary(b)
+		r.FailDecide(timeline.Decision{Kernel: "k"}, b, err)
 		r.EndRun(1, 2, 3)
 		r.FailRun(err)
 	})
@@ -124,8 +129,8 @@ func TestChromeExportMatchesNativeTree(t *testing.T) {
 
 func TestSpanIDsSeedDeterministic(t *testing.T) {
 	r1, r2 := New(99), New(99)
-	r1.StartRun("a", "p", 1)
-	r2.StartRun("a", "p", 1)
+	r1.StartRun("a", "p", 1, nil)
+	r2.StartRun("a", "p", 1, nil)
 	s1, s2 := r1.Snapshot().Spans[0], r2.Snapshot().Spans[0]
 	if s1.ID != s2.ID {
 		t.Fatalf("same seed, different first span IDs: %x vs %x", s1.ID, s2.ID)
@@ -140,7 +145,7 @@ func TestSpanIDsSeedDeterministic(t *testing.T) {
 
 func TestSnapshotWhileOpen(t *testing.T) {
 	r := New(5, WithClock(counterClock()))
-	r.StartRun("app", "policy", 1)
+	r.StartRun("app", "policy", 1, nil)
 	snap := r.Snapshot()
 	if len(snap.Spans) != 1 {
 		t.Fatalf("got %d spans, want 1", len(snap.Spans))
@@ -168,9 +173,8 @@ func TestSnapshotWhileOpen(t *testing.T) {
 func TestTreeFromRecords(t *testing.T) {
 	r := New(3, WithClock(counterClock()))
 	buildTree(r)
-	b := boundaryAt(r)
-	b.Err = "invalid config"
-	r.RecordDecision(timeline.Decision{Kernel: "bad", Iter: 1, Commanded: timeline.ConfigOf(hw.MinConfig())}, b)
+	r.FailDecide(timeline.Decision{Kernel: "bad", Iter: 1, Commanded: timeline.ConfigOf(hw.MinConfig())},
+		boundaryAt(r), errors.New("invalid config"))
 	spans := r.Snapshot().Spans
 	if r.Len() != len(spans) {
 		t.Fatalf("Len %d, Snapshot built %d spans", r.Len(), len(spans))

@@ -1,18 +1,20 @@
 #!/bin/sh
-# Pre-commit gate: formatting, build, vet, the harmonia-lint domain
-# analyzers (-werror: malformed suppressions fail too; timed against a
-# 10s budget), race-detector test run, a focused race pass over the
-# concurrent service layer, an observability smoke (the spans endpoint
-# in both formats, the tracing inertness gates, and the debug mux), the
-# hot-path equivalence gates (golden float bits across the gpusim
-# invariant hoisting and the trained predictor, the column regression
-# kernel against its row-by-row reference, budgeted nested parallelism
-# vs serial, allocation-free sweeps, the oracle sweep's and the cold
-# training sweep's allocation ceilings, a warm controller run's
-# allocated bytes and allocation count, and one application lookup's
-# allocations), a repeated race pass over the memo's result slots,
-# and a bounded chaos-soak of the resilience layer (make soak). Timing
-# lives in the layered benchmark, perfbench (make bench).
+# Pre-commit gate: formatting, build, vet, the benchmark module's vet
+# and tests, the harmonia-lint domain analyzers (-werror: malformed
+# suppressions fail too; timed against a 10s budget), race-detector
+# test run, a focused race pass over the concurrent service layer, an
+# observability smoke (the spans endpoint in both formats, the tracing
+# inertness gates, the debug mux, the pinned served bodies and a served
+# run's retained heap), the hot-path equivalence gates (golden float
+# bits across the gpusim invariant hoisting and the trained predictor,
+# the column regression kernel against its row-by-row reference,
+# budgeted nested parallelism vs serial, allocation-free sweeps, the
+# oracle sweep's and the cold training sweep's allocation ceilings, a
+# warm controller run's allocated bytes and allocation count, and one
+# application lookup's allocations), a repeated race pass over the
+# memo's result slots, and a bounded chaos-soak of the resilience layer
+# (make soak). Timing lives in the layered benchmark, perfbench (make
+# bench).
 set -eux
 cd "$(dirname "$0")/.."
 unformatted="$(gofmt -l .)"
@@ -23,6 +25,10 @@ if [ -n "$unformatted" ]; then
 fi
 go build ./...
 go vet ./...
+# The benchmark module builds against the internal APIs it calls
+# (trace.New, timeline.New, RunWithTrace, ...), so a change to one of
+# them fails here rather than at the next benchmark run.
+(cd perfbench/_go && go vet ./... && go test ./...)
 # Domain lint must stay fast enough for pre-commit use: the four-analyzer
 # run, including the module-wide call-graph build, is budgeted at 10
 # seconds (the binary is already built, so this times analysis).
@@ -43,9 +49,12 @@ go test -race -count=1 ./internal/serve/... ./internal/telemetry/...
 go test -race -count=10 -run 'TestConcurrentSlotFill|TestConcurrentMixedSweep' ./internal/simcache/
 # Observability smoke: spans endpoint round-trips (native + chrome),
 # request/trace correlation, tracing inertness, the pinned span trees,
-# the traced run's allocations per kernel boundary, and the
-# pprof/expvar debug handler.
-go test -count=1 -run 'TestGetSpans|TestTraceparentAdopted|TestRequestIDMintedAndEchoed|TestDebugHandler' ./internal/serve/
+# the span tree following its timeline's event cap, the traced run's
+# allocations per kernel boundary, the pprof/expvar debug handler, the
+# pinned hash of every body a fixed script's runs serve, and the heap a
+# finished served run retains.
+go test -count=1 -run 'TestGetSpans|TestTraceparentAdopted|TestRequestIDMintedAndEchoed|TestDebugHandler|TestServedBodiesPinned|TestServedRunRetainedBytes' ./internal/serve/
+go test -count=1 -run 'TestSpanTreeFollowsTimelineCap' ./internal/session/
 go test -count=1 -run 'TestTracedRunBitIdentical|TestSameSeedSpanTreesByteIdentical|TestSpanTreeGolden|TestTracedRunAllocs' .
 # Flight-recorder smoke: recorder inertness and same-seed timeline
 # byte-identity (the determinism the /v1/runs/{id}/timeline contract

@@ -486,7 +486,7 @@ func BenchmarkOracleSweepCached(b *testing.B) {
 
 // TestUncachedOracleSweepAllocs is the sweep allocation gate: a fresh
 // serial oracle deciding LUD's three kernels — three exhaustive sweeps
-// of 448 cells — allocates 15 times in all, where the same three
+// of 448 cells — allocates 16 times in all, where the same three
 // sweeps took 387 before the zero-allocation path of DESIGN.md §13.3.
 // The bound of 30 leaves room for incidental growth; one allocation per
 // swept cell would exceed it forty-fold.
@@ -506,7 +506,7 @@ func TestUncachedOracleSweepAllocs(t *testing.T) {
 
 // TestControllerRunAllocBytes gates the bytes one Harmonia run allocates
 // on a warm memo: a fresh controller running SRAD to completion
-// allocates about 50 KiB. A controller that also kept its own
+// allocates 54.4 KiB. A controller that also kept its own
 // per-boundary decision log allocated 82 KiB, so the 64 KiB bound
 // catches a second account of the run coming back.
 func TestControllerRunAllocBytes(t *testing.T) {
@@ -534,7 +534,8 @@ func TestControllerRunAllocBytes(t *testing.T) {
 
 // TestWarmHarmoniaRunAllocs gates the allocations of one warm library
 // run: a fresh Harmonia controller running SRAD to completion on a warm
-// memo allocates 73 times. A controller that kept its outlier windows
+// memo allocates 77 times, four of them preparing each of SRAD's two
+// kernels once. A controller that kept its outlier windows
 // as growing slices in a per-kernel map, and its dithering and freeze
 // records as maps, allocated 148 times, so the bound of 100 catches
 // those coming back.
@@ -552,6 +553,57 @@ func TestWarmHarmoniaRunAllocs(t *testing.T) {
 	t.Logf("warm SRAD Harmonia run: %v allocations", allocs)
 	if allocs > 100 {
 		t.Fatalf("warm SRAD Harmonia run allocated %v times, want <= 100", allocs)
+	}
+}
+
+// TestOracleRunAllocBytes gates the bytes a warm oracle run allocates:
+// a fresh oracle running SRAD to completion on a warm memo, with every
+// decision answered by the shared decision memo, allocates 61.1 KiB. An
+// oracle that kept its answers in a map of its own, inserted into and
+// grown at every boundary, allocated 91.3 KiB, so the 72 KiB bound
+// catches that map coming back.
+func TestOracleRunAllocBytes(t *testing.T) {
+	sys := NewSystem(WithSimCache())
+	app := App("SRAD")
+	if _, err := sys.Run(app, sys.OracleWithWorkers(1, app)); err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := sys.Run(app, sys.OracleWithWorkers(1, app)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("warm SRAD oracle run: %.1f KiB", perRun/1024)
+	if perRun > 72<<10 {
+		t.Fatalf("warm SRAD oracle run allocated %.1f KiB, want <= 72", perRun/1024)
+	}
+}
+
+// TestWarmPhaseVaryingRunAllocs gates a warm run whose kernel changes
+// phase: a baseline Graph500 run on a warm memo allocates 32 times, the
+// run's own 12 and two for preparing each of its ten distinct (kernel,
+// phase) pairs once. A session that prepared again at every phase
+// change allocated 64 times, so the bound of 32 catches that.
+func TestWarmPhaseVaryingRunAllocs(t *testing.T) {
+	sys := NewSystem(WithSimCache())
+	app := App("Graph500")
+	if _, err := sys.Run(app, sys.Baseline()); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := sys.Run(app, sys.Baseline()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("warm Graph500 baseline run: %v allocations", allocs)
+	if allocs > 32 {
+		t.Fatalf("warm Graph500 baseline run allocated %v times, want <= 32", allocs)
 	}
 }
 

@@ -14,6 +14,10 @@ import (
 	"testing"
 
 	"harmonia/internal/experiments"
+	"harmonia/internal/faults"
+	"harmonia/internal/gpusim"
+	"harmonia/internal/session"
+	"harmonia/internal/workloads"
 )
 
 // runPair executes the same (app, policy-name) run on a cached and an
@@ -176,4 +180,128 @@ func TestLabSharesSystemCache(t *testing.T) {
 	if misses1 < misses0 {
 		t.Error("miss counter went backwards")
 	}
+}
+
+// runOnly exposes nothing of a runner but Run, so a session calls it at
+// every boundary with that boundary's own iteration: the reference the
+// bound path must reproduce.
+type runOnly struct{ gpusim.Runner }
+
+// boundTestApps returns the suite plus two synthetic applications made
+// from SRAD's kernels: one whose first kernel changes phase at every
+// iteration, more distinct phases than a run binds without allocating,
+// and one whose first kernel's phase carries a NaN field on every other
+// iteration, which the memo never stores and a binding must match only
+// by its bits.
+func boundTestApps() []*Application {
+	srad := App("SRAD")
+	synthetic := func(name string, phase func(int) workloads.Phase) *Application {
+		k := *srad.Kernels[0]
+		k.Name, k.Phases = name+".Varying", phase
+		return &Application{Name: name, Kernels: []*Kernel{&k, srad.Kernels[1]}, Iterations: 24}
+	}
+	return append(Suite(),
+		synthetic("EveryIteration", func(iter int) workloads.Phase {
+			return workloads.Phase{WorkScale: 0.5 + 0.1*float64(iter), Divergence: -1, FetchScale: 1}
+		}),
+		synthetic("NaNPhase", func(iter int) workloads.Phase {
+			p := workloads.Phase{WorkScale: 1, Divergence: 0.3, FetchScale: 1.2}
+			if iter%2 == 0 {
+				p.Divergence = math.NaN()
+			}
+			return p
+		}))
+}
+
+// TestBoundRunBitIdentical is the gate on the session's binding of each
+// (kernel, phase) pair once per run: on the raw model, on a warm memo
+// and under fault injection, every application runs under each of the
+// six served policies through the bound path and through a runner the
+// session can only call at every boundary, and the reports agree bit
+// for bit.
+func TestBoundRunBitIdentical(t *testing.T) {
+	raw, memo := NewSystem(), NewSystem(WithSimCache())
+	policies := []struct {
+		name string
+		mk   func(*System, *Application) Policy
+	}{
+		{"baseline", func(s *System, _ *Application) Policy { return s.Baseline() }},
+		{"powertune", func(s *System, _ *Application) Policy { return s.PowerTune(250) }},
+		{"harmonia", func(s *System, _ *Application) Policy { return s.Harmonia() }},
+		{"cg-only", func(s *System, _ *Application) Policy { return s.CGOnly() }},
+		{"compute-only", func(s *System, _ *Application) Policy { return s.ComputeDVFSOnly() }},
+		{"oracle", func(s *System, app *Application) Policy { return s.OracleWithWorkers(1, app) }},
+	}
+	run := func(t *testing.T, sys *System, sim gpusim.Runner, app *Application, pol Policy, faulted bool) *Report {
+		t.Helper()
+		sess := &session.Session{Sim: sim, Power: sys.Power, Policy: pol}
+		if faulted {
+			sess.Faults = faults.New(FaultProfile(7, 0.5))
+		}
+		rep, err := sess.Run(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	for _, app := range boundTestApps() {
+		for _, p := range policies {
+			t.Run(app.Name+"/"+p.name, func(t *testing.T) {
+				for _, c := range []struct {
+					name    string
+					sys     *System
+					sim     gpusim.Runner
+					faulted bool
+				}{
+					{"raw", raw, raw.Sim, false},
+					{"warm-memo", memo, memo.Lab().Runner(), false},
+					{"faulted", raw, raw.Sim, true},
+				} {
+					if c.sys == memo {
+						run(t, c.sys, c.sim, app, p.mk(c.sys, app), false) // warm the memo
+					}
+					bound := run(t, c.sys, c.sim, app, p.mk(c.sys, app), c.faulted)
+					ref := run(t, c.sys, runOnly{c.sim}, app, p.mk(c.sys, app), c.faulted)
+					if !sameBits(reflect.ValueOf(bound).Elem(), reflect.ValueOf(ref).Elem()) {
+						t.Fatalf("%s: bound report differs from the per-boundary reference", c.name)
+					}
+				}
+			})
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same values, comparing
+// floats by their bits, so NaNs of one payload match and ±0 do not.
+func sameBits(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float32, reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameBits(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return a.Int() == b.Int()
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return a.Uint() == b.Uint()
+	case reflect.String:
+		return a.String() == b.String()
+	case reflect.Bool:
+		return a.Bool() == b.Bool()
+	}
+	panic("sameBits: unhandled kind " + a.Kind().String())
 }

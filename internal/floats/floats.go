@@ -37,3 +37,23 @@ func Within(a, b, tol float64) bool {
 	}
 	return math.Abs(a-b) <= tol
 }
+
+// Clamp limits v to [lo, hi] with plain comparisons, which compile
+// inline where math.Max and math.Min are assembly calls on amd64. For
+// lo < hi, neither NaN and lo not −0, it returns bit for bit what
+// math.Max(lo, math.Min(hi, v)) returns: the canonical math.NaN() for
+// every NaN, whatever its payload, and lo itself when v equals it (so
+// +0, not −0, when lo is 0). Either bound may be infinite:
+// Clamp(v, 0, math.Inf(1)) is math.Max(v, 0), and
+// Clamp(v, math.Inf(-1), 1) is math.Min(v, 1).
+func Clamp(v, lo, hi float64) float64 {
+	switch {
+	case math.IsNaN(v):
+		return math.NaN()
+	case v > hi:
+		return hi
+	case v > lo:
+		return v
+	}
+	return lo
+}

@@ -30,6 +30,7 @@ import (
 	"math"
 
 	"harmonia/internal/counters"
+	"harmonia/internal/floats"
 	"harmonia/internal/hw"
 	"harmonia/internal/power"
 	"harmonia/internal/workloads"
@@ -149,8 +150,11 @@ func (b BandwidthLimiter) String() string {
 func EffectiveL2Hit(k *workloads.Kernel, nCU int) float64 {
 	frac := float64(nCU-hw.MinCUs) / float64(hw.MaxCUs-hw.MinCUs)
 	hit := k.L2Hit * (1 - k.L2Thrash*frac)
-	return math.Max(hit, 0)
+	return floats.Clamp(hit, 0, math.Inf(1))
 }
+
+// clampPct limits a counter to [0, 100] percent.
+func clampPct(v float64) float64 { return floats.Clamp(v, 0, 100) }
 
 // Run simulates one invocation of kernel k's iteration iter at
 // configuration cfg. It is Invariants + Invariants.Run in one call; a
@@ -236,7 +240,6 @@ func (m *Model) Invariants(k *workloads.Kernel, iter int) Invariants {
 		writeShare = writeBytes / rawBytes
 	}
 
-	clampPct := func(v float64) float64 { return math.Max(0, math.Min(100, v)) }
 	return Invariants{
 		model:  m,
 		kernel: k,
@@ -304,7 +307,7 @@ func (inv *Invariants) Run(cfg hw.Config) Result {
 	// Overlap: with enough resident wavefronts the shorter phase hides
 	// completely under the longer one; with few, part of it is exposed.
 	overlap := (inv.occWaves - 1) / m.HideWaves
-	overlap = math.Max(0, math.Min(1, overlap))
+	overlap = floats.Clamp(overlap, 0, 1)
 	tBody := math.Max(tCompute, tMemory) + (1-overlap)*math.Min(tCompute, tMemory)
 
 	tSerial := k.SerialCycles/fCU + k.LaunchOverhead
@@ -313,7 +316,6 @@ func (inv *Invariants) Run(cfg hw.Config) Result {
 	achieved := dramBytes / total
 
 	// Counters (Table 2).
-	clampPct := func(v float64) float64 { return math.Max(0, math.Min(100, v)) }
 	valuBusy := clampPct(tCompute / total * 100)
 	memBusy := clampPct(tMemory / total * 100)
 	stalled := 0.05 * memBusy
@@ -329,7 +331,7 @@ func (inv *Invariants) Run(cfg hw.Config) Result {
 		WriteUnitStalled: clampPct(stalled * inv.writeShare),
 		NormVGPR:         inv.normVGPR,
 		NormSGPR:         inv.normSGPR,
-		ICActivity:       math.Max(0, math.Min(1, achieved/peakBW)),
+		ICActivity:       floats.Clamp(achieved/peakBW, 0, 1),
 		L2HitRate:        l2hit,
 		Occupancy:        inv.occupancy,
 		VALUInsts:        inv.valuInsts,
@@ -354,15 +356,27 @@ func (inv *Invariants) Run(cfg hw.Config) Result {
 }
 
 // PreparedRunner is implemented by runners that can hoist the
-// per-(kernel, iteration) invariant work out of a configuration sweep:
+// per-(kernel, iteration) invariant work out of repeated evaluations:
 // Prepare returns an evaluator bound to one invocation whose results
 // are bit-identical to Run's. The evaluator must be safe for concurrent
-// use by sweep workers. internal/simcache's Cached satisfies this with
-// the invocation's memo entry, resolved once; the raw Model satisfies
-// it with hoisted Invariants.
+// use by sweep workers, and its results may depend on iter only through
+// k.PhaseFor(iter): a session reuses one evaluator for every iteration
+// of a kernel that resolves to the same phase. internal/simcache's
+// Cached satisfies this with the invocation's memo entry, resolved
+// once; the raw Model satisfies it with hoisted Invariants.
 type PreparedRunner interface {
 	Runner
 	Prepare(k *workloads.Kernel, iter int) func(cfg hw.Config) Result
+}
+
+// Prepare returns r's evaluator for kernel k's iteration iter: r's own
+// Prepare when r is a PreparedRunner, and otherwise a closure calling
+// r.Run for that iteration.
+func Prepare(r Runner, k *workloads.Kernel, iter int) func(cfg hw.Config) Result {
+	if pr, ok := r.(PreparedRunner); ok {
+		return pr.Prepare(k, iter)
+	}
+	return func(cfg hw.Config) Result { return r.Run(k, iter, cfg) }
 }
 
 // Prepare returns a single-invocation evaluator over hoisted

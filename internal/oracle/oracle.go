@@ -57,8 +57,9 @@ func (o Objective) String() string {
 type Oracle struct {
 	sim       gpusim.Runner
 	pow       *power.Model
+	params    power.Params // pow's, read once: the decision memo's key
 	objective Objective
-	kernels   map[string]*workloads.Kernel
+	kernels   map[string]kernelDecisions
 	space     []hw.Config
 	workers   int
 
@@ -70,8 +71,19 @@ type Oracle struct {
 	memo  *simcache.Cache
 	model *gpusim.Model
 
-	mu    sync.Mutex
-	cache map[cacheKey]cacheEntry
+	// mu guards every kernel's decision slots and the overflow map.
+	mu sync.Mutex
+	// overflow holds the decided invocations past a kernel's slots
+	// (iterations its applications do not run); nil until needed.
+	overflow map[cacheKey]cacheEntry
+}
+
+// kernelDecisions is one kernel and its decided invocations, one slot
+// per iteration of the longest application that runs it, so deciding
+// an invocation the memo answers inserts into no map.
+type kernelDecisions struct {
+	k     *workloads.Kernel
+	slots []cacheEntry // by iteration; the zero entry is undecided
 }
 
 type cacheKey struct {
@@ -81,7 +93,7 @@ type cacheKey struct {
 
 // cacheEntry is one decided invocation: the answer and how it was
 // first produced (oracle-memo or oracle-sweep), which TimelineDecision
-// reports.
+// reports. An empty source marks a slot not yet decided.
 type cacheEntry struct {
 	cfg    hw.Config
 	source string
@@ -97,19 +109,24 @@ func New(sim gpusim.Runner, pow *power.Model, apps ...*workloads.Application) *O
 
 // NewFor returns an oracle minimizing the given objective.
 func NewFor(obj Objective, sim gpusim.Runner, pow *power.Model, apps ...*workloads.Application) *Oracle {
-	kernels := make(map[string]*workloads.Kernel)
+	kernels := make(map[string]kernelDecisions)
 	for _, app := range apps {
 		for _, k := range app.Kernels {
-			kernels[k.Name] = k
+			kd := kernels[k.Name]
+			kd.k = k
+			if app.Iterations > len(kd.slots) {
+				kd.slots = make([]cacheEntry, app.Iterations)
+			}
+			kernels[k.Name] = kd
 		}
 	}
 	o := &Oracle{
 		sim:       sim,
 		pow:       pow,
+		params:    pow.Params(),
 		objective: obj,
 		kernels:   kernels,
 		space:     hw.ConfigSpace(),
-		cache:     make(map[cacheKey]cacheEntry),
 	}
 	if cached, ok := sim.(simcache.Cached); ok && cached.Cache != nil {
 		o.memo, o.model = cached.Cache, cached.Model
@@ -142,9 +159,11 @@ func (o *Oracle) Name() string {
 // or a fresh exhaustive sweep (oracle-sweep). Invocations not yet
 // decided report nothing.
 func (o *Oracle) TimelineDecision(kernel string, iter int) (timeline.Detail, bool) {
-	o.mu.Lock()
-	e, ok := o.cache[cacheKey{kernel, iter}]
-	o.mu.Unlock()
+	kd, ok := o.kernels[kernel]
+	if !ok {
+		return timeline.Detail{}, false
+	}
+	e, ok := o.decided(&kd, iter)
 	if !ok {
 		return timeline.Detail{}, false
 	}
@@ -154,23 +173,20 @@ func (o *Oracle) TimelineDecision(kernel string, iter int) (timeline.Detail, boo
 // Decide implements policy.Policy: the ED²-minimal configuration for this
 // exact kernel invocation, found by exhaustive profiling.
 func (o *Oracle) Decide(kernel string, iter int) hw.Config {
-	key := cacheKey{kernel, iter}
-	o.mu.Lock()
-	e, ok := o.cache[key]
-	o.mu.Unlock()
-	if ok {
-		return e.cfg
-	}
-	k, ok := o.kernels[kernel]
+	kd, ok := o.kernels[kernel]
 	if !ok {
 		return hw.MaxConfig()
 	}
+	if e, ok := o.decided(&kd, iter); ok {
+		return e.cfg
+	}
+	k := kd.k
 	// A shared decision memo may already hold this sweep's argmin —
 	// computed by this oracle at an earlier iteration of the same phase,
 	// or by any other oracle over the same cache.
 	if o.memo != nil {
-		if cfg, ok := o.memo.Decision(o.model, o.pow.Params(), k, iter, int(o.objective), len(o.space)); ok {
-			return o.remember(key, cfg, "oracle-memo")
+		if cfg, ok := o.memo.Decision(o.model, o.params, k, iter, int(o.objective), len(o.space)); ok {
+			return o.remember(&kd, iter, cfg, "oracle-memo")
 		}
 	}
 	// Exhaustive profiling of the whole configuration space; the
@@ -183,20 +199,43 @@ func (o *Oracle) Decide(kernel string, iter int) hw.Config {
 		best = hw.MaxConfig()
 	}
 	if o.memo != nil {
-		o.memo.StoreDecision(o.model, o.pow.Params(), k, iter, int(o.objective), len(o.space), best)
+		o.memo.StoreDecision(o.model, o.params, k, iter, int(o.objective), len(o.space), best)
 	}
-	return o.remember(key, best, "oracle-sweep")
+	return o.remember(&kd, iter, best, "oracle-sweep")
 }
 
-// remember caches one decided invocation and returns cfg. The first
-// answer wins: a concurrent caller that raced to the same (identical)
-// configuration does not overwrite how it was first produced.
-func (o *Oracle) remember(key cacheKey, cfg hw.Config, source string) hw.Config {
+// decided returns kd's decided invocation at iter, if there is one.
+func (o *Oracle) decided(kd *kernelDecisions, iter int) (cacheEntry, bool) {
 	o.mu.Lock()
-	if _, ok := o.cache[key]; !ok {
-		o.cache[key] = cacheEntry{cfg: cfg, source: source}
+	defer o.mu.Unlock()
+	if iter >= 0 && iter < len(kd.slots) {
+		e := kd.slots[iter]
+		return e, e.source != ""
 	}
-	o.mu.Unlock()
+	e, ok := o.overflow[cacheKey{kd.k.Name, iter}]
+	return e, ok
+}
+
+// remember records kd's decided invocation at iter and returns cfg.
+// The first answer wins: a concurrent caller that raced to the same
+// (identical) configuration does not overwrite how it was first
+// produced.
+func (o *Oracle) remember(kd *kernelDecisions, iter int, cfg hw.Config, source string) hw.Config {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if iter >= 0 && iter < len(kd.slots) {
+		if kd.slots[iter].source == "" {
+			kd.slots[iter] = cacheEntry{cfg: cfg, source: source}
+		}
+		return cfg
+	}
+	key := cacheKey{kd.k.Name, iter}
+	if _, ok := o.overflow[key]; !ok {
+		if o.overflow == nil {
+			o.overflow = make(map[cacheKey]cacheEntry)
+		}
+		o.overflow[key] = cacheEntry{cfg: cfg, source: source}
+	}
 	return cfg
 }
 
@@ -209,16 +248,8 @@ func (*Oracle) Observe(string, int, gpusim.Result) {}
 // done once here instead of once per swept configuration; results are
 // bit-identical either way.
 func (o *Oracle) evalFor(k *workloads.Kernel, iter int) sweep.Eval {
-	if pr, ok := o.sim.(gpusim.PreparedRunner); ok {
-		run := pr.Prepare(k, iter)
-		return func(cfg hw.Config) float64 { return o.score(run(cfg), cfg) }
-	}
-	return func(cfg hw.Config) float64 { return o.evaluate(k, iter, cfg) }
-}
-
-// evaluate scores one kernel invocation at cfg under the objective.
-func (o *Oracle) evaluate(k *workloads.Kernel, iter int, cfg hw.Config) float64 {
-	return o.score(o.sim.Run(k, iter, cfg), cfg)
+	run := gpusim.Prepare(o.sim, k, iter)
+	return func(cfg hw.Config) float64 { return o.score(run(cfg), cfg) }
 }
 
 // score folds one simulation result into the oracle's figure of merit.

@@ -3,6 +3,7 @@ package power
 import (
 	"math"
 
+	"harmonia/internal/floats"
 	"harmonia/internal/hw"
 )
 
@@ -21,14 +22,14 @@ func (m MemBreakdown) Total() float64 { return m.Background + m.PHY + m.Access }
 // MemRail computes the decomposed memory power for a configuration and
 // activity. Rails' Mem field equals MemRail(...).Total().
 func (m *Model) MemRail(cfg hw.Config, a Activity) MemBreakdown {
-	p := m.p
+	p := &m.p
 	mFrac := float64(cfg.Memory.BusFreq) / float64(hw.MaxMemFreq)
 	vScale := m.memVoltageScale(cfg.Memory.BusFreq)
 	energyPerByte := p.AccessPJPerByte * (1 + p.TerminationUpturn*(1/mFrac-1))
 	return MemBreakdown{
 		Background: (p.MemBackgroundBaseW + p.MemBackgroundScaleW*mFrac) * vScale,
 		PHY:        p.PHYScaleW * mFrac * vScale,
-		Access:     energyPerByte * 1e-12 * math.Max(a.AchievedGBs, 0) * 1e9 * vScale,
+		Access:     energyPerByte * 1e-12 * floats.Clamp(a.AchievedGBs, 0, math.Inf(1)) * 1e9 * vScale,
 	}
 }
 

@@ -21,6 +21,7 @@ package power
 import (
 	"math"
 
+	"harmonia/internal/floats"
 	"harmonia/internal/hw"
 )
 
@@ -147,16 +148,17 @@ func (m *Model) Params() Params { return m.p }
 const boostVoltage = 1.19 // volts, the reference for leakage scaling
 
 // Rails computes the decomposed card power for configuration cfg under
-// activity a.
+// activity a. It reads the parameters in place: every kernel boundary
+// and every swept configuration calls it.
 func (m *Model) Rails(cfg hw.Config, a Activity) Rails {
-	p := m.p
+	p := &m.p
 	v := cfg.Compute.Voltage()
 	fFrac := cfg.Compute.Freq.GHz() / hw.MaxCUFreq.GHz()
 	vf := (v * v) / (boostVoltage * boostVoltage) * fFrac
 
 	act := p.ActivityBase + p.ActivityVALU*clamp01(a.VALUBusyFrac) +
 		p.ActivityMem*clamp01(a.MemUnitBusyFrac)
-	act = math.Min(act, 1)
+	act = floats.Clamp(act, math.Inf(-1), 1)
 
 	nActive := float64(cfg.Compute.CUs)
 	nGated := float64(hw.MaxCUs - cfg.Compute.CUs)
@@ -173,4 +175,4 @@ func (m *Model) Rails(cfg hw.Config, a Activity) Rails {
 	return Rails{GPU: gpu, Mem: mem, Other: p.OtherW}
 }
 
-func clamp01(v float64) float64 { return math.Max(0, math.Min(1, v)) }
+func clamp01(v float64) float64 { return floats.Clamp(v, 0, 1) }

@@ -9,10 +9,10 @@ package sensitivity
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"harmonia/internal/batch"
 	"harmonia/internal/counters"
+	"harmonia/internal/floats"
 	"harmonia/internal/gpusim"
 	"harmonia/internal/hw"
 	"harmonia/internal/regress"
@@ -160,7 +160,7 @@ type Predictor struct {
 }
 
 // clampSens keeps predictions in a physically meaningful range.
-func clampSens(v float64) float64 { return math.Max(-0.5, math.Min(1.5, v)) }
+func clampSens(v float64) float64 { return floats.Clamp(v, -0.5, 1.5) }
 
 // predict evaluates a model, clamping the result. A shape mismatch
 // between the feature vector and the model (a model trained against a
@@ -406,13 +406,8 @@ func kernelConfigRows(set *TrainingSet, at int, m gpusim.Runner, k *workloads.Ke
 	// fitted predictor's bit-identity depends on, so only the per-call
 	// evaluation changes, never the loop structure.
 	run := make([]func(hw.Config) gpusim.Result, iters)
-	pr, prepared := m.(gpusim.PreparedRunner)
 	for i := range run {
-		if prepared {
-			run[i] = pr.Prepare(k, i)
-		} else {
-			run[i] = func(cfg hw.Config) gpusim.Result { return m.Run(k, i, cfg) }
-		}
+		run[i] = gpusim.Prepare(m, k, i)
 	}
 	r := at
 	var buf featureBuf

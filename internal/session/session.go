@@ -27,7 +27,14 @@ import (
 // Session binds a simulator, a power model, and a policy.
 type Session struct {
 	// Sim simulates kernel invocations: the raw interval model, or a
-	// memoizing simcache runner (bit-identical results either way).
+	// memoizing simcache runner (bit-identical results either way). A
+	// gpusim.PreparedRunner, which both are, is prepared once per
+	// distinct (kernel, phase) pair of a run, and that evaluator serves
+	// every boundary of the pair: a warm memo entry is found once per
+	// run, and a run on the raw model derives each pair's Invariants
+	// once. Any other runner is called at every boundary. A traced run
+	// asks a runner with RunHit (simcache.Cached) for each boundary's
+	// memo-hit flag instead.
 	Sim    gpusim.Runner
 	Power  *power.Model
 	Policy policy.Policy
@@ -166,10 +173,13 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 	// so only then is the policy's Detail read; the memo-hit flag is
 	// asked for only when a span recorder will show it.
 	var (
-		ann  timeline.Annotator
-		hits hitRunner
-		bins []timeline.Bins
+		ann   timeline.Annotator
+		hits  hitRunner
+		bins  []timeline.Bins
+		first [16]binding // room for every suite application's pairs (Graph500 has ten)
+		pairs = first[:0]
 	)
+	_, prepared := s.Sim.(gpusim.PreparedRunner)
 	if tr != nil {
 		if tl == nil {
 			// The span tree is built from the timeline's decisions, so a
@@ -203,8 +213,10 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 		rec.Drop = s.Faults.DropDAQSample
 	}
 	rep := &Report{App: app.Name, Policy: s.Policy.Name()}
-	// The run count is known up front; growing the slice inside the
-	// kernel-boundary loop would reallocate log(n) times per session.
+	// The run count is known up front, so each boundary's record is
+	// written in place in one slab: growing the slice inside the loop
+	// would reallocate log(n) times per session, and building a
+	// KernelRun to append would copy its result once more.
 	rep.Runs = make([]KernelRun, 0, app.Iterations*len(app.Kernels))
 	// Invocations and simulated seconds are counted once per run, from
 	// the boundaries that completed, on every exit from here on:
@@ -217,7 +229,7 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 	// already consumed; each boundary feeds it the fresh segment.
 	sampleLo := 0
 	for iter := 0; iter < app.Iterations; iter++ {
-		for _, k := range app.Kernels {
+		for j, k := range app.Kernels {
 			if err := ctx.Err(); err != nil {
 				// Cancellation is counted apart from failure: a draining
 				// server canceling runs at kernel boundaries is not a sign
@@ -248,24 +260,34 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 			if s.Faults != nil {
 				actual = s.Faults.ApplyConfig(cfg)
 			}
-			var res gpusim.Result
-			if hits != nil {
-				res, tb.Hit = hits.RunHit(k, iter, actual)
-			} else {
-				res = s.Sim.Run(k, iter, actual)
+			// From here on the boundary completes, so its record joins
+			// the report now and is filled in place.
+			rep.Runs = rep.Runs[:len(rep.Runs)+1]
+			run := &rep.Runs[len(rep.Runs)-1]
+			run.Kernel, run.Iter, run.Config, run.Commanded = k.Name, iter, actual, cfg
+			res := &run.Result
+			switch {
+			case hits != nil:
+				*res, tb.Hit = hits.RunHit(k, iter, actual)
+			case prepared:
+				var eval func(hw.Config) gpusim.Result
+				eval, pairs = bind(pairs, s.Sim, j, k, iter)
+				*res = eval(actual)
+			default:
+				*res = s.Sim.Run(k, iter, actual)
 			}
 			tb.Clock[2] = tr.Now()
-			rails := s.Power.Rails(actual, res.Activity())
-			rec.Observe(res.Time, rails)
+			run.Rails = s.Power.Rails(actual, res.Activity())
+			rec.Observe(res.Time, run.Rails)
+			// The policy observes the true result unless faults perturb
+			// it, and only then is a second copy made.
 			obs := res
 			if s.Faults != nil {
-				obs = s.Faults.Observation(k.Name, res)
+				perturbed := s.Faults.Observation(k.Name, *res)
+				obs = &perturbed
 			}
-			s.Policy.Observe(k.Name, iter, obs)
+			s.Policy.Observe(k.Name, iter, *obs)
 			tb.Clock[3] = tr.Now()
-			rep.Runs = append(rep.Runs, KernelRun{
-				Kernel: k.Name, Iter: iter, Config: actual, Commanded: cfg, Result: res, Rails: rails,
-			})
 			if tl != nil {
 				// One record per boundary, kept by the timeline alone. It
 				// carries the true physics (actual config, exact
@@ -275,7 +297,7 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 				d := timeline.Decision{
 					Kernel: k.Name, Iter: iter,
 					StartS: endS - res.Time, EndS: endS,
-					TimeS: res.Time, CardW: rails.Card(), EnergyJ: rails.Card() * res.Time,
+					TimeS: res.Time, CardW: run.Rails.Card(), EnergyJ: run.Rails.Card() * res.Time,
 					Config: timeline.ConfigOf(actual), Commanded: timeline.ConfigOf(cfg),
 					VALUBusy: res.Counters.VALUBusy, MemUnitBusy: res.Counters.MemUnitBusy,
 				}
@@ -321,6 +343,33 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 // traced run records the flag for its simulate spans.
 type hitRunner interface {
 	RunHit(k *workloads.Kernel, iter int, cfg hw.Config) (gpusim.Result, bool)
+}
+
+// binding is one (kernel, phase) pair of a run and its prepared
+// evaluator. A PreparedRunner's evaluator depends on the iteration only
+// through the kernel's phase, so one serves every boundary of the
+// pair. kernel is the kernel's position in the application, and the
+// phase matches bit for bit: a NaN field matches itself and nothing
+// else.
+type binding struct {
+	kernel int
+	phase  [3]uint64
+	eval   func(hw.Config) gpusim.Result
+}
+
+// bind returns the evaluator of kernel k, the application's j-th, at
+// iteration iter: the one pairs holds for k's phase at iter, or one
+// prepared from sim now and appended to pairs.
+func bind(pairs []binding, sim gpusim.Runner, j int, k *workloads.Kernel, iter int) (func(hw.Config) gpusim.Result, []binding) {
+	ph := k.PhaseFor(iter)
+	bits := [3]uint64{math.Float64bits(ph.WorkScale), math.Float64bits(ph.Divergence), math.Float64bits(ph.FetchScale)}
+	for i := range pairs {
+		if p := &pairs[i]; p.kernel == j && p.phase == bits {
+			return p.eval, pairs
+		}
+	}
+	eval := gpusim.Prepare(sim, k, iter)
+	return eval, append(pairs, binding{kernel: j, phase: bits, eval: eval})
 }
 
 // TotalTime returns application execution time in seconds. Like every

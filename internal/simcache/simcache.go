@@ -21,6 +21,13 @@
 // repeat-invocation sweeps cheap: one lookup instead of re-scoring the
 // entire configuration space.
 //
+// Finding an entry projects, hashes and compares the whole key, so the
+// callers that probe one invocation repeatedly find it once, through
+// Prepare: a sweep prepares each swept invocation, and a session each
+// distinct (kernel, phase) pair of its run. A prepared probe that hits
+// is one index, one atomic load of the slot's state and a copy of its
+// result.
+//
 // Slots hold results by value. An entry allocates all 448 of them
 // (about 93 KB) when it is created, the memory a filled entry needs
 // anyway, so storing a result allocates nothing. Each slot has an
@@ -159,9 +166,10 @@ type shard struct {
 // any number of models simultaneously.
 //
 // A lookup hashes only the kernel name and phase, then compares the
-// full key; a sweep resolves its entry once through Prepare, after which
-// each probe is one index, one atomic load of the slot's state and a
-// copy of its result — cheaper than the simulation it replaces.
+// full key; a sweep or a session resolves its entry once through
+// Prepare, after which each probe is one index, one atomic load of the
+// slot's state and a copy of its result — cheaper than the simulation
+// it replaces.
 // Configurations off the legal grid have no slot and are simulated
 // unstored. A decision entry replaces an entire 448-point sweep
 // (simulation, power rails, and pool scheduling) with one lookup, which
@@ -275,12 +283,23 @@ func (c *Cache) RunHit(m *gpusim.Model, k *workloads.Kernel, iter int, cfg hw.Co
 // allocation on a hit; misses fall through to the model's own hoisted
 // Invariants. The evaluator is safe for concurrent sweep workers.
 func (c *Cache) Prepare(m *gpusim.Model, k *workloads.Kernel, iter int) func(cfg hw.Config) gpusim.Result {
-	e := c.entry(m, k, iter)
-	run := m.Prepare(k, iter)
-	return func(cfg hw.Config) gpusim.Result {
-		r, _ := c.probe(e, cfg, run)
-		return r
-	}
+	p := &prepared{c: c, e: c.entry(m, k, iter), inv: m.Invariants(k, iter)}
+	return p.run
+}
+
+// prepared is one invocation bound for repeated probes: its entry and
+// its hoisted Invariants, kept in one allocation.
+type prepared struct {
+	c   *Cache
+	e   *invocation
+	inv gpusim.Invariants
+}
+
+// run probes the entry at cfg, simulating through the hoisted
+// Invariants on a miss.
+func (p *prepared) run(cfg hw.Config) gpusim.Result {
+	r, _ := p.c.probe(p.e, cfg, p.inv.Run)
+	return r
 }
 
 // Decision returns the memoized sweep argmin for the given simulator

@@ -7,14 +7,17 @@
 # inertness gates, the debug mux, the pinned served bodies and a served
 # run's retained heap), the hot-path equivalence gates (golden float
 # bits across the gpusim invariant hoisting and the trained predictor,
-# the column regression kernel against its row-by-row reference,
+# the column regression kernel against its row-by-row reference, the
+# comparison clamps against math.Max/math.Min, the session's bound
+# (kernel, phase) evaluators against a runner called at every boundary,
 # budgeted nested parallelism vs serial, allocation-free sweeps, the
 # oracle sweep's and the cold training sweep's allocation ceilings, a
-# warm controller run's allocated bytes and allocation count, and one
-# application lookup's allocations), a repeated race pass over the
-# memo's result slots, and a bounded chaos-soak of the resilience layer
-# (make soak). Timing lives in the layered benchmark, perfbench (make
-# bench).
+# warm controller run's allocated bytes and allocation count, a warm
+# oracle run's allocated bytes, a warm phase-varying run's allocation
+# count, and one application lookup's allocations), a repeated race
+# pass over the memo's result slots, and a bounded chaos-soak of the
+# resilience layer (make soak). Timing lives in the layered benchmark,
+# perfbench (make bench).
 set -eux
 cd "$(dirname "$0")/.."
 unformatted="$(gofmt -l .)"
@@ -63,17 +66,22 @@ go test -count=1 -run 'TestTimelineRunBitIdentical|TestSameSeedTimelinesByteIden
 # Hot-path equivalence gates: the hoisted gpusim invariants and the
 # trained predictor must stay bit-exact against their embedded golden
 # float bits, the column least-squares kernel must match the row-by-row
-# reference bit for bit, the cold training sweep must stay under its
+# reference bit for bit, the comparison clamps must return what
+# math.Max/math.Min return bit for bit, a session that prepares each
+# (kernel, phase) pair once must reproduce one that calls its runner at
+# every boundary, the cold training sweep must stay under its
 # allocation ceiling, budgeted nested
 # parallelism must reproduce the serial pipeline byte for byte, the
 # pooled sweep scratch must stay allocation-free at steady state, a
 # fresh oracle's uncached sweeps must stay under their allocation
 # ceiling, a warm Harmonia run must stay under its allocated-bytes and
-# allocation-count ceilings, and looking up one application must build
-# only that application.
+# allocation-count ceilings, a warm oracle run under its allocated-bytes
+# ceiling, a warm phase-varying run under its allocation-count ceiling,
+# and looking up one application must build only that application.
 go test -count=1 -run 'TestGoldenBits' ./internal/gpusim/
 go test -count=1 -run 'TestTrainedPredictorGoldenBits|TestColdTrainingSweepAllocs' ./internal/sensitivity/
 go test -count=1 -run 'TestFitManyMatchesRowReference' ./internal/regress/
-go test -count=1 -run 'TestBudgetedNestedSweepBitIdentical|TestEnvBudgetSplitSuiteBitIdentical|TestUncachedOracleSweepAllocs|TestControllerRunAllocBytes|TestWarmHarmoniaRunAllocs|TestAppLookupAllocs' .
+go test -count=1 -run 'TestClampMatchesMathReference' ./internal/floats/
+go test -count=1 -run 'TestBudgetedNestedSweepBitIdentical|TestEnvBudgetSplitSuiteBitIdentical|TestUncachedOracleSweepAllocs|TestControllerRunAllocBytes|TestWarmHarmoniaRunAllocs|TestAppLookupAllocs|TestBoundRunBitIdentical|TestOracleRunAllocBytes|TestWarmPhaseVaryingRunAllocs' .
 go test -count=1 -run 'TestMinAllocationFree' ./internal/sweep/
 make soak SOAK_ITERS="${SOAK_ITERS:-4}"

@@ -558,10 +558,11 @@ func TestWarmHarmoniaRunAllocs(t *testing.T) {
 
 // TestOracleRunAllocBytes gates the bytes a warm oracle run allocates:
 // a fresh oracle running SRAD to completion on a warm memo, with every
-// decision answered by the shared decision memo, allocates 61.1 KiB. An
+// decision answered by the shared decision memo, allocates 50.5 KiB. An
 // oracle that kept its answers in a map of its own, inserted into and
-// grown at every boundary, allocated 91.3 KiB, so the 72 KiB bound
-// catches that map coming back.
+// grown at every boundary, allocated 91.3 KiB, and one that built its
+// own 448-configuration space 61.1 KiB, so the 72 KiB bound catches
+// that map coming back.
 func TestOracleRunAllocBytes(t *testing.T) {
 	sys := NewSystem(WithSimCache())
 	app := App("SRAD")

@@ -379,6 +379,37 @@ func Prepare(r Runner, k *workloads.Kernel, iter int) func(cfg hw.Config) Result
 	return func(cfg hw.Config) Result { return r.Run(k, iter, cfg) }
 }
 
+// RefRunner is implemented by runners that keep the results they
+// produce: PrepareRef returns an evaluator bound to one invocation that
+// returns a pointer to its result at cfg, bit-identical to Run's,
+// instead of a copy. The caller only reads the result, and only until
+// its next call to the same evaluator; the evaluator need not be safe
+// for concurrent use, and, as with Prepare, its results may depend on
+// iter only through k.PhaseFor(iter). internal/simcache's Cached
+// satisfies this with a pointer into the invocation's memo slot.
+type RefRunner interface {
+	PrepareRef(k *workloads.Kernel, iter int) func(cfg hw.Config) *Result
+}
+
+// PrepareRef returns r's by-reference evaluator for kernel k's
+// iteration iter: r's own PrepareRef when r is a RefRunner, and
+// otherwise Prepare(r, k, iter) simulating into one result the
+// evaluator owns and overwrites at every call, which is why the
+// pointer is good only until the next call. A caller that generates one
+// invocation's results serially, as a training job does, can read each
+// one in place.
+func PrepareRef(r Runner, k *workloads.Kernel, iter int) func(cfg hw.Config) *Result {
+	if rr, ok := r.(RefRunner); ok {
+		return rr.PrepareRef(k, iter)
+	}
+	eval := Prepare(r, k, iter)
+	res := new(Result)
+	return func(cfg hw.Config) *Result {
+		*res = eval(cfg)
+		return res
+	}
+}
+
 // Prepare returns a single-invocation evaluator over hoisted
 // Invariants, implementing PreparedRunner.
 func (m *Model) Prepare(k *workloads.Kernel, iter int) func(cfg hw.Config) Result {

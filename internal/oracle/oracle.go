@@ -18,6 +18,10 @@ import (
 	"harmonia/internal/workloads"
 )
 
+// space is the configuration space every oracle sweeps, built once and
+// only ever read, so any number of oracles share it.
+var space = hw.ConfigSpace()
+
 // Objective selects the figure of merit the oracle minimizes. The paper
 // evaluates against the ED² oracle and notes that ED "yields similar
 // conclusions" (Section 3.4); the energy objective exists for the
@@ -60,7 +64,6 @@ type Oracle struct {
 	params    power.Params // pow's, read once: the decision memo's key
 	objective Objective
 	kernels   map[string]kernelDecisions
-	space     []hw.Config
 	workers   int
 
 	// When sim is a simcache runner, memo/model give the oracle access
@@ -126,7 +129,6 @@ func NewFor(obj Objective, sim gpusim.Runner, pow *power.Model, apps ...*workloa
 		params:    pow.Params(),
 		objective: obj,
 		kernels:   kernels,
-		space:     hw.ConfigSpace(),
 	}
 	if cached, ok := sim.(simcache.Cached); ok && cached.Cache != nil {
 		o.memo, o.model = cached.Cache, cached.Model
@@ -185,7 +187,7 @@ func (o *Oracle) Decide(kernel string, iter int) hw.Config {
 	// computed by this oracle at an earlier iteration of the same phase,
 	// or by any other oracle over the same cache.
 	if o.memo != nil {
-		if cfg, ok := o.memo.Decision(o.model, o.params, k, iter, int(o.objective), len(o.space)); ok {
+		if cfg, ok := o.memo.Decision(o.model, o.params, k, iter, int(o.objective), len(space)); ok {
 			return o.remember(&kd, iter, cfg, "oracle-memo")
 		}
 	}
@@ -194,12 +196,12 @@ func (o *Oracle) Decide(kernel string, iter int) hw.Config {
 	// deterministic earliest-index tie-breaking. The lock is NOT held
 	// across the sweep: concurrent callers may race to compute the same
 	// key, but the sweep is deterministic so both find the same value.
-	best, _, ok := sweep.Min(o.space, o.workers, o.evalFor(k, iter))
+	best, _, ok := sweep.Min(space, o.workers, o.evalFor(k, iter))
 	if !ok {
 		best = hw.MaxConfig()
 	}
 	if o.memo != nil {
-		o.memo.StoreDecision(o.model, o.params, k, iter, int(o.objective), len(o.space), best)
+		o.memo.StoreDecision(o.model, o.params, k, iter, int(o.objective), len(space), best)
 	}
 	return o.remember(&kd, iter, best, "oracle-sweep")
 }

@@ -13,14 +13,18 @@
 // also lets several models share one system: FitMany forms AᵀA and
 // every Aᵀy once, and each model solves the sub-system of the feature
 // columns it names, which holds exactly the sums a fit of that model
-// alone would form.
+// alone would form. Because no sum depends on another, the rows of AᵀA
+// and then the models are independent jobs that FitMany runs on a
+// worker pool without moving a bit.
 package regress
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 
+	"harmonia/internal/batch"
 	"harmonia/internal/floats"
 )
 
@@ -78,7 +82,7 @@ var ErrBadShape = errors.New("regress: need at least one more observation than f
 // (X[j][r] is feature j of observation r), with an intercept term. A
 // tiny ridge term stabilizes nearly collinear designs.
 func Fit(X [][]float64, y []float64, names []string) (*Model, error) {
-	ms, err := FitMany(X, []Target{{Y: y, Names: names}})
+	ms, err := FitMany(X, []Target{{Y: y, Names: names}}, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +112,14 @@ type Target struct {
 // to Fit over its own features alone and to a row-by-row accumulation
 // over its own design (TestFitManyMatchesRowReference). The inputs are
 // only read.
-func FitMany(X [][]float64, targets []Target) ([]*Model, error) {
+//
+// The rows of AᵀA, and then the targets' solves and quality passes, are
+// independent jobs fanned out over a batch pool of the given width (0
+// means GOMAXPROCS, 1 runs serially and spawns nothing). Every sum is
+// formed by one accumulator whichever worker runs it, so the models are
+// bit-identical at every width. The target pass holds one n-value
+// fitted buffer per worker.
+func FitMany(X [][]float64, targets []Target, workers int) ([]*Model, error) {
 	if len(targets) == 0 {
 		return nil, ErrBadShape
 	}
@@ -154,17 +165,30 @@ func FitMany(X [][]float64, targets []Target) ([]*Model, error) {
 	for _, tg := range targets {
 		cols = append(cols, tg.Y)
 	}
+	// rows[i] holds row i of AᵀA, then entry i of each Aᵀy. Each job
+	// forms the upper triangle of its row; the lower one is mirrored
+	// once every row is done.
+	rows := make([][]float64, k)
+	backing := make([]float64, k*len(cols))
+	for i := range rows {
+		rows[i] = backing[i*len(cols) : (i+1)*len(cols)]
+	}
+	//lint:ignore ctxflow the fit is a pure computation of a few milliseconds with no caller ctx to thread; its callers gate cancellation at the run level
+	ctx := context.Background()
+	if _, err := batch.Map(ctx, workers, rows, func(_ context.Context, i int, g []float64) (struct{}, error) {
+		dots(g[i:], cols[i], cols[i:])
+		return struct{}{}, nil
+	}); err != nil {
+		return nil, err
+	}
 	ata := make([][]float64, k)
 	aty := make([][]float64, len(targets))
 	for t := range aty {
 		aty[t] = make([]float64, k)
 	}
-	for i := 0; i < k; i++ {
-		// g holds row i of AᵀA, then entry i of each Aᵀy.
-		g := make([]float64, len(cols))
-		dots(g[i:], cols[i], cols[i:])
+	for i, g := range rows {
 		for j := 0; j < i; j++ {
-			g[j] = ata[j][i]
+			g[j] = rows[j][i]
 		}
 		ata[i] = g[:k:k]
 		for t := range targets {
@@ -176,38 +200,54 @@ func FitMany(X [][]float64, targets []Target) ([]*Model, error) {
 		ata[i][i] += ridge * float64(n)
 	}
 
-	models := make([]*Model, len(targets))
-	fitted := make([]float64, n)
-	for t, tg := range targets {
-		sel := sels[t]
-		sub := make([][]float64, len(sel))
-		rhs := make([]float64, len(sel))
-		for a, i := range sel {
-			sub[a] = make([]float64, len(sel))
-			for b, j := range sel {
-				sub[a][b] = ata[i][j]
-			}
-			rhs[a] = aty[t][i]
-		}
-		beta, err := solve(sub, rhs)
-		if err != nil {
-			return nil, err
-		}
-		m := &Model{Intercept: beta[0], Coeffs: beta[1:], Names: tg.Names}
-		// Training-set quality.
-		for r := range fitted {
-			fitted[r] = m.Intercept
-		}
-		for a, c := range m.Coeffs {
-			for r, x := range cols[sel[a+1]] {
-				fitted[r] += c * x
-			}
-		}
-		m.R2 = rSquared(tg.Y, fitted)
-		m.Corr = Pearson(tg.Y, fitted)
-		models[t] = m
+	// A worker takes a fitted buffer for each target it fits and gives
+	// it back after, so the pool never holds more than one per worker.
+	width := batch.Workers(workers, len(targets))
+	fitted := make(chan []float64, width)
+	for w := 0; w < width; w++ {
+		fitted <- make([]float64, n)
+	}
+	models, err := batch.Map(ctx, width, targets, func(_ context.Context, t int, tg Target) (*Model, error) {
+		buf := <-fitted
+		defer func() { fitted <- buf }()
+		return fitTarget(ata, aty[t], sels[t], cols, tg, buf)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return models, nil
+}
+
+// fitTarget solves the sub-system of AᵀA and aty over the columns sel
+// of A (held in cols) for target tg, and scores the model on its
+// training rows, writing the fitted values into fitted.
+func fitTarget(ata [][]float64, aty []float64, sel []int, cols [][]float64, tg Target, fitted []float64) (*Model, error) {
+	sub := make([][]float64, len(sel))
+	rhs := make([]float64, len(sel))
+	for a, i := range sel {
+		sub[a] = make([]float64, len(sel))
+		for b, j := range sel {
+			sub[a][b] = ata[i][j]
+		}
+		rhs[a] = aty[i]
+	}
+	beta, err := solve(sub, rhs)
+	if err != nil {
+		return nil, err
+	}
+	m := &Model{Intercept: beta[0], Coeffs: beta[1:], Names: tg.Names}
+	// Training-set quality.
+	for r := range fitted {
+		fitted[r] = m.Intercept
+	}
+	for a, c := range m.Coeffs {
+		for r, x := range cols[sel[a+1]] {
+			fitted[r] += c * x
+		}
+	}
+	m.R2 = rSquared(tg.Y, fitted)
+	m.Corr = Pearson(tg.Y, fitted)
+	return m, nil
 }
 
 // dots sets out[j] to the dot product of a with cols[j]. Each product is

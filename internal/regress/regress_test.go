@@ -113,7 +113,7 @@ func TestFitManyMatchesFit(t *testing.T) {
 		ys[2][r] = next()
 	}
 	names := []string{"a", "b", "c", "d"}
-	many, err := FitMany(columns(X), targetsOf(ys, names))
+	many, err := FitMany(columns(X), targetsOf(ys, names), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,28 +144,28 @@ func TestFitManyMatchesFit(t *testing.T) {
 		}
 	}
 
-	if _, err := FitMany(nil, targetsOf([][]float64{nil}, nil)); err == nil {
+	if _, err := FitMany(nil, targetsOf([][]float64{nil}, nil), 1); err == nil {
 		t.Error("empty fit should error")
 	}
-	if _, err := FitMany(columns([][]float64{{1, 2}, {3, 4}}), targetsOf([][]float64{{1, 2}, {3, 4}}, nil)); err == nil {
+	if _, err := FitMany(columns([][]float64{{1, 2}, {3, 4}}), targetsOf([][]float64{{1, 2}, {3, 4}}, nil), 1); err == nil {
 		t.Error("n <= p fit should error")
 	}
-	if _, err := FitMany(columns([][]float64{{1}, {2, 3}, {4}}), targetsOf([][]float64{{1, 2, 3}, {4, 5, 6}}, nil)); err == nil {
+	if _, err := FitMany(columns([][]float64{{1}, {2, 3}, {4}}), targetsOf([][]float64{{1, 2, 3}, {4, 5, 6}}, nil), 1); err == nil {
 		t.Error("ragged rows should error")
 	}
-	if _, err := FitMany(columns([][]float64{{1}, {2}, {3}}), targetsOf([][]float64{{1, 2, 3}, {1, 2}}, nil)); err == nil {
+	if _, err := FitMany(columns([][]float64{{1}, {2}, {3}}), targetsOf([][]float64{{1, 2, 3}, {1, 2}}, nil), 1); err == nil {
 		t.Error("a target of mismatched length should error")
 	}
 	// A feature subset narrows the shape check to its own width, and an
 	// index outside X is rejected.
 	two := columns([][]float64{{1, 2}, {3, 5}})
-	if _, err := FitMany(two, []Target{{Y: []float64{1, 2}, Features: []int{1}}}); err != nil {
+	if _, err := FitMany(two, []Target{{Y: []float64{1, 2}, Features: []int{1}}}, 1); err != nil {
 		t.Errorf("one-feature subset over two rows: %v", err)
 	}
-	if _, err := FitMany(two, []Target{{Y: []float64{1, 2}, Features: []int{2}}}); err == nil {
+	if _, err := FitMany(two, []Target{{Y: []float64{1, 2}, Features: []int{2}}}, 1); err == nil {
 		t.Error("an out-of-range feature index should error")
 	}
-	if _, err := FitMany(two, nil); err == nil {
+	if _, err := FitMany(two, nil, 1); err == nil {
 		t.Error("a fit without targets should error")
 	}
 }
@@ -242,7 +242,8 @@ func rowReference(X [][]float64, ys [][]float64) ([]*Model, error) {
 // design also fits feature subsets in a non-leading, non-monotone order
 // (the compute model reads the extended columns 7, 5, 6); each such
 // model must match the row reference over that subset's own design, as
-// Train's sub-system fits must.
+// Train's sub-system fits must. Every design is fitted at pool widths
+// 1, 2, 3 and 8, which must all give the same bits.
 func TestFitManyMatchesRowReference(t *testing.T) {
 	seed := uint64(4242)
 	next := func() float64 {
@@ -297,10 +298,6 @@ func TestFitManyMatchesRowReference(t *testing.T) {
 					specs = append(specs, Target{Y: ys[(s+1)%targets], Features: sub})
 				}
 
-				got, err := FitMany(cols, specs)
-				if err != nil {
-					t.Fatalf("p=%d n=%d targets=%d: %v", p, n, targets, err)
-				}
 				want, err := rowReference(X, ys)
 				if err != nil {
 					t.Fatalf("p=%d n=%d targets=%d: reference: %v", p, n, targets, err)
@@ -318,17 +315,23 @@ func TestFitManyMatchesRowReference(t *testing.T) {
 					}
 					want = append(want, ref[0])
 				}
-				for tg := range want {
-					g := append([]float64{got[tg].Intercept, got[tg].R2, got[tg].Corr}, got[tg].Coeffs...)
-					w := append([]float64{want[tg].Intercept, want[tg].R2, want[tg].Corr}, want[tg].Coeffs...)
-					if !reflect.DeepEqual(bitsOf(g), bitsOf(w)) {
-						t.Errorf("p=%d n=%d target %d/%d (features %v): column fit %v (R2 %v, Corr %v), row reference %v (R2 %v, Corr %v)",
-							p, n, tg, len(specs), specs[tg].Features, got[tg], got[tg].R2, got[tg].Corr, want[tg], want[tg].R2, want[tg].Corr)
+				for _, width := range []int{1, 2, 3, 8} {
+					got, err := FitMany(cols, specs, width)
+					if err != nil {
+						t.Fatalf("p=%d n=%d targets=%d width=%d: %v", p, n, targets, width, err)
 					}
-				}
-				for i, v := range append(append([][]float64(nil), cols...), ys...) {
-					if !reflect.DeepEqual(bitsOf(v), inBits[i]) {
-						t.Errorf("p=%d n=%d targets=%d: FitMany modified input slice %d", p, n, targets, i)
+					for tg := range want {
+						g := append([]float64{got[tg].Intercept, got[tg].R2, got[tg].Corr}, got[tg].Coeffs...)
+						w := append([]float64{want[tg].Intercept, want[tg].R2, want[tg].Corr}, want[tg].Coeffs...)
+						if !reflect.DeepEqual(bitsOf(g), bitsOf(w)) {
+							t.Errorf("p=%d n=%d width=%d target %d/%d (features %v): column fit %v (R2 %v, Corr %v), row reference %v (R2 %v, Corr %v)",
+								p, n, width, tg, len(specs), specs[tg].Features, got[tg], got[tg].R2, got[tg].Corr, want[tg], want[tg].R2, want[tg].Corr)
+						}
+					}
+					for i, v := range append(append([][]float64(nil), cols...), ys...) {
+						if !reflect.DeepEqual(bitsOf(v), inBits[i]) {
+							t.Errorf("p=%d n=%d targets=%d width=%d: FitMany modified input slice %d", p, n, targets, width, i)
+						}
 					}
 				}
 			}

@@ -318,9 +318,12 @@ const numFeatures = len(featureBuf{})
 // column per extended feature, in ExtendedFeatureNames order, then the
 // bandwidth, compute, CU and CU-frequency truths. Row r of every column
 // is the same training row; rows run kernel by kernel, then
-// configuration by configuration, then iteration by iteration.
+// configuration by configuration, then iteration by iteration. A set
+// also records the pool width it was built with, which Train fits it
+// with.
 type TrainingSet struct {
-	cols [numFeatures + 4][]float64
+	cols    [numFeatures + 4][]float64
+	workers int // batch pool width: 0 means GOMAXPROCS, 1 serial
 }
 
 // Len returns the number of training rows (0 for a nil set).
@@ -353,9 +356,13 @@ func BuildConfigTrainingSet(m gpusim.Runner, kernels []*workloads.Kernel) *Train
 // and each job writes its kernel's own row range of every column
 // straight from the simulated counters, with the kernel's rows
 // generated serially, so the training set — and therefore the fitted
-// predictor — is bit-identical for every worker count. workers follows
-// the batch pool convention: 0 means GOMAXPROCS, 1 forces serial
-// execution.
+// predictor — is bit-identical for every worker count. Each row's
+// features are read in place from the result its evaluator returns by
+// reference (gpusim.PrepareRef): the memo slot the probe filled or hit,
+// or a result the evaluator owns, which is safe because one job
+// generates a kernel's rows serially. workers follows the batch pool
+// convention: 0 means GOMAXPROCS, 1 forces serial execution. The set
+// records it, so Train fits the set over a pool of the same width.
 func BuildConfigTrainingSetN(m gpusim.Runner, kernels []*workloads.Kernel, workers int) *TrainingSet {
 	space := hw.ConfigSpace()
 	start := make([]int, len(kernels)+1)
@@ -363,7 +370,7 @@ func BuildConfigTrainingSetN(m gpusim.Runner, kernels []*workloads.Kernel, worke
 		start[i+1] = start[i] + phases(k)*len(space)
 	}
 	n := start[len(kernels)]
-	set := &TrainingSet{}
+	set := &TrainingSet{workers: workers}
 	backing := make([]float64, len(set.cols)*n)
 	for j := range set.cols {
 		set.cols[j] = backing[j*n : (j+1)*n : (j+1)*n]
@@ -405,16 +412,15 @@ func kernelConfigRows(set *TrainingSet, at int, m gpusim.Runner, k *workloads.Ke
 	// row order — configuration-outer, iteration-inner — is what the
 	// fitted predictor's bit-identity depends on, so only the per-call
 	// evaluation changes, never the loop structure.
-	run := make([]func(hw.Config) gpusim.Result, iters)
+	run := make([]func(hw.Config) *gpusim.Result, iters)
 	for i := range run {
-		run[i] = gpusim.Prepare(m, k, i)
+		run[i] = gpusim.PrepareRef(m, k, i)
 	}
 	r := at
 	var buf featureBuf
 	for _, cfg := range space {
 		for _, eval := range run {
-			cs := eval(cfg).Counters
-			for j, v := range cs.AppendExtendedFeatures(buf[:0]) {
+			for j, v := range eval(cfg).Counters.AppendExtendedFeatures(buf[:0]) {
 				set.cols[j][r] = v
 			}
 			r++
@@ -433,7 +439,10 @@ func kernelConfigRows(set *TrainingSet, at int, m gpusim.Runner, k *workloads.Ke
 // formed once over the 14 extended feature columns, the CU and
 // CU-frequency models solve over all of them, and the bandwidth and
 // compute models solve the sub-systems of the columns their Table 3
-// feature sets name.
+// feature sets name. The fit runs over a pool of the width the set was
+// built with (BuildConfigTrainingSetN's workers), so a caller's worker
+// budget bounds training as it bounds the sweep; the models are
+// bit-identical at every width.
 func Train(set *TrainingSet) (*Predictor, error) {
 	if set.Len() == 0 {
 		return nil, fmt.Errorf("sensitivity: empty training set")
@@ -457,7 +466,7 @@ func Train(set *TrainingSet) (*Predictor, error) {
 		{Y: truth[1], Features: pick(compNames), Names: compNames},
 		{Y: truth[2], Names: extNames},
 		{Y: truth[3], Names: extNames},
-	})
+	}, set.workers)
 	if err != nil {
 		return nil, fmt.Errorf("sensitivity: %w", err)
 	}

@@ -26,7 +26,10 @@
 // Prepare: a sweep prepares each swept invocation, and a session each
 // distinct (kernel, phase) pair of its run. A prepared probe that hits
 // is one index, one atomic load of the slot's state and a copy of its
-// result.
+// result. PrepareRef's probe copies nothing: it hands back a read-only
+// pointer to the slot it hit or filled, so the training sweep, which
+// generates each invocation's results on one goroutine, reads every
+// result's features where the memo keeps it.
 //
 // Slots hold results by value. An entry allocates all 448 of them
 // (about 93 KB) when it is created, the memory a filled entry needs
@@ -167,9 +170,9 @@ type shard struct {
 //
 // A lookup hashes only the kernel name and phase, then compares the
 // full key; a sweep or a session resolves its entry once through
-// Prepare, after which each probe is one index, one atomic load of the
-// slot's state and a copy of its result — cheaper than the simulation
-// it replaces.
+// Prepare (or Cached.PrepareRef), after which each probe is one index,
+// one atomic load of the slot's state and a copy of its result (or a
+// pointer to it) — cheaper than the simulation it replaces.
 // Configurations off the legal grid have no slot and are simulated
 // unstored. A decision entry replaces an entire 448-point sweep
 // (simulation, power rails, and pool scheduling) with one lookup, which
@@ -230,30 +233,52 @@ func (sh *shard) find(h uint64, m *gpusim.Model, kk *kernelKey) *invocation {
 	return nil
 }
 
+// claim counts one probe of e at cfg and returns cfg's slot index:
+// ready to read when hit is true, and otherwise claimed by this prober,
+// which must fill it and publish it. A negative index means the result
+// is to be simulated unstored: there is no entry, cfg has no slot, or
+// another prober is filling the slot (it simulates the same pure
+// result).
+func (c *Cache) claim(e *invocation, cfg hw.Config) (slot int, hit bool) {
+	i, ok := cfg.Index()
+	if !ok || e == nil {
+		c.misses.Add(1)
+		return -1, false
+	}
+	st := &e.state[i]
+	if st.Load() == slotReady {
+		e.hits.Add(1)
+		return i, true
+	}
+	e.misses.Add(1)
+	if !st.CompareAndSwap(slotEmpty, slotFilling) {
+		return -1, false
+	}
+	return i, false
+}
+
+// publish marks e's claimed slot i, now written, ready for every later
+// reader.
+func (e *invocation) publish(i int) {
+	e.state[i].Store(slotReady)
+	e.stored.Add(1)
+}
+
 // probe returns e's result at cfg, simulating it with run on a miss.
 // Without an entry or a slot for cfg the result is simulated unstored.
 // The first prober to claim an empty slot stores its result; a prober
 // that finds the slot being filled simulates the same pure result and
 // returns it unstored.
 func (c *Cache) probe(e *invocation, cfg hw.Config, run func(hw.Config) gpusim.Result) (gpusim.Result, bool) {
-	i, ok := cfg.Index()
-	if !ok || e == nil {
-		c.misses.Add(1)
+	i, hit := c.claim(e, cfg)
+	switch {
+	case i < 0:
 		return run(cfg), false
+	case !hit:
+		e.results[i] = run(cfg)
+		e.publish(i)
 	}
-	st := &e.state[i]
-	if st.Load() == slotReady {
-		e.hits.Add(1)
-		return e.results[i], true
-	}
-	e.misses.Add(1)
-	if !st.CompareAndSwap(slotEmpty, slotFilling) {
-		return run(cfg), false
-	}
-	e.results[i] = run(cfg)
-	st.Store(slotReady)
-	e.stored.Add(1)
-	return e.results[i], false
+	return e.results[i], hit
 }
 
 // Run returns the memoized result of m.Run(k, iter, cfg), simulating
@@ -300,6 +325,27 @@ type prepared struct {
 func (p *prepared) run(cfg hw.Config) gpusim.Result {
 	r, _ := p.c.probe(p.e, cfg, p.inv.Run)
 	return r
+}
+
+// preparedRef is a prepared invocation with the scratch result its
+// unstored probes are simulated into.
+type preparedRef struct {
+	prepared
+	scratch gpusim.Result
+}
+
+// run probes the entry at cfg and returns a pointer to the result.
+func (p *preparedRef) run(cfg hw.Config) *gpusim.Result {
+	i, hit := p.c.claim(p.e, cfg)
+	switch {
+	case i < 0:
+		p.scratch = p.inv.Run(cfg)
+		return &p.scratch
+	case !hit:
+		p.e.results[i] = p.inv.Run(cfg)
+		p.e.publish(i)
+	}
+	return &p.e.results[i]
 }
 
 // Decision returns the memoized sweep argmin for the given simulator
@@ -418,6 +464,25 @@ func (c Cached) Prepare(k *workloads.Kernel, iter int) func(cfg hw.Config) gpusi
 }
 
 var _ gpusim.PreparedRunner = Cached{}
+
+// PrepareRef implements gpusim.RefRunner: it is Prepare returning a
+// pointer to each result instead of a copy. A hit points at the ready
+// memo slot, and a miss simulates straight into the slot it claims and
+// points there. A result that is not stored (no entry, no slot, or a
+// slot another prober is filling) is simulated into a scratch result
+// the evaluator owns, so the pointer is read-only and good only until
+// the next call, and the evaluator serves one goroutine. Probes are
+// counted exactly as Prepare's are. A nil cache degrades to the raw
+// model's evaluator adapted by gpusim.PrepareRef.
+func (c Cached) PrepareRef(k *workloads.Kernel, iter int) func(cfg hw.Config) *gpusim.Result {
+	if c.Cache == nil {
+		return gpusim.PrepareRef(c.Model, k, iter)
+	}
+	p := &preparedRef{prepared: prepared{c: c.Cache, e: c.Cache.entry(c.Model, k, iter), inv: c.Model.Invariants(k, iter)}}
+	return p.run
+}
+
+var _ gpusim.RefRunner = Cached{}
 
 // For returns a runner that memoizes m through cache; a nil cache
 // returns m itself, so callers can thread an optional cache without

@@ -227,15 +227,16 @@ func TestNaNKeyIsNotInterned(t *testing.T) {
 // TestConcurrentSlotFill: goroutines racing to fill overlapping slots
 // store each result once (the first claimant stores it) and all read the
 // model's result, whether a probe finds the slot empty, being filled or
-// ready. Half the goroutines fill through Prepare, the other half read
-// through RunHit, so by-value slots are written and read concurrently.
-// Run under -race.
+// ready. A third of the goroutines fill through Prepare, a third through
+// PrepareRef, which reads the slot in place, and a third read through
+// RunHit, so by-value slots are written and read concurrently. Run
+// under -race.
 func TestConcurrentSlotFill(t *testing.T) {
 	m := gpusim.Default()
 	c := New()
 	kernels := []*workloads.Kernel{testKernel(t, "LUD.Internal"), testKernel(t, "Graph500.BottomStepUp")}
 	space := hw.ConfigSpace()
-	const goroutines, iters = 8, 2
+	const goroutines, iters = 12, 2
 	var wg sync.WaitGroup
 	var bad sync.Once
 	for g := 0; g < goroutines; g++ {
@@ -244,14 +245,21 @@ func TestConcurrentSlotFill(t *testing.T) {
 			defer wg.Done()
 			for _, k := range kernels {
 				iter := g % iters
-				// Goroutines 0, 1, 4 and 5 fill through Prepare; 2, 3, 6
-				// and 7 read the same iterations through RunHit.
-				eval := func(cfg hw.Config) gpusim.Result {
-					r, _ := c.RunHit(m, k, iter, cfg)
-					return r
-				}
-				if g/iters%2 == 0 {
+				// Goroutines 0, 1, 6 and 7 fill through Prepare; 2, 3, 8
+				// and 9 through PrepareRef; 4, 5, 10 and 11 read the
+				// same iterations through RunHit.
+				var eval func(cfg hw.Config) gpusim.Result
+				switch g / iters % 3 {
+				case 0:
 					eval = Cached{Model: m, Cache: c}.Prepare(k, iter)
+				case 1:
+					ref := Cached{Model: m, Cache: c}.PrepareRef(k, iter)
+					eval = func(cfg hw.Config) gpusim.Result { return *ref(cfg) }
+				default:
+					eval = func(cfg hw.Config) gpusim.Result {
+						r, _ := c.RunHit(m, k, iter, cfg)
+						return r
+					}
 				}
 				// Each goroutine covers half the space, offset so that
 				// every slot is contended by several of them.
@@ -377,6 +385,42 @@ func TestPreparedBitIdenticalToRun(t *testing.T) {
 	// earlier entries; at minimum the paired Run calls must all hit.
 	if int(misses) > 4*space || int(hits) < 4*space {
 		t.Fatalf("prepared path missed the shared memo: %d hits, %d misses", hits, misses)
+	}
+}
+
+// TestPreparedRefReadsSlotsInPlace: the by-reference evaluator returns
+// what the model returns, bit for bit, pointing into the memo slot of a
+// stored result (so probing a configuration again returns the same
+// pointer) and into a result of its own for an off-grid configuration,
+// which stays unstored; a nil cache degrades to the raw model.
+func TestPreparedRefReadsSlotsInPlace(t *testing.T) {
+	m := gpusim.Default()
+	c := New()
+	k := testKernel(t, "Graph500.BottomStepUp")
+	for iter := 0; iter < 4; iter++ {
+		ref := Cached{Model: m, Cache: c}.PrepareRef(k, iter)
+		for _, cfg := range hw.ConfigSpace() {
+			got := ref(cfg)
+			if *got != m.Run(k, iter, cfg) {
+				t.Fatalf("iter %d cfg %v: by-reference probe diverged", iter, cfg)
+			}
+			if ref(cfg) != got {
+				t.Fatalf("iter %d cfg %v: a second probe did not return the stored slot", iter, cfg)
+			}
+		}
+	}
+	stored := c.Len()
+	off := hw.MaxConfig()
+	off.Compute.CUs = 6
+	memoRef, rawRef := Cached{Model: m, Cache: c}.PrepareRef(k, 0), Cached{Model: m}.PrepareRef(k, 0)
+	if got, want := *memoRef(off), m.Run(k, 0, off); got != want {
+		t.Fatal("by-reference off-grid probe diverged")
+	}
+	if n := c.Len(); n != stored {
+		t.Fatalf("by-reference off-grid probe changed Len from %d to %d", stored, n)
+	}
+	if got, want := *rawRef(off), m.Run(k, 0, off); got != want {
+		t.Fatal("nil-cache by-reference probe diverged")
 	}
 }
 

@@ -7,17 +7,20 @@
 # inertness gates, the debug mux, the pinned served bodies and a served
 # run's retained heap), the hot-path equivalence gates (golden float
 # bits across the gpusim invariant hoisting and the trained predictor,
-# the column regression kernel against its row-by-row reference, the
-# comparison clamps against math.Max/math.Min, the session's bound
-# (kernel, phase) evaluators against a runner called at every boundary,
+# the column regression kernel against its row-by-row reference at
+# several pool widths, the comparison clamps against math.Max/math.Min,
+# the session's bound (kernel, phase) evaluators against a runner called
+# at every boundary, the memo's by-reference evaluator against the
+# model, the training sweep's probe counts and columns through a memo
+# against the raw model, the fit staying within its set's pool width,
 # budgeted nested parallelism vs serial, allocation-free sweeps, the
 # oracle sweep's and the cold training sweep's allocation ceilings, a
 # warm controller run's allocated bytes and allocation count, a warm
 # oracle run's allocated bytes, a warm phase-varying run's allocation
 # count, and one application lookup's allocations), a repeated race
-# pass over the memo's result slots, and a bounded chaos-soak of the
-# resilience layer (make soak). Timing lives in the layered benchmark,
-# perfbench (make bench).
+# pass over the memo's result slots and one over the parallel fit, and
+# a bounded chaos-soak of the resilience layer (make soak). Timing lives
+# in the layered benchmark, perfbench (make bench).
 set -eux
 cd "$(dirname "$0")/.."
 unformatted="$(gofmt -l .)"
@@ -50,6 +53,10 @@ go test -race -count=1 ./internal/serve/... ./internal/telemetry/...
 # The memo's by-value result slots under concurrent fillers and readers,
 # repeated so that the empty/filling/ready interleavings get exercised.
 go test -race -count=10 -run 'TestConcurrentSlotFill|TestConcurrentMixedSweep' ./internal/simcache/
+# The parallel fit's row and target jobs and their shared fitted
+# buffers, repeated at several pool widths.
+go test -race -count=10 -run 'TestFitManyMatchesRowReference' ./internal/regress/
+go test -race -count=10 -run 'TestTrainStaysWithinSetWidth' ./internal/sensitivity/
 # Observability smoke: spans endpoint round-trips (native + chrome),
 # request/trace correlation, tracing inertness, the pinned span trees,
 # the span tree following its timeline's event cap, the traced run's
@@ -66,11 +73,15 @@ go test -count=1 -run 'TestTimelineRunBitIdentical|TestSameSeedTimelinesByteIden
 # Hot-path equivalence gates: the hoisted gpusim invariants and the
 # trained predictor must stay bit-exact against their embedded golden
 # float bits, the column least-squares kernel must match the row-by-row
-# reference bit for bit, the comparison clamps must return what
-# math.Max/math.Min return bit for bit, a session that prepares each
-# (kernel, phase) pair once must reproduce one that calls its runner at
-# every boundary, the cold training sweep must stay under its
-# allocation ceiling, budgeted nested
+# reference bit for bit at every pool width, the comparison clamps must
+# return what math.Max/math.Min return bit for bit, a session that
+# prepares each (kernel, phase) pair once must reproduce one that calls
+# its runner at every boundary, the memo's by-reference evaluator must
+# return the model's results and read stored ones in place, the
+# training sweep must count every memo probe as before and build the
+# same columns through a memo as over the raw model, the fit must stay
+# within the pool width its set was built with, the cold training sweep
+# must stay under its allocation ceiling, budgeted nested
 # parallelism must reproduce the serial pipeline byte for byte, the
 # pooled sweep scratch must stay allocation-free at steady state, a
 # fresh oracle's uncached sweeps must stay under their allocation
@@ -79,8 +90,9 @@ go test -count=1 -run 'TestTimelineRunBitIdentical|TestSameSeedTimelinesByteIden
 # ceiling, a warm phase-varying run under its allocation-count ceiling,
 # and looking up one application must build only that application.
 go test -count=1 -run 'TestGoldenBits' ./internal/gpusim/
-go test -count=1 -run 'TestTrainedPredictorGoldenBits|TestColdTrainingSweepAllocs' ./internal/sensitivity/
+go test -count=1 -run 'TestTrainedPredictorGoldenBits|TestColdTrainingSweepAllocs|TestTrainingSweepProbeCounts|TestTrainStaysWithinSetWidth' ./internal/sensitivity/
 go test -count=1 -run 'TestFitManyMatchesRowReference' ./internal/regress/
+go test -count=1 -run 'TestPreparedRefReadsSlotsInPlace' ./internal/simcache/
 go test -count=1 -run 'TestClampMatchesMathReference' ./internal/floats/
 go test -count=1 -run 'TestBudgetedNestedSweepBitIdentical|TestEnvBudgetSplitSuiteBitIdentical|TestUncachedOracleSweepAllocs|TestControllerRunAllocBytes|TestWarmHarmoniaRunAllocs|TestAppLookupAllocs|TestBoundRunBitIdentical|TestOracleRunAllocBytes|TestWarmPhaseVaryingRunAllocs' .
 go test -count=1 -run 'TestMinAllocationFree' ./internal/sweep/

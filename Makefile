@@ -55,12 +55,15 @@ serve:
 	$(GO) run ./cmd/harmonia-serve
 
 # Short fuzzing pass over every fuzz target: the controller under
-# faults, the OLS fitter, and the untrusted-input parsers (journal
-# lines, config strings, traceparent headers, ?res= re-bucketing, and
-# the POST /v1/runs and /v1/batch bodies).
+# faults, the fault streams' generator source against math/rand (an
+# HTTP fault_seed reaches it unchanged), the OLS fitter, and the
+# untrusted-input parsers (journal lines, config strings, traceparent
+# headers, ?res= re-bucketing, and the POST /v1/runs and /v1/batch
+# bodies).
 fuzz:
 	$(GO) test ./internal/core/ -fuzz FuzzControllerUnderFaults -fuzztime 15s
 	$(GO) test ./internal/core/ -fuzz FuzzInjectorDeterminism -fuzztime 15s
+	$(GO) test ./internal/faults/ -fuzz FuzzSourceMatchesMathRand -fuzztime 15s
 	$(GO) test ./internal/core/ -fuzz FuzzControllerRobustness -fuzztime 15s
 	$(GO) test ./internal/regress/ -fuzz FuzzFitStability -fuzztime 15s
 	$(GO) test ./internal/regress/ -fuzz FuzzPearsonBounds -fuzztime 15s

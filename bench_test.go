@@ -403,6 +403,21 @@ func BenchmarkFullApplicationUnderHarmonia(b *testing.B) {
 // operation in eight runs under the fault profile at intensity 0.5, so
 // it bypasses the memo and simulates.
 func BenchmarkWarmLibraryRuns(b *testing.B) {
+	benchLibraryRuns(b, func(i int) bool { return i%8 == 7 })
+}
+
+// BenchmarkFaultedLibraryRuns runs BenchmarkWarmLibraryRuns' operation
+// sequence with every operation fault-injected, so it profiles only the
+// path the faulted eighth of lib-runs takes: a fresh injector and a run
+// on the raw model.
+func BenchmarkFaultedLibraryRuns(b *testing.B) {
+	benchLibraryRuns(b, func(int) bool { return true })
+}
+
+// benchLibraryRuns warms one WithSimCache System with the fault-free
+// 14 × 6 matrix, then times operation i of the lib-runs sequence,
+// fault-injected where faulted(i) says so.
+func benchLibraryRuns(b *testing.B, faulted func(i int) bool) {
 	sys := NewSystem(WithSimCache())
 	if _, err := sys.TrainedPredictor(); err != nil {
 		b.Fatal(err)
@@ -432,7 +447,7 @@ func BenchmarkWarmLibraryRuns(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run(i, i%8 == 7)
+		run(i, faulted(i))
 	}
 }
 
@@ -486,8 +501,9 @@ func BenchmarkOracleSweepCached(b *testing.B) {
 
 // TestUncachedOracleSweepAllocs is the sweep allocation gate: a fresh
 // serial oracle deciding LUD's three kernels — three exhaustive sweeps
-// of 448 cells — allocates 16 times in all, where the same three
-// sweeps took 387 before the zero-allocation path of DESIGN.md §13.3.
+// of 448 cells — allocates 15 times in all (16 when every oracle built
+// its own configuration space), where the same three sweeps took 387
+// before the zero-allocation path of DESIGN.md §13.3.
 // The bound of 30 leaves room for incidental growth; one allocation per
 // swept cell would exceed it forty-fold.
 func TestUncachedOracleSweepAllocs(t *testing.T) {

@@ -18,6 +18,14 @@
 // per-sample DAQ draws, which fire thousands of times per kernel,
 // cannot shift the kernel-boundary fault sequence when the sampling
 // rate or trace length changes.
+//
+// Each stream is a math/rand Rand over this package's source, which
+// reaches the state rand.NewSource reaches and draws the same values
+// (TestSourceMatchesMathRand and FuzzSourceMatchesMathRand check it
+// against math/rand) but derives each state word only when a draw
+// first reads it, from precomputed powers of math/rand's seeding
+// generator, instead of running that generator's 1,841 serial steps
+// for every stream.
 package faults
 
 import (
@@ -25,6 +33,7 @@ import (
 	"math"
 	"math/rand"
 
+	"harmonia/internal/floats"
 	"harmonia/internal/gpusim"
 	"harmonia/internal/hw"
 )
@@ -146,7 +155,10 @@ func (c Config) throttleDuration() int {
 // Injector applies one fault configuration to one session run. It is
 // stateful (stuck transitions and throttle events span kernel
 // boundaries), so construct a fresh Injector per run; runs built from
-// the same Config replay the same fault sequence.
+// the same Config replay the same fault sequence. The five streams'
+// generator states live in the Injector itself, so New costs seven
+// allocations: the Injector, its lastObs map and one rand.Rand per
+// stream (TestNewInjectorAllocs).
 type Injector struct {
 	cfg Config
 
@@ -170,6 +182,9 @@ type Injector struct {
 
 	// Event counters for reporting and tests.
 	stuck, throttles, staleSamples, daqDrops int
+
+	// src holds the streams' generator states, indexed by class−1.
+	src [classDAQ]source
 }
 
 // Fault-class identifiers for subSeed. The values are arbitrary but
@@ -192,21 +207,22 @@ func subSeed(seed int64, class uint64) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-func stream(seed int64, class uint64) *rand.Rand {
-	return rand.New(rand.NewSource(subSeed(seed, class)))
+// stream seeds the class's generator state and returns a Rand over it.
+func (in *Injector) stream(class uint64) *rand.Rand {
+	src := &in.src[class-1]
+	src.Seed(subSeed(in.cfg.Seed, class))
+	return rand.New(src)
 }
 
 // New returns an injector for the given fault configuration.
 func New(cfg Config) *Injector {
-	return &Injector{
-		cfg:         cfg,
-		transRNG:    stream(cfg.Seed, classTransition),
-		throttleRNG: stream(cfg.Seed, classThrottle),
-		dropRNG:     stream(cfg.Seed, classDrop),
-		noiseRNG:    stream(cfg.Seed, classNoise),
-		daqRNG:      stream(cfg.Seed, classDAQ),
-		lastObs:     make(map[string]gpusim.Result),
-	}
+	in := &Injector{cfg: cfg, lastObs: make(map[string]gpusim.Result)}
+	in.transRNG = in.stream(classTransition)
+	in.throttleRNG = in.stream(classThrottle)
+	in.dropRNG = in.stream(classDrop)
+	in.noiseRNG = in.stream(classNoise)
+	in.daqRNG = in.stream(classDAQ)
+	return in
 }
 
 // Config returns the injector's fault configuration.
@@ -274,26 +290,28 @@ func (in *Injector) Observation(kernel string, res gpusim.Result) gpusim.Result 
 		}
 	}
 	out := res
-	if sigma := in.cfg.CounterNoise; sigma > 0 {
-		noisy := func(v float64) float64 { return v * (1 + sigma*in.noiseRNG.NormFloat64()) }
-		pct := func(v float64) float64 { return math.Max(0, math.Min(100, noisy(v))) }
-		frac := func(v float64) float64 { return math.Max(0, math.Min(1, noisy(v))) }
-		cs := out.Counters
-		cs.VALUBusy = pct(cs.VALUBusy)
-		cs.VALUUtilization = pct(cs.VALUUtilization)
-		cs.MemUnitBusy = pct(cs.MemUnitBusy)
-		cs.MemUnitStalled = pct(cs.MemUnitStalled)
-		cs.WriteUnitStalled = pct(cs.WriteUnitStalled)
-		cs.ICActivity = frac(cs.ICActivity)
-		cs.L2HitRate = frac(cs.L2HitRate)
-		cs.Occupancy = frac(cs.Occupancy)
-		cs.VALUInsts = math.Max(0, noisy(cs.VALUInsts))
-		cs.VFetchInsts = math.Max(0, noisy(cs.VFetchInsts))
-		cs.VWriteInsts = math.Max(0, noisy(cs.VWriteInsts))
-		out.Counters = cs
+	if in.cfg.CounterNoise > 0 {
+		cs := &out.Counters
+		cs.VALUBusy = in.noisy(cs.VALUBusy, 100)
+		cs.VALUUtilization = in.noisy(cs.VALUUtilization, 100)
+		cs.MemUnitBusy = in.noisy(cs.MemUnitBusy, 100)
+		cs.MemUnitStalled = in.noisy(cs.MemUnitStalled, 100)
+		cs.WriteUnitStalled = in.noisy(cs.WriteUnitStalled, 100)
+		cs.ICActivity = in.noisy(cs.ICActivity, 1)
+		cs.L2HitRate = in.noisy(cs.L2HitRate, 1)
+		cs.Occupancy = in.noisy(cs.Occupancy, 1)
+		cs.VALUInsts = in.noisy(cs.VALUInsts, math.Inf(1))
+		cs.VFetchInsts = in.noisy(cs.VFetchInsts, math.Inf(1))
+		cs.VWriteInsts = in.noisy(cs.VWriteInsts, math.Inf(1))
 	}
 	in.lastObs[kernel] = out
 	return out
+}
+
+// noisy scales v by one draw of the multiplicative counter noise and
+// clamps the result to [0, hi].
+func (in *Injector) noisy(v, hi float64) float64 {
+	return floats.Clamp(v*(1+in.cfg.CounterNoise*in.noiseRNG.NormFloat64()), 0, hi)
 }
 
 // DropDAQSample reports whether the next DAQ sample is lost from the

@@ -17,7 +17,9 @@
 # oracle sweep's and the cold training sweep's allocation ceilings, a
 # warm controller run's allocated bytes and allocation count, a warm
 # oracle run's allocated bytes, a warm phase-varying run's allocation
-# count, and one application lookup's allocations), a repeated race
+# count, one application lookup's allocations, the fault injector's
+# generator source against math/rand, a new injector's allocation
+# count, and the robustness study's golden bits), a repeated race
 # pass over the memo's result slots and one over the parallel fit, and
 # a bounded chaos-soak of the resilience layer (make soak). Timing lives
 # in the layered benchmark, perfbench (make bench).
@@ -88,7 +90,11 @@ go test -count=1 -run 'TestTimelineRunBitIdentical|TestSameSeedTimelinesByteIden
 # ceiling, a warm Harmonia run must stay under its allocated-bytes and
 # allocation-count ceilings, a warm oracle run under its allocated-bytes
 # ceiling, a warm phase-varying run under its allocation-count ceiling,
-# and looking up one application must build only that application.
+# looking up one application must build only that application, the
+# fault streams' source must draw what math/rand's draws bit for bit, a
+# new injector must stay under its allocation ceiling, and the
+# robustness study, which draws every fault stream, must keep the bits
+# recorded before the source was rewritten.
 go test -count=1 -run 'TestGoldenBits' ./internal/gpusim/
 go test -count=1 -run 'TestTrainedPredictorGoldenBits|TestColdTrainingSweepAllocs|TestTrainingSweepProbeCounts|TestTrainStaysWithinSetWidth' ./internal/sensitivity/
 go test -count=1 -run 'TestFitManyMatchesRowReference' ./internal/regress/
@@ -96,4 +102,6 @@ go test -count=1 -run 'TestPreparedRefReadsSlotsInPlace' ./internal/simcache/
 go test -count=1 -run 'TestClampMatchesMathReference' ./internal/floats/
 go test -count=1 -run 'TestBudgetedNestedSweepBitIdentical|TestEnvBudgetSplitSuiteBitIdentical|TestUncachedOracleSweepAllocs|TestControllerRunAllocBytes|TestWarmHarmoniaRunAllocs|TestAppLookupAllocs|TestBoundRunBitIdentical|TestOracleRunAllocBytes|TestWarmPhaseVaryingRunAllocs' .
 go test -count=1 -run 'TestMinAllocationFree' ./internal/sweep/
+go test -count=1 -run 'TestSourceMatchesMathRand|TestNewInjectorAllocs' ./internal/faults/
+go test -count=1 -run 'TestRobustnessStudyGoldenBits' ./internal/experiments/
 make soak SOAK_ITERS="${SOAK_ITERS:-4}"

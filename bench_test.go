@@ -501,8 +501,10 @@ func BenchmarkOracleSweepCached(b *testing.B) {
 
 // TestUncachedOracleSweepAllocs is the sweep allocation gate: a fresh
 // serial oracle deciding LUD's three kernels — three exhaustive sweeps
-// of 448 cells — allocates 15 times in all (16 when every oracle built
-// its own configuration space), where the same three sweeps took 387
+// of 448 cells — allocates 21 times in all, six of them its three
+// kernels' decision records and phase answers (15 when the records were
+// map values and kept no phase answers, 16 when every oracle built its
+// own configuration space), where the same three sweeps took 387
 // before the zero-allocation path of DESIGN.md §13.3.
 // The bound of 30 leaves room for incidental growth; one allocation per
 // swept cell would exceed it forty-fold.

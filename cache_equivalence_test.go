@@ -16,6 +16,7 @@ import (
 	"harmonia/internal/experiments"
 	"harmonia/internal/faults"
 	"harmonia/internal/gpusim"
+	"harmonia/internal/hw"
 	"harmonia/internal/session"
 	"harmonia/internal/workloads"
 )
@@ -214,11 +215,12 @@ func boundTestApps() []*Application {
 }
 
 // TestBoundRunBitIdentical is the gate on the session's binding of each
-// (kernel, phase) pair once per run: on the raw model, on a warm memo
-// and under fault injection, every application runs under each of the
-// six served policies through the bound path and through a runner the
-// session can only call at every boundary, and the reports agree bit
-// for bit.
+// (kernel, phase) pair once per run, and on its reuse of a pair's last
+// boundary when the configuration repeats: on the raw model, on a warm
+// memo and under fault injection, every application runs under each of
+// the six served policies through the bound path and through a runner
+// the session can only call at every boundary, and the reports agree
+// bit for bit.
 func TestBoundRunBitIdentical(t *testing.T) {
 	raw, memo := NewSystem(), NewSystem(WithSimCache())
 	policies := []struct {
@@ -268,6 +270,108 @@ func TestBoundRunBitIdentical(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// countingRunner is a PreparedRunner whose prepared evaluators count
+// their calls, so a test sees how often a session simulates.
+type countingRunner struct {
+	gpusim.PreparedRunner
+	calls *int
+}
+
+func (c countingRunner) Prepare(k *workloads.Kernel, iter int) func(hw.Config) gpusim.Result {
+	eval := c.PreparedRunner.Prepare(k, iter)
+	return func(cfg hw.Config) gpusim.Result {
+		*c.calls++
+		return eval(cfg)
+	}
+}
+
+// TestRepeatedConfigurationEvaluatesOnce is the gate on the session's
+// reuse of a (kernel, phase) pair's last boundary: a boundary that runs
+// the configuration its pair's previous boundary ran takes that
+// boundary's result and rails, so a bound evaluator is called once per
+// pair and once per change of its configuration. Over the fault-free
+// suite on a warm memo each policy's call count is pinned (calling the
+// evaluator at every boundary makes 1,086 per policy). A fault-injected
+// SRAD baseline run on the raw model calls it once per pair and once
+// per boundary whose configuration differs from its pair's previous
+// boundary's, which only the faults cause, since the baseline always
+// commands the maximum configuration.
+func TestRepeatedConfigurationEvaluatesOnce(t *testing.T) {
+	sys := NewSystem(WithSimCache())
+	policies := []struct {
+		name  string
+		mk    func(*Application) Policy
+		calls int
+	}{
+		{"baseline", func(*Application) Policy { return sys.Baseline() }, 33},
+		{"powertune", func(*Application) Policy { return sys.PowerTune(250) }, 33},
+		{"harmonia", func(*Application) Policy { return sys.Harmonia() }, 259},
+		{"cg-only", func(*Application) Policy { return sys.CGOnly() }, 67},
+		{"compute-only", func(*Application) Policy { return sys.ComputeDVFSOnly() }, 100},
+		{"oracle", func(app *Application) Policy { return sys.OracleWithWorkers(1, app) }, 33},
+	}
+	suite := Suite()
+	for _, p := range policies {
+		for _, app := range suite {
+			if _, err := sys.Run(app, p.mk(app)); err != nil { // warm the memo
+				t.Fatal(err)
+			}
+		}
+	}
+	memo := sys.runner().(gpusim.PreparedRunner)
+	for _, p := range policies {
+		calls := 0
+		for _, app := range suite {
+			sess := &session.Session{Sim: countingRunner{memo, &calls}, Power: sys.Power, Policy: p.mk(app)}
+			if _, err := sess.Run(app); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if calls != p.calls {
+			t.Errorf("%s: the suite's runs called the memo's evaluators %d times, want %d", p.name, calls, p.calls)
+		}
+	}
+
+	app := App("SRAD")
+	calls := 0
+	sess := &session.Session{
+		Sim: countingRunner{sys.Sim, &calls}, Power: sys.Power, Policy: sys.Baseline(),
+		Faults: faults.New(FaultProfile(7, 0.5)),
+	}
+	rep, err := sess.Run(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type pair struct {
+		kernel string
+		phase  [3]uint64
+	}
+	kernels := make(map[string]*Kernel)
+	for _, k := range app.Kernels {
+		kernels[k.Name] = k
+	}
+	last := make(map[pair]hw.Config)
+	want, changed := 0, 0
+	for i := range rep.Runs {
+		run := &rep.Runs[i]
+		ph := kernels[run.Kernel].PhaseFor(run.Iter)
+		key := pair{run.Kernel, [3]uint64{math.Float64bits(ph.WorkScale), math.Float64bits(ph.Divergence), math.Float64bits(ph.FetchScale)}}
+		if prev, ok := last[key]; !ok || prev != run.Config {
+			want++
+		}
+		if run.Config != run.Commanded {
+			changed++
+		}
+		last[key] = run.Config
+	}
+	if changed == 0 {
+		t.Fatal("faulted SRAD baseline: the faults changed no configuration, so nothing is evaluated again")
+	}
+	if calls != want || calls != 6 {
+		t.Errorf("faulted SRAD baseline: %d evaluator calls over %d boundaries (%d configurations changed by faults), want %d (pinned at 6)", calls, len(rep.Runs), changed, want)
 	}
 }
 

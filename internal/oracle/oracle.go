@@ -7,6 +7,7 @@
 package oracle
 
 import (
+	"math"
 	"sync"
 
 	"harmonia/internal/gpusim"
@@ -63,8 +64,12 @@ type Oracle struct {
 	pow       *power.Model
 	params    power.Params // pow's, read once: the decision memo's key
 	objective Objective
-	kernels   map[string]kernelDecisions
+	kernels   map[string]*kernelDecisions
 	workers   int
+	// byPhase is set when sim is a gpusim.PreparedRunner, whose
+	// evaluators depend on the iteration only through the kernel's
+	// phase, so one answer serves every iteration of its phase.
+	byPhase bool
 
 	// When sim is a simcache runner, memo/model give the oracle access
 	// to the shared decision memo: the argmin of a deterministic sweep
@@ -74,19 +79,40 @@ type Oracle struct {
 	memo  *simcache.Cache
 	model *gpusim.Model
 
-	// mu guards every kernel's decision slots and the overflow map.
+	// mu guards every kernel's decision slots and phase answers, and the
+	// overflow map.
 	mu sync.Mutex
 	// overflow holds the decided invocations past a kernel's slots
 	// (iterations its applications do not run); nil until needed.
 	overflow map[cacheKey]cacheEntry
 }
 
-// kernelDecisions is one kernel and its decided invocations, one slot
-// per iteration of the longest application that runs it, so deciding
-// an invocation the memo answers inserts into no map.
+// kernelDecisions is one kernel, its decided invocations, one slot per
+// iteration of the longest application that runs it, so deciding an
+// invocation inserts into no map, and the answers found for its phases.
 type kernelDecisions struct {
-	k     *workloads.Kernel
-	slots []cacheEntry // by iteration; the zero entry is undecided
+	k      *workloads.Kernel
+	slots  []cacheEntry // by iteration; the zero entry is undecided
+	phases []phaseAnswer
+}
+
+// phaseAnswer is the entry every later iteration of one phase of a
+// kernel records. The phase matches bit for bit, as a session matches
+// its bindings: a NaN field matches itself and nothing else.
+type phaseAnswer struct {
+	phase [3]uint64
+	later cacheEntry
+}
+
+// answer returns the entry a later iteration of phase records, if kd
+// has answered the phase.
+func (kd *kernelDecisions) answer(phase [3]uint64) (cacheEntry, bool) {
+	for _, a := range kd.phases {
+		if a.phase == phase {
+			return a.later, true
+		}
+	}
+	return cacheEntry{}, false
 }
 
 type cacheKey struct {
@@ -112,23 +138,28 @@ func New(sim gpusim.Runner, pow *power.Model, apps ...*workloads.Application) *O
 
 // NewFor returns an oracle minimizing the given objective.
 func NewFor(obj Objective, sim gpusim.Runner, pow *power.Model, apps ...*workloads.Application) *Oracle {
-	kernels := make(map[string]kernelDecisions)
+	kernels := make(map[string]*kernelDecisions)
 	for _, app := range apps {
 		for _, k := range app.Kernels {
 			kd := kernels[k.Name]
+			if kd == nil {
+				kd = new(kernelDecisions)
+				kernels[k.Name] = kd
+			}
 			kd.k = k
 			if app.Iterations > len(kd.slots) {
 				kd.slots = make([]cacheEntry, app.Iterations)
 			}
-			kernels[k.Name] = kd
 		}
 	}
+	_, byPhase := sim.(gpusim.PreparedRunner)
 	o := &Oracle{
 		sim:       sim,
 		pow:       pow,
 		params:    pow.Params(),
 		objective: obj,
 		kernels:   kernels,
+		byPhase:   byPhase,
 	}
 	if cached, ok := sim.(simcache.Cached); ok && cached.Cache != nil {
 		o.memo, o.model = cached.Cache, cached.Model
@@ -158,14 +189,19 @@ func (o *Oracle) Name() string {
 
 // TimelineDecision implements timeline.Annotator: how the invocation's
 // answer was first produced — the shared decision memo (oracle-memo)
-// or a fresh exhaustive sweep (oracle-sweep). Invocations not yet
-// decided report nothing.
+// or a fresh exhaustive sweep (oracle-sweep). An invocation that took
+// its phase's answer reports the source it would have had asking the
+// memo itself: oracle-memo when the memo holds the answer, and
+// oracle-sweep when there is no memo or the memo cannot hold the key.
+// Invocations not yet decided report nothing.
 func (o *Oracle) TimelineDecision(kernel string, iter int) (timeline.Detail, bool) {
 	kd, ok := o.kernels[kernel]
 	if !ok {
 		return timeline.Detail{}, false
 	}
-	e, ok := o.decided(&kd, iter)
+	o.mu.Lock()
+	e, ok := o.slot(kd, iter)
+	o.mu.Unlock()
 	if !ok {
 		return timeline.Detail{}, false
 	}
@@ -173,22 +209,26 @@ func (o *Oracle) TimelineDecision(kernel string, iter int) (timeline.Detail, boo
 }
 
 // Decide implements policy.Policy: the ED²-minimal configuration for this
-// exact kernel invocation, found by exhaustive profiling.
+// exact kernel invocation, found by exhaustive profiling. The oracle
+// finds each phase's answer once: an undecided iteration of a phase it
+// has answered takes that answer, with the source it would have had if
+// the iteration had asked the decision memo itself.
 func (o *Oracle) Decide(kernel string, iter int) hw.Config {
 	kd, ok := o.kernels[kernel]
 	if !ok {
 		return hw.MaxConfig()
 	}
-	if e, ok := o.decided(&kd, iter); ok {
-		return e.cfg
-	}
 	k := kd.k
-	// A shared decision memo may already hold this sweep's argmin —
-	// computed by this oracle at an earlier iteration of the same phase,
-	// or by any other oracle over the same cache.
+	p := k.PhaseFor(iter)
+	ph := [3]uint64{math.Float64bits(p.WorkScale), math.Float64bits(p.Divergence), math.Float64bits(p.FetchScale)}
+	if cfg, ok := o.decided(kd, iter, ph); ok {
+		return cfg
+	}
+	// A shared decision memo may already hold this sweep's argmin,
+	// computed by any oracle over the same cache.
 	if o.memo != nil {
 		if cfg, ok := o.memo.Decision(o.model, o.params, k, iter, int(o.objective), len(space)); ok {
-			return o.remember(&kd, iter, cfg, "oracle-memo")
+			return o.remember(kd, iter, ph, cacheEntry{cfg, "oracle-memo"}, "oracle-memo")
 		}
 	}
 	// Exhaustive profiling of the whole configuration space; the
@@ -200,16 +240,51 @@ func (o *Oracle) Decide(kernel string, iter int) hw.Config {
 	if !ok {
 		best = hw.MaxConfig()
 	}
-	if o.memo != nil {
-		o.memo.StoreDecision(o.model, o.params, k, iter, int(o.objective), len(space), best)
+	// A later iteration of the phase records what asking the memo would
+	// have given it: the memo's answer when the memo holds this one, and
+	// otherwise a sweep of its own.
+	later := cacheEntry{best, "oracle-sweep"}
+	if o.memo != nil && o.memo.StoreDecision(o.model, o.params, k, iter, int(o.objective), len(space), best) {
+		later.source = "oracle-memo"
 	}
-	return o.remember(&kd, iter, best, "oracle-sweep")
+	return o.remember(kd, iter, ph, later, "oracle-sweep")
 }
 
-// decided returns kd's decided invocation at iter, if there is one.
-func (o *Oracle) decided(kd *kernelDecisions, iter int) (cacheEntry, bool) {
+// decided returns kd's answer at iter: the one decided for that
+// invocation, or else the one found for its phase, which it records as
+// the invocation's.
+func (o *Oracle) decided(kd *kernelDecisions, iter int, phase [3]uint64) (hw.Config, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	if e, ok := o.slot(kd, iter); ok {
+		return e.cfg, true
+	}
+	e, ok := kd.answer(phase)
+	if ok {
+		o.record(kd, iter, e)
+	}
+	return e.cfg, ok
+}
+
+// remember records later's configuration as kd's answer at iter,
+// produced as source says, and, when the oracle answers by phase, later
+// as what later iterations of phase record; it returns the
+// configuration. The first answer wins: a concurrent caller that raced
+// to the same (identical) configuration does not overwrite how it was
+// first produced.
+func (o *Oracle) remember(kd *kernelDecisions, iter int, phase [3]uint64, later cacheEntry, source string) hw.Config {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.record(kd, iter, cacheEntry{later.cfg, source})
+	if _, answered := kd.answer(phase); o.byPhase && !answered {
+		kd.phases = append(kd.phases, phaseAnswer{phase, later})
+	}
+	return later.cfg
+}
+
+// slot returns kd's decided invocation at iter, if there is one. The
+// caller holds o.mu.
+func (o *Oracle) slot(kd *kernelDecisions, iter int) (cacheEntry, bool) {
 	if iter >= 0 && iter < len(kd.slots) {
 		e := kd.slots[iter]
 		return e, e.source != ""
@@ -218,27 +293,22 @@ func (o *Oracle) decided(kd *kernelDecisions, iter int) (cacheEntry, bool) {
 	return e, ok
 }
 
-// remember records kd's decided invocation at iter and returns cfg.
-// The first answer wins: a concurrent caller that raced to the same
-// (identical) configuration does not overwrite how it was first
-// produced.
-func (o *Oracle) remember(kd *kernelDecisions, iter int, cfg hw.Config, source string) hw.Config {
-	o.mu.Lock()
-	defer o.mu.Unlock()
+// record makes e kd's decided invocation at iter unless one is already
+// recorded. The caller holds o.mu.
+func (o *Oracle) record(kd *kernelDecisions, iter int, e cacheEntry) {
 	if iter >= 0 && iter < len(kd.slots) {
 		if kd.slots[iter].source == "" {
-			kd.slots[iter] = cacheEntry{cfg: cfg, source: source}
+			kd.slots[iter] = e
 		}
-		return cfg
+		return
 	}
 	key := cacheKey{kd.k.Name, iter}
 	if _, ok := o.overflow[key]; !ok {
 		if o.overflow == nil {
 			o.overflow = make(map[cacheKey]cacheEntry)
 		}
-		o.overflow[key] = cacheEntry{cfg: cfg, source: source}
+		o.overflow[key] = e
 	}
-	return cfg
 }
 
 // Observe implements policy.Policy; the oracle needs no feedback.

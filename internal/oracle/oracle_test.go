@@ -1,6 +1,11 @@
 package oracle
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -235,4 +240,92 @@ func TestFreshOracleReusesMemoizedDecisions(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFreshOracleDecidesEachPhaseOnce is the gate on the oracle's
+// per-phase answers: a fresh oracle per application asks the shared
+// decision memo once per distinct (kernel, phase), not once per
+// boundary, and every boundary's (TimelineDecision source, Decide
+// config), taken in run order, is the list the oracle produced when it
+// asked the memo, or swept, at every boundary it had not decided. The
+// lists are pinned by their SHA-256: the suite on a cold memo (the first
+// iteration of each phase sweeps, the rest read the memo), on the same
+// memo once warm (every answer read from it) and on the raw model (every
+// answer swept), the suite over a runner that exposes only Run and
+// whose results depend on the iteration beyond its phase, so each
+// iteration keeps its own answer, and an application
+// whose first kernel's phase carries a NaN on every other iteration, a
+// key the memo cannot hold, so each of those iterations reports a sweep.
+func TestFreshOracleDecidesEachPhaseOnce(t *testing.T) {
+	suite := workloads.Suite()
+	srad := workloads.ByName("SRAD")
+	k := *srad.Kernels[0]
+	k.Name, k.Phases = "NaNPhase.Varying", func(iter int) workloads.Phase {
+		p := workloads.Phase{WorkScale: 1, Divergence: 0.3, FetchScale: 1.2}
+		if iter%2 == 0 {
+			p.Divergence = math.NaN()
+		}
+		return p
+	}
+	nanPhase := []*workloads.Application{{Name: "NaNPhase", Kernels: []*workloads.Kernel{&k, srad.Kernels[1]}, Iterations: 24}}
+	decisions := func(sim gpusim.Runner, apps []*workloads.Application) (digest string, sources map[string]int) {
+		var b strings.Builder
+		sources = make(map[string]int)
+		for _, app := range apps {
+			o := New(sim, power.Default(), app).WithWorkers(1)
+			for iter := 0; iter < app.Iterations; iter++ {
+				for _, k := range app.Kernels {
+					cfg := o.Decide(k.Name, iter)
+					d, ok := o.TimelineDecision(k.Name, iter)
+					fmt.Fprintf(&b, "%s %d %s %v %v\n", k.Name, iter, d.Source, ok, cfg)
+					sources[d.Source]++
+				}
+			}
+		}
+		sum := sha256.Sum256([]byte(b.String()))
+		return hex.EncodeToString(sum[:]), sources
+	}
+	cache := simcache.New()
+	memo := simcache.For(gpusim.Default(), cache)
+	probes := func() uint64 {
+		hits, misses := cache.DecisionStats()
+		return hits + misses
+	}
+	for _, c := range []struct {
+		name    string
+		sim     gpusim.Runner
+		apps    []*workloads.Application
+		probes  uint64 // decision-memo probes by the applications' fresh oracles
+		sha256  string
+		sources map[string]int
+	}{
+		{"cold-memo", memo, suite, 33, "8ed2ff4039298c1ec6ff6d135c689703e85e81722ea15b9a10360af5b5d39386", map[string]int{"oracle-sweep": 33, "oracle-memo": 1053}},
+		{"warm-memo", memo, suite, 33, "b92798bd0cc010c195c834bb74c5c73e6585905e15b0f5d462ab91ad7bc1abae", map[string]int{"oracle-memo": 1086}},
+		{"raw", gpusim.Default(), suite, 0, "91d9d59c3475df1edc001cd2ce75ed52ad65de7e9832e766f9d1037ba9dce11d", map[string]int{"oracle-sweep": 1086}},
+		{"by-iteration", oddIterations{gpusim.Default()}, suite, 0, "150478097a3abf1ce059c8047dba3be6dfd00e20b68feaead0f59f867f7437e1", map[string]int{"oracle-sweep": 1086}},
+		{"nan-phase", memo, nanPhase, 3, "8b2a60cbbaf6a35b12ff927a3963b51f8deaefa42ea6a8d6d375cf61f15de754", map[string]int{"oracle-sweep": 13, "oracle-memo": 35}},
+	} {
+		p0 := probes()
+		got, sources := decisions(c.sim, c.apps)
+		if n := probes() - p0; n != c.probes {
+			t.Errorf("%s: the fresh oracles probed the decision memo %d times, want %d (one per distinct kernel phase)", c.name, n, c.probes)
+		}
+		if got != c.sha256 || fmt.Sprint(sources) != fmt.Sprint(c.sources) {
+			t.Errorf("%s: decisions sha256 %s with sources %v, want %s with %v", c.name, got, sources, c.sha256, c.sources)
+		}
+	}
+}
+
+// oddIterations is a runner that exposes only Run and whose results
+// depend on the iteration, not only on its phase, as gpusim.Runner
+// allows: at odd iterations each kernel runs longer the more CUs it
+// has, which moves the ED² optimum.
+type oddIterations struct{ m *gpusim.Model }
+
+func (r oddIterations) Run(k *workloads.Kernel, iter int, cfg hw.Config) gpusim.Result {
+	res := r.m.Run(k, iter, cfg)
+	if iter%2 == 1 {
+		res.Time *= float64(cfg.Compute.CUs) / 8
+	}
+	return res
 }

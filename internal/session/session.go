@@ -30,11 +30,15 @@ type Session struct {
 	// memoizing simcache runner (bit-identical results either way). A
 	// gpusim.PreparedRunner, which both are, is prepared once per
 	// distinct (kernel, phase) pair of a run, and that evaluator serves
-	// every boundary of the pair: a warm memo entry is found once per
-	// run, and a run on the raw model derives each pair's Invariants
-	// once. Any other runner is called at every boundary. A traced run
-	// asks a runner with RunHit (simcache.Cached) for each boundary's
-	// memo-hit flag instead.
+	// the pair's boundaries: a warm memo entry is found once per run,
+	// and a run on the raw model derives each pair's Invariants once.
+	// The evaluator is called only when a boundary's configuration
+	// differs from the one its pair's last boundary ran; otherwise that
+	// boundary's result and rails are copied, which the runner's purity
+	// and the fixed power model make the same values. Any other runner
+	// is called at every boundary. A traced run instead asks a runner
+	// with RunHit (simcache.Cached) for the result and its memo-hit flag
+	// at every boundary.
 	Sim    gpusim.Runner
 	Power  *power.Model
 	Policy policy.Policy
@@ -266,18 +270,31 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 			run := &rep.Runs[len(rep.Runs)-1]
 			run.Kernel, run.Iter, run.Config, run.Commanded = k.Name, iter, actual, cfg
 			res := &run.Result
+			// prev is the pair's last boundary when it ran at actual too:
+			// its result and rails are this boundary's.
+			var prev *KernelRun
 			switch {
 			case hits != nil:
 				*res, tb.Hit = hits.RunHit(k, iter, actual)
 			case prepared:
-				var eval func(hw.Config) gpusim.Result
-				eval, pairs = bind(pairs, s.Sim, j, k, iter)
-				*res = eval(actual)
+				var p *binding
+				p, pairs = bind(pairs, s.Sim, j, k, iter)
+				if p.last >= 0 && rep.Runs[p.last].Config == actual {
+					prev = &rep.Runs[p.last]
+					*res = prev.Result
+				} else {
+					*res = p.eval(actual)
+				}
+				p.last = int32(len(rep.Runs) - 1)
 			default:
 				*res = s.Sim.Run(k, iter, actual)
 			}
 			tb.Clock[2] = tr.Now()
-			run.Rails = s.Power.Rails(actual, res.Activity())
+			if prev != nil {
+				run.Rails = prev.Rails
+			} else {
+				run.Rails = s.Power.Rails(actual, res.Activity())
+			}
 			rec.Observe(res.Time, run.Rails)
 			// The policy observes the true result unless faults perturb
 			// it, and only then is a second copy made.
@@ -361,31 +378,38 @@ type hitRunner interface {
 	RunHit(k *workloads.Kernel, iter int, cfg hw.Config) (gpusim.Result, bool)
 }
 
-// binding is one (kernel, phase) pair of a run and its prepared
-// evaluator. A PreparedRunner's evaluator depends on the iteration only
-// through the kernel's phase, so one serves every boundary of the
-// pair. kernel is the kernel's position in the application, and the
-// phase matches bit for bit: a NaN field matches itself and nothing
-// else.
+// binding is one (kernel, phase) pair of a run, its prepared evaluator
+// and its last boundary. A PreparedRunner's evaluator depends on the
+// iteration only through the kernel's phase, so one serves every
+// boundary of the pair, and since the runner is pure and the power
+// model fixed, a boundary that runs the configuration of the pair's
+// last one has that boundary's result and rails: the session copies
+// them instead of calling the evaluator and the power model. kernel is
+// the kernel's position in the application, last the index in the
+// report's Runs of the pair's last boundary (-1 before its first), and
+// the phase matches bit for bit: a NaN field matches itself and nothing
+// else. kernel and last are int32s so that a binding stays 40 bytes:
+// RunContext's frame holds sixteen of them.
 type binding struct {
-	kernel int
-	phase  [3]uint64
-	eval   func(hw.Config) gpusim.Result
+	kernel, last int32
+	phase        [3]uint64
+	eval         func(hw.Config) gpusim.Result
 }
 
-// bind returns the evaluator of kernel k, the application's j-th, at
+// bind returns the binding of kernel k, the application's j-th, at
 // iteration iter: the one pairs holds for k's phase at iter, or one
-// prepared from sim now and appended to pairs.
-func bind(pairs []binding, sim gpusim.Runner, j int, k *workloads.Kernel, iter int) (func(hw.Config) gpusim.Result, []binding) {
+// prepared from sim now and appended to pairs. The pointer is good
+// until the next call.
+func bind(pairs []binding, sim gpusim.Runner, j int, k *workloads.Kernel, iter int) (*binding, []binding) {
 	ph := k.PhaseFor(iter)
 	bits := [3]uint64{math.Float64bits(ph.WorkScale), math.Float64bits(ph.Divergence), math.Float64bits(ph.FetchScale)}
 	for i := range pairs {
-		if p := &pairs[i]; p.kernel == j && p.phase == bits {
-			return p.eval, pairs
+		if p := &pairs[i]; int(p.kernel) == j && p.phase == bits {
+			return p, pairs
 		}
 	}
-	eval := gpusim.Prepare(sim, k, iter)
-	return eval, append(pairs, binding{kernel: j, phase: bits, eval: eval})
+	pairs = append(pairs, binding{kernel: int32(j), last: -1, phase: bits, eval: gpusim.Prepare(sim, k, iter)})
+	return &pairs[len(pairs)-1], pairs
 }
 
 // TotalTime returns application execution time in seconds. Like every

@@ -368,13 +368,18 @@ func (c *Cache) Decision(m *gpusim.Model, pow power.Params, k *workloads.Kernel,
 }
 
 // StoreDecision records a sweep argmin under the same key Decision
-// reads. The sweep that produced cfg must be deterministic (the sweep
-// layer breaks ties toward the earliest index), so concurrent callers
-// racing to store the same key store the same value; the first wins.
-func (c *Cache) StoreDecision(m *gpusim.Model, pow power.Params, k *workloads.Kernel, iter, objective, spaceLen int, cfg hw.Config) {
+// reads and reports whether the memo holds the key's decision, stored
+// now or earlier; a key with no entry (a NaN in the calibration or the
+// descriptor) is never held. The sweep that produced cfg must be
+// deterministic (the sweep layer breaks ties toward the earliest index),
+// so concurrent callers racing to store the same key store the same
+// value; the first wins. An oracle answers every later iteration of the
+// phase itself, and the report tells it which source those iterations
+// record.
+func (c *Cache) StoreDecision(m *gpusim.Model, pow power.Params, k *workloads.Kernel, iter, objective, spaceLen int, cfg hw.Config) bool {
 	e := c.entry(m, k, iter)
 	if e == nil {
-		return
+		return false
 	}
 	id := decisionID{pow: pow, objective: objective, spaceLen: spaceLen}
 	e.mu.Lock()
@@ -382,11 +387,12 @@ func (c *Cache) StoreDecision(m *gpusim.Model, pow power.Params, k *workloads.Ke
 	old := *e.decisions.Load()
 	for _, d := range old {
 		if d.id == id {
-			return
+			return true
 		}
 	}
 	ds := append(append(make([]decision, 0, len(old)+1), old...), decision{id: id, cfg: cfg})
 	e.decisions.Store(&ds)
+	return true
 }
 
 // Stats reports the lifetime hit and miss counts, summed over the

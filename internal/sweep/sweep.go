@@ -13,8 +13,9 @@
 // the earliest index, so parallel and serial execution produce
 // identical answers. A serial cutoff keeps tiny spaces (or sweeps
 // running under a budget share of 1) from paying any pool spin-up at
-// all, and Min evaluates into pooled scratch so a steady-state sweep
-// allocates nothing.
+// all. A serial Min keeps a running minimum and a parallel one
+// evaluates into pooled scratch, so a steady-state sweep allocates
+// nothing.
 package sweep
 
 import (
@@ -101,8 +102,8 @@ func Map(space []hw.Config, workers int, eval Eval) []float64 {
 	return out
 }
 
-// scratch recycles value buffers across Min calls so a steady-state
-// sweep at a stable space size allocates nothing.
+// scratch recycles value buffers across parallel Min calls so a
+// steady-state sweep at a stable space size allocates nothing.
 var scratch = sync.Pool{New: func() any { return new([]float64) }}
 
 // Min returns the configuration with the smallest value and that value,
@@ -111,37 +112,53 @@ var scratch = sync.Pool{New: func() any { return new([]float64) }}
 // so a single NaN early in the sweep would otherwise poison the whole
 // minimum. It returns false when space is empty or no configuration
 // evaluates to a finite value.
+//
+// A serial sweep offers each value to the minimum as it is evaluated
+// and needs no buffer. A parallel one evaluates into a buffer borrowed
+// from scratch and offers the values in input order, so both find the
+// same minimum.
 func Min(space []hw.Config, workers int, eval Eval) (hw.Config, float64, bool) {
-	if len(space) == 0 {
+	m := minimum{i: -1}
+	if width(workers, len(space)) == 1 {
+		for i, cfg := range space {
+			m.offer(i, eval(cfg))
+		}
+	} else {
+		bp := scratch.Get().(*[]float64)
+		if cap(*bp) < len(space) {
+			*bp = make([]float64, len(space))
+		}
+		vals := (*bp)[:len(space)]
+		MapInto(vals, space, workers, eval)
+		for i, v := range vals {
+			m.offer(i, v)
+		}
+		scratch.Put(bp)
+	}
+	if m.i < 0 {
 		return hw.Config{}, 0, false
 	}
-	bp := scratch.Get().(*[]float64)
-	if cap(*bp) < len(space) {
-		*bp = make([]float64, len(space))
+	return space[m.i], m.v, true
+}
+
+// minimum is a running argmin: the index and value of the smallest
+// finite value offered, the earliest among equals, or index -1 before
+// one is.
+type minimum struct {
+	i int
+	v float64
+}
+
+// offer makes v at index i the minimum when it is finite and smaller
+// than the minimum so far. Indexes are offered in increasing order, so
+// a tie keeps the earlier one.
+func (m *minimum) offer(i int, v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return
 	}
-	vals := (*bp)[:len(space)]
-	MapInto(vals, space, workers, eval)
-	bestI := -1
-	for i, v := range vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			continue
-		}
-		if bestI < 0 || v < vals[bestI] {
-			bestI = i
-		}
+	if m.i < 0 || v < m.v {
+		m.i, m.v = i, v
 	}
-	var (
-		best hw.Config
-		val  float64
-	)
-	if bestI >= 0 {
-		best, val = space[bestI], vals[bestI]
-	}
-	scratch.Put(bp)
-	if bestI < 0 {
-		return hw.Config{}, 0, false
-	}
-	return best, val, true
 }
 
 // Result pairs a configuration with its value.

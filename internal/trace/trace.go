@@ -211,11 +211,18 @@ func (r *Recorder) TraceID() string {
 }
 
 // Now reads the recorder's clock; the session stamps each boundary's
-// phases with it. A nil recorder reads no clock and returns 0.
+// phases with it. A nil recorder reads no clock and returns 0. The
+// locked read is a method of its own so that Now, nil check and call,
+// inlines into an untraced run's boundaries.
 func (r *Recorder) Now() time.Duration {
 	if r == nil {
 		return 0
 	}
+	return r.now()
+}
+
+// now reads the clock under the recorder's lock.
+func (r *Recorder) now() time.Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.clock()

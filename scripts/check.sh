@@ -10,8 +10,11 @@
 # the column regression kernel against its row-by-row reference at
 # several pool widths, the comparison clamps against math.Max/math.Min,
 # the session's bound (kernel, phase) evaluators against a runner called
-# at every boundary, the memo's by-reference evaluator against the
-# model, the training sweep's probe counts and columns through a memo
+# at every boundary, the session's evaluator calls (one per (kernel,
+# phase) pair and change of configuration) and a fresh oracle's
+# decision-memo probes (one per (kernel, phase)), the memo's
+# by-reference evaluator against the model, the training sweep's probe
+# counts and columns through a memo
 # against the raw model, the fit staying within its set's pool width,
 # budgeted nested parallelism vs serial, allocation-free sweeps, the
 # oracle sweep's and the cold training sweep's allocation ceilings, a
@@ -20,9 +23,10 @@
 # count, one application lookup's allocations, the fault injector's
 # generator source against math/rand, a new injector's allocation
 # count, and the robustness study's golden bits), a repeated race
-# pass over the memo's result slots and one over the parallel fit, and
-# a bounded chaos-soak of the resilience layer (make soak). Timing lives
-# in the layered benchmark, perfbench (make bench).
+# pass over the memo's result slots, one over the parallel fit and one
+# over the serial sweep's allocation gate, and a bounded chaos-soak of
+# the resilience layer (make soak). Timing lives in the layered
+# benchmark, perfbench (make bench).
 set -eux
 cd "$(dirname "$0")/.."
 unformatted="$(gofmt -l .)"
@@ -59,6 +63,10 @@ go test -race -count=10 -run 'TestConcurrentSlotFill|TestConcurrentMixedSweep' .
 # buffers, repeated at several pool widths.
 go test -race -count=10 -run 'TestFitManyMatchesRowReference' ./internal/regress/
 go test -race -count=10 -run 'TestTrainStaysWithinSetWidth' ./internal/sensitivity/
+# The serial sweep must stay allocation-free under the race detector,
+# which drops sync.Pool puts at random, so it is repeated enough to
+# catch a pooled buffer coming back to the serial path.
+go test -race -count=100 -run 'TestMinAllocationFree' ./internal/sweep/
 # Observability smoke: spans endpoint round-trips (native + chrome),
 # request/trace correlation, tracing inertness, the pinned span trees,
 # the span tree following its timeline's event cap, the traced run's
@@ -78,7 +86,10 @@ go test -count=1 -run 'TestTimelineRunBitIdentical|TestSameSeedTimelinesByteIden
 # reference bit for bit at every pool width, the comparison clamps must
 # return what math.Max/math.Min return bit for bit, a session that
 # prepares each (kernel, phase) pair once must reproduce one that calls
-# its runner at every boundary, the memo's by-reference evaluator must
+# its runner at every boundary, a session must call its bound evaluators
+# only for a pair's first boundary and a changed configuration, and a
+# fresh oracle must ask the decision memo once per (kernel, phase) and
+# keep every source and answer, the memo's by-reference evaluator must
 # return the model's results and read stored ones in place, the
 # training sweep must count every memo probe as before and build the
 # same columns through a memo as over the raw model, the fit must stay
@@ -100,7 +111,8 @@ go test -count=1 -run 'TestTrainedPredictorGoldenBits|TestColdTrainingSweepAlloc
 go test -count=1 -run 'TestFitManyMatchesRowReference' ./internal/regress/
 go test -count=1 -run 'TestPreparedRefReadsSlotsInPlace' ./internal/simcache/
 go test -count=1 -run 'TestClampMatchesMathReference' ./internal/floats/
-go test -count=1 -run 'TestBudgetedNestedSweepBitIdentical|TestEnvBudgetSplitSuiteBitIdentical|TestUncachedOracleSweepAllocs|TestControllerRunAllocBytes|TestWarmHarmoniaRunAllocs|TestAppLookupAllocs|TestBoundRunBitIdentical|TestOracleRunAllocBytes|TestWarmPhaseVaryingRunAllocs' .
+go test -count=1 -run 'TestBudgetedNestedSweepBitIdentical|TestEnvBudgetSplitSuiteBitIdentical|TestUncachedOracleSweepAllocs|TestControllerRunAllocBytes|TestWarmHarmoniaRunAllocs|TestAppLookupAllocs|TestBoundRunBitIdentical|TestRepeatedConfigurationEvaluatesOnce|TestOracleRunAllocBytes|TestWarmPhaseVaryingRunAllocs' .
+go test -count=1 -run 'TestFreshOracleDecidesEachPhaseOnce' ./internal/oracle/
 go test -count=1 -run 'TestMinAllocationFree' ./internal/sweep/
 go test -count=1 -run 'TestSourceMatchesMathRand|TestNewInjectorAllocs' ./internal/faults/
 go test -count=1 -run 'TestRobustnessStudyGoldenBits' ./internal/experiments/

@@ -419,16 +419,6 @@ func (m *Model) Prepare(k *workloads.Kernel, iter int) func(cfg hw.Config) Resul
 
 var _ PreparedRunner = (*Model)(nil)
 
-// RunApp simulates one full iteration of an application (each kernel
-// once, in order) and returns the per-kernel results.
-func (m *Model) RunApp(app *workloads.Application, iter int, cfg hw.Config) []Result {
-	out := make([]Result, len(app.Kernels))
-	for i, k := range app.Kernels {
-		out[i] = m.Run(k, iter, cfg)
-	}
-	return out
-}
-
 // MachineUtilization is Harmonia's fine-grain performance proxy: the
 // VALU-issue throughput of the whole machine relative to its peak
 // capability at the reference (maximum) configuration. The paper uses

@@ -299,20 +299,6 @@ func TestTimeWeaklyMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestRunApp(t *testing.T) {
-	m := Default()
-	app := workloads.LUD()
-	rs := m.RunApp(app, 0, hw.MaxConfig())
-	if len(rs) != len(app.Kernels) {
-		t.Fatalf("RunApp returned %d results for %d kernels", len(rs), len(app.Kernels))
-	}
-	for i, r := range rs {
-		if r.Time <= 0 {
-			t.Errorf("kernel %d time %v", i, r.Time)
-		}
-	}
-}
-
 func TestLimiterString(t *testing.T) {
 	if LimitDRAM.String() != "dram" || LimitCrossing.String() != "clock-crossing" ||
 		LimitMLP.String() != "mlp" || BandwidthLimiter(9).String() != "unknown" {

@@ -36,9 +36,9 @@ type Session struct {
 	// differs from the one its pair's last boundary ran; otherwise that
 	// boundary's result and rails are copied, which the runner's purity
 	// and the fixed power model make the same values. Any other runner
-	// is called at every boundary. A traced run instead asks a runner
-	// with RunHit (simcache.Cached) for the result and its memo-hit flag
-	// at every boundary.
+	// is called at every boundary. A traced run takes the same path; it
+	// only asks a runner with Holds (simcache.Cached), before each
+	// boundary's evaluation, whether the memo holds its result.
 	Sim    gpusim.Runner
 	Power  *power.Model
 	Policy policy.Policy
@@ -174,11 +174,11 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 	ins := s.instrumentsFor()
 	tr, tl := s.Tracer, s.Timeline
 	// A boundary record is built only when the timeline will store it,
-	// so only then is the policy's Detail read; the memo-hit flag is
-	// asked for only when a span recorder will show it.
+	// so only then is the policy's Detail read; the memo is asked whether
+	// it holds a result only when a span recorder will show the answer.
 	var (
 		ann   timeline.Annotator
-		hits  hitRunner
+		memo  holder
 		bins  []timeline.Bins
 		first [16]binding // room for every suite application's pairs (Graph500 has ten)
 		pairs = first[:0]
@@ -191,7 +191,7 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 			tl = timeline.New()
 		}
 		tr.StartRun(app.Name, s.Policy.Name(), app.Iterations, tl)
-		hits, _ = s.Sim.(hitRunner)
+		memo, _ = s.Sim.(holder)
 	}
 	if tl != nil {
 		tl.StartRun(app.Name, s.Policy.Name())
@@ -270,13 +270,15 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 			run := &rep.Runs[len(rep.Runs)-1]
 			run.Kernel, run.Iter, run.Config, run.Commanded = k.Name, iter, actual, cfg
 			res := &run.Result
+			if memo != nil {
+				// Asked before the evaluation; a reused boundary's result
+				// was stored by its pair's last boundary, so it reads true.
+				tb.Memo, tb.Hit = true, memo.Holds(k, iter, actual)
+			}
 			// prev is the pair's last boundary when it ran at actual too:
 			// its result and rails are this boundary's.
 			var prev *KernelRun
-			switch {
-			case hits != nil:
-				*res, tb.Hit = hits.RunHit(k, iter, actual)
-			case prepared:
+			if prepared {
 				var p *binding
 				p, pairs = bind(pairs, s.Sim, j, k, iter)
 				if p.last >= 0 && rep.Runs[p.last].Config == actual {
@@ -286,7 +288,7 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 					*res = p.eval(actual)
 				}
 				p.last = int32(len(rep.Runs) - 1)
-			default:
+			} else {
 				*res = s.Sim.Run(k, iter, actual)
 			}
 			tb.Clock[2] = tr.Now()
@@ -335,11 +337,9 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 				all := rec.Samples()
 				tl.ObserveSamples(all[sampleLo:])
 				sampleLo = len(all)
-				tl.RecordDecision(d)
-				if tr != nil {
+				if tl.RecordDecision(d) && tr != nil {
 					tb.Observed = obs.Config
 					tb.VALUBusy, tb.MemUnitBusy = obs.Counters.VALUBusy, obs.Counters.MemUnitBusy
-					tb.Memo = hits != nil
 					tr.RecordBoundary(tb)
 				}
 			}
@@ -371,11 +371,11 @@ func canceled(ctx context.Context) error {
 	}
 }
 
-// hitRunner is the optional simulator interface (implemented by
-// simcache.Cached) reporting whether a result came from the memo; a
-// traced run records the flag for its simulate spans.
-type hitRunner interface {
-	RunHit(k *workloads.Kernel, iter int, cfg hw.Config) (gpusim.Result, bool)
+// holder is the optional simulator interface (implemented by
+// simcache.Cached) answering whether the memo holds a result without
+// probing it; a traced run records the answer for its simulate spans.
+type holder interface {
+	Holds(k *workloads.Kernel, iter int, cfg hw.Config) bool
 }
 
 // binding is one (kernel, phase) pair of a run, its prepared evaluator

@@ -199,10 +199,7 @@ func (c *Cache) entry(m *gpusim.Model, k *workloads.Kernel, iter int) *invocatio
 	kk := kernelKeyOf(k, iter)
 	h := kk.hash()
 	sh := &c.shards[h>>(64-shardBits)]
-	sh.mu.RLock()
-	e := sh.find(h, m, &kk)
-	sh.mu.RUnlock()
-	if e != nil || *m != *m || kk != kk {
+	if e := sh.get(h, m, &kk); e != nil || *m != *m || kk != kk {
 		return e
 	}
 	sh.mu.Lock()
@@ -213,7 +210,7 @@ func (c *Cache) entry(m *gpusim.Model, k *workloads.Kernel, iter int) *invocatio
 	if sh.m == nil {
 		sh.m = make(map[uint64][]*invocation)
 	}
-	e = &invocation{
+	e := &invocation{
 		model: *m, kernel: kk,
 		results: make([]gpusim.Result, hw.NumConfigs()),
 		state:   make([]atomic.Uint32, hw.NumConfigs()),
@@ -221,6 +218,13 @@ func (c *Cache) entry(m *gpusim.Model, k *workloads.Kernel, iter int) *invocatio
 	e.decisions.Store(new([]decision))
 	sh.m[h] = append(sh.m[h], e)
 	return e
+}
+
+// get is find under the shard's read lock.
+func (sh *shard) get(h uint64, m *gpusim.Model, kk *kernelKey) *invocation {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.find(h, m, kk)
 }
 
 // find returns the entry for (m, kk) in bucket h, or nil.
@@ -269,37 +273,38 @@ func (e *invocation) publish(i int) {
 // The first prober to claim an empty slot stores its result; a prober
 // that finds the slot being filled simulates the same pure result and
 // returns it unstored.
-func (c *Cache) probe(e *invocation, cfg hw.Config, run func(hw.Config) gpusim.Result) (gpusim.Result, bool) {
+func (c *Cache) probe(e *invocation, cfg hw.Config, run func(hw.Config) gpusim.Result) gpusim.Result {
 	i, hit := c.claim(e, cfg)
 	switch {
 	case i < 0:
-		return run(cfg), false
+		return run(cfg)
 	case !hit:
 		e.results[i] = run(cfg)
 		e.publish(i)
 	}
-	return e.results[i], hit
+	return e.results[i]
 }
 
 // Run returns the memoized result of m.Run(k, iter, cfg), simulating
 // and storing it on a miss. Results are bit-identical to the uncached
 // call: on a miss the model's own Run supplies the stored value.
 func (c *Cache) Run(m *gpusim.Model, k *workloads.Kernel, iter int, cfg hw.Config) gpusim.Result {
-	r, _ := c.RunHit(m, k, iter, cfg)
-	return r
-}
-
-// RunHit is Run, additionally reporting whether the result came from
-// the memo (true) or a fresh simulation (false). The result value is
-// identical either way; a traced session records the flag in each
-// boundary's record, and the span tree shows it as the simulate span's
-// simcache_hit attribute.
-func (c *Cache) RunHit(m *gpusim.Model, k *workloads.Kernel, iter int, cfg hw.Config) (gpusim.Result, bool) {
 	var e *invocation
 	if cfg.Valid() {
 		e = c.entry(m, k, iter)
 	}
 	return c.probe(e, cfg, func(cfg hw.Config) gpusim.Result { return m.Run(k, iter, cfg) })
+}
+
+// Holds reports whether a probe of m.Run(k, iter, cfg) would hit now.
+// It counts no probe, copies no result and creates no entry, so a NaN
+// key, never interned, and an off-grid configuration are never held.
+func (c *Cache) Holds(m *gpusim.Model, k *workloads.Kernel, iter int, cfg hw.Config) bool {
+	kk := kernelKeyOf(k, iter)
+	h := kk.hash()
+	e := c.shards[h>>(64-shardBits)].get(h, m, &kk)
+	i, ok := cfg.Index()
+	return ok && e != nil && e.state[i].Load() == slotReady
 }
 
 // Prepare returns a single-invocation evaluator for m's kernel k at
@@ -323,8 +328,7 @@ type prepared struct {
 // run probes the entry at cfg, simulating through the hoisted
 // Invariants on a miss.
 func (p *prepared) run(cfg hw.Config) gpusim.Result {
-	r, _ := p.c.probe(p.e, cfg, p.inv.Run)
-	return r
+	return p.c.probe(p.e, cfg, p.inv.Run)
 }
 
 // preparedRef is a prepared invocation with the scratch result its
@@ -450,13 +454,9 @@ func (c Cached) Run(k *workloads.Kernel, iter int, cfg hw.Config) gpusim.Result 
 	return c.Cache.Run(c.Model, k, iter, cfg)
 }
 
-// RunHit is Run plus a memo-hit flag (always false without a cache);
-// results are bit-identical to Run's.
-func (c Cached) RunHit(k *workloads.Kernel, iter int, cfg hw.Config) (gpusim.Result, bool) {
-	if c.Cache == nil {
-		return c.Model.Run(k, iter, cfg), false
-	}
-	return c.Cache.RunHit(c.Model, k, iter, cfg)
+// Holds is Cache.Holds, always false without a cache.
+func (c Cached) Holds(k *workloads.Kernel, iter int, cfg hw.Config) bool {
+	return c.Cache != nil && c.Cache.Holds(c.Model, k, iter, cfg)
 }
 
 // Prepare implements gpusim.PreparedRunner: the returned evaluator

@@ -224,13 +224,57 @@ func TestNaNKeyIsNotInterned(t *testing.T) {
 	}
 }
 
+// TestHoldsOnlyReads: Holds answers whether a probe would hit — true
+// once the slot is stored, false before, off the grid, for a NaN key and
+// without a cache — and counts no probe, stores nothing and creates no
+// entry.
+func TestHoldsOnlyReads(t *testing.T) {
+	m := gpusim.Default()
+	c := New()
+	k := testKernel(t, "LUD.Internal")
+	cfg := hw.MaxConfig()
+	if c.Holds(m, k, 0, cfg) {
+		t.Fatal("an empty memo holds a result")
+	}
+	for i := range c.shards {
+		if len(c.shards[i].m) != 0 {
+			t.Fatal("Holds created an entry")
+		}
+	}
+	c.Run(m, k, 0, cfg)
+	if !c.Holds(m, k, 0, cfg) || !(Cached{Model: m, Cache: c}).Holds(k, 0, cfg) {
+		t.Fatal("the memo does not hold the result it stored")
+	}
+	if c.Holds(m, k, 0, hw.MinConfig()) {
+		t.Fatal("the memo holds a configuration never run")
+	}
+	offGrid := cfg
+	offGrid.Compute.CUs = 6
+	c.Run(m, k, 0, offGrid)
+	if c.Holds(m, k, 0, offGrid) {
+		t.Fatal("the memo holds an off-grid configuration")
+	}
+	nan := workloads.NewKernel("NaN").MustBuild()
+	nan.SerialCycles = math.NaN()
+	c.Run(m, nan, 0, cfg)
+	if c.Holds(m, nan, 0, cfg) {
+		t.Fatal("the memo holds a NaN key")
+	}
+	if (Cached{Model: m}).Holds(k, 0, cfg) {
+		t.Fatal("a runner without a cache holds a result")
+	}
+	if hits, misses := c.Stats(); hits != 0 || misses != 3 || c.Len() != 1 {
+		t.Fatalf("hits=%d misses=%d Len=%d after three runs, want 0/3/1: Holds counted or stored", hits, misses, c.Len())
+	}
+}
+
 // TestConcurrentSlotFill: goroutines racing to fill overlapping slots
 // store each result once (the first claimant stores it) and all read the
 // model's result, whether a probe finds the slot empty, being filled or
 // ready. A third of the goroutines fill through Prepare, a third through
 // PrepareRef, which reads the slot in place, and a third read through
-// RunHit, so by-value slots are written and read concurrently. Run
-// under -race.
+// Run, so by-value slots are written and read concurrently. Run under
+// -race.
 func TestConcurrentSlotFill(t *testing.T) {
 	m := gpusim.Default()
 	c := New()
@@ -247,7 +291,7 @@ func TestConcurrentSlotFill(t *testing.T) {
 				iter := g % iters
 				// Goroutines 0, 1, 6 and 7 fill through Prepare; 2, 3, 8
 				// and 9 through PrepareRef; 4, 5, 10 and 11 read the
-				// same iterations through RunHit.
+				// same iterations through Run.
 				var eval func(cfg hw.Config) gpusim.Result
 				switch g / iters % 3 {
 				case 0:
@@ -256,10 +300,7 @@ func TestConcurrentSlotFill(t *testing.T) {
 					ref := Cached{Model: m, Cache: c}.PrepareRef(k, iter)
 					eval = func(cfg hw.Config) gpusim.Result { return *ref(cfg) }
 				default:
-					eval = func(cfg hw.Config) gpusim.Result {
-						r, _ := c.RunHit(m, k, iter, cfg)
-						return r
-					}
+					eval = func(cfg hw.Config) gpusim.Result { return c.Run(m, k, iter, cfg) }
 				}
 				// Each goroutine covers half the space, offset so that
 				// every slot is contended by several of them.
@@ -509,9 +550,10 @@ func BenchmarkDecisionHitParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkRunHitWarm measures the per-boundary hit path: the lookup a
-// session pays for each kernel invocation on a warm memo.
-func BenchmarkRunHitWarm(b *testing.B) {
+// BenchmarkHoldsWarm measures what a traced session pays per kernel
+// boundary on a warm memo to learn whether the memo holds the
+// boundary's result: a key projection, a lookup and one atomic load.
+func BenchmarkHoldsWarm(b *testing.B) {
 	m := gpusim.Default()
 	c := New()
 	kernels := workloads.AllKernels()
@@ -522,7 +564,7 @@ func BenchmarkRunHitWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, hit := c.RunHit(m, kernels[i%len(kernels)], 0, cfg); !hit {
+		if !c.Holds(m, kernels[i%len(kernels)], 0, cfg) {
 			b.Fatal("miss on warmed memo")
 		}
 	}

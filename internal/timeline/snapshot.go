@@ -34,9 +34,11 @@ type Snapshot struct {
 	ResolutionS float64 `json:"resolution_s"`
 	SampleCount int     `json:"sample_count"`
 
-	Power       []PowerBucket `json:"power"`
-	Decisions   []Decision    `json:"decisions"`
-	Transitions []Transition  `json:"transitions"`
+	Power     []PowerBucket `json:"power"`
+	Decisions []Decision    `json:"decisions"`
+	// Transitions are the retained decisions' transitions; those of
+	// dropped decisions count in DroppedTransitions.
+	Transitions []Transition `json:"transitions"`
 
 	DroppedDecisions   int `json:"dropped_decisions,omitempty"`
 	DroppedTransitions int `json:"dropped_transitions,omitempty"`
@@ -59,9 +61,21 @@ func (r *Recorder) Snapshot() *Snapshot {
 		SampleCount:        r.samples,
 		Power:              make([]PowerBucket, len(r.buckets)),
 		Decisions:          append([]Decision(nil), r.decisions...),
-		Transitions:        append([]Transition(nil), r.transitions...),
 		DroppedDecisions:   r.droppedDecs,
 		DroppedTransitions: r.droppedTrans,
+	}
+	// The cap drops the newest records, so a retained decision's
+	// predecessor is retained too. No transitions serialize as null.
+	if r.transitions > 0 {
+		s.Transitions = make([]Transition, 0, r.transitions)
+		for i, d := range r.decisions {
+			if d.Transition {
+				s.Transitions = append(s.Transitions, Transition{
+					Index: d.Index, AtS: d.StartS, Kernel: d.Kernel,
+					From: r.decisions[i-1].Config, To: d.Config,
+				})
+			}
+		}
 	}
 	for i, b := range r.buckets {
 		pb := PowerBucket{TimeS: float64(i) * r.res, Samples: b.n}

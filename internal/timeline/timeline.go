@@ -9,8 +9,8 @@
 //     saw, the sensitivity bins it predicted, the configuration the
 //     hardware ran, and the action source (CG, FG, revert, oracle
 //     memo/sweep, ...);
-//   - frequency/CU state transitions, whenever the configuration
-//     actually changed between consecutive invocations.
+//   - frequency/CU state transitions, flagged on the decision records
+//     whose configuration differs from the previous invocation's.
 //
 // Like internal/trace, the recorder is built around two guarantees:
 //
@@ -27,10 +27,10 @@
 //
 // Memory is bounded: power buckets are capped and the resolution
 // doubles (merging bucket pairs in place) when a run outgrows the cap,
-// and the decision/transition logs drop the newest entries past their
-// caps, counting what was dropped. Bucket indices are computed from
-// each sample's absolute timestamp, never from a running count, so DAQ
-// dropouts thin a bucket without ever shifting bucket boundaries.
+// and the decision log drops the newest records past its cap, counting
+// them and their transitions. Bucket indices come from each sample's
+// absolute timestamp, never from a running count, so DAQ dropouts thin
+// a bucket without ever shifting bucket boundaries.
 package timeline
 
 import (
@@ -196,14 +196,12 @@ type Recorder struct {
 	samples    int // total samples folded in
 	durationS  float64
 
-	maxEvents    int
-	decisions    []Decision
-	droppedDecs  int
-	transitions  []Transition
-	droppedTrans int
+	maxEvents                 int
+	decisions                 []Decision
+	droppedDecs               int
+	transitions, droppedTrans int // flagged on retained and on dropped decisions
 
-	lastConfig Config
-	haveLast   bool
+	lastConfig Config // the previous boundary's, retained or dropped
 
 	// notify is closed and replaced whenever a decision lands or the
 	// run finishes, waking Since subscribers; allocated lazily so
@@ -234,9 +232,9 @@ func WithMaxBuckets(n int) Option {
 	}
 }
 
-// WithMaxEvents caps the decision and transition logs; entries past the
-// cap are dropped (newest first) and counted. Values < 1 keep the
-// default.
+// WithMaxEvents caps the decision log; records past the cap are
+// dropped (newest first) and counted, and so are the transitions they
+// flag. Values < 1 keep the default.
 func WithMaxEvents(n int) Option {
 	return func(r *Recorder) {
 		if n >= 1 {
@@ -314,35 +312,31 @@ func (r *Recorder) coarsenLocked() {
 }
 
 // RecordDecision appends one kernel-boundary record, deriving its index
-// and transition flag, and wakes Since subscribers. Past the event cap
-// the record is dropped and counted.
-func (r *Recorder) RecordDecision(d Decision) {
+// and transition flag, wakes Since subscribers and reports true. Past
+// the event cap it drops and counts the record and its transition.
+func (r *Recorder) RecordDecision(d Decision) bool {
 	if r == nil {
-		return
+		return false
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	d.Index = len(r.decisions) + r.droppedDecs
 	r.durationS = d.EndS
-	if r.haveLast && d.Config != r.lastConfig {
-		d.Transition = true
-		if len(r.transitions) < r.maxEvents {
-			r.transitions = append(r.transitions, Transition{
-				Index: d.Index, AtS: d.StartS, Kernel: d.Kernel,
-				From: r.lastConfig, To: d.Config,
-			})
-		} else {
-			r.droppedTrans++
-		}
-	}
-	r.lastConfig, r.haveLast = d.Config, true
+	d.Transition = d.Index > 0 && d.Config != r.lastConfig
+	r.lastConfig = d.Config
 	if len(r.decisions) >= r.maxEvents {
 		r.droppedDecs++
-		r.mu.Unlock()
-		return
+		if d.Transition {
+			r.droppedTrans++
+		}
+		return false
+	}
+	if d.Transition {
+		r.transitions++
 	}
 	r.decisions = append(r.decisions, d)
 	r.wakeLocked()
-	r.mu.Unlock()
+	return true
 }
 
 // Finish marks the run complete and wakes subscribers. Idempotent.
@@ -414,5 +408,5 @@ func (r *Recorder) Counts() (decisions, dropped, transitions int) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.decisions), r.droppedDecs, len(r.transitions)
+	return len(r.decisions), r.droppedDecs, r.transitions
 }

@@ -240,16 +240,15 @@ func (r *Recorder) StartRun(app, policy string, iterations int, tl *timeline.Rec
 	r.mu.Unlock()
 }
 
-// RecordBoundary stores the tail of the decision the timeline recorded
-// last, unless the timeline dropped that decision past its event cap.
+// RecordBoundary stores the tail of the decision the timeline kept
+// last. The session records one only when the timeline kept the
+// boundary's decision, so the i-th tail is the i-th decision's.
 func (r *Recorder) RecordBoundary(b Boundary) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	if kept, _, _ := r.tl.Counts(); len(r.tails) < kept {
-		r.tails = append(r.tails, b)
-	}
+	r.tails = append(r.tails, b)
 	r.mu.Unlock()
 }
 
@@ -294,9 +293,6 @@ func (r *Recorder) FailRun(err error) {
 	}
 	r.mu.Unlock()
 }
-
-// Len returns the number of spans the recorded run has so far.
-func (r *Recorder) Len() int { return len(r.Snapshot().Spans) }
 
 // Snapshot builds the span tree from the records: trace header plus
 // every span in start order. Safe to call while the run is recording;

@@ -75,7 +75,7 @@ func TestTracedRunBitIdentical(t *testing.T) {
 			if !bytes.Equal(tb.Bytes(), ub.Bytes()) {
 				t.Fatal("traced report JSON differs from untraced")
 			}
-			if rec.Len() == 0 {
+			if len(rec.Snapshot().Spans) == 0 {
 				t.Fatal("traced run recorded no spans")
 			}
 		})
@@ -228,11 +228,11 @@ func TestReusedPolicyLeavesEarlierRecorderAlone(t *testing.T) {
 		if _, err := sys.RunContext(t.Context(), App(tc.app), tc.pol, RunWithTrace(rec)); err != nil {
 			t.Fatal(err)
 		}
-		traced := rec.Len()
+		traced := len(rec.Snapshot().Spans)
 		if _, err := sys.Run(App(tc.app), tc.pol); err != nil {
 			t.Fatal(err)
 		}
-		if got := rec.Len(); got != traced {
+		if got := len(rec.Snapshot().Spans); got != traced {
 			t.Fatalf("%s on %s: untraced rerun grew the first run's recorder from %d to %d spans",
 				tc.pol.Name(), tc.app, traced, got)
 		}

@@ -4,8 +4,11 @@
 # suppressions fail too; timed against a 10s budget), race-detector
 # test run, a focused race pass over the concurrent service layer, an
 # observability smoke (the spans endpoint in both formats, the tracing
-# inertness gates, the debug mux, the pinned served bodies and a served
-# run's retained heap), the hot-path equivalence gates (golden float
+# inertness gates, a traced run's memo probes against its untraced
+# twin's, the pinned memo-hit flags, the debug mux, the pinned served
+# bodies and a served run's retained heap), a flight-recorder smoke
+# (recorder inertness, same-seed timelines and the transitions a capped
+# timeline lists and counts), the hot-path equivalence gates (golden float
 # bits across the gpusim invariant hoisting and the trained predictor,
 # the column regression kernel against its row-by-row reference at
 # several pool widths, the comparison clamps against math.Max/math.Min,
@@ -70,16 +73,19 @@ go test -race -count=100 -run 'TestMinAllocationFree' ./internal/sweep/
 # Observability smoke: spans endpoint round-trips (native + chrome),
 # request/trace correlation, tracing inertness, the pinned span trees,
 # the span tree following its timeline's event cap, the traced run's
-# allocations per kernel boundary, the pprof/expvar debug handler, the
+# allocations per kernel boundary, a traced run probing the memo exactly
+# as often as the same run untraced, the pinned simcache_hit flags of
+# runs on a memo that starts cold, the pprof/expvar debug handler, the
 # pinned hash of every body a fixed script's runs serve, and the heap a
 # finished served run retains.
 go test -count=1 -run 'TestGetSpans|TestTraceparentAdopted|TestRequestIDMintedAndEchoed|TestDebugHandler|TestServedBodiesPinned|TestServedRunRetainedBytes' ./internal/serve/
 go test -count=1 -run 'TestSpanTreeFollowsTimelineCap' ./internal/session/
-go test -count=1 -run 'TestTracedRunBitIdentical|TestSameSeedSpanTreesByteIdentical|TestSpanTreeGolden|TestTracedRunAllocs' .
-# Flight-recorder smoke: recorder inertness and same-seed timeline
+go test -count=1 -run 'TestTracedRunBitIdentical|TestSameSeedSpanTreesByteIdentical|TestSpanTreeGolden|TestTracedRunAllocs|TestTracedRunDoesUntracedWork|TestSimcacheHitFlagsPinned' .
+# Flight-recorder smoke: recorder inertness, same-seed timeline
 # byte-identity (the determinism the /v1/runs/{id}/timeline contract
-# rests on).
-go test -count=1 -run 'TestTimelineRunBitIdentical|TestSameSeedTimelinesByteIdentical' .
+# rests on), and a capped timeline listing exactly its retained
+# decisions' transitions while every transition total stays the run's.
+go test -count=1 -run 'TestTimelineRunBitIdentical|TestSameSeedTimelinesByteIdentical|TestTransitionsUnderCap' .
 # Hot-path equivalence gates: the hoisted gpusim invariants and the
 # trained predictor must stay bit-exact against their embedded golden
 # float bits, the column least-squares kernel must match the row-by-row

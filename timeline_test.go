@@ -10,6 +10,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"harmonia/internal/timeline"
 )
 
 // TestTimelineRunBitIdentical is the inertness gate: flight-recording a
@@ -132,5 +134,51 @@ func TestTimelineDecisionAnnotations(t *testing.T) {
 	}
 	if oracleSources["oracle-sweep"] == 0 {
 		t.Fatalf("oracle run recorded no sweep-sourced decisions (sources %v)", oracleSources)
+	}
+}
+
+// TestTransitionsUnderCap: a timeline capped below a run's boundary
+// count lists exactly the transitions of the decisions it kept, each
+// from the configuration of the decision before it, and counts the
+// transitions at the decisions it dropped. The run's transition total
+// reads the same in the snapshot, its summary and the quality engine's
+// churn, and is the total an uncapped timeline records.
+func TestTransitionsUnderCap(t *testing.T) {
+	const (
+		maxEvents        = 40
+		totalTransitions = 116
+	)
+	sys := NewSystem(WithSimCache())
+	app := App("SRAD")
+	rec := timeline.New(timeline.WithMaxEvents(maxEvents))
+	if _, err := sys.RunContext(t.Context(), app, sys.Harmonia(), RunWithTimeline(rec)); err != nil {
+		t.Fatal(err)
+	}
+	snap := rec.Snapshot()
+	if len(snap.Decisions) != maxEvents || snap.DroppedDecisions != app.Iterations*len(app.Kernels)-maxEvents {
+		t.Fatalf("timeline kept %d and dropped %d decisions, want %d kept", len(snap.Decisions), snap.DroppedDecisions, maxEvents)
+	}
+	var want []timeline.Transition
+	for i, d := range snap.Decisions {
+		if d.Transition {
+			want = append(want, timeline.Transition{Index: d.Index, AtS: d.StartS, Kernel: d.Kernel, From: snap.Decisions[i-1].Config, To: d.Config})
+		}
+	}
+	if !reflect.DeepEqual(snap.Transitions, want) {
+		t.Errorf("%d transitions listed, want the %d of the retained decisions:\n%+v\nwant\n%+v",
+			len(snap.Transitions), len(want), snap.Transitions, want)
+	}
+	if snap.DroppedTransitions == 0 {
+		t.Error("no transition fell at a dropped decision, so the cap is not exercised")
+	}
+	res, err := sys.QualityEngine(-1, 1).Analyze(app, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d transitions listed, %d dropped", len(snap.Transitions), snap.DroppedTransitions)
+	if got := len(snap.Transitions) + snap.DroppedTransitions; got != totalTransitions ||
+		snap.Summary().Transitions != totalTransitions || res.Churn.Transitions != totalTransitions {
+		t.Errorf("transition totals: snapshot %d, summary %d, churn %d, want %d",
+			got, snap.Summary().Transitions, res.Churn.Transitions, totalTransitions)
 	}
 }

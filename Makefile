@@ -3,9 +3,9 @@ GO ?= go
 .PHONY: check build vet test race bench fuzz serve fmt-check lint soak
 
 # The full pre-commit gate is scripts/check.sh: formatting, build, vet,
-# the domain linters against their time budget, the test suite under the
-# race detector, the focused race passes, the observability smoke, the
-# hot-path gates and a bounded chaos soak.
+# the domain linters against their time budget, the test suite plain and
+# under the race detector, the focused race passes and a bounded chaos
+# soak.
 check:
 	sh scripts/check.sh
 

@@ -501,11 +501,11 @@ func BenchmarkOracleSweepCached(b *testing.B) {
 
 // TestUncachedOracleSweepAllocs is the sweep allocation gate: a fresh
 // serial oracle deciding LUD's three kernels — three exhaustive sweeps
-// of 448 cells — allocates 21 times in all, six of them its three
-// kernels' decision records and phase answers (15 when the records were
-// map values and kept no phase answers, 16 when every oracle built its
-// own configuration space), where the same three sweeps took 387
-// before the zero-allocation path of DESIGN.md §13.3.
+// of 448 cells — allocates 18 times in all, six of them its three
+// kernels' records and their answer lists (21 when each record also held
+// a slot per iteration, 16 when every oracle built its own configuration
+// space), where the same three sweeps took 387 before the
+// zero-allocation path of DESIGN.md §13.3.
 // The bound of 30 leaves room for incidental growth; one allocation per
 // swept cell would exceed it forty-fold.
 func TestUncachedOracleSweepAllocs(t *testing.T) {
@@ -576,11 +576,12 @@ func TestWarmHarmoniaRunAllocs(t *testing.T) {
 
 // TestOracleRunAllocBytes gates the bytes a warm oracle run allocates:
 // a fresh oracle running SRAD to completion on a warm memo, with every
-// decision answered by the shared decision memo, allocates 50.5 KiB. An
-// oracle that kept its answers in a map of its own, inserted into and
-// grown at every boundary, allocated 91.3 KiB, and one that built its
-// own 448-configuration space 61.1 KiB, so the 72 KiB bound catches
-// that map coming back.
+// decision answered by the shared decision memo, allocates 45.3 KiB
+// (50.5 KiB when it held a slot per iteration). An oracle that kept its
+// answers in a map of its own, inserted into and grown at every
+// boundary, allocated 91.3 KiB, and one that built its own
+// 448-configuration space 61.1 KiB, so the 72 KiB bound catches that map
+// coming back.
 func TestOracleRunAllocBytes(t *testing.T) {
 	sys := NewSystem(WithSimCache())
 	app := App("SRAD")

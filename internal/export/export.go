@@ -1,6 +1,6 @@
-// Package export serializes session reports, power traces, and
-// experiment results to JSON and CSV, so downstream analysis (plotting
-// the reproduced figures, diffing runs) can happen outside Go.
+// Package export serializes session reports and power traces to JSON
+// and CSV, so downstream analysis (plotting the reproduced figures,
+// diffing runs) can happen outside Go.
 package export
 
 import (
@@ -11,8 +11,6 @@ import (
 	"strconv"
 
 	"harmonia/internal/daq"
-	"harmonia/internal/experiments"
-	"harmonia/internal/hw"
 	"harmonia/internal/session"
 )
 
@@ -170,107 +168,6 @@ func WriteTraceJSON(w io.Writer, trace []daq.Sample) error {
 		return fmt.Errorf("export: encode trace: %w", err)
 	}
 	return nil
-}
-
-// ResultsJSON is the serializable form of the Figures 10-13 evaluation.
-type ResultsJSON struct {
-	Apps    []AppResultJSON `json:"apps"`
-	Summary SummaryJSON     `json:"summary"`
-}
-
-// AppResultJSON is one application's normalized outcomes.
-type AppResultJSON struct {
-	App          string  `json:"app"`
-	Stress       bool    `json:"stress"`
-	ED2CG        float64 `json:"ed2_gain_cg"`
-	ED2Harmonia  float64 `json:"ed2_gain_harmonia"`
-	ED2Oracle    float64 `json:"ed2_gain_oracle"`
-	SlowdownHM   float64 `json:"slowdown_harmonia"`
-	PowerSaving  float64 `json:"power_saving_harmonia"`
-	EnergySaving float64 `json:"energy_saving_harmonia"`
-}
-
-// SummaryJSON mirrors experiments.Summary.
-type SummaryJSON struct {
-	ED2CG          float64 `json:"ed2_gain_cg"`
-	ED2Harmonia    float64 `json:"ed2_gain_harmonia"`
-	ED2Harmonia2   float64 `json:"ed2_gain_harmonia_nonstress"`
-	ED2Oracle      float64 `json:"ed2_gain_oracle"`
-	ED2ComputeOnly float64 `json:"ed2_gain_compute_only"`
-	PowerSaving    float64 `json:"power_saving"`
-	EnergySaving   float64 `json:"energy_saving"`
-	Slowdown       float64 `json:"slowdown"`
-	BestApp        string  `json:"best_app"`
-	BestED2        float64 `json:"best_ed2_gain"`
-	OracleGap      float64 `json:"oracle_gap"`
-}
-
-// Results converts per-app experiment results to their serializable form.
-func Results(rs []experiments.AppResult) ResultsJSON {
-	sum := experiments.Summarize(rs)
-	out := ResultsJSON{
-		Summary: SummaryJSON{
-			ED2CG:          sum.ED2CG,
-			ED2Harmonia:    sum.ED2Harmonia,
-			ED2Harmonia2:   sum.ED2Harmonia2,
-			ED2Oracle:      sum.ED2Oracle,
-			ED2ComputeOnly: sum.ED2ComputeOnly,
-			PowerSaving:    sum.PowerSaving,
-			EnergySaving:   sum.EnergySaving,
-			Slowdown:       sum.SlowdownHarmonia,
-			BestApp:        sum.BestED2App,
-			BestED2:        sum.BestED2,
-			OracleGap:      sum.OracleGapHarmonia,
-		},
-	}
-	for _, r := range rs {
-		out.Apps = append(out.Apps, AppResultJSON{
-			App:          r.App,
-			Stress:       r.Stress,
-			ED2CG:        r.ED2Gain(r.CG),
-			ED2Harmonia:  r.ED2Gain(r.Harmonia),
-			ED2Oracle:    r.ED2Gain(r.Oracle),
-			SlowdownHM:   r.Slowdown(r.Harmonia),
-			PowerSaving:  r.PowerGain(r.Harmonia),
-			EnergySaving: r.EnergyGain(r.Harmonia),
-		})
-	}
-	return out
-}
-
-// WriteResultsJSON writes the evaluation results as indented JSON.
-func WriteResultsJSON(w io.Writer, rs []experiments.AppResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(Results(rs)); err != nil {
-		return fmt.Errorf("export: encode results: %w", err)
-	}
-	return nil
-}
-
-// WriteResidencyCSV writes a tunable's residency map as CSV.
-func WriteResidencyCSV(w io.Writer, t hw.Tunable, residency map[int]float64) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{t.String(), "time_share"}); err != nil {
-		return fmt.Errorf("export: csv header: %w", err)
-	}
-	states := make([]int, 0, len(residency))
-	for s := range residency {
-		states = append(states, s)
-	}
-	// Insertion sort: tiny input, no need for the sort package.
-	for i := 1; i < len(states); i++ {
-		for j := i; j > 0 && states[j] < states[j-1]; j-- {
-			states[j], states[j-1] = states[j-1], states[j]
-		}
-	}
-	for _, s := range states {
-		if err := cw.Write([]string{strconv.Itoa(s), formatF(residency[s])}); err != nil {
-			return fmt.Errorf("export: csv row: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 func formatF(v float64) string { return strconv.FormatFloat(v, 'g', 9, 64) }

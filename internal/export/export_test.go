@@ -7,9 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"harmonia/internal/experiments"
-	"harmonia/internal/hw"
-	"harmonia/internal/metrics"
 	"harmonia/internal/policy"
 	"harmonia/internal/session"
 	"harmonia/internal/workloads"
@@ -105,60 +102,5 @@ func TestTraceJSONMatchesCSV(t *testing.T) {
 		if decoded[i].TimeS != s.TimeS || decoded[i].CardW != s.Rails.Card() {
 			t.Fatalf("sample %d = %+v, want t=%v card=%v", i, decoded[i], s.TimeS, s.Rails.Card())
 		}
-	}
-}
-
-func TestResultsJSON(t *testing.T) {
-	// Build a small synthetic result set to avoid the full sweep.
-	rs := []experiments.AppResult{
-		{
-			App:      "Fake",
-			Baseline: metrics.Sample{Seconds: 1, Watts: 200},
-			CG:       metrics.Sample{Seconds: 1.02, Watts: 180},
-			Harmonia: metrics.Sample{Seconds: 1.0, Watts: 176},
-			Oracle:   metrics.Sample{Seconds: 0.99, Watts: 174},
-			ComputeOnly: metrics.Sample{
-				Seconds: 1.0, Watts: 196,
-			},
-		},
-	}
-	var buf bytes.Buffer
-	if err := WriteResultsJSON(&buf, rs); err != nil {
-		t.Fatal(err)
-	}
-	var decoded ResultsJSON
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(decoded.Apps) != 1 || decoded.Apps[0].App != "Fake" {
-		t.Fatalf("apps = %+v", decoded.Apps)
-	}
-	// 176W at equal time = 12% ED2 gain.
-	if got := decoded.Apps[0].ED2Harmonia; got < 0.11 || got > 0.13 {
-		t.Errorf("ED2 gain = %v, want ~0.12", got)
-	}
-	if decoded.Summary.BestApp != "Fake" {
-		t.Errorf("summary best app = %q", decoded.Summary.BestApp)
-	}
-}
-
-func TestResidencyCSVSorted(t *testing.T) {
-	var buf bytes.Buffer
-	res := map[int]float64{1375: 0.5, 475: 0.25, 925: 0.25}
-	if err := WriteResidencyCSV(&buf, hw.TunableMemFreq, res); err != nil {
-		t.Fatal(err)
-	}
-	records, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != 4 {
-		t.Fatalf("records = %v", records)
-	}
-	if records[0][0] != "MemFreq" {
-		t.Errorf("header = %v", records[0])
-	}
-	if records[1][0] != "475" || records[2][0] != "925" || records[3][0] != "1375" {
-		t.Errorf("states not sorted: %v", records)
 	}
 }

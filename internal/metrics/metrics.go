@@ -69,15 +69,6 @@ func Improvement(base, got float64) float64 {
 	return (base - got) / base
 }
 
-// Speedup returns base/got for a lower-is-better quantity such as
-// execution time: 1.03 means 3% faster than baseline.
-func Speedup(base, got float64) float64 {
-	if floats.Zero(got) {
-		return math.Inf(1)
-	}
-	return base / got
-}
-
 // GeoMean returns the geometric mean of xs. The paper reports all
 // cross-application averages as geometric means (Section 7). Non-positive
 // inputs are invalid and produce NaN.
@@ -112,16 +103,4 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// MaxAbs returns the element of xs with the largest absolute value
-// (0 for empty input).
-func MaxAbs(xs []float64) float64 {
-	best := 0.0
-	for _, x := range xs {
-		if math.Abs(x) > math.Abs(best) {
-			best = x
-		}
-	}
-	return best
 }

@@ -95,15 +95,6 @@ func TestImprovement(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	if got := Speedup(2, 1); got != 2 {
-		t.Errorf("Speedup(2,1) = %v", got)
-	}
-	if got := Speedup(1, 0); !math.IsInf(got, 1) {
-		t.Errorf("Speedup with zero time = %v, want +Inf", got)
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	if got := GeoMean([]float64{2, 8}); !almost(got, 4, 1e-12) {
 		t.Errorf("GeoMean(2,8) = %v, want 4", got)
@@ -154,12 +145,6 @@ func TestMeanAndMaxAbs(t *testing.T) {
 	}
 	if got := Mean(nil); got != 0 {
 		t.Errorf("Mean(nil) = %v", got)
-	}
-	if got := MaxAbs([]float64{-3, 2, 1}); got != -3 {
-		t.Errorf("MaxAbs = %v, want -3", got)
-	}
-	if got := MaxAbs(nil); got != 0 {
-		t.Errorf("MaxAbs(nil) = %v", got)
 	}
 }
 

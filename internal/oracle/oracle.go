@@ -7,7 +7,6 @@
 package oracle
 
 import (
-	"math"
 	"sync"
 
 	"harmonia/internal/gpusim"
@@ -36,8 +35,6 @@ const (
 	MinED
 	// MinEnergy minimizes energy.
 	MinEnergy
-	// MinTime maximizes performance.
-	MinTime
 )
 
 func (o Objective) String() string {
@@ -48,17 +45,15 @@ func (o Objective) String() string {
 		return "ed"
 	case MinEnergy:
 		return "energy"
-	case MinTime:
-		return "time"
 	default:
 		return "unknown"
 	}
 }
 
 // Oracle is the per-kernel-invocation exhaustive-search policy. It
-// implements policy.Policy and is safe for concurrent use: the decision
-// cache is mutex-guarded, so one Oracle may serve parallel sessions
-// (e.g. concurrent served runs) without racing.
+// implements policy.Policy and is safe for concurrent use: the answers
+// are mutex-guarded, so one Oracle may serve parallel sessions (e.g.
+// concurrent served runs) without racing.
 type Oracle struct {
 	sim       gpusim.Runner
 	pow       *power.Model
@@ -68,7 +63,8 @@ type Oracle struct {
 	workers   int
 	// byPhase is set when sim is a gpusim.PreparedRunner, whose
 	// evaluators depend on the iteration only through the kernel's
-	// phase, so one answer serves every iteration of its phase.
+	// phase, so one answer serves every iteration of its phase. Any
+	// other runner's answers are kept per iteration.
 	byPhase bool
 
 	// When sim is a simcache runner, memo/model give the oracle access
@@ -79,53 +75,45 @@ type Oracle struct {
 	memo  *simcache.Cache
 	model *gpusim.Model
 
-	// mu guards every kernel's decision slots and phase answers, and the
-	// overflow map.
+	// mu guards every kernel's answers.
 	mu sync.Mutex
-	// overflow holds the decided invocations past a kernel's slots
-	// (iterations its applications do not run); nil until needed.
-	overflow map[cacheKey]cacheEntry
 }
 
-// kernelDecisions is one kernel, its decided invocations, one slot per
-// iteration of the longest application that runs it, so deciding an
-// invocation inserts into no map, and the answers found for its phases.
+// kernelDecisions is one kernel and the answers found for it, a short
+// list: one per phase the oracle was asked about.
 type kernelDecisions struct {
-	k      *workloads.Kernel
-	slots  []cacheEntry // by iteration; the zero entry is undecided
-	phases []phaseAnswer
+	k       *workloads.Kernel
+	answers []answer
 }
 
-// phaseAnswer is the entry every later iteration of one phase of a
-// kernel records. The phase matches bit for bit, as a session matches
-// its bindings: a NaN field matches itself and nothing else.
-type phaseAnswer struct {
+// answerKey is what an answer serves: a phase, by its
+// workloads.Phase.Bits, and, when the oracle does not answer by phase,
+// one iteration (-1 when it does).
+type answerKey struct {
 	phase [3]uint64
-	later cacheEntry
+	iter  int
 }
 
-// answer returns the entry a later iteration of phase records, if kd
-// has answered the phase.
-func (kd *kernelDecisions) answer(phase [3]uint64) (cacheEntry, bool) {
-	for _, a := range kd.phases {
-		if a.phase == phase {
-			return a.later, true
+// answer is the configuration found for one key and how it was
+// produced: source for the iteration that first asked (first), and later
+// for every other iteration of the key, the source that iteration would
+// have had asking the decision memo itself. Sources are oracle-memo or
+// oracle-sweep, which TimelineDecision reports.
+type answer struct {
+	key           answerKey
+	cfg           hw.Config
+	first         int
+	source, later string
+}
+
+// find returns kd's answer for key, if it has one. The caller holds o.mu.
+func (kd *kernelDecisions) find(key answerKey) (answer, bool) {
+	for _, a := range kd.answers {
+		if a.key == key {
+			return a, true
 		}
 	}
-	return cacheEntry{}, false
-}
-
-type cacheKey struct {
-	kernel string
-	iter   int
-}
-
-// cacheEntry is one decided invocation: the answer and how it was
-// first produced (oracle-memo or oracle-sweep), which TimelineDecision
-// reports. An empty source marks a slot not yet decided.
-type cacheEntry struct {
-	cfg    hw.Config
-	source string
+	return answer{}, false
 }
 
 // New returns the ED² oracle for the kernels of the given applications.
@@ -141,15 +129,7 @@ func NewFor(obj Objective, sim gpusim.Runner, pow *power.Model, apps ...*workloa
 	kernels := make(map[string]*kernelDecisions)
 	for _, app := range apps {
 		for _, k := range app.Kernels {
-			kd := kernels[k.Name]
-			if kd == nil {
-				kd = new(kernelDecisions)
-				kernels[k.Name] = kd
-			}
-			kd.k = k
-			if app.Iterations > len(kd.slots) {
-				kd.slots = make([]cacheEntry, app.Iterations)
-			}
+			kernels[k.Name] = &kernelDecisions{k: k}
 		}
 	}
 	_, byPhase := sim.(gpusim.PreparedRunner)
@@ -188,47 +168,59 @@ func (o *Oracle) Name() string {
 }
 
 // TimelineDecision implements timeline.Annotator: how the invocation's
-// answer was first produced — the shared decision memo (oracle-memo)
-// or a fresh exhaustive sweep (oracle-sweep). An invocation that took
-// its phase's answer reports the source it would have had asking the
+// answer was produced — the shared decision memo (oracle-memo) or a
+// fresh exhaustive sweep (oracle-sweep). The iteration that first asked
+// for its phase's answer reports how that answer was found; every other
+// iteration of the phase reports the source it would have had asking the
 // memo itself: oracle-memo when the memo holds the answer, and
-// oracle-sweep when there is no memo or the memo cannot hold the key.
-// Invocations not yet decided report nothing.
+// oracle-sweep when there is no memo or the memo cannot hold the key. A
+// phase without an answer reports nothing. Two consequences no session
+// meets, since a session asks only after deciding the same boundary and
+// a served run builds its own oracle: an iteration not yet decided, of a
+// phase already answered, reports the later source; and of two sessions
+// sharing an oracle that race to answer one phase at different
+// iterations, the losing iteration reports the later source, not its own
+// sweep's.
 func (o *Oracle) TimelineDecision(kernel string, iter int) (timeline.Detail, bool) {
 	kd, ok := o.kernels[kernel]
 	if !ok {
 		return timeline.Detail{}, false
 	}
+	key := o.keyOf(kd.k, iter)
 	o.mu.Lock()
-	e, ok := o.slot(kd, iter)
+	a, ok := kd.find(key)
 	o.mu.Unlock()
 	if !ok {
 		return timeline.Detail{}, false
 	}
-	return timeline.Detail{Source: e.source}, true
+	if iter == a.first {
+		return timeline.Detail{Source: a.source}, true
+	}
+	return timeline.Detail{Source: a.later}, true
 }
 
 // Decide implements policy.Policy: the ED²-minimal configuration for this
 // exact kernel invocation, found by exhaustive profiling. The oracle
-// finds each phase's answer once: an undecided iteration of a phase it
-// has answered takes that answer, with the source it would have had if
-// the iteration had asked the decision memo itself.
+// finds each phase's answer once, and every later iteration of the phase
+// takes it.
 func (o *Oracle) Decide(kernel string, iter int) hw.Config {
 	kd, ok := o.kernels[kernel]
 	if !ok {
 		return hw.MaxConfig()
 	}
 	k := kd.k
-	p := k.PhaseFor(iter)
-	ph := [3]uint64{math.Float64bits(p.WorkScale), math.Float64bits(p.Divergence), math.Float64bits(p.FetchScale)}
-	if cfg, ok := o.decided(kd, iter, ph); ok {
-		return cfg
+	key := o.keyOf(k, iter)
+	o.mu.Lock()
+	a, ok := kd.find(key)
+	o.mu.Unlock()
+	if ok {
+		return a.cfg
 	}
 	// A shared decision memo may already hold this sweep's argmin,
 	// computed by any oracle over the same cache.
 	if o.memo != nil {
 		if cfg, ok := o.memo.Decision(o.model, o.params, k, iter, int(o.objective), len(space)); ok {
-			return o.remember(kd, iter, ph, cacheEntry{cfg, "oracle-memo"}, "oracle-memo")
+			return o.remember(kd, answer{key, cfg, iter, "oracle-memo", "oracle-memo"})
 		}
 	}
 	// Exhaustive profiling of the whole configuration space; the
@@ -240,75 +232,37 @@ func (o *Oracle) Decide(kernel string, iter int) hw.Config {
 	if !ok {
 		best = hw.MaxConfig()
 	}
-	// A later iteration of the phase records what asking the memo would
+	// A later iteration of the phase reports what asking the memo would
 	// have given it: the memo's answer when the memo holds this one, and
 	// otherwise a sweep of its own.
-	later := cacheEntry{best, "oracle-sweep"}
+	a = answer{key, best, iter, "oracle-sweep", "oracle-sweep"}
 	if o.memo != nil && o.memo.StoreDecision(o.model, o.params, k, iter, int(o.objective), len(space), best) {
-		later.source = "oracle-memo"
+		a.later = "oracle-memo"
 	}
-	return o.remember(kd, iter, ph, later, "oracle-sweep")
+	return o.remember(kd, a)
 }
 
-// decided returns kd's answer at iter: the one decided for that
-// invocation, or else the one found for its phase, which it records as
-// the invocation's.
-func (o *Oracle) decided(kd *kernelDecisions, iter int, phase [3]uint64) (hw.Config, bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if e, ok := o.slot(kd, iter); ok {
-		return e.cfg, true
+// keyOf returns the key of k's answer at iter: its phase, and the
+// iteration itself unless the oracle answers by phase.
+func (o *Oracle) keyOf(k *workloads.Kernel, iter int) answerKey {
+	key := answerKey{phase: k.PhaseFor(iter).Bits(), iter: iter}
+	if o.byPhase {
+		key.iter = -1
 	}
-	e, ok := kd.answer(phase)
-	if ok {
-		o.record(kd, iter, e)
-	}
-	return e.cfg, ok
+	return key
 }
 
-// remember records later's configuration as kd's answer at iter,
-// produced as source says, and, when the oracle answers by phase, later
-// as what later iterations of phase record; it returns the
+// remember records a as kd's answer for its key and returns its
 // configuration. The first answer wins: a concurrent caller that raced
 // to the same (identical) configuration does not overwrite how it was
 // first produced.
-func (o *Oracle) remember(kd *kernelDecisions, iter int, phase [3]uint64, later cacheEntry, source string) hw.Config {
+func (o *Oracle) remember(kd *kernelDecisions, a answer) hw.Config {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.record(kd, iter, cacheEntry{later.cfg, source})
-	if _, answered := kd.answer(phase); o.byPhase && !answered {
-		kd.phases = append(kd.phases, phaseAnswer{phase, later})
+	if _, ok := kd.find(a.key); !ok {
+		kd.answers = append(kd.answers, a)
 	}
-	return later.cfg
-}
-
-// slot returns kd's decided invocation at iter, if there is one. The
-// caller holds o.mu.
-func (o *Oracle) slot(kd *kernelDecisions, iter int) (cacheEntry, bool) {
-	if iter >= 0 && iter < len(kd.slots) {
-		e := kd.slots[iter]
-		return e, e.source != ""
-	}
-	e, ok := o.overflow[cacheKey{kd.k.Name, iter}]
-	return e, ok
-}
-
-// record makes e kd's decided invocation at iter unless one is already
-// recorded. The caller holds o.mu.
-func (o *Oracle) record(kd *kernelDecisions, iter int, e cacheEntry) {
-	if iter >= 0 && iter < len(kd.slots) {
-		if kd.slots[iter].source == "" {
-			kd.slots[iter] = e
-		}
-		return
-	}
-	key := cacheKey{kd.k.Name, iter}
-	if _, ok := o.overflow[key]; !ok {
-		if o.overflow == nil {
-			o.overflow = make(map[cacheKey]cacheEntry)
-		}
-		o.overflow[key] = e
-	}
+	return a.cfg
 }
 
 // Observe implements policy.Policy; the oracle needs no feedback.
@@ -333,18 +287,7 @@ func (o *Oracle) score(r gpusim.Result, cfg hw.Config) float64 {
 		return energy * r.Time
 	case MinEnergy:
 		return energy
-	case MinTime:
-		return r.Time
 	default:
 		return energy * r.Time * r.Time
 	}
-}
-
-// ed2 evaluates one kernel invocation's energy-delay-squared at cfg,
-// regardless of the oracle's configured objective (used by tests).
-func (o *Oracle) ed2(k *workloads.Kernel, iter int, cfg hw.Config) float64 {
-	r := o.sim.Run(k, iter, cfg)
-	rails := o.pow.Rails(cfg, r.Activity())
-	energy := rails.Card() * r.Time
-	return energy * r.Time * r.Time
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +19,15 @@ import (
 
 func newOracle(apps ...*workloads.Application) *Oracle {
 	return New(gpusim.Default(), power.Default(), apps...)
+}
+
+// ed2 evaluates one kernel invocation's energy-delay-squared at cfg,
+// regardless of the oracle's configured objective.
+func (o *Oracle) ed2(k *workloads.Kernel, iter int, cfg hw.Config) float64 {
+	r := o.sim.Run(k, iter, cfg)
+	rails := o.pow.Rails(cfg, r.Activity())
+	energy := rails.Card() * r.Time
+	return energy * r.Time * r.Time
 }
 
 func TestOracleName(t *testing.T) {
@@ -112,8 +122,7 @@ func TestOraclePerIterationAdaptation(t *testing.T) {
 
 func TestObjectiveNamesAndStrings(t *testing.T) {
 	if MinED2.String() != "ed2" || MinED.String() != "ed" ||
-		MinEnergy.String() != "energy" || MinTime.String() != "time" ||
-		Objective(9).String() != "unknown" {
+		MinEnergy.String() != "energy" || Objective(9).String() != "unknown" {
 		t.Error("objective strings wrong")
 	}
 	pm := power.Default()
@@ -312,6 +321,61 @@ func TestFreshOracleDecidesEachPhaseOnce(t *testing.T) {
 		}
 		if got != c.sha256 || fmt.Sprint(sources) != fmt.Sprint(c.sources) {
 			t.Errorf("%s: decisions sha256 %s with sources %v, want %s with %v", c.name, got, sources, c.sha256, c.sources)
+		}
+	}
+}
+
+// TestFreshOracleKeepsOneAnswerPerPhase is the gate on what an oracle
+// keeps: one answer per (kernel, phase), not a record per iteration. On a
+// warm memo, a fresh oracle deciding and annotating every boundary of a
+// 10,000-iteration SRAD allocates 0.9 KiB. One that held a slot per
+// iteration of its longest application allocated 784.9 KiB, so the
+// 16 KiB bound catches per-iteration records coming back. The test also
+// pins what an iteration not yet decided, of a phase already answered,
+// reports: the source of every later iteration of the phase.
+func TestFreshOracleKeepsOneAnswerPerPhase(t *testing.T) {
+	srad := workloads.ByName("SRAD")
+	long := &workloads.Application{Name: srad.Name, Kernels: srad.Kernels, Iterations: 10000}
+	memo := simcache.For(gpusim.Default(), simcache.New())
+	run := func() {
+		o := New(memo, power.Default(), long).WithWorkers(1)
+		for iter := 0; iter < long.Iterations; iter++ {
+			for _, k := range long.Kernels {
+				o.Decide(k.Name, iter)
+				if _, ok := o.TimelineDecision(k.Name, iter); !ok {
+					t.Fatalf("%s iter %d: decided but not annotated", k.Name, iter)
+				}
+			}
+		}
+	}
+	run() // warms the memo
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	kib := float64(after.TotalAlloc-before.TotalAlloc) / 1024
+	t.Logf("fresh oracle over a warm memo, 10,000-iteration SRAD: %.1f KiB", kib)
+	if kib >= 16 {
+		t.Fatalf("fresh oracle over a warm memo allocated %.1f KiB for a 10,000-iteration SRAD, want < 16", kib)
+	}
+
+	cold := simcache.For(gpusim.Default(), simcache.New())
+	o := New(cold, power.Default(), srad).WithWorkers(1)
+	k := srad.Kernels[0]
+	o.Decide(k.Name, 0)
+	for _, c := range []struct {
+		kernel string
+		iter   int
+		source string
+		ok     bool
+	}{
+		{k.Name, 0, "oracle-sweep", true},
+		{k.Name, 5, "oracle-memo", true},
+		{srad.Kernels[1].Name, 5, "", false},
+	} {
+		if d, ok := o.TimelineDecision(c.kernel, c.iter); d.Source != c.source || ok != c.ok {
+			t.Errorf("%s iter %d: annotated %q (ok=%v), want %q (ok=%v)", c.kernel, c.iter, d.Source, ok, c.source, c.ok)
 		}
 	}
 }

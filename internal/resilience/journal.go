@@ -253,9 +253,6 @@ type Journal struct {
 	n  int
 }
 
-// NewJournal wraps an arbitrary writer (tests use a buffer).
-func NewJournal(w io.Writer) *Journal { return &Journal{w: w} }
-
 // OpenJournal opens (creating if absent) the journal at path, folds any
 // existing records into a State, and returns the journal positioned for
 // appending. A torn final line left by a crash mid-append is tolerated

@@ -179,7 +179,6 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 	var (
 		ann   timeline.Annotator
 		memo  holder
-		bins  []timeline.Bins
 		first [16]binding // room for every suite application's pairs (Graph500 has ten)
 		pairs = first[:0]
 	)
@@ -200,11 +199,6 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 		// idempotent and the serve layer may call it again.
 		defer tl.Finish()
 		ann, _ = s.Policy.(timeline.Annotator)
-	}
-	if ann != nil {
-		// One slab holds the run's bins, so a record's Bins pointer
-		// costs no allocation per boundary.
-		bins = make([]timeline.Bins, 0, app.Iterations*len(app.Kernels))
 	}
 	if err := app.Validate(); err != nil {
 		ins.failed.Inc()
@@ -326,8 +320,7 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 					if tb.Annotated {
 						d.Source, d.Proxy = det.Source, det.Proxy
 						if det.HaveBins {
-							bins = append(bins, timeline.BinsOf(det.Bins))
-							d.Bins = &bins[len(bins)-1]
+							d.Bins = timeline.BinsOf(det.Bins)
 						}
 					}
 				}
@@ -387,9 +380,9 @@ type holder interface {
 // them instead of calling the evaluator and the power model. kernel is
 // the kernel's position in the application, last the index in the
 // report's Runs of the pair's last boundary (-1 before its first), and
-// the phase matches bit for bit: a NaN field matches itself and nothing
-// else. kernel and last are int32s so that a binding stays 40 bytes:
-// RunContext's frame holds sixteen of them.
+// phase the phase's workloads.Phase.Bits. kernel and last are int32s so
+// that a binding stays 40 bytes: RunContext's frame holds sixteen of
+// them.
 type binding struct {
 	kernel, last int32
 	phase        [3]uint64
@@ -401,8 +394,7 @@ type binding struct {
 // prepared from sim now and appended to pairs. The pointer is good
 // until the next call.
 func bind(pairs []binding, sim gpusim.Runner, j int, k *workloads.Kernel, iter int) (*binding, []binding) {
-	ph := k.PhaseFor(iter)
-	bits := [3]uint64{math.Float64bits(ph.WorkScale), math.Float64bits(ph.Divergence), math.Float64bits(ph.FetchScale)}
+	bits := k.PhaseFor(iter).Bits()
 	for i := range pairs {
 		if p := &pairs[i]; int(p.kernel) == j && p.phase == bits {
 			return p, pairs

@@ -160,20 +160,3 @@ func (m *minimum) offer(i int, v float64) {
 		m.i, m.v = i, v
 	}
 }
-
-// Result pairs a configuration with its value.
-type Result struct {
-	Config hw.Config
-	Value  float64
-}
-
-// All evaluates the whole space and returns (config, value) pairs in
-// input order.
-func All(space []hw.Config, workers int, eval Eval) []Result {
-	vals := Map(space, workers, eval)
-	out := make([]Result, len(space))
-	for i := range space {
-		out[i] = Result{Config: space[i], Value: vals[i]}
-	}
-	return out
-}

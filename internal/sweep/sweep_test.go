@@ -62,19 +62,6 @@ func TestEmptySpace(t *testing.T) {
 	}
 }
 
-func TestAllPreservesOrder(t *testing.T) {
-	space := hw.ConfigSpace()[:20]
-	rs := All(space, 4, score)
-	for i, r := range rs {
-		if r.Config != space[i] {
-			t.Fatalf("index %d out of order", i)
-		}
-		if r.Value != score(space[i]) {
-			t.Fatalf("index %d wrong value", i)
-		}
-	}
-}
-
 func TestEveryConfigEvaluatedExactlyOnce(t *testing.T) {
 	space := hw.ConfigSpace()
 	var calls int64

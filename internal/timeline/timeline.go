@@ -70,10 +70,31 @@ type Bins struct {
 	MemFreq string `json:"mem_freq"`
 }
 
-// BinsOf serializes a sensitivity classification for recording.
-func BinsOf(b sensitivity.Bins) Bins {
-	return Bins{CUs: b.CUs.String(), CUFreq: b.CUFreq.String(), MemFreq: b.MemFreq.String()}
+// sharedBins holds the record of each of the 27 classifications whose
+// bins are all Low, Med or High, indexed by bin.
+var sharedBins = func() (t [3][3][3]Bins) {
+	for cu := range t {
+		for f := range t[cu] {
+			for m := range t[cu][f] {
+				t[cu][f][m] = Bins{CUs: sensitivity.Bin(cu).String(), CUFreq: sensitivity.Bin(f).String(), MemFreq: sensitivity.Bin(m).String()}
+			}
+		}
+	}
+	return t
+}()
+
+// BinsOf serializes a sensitivity classification for recording. A
+// classification whose bins are all Low, Med or High gets its shared
+// record, so recording one allocates nothing: callers must not modify
+// it. Any other gets a record of its own.
+func BinsOf(b sensitivity.Bins) *Bins {
+	if inRange(b.CUs) && inRange(b.CUFreq) && inRange(b.MemFreq) {
+		return &sharedBins[b.CUs][b.CUFreq][b.MemFreq]
+	}
+	return &Bins{CUs: b.CUs.String(), CUFreq: b.CUFreq.String(), MemFreq: b.MemFreq.String()}
 }
+
+func inRange(b sensitivity.Bin) bool { return b >= sensitivity.Low && b <= sensitivity.High }
 
 // Detail is a policy's annotation of one decision: how the action was
 // produced and what the controller believed at the time. Policies that
@@ -134,7 +155,8 @@ type Decision struct {
 	Config    Config `json:"config"`
 	Commanded Config `json:"commanded"`
 	// Source, Bins, and Proxy carry the policy's Detail annotation;
-	// empty/nil/zero for policies that are not Annotators.
+	// empty/nil/zero for policies that are not Annotators. Records may
+	// share one Bins (see BinsOf).
 	Source string  `json:"source,omitempty"`
 	Bins   *Bins   `json:"bins,omitempty"`
 	Proxy  float64 `json:"proxy,omitempty"`

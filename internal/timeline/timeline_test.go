@@ -9,6 +9,7 @@ import (
 	"harmonia/internal/daq"
 	"harmonia/internal/hw"
 	"harmonia/internal/power"
+	"harmonia/internal/sensitivity"
 )
 
 // sampleAt builds a DAQ sample at t seconds with the given rail powers.
@@ -291,5 +292,23 @@ func TestCensusSortedWithUnannotatedAsNone(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Census = %v, want %v", got, want)
 		}
+	}
+}
+
+// TestBinsOfSharesInRangeRecords: every in-range classification maps to
+// one shared record with its bins' names, and an out-of-range bin gets
+// a record of its own, named as Bin.String names it.
+func TestBinsOfSharesInRangeRecords(t *testing.T) {
+	b := sensitivity.Bins{CUs: sensitivity.Low, CUFreq: sensitivity.Med, MemFreq: sensitivity.High}
+	got := BinsOf(b)
+	if *got != (Bins{CUs: "LOW", CUFreq: "MED", MemFreq: "HIGH"}) {
+		t.Errorf("BinsOf(%+v) = %+v", b, *got)
+	}
+	if BinsOf(b) != got {
+		t.Error("an in-range classification got a record of its own, want the shared one")
+	}
+	odd := sensitivity.Bins{CUs: sensitivity.Bin(5), CUFreq: sensitivity.Low, MemFreq: sensitivity.Low}
+	if got := BinsOf(odd); *got != (Bins{CUs: "Bin(5)", CUFreq: "LOW", MemFreq: "LOW"}) || got == BinsOf(odd) {
+		t.Errorf("BinsOf(%+v) = %+v, want its own record", odd, *got)
 	}
 }

@@ -463,19 +463,6 @@ func Suite() []*Application {
 	return out
 }
 
-// NonStress returns the suite without the MaxFlops and DeviceMemory
-// stress microbenchmarks — the population of the paper's "Geomean 2"
-// (Section 7.1).
-func NonStress() []*Application {
-	var out []*Application
-	for _, a := range Suite() {
-		if !a.Stress {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // ByName returns the application with the given name, or nil. It builds
 // only that application, and every call returns a fresh one the caller
 // owns: mutating it never reaches another caller.

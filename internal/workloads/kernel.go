@@ -17,6 +17,7 @@ package workloads
 
 import (
 	"fmt"
+	"math"
 
 	"harmonia/internal/hw"
 )
@@ -100,6 +101,14 @@ type Phase struct {
 
 // NominalPhase is the identity phase.
 func NominalPhase() Phase { return Phase{WorkScale: 1, Divergence: -1, FetchScale: 1} }
+
+// Bits returns the bit patterns of the phase's three fields: the key
+// under which a session binds a (kernel, phase) pair and an oracle keeps
+// its answer for one. Phases with equal bits match, so a NaN field
+// matches itself and nothing else, where == would never match it.
+func (p Phase) Bits() [3]uint64 {
+	return [3]uint64{math.Float64bits(p.WorkScale), math.Float64bits(p.Divergence), math.Float64bits(p.FetchScale)}
+}
 
 // PhaseFor returns the kernel's phase for the given iteration, or the
 // nominal phase when the kernel has no phase function.

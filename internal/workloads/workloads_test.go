@@ -61,14 +61,14 @@ func TestStressClassification(t *testing.T) {
 	if !MaxFlops().Stress || !DeviceMemory().Stress {
 		t.Error("MaxFlops and DeviceMemory must be marked as stress benchmarks")
 	}
-	ns := NonStress()
-	if len(ns) != 12 {
-		t.Errorf("NonStress has %d apps, want 12", len(ns))
-	}
-	for _, a := range ns {
+	stress := 0
+	for _, a := range Suite() {
 		if a.Stress {
-			t.Errorf("stress app %q in NonStress", a.Name)
+			stress++
 		}
+	}
+	if stress != 2 {
+		t.Errorf("the suite has %d stress apps, want 2", stress)
 	}
 }
 

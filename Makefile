@@ -4,8 +4,8 @@ GO ?= go
 
 # The full pre-commit gate is scripts/check.sh: formatting, build, vet,
 # the domain linters against their time budget, the test suite plain and
-# under the race detector, the focused race passes and a bounded chaos
-# soak.
+# under the race detector, every benchmark once, the focused race passes
+# and a bounded chaos soak.
 check:
 	sh scripts/check.sh
 

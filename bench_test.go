@@ -524,9 +524,10 @@ func TestUncachedOracleSweepAllocs(t *testing.T) {
 
 // TestControllerRunAllocBytes gates the bytes one Harmonia run allocates
 // on a warm memo: a fresh controller running SRAD to completion
-// allocates 54.4 KiB. A controller that also kept its own
-// per-boundary decision log allocated 82 KiB, so the 64 KiB bound
-// catches a second account of the run coming back.
+// allocates 37.2 KiB. Records that embedded each boundary's whole
+// result instead of pointing at a shared one took 52.4 KiB, and a
+// controller that also kept its own per-boundary decision log 82 KiB,
+// so the 48 KiB bound catches either coming back.
 func TestControllerRunAllocBytes(t *testing.T) {
 	sys := NewSystem(WithSimCache())
 	app := App("SRAD")
@@ -545,14 +546,14 @@ func TestControllerRunAllocBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
 	t.Logf("warm SRAD Harmonia run: %.1f KiB", perRun/1024)
-	if perRun > 64<<10 {
-		t.Fatalf("warm SRAD Harmonia run allocated %.1f KiB, want <= 64", perRun/1024)
+	if perRun > 48<<10 {
+		t.Fatalf("warm SRAD Harmonia run allocated %.1f KiB, want <= 48", perRun/1024)
 	}
 }
 
 // TestWarmHarmoniaRunAllocs gates the allocations of one warm library
 // run: a fresh Harmonia controller running SRAD to completion on a warm
-// memo allocates 77 times, four of them preparing each of SRAD's two
+// memo allocates 74 times, four of them preparing each of SRAD's two
 // kernels once. A controller that kept its outlier windows
 // as growing slices in a per-kernel map, and its dithering and freeze
 // records as maps, allocated 148 times, so the bound of 100 catches
@@ -576,12 +577,12 @@ func TestWarmHarmoniaRunAllocs(t *testing.T) {
 
 // TestOracleRunAllocBytes gates the bytes a warm oracle run allocates:
 // a fresh oracle running SRAD to completion on a warm memo, with every
-// decision answered by the shared decision memo, allocates 45.3 KiB
-// (50.5 KiB when it held a slot per iteration). An oracle that kept its
-// answers in a map of its own, inserted into and grown at every
-// boundary, allocated 91.3 KiB, and one that built its own
-// 448-configuration space 61.1 KiB, so the 72 KiB bound catches that map
-// coming back.
+// decision answered by the shared decision memo, allocates 18.3 KiB.
+// Records that embedded each boundary's whole result took 43.3 KiB, an
+// oracle that held a slot per iteration 50.5 KiB, one that built its
+// own 448-configuration space 61.1 KiB, and one that kept its answers
+// in a map of its own, inserted into and grown at every boundary,
+// 91.3 KiB, so the 28 KiB bound catches any of them coming back.
 func TestOracleRunAllocBytes(t *testing.T) {
 	sys := NewSystem(WithSimCache())
 	app := App("SRAD")
@@ -600,14 +601,15 @@ func TestOracleRunAllocBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
 	t.Logf("warm SRAD oracle run: %.1f KiB", perRun/1024)
-	if perRun > 72<<10 {
-		t.Fatalf("warm SRAD oracle run allocated %.1f KiB, want <= 72", perRun/1024)
+	if perRun > 28<<10 {
+		t.Fatalf("warm SRAD oracle run allocated %.1f KiB, want <= 28", perRun/1024)
 	}
 }
 
 // TestWarmPhaseVaryingRunAllocs gates a warm run whose kernel changes
-// phase: a baseline Graph500 run on a warm memo allocates 32 times, the
-// run's own 12 and two for preparing each of its ten distinct (kernel,
+// phase: a baseline Graph500 run on a warm memo allocates 28 times, the
+// run's own 8 (two of them its 99-sample DAQ trace and two its
+// result slots) and two for preparing each of its ten distinct (kernel,
 // phase) pairs once. A session that prepared again at every phase
 // change allocated 64 times, so the bound of 32 catches that.
 func TestWarmPhaseVaryingRunAllocs(t *testing.T) {

@@ -375,12 +375,113 @@ func TestRepeatedConfigurationEvaluatesOnce(t *testing.T) {
 	}
 }
 
+// TestRepeatedBoundariesShareResult is the gate on the report's result
+// slots: a boundary that repeats its (kernel, phase) pair's last
+// configuration shares that boundary's *gpusim.Result, and every other
+// boundary simulates into a slot no earlier boundary of any run holds.
+// Over the fault-free 14 × 6 matrix on a warm memo the reports' 6,516
+// boundaries hold 525 distinct results, one per evaluator call
+// TestRepeatedConfigurationEvaluatesOnce counts. No result leads into
+// the memo: writing through every result of one report changes neither
+// a second run of the same application and policy nor a third run made
+// afterwards from the memo, both bit for bit a run on the raw model.
+func TestRepeatedBoundariesShareResult(t *testing.T) {
+	sys := NewSystem(WithSimCache())
+	policies := []func(*Application) Policy{
+		func(*Application) Policy { return sys.Baseline() },
+		func(*Application) Policy { return sys.PowerTune(250) },
+		func(*Application) Policy { return sys.Harmonia() },
+		func(*Application) Policy { return sys.CGOnly() },
+		func(*Application) Policy { return sys.ComputeDVFSOnly() },
+		func(app *Application) Policy { return sys.OracleWithWorkers(1, app) },
+	}
+	suite := Suite()
+	for _, mk := range policies {
+		for _, app := range suite {
+			if _, err := sys.Run(app, mk(app)); err != nil { // warm the memo
+				t.Fatal(err)
+			}
+		}
+	}
+	type pair struct {
+		kernel string
+		phase  [3]uint64
+	}
+	held := make(map[*gpusim.Result]bool)
+	boundaries := 0
+	for _, mk := range policies {
+		for _, app := range suite {
+			rep, err := sys.Run(app, mk(app))
+			if err != nil {
+				t.Fatal(err)
+			}
+			kernels := make(map[string]*Kernel)
+			for _, k := range app.Kernels {
+				kernels[k.Name] = k
+			}
+			last := make(map[pair]*KernelRun)
+			for i := range rep.Runs {
+				run := &rep.Runs[i]
+				key := pair{run.Kernel, kernels[run.Kernel].PhaseFor(run.Iter).Bits()}
+				prev, ok := last[key]
+				if ok && prev.Config == run.Config {
+					if run.Result != prev.Result {
+						t.Fatalf("%s/%s boundary %d repeats its pair's configuration but holds a result of its own", app.Name, rep.Policy, i)
+					}
+				} else if held[run.Result] {
+					t.Fatalf("%s/%s boundary %d runs a new configuration but shares an earlier boundary's result", app.Name, rep.Policy, i)
+				}
+				held[run.Result] = true
+				last[key] = run
+			}
+			boundaries += len(rep.Runs)
+		}
+	}
+	if len(held) != 525 || boundaries != 6516 {
+		t.Errorf("the matrix's reports hold %d distinct results over %d boundaries, want 525 over 6,516", len(held), boundaries)
+	}
+
+	plain := NewSystem()
+	app := App("SRAD")
+	ref, err := plain.Run(app, plain.Harmonia())
+	if err != nil {
+		t.Fatal(err)
+	}
+	written, err := sys.Run(app, sys.Harmonia())
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := sys.Run(app, sys.Harmonia())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range written.Runs {
+		res := written.Runs[i].Result
+		res.Time, res.Counters.VALUBusy, res.Config = -1, -1, hw.Config{}
+	}
+	third, err := sys.Run(app, sys.Harmonia())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rep := range map[string]*Report{"second": second, "third": third} {
+		if !sameBits(reflect.ValueOf(rep).Elem(), reflect.ValueOf(ref).Elem()) {
+			t.Errorf("writing through one SRAD report's results changed the %s run's report", name)
+		}
+	}
+}
+
 // sameBits reports whether a and b hold the same values, comparing
-// floats by their bits, so NaNs of one payload match and ±0 do not.
+// floats by their bits, so NaNs of one payload match and ±0 do not, and
+// following pointers to the values they point at.
 func sameBits(a, b reflect.Value) bool {
 	switch a.Kind() {
 	case reflect.Float32, reflect.Float64:
 		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return sameBits(a.Elem(), b.Elem())
 	case reflect.Struct:
 		for i := 0; i < a.NumField(); i++ {
 			if !sameBits(a.Field(i), b.Field(i)) {

@@ -124,7 +124,8 @@ func FuzzInjectorDeterminism(f *testing.F) {
 				if !actual.Valid() {
 					t.Fatalf("injector produced off-grid config %v", actual)
 				}
-				res := inj.Observation(k.Name, sim.Run(k, i, actual))
+				truth := sim.Run(k, i, actual)
+				res := inj.Observation(k.Name, &truth)
 				if res.Counters.VALUBusy < 0 || res.Counters.VALUBusy > 100 {
 					t.Fatalf("noised VALUBusy out of range: %v", res.Counters.VALUBusy)
 				}

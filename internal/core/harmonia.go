@@ -198,13 +198,17 @@ type Controller struct {
 	opts     Options
 	pred     *sensitivity.Predictor
 	tunables []hw.Tunable
-	kernels  map[string]*kernelState
+	// kernels holds each kernel's state in the order the kernels were
+	// first seen. An application has a few kernels (the suite's have one
+	// to three), so a scan by name finds one sooner than a map would.
+	kernels []*kernelState
 }
 
 // kernelState is the per-kernel controller memory (Section 5.1: "use each
 // kernel's historical data from previous iterations to predict hardware
 // configurations for the same kernel in the next iteration").
 type kernelState struct {
+	name string    // the kernel's name, its key in Controller.kernels
 	next hw.Config // configuration for the next invocation
 
 	haveHist bool
@@ -360,7 +364,6 @@ func New(opts Options) *Controller {
 		opts:     opts,
 		pred:     pred,
 		tunables: managed(opts.Tunables),
-		kernels:  make(map[string]*kernelState),
 	}
 }
 
@@ -403,18 +406,30 @@ func (c *Controller) Name() string {
 	}
 }
 
-func (c *Controller) state(kernel string) *kernelState {
-	st, ok := c.kernels[kernel]
-	if !ok {
-		// Before its first observation a kernel runs at the baseline
-		// maximum configuration.
-		st = &kernelState{
-			next:     hw.MaxConfig(),
-			prev:     hw.MaxConfig(),
-			lastGood: hw.MaxConfig(),
+// lookup returns the kernel's state, or nil before the kernel is seen.
+func (c *Controller) lookup(kernel string) *kernelState {
+	for _, st := range c.kernels {
+		if st.name == kernel {
+			return st
 		}
-		c.kernels[kernel] = st
 	}
+	return nil
+}
+
+// state returns the kernel's state, made when the kernel is first seen.
+func (c *Controller) state(kernel string) *kernelState {
+	if st := c.lookup(kernel); st != nil {
+		return st
+	}
+	// Before its first observation a kernel runs at the baseline maximum
+	// configuration.
+	st := &kernelState{
+		name:     kernel,
+		next:     hw.MaxConfig(),
+		prev:     hw.MaxConfig(),
+		lastGood: hw.MaxConfig(),
+	}
+	c.kernels = append(c.kernels, st)
 	return st
 }
 
@@ -430,8 +445,8 @@ func (c *Controller) Decide(kernel string, _ int) hw.Config {
 // drove the decision. Pure observation: it only reads state Observe
 // already produced.
 func (c *Controller) TimelineDecision(kernel string, _ int) (timeline.Detail, bool) {
-	st, ok := c.kernels[kernel]
-	if !ok {
+	st := c.lookup(kernel)
+	if st == nil {
 		return timeline.Detail{}, false
 	}
 	return timeline.Detail{
@@ -457,9 +472,9 @@ func (c *Controller) Observe(kernel string, _ int, res gpusim.Result) {
 		st.hist = res.Counters
 		st.haveHist = true
 	} else {
-		st.hist = st.hist.Blend(res.Counters, c.opts.SmoothAlpha)
+		st.hist.Blend(&res.Counters, c.opts.SmoothAlpha)
 	}
-	bins := c.binsFor(st.hist)
+	bins := c.binsFor(&st.hist)
 	proxy := gpusim.MachineUtilization(res.Counters, cur)
 	rawStable := st.haveBins && bins == st.prevRaw
 	st.lastKind = ActionHold
@@ -540,7 +555,16 @@ func (c *Controller) Observe(kernel string, _ int, res gpusim.Result) {
 func (c *Controller) guard(st *kernelState, res *gpusim.Result) bool {
 	commanded := st.next
 	mismatch := res.Config != commanded
-	outlier := !mismatch && c.isOutlier(st, res)
+	// A sample that ran as commanded is tested against its
+	// configuration's window and, if accepted, pushed into it; a sample
+	// that did not is neither tested nor pushed, so its window is not
+	// looked up.
+	var w *obsWindow
+	outlier := false
+	if !mismatch {
+		w = st.obsAt(res.Config)
+		outlier = w.rejects(res)
+	}
 	unreliable := mismatch || outlier
 
 	if st.degraded {
@@ -558,7 +582,7 @@ func (c *Controller) guard(st *kernelState, res *gpusim.Result) bool {
 			st.cleanRun = 0
 		} else {
 			st.cleanRun++
-			c.pushObs(st, res)
+			st.pushObs(w, res)
 		}
 		st.next = st.lastGood
 		if st.cleanRun >= recoverN {
@@ -578,7 +602,7 @@ func (c *Controller) guard(st *kernelState, res *gpusim.Result) bool {
 	if !unreliable {
 		st.unreliable = 0
 		st.cmdRetries = 0
-		c.pushObs(st, res)
+		st.pushObs(w, res)
 		return false
 	}
 
@@ -636,10 +660,9 @@ func (st *kernelState) obsAt(cfg hw.Config) *obsWindow {
 	return nil
 }
 
-// pushObs folds an accepted sample into the per-configuration history
-// the outlier test uses.
-func (c *Controller) pushObs(st *kernelState, res *gpusim.Result) {
-	w := st.obsAt(res.Config)
+// pushObs folds an accepted sample into w, its configuration's history
+// for the outlier test, making that history when w is nil.
+func (st *kernelState) pushObs(w *obsWindow, res *gpusim.Result) {
 	if w == nil {
 		w = &obsWindow{cfg: res.Config}
 		st.obs = append(st.obs, w)
@@ -648,14 +671,14 @@ func (c *Controller) pushObs(st *kernelState, res *gpusim.Result) {
 	w.mb.push(res.Counters.MemUnitBusy)
 }
 
-// isOutlier applies the robust deviation test: a sample is an outlier
-// when VALUBusy or MemUnitBusy deviates from the median of the
-// per-kernel history at the same configuration by more than
-// max(outlierK·MAD, outlierFloor). Histories shorter than minHistory
-// never reject, and the absolute floor keeps deterministic (zero-MAD)
-// histories from rejecting legitimate small shifts.
-func (c *Controller) isOutlier(st *kernelState, res *gpusim.Result) bool {
-	w := st.obsAt(res.Config)
+// rejects applies the robust deviation test to a sample taken at w's
+// configuration: it is an outlier when VALUBusy or MemUnitBusy deviates
+// from the median of the history by more than
+// max(outlierK·MAD, outlierFloor). A missing (nil) history, or one
+// shorter than minHistory, never rejects, and the absolute floor keeps
+// deterministic (zero-MAD) histories from rejecting legitimate small
+// shifts.
+func (w *obsWindow) rejects(res *gpusim.Result) bool {
 	if w == nil || w.vb.n < minHistory {
 		return false
 	}
@@ -666,7 +689,7 @@ func (c *Controller) isOutlier(st *kernelState, res *gpusim.Result) bool {
 // building its feature vector once for every managed tunable, with
 // unmanaged tunables reported as High so that CG pins them at their
 // maximum (i.e. leaves them at the baseline value).
-func (c *Controller) binsFor(cs counters.Set) sensitivity.Bins {
+func (c *Controller) binsFor(cs *counters.Set) sensitivity.Bins {
 	return c.pred.PredictBinsFor(cs, c.tunables)
 }
 

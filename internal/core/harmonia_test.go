@@ -373,7 +373,7 @@ func TestCGTargetsMonotoneInBin(t *testing.T) {
 func TestUnmanagedTunablesPinnedHigh(t *testing.T) {
 	c := New(Options{Predictor: predictor(), Tunables: []hw.Tunable{hw.TunableMemFreq}})
 	res := gpusim.Default().Run(kernelByName(t, "CoMD.AdvanceVelocity"), 0, hw.MaxConfig())
-	bins := c.binsFor(res.Counters)
+	bins := c.binsFor(&res.Counters)
 	if bins.CUs != sensitivity.High || bins.CUFreq != sensitivity.High {
 		t.Errorf("unmanaged tunables not pinned HIGH: %+v", bins)
 	}
@@ -409,7 +409,8 @@ func TestBlendedHistoryUsedForBins(t *testing.T) {
 	// history.
 	cs := counters.Set{VALUBusy: 50, MemUnitBusy: 50, VALUUtilization: 90}
 	aberrant := counters.Set{VALUBusy: 100, MemUnitBusy: 0, VALUUtilization: 10}
-	blended := cs.Blend(aberrant, 0.3)
+	blended := cs
+	blended.Blend(&aberrant, 0.3)
 	if blended.VALUBusy != 65 || blended.MemUnitBusy != 35 {
 		t.Errorf("blend = %+v", blended)
 	}

@@ -71,7 +71,7 @@ type Set struct {
 // the ratio of time the vector ALU is busy processing active threads to
 // the time the memory unit is busy, normalized to 100 (values are clamped
 // at 100 as the paper's normalization implies a bounded metric).
-func (s Set) CToMIntensity() float64 {
+func (s *Set) CToMIntensity() float64 {
 	if s.MemUnitBusy <= 0 {
 		return 100
 	}
@@ -81,7 +81,7 @@ func (s Set) CToMIntensity() float64 {
 
 // BranchDivergence returns the percentage of inactive vector lanes,
 // 100 - VALUUtilization, the quantity plotted in Figure 8.
-func (s Set) BranchDivergence() float64 { return 100 - s.VALUUtilization }
+func (s *Set) BranchDivergence() float64 { return 100 - s.VALUUtilization }
 
 // OpsPerByte returns the demanded operational intensity of the kernel:
 // executed vector operations per byte of DRAM traffic, using the
@@ -147,7 +147,7 @@ func ExtendedFeatureNames() []string {
 // in the order of BandwidthFeatureNames, to dst. The Append extractors
 // are the one definition of each feature order: training lays out its
 // design matrices with them, and prediction fills stack buffers.
-func (s Set) AppendBandwidthFeatures(dst []float64) []float64 {
+func (s *Set) AppendBandwidthFeatures(dst []float64) []float64 {
 	return append(dst,
 		s.VALUUtilization, s.WriteUnitStalled, s.MemUnitBusy,
 		s.MemUnitStalled, s.ICActivity, s.NormVGPR, s.NormSGPR)
@@ -155,13 +155,13 @@ func (s Set) AppendBandwidthFeatures(dst []float64) []float64 {
 
 // AppendComputeFeatures appends the compute-model feature vector, in the
 // order of ComputeFeatureNames, to dst.
-func (s Set) AppendComputeFeatures(dst []float64) []float64 {
+func (s *Set) AppendComputeFeatures(dst []float64) []float64 {
 	return append(dst, s.CToMIntensity(), s.NormVGPR, s.NormSGPR)
 }
 
 // AppendExtendedFeatures appends the per-tunable compute-model feature
 // vector, in the order of ExtendedFeatureNames, to dst.
-func (s Set) AppendExtendedFeatures(dst []float64) []float64 {
+func (s *Set) AppendExtendedFeatures(dst []float64) []float64 {
 	return append(s.AppendBandwidthFeatures(dst),
 		s.CToMIntensity(), s.VALUBusy, s.Occupancy,
 		s.NormCUsActive, s.NormCUClock, s.NormMemClock,
@@ -185,7 +185,7 @@ func (s Set) ExtendedFeatures() []float64 { return s.AppendExtendedFeatures(nil)
 // does: large divergence in tiny kernels has little effect, small
 // divergence across millions of instructions serializes heavily. It is
 // the product of branch divergence and VALU busyness (0..100).
-func (s Set) DivergenceImpact() float64 {
+func (s *Set) DivergenceImpact() float64 {
 	return s.BranchDivergence() * s.VALUBusy / 100
 }
 
@@ -255,31 +255,31 @@ func Average(sets []Set) Set {
 	return out
 }
 
-// Blend returns (1-alpha)·s + alpha·next, element-wise: an exponential
-// moving average step. Harmonia's monitoring block smooths counters over
-// a kernel's successive invocations this way, implementing the paper's
-// use of "each kernel's historical data from previous iterations"
-// (Section 5.1) and damping configuration-induced counter shifts.
-func (s Set) Blend(next Set, alpha float64) Set {
-	lerp := func(a, b float64) float64 { return a + alpha*(b-a) }
-	return Set{
-		VALUBusy:         lerp(s.VALUBusy, next.VALUBusy),
-		VALUUtilization:  lerp(s.VALUUtilization, next.VALUUtilization),
-		MemUnitBusy:      lerp(s.MemUnitBusy, next.MemUnitBusy),
-		MemUnitStalled:   lerp(s.MemUnitStalled, next.MemUnitStalled),
-		WriteUnitStalled: lerp(s.WriteUnitStalled, next.WriteUnitStalled),
-		NormVGPR:         lerp(s.NormVGPR, next.NormVGPR),
-		NormSGPR:         lerp(s.NormSGPR, next.NormSGPR),
-		ICActivity:       lerp(s.ICActivity, next.ICActivity),
-		L2HitRate:        lerp(s.L2HitRate, next.L2HitRate),
-		Occupancy:        lerp(s.Occupancy, next.Occupancy),
-		VALUInsts:        lerp(s.VALUInsts, next.VALUInsts),
-		VFetchInsts:      lerp(s.VFetchInsts, next.VFetchInsts),
-		VWriteInsts:      lerp(s.VWriteInsts, next.VWriteInsts),
-		NormCUsActive:    lerp(s.NormCUsActive, next.NormCUsActive),
-		NormCUClock:      lerp(s.NormCUClock, next.NormCUClock),
-		NormMemClock:     lerp(s.NormMemClock, next.NormMemClock),
-	}
+// Blend moves s one exponential-moving-average step toward next, in
+// place: each counter becomes s + alpha·(next − s), that is
+// (1-alpha)·s + alpha·next. Harmonia's monitoring block smooths counters
+// over a kernel's successive invocations this way, implementing the
+// paper's use of "each kernel's historical data from previous
+// iterations" (Section 5.1) and damping configuration-induced counter
+// shifts.
+func (s *Set) Blend(next *Set, alpha float64) {
+	lerp := func(a *float64, b float64) { *a += alpha * (b - *a) }
+	lerp(&s.VALUBusy, next.VALUBusy)
+	lerp(&s.VALUUtilization, next.VALUUtilization)
+	lerp(&s.MemUnitBusy, next.MemUnitBusy)
+	lerp(&s.MemUnitStalled, next.MemUnitStalled)
+	lerp(&s.WriteUnitStalled, next.WriteUnitStalled)
+	lerp(&s.NormVGPR, next.NormVGPR)
+	lerp(&s.NormSGPR, next.NormSGPR)
+	lerp(&s.ICActivity, next.ICActivity)
+	lerp(&s.L2HitRate, next.L2HitRate)
+	lerp(&s.Occupancy, next.Occupancy)
+	lerp(&s.VALUInsts, next.VALUInsts)
+	lerp(&s.VFetchInsts, next.VFetchInsts)
+	lerp(&s.VWriteInsts, next.VWriteInsts)
+	lerp(&s.NormCUsActive, next.NormCUsActive)
+	lerp(&s.NormCUClock, next.NormCUClock)
+	lerp(&s.NormMemClock, next.NormMemClock)
 }
 
 // Validate reports the first out-of-range counter, or nil. Percentages

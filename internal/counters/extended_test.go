@@ -64,7 +64,9 @@ func TestValuesRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: Blend(x, x, alpha) == x and Blend(a, b, 1) == b.
+// Property: blending x toward x leaves x, blending a toward b at alpha
+// 1 lands on b, and every counter moves to a + alpha·(b − a) bit for
+// bit, the lerp the value form of Blend returned.
 func TestBlendProperties(t *testing.T) {
 	f := func(a, b uint8, alpha uint8) bool {
 		sa := validSet()
@@ -73,8 +75,10 @@ func TestBlendProperties(t *testing.T) {
 		sb.VALUBusy = float64(b) / 255 * 100
 		sb.MemUnitBusy = 75
 		w := float64(alpha) / 255
-		idem := sa.Blend(sa, w)
-		full := sa.Blend(sb, 1)
+		idem, full, mid := sa, sa, sa
+		idem.Blend(&sa, w)
+		full.Blend(&sb, 1)
+		mid.Blend(&sb, w)
 		if math.Abs(idem.VALUBusy-sa.VALUBusy) > 1e-9 {
 			return false
 		}
@@ -86,8 +90,13 @@ func TestBlendProperties(t *testing.T) {
 				return false
 			}
 		}
+		av, mv := sa.Values(), mid.Values()
+		for i := range mv {
+			if math.Float64bits(mv[i]) != math.Float64bits(av[i]+w*(bv[i]-av[i])) {
+				return false
+			}
+		}
 		// Blend result is element-wise between the endpoints.
-		mid := sa.Blend(sb, w)
 		lo, hi := math.Min(sa.VALUBusy, sb.VALUBusy), math.Max(sa.VALUBusy, sb.VALUBusy)
 		return mid.VALUBusy >= lo-1e-9 && mid.VALUBusy <= hi+1e-9
 	}

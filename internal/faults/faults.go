@@ -278,18 +278,19 @@ func (in *Injector) throttle(c hw.Config) hw.Config {
 }
 
 // Observation returns the monitoring sample the policy sees for the
-// given true simulation result: possibly the previous sample replayed
-// (counter fetch dropped), otherwise the true counters with
-// multiplicative Gaussian noise on the event-derived fields. The
-// DPM-state registers and the echoed configuration stay exact.
-func (in *Injector) Observation(kernel string, res gpusim.Result) gpusim.Result {
+// true simulation result res points to, which it only reads: possibly
+// the previous sample replayed (counter fetch dropped), otherwise the
+// true counters with multiplicative Gaussian noise on the event-derived
+// fields. The DPM-state registers and the echoed configuration stay
+// exact.
+func (in *Injector) Observation(kernel string, res *gpusim.Result) gpusim.Result {
 	if in.cfg.CounterDropRate > 0 && in.dropRNG.Float64() < in.cfg.CounterDropRate {
 		if prev, ok := in.lastObs[kernel]; ok {
 			in.staleSamples++
 			return prev
 		}
 	}
-	out := res
+	out := *res
 	if in.cfg.CounterNoise > 0 {
 		cs := &out.Counters
 		cs.VALUBusy = in.noisy(cs.VALUBusy, 100)

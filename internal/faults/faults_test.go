@@ -9,10 +9,11 @@ import (
 	"harmonia/internal/workloads"
 )
 
-func sampleResult(t *testing.T, cfg hw.Config) gpusim.Result {
+func sampleResult(t *testing.T, cfg hw.Config) *gpusim.Result {
 	t.Helper()
 	k := workloads.AllKernels()[0]
-	return gpusim.Default().Run(k, 0, cfg)
+	res := gpusim.Default().Run(k, 0, cfg)
+	return &res
 }
 
 func TestZeroConfigInjectsNothing(t *testing.T) {
@@ -23,7 +24,7 @@ func TestZeroConfigInjectsNothing(t *testing.T) {
 		if got := in.ApplyConfig(cfg); got != cfg {
 			t.Fatalf("ApplyConfig perturbed a clean run: %v", got)
 		}
-		if got := in.Observation("k", res); got != res {
+		if got := in.Observation("k", res); got != *res {
 			t.Fatalf("Observation perturbed a clean run")
 		}
 		if in.DropDAQSample() {
@@ -112,15 +113,15 @@ func TestStaleObservationReplaysPrevious(t *testing.T) {
 	cfg := hw.MaxConfig()
 	first := sampleResult(t, cfg)
 	// No previous sample: the first observation passes through.
-	if got := in.Observation("k", first); got != first {
+	if got := in.Observation("k", first); got != *first {
 		t.Fatalf("first observation must pass through")
 	}
 	second := sampleResult(t, hw.TunableCUFreq.WithLevel(cfg, 0))
-	if got := in.Observation("k", second); got != first {
+	if got := in.Observation("k", second); got != *first {
 		t.Fatalf("want stale replay of first sample, got fresh")
 	}
 	// Other kernels have independent stale state.
-	if got := in.Observation("other", second); got != second {
+	if got := in.Observation("other", second); got != *second {
 		t.Fatalf("stale state leaked across kernels")
 	}
 }

@@ -33,9 +33,17 @@ type PowerTune struct {
 	// performs.
 	Power *power.Model
 
-	// level is the current compute DPM level per kernel (index into
-	// dpmLadder; the highest is the boost state).
-	level map[string]int
+	// levels holds each kernel's current compute DPM level (an index
+	// into dpmLadder; the highest is the boost state), in the order the
+	// kernels were first seen. An application has a few kernels, so a
+	// scan by name finds one sooner than a map would.
+	levels []kernelLevel
+}
+
+// kernelLevel is one kernel's compute DPM level.
+type kernelLevel struct {
+	kernel string
+	level  int
 }
 
 // DefaultTDP is the HD 7970 board power limit in watts.
@@ -49,12 +57,12 @@ var dpmLadder = []hw.MHz{300, 500, 900, 1000}
 
 // NewPowerTune returns the TDP-constrained baseline with the stock cap.
 func NewPowerTune(pm *power.Model) *PowerTune {
-	return &PowerTune{TDPWatts: DefaultTDP, Power: pm, level: make(map[string]int)}
+	return &PowerTune{TDPWatts: DefaultTDP, Power: pm}
 }
 
 // NewPowerTuneWithTDP returns a PowerTune manager with a custom cap.
 func NewPowerTuneWithTDP(pm *power.Model, tdpWatts float64) *PowerTune {
-	return &PowerTune{TDPWatts: tdpWatts, Power: pm, level: make(map[string]int)}
+	return &PowerTune{TDPWatts: tdpWatts, Power: pm}
 }
 
 // Name implements Policy.
@@ -62,20 +70,24 @@ func (p *PowerTune) Name() string {
 	return fmt.Sprintf("powertune@%gW", p.TDPWatts)
 }
 
-func (p *PowerTune) levelOf(kernel string) int {
-	if lvl, ok := p.level[kernel]; ok {
-		return lvl
+// levelOf returns the kernel's DPM level, which starts at the boost
+// state when the kernel is first seen. The pointer is good until the
+// next call.
+func (p *PowerTune) levelOf(kernel string) *int {
+	for i := range p.levels {
+		if l := &p.levels[i]; l.kernel == kernel {
+			return &l.level
+		}
 	}
-	top := len(dpmLadder) - 1
-	p.level[kernel] = top
-	return top
+	p.levels = append(p.levels, kernelLevel{kernel: kernel, level: len(dpmLadder) - 1})
+	return &p.levels[len(p.levels)-1].level
 }
 
 // Decide implements Policy: all CUs, full memory, compute frequency at
 // the kernel's current DPM level.
 func (p *PowerTune) Decide(kernel string, _ int) hw.Config {
 	return hw.Config{
-		Compute: hw.ComputeConfig{CUs: hw.MaxCUs, Freq: dpmLadder[p.levelOf(kernel)]},
+		Compute: hw.ComputeConfig{CUs: hw.MaxCUs, Freq: dpmLadder[*p.levelOf(kernel)]},
 		Memory:  hw.MemConfig{BusFreq: hw.MaxMemFreq},
 	}
 }
@@ -90,10 +102,10 @@ func (p *PowerTune) Observe(kernel string, _ int, res gpusim.Result) {
 	rails := p.Power.Rails(res.Config, res.Activity())
 	lvl := p.levelOf(kernel)
 	switch {
-	case rails.Card() > p.TDPWatts && lvl > 0:
-		p.level[kernel] = lvl - 1
-	case rails.Card() < p.TDPWatts*headroomFrac && lvl < len(dpmLadder)-1:
-		p.level[kernel] = lvl + 1
+	case rails.Card() > p.TDPWatts && *lvl > 0:
+		*lvl--
+	case rails.Card() < p.TDPWatts*headroomFrac && *lvl < len(dpmLadder)-1:
+		*lvl++
 	}
 }
 

@@ -139,7 +139,7 @@ func TestPowerTuneName(t *testing.T) {
 }
 
 func TestPowerTuneNilPowerModel(t *testing.T) {
-	p := &PowerTune{TDPWatts: 100, level: map[string]int{}}
+	p := &PowerTune{TDPWatts: 100}
 	p.Observe("k", 0, gpusim.Result{}) // must not panic
 	if got := p.Decide("k", 0).Compute.Freq; got != 1000 {
 		t.Errorf("freq = %v", got)

@@ -212,7 +212,7 @@ func (p *Predictor) PredictCUFreq(cs counters.Set) float64 {
 // PredictBins returns the per-tunable sensitivity bins for a counter
 // sample.
 func (p *Predictor) PredictBins(cs counters.Set) Bins {
-	return p.PredictBinsFor(cs, hw.Tunables())
+	return p.PredictBinsFor(&cs, hw.Tunables())
 }
 
 // numBandwidth is the width of the bandwidth feature vector, which opens
@@ -227,16 +227,16 @@ const numBandwidth = 7
 // first numBandwidth entries, the numbers their own Predict methods
 // build, so the bins are BinOf of PredictCUs, PredictCUFreq and
 // PredictBandwidth.
-func (p *Predictor) PredictBinsFor(cs counters.Set, tunables []hw.Tunable) Bins {
+func (p *Predictor) PredictBinsFor(cs *counters.Set, tunables []hw.Tunable) Bins {
 	var buf featureBuf
 	x := cs.AppendExtendedFeatures(buf[:0])
 	bins := Bins{CUs: High, CUFreq: High, MemFreq: High}
 	for _, t := range tunables {
 		switch t {
 		case hw.TunableCUs:
-			bins.CUs = BinOf(p.perTunable(p.CUs, x, &cs))
+			bins.CUs = BinOf(p.perTunable(p.CUs, x, cs))
 		case hw.TunableCUFreq:
-			bins.CUFreq = BinOf(p.perTunable(p.CUFreq, x, &cs))
+			bins.CUFreq = BinOf(p.perTunable(p.CUFreq, x, cs))
 		case hw.TunableMemFreq:
 			bins.MemFreq = BinOf(predict(p.Bandwidth, x[:numBandwidth]))
 		}

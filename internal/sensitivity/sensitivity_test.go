@@ -264,7 +264,7 @@ func TestPredictBinsForMatchesPerModelPredictions(t *testing.T) {
 						want.MemFreq = all.MemFreq
 					}
 				}
-				if got := p.PredictBinsFor(cs, ts); got != want {
+				if got := p.PredictBinsFor(&cs, ts); got != want {
 					t.Fatalf("%s set %d tunables %v: PredictBinsFor = %+v, want %+v", tc.name, i, ts, got, want)
 				}
 			}

@@ -143,7 +143,9 @@ func (r *Run) finish(rep *session.Report, err error, now time.Time) {
 		r.status, r.err = StatusFailed, err.Error()
 	case rep != nil:
 		body := export.Report(rep)
-		r.report, r.samples = &body, rep.Trace
+		// The DAQ leaves room past the trace's end; a run kept for its
+		// endpoints keeps only the samples.
+		r.report, r.samples = &body, slices.Clone(rep.Trace)
 		r.headline = &headline{ed2: &body.ED2, timeS: &body.TimeS, energyJ: &body.EnergyJ}
 	}
 	r.mu.Unlock()

@@ -33,12 +33,13 @@ type Session struct {
 	// the pair's boundaries: a warm memo entry is found once per run,
 	// and a run on the raw model derives each pair's Invariants once.
 	// The evaluator is called only when a boundary's configuration
-	// differs from the one its pair's last boundary ran; otherwise that
-	// boundary's result and rails are copied, which the runner's purity
-	// and the fixed power model make the same values. Any other runner
-	// is called at every boundary. A traced run takes the same path; it
-	// only asks a runner with Holds (simcache.Cached), before each
-	// boundary's evaluation, whether the memo holds its result.
+	// differs from the one its pair's last boundary ran; otherwise the
+	// boundary shares that boundary's result and copies its rails,
+	// which the runner's purity and the fixed power model make the same
+	// values. Any other runner is called at every boundary. A traced
+	// run takes the same path; it only asks a runner with Holds
+	// (simcache.Cached), before each boundary's evaluation, whether the
+	// memo holds its result.
 	Sim    gpusim.Runner
 	Power  *power.Model
 	Policy policy.Policy
@@ -139,8 +140,13 @@ type KernelRun struct {
 	// from Config only when fault injection made a transition fail or a
 	// thermal throttle override the command.
 	Commanded hw.Config
-	Result    gpusim.Result
-	Rails     power.Rails
+	// Result is the simulation result, which is read-only: it lives in
+	// result slots the report owns, one per simulation, and the
+	// boundaries of one (kernel, phase) pair that run the same
+	// configuration in a row share it. A caller that wants to change a
+	// result copies it first.
+	Result *gpusim.Result
+	Rails  power.Rails
 }
 
 // Sample returns the invocation as a metrics sample (time at card power).
@@ -213,9 +219,11 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 	rep := &Report{App: app.Name, Policy: s.Policy.Name()}
 	// The run count is known up front, so each boundary's record is
 	// written in place in one slab: growing the slice inside the loop
-	// would reallocate log(n) times per session, and building a
-	// KernelRun to append would copy its result once more.
+	// would reallocate log(n) times per session. A record points at its
+	// result, so the slab holds no result and a repeated boundary
+	// copies none.
 	rep.Runs = make([]KernelRun, 0, app.Iterations*len(app.Kernels))
+	slots := results{next: firstResults}
 	// Invocations and simulated seconds are counted once per run, from
 	// the boundaries that completed, on every exit from here on:
 	// success, cancellation and an invalid configuration.
@@ -263,28 +271,33 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 			rep.Runs = rep.Runs[:len(rep.Runs)+1]
 			run := &rep.Runs[len(rep.Runs)-1]
 			run.Kernel, run.Iter, run.Config, run.Commanded = k.Name, iter, actual, cfg
-			res := &run.Result
 			if memo != nil {
 				// Asked before the evaluation; a reused boundary's result
 				// was stored by its pair's last boundary, so it reads true.
 				tb.Memo, tb.Hit = true, memo.Holds(k, iter, actual)
 			}
 			// prev is the pair's last boundary when it ran at actual too:
-			// its result and rails are this boundary's.
+			// its result and rails are this boundary's. Otherwise the
+			// boundary simulates into a fresh slot; left counts it and
+			// the boundaries after it.
 			var prev *KernelRun
+			left := cap(rep.Runs) - len(rep.Runs) + 1
 			if prepared {
 				var p *binding
 				p, pairs = bind(pairs, s.Sim, j, k, iter)
 				if p.last >= 0 && rep.Runs[p.last].Config == actual {
 					prev = &rep.Runs[p.last]
-					*res = prev.Result
+					run.Result = prev.Result
 				} else {
-					*res = p.eval(actual)
+					run.Result = slots.take(left)
+					*run.Result = p.eval(actual)
 				}
 				p.last = int32(len(rep.Runs) - 1)
 			} else {
-				*res = s.Sim.Run(k, iter, actual)
+				run.Result = slots.take(left)
+				*run.Result = s.Sim.Run(k, iter, actual)
 			}
+			res := run.Result
 			tb.Clock[2] = tr.Now()
 			if prev != nil {
 				run.Rails = prev.Rails
@@ -296,7 +309,7 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 			// it, and only then is a second copy made.
 			obs := res
 			if s.Faults != nil {
-				perturbed := s.Faults.Observation(k.Name, *res)
+				perturbed := s.Faults.Observation(k.Name, res)
 				obs = &perturbed
 			}
 			s.Policy.Observe(k.Name, iter, *obs)
@@ -371,13 +384,45 @@ type holder interface {
 	Holds(k *workloads.Kernel, iter int, cfg hw.Config) bool
 }
 
+// results hands out a run's result slots: each evaluator or Sim.Run
+// call fills one. Slots come in chunks that are never reallocated, so
+// the pointers a report holds stay good, and none leads into a runner's
+// memo: writing through one report's result changes no other run. Each
+// chunk doubles the last, up to the boundaries the run has left, so a
+// run that simulates at every boundary allocates exactly one slot per
+// boundary.
+type results struct {
+	free []gpusim.Result // the current chunk's slots not yet taken
+	next int             // the size of the next chunk
+}
+
+// firstResults is the size of a run's first chunk of result slots: a
+// settled run evaluates a few times per (kernel, phase) pair, and the
+// suite's applications have one to ten pairs.
+const firstResults = 8
+
+// take returns a fresh slot for the current boundary; left counts that
+// boundary and the ones after it, which bounds the slots the run can
+// still need.
+func (r *results) take(left int) *gpusim.Result {
+	if len(r.free) == 0 {
+		n := min(r.next, left)
+		r.free = make([]gpusim.Result, n)
+		r.next = 2 * n
+	}
+	res := &r.free[0]
+	r.free = r.free[1:]
+	return res
+}
+
 // binding is one (kernel, phase) pair of a run, its prepared evaluator
 // and its last boundary. A PreparedRunner's evaluator depends on the
 // iteration only through the kernel's phase, so one serves every
 // boundary of the pair, and since the runner is pure and the power
 // model fixed, a boundary that runs the configuration of the pair's
-// last one has that boundary's result and rails: the session copies
-// them instead of calling the evaluator and the power model. kernel is
+// last one has that boundary's result and rails: the session shares
+// the result and copies the rails instead of calling the evaluator and
+// the power model. kernel is
 // the kernel's position in the application, last the index in the
 // report's Runs of the pair's last boundary (-1 before its first), and
 // phase the phase's workloads.Phase.Bits. kernel and last are int32s so

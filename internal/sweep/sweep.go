@@ -51,11 +51,12 @@ func width(workers, n int) int {
 	return workers
 }
 
-// MapInto evaluates eval at every configuration in space and writes the
-// values into dst, which must have len(dst) == len(space). It is the
-// allocation-free core of Map/Min: the serial path (width 1 after the
-// cutoff) is a bare loop, and the parallel path's only allocations are
-// the worker goroutines themselves.
+// MapInto evaluates eval at every configuration in space, in parallel,
+// and writes the values into dst in input order; dst must have
+// len(dst) == len(space). It is the allocation-free core of Min: the
+// serial path (width 1 after the cutoff) is a bare loop, and the
+// parallel path's only allocations are the worker goroutines
+// themselves.
 func MapInto(dst []float64, space []hw.Config, workers int, eval Eval) {
 	if len(dst) != len(space) {
 		panic("sweep.MapInto: len(dst) != len(space)")
@@ -92,14 +93,6 @@ func MapInto(dst []float64, space []hw.Config, workers int, eval Eval) {
 	}
 	drain()
 	wg.Wait()
-}
-
-// Map evaluates eval at every configuration in space, in parallel,
-// returning values in input order.
-func Map(space []hw.Config, workers int, eval Eval) []float64 {
-	out := make([]float64, len(space))
-	MapInto(out, space, workers, eval)
-	return out
 }
 
 // scratch recycles value buffers across parallel Min calls so a

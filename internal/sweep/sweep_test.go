@@ -19,13 +19,20 @@ func score(cfg hw.Config) float64 {
 		math.Abs(float64(cfg.Memory.BusFreq)-925)/150
 }
 
+// TestMapMatchesSerial: MapInto writes each configuration's own value
+// at its index, serially and at widths 4 and 8.
 func TestMapMatchesSerial(t *testing.T) {
 	space := hw.ConfigSpace()
-	serial := Map(space, 1, score)
-	parallel := Map(space, 8, score)
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("index %d: serial %v parallel %v", i, serial[i], parallel[i])
+	got := make([]float64, len(space))
+	for _, workers := range []int{1, 4, 8} {
+		for i := range got {
+			got[i] = math.NaN() // an index MapInto skips keeps a NaN
+		}
+		MapInto(got, space, workers, score)
+		for i, cfg := range space {
+			if got[i] != score(cfg) {
+				t.Fatalf("width %d index %d: MapInto %v, want %v", workers, i, got[i], score(cfg))
+			}
 		}
 	}
 }
@@ -57,15 +64,16 @@ func TestEmptySpace(t *testing.T) {
 	if _, _, ok := Min(nil, 4, score); ok {
 		t.Error("Min on empty space returned true")
 	}
-	if got := Map(nil, 4, score); len(got) != 0 {
-		t.Error("Map on empty space returned values")
-	}
+	MapInto(nil, nil, 4, func(hw.Config) float64 {
+		t.Error("MapInto on empty space evaluated a configuration")
+		return 0
+	})
 }
 
 func TestEveryConfigEvaluatedExactlyOnce(t *testing.T) {
 	space := hw.ConfigSpace()
 	var calls int64
-	Map(space, 16, func(cfg hw.Config) float64 {
+	MapInto(make([]float64, len(space)), space, 16, func(cfg hw.Config) float64 {
 		atomic.AddInt64(&calls, 1)
 		return 0
 	})
@@ -100,8 +108,9 @@ func TestParallelSimulatorSweepIsSafe(t *testing.T) {
 	}
 	eval := func(cfg hw.Config) float64 { return sim.Run(k, 0, cfg).Time }
 	space := hw.ConfigSpace()
-	serial := Map(space, 1, eval)
-	parallel := Map(space, 12, eval)
+	serial, parallel := make([]float64, len(space)), make([]float64, len(space))
+	MapInto(serial, space, 1, eval)
+	MapInto(parallel, space, 12, eval)
 	for i := range serial {
 		if serial[i] != parallel[i] {
 			t.Fatalf("index %d: parallel simulation diverged", i)
@@ -114,9 +123,10 @@ func BenchmarkSweepSerial(b *testing.B) {
 	k := workloads.AllKernels()[0]
 	space := hw.ConfigSpace()
 	eval := func(cfg hw.Config) float64 { return sim.Run(k, 0, cfg).Time }
+	dst := make([]float64, len(space))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Map(space, 1, eval)
+		MapInto(dst, space, 1, eval)
 	}
 }
 
@@ -125,21 +135,10 @@ func BenchmarkSweepParallel(b *testing.B) {
 	k := workloads.AllKernels()[0]
 	space := hw.ConfigSpace()
 	eval := func(cfg hw.Config) float64 { return sim.Run(k, 0, cfg).Time }
+	dst := make([]float64, len(space))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Map(space, 0, eval)
-	}
-}
-
-func TestMapIntoMatchesMap(t *testing.T) {
-	space := hw.ConfigSpace()
-	want := Map(space, 4, score)
-	dst := make([]float64, len(space))
-	MapInto(dst, space, 4, score)
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("index %d: MapInto %v, Map %v", i, dst[i], want[i])
-		}
+		MapInto(dst, space, 0, eval)
 	}
 }
 
@@ -158,7 +157,8 @@ func TestMapIntoLengthMismatchPanics(t *testing.T) {
 func TestSmallSweepStaysSerial(t *testing.T) {
 	batch.ResetPeakWorkers()
 	base := batch.PeakWorkers()
-	Map(hw.ConfigSpace()[:minCellsPerWorker-1], 16, score)
+	small := hw.ConfigSpace()[:minCellsPerWorker-1]
+	MapInto(make([]float64, len(small)), small, 16, score)
 	Min(hw.ConfigSpace()[:8], 0, score)
 	if p := batch.PeakWorkers(); p != base {
 		t.Fatalf("small sweep spawned pool workers: gauge %d → %d", base, p)

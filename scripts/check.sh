@@ -3,7 +3,7 @@
 # vet and tests; the harmonia-lint domain analyzers (-werror, timed
 # against a 10s budget); the plain test pass (tier 1, which runs every
 # observability, flight-recorder and hot-path gate of DESIGN.md §13.4);
-# the race-detector pass; a focused race pass over the concurrent
+# every benchmark once; the race-detector pass; a focused race pass over the concurrent
 # service layer; repeated race passes over the memo's result slots, the
 # parallel fit and the serial sweep's allocation gate; and a bounded
 # chaos soak of the resilience layer (make soak). Timing lives in the
@@ -33,6 +33,13 @@ if [ "$lint_elapsed" -gt 10 ]; then
 	exit 1
 fi
 go test -count=1 ./...
+# Every benchmark once (about 10 s on the 2-CPU reference machine). No
+# test calls the profiling entry points DESIGN.md §13.5 names
+# (BenchmarkWarmLibraryRuns, BenchmarkFaultedLibraryRuns,
+# BenchmarkColdSuite, ...), and they read the reports and results the
+# program's types shape, so without this a change could stop one
+# running unnoticed.
+go test -run '^$' -bench . -benchtime 1x ./...
 # The full race pass needs explicit headroom: on the 2-CPU reference
 # machine internal/eventsim alone runs past go test's default 10m
 # per-binary alarm under the race detector (about 15 minutes).

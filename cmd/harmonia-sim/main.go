@@ -6,7 +6,7 @@
 //
 //	harmonia-sim -app Graph500 -policy harmonia [-trace]
 //
-// Policies: baseline, harmonia, cg, compute-only, oracle.
+// Policies: baseline, harmonia, cg-only, compute-only, oracle, fixed.
 package main
 
 import (
@@ -22,7 +22,7 @@ import (
 func main() {
 	var (
 		appName  = flag.String("app", "Graph500", "application to run (see -list)")
-		polName  = flag.String("policy", "harmonia", "policy: baseline|harmonia|cg|compute-only|oracle|fixed")
+		polName  = flag.String("policy", "harmonia", "policy: baseline|harmonia|cg-only|compute-only|oracle|fixed")
 		fixedCfg = flag.String("config", "", "configuration for -policy fixed, e.g. 16/700/925")
 		trace    = flag.Bool("trace", false, "print every kernel invocation")
 		list     = flag.Bool("list", false, "list available applications and exit")
@@ -50,7 +50,7 @@ func main() {
 		pol = sys.Baseline()
 	case "harmonia":
 		pol = sys.Harmonia()
-	case "cg":
+	case "cg-only":
 		pol = sys.CGOnly()
 	case "compute-only":
 		pol = sys.ComputeDVFSOnly()

@@ -29,13 +29,6 @@ type CtxFlow struct{}
 // Name implements Analyzer.
 func (*CtxFlow) Name() string { return "ctxflow" }
 
-// Doc implements Analyzer.
-func (*CtxFlow) Doc() string {
-	return "forbid context.Background outside main, ctx in struct fields, and fan-out loops that never consult ctx"
-}
-
-func (*CtxFlow) needsProgram() bool { return true }
-
 // ctxFanoutTargets are the packages whose calls make a loop a fan-out
 // loop for the never-consults-ctx check.
 var ctxFanoutTargets = []string{

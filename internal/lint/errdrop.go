@@ -18,11 +18,6 @@ type ErrDrop struct{}
 // Name implements Analyzer.
 func (*ErrDrop) Name() string { return "errdrop" }
 
-// Doc implements Analyzer.
-func (*ErrDrop) Doc() string {
-	return "flag discarded error returns from harmonia module APIs"
-}
-
 // Run implements Analyzer.
 func (a *ErrDrop) Run(pass *Pass) {
 	for _, f := range pass.Pkg.Files {

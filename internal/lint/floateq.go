@@ -18,24 +18,14 @@ type FloatEq struct {
 	AllowFuncs map[string]bool
 }
 
-// NewFloatEq returns the analyzer with the default allowlist: the
-// approved comparison helpers in internal/floats (also policy-exempt;
-// the entries document the mechanism and keep a custom policy safe).
+// NewFloatEq returns the analyzer with an empty allowlist: the approved
+// helpers in internal/floats are exempt through DefaultPolicy.
 func NewFloatEq() *FloatEq {
-	return &FloatEq{AllowFuncs: map[string]bool{
-		"harmonia/internal/floats.Equal":  true,
-		"harmonia/internal/floats.Zero":   true,
-		"harmonia/internal/floats.Within": true,
-	}}
+	return &FloatEq{AllowFuncs: map[string]bool{}}
 }
 
 // Name implements Analyzer.
 func (*FloatEq) Name() string { return "floateq" }
-
-// Doc implements Analyzer.
-func (*FloatEq) Doc() string {
-	return "forbid ==/!= on float operands outside approved helpers (NaN compares false against everything)"
-}
 
 // Run implements Analyzer.
 func (a *FloatEq) Run(pass *Pass) {

@@ -36,16 +36,16 @@ import (
 	"strings"
 )
 
-// Severity classifies a diagnostic. Errors are invariant violations and
-// fail the build; warnings (malformed suppression directives) fail only
-// under -werror.
+// Severity classifies a diagnostic. Errors are invariant violations;
+// warnings are malformed suppression directives. harmonia-lint fails on
+// either.
 type Severity string
 
 const (
 	// SevError marks a finding that violates an enforced invariant.
 	SevError Severity = "error"
 	// SevWarn marks a hygiene finding (e.g. an ignore directive with no
-	// reason) promoted to failing only under -werror.
+	// reason).
 	SevWarn Severity = "warn"
 )
 
@@ -63,11 +63,9 @@ func (d Diagnostic) String() string {
 
 // Analyzer is one named static check over a single package.
 type Analyzer interface {
-	// Name is the check identifier used in -checks, policy scopes, and
+	// Name is the check identifier used in policy scopes and
 	// //lint:ignore directives.
 	Name() string
-	// Doc is a one-line description of the enforced invariant.
-	Doc() string
 	// Run inspects pass.Pkg and reports findings through the pass.
 	Run(pass *Pass)
 }
@@ -79,7 +77,7 @@ type Pass struct {
 	report func(Diagnostic)
 
 	// Prog is the module-wide call graph, built once per Run and shared
-	// by every analyzer that declares needsProgram(); nil otherwise.
+	// by every analyzer.
 	Prog *Program
 	// Scope is the policy scope of the running check (zero value when
 	// the policy has no entry for it).
@@ -220,31 +218,6 @@ func Analyzers() []Analyzer {
 	return []Analyzer{&Nondeterminism{}, NewFloatEq(), &ErrDrop{}, &CtxFlow{}}
 }
 
-// Select filters analyzers by a comma-separated name list; an empty
-// list selects all. Unknown names return an error.
-func Select(all []Analyzer, names string) ([]Analyzer, error) {
-	if names == "" {
-		return all, nil
-	}
-	byName := make(map[string]Analyzer, len(all))
-	for _, a := range all {
-		byName[a.Name()] = a
-	}
-	var out []Analyzer
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("unknown check %q", n)
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
 // directive is one parsed //lint:ignore comment.
 type directive struct {
 	pos    token.Position
@@ -282,42 +255,34 @@ func directivesFor(pkg *Package) []directive {
 // Run executes the analyzers over the packages under the policy,
 // applies suppression directives, and returns the surviving diagnostics
 // sorted by position. Malformed directives (no check name, unknown
-// check, or missing reason) surface as "directive" warnings so -werror
-// keeps the suppression mechanism itself honest.
+// check, or missing reason) surface as "directive" warnings, which keeps
+// the suppression mechanism itself honest.
 func Run(pkgs []*Package, analyzers []Analyzer, pol Policy) []Diagnostic {
-	// Directives are validated against the full check universe, not the
-	// selected subset, so running with -checks does not misflag
-	// directives for unselected checks.
+	// Directives are validated against every shipped check, so a run of
+	// a subset does not misflag directives for the others.
 	known := make(map[string]bool)
-	for _, n := range AllCheckNames() {
-		known[n] = true
-	}
-	for _, a := range analyzers {
+	for _, a := range Analyzers() {
 		known[a.Name()] = true
 	}
 
-	// Build the interprocedural Program once when any selected analyzer
-	// declares it needs one. The nondeterminism exempt packages double as
-	// taint barriers, and any direct wall-clock/rand seed carrying a
-	// //lint:ignore nondeterminism is a sanctioned seed that must not
-	// taint callers.
-	var prog *Program
-	root := moduleRootOf(pkgs)
-	if NeedsProgram(analyzers) {
-		sanctioned := make(map[string]bool)
-		for _, pkg := range pkgs {
-			for _, d := range directivesFor(pkg) {
-				if d.check == "nondeterminism" {
-					sanctioned[fmt.Sprintf("%s:%d", d.pos.Filename, d.pos.Line)] = true
-					sanctioned[fmt.Sprintf("%s:%d", d.pos.Filename, d.pos.Line+1)] = true
-				}
+	// Build the interprocedural Program once. The nondeterminism exempt
+	// packages double as taint barriers, and any direct wall-clock/rand
+	// seed carrying a //lint:ignore nondeterminism is a sanctioned seed
+	// that must not taint callers.
+	sanctioned := make(map[string]bool)
+	for _, pkg := range pkgs {
+		for _, d := range directivesFor(pkg) {
+			if d.check == "nondeterminism" {
+				sanctioned[fmt.Sprintf("%s:%d", d.pos.Filename, d.pos.Line)] = true
+				sanctioned[fmt.Sprintf("%s:%d", d.pos.Filename, d.pos.Line+1)] = true
 			}
 		}
-		prog = BuildProgram(pkgs, ProgramOptions{
-			CleanPackages:       pol.Scopes["nondeterminism"].Exempt,
-			SuppressedSeedLines: sanctioned,
-		})
 	}
+	prog := BuildProgram(pkgs, ProgramOptions{
+		CleanPackages:       pol.Scopes["nondeterminism"].Exempt,
+		SuppressedSeedLines: sanctioned,
+	})
+	root := moduleRootOf(pkgs)
 
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
@@ -385,20 +350,6 @@ func Run(pkgs []*Package, analyzers []Analyzer, pol Policy) []Diagnostic {
 	return diags
 }
 
-// NeedsProgram reports whether any of the analyzers requires the
-// module-wide call graph. Callers loading a package subset (explicit
-// directory arguments) use this to decide whether the whole module must
-// be loaded anyway — interprocedural summaries are only sound over the
-// full graph.
-func NeedsProgram(analyzers []Analyzer) bool {
-	for _, a := range analyzers {
-		if pn, ok := a.(interface{ needsProgram() bool }); ok && pn.needsProgram() {
-			return true
-		}
-	}
-	return false
-}
-
 // moduleRootOf derives the module root directory from any loaded
 // package: the package's Dir minus its path below the module.
 func moduleRootOf(pkgs []*Package) string {
@@ -410,15 +361,4 @@ func moduleRootOf(pkgs []*Package) string {
 		return strings.TrimSuffix(filepath.ToSlash(pkg.Dir), sub)
 	}
 	return ""
-}
-
-// AllCheckNames returns the names of the shipped analyzers in stable
-// order.
-func AllCheckNames() []string {
-	as := Analyzers()
-	out := make([]string, len(as))
-	for i, a := range as {
-		out[i] = a.Name()
-	}
-	return out
 }

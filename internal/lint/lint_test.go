@@ -49,24 +49,6 @@ func TestPolicyDefaultsAndUnknownChecks(t *testing.T) {
 	}
 }
 
-func TestSelect(t *testing.T) {
-	all := Analyzers()
-	got, err := Select(all, "floateq, errdrop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Name() != "floateq" || got[1].Name() != "errdrop" {
-		t.Fatalf("Select returned %d analyzers in wrong order", len(got))
-	}
-	if _, err := Select(all, "nosuchcheck"); err == nil {
-		t.Error("Select must reject unknown check names")
-	}
-	whole, err := Select(all, "")
-	if err != nil || len(whole) != len(all) {
-		t.Errorf("empty selection must return all analyzers, got %d, %v", len(whole), err)
-	}
-}
-
 // TestDirectiveWarnings verifies that malformed suppressions surface as
 // "directive" warnings: a missing reason and an unknown check name.
 func TestDirectiveWarnings(t *testing.T) {

@@ -34,13 +34,6 @@ type Nondeterminism struct{}
 // Name implements Analyzer.
 func (*Nondeterminism) Name() string { return "nondeterminism" }
 
-// Doc implements Analyzer.
-func (*Nondeterminism) Doc() string {
-	return "forbid wall-clock reads, unseeded math/rand (direct or through any call path), and output-reaching map iteration in deterministic packages"
-}
-
-func (*Nondeterminism) needsProgram() bool { return true }
-
 // seedMessages explain each direct seed; %s is the call ("time.Now").
 var seedMessages = map[Effect]string{
 	EffWallClock:    "%s reads the wall clock; deterministic packages must take time as an input",

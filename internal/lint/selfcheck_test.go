@@ -7,8 +7,8 @@ import (
 
 // TestRepoIsLintClean is the regression gate behind `make lint`: the
 // whole module — internal/... AND cmd/... — must pass every analyzer
-// under the default policy with zero findings — errors AND warnings, so
-// -werror in CI can never regress silently. A future PR that introduces
+// under the default policy with zero findings — errors AND warnings, as
+// harmonia-lint in CI requires. A future PR that introduces
 // a violation fails this test even if it forgets to run the linter.
 func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {

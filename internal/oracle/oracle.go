@@ -141,7 +141,7 @@ func NewFor(obj Objective, sim gpusim.Runner, pow *power.Model, apps ...*workloa
 		kernels:   kernels,
 		byPhase:   byPhase,
 	}
-	if cached, ok := sim.(simcache.Cached); ok && cached.Cache != nil {
+	if cached, ok := sim.(simcache.Cached); ok {
 		o.memo, o.model = cached.Cache, cached.Model
 	}
 	return o

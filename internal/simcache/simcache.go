@@ -437,8 +437,8 @@ func (c *Cache) each(f func(*invocation)) {
 }
 
 // Cached binds a model to a cache as a gpusim.Runner, the form the
-// session, oracle, and sensitivity layers consume. A nil cache degrades
-// to the raw model.
+// session, oracle, and sensitivity layers consume. Build it with For,
+// which returns the raw model when there is no cache.
 type Cached struct {
 	Model *gpusim.Model
 	Cache *Cache
@@ -448,24 +448,18 @@ var _ gpusim.Runner = Cached{}
 
 // Run implements gpusim.Runner.
 func (c Cached) Run(k *workloads.Kernel, iter int, cfg hw.Config) gpusim.Result {
-	if c.Cache == nil {
-		return c.Model.Run(k, iter, cfg)
-	}
 	return c.Cache.Run(c.Model, k, iter, cfg)
 }
 
-// Holds is Cache.Holds, always false without a cache.
+// Holds is Cache.Holds.
 func (c Cached) Holds(k *workloads.Kernel, iter int, cfg hw.Config) bool {
-	return c.Cache != nil && c.Cache.Holds(c.Model, k, iter, cfg)
+	return c.Cache.Holds(c.Model, k, iter, cfg)
 }
 
 // Prepare implements gpusim.PreparedRunner: the returned evaluator
 // probes the invocation's entry, resolved once, and falls through to the
 // model's hoisted Invariants on a miss, bit-identical to Run either way.
 func (c Cached) Prepare(k *workloads.Kernel, iter int) func(cfg hw.Config) gpusim.Result {
-	if c.Cache == nil {
-		return c.Model.Prepare(k, iter)
-	}
 	return c.Cache.Prepare(c.Model, k, iter)
 }
 
@@ -478,12 +472,8 @@ var _ gpusim.PreparedRunner = Cached{}
 // slot another prober is filling) is simulated into a scratch result
 // the evaluator owns, so the pointer is read-only and good only until
 // the next call, and the evaluator serves one goroutine. Probes are
-// counted exactly as Prepare's are. A nil cache degrades to the raw
-// model's evaluator adapted by gpusim.PrepareRef.
+// counted exactly as Prepare's are.
 func (c Cached) PrepareRef(k *workloads.Kernel, iter int) func(cfg hw.Config) *gpusim.Result {
-	if c.Cache == nil {
-		return gpusim.PrepareRef(c.Model, k, iter)
-	}
 	p := &preparedRef{prepared: prepared{c: c.Cache, e: c.Cache.entry(c.Model, k, iter), inv: c.Model.Invariants(k, iter)}}
 	return p.run
 }

@@ -225,9 +225,8 @@ func TestNaNKeyIsNotInterned(t *testing.T) {
 }
 
 // TestHoldsOnlyReads: Holds answers whether a probe would hit — true
-// once the slot is stored, false before, off the grid, for a NaN key and
-// without a cache — and counts no probe, stores nothing and creates no
-// entry.
+// once the slot is stored, false before, off the grid and for a NaN key
+// — and counts no probe, stores nothing and creates no entry.
 func TestHoldsOnlyReads(t *testing.T) {
 	m := gpusim.Default()
 	c := New()
@@ -259,9 +258,6 @@ func TestHoldsOnlyReads(t *testing.T) {
 	c.Run(m, nan, 0, cfg)
 	if c.Holds(m, nan, 0, cfg) {
 		t.Fatal("the memo holds a NaN key")
-	}
-	if (Cached{Model: m}).Holds(k, 0, cfg) {
-		t.Fatal("a runner without a cache holds a result")
 	}
 	if hits, misses := c.Stats(); hits != 0 || misses != 3 || c.Len() != 1 {
 		t.Fatalf("hits=%d misses=%d Len=%d after three runs, want 0/3/1: Holds counted or stored", hits, misses, c.Len())
@@ -335,12 +331,6 @@ func TestForNilCacheReturnsModel(t *testing.T) {
 	cached, ok := For(m, c).(Cached)
 	if !ok || cached.Model != m || cached.Cache != c {
 		t.Fatalf("For(m, c) = %#v, want Cached{m, c}", cached)
-	}
-	// Cached with a nil cache degrades to the raw model.
-	k := testKernel(t, "LUD.Internal")
-	raw := Cached{Model: m}
-	if got, want := raw.Run(k, 0, hw.MaxConfig()), m.Run(k, 0, hw.MaxConfig()); got != want {
-		t.Fatalf("nil-cache Cached diverged: %+v vs %+v", got, want)
 	}
 }
 
@@ -433,7 +423,7 @@ func TestPreparedBitIdenticalToRun(t *testing.T) {
 // what the model returns, bit for bit, pointing into the memo slot of a
 // stored result (so probing a configuration again returns the same
 // pointer) and into a result of its own for an off-grid configuration,
-// which stays unstored; a nil cache degrades to the raw model.
+// which stays unstored and agrees with the raw model's gpusim.PrepareRef.
 func TestPreparedRefReadsSlotsInPlace(t *testing.T) {
 	m := gpusim.Default()
 	c := New()
@@ -453,7 +443,7 @@ func TestPreparedRefReadsSlotsInPlace(t *testing.T) {
 	stored := c.Len()
 	off := hw.MaxConfig()
 	off.Compute.CUs = 6
-	memoRef, rawRef := Cached{Model: m, Cache: c}.PrepareRef(k, 0), Cached{Model: m}.PrepareRef(k, 0)
+	memoRef, rawRef := Cached{Model: m, Cache: c}.PrepareRef(k, 0), gpusim.PrepareRef(m, k, 0)
 	if got, want := *memoRef(off), m.Run(k, 0, off); got != want {
 		t.Fatal("by-reference off-grid probe diverged")
 	}
@@ -461,18 +451,7 @@ func TestPreparedRefReadsSlotsInPlace(t *testing.T) {
 		t.Fatalf("by-reference off-grid probe changed Len from %d to %d", stored, n)
 	}
 	if got, want := *rawRef(off), m.Run(k, 0, off); got != want {
-		t.Fatal("nil-cache by-reference probe diverged")
-	}
-}
-
-// TestPreparedNilCacheDegradesToModel mirrors For's nil-cache contract.
-func TestPreparedNilCacheDegradesToModel(t *testing.T) {
-	m := gpusim.Default()
-	k := testKernel(t, "LUD.Internal")
-	eval := Cached{Model: m}.Prepare(k, 0)
-	cfg := hw.MaxConfig()
-	if got, want := eval(cfg), m.Run(k, 0, cfg); got != want {
-		t.Fatalf("nil-cache prepared path diverged")
+		t.Fatal("raw by-reference probe diverged")
 	}
 }
 

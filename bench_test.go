@@ -1,11 +1,12 @@
 package harmonia
 
 // This file holds one benchmark per table and figure of the paper's
-// evaluation. Each benchmark regenerates its artifact on the simulated
-// platform and reports the headline quantities as custom metrics
-// (b.ReportMetric), so `go test -bench=. -benchmem` prints the full
-// reproduction alongside the runtime cost of regenerating it.
-// EXPERIMENTS.md records one such run next to the paper's numbers.
+// evaluation; Figures 10-13, which read one evaluation, share one. Each
+// benchmark regenerates its artifact on the simulated platform and
+// reports the headline quantities as custom metrics (b.ReportMetric), so
+// `go test -bench=. -benchmem` prints the full reproduction alongside
+// the runtime cost of regenerating it. EXPERIMENTS.md records one such
+// run next to the paper's numbers.
 
 import (
 	"context"
@@ -138,58 +139,25 @@ func BenchmarkTable3SensitivityTraining(b *testing.B) {
 	b.ReportMetric(r.Accuracy.ComputeMAE, "comp-mae")
 }
 
-func BenchmarkFig10ED2(b *testing.B) {
+// BenchmarkFig10to13Results reads Figures 10-13 off the one five-policy
+// evaluation: ED² (Figure 10), energy (11), power (12) and performance
+// (13) against the baseline.
+func BenchmarkFig10to13Results(b *testing.B) {
 	e := benchLab(b)
 	var sum experiments.Summary
 	for i := 0; i < b.N; i++ {
-		var err error
-		_, sum, err = experiments.Fig10ED2(context.Background(), e)
+		results, err := e.Results(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
+		sum = experiments.Summarize(results)
 	}
 	b.ReportMetric(sum.ED2Harmonia*100, "harmonia-ed2-gain-%")
 	b.ReportMetric(sum.ED2CG*100, "cg-ed2-gain-%")
 	b.ReportMetric(sum.ED2Oracle*100, "oracle-ed2-gain-%")
 	b.ReportMetric(sum.BestED2*100, "best-app-ed2-gain-%")
-}
-
-func BenchmarkFig11Energy(b *testing.B) {
-	e := benchLab(b)
-	var sum experiments.Summary
-	for i := 0; i < b.N; i++ {
-		var err error
-		_, sum, err = experiments.Fig11Energy(context.Background(), e)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
 	b.ReportMetric(sum.EnergySaving*100, "harmonia-energy-saving-%")
-}
-
-func BenchmarkFig12Power(b *testing.B) {
-	e := benchLab(b)
-	var sum experiments.Summary
-	for i := 0; i < b.N; i++ {
-		var err error
-		_, sum, err = experiments.Fig12Power(context.Background(), e)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
 	b.ReportMetric(sum.PowerSaving*100, "harmonia-power-saving-%")
-}
-
-func BenchmarkFig13Performance(b *testing.B) {
-	e := benchLab(b)
-	var sum experiments.Summary
-	for i := 0; i < b.N; i++ {
-		var err error
-		_, sum, err = experiments.Fig13Performance(context.Background(), e)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
 	b.ReportMetric(sum.SlowdownHarmonia*100, "harmonia-slowdown-%")
 	b.ReportMetric(sum.WorstCGSlowdown*100, "worst-cg-slowdown-%")
 }

@@ -1,202 +1,219 @@
 // Command harmonia-report regenerates every table and figure of the
 // paper's evaluation on the simulated platform and prints the full
-// report. EXPERIMENTS.md is the curated record of one such run.
+// report. EXPERIMENTS.md is the curated record of one such run, and
+// testdata/report.golden pins its bytes.
 //
 // Usage:
 //
-//	harmonia-report [-only fig10]
+//	harmonia-report [-only results] [-timeline-app SRAD]
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 
 	"harmonia/internal/experiments"
 )
 
-func main() {
-	only := flag.String("only", "", "regenerate a single artifact (fig1, table1, fig3, fig4, fig5, fig6, fig7, fig8, fig9, table2, table3, results, fig14, fig15, fig16, fig17, fig18, computeonly, accuracy, memvolt, objective, tdp, knobs, stacked, timeline)")
-	tlApp := flag.String("timeline-app", "SRAD", "application the timeline artifact flight-records")
-	flag.Parse()
+// artifacts names the report's sections in print order; -only takes
+// exactly one of them.
+var artifacts = []string{
+	"fig1", "table1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "table2", "table3",
+	"results", "computeonly", "accuracy", "fig14", "fig15", "fig16", "fig17", "fig18",
+	"memvolt", "objective", "tdp", "stacked", "knobs", "timeline",
+}
 
+func main() {
 	// Interrupting the report cancels in-flight fan-out at the next
 	// kernel boundary instead of abandoning workers mid-sweep.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	code := run(ctx, os.Stdout, os.Stderr, os.Args[1:])
+	stop()
+	os.Exit(code)
+}
+
+// run prints the report (or the one artifact -only names) to stdout and
+// returns the exit status: 0 on success or -h, 1 when an artifact fails
+// or -only names none, 2 on a malformed command line.
+func run(ctx context.Context, stdout, stderr io.Writer, args []string) int {
+	fs := flag.NewFlagSet("harmonia-report", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	only := fs.String("only", "", "regenerate a single artifact ("+strings.Join(artifacts, ", ")+")")
+	tlApp := fs.String("timeline-app", "SRAD", "application the timeline artifact flight-records")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "harmonia-report:", err)
+		return 1
+	}
+	if *only != "" && !slices.Contains(artifacts, *only) {
+		return fail(fmt.Errorf("unknown artifact %q", *only))
+	}
 
 	e := experiments.NewEnv()
 	want := func(name string) bool { return *only == "" || *only == name }
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "harmonia-report:", err)
-		os.Exit(1)
-	}
 
 	if want("fig1") {
-		fmt.Println(experiments.Fig1PowerBreakdown(e))
-		fmt.Println()
+		fmt.Fprintln(stdout, experiments.Fig1PowerBreakdown(e))
+		fmt.Fprintln(stdout)
 	}
 	if want("table1") {
-		fmt.Println(experiments.Table1String())
+		fmt.Fprintln(stdout, experiments.Table1String())
 	}
 	if want("fig3") {
 		for _, k := range []string{"MaxFlops.Main", "DeviceMemory.Stream", "LUD.Internal"} {
-			fmt.Println(experiments.Fig3BalanceCurves(e, k))
+			fmt.Fprintln(stdout, experiments.Fig3BalanceCurves(e, k))
 		}
 	}
 	if want("fig4") {
-		fmt.Println(experiments.Fig4ComputePowerRange(e))
-		fmt.Println()
+		fmt.Fprintln(stdout, experiments.Fig4ComputePowerRange(e))
+		fmt.Fprintln(stdout)
 	}
 	if want("fig5") {
-		fmt.Println(experiments.Fig5MemoryPowerRange(e))
-		fmt.Println()
+		fmt.Fprintln(stdout, experiments.Fig5MemoryPowerRange(e))
+		fmt.Fprintln(stdout)
 	}
 	if want("fig6") {
-		fmt.Println(experiments.Fig6MetricComparison(e))
+		fmt.Fprintln(stdout, experiments.Fig6MetricComparison(e))
 	}
 	if want("fig7") {
-		fmt.Println("Figure 7 — kernel occupancy vs bandwidth sensitivity")
+		fmt.Fprintln(stdout, "Figure 7 — kernel occupancy vs bandwidth sensitivity")
 		for _, r := range experiments.Fig7OccupancyEffect(e) {
-			fmt.Printf("  %-24s occupancy %3.0f%%  bandwidth sensitivity %.2f\n",
+			fmt.Fprintf(stdout, "  %-24s occupancy %3.0f%%  bandwidth sensitivity %.2f\n",
 				r.Kernel, r.Occupancy*100, r.BandwidthSensitivity)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if want("fig8") {
-		fmt.Println("Figure 8 — branch divergence vs compute-frequency sensitivity")
+		fmt.Fprintln(stdout, "Figure 8 — branch divergence vs compute-frequency sensitivity")
 		for _, r := range experiments.Fig8DivergenceEffect(e) {
-			fmt.Printf("  %-24s divergence %4.0f%%  insts %.2g  freq sensitivity %.2f\n",
+			fmt.Fprintf(stdout, "  %-24s divergence %4.0f%%  insts %.2g  freq sensitivity %.2f\n",
 				r.Kernel, r.BranchDivergence, r.VALUInsts, r.ComputeFreqSensitive)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if want("fig9") {
-		fmt.Println(experiments.Fig9ClockDomains(e))
-		fmt.Println()
+		fmt.Fprintln(stdout, experiments.Fig9ClockDomains(e))
+		fmt.Fprintln(stdout)
 	}
 	if want("table2") {
-		fmt.Println("Table 2 — performance counters and metrics")
+		fmt.Fprintln(stdout, "Table 2 — performance counters and metrics")
 		for _, d := range experiments.Table2Counters() {
-			fmt.Printf("  %-18s %s\n", d.Name, d.Text)
+			fmt.Fprintf(stdout, "  %-18s %s\n", d.Name, d.Text)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if want("table3") {
-		fmt.Println(experiments.Table3Model(e))
+		fmt.Fprintln(stdout, experiments.Table3Model(e))
 	}
 	if want("results") {
-		rows, sum, err := experiments.Fig10ED2(ctx, e)
-		if err != nil {
-			fail(err)
-		}
-		_ = rows
 		results, err := e.Results(ctx)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Println("Figures 10-13 — per-application results vs baseline")
-		fmt.Println(experiments.ResultsTable(results))
-		fmt.Println(sum)
-		fmt.Println()
+		fmt.Fprintln(stdout, "Figures 10-13 — per-application results vs baseline")
+		fmt.Fprintln(stdout, experiments.ResultsTable(results))
+		fmt.Fprintln(stdout, experiments.Summarize(results))
+		fmt.Fprintln(stdout)
 	}
 	if want("computeonly") {
 		r, err := experiments.ComputeOnlyStudy(ctx, e)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Printf("Compute-DVFS-only study — ED2 gain %.1f%%, slowdown %.2f%% (paper: ~3%% / ~1%%)\n\n",
+		fmt.Fprintf(stdout, "Compute-DVFS-only study — ED2 gain %.1f%%, slowdown %.2f%% (paper: ~3%% / ~1%%)\n\n",
 			r.ED2Gain*100, r.Slowdown*100)
 	}
 	if want("accuracy") {
 		acc := experiments.PredictorAccuracy(e)
-		fmt.Printf("Predictor accuracy — MAE bandwidth %.4f, compute %.4f (paper: 0.0303 / 0.0571)\n\n",
+		fmt.Fprintf(stdout, "Predictor accuracy — MAE bandwidth %.4f, compute %.4f (paper: 0.0303 / 0.0571)\n\n",
 			acc.BandwidthMAE, acc.ComputeMAE)
 	}
 	if want("fig14") {
-		fmt.Println(experiments.Fig14String(experiments.Fig14Graph500Phases(e)))
+		fmt.Fprintln(stdout, experiments.Fig14String(experiments.Fig14Graph500Phases(e)))
 	}
 	if want("fig15") {
 		r, err := experiments.Fig15MemFreqResidency(e)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Println(r)
+		fmt.Fprintln(stdout, r)
 	}
 	if want("fig16") {
 		r, err := experiments.Fig16TunableResidency(e)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Println(r)
+		fmt.Fprintln(stdout, r)
 	}
 	if want("fig17") {
 		r, err := experiments.Fig17PowerSharing(ctx, e)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Println(r)
+		fmt.Fprintln(stdout, r)
 	}
 	if want("fig18") {
 		rows, err := experiments.Fig18CGvsFG(ctx, e)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Println(experiments.Fig18String(rows))
+		fmt.Fprintln(stdout, experiments.Fig18String(rows))
 	}
 	if want("memvolt") {
 		r, err := experiments.MemVoltageScalingStudy(ctx, e)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Println(r)
-		fmt.Println()
+		fmt.Fprintln(stdout, r)
+		fmt.Fprintln(stdout)
 	}
 	if want("objective") {
 		r, err := experiments.ObjectiveStudy(ctx, e)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Println(r)
-		fmt.Println()
+		fmt.Fprintln(stdout, r)
+		fmt.Fprintln(stdout)
 	}
 	if want("tdp") {
 		rows, err := experiments.TDPStudy(ctx, e, []float64{250, 180, 150, 120})
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Println(experiments.TDPString(rows))
+		fmt.Fprintln(stdout, experiments.TDPString(rows))
 	}
 	if want("stacked") {
 		r, err := experiments.StackedEnvelopeStudy(e, 85)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Println(r)
+		fmt.Fprintln(stdout, r)
 	}
 	if want("knobs") {
 		rows, err := experiments.ControllerKnobStudy(ctx, e)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Println(experiments.KnobString(rows))
+		fmt.Fprintln(stdout, experiments.KnobString(rows))
 	}
 	if want("timeline") {
 		sum, err := experiments.TimelineStudy(ctx, e, *tlApp)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Println(sum)
+		fmt.Fprintln(stdout, sum)
 	}
-
-	if *only != "" && !strings.Contains(
-		"fig1 table1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 table2 table3 results fig14 fig15 fig16 fig17 fig18 computeonly accuracy memvolt objective tdp knobs stacked timeline",
-		*only) {
-		fmt.Fprintf(os.Stderr, "harmonia-report: unknown artifact %q\n", *only)
-		os.Exit(1)
-	}
+	return 0
 }

@@ -179,39 +179,3 @@ func BalancedConfigs(m *gpusim.Model, k *workloads.Kernel, iter int) []hw.Config
 	})
 	return out
 }
-
-// KneePoint finds the balance knee of a kernel at a fixed memory
-// configuration: the smallest compute configuration reaching the given
-// fraction of the best achievable performance (Figure 3's "knee of the
-// curve").
-func KneePoint(m *gpusim.Model, k *workloads.Kernel, memFreq hw.MHz, fraction float64) (hw.Config, bool) {
-	if fraction <= 0 || fraction > 1 {
-		return hw.Config{}, false
-	}
-	type point struct {
-		cfg  hw.Config
-		perf float64
-	}
-	var pts []point
-	best := 0.0
-	for _, n := range hw.CUCounts() {
-		for _, f := range hw.CUFreqs() {
-			cfg := hw.Config{
-				Compute: hw.ComputeConfig{CUs: n, Freq: f},
-				Memory:  hw.MemConfig{BusFreq: memFreq},
-			}
-			perf := 1 / m.Run(k, 0, cfg).Time
-			pts = append(pts, point{cfg, perf})
-			best = math.Max(best, perf)
-		}
-	}
-	sort.Slice(pts, func(i, j int) bool {
-		return pts[i].cfg.OpsPerByte() < pts[j].cfg.OpsPerByte()
-	})
-	for _, p := range pts {
-		if p.perf >= fraction*best {
-			return p.cfg, true
-		}
-	}
-	return hw.Config{}, false
-}

@@ -150,56 +150,6 @@ func TestBalancedConfigsForDeviceMemory(t *testing.T) {
 	}
 }
 
-func TestKneePointDeviceMemory(t *testing.T) {
-	m := gpusim.Default()
-	k := kernel(t, "DeviceMemory.Stream")
-	knee, ok := KneePoint(m, k, hw.MaxMemFreq, 0.98)
-	if !ok {
-		t.Fatal("no knee found")
-	}
-	// Figure 3b: the knee sits at an interior compute configuration —
-	// well below the maximum compute throughput.
-	if knee.Compute.PeakGOPS() >= hw.MaxConfig().Compute.PeakGOPS() {
-		t.Errorf("knee at maximum compute %v; expected interior", knee)
-	}
-	// The knee's performance must indeed be >= 98% of the best.
-	bestPerf := 0.0
-	for _, n := range hw.CUCounts() {
-		for _, f := range hw.CUFreqs() {
-			cfg := hw.Config{Compute: hw.ComputeConfig{CUs: n, Freq: f}, Memory: hw.MemConfig{BusFreq: hw.MaxMemFreq}}
-			if p := 1 / m.Run(k, 0, cfg).Time; p > bestPerf {
-				bestPerf = p
-			}
-		}
-	}
-	kneePerf := 1 / m.Run(k, 0, knee).Time
-	if kneePerf < 0.98*bestPerf {
-		t.Errorf("knee perf %.3f below 98%% of best %.3f", kneePerf, bestPerf)
-	}
-}
-
-func TestKneePointMaxFlopsIsMaxCompute(t *testing.T) {
-	m := gpusim.Default()
-	knee, ok := KneePoint(m, kernel(t, "MaxFlops.Main"), hw.MinMemFreq, 0.99)
-	if !ok {
-		t.Fatal("no knee found")
-	}
-	// A purely compute-bound kernel's knee is the top compute config.
-	if knee.Compute.CUs != hw.MaxCUs || knee.Compute.Freq != hw.MaxCUFreq {
-		t.Errorf("MaxFlops knee = %v, want maximum compute", knee)
-	}
-}
-
-func TestKneePointBadFraction(t *testing.T) {
-	m := gpusim.Default()
-	if _, ok := KneePoint(m, kernel(t, "MaxFlops.Main"), hw.MaxMemFreq, 0); ok {
-		t.Error("fraction 0 accepted")
-	}
-	if _, ok := KneePoint(m, kernel(t, "MaxFlops.Main"), hw.MaxMemFreq, 1.5); ok {
-		t.Error("fraction >1 accepted")
-	}
-}
-
 func min(a, b int) int {
 	if a < b {
 		return a

@@ -39,8 +39,9 @@ import (
 
 // Options configures a Controller.
 type Options struct {
-	// Predictor supplies the sensitivity models; nil trains the default
-	// predictor on the standard workload suite.
+	// Predictor supplies the sensitivity models. Required: New does not
+	// train one. (System.HarmoniaWith supplies the System's trained
+	// predictor when the field is nil.)
 	Predictor *sensitivity.Predictor
 	// Tunables restricts which hardware tunables the controller manages;
 	// empty means all three. New copies the list, counting a repeated
@@ -347,10 +348,6 @@ func middle(s []float64) float64 {
 
 // New returns a Harmonia controller.
 func New(opts Options) *Controller {
-	pred := opts.Predictor
-	if pred == nil {
-		pred = sensitivity.DefaultPredictor()
-	}
 	if opts.MaxDither <= 0 {
 		opts.MaxDither = 1
 	}
@@ -362,7 +359,7 @@ func New(opts Options) *Controller {
 	}
 	return &Controller{
 		opts:     opts,
-		pred:     pred,
+		pred:     opts.Predictor,
 		tunables: managed(opts.Tunables),
 	}
 }
@@ -401,6 +398,8 @@ func (c *Controller) Name() string {
 		return "harmonia-cg"
 	case len(c.tunables) == 1 && c.tunables[0] == hw.TunableCUFreq:
 		return "compute-dvfs-only"
+	case c.opts.DisableHardening:
+		return "harmonia-naive"
 	default:
 		return "harmonia"
 	}

@@ -100,6 +100,9 @@ func TestControllerName(t *testing.T) {
 	if got := NewComputeOnly(p).Name(); got != "compute-dvfs-only" {
 		t.Errorf("compute-only Name = %q", got)
 	}
+	if got := New(Options{Predictor: p, DisableHardening: true}).Name(); got != "harmonia-naive" {
+		t.Errorf("naive Name = %q", got)
+	}
 }
 
 func TestInitialDecisionIsBaseline(t *testing.T) {

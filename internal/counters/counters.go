@@ -168,18 +168,6 @@ func (s *Set) AppendExtendedFeatures(dst []float64) []float64 {
 		s.DivergenceImpact())
 }
 
-// BandwidthFeatures returns the bandwidth-model feature vector in the
-// order of BandwidthFeatureNames.
-func (s Set) BandwidthFeatures() []float64 { return s.AppendBandwidthFeatures(nil) }
-
-// ComputeFeatures returns the compute-model feature vector in the order
-// of ComputeFeatureNames.
-func (s Set) ComputeFeatures() []float64 { return s.AppendComputeFeatures(nil) }
-
-// ExtendedFeatures returns the per-tunable compute-model feature vector
-// in the order of ExtendedFeatureNames.
-func (s Set) ExtendedFeatures() []float64 { return s.AppendExtendedFeatures(nil) }
-
 // DivergenceImpact is the Section 3.5 insight that control divergence
 // matters in proportion to how much vector issue the kernel actually
 // does: large divergence in tiny kernels has little effect, small

@@ -53,18 +53,18 @@ func TestOpsPerByte(t *testing.T) {
 
 func TestFeatureVectorsMatchNames(t *testing.T) {
 	s := validSet()
-	if got, want := len(s.BandwidthFeatures()), len(BandwidthFeatureNames()); got != want {
+	if got, want := len(s.AppendBandwidthFeatures(nil)), len(BandwidthFeatureNames()); got != want {
 		t.Errorf("bandwidth features %d names %d", got, want)
 	}
-	if got, want := len(s.ComputeFeatures()), len(ComputeFeatureNames()); got != want {
+	if got, want := len(s.AppendComputeFeatures(nil)), len(ComputeFeatureNames()); got != want {
 		t.Errorf("compute features %d names %d", got, want)
 	}
 	// Spot-check ordering against Table 3's row order.
-	bf := s.BandwidthFeatures()
+	bf := s.AppendBandwidthFeatures(nil)
 	if bf[0] != s.VALUUtilization || bf[4] != s.ICActivity || bf[6] != s.NormSGPR {
 		t.Errorf("bandwidth feature order wrong: %v", bf)
 	}
-	cf := s.ComputeFeatures()
+	cf := s.AppendComputeFeatures(nil)
 	if cf[0] != s.CToMIntensity() || cf[1] != s.NormVGPR {
 		t.Errorf("compute feature order wrong: %v", cf)
 	}

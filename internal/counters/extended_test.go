@@ -11,13 +11,13 @@ func TestExtendedFeaturesMatchNames(t *testing.T) {
 	s.NormCUsActive = 0.5
 	s.NormCUClock = 0.7
 	s.NormMemClock = 0.9
-	feats := s.ExtendedFeatures()
+	feats := s.AppendExtendedFeatures(nil)
 	names := ExtendedFeatureNames()
 	if len(feats) != len(names) {
 		t.Fatalf("%d features for %d names", len(feats), len(names))
 	}
 	// The extended set starts with the bandwidth set...
-	for i, v := range s.BandwidthFeatures() {
+	for i, v := range s.AppendBandwidthFeatures(nil) {
 		if feats[i] != v {
 			t.Errorf("feature %d (%s) = %v, want bandwidth value %v", i, names[i], feats[i], v)
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"harmonia/internal/batch"
 	"harmonia/internal/core"
 	"harmonia/internal/metrics"
 	"harmonia/internal/oracle"
@@ -21,9 +20,10 @@ import (
 // Section 1) and the sensitivity of the controller to its own knobs
 // (dithering budget, deadband).
 //
-// Every study fans its per-application measurements out on the Env's
-// batch pool (Env.Workers; results in suite order), so the studies
-// parallelize without changing any number.
+// Every study compares each application's runs with its one baseline
+// run through Env.compare, which fans the applications out on the Env's
+// batch pool (results in suite order), so the studies parallelize
+// without changing any number.
 
 // ---------------------------------------------------------------------
 // Memory voltage scaling what-if.
@@ -49,56 +49,26 @@ type MemVoltageResult struct {
 func MemVoltageScalingStudy(ctx context.Context, e *Env) (MemVoltageResult, error) {
 	scaledParams := power.DefaultParams()
 	scaledParams.MemVoltageScaling = true
-	scaled := power.New(scaledParams)
-
-	type appRatios struct {
-		cardFixed, memFixed, cardScaled, memScaled float64
+	pred := e.Predictor()
+	harmonia := func(*workloads.Application, int) []policy.Policy {
+		return []policy.Policy{core.New(core.Options{Predictor: pred})}
 	}
+	memPower := func(r *session.Report) float64 { return r.Energy.Mem / r.TotalTime() }
 	var res MemVoltageResult
-	perApp, err := batch.Map(ctx, e.Workers, workloads.Suite(),
-		func(cellCtx context.Context, _ int, app *workloads.Application) (appRatios, error) {
-			var r appRatios
-			// Four runs per cell (two power models × two policies):
-			// cancellation should land between runs, not only at
-			// batch.Map's cell boundary.
-			for _, variant := range []struct {
-				pm   *power.Model
-				card *float64
-				mem  *float64
-			}{
-				{e.Power, &r.cardFixed, &r.memFixed},
-				{scaled, &r.cardScaled, &r.memScaled},
-			} {
-				base, err := (&session.Session{Sim: e.Runner(), Power: variant.pm, Policy: policy.NewBaseline()}).
-					RunContext(cellCtx, workloads.ByName(app.Name))
-				if err != nil {
-					return r, err
-				}
-				hm, err := (&session.Session{Sim: e.Runner(), Power: variant.pm,
-					Policy: core.New(core.Options{Predictor: e.Predictor()})}).
-					RunContext(cellCtx, workloads.ByName(app.Name))
-				if err != nil {
-					return r, err
-				}
-				*variant.card = hm.AveragePower() / base.AveragePower()
-				*variant.mem = (hm.Energy.Mem / hm.TotalTime()) / (base.Energy.Mem / base.TotalTime())
-			}
-			return r, nil
-		})
-	if err != nil {
-		return res, err
+	for _, rail := range []struct {
+		pm        *power.Model
+		card, mem *float64
+	}{
+		{e.Power, &res.FixedRail, &res.MemSavingsFixed},
+		{power.New(scaledParams), &res.ScaledRail, &res.MemSavingsScaled},
+	} {
+		cs, err := e.compare(ctx, rail.pm, workloads.Suite(), harmonia)
+		if err != nil {
+			return res, err
+		}
+		*rail.card = metrics.GeoMeanImprovement(ratios(cs, 0, (*session.Report).AveragePower))
+		*rail.mem = metrics.GeoMeanImprovement(ratios(cs, 0, memPower))
 	}
-	var cardFixed, cardScaled, memFixed, memScaled []float64
-	for _, r := range perApp {
-		cardFixed = append(cardFixed, r.cardFixed)
-		cardScaled = append(cardScaled, r.cardScaled)
-		memFixed = append(memFixed, r.memFixed)
-		memScaled = append(memScaled, r.memScaled)
-	}
-	res.FixedRail = metrics.GeoMeanImprovement(cardFixed)
-	res.ScaledRail = metrics.GeoMeanImprovement(cardScaled)
-	res.MemSavingsFixed = metrics.GeoMeanImprovement(memFixed)
-	res.MemSavingsScaled = metrics.GeoMeanImprovement(memScaled)
 	return res, nil
 }
 
@@ -127,46 +97,29 @@ type ObjectiveResult struct {
 // ObjectiveStudy reruns the oracle with ED, ED², and energy objectives.
 func ObjectiveStudy(ctx context.Context, e *Env) (ObjectiveResult, error) {
 	var res ObjectiveResult
-	type slot struct {
+	slots := []struct {
 		obj  oracle.Objective
 		gain *float64
 		slow *float64
 		of   func(metrics.Sample) float64
-	}
-	slots := []slot{
+	}{
 		{oracle.MinED2, &res.ED2Gain, &res.ED2Slowdown, func(s metrics.Sample) float64 { return s.ED2() }},
 		{oracle.MinED, &res.EDGain, &res.EDSlowdown, func(s metrics.Sample) float64 { return s.ED() }},
 		{oracle.MinEnergy, &res.EnergyGain, &res.EnergySlowdown, func(s metrics.Sample) float64 { return s.Energy() }},
 	}
-	type appPoint struct{ ratio, slow float64 }
-	outer, share := e.fanout(len(workloads.Suite()))
-	for _, sl := range slots {
-		perApp, err := batch.Map(ctx, outer, workloads.Suite(),
-			func(_ context.Context, _ int, app *workloads.Application) (appPoint, error) {
-				base, err := e.session(policy.NewBaseline()).Run(workloads.ByName(app.Name))
-				if err != nil {
-					return appPoint{}, err
-				}
-				fresh := workloads.ByName(app.Name)
-				or, err := e.session(oracle.NewFor(sl.obj, e.Runner(), e.Power, fresh).WithWorkers(share)).Run(fresh)
-				if err != nil {
-					return appPoint{}, err
-				}
-				return appPoint{
-					ratio: sl.of(or.Sample()) / sl.of(base.Sample()),
-					slow:  or.TotalTime() / base.TotalTime(),
-				}, nil
-			})
-		if err != nil {
-			return res, err
+	cs, err := e.compare(ctx, e.Power, workloads.Suite(), func(app *workloads.Application, share int) []policy.Policy {
+		ps := make([]policy.Policy, len(slots))
+		for i, sl := range slots {
+			ps[i] = oracle.NewFor(sl.obj, e.Runner(), e.Power, app).WithWorkers(share)
 		}
-		var ratios, slows []float64
-		for _, p := range perApp {
-			ratios = append(ratios, p.ratio)
-			slows = append(slows, p.slow)
-		}
-		*sl.gain = metrics.GeoMeanImprovement(ratios)
-		*sl.slow = metrics.GeoMean(slows) - 1
+		return ps
+	})
+	if err != nil {
+		return res, err
+	}
+	for i, sl := range slots {
+		*sl.gain = metrics.GeoMeanImprovement(ratios(cs, i, func(r *session.Report) float64 { return sl.of(r.Sample()) }))
+		*sl.slow = metrics.GeoMean(ratios(cs, i, (*session.Report).TotalTime)) - 1
 	}
 	return res, nil
 }
@@ -198,38 +151,29 @@ type TDPRow struct {
 // TDPStudy sweeps board power caps through the stock PowerTune manager,
 // demonstrating the fixed-envelope regime of the paper's introduction.
 func TDPStudy(ctx context.Context, e *Env, caps []float64) ([]TDPRow, error) {
-	type appPoint struct{ slow, power float64 }
-	var rows []TDPRow
-	for _, cap := range caps {
-		perApp, err := batch.Map(ctx, e.Workers, workloads.Suite(),
-			func(_ context.Context, _ int, app *workloads.Application) (appPoint, error) {
-				base, err := e.session(policy.NewBaseline()).Run(workloads.ByName(app.Name))
-				if err != nil {
-					return appPoint{}, err
-				}
-				fresh := workloads.ByName(app.Name)
-				pt, err := e.session(policy.NewPowerTuneWithTDP(e.Power, cap)).Run(fresh)
-				if err != nil {
-					return appPoint{}, err
-				}
-				return appPoint{slow: pt.TotalTime() / base.TotalTime(), power: pt.AveragePower()}, nil
-			})
-		if err != nil {
-			return nil, err
+	cs, err := e.compare(ctx, e.Power, workloads.Suite(), func(*workloads.Application, int) []policy.Policy {
+		ps := make([]policy.Policy, len(caps))
+		for i, cap := range caps {
+			ps[i] = policy.NewPowerTuneWithTDP(e.Power, cap)
 		}
-		var slows []float64
+		return ps
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]TDPRow, len(caps))
+	for i, cap := range caps {
 		peak := 0.0
-		for _, p := range perApp {
-			slows = append(slows, p.slow)
-			if p.power > peak {
-				peak = p.power
+		for _, c := range cs {
+			if p := c.runs[i].AveragePower(); p > peak {
+				peak = p
 			}
 		}
-		rows = append(rows, TDPRow{
+		rows[i] = TDPRow{
 			TDPWatts:  cap,
-			Slowdown:  metrics.GeoMean(slows) - 1,
+			Slowdown:  metrics.GeoMean(ratios(cs, i, (*session.Report).TotalTime)) - 1,
 			PeakPower: peak,
-		})
+		}
 	}
 	return rows, nil
 }
@@ -268,37 +212,26 @@ func ControllerKnobStudy(ctx context.Context, e *Env) ([]KnobRow, error) {
 		{"deadband 5%", core.Options{Deadband: 0.05}},
 		{"no smoothing", core.Options{SmoothAlpha: 1}},
 	}
-	type appPoint struct{ ratio, slow float64 }
-	var rows []KnobRow
-	for _, v := range variants {
-		perApp, err := batch.Map(ctx, e.Workers, workloads.Suite(),
-			func(_ context.Context, _ int, app *workloads.Application) (appPoint, error) {
-				base, err := e.session(policy.NewBaseline()).Run(workloads.ByName(app.Name))
-				if err != nil {
-					return appPoint{}, err
-				}
-				opts := v.opts
-				opts.Predictor = e.Predictor()
-				fresh := workloads.ByName(app.Name)
-				hm, err := e.session(core.New(opts)).Run(fresh)
-				if err != nil {
-					return appPoint{}, err
-				}
-				return appPoint{ratio: hm.ED2() / base.ED2(), slow: hm.TotalTime() / base.TotalTime()}, nil
-			})
-		if err != nil {
-			return nil, err
+	pred := e.Predictor()
+	cs, err := e.compare(ctx, e.Power, workloads.Suite(), func(*workloads.Application, int) []policy.Policy {
+		ps := make([]policy.Policy, len(variants))
+		for i, v := range variants {
+			opts := v.opts
+			opts.Predictor = pred
+			ps[i] = core.New(opts)
 		}
-		var ratios, slows []float64
-		for _, p := range perApp {
-			ratios = append(ratios, p.ratio)
-			slows = append(slows, p.slow)
-		}
-		rows = append(rows, KnobRow{
+		return ps
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]KnobRow, len(variants))
+	for i, v := range variants {
+		rows[i] = KnobRow{
 			Label:    v.label,
-			ED2Gain:  metrics.GeoMeanImprovement(ratios),
-			Slowdown: metrics.GeoMean(slows) - 1,
-		})
+			ED2Gain:  metrics.GeoMeanImprovement(ratios(cs, i, (*session.Report).ED2)),
+			Slowdown: metrics.GeoMean(ratios(cs, i, (*session.Report).TotalTime)) - 1,
+		}
 	}
 	return rows, nil
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"harmonia/internal/batch"
+	"harmonia/internal/core"
 	"harmonia/internal/hw"
 	"harmonia/internal/metrics"
 	"harmonia/internal/policy"
@@ -206,42 +207,34 @@ type Fig17Result struct {
 // fig17Apps is the application subset shown in the paper's Figure 17.
 var fig17Apps = []string{"BPT", "CoMD", "Graph500", "Sort", "SPMV", "Stencil", "XSBench", "miniFE"}
 
-// Fig17PowerSharing reproduces Figure 17. Applications fan out on the
-// Env's batch pool; rows and the savings accumulation keep the paper's
-// app order regardless of worker count.
+// Fig17PowerSharing reproduces Figure 17. Rows and the savings
+// accumulation keep the paper's app order regardless of worker count.
 func Fig17PowerSharing(ctx context.Context, e *Env) (Fig17Result, error) {
 	var res Fig17Result
-	type appPower struct{ bGPU, bMem, hGPU, hMem float64 }
-	perApp, err := batch.Map(ctx, e.Workers, fig17Apps,
-		func(_ context.Context, _ int, name string) (appPower, error) {
-			base, err := e.session(policy.NewBaseline()).Run(workloads.ByName(name))
-			if err != nil {
-				return appPower{}, err
-			}
-			hm, err := e.session(e.harmonia()).Run(workloads.ByName(name))
-			if err != nil {
-				return appPower{}, err
-			}
-			return appPower{
-				bGPU: base.Energy.GPU / base.TotalTime(),
-				bMem: base.Energy.Mem / base.TotalTime(),
-				hGPU: hm.Energy.GPU / hm.TotalTime(),
-				hMem: hm.Energy.Mem / hm.TotalTime(),
-			}, nil
-		})
+	apps := make([]*workloads.Application, len(fig17Apps))
+	for i, name := range fig17Apps {
+		apps[i] = workloads.ByName(name)
+	}
+	pred := e.Predictor()
+	cs, err := e.compare(ctx, e.Power, apps, func(*workloads.Application, int) []policy.Policy {
+		return []policy.Policy{core.New(core.Options{Predictor: pred})}
+	})
 	if err != nil {
 		return res, err
 	}
 	var gpuSaved, memSaved float64
-	for i, p := range perApp {
-		norm := p.bGPU + p.bMem
+	for i, c := range cs {
+		base, hm := c.base, c.runs[0]
+		bGPU, bMem := base.Energy.GPU/base.TotalTime(), base.Energy.Mem/base.TotalTime()
+		hGPU, hMem := hm.Energy.GPU/hm.TotalTime(), hm.Energy.Mem/hm.TotalTime()
+		norm := bGPU + bMem
 		res.Rows = append(res.Rows, Fig17Row{
 			App:         fig17Apps[i],
-			BaselineGPU: p.bGPU / norm, BaselineMem: p.bMem / norm,
-			HarmoniaGPU: p.hGPU / norm, HarmoniaMem: p.hMem / norm,
+			BaselineGPU: bGPU / norm, BaselineMem: bMem / norm,
+			HarmoniaGPU: hGPU / norm, HarmoniaMem: hMem / norm,
 		})
-		gpuSaved += p.bGPU - p.hGPU
-		memSaved += p.bMem - p.hMem
+		gpuSaved += bGPU - hGPU
+		memSaved += bMem - hMem
 	}
 	total := gpuSaved + memSaved
 	if total > 0 {
@@ -290,18 +283,18 @@ var fig18Apps = []string{"CoMD", "Graph500", "LUD", "SPMV", "Streamcluster", "XS
 // coarse-grain and fine-grain tuning.
 func Fig18CGvsFG(ctx context.Context, e *Env) ([]Fig18Row, error) {
 	return batch.Map(ctx, e.Workers, fig18Apps,
-		func(_ context.Context, _ int, name string) (Fig18Row, error) {
-			base, err := e.session(policy.NewBaseline()).Run(workloads.ByName(name))
+		func(cellCtx context.Context, _ int, name string) (Fig18Row, error) {
+			base, err := e.session(policy.NewBaseline()).RunContext(cellCtx, workloads.ByName(name))
 			if err != nil {
 				return Fig18Row{}, err
 			}
-			cgRep, err := e.session(e.cgOnly()).Run(workloads.ByName(name))
+			cgRep, err := e.session(e.cgOnly()).RunContext(cellCtx, workloads.ByName(name))
 			if err != nil {
 				return Fig18Row{}, err
 			}
 			hm := e.session(e.harmonia())
 			hm.Timeline = timeline.New()
-			hmRep, err := hm.Run(workloads.ByName(name))
+			hmRep, err := hm.RunContext(cellCtx, workloads.ByName(name))
 			if err != nil {
 				return Fig18Row{}, err
 			}

@@ -1,15 +1,18 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Sections 3-7) on the simulated platform. Each exported
 // function corresponds to one artifact — Fig1PowerBreakdown for Figure 1,
-// Table3Model for Table 3, Fig10Results for Figure 10, and so on — and
-// returns a typed result carrying the same rows or series the paper
-// reports, plus a human-readable rendering.
+// Table3Model for Table 3, and so on — and returns a typed result
+// carrying the same rows or series the paper reports, plus a
+// human-readable rendering. Figures 10-13 are one evaluation,
+// Env.Results, read through the AppResult gain methods, ResultsTable and
+// Summarize.
 //
 // EXPERIMENTS.md records the measured outcome of each regenerator next to
 // the paper's published numbers; cmd/harmonia-report reprints them all.
 package experiments
 
 import (
+	"context"
 	"sync"
 
 	"harmonia/internal/batch"
@@ -114,6 +117,46 @@ func (e *Env) computeOnly() policy.Policy {
 func (e *Env) fanout(n int) (workers, share int) {
 	w, inner := batch.NewBudget(e.Workers).Split(n)
 	return w, inner.Workers()
+}
+
+// comparison is one application's stock-PowerTune baseline run and its
+// runs under the policies a study built for it, in the order built.
+type comparison struct {
+	base *session.Report
+	runs []*session.Report
+}
+
+// compare runs each application once under the baseline and once under
+// each policy build makes for it, every run on power model pm. The
+// applications fan out on the Env's batch pool and build receives the
+// sweep share a nested oracle may use. Every session runs under its
+// cell's context, so cancellation lands between runs. Comparisons come
+// back in apps order, so the worker count never changes a number.
+func (e *Env) compare(ctx context.Context, pm *power.Model, apps []*workloads.Application,
+	build func(app *workloads.Application, share int) []policy.Policy) ([]comparison, error) {
+	outer, share := e.fanout(len(apps))
+	return batch.Map(ctx, outer, apps,
+		func(cellCtx context.Context, _ int, app *workloads.Application) (comparison, error) {
+			var reps []*session.Report
+			for _, p := range append([]policy.Policy{policy.NewBaseline()}, build(app, share)...) {
+				rep, err := (&session.Session{Sim: e.Runner(), Power: pm, Policy: p}).RunContext(cellCtx, app)
+				if err != nil {
+					return comparison{}, err
+				}
+				reps = append(reps, rep)
+			}
+			return comparison{base: reps[0], runs: reps[1:]}, nil
+		})
+}
+
+// ratios returns, app by app, f of each comparison's run i over f of its
+// baseline run.
+func ratios(cs []comparison, i int, f func(*session.Report) float64) []float64 {
+	out := make([]float64, len(cs))
+	for j, c := range cs {
+		out[j] = f(c.runs[i]) / f(c.base)
+	}
+	return out
 }
 
 // oracleFor returns the exhaustive ED2 oracle for an application,

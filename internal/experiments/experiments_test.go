@@ -322,12 +322,10 @@ func TestTable3ModelQuality(t *testing.T) {
 // -------------------- Figures 10-13 --------------------
 
 func TestFig10HeadlineED2Results(t *testing.T) {
-	rows, sum, err := Fig10ED2(context.Background(), env(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 14 {
-		t.Fatalf("got %d apps, want 14", len(rows))
+	rs := results(t)
+	sum := Summarize(rs)
+	if len(rs) != 14 {
+		t.Fatalf("got %d apps, want 14", len(rs))
 	}
 	// Paper: average 12% ED2 improvement; require 8-18%.
 	if sum.ED2Harmonia < 0.08 || sum.ED2Harmonia > 0.18 {
@@ -347,9 +345,9 @@ func TestFig10HeadlineED2Results(t *testing.T) {
 		t.Errorf("oracle gap = %.2f points, want <= 5 (measured 4.64; paper: <= 3)", sum.OracleGapHarmonia*100)
 	}
 	// Oracle must dominate Harmonia per app (it is the upper bound).
-	for _, r := range rows {
-		if r.Oracle < r.Harmonia-0.02 {
-			t.Errorf("%s: oracle %.1f%% below Harmonia %.1f%%", r.App, r.Oracle*100, r.Harmonia*100)
+	for _, r := range rs {
+		if or, hm := r.ED2Gain(r.Oracle), r.ED2Gain(r.Harmonia); or < hm-0.02 {
+			t.Errorf("%s: oracle %.1f%% below Harmonia %.1f%%", r.App, or*100, hm*100)
 		}
 	}
 	// CG contributes roughly half of the gain (paper: ~6% of 12%).
@@ -359,12 +357,10 @@ func TestFig10HeadlineED2Results(t *testing.T) {
 }
 
 func TestFig11EnergyGains(t *testing.T) {
-	rows, sum, err := Fig11Energy(context.Background(), env(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 14 {
-		t.Fatalf("got %d rows", len(rows))
+	rs := results(t)
+	sum := Summarize(rs)
+	if len(rs) != 14 {
+		t.Fatalf("got %d rows", len(rs))
 	}
 	// Paper: ~12% average energy saving (CG and FG+CG nearly identical).
 	if sum.EnergySaving < 0.05 || sum.EnergySaving > 0.20 {
@@ -373,17 +369,15 @@ func TestFig11EnergyGains(t *testing.T) {
 }
 
 func TestFig12PowerSavings(t *testing.T) {
-	rows, sum, err := Fig12Power(context.Background(), env(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := results(t)
+	sum := Summarize(rs)
 	// Paper: 12% average power saving, max 19%.
 	if sum.PowerSaving < 0.05 || sum.PowerSaving > 0.20 {
 		t.Errorf("power saving = %.1f%%, want ~10%%", sum.PowerSaving*100)
 	}
 	maxSaving := 0.0
-	for _, r := range rows {
-		maxSaving = math.Max(maxSaving, r.Harmonia)
+	for _, r := range rs {
+		maxSaving = math.Max(maxSaving, r.PowerGain(r.Harmonia))
 	}
 	if maxSaving < 0.12 {
 		t.Errorf("max power saving = %.1f%%, want >12%% (paper: 19%%)", maxSaving*100)
@@ -391,10 +385,8 @@ func TestFig12PowerSavings(t *testing.T) {
 }
 
 func TestFig13PerformancePreserved(t *testing.T) {
-	rows, sum, err := Fig13Performance(context.Background(), env(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := results(t)
+	sum := Summarize(rs)
 	// Paper: average slowdown 0.36% — essentially performance neutral.
 	if math.Abs(sum.SlowdownHarmonia) > 0.02 {
 		t.Errorf("Harmonia mean slowdown = %.2f%%, want within 2%% of zero", sum.SlowdownHarmonia*100)
@@ -407,17 +399,17 @@ func TestFig13PerformancePreserved(t *testing.T) {
 	if sum.WorstCGSlowdown < 0.05 {
 		t.Errorf("worst CG slowdown = %.1f%%, want a visible outlier", sum.WorstCGSlowdown*100)
 	}
-	for _, r := range rows {
-		if r.App == "Streamcluster" && r.Harmonia > 0.02 {
-			t.Errorf("Streamcluster under Harmonia slowed %.1f%%; FG should repair CG", r.Harmonia*100)
+	for _, r := range rs {
+		if slow := r.Slowdown(r.Harmonia); r.App == "Streamcluster" && slow > 0.02 {
+			t.Errorf("Streamcluster under Harmonia slowed %.1f%%; FG should repair CG", slow*100)
 		}
 	}
 	// Performance gainers: BPT, CFD, XSBench run faster under Harmonia
 	// (Section 7.1).
 	for _, app := range []string{"BPT", "CFD", "XSBench"} {
-		for _, r := range rows {
-			if r.App == app && r.Harmonia > 0 {
-				t.Errorf("%s slowdown = %.1f%%, want a performance gain", app, r.Harmonia*100)
+		for _, r := range rs {
+			if slow := r.Slowdown(r.Harmonia); r.App == app && slow > 0 {
+				t.Errorf("%s slowdown = %.1f%%, want a performance gain", app, slow*100)
 			}
 		}
 	}
@@ -433,10 +425,7 @@ func TestComputeOnlyDVFSIsMarginal(t *testing.T) {
 	// Paper: only ~3% ED2 gain with ~1% performance loss — the point is
 	// that compute-frequency-only scaling achieves far less than
 	// coordinated management.
-	_, sum, err := Fig10ED2(context.Background(), env(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := Summarize(results(t))
 	if r.ED2Gain > sum.ED2Harmonia/2 {
 		t.Errorf("compute-only gain %.1f%% not clearly below Harmonia %.1f%%",
 			r.ED2Gain*100, sum.ED2Harmonia*100)
@@ -612,11 +601,7 @@ func TestResultsTableRenders(t *testing.T) {
 	if len(s) < 100 {
 		t.Errorf("suspiciously short table: %q", s)
 	}
-	_, sum, err := Fig10ED2(context.Background(), env(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.String() == "" {
+	if Summarize(rs).String() == "" {
 		t.Error("empty summary rendering")
 	}
 }

@@ -164,80 +164,6 @@ func Summarize(results []AppResult) Summary {
 	return s
 }
 
-// Fig10Row is one application's bar group in Figure 10 (ED² improvement).
-type Fig10Row struct {
-	App                  string
-	CG, Harmonia, Oracle float64
-}
-
-// Fig10ED2 reproduces Figure 10: per-application ED² improvement of CG,
-// FG+CG (Harmonia), and the oracle over the baseline, plus both geomeans.
-func Fig10ED2(ctx context.Context, e *Env) ([]Fig10Row, Summary, error) {
-	results, err := e.Results(ctx)
-	if err != nil {
-		return nil, Summary{}, err
-	}
-	var rows []Fig10Row
-	for _, r := range results {
-		rows = append(rows, Fig10Row{
-			App: r.App, CG: r.ED2Gain(r.CG), Harmonia: r.ED2Gain(r.Harmonia), Oracle: r.ED2Gain(r.Oracle),
-		})
-	}
-	return rows, Summarize(results), nil
-}
-
-// Fig11Energy reproduces Figure 11: per-application energy improvement.
-func Fig11Energy(ctx context.Context, e *Env) ([]Fig10Row, Summary, error) {
-	results, err := e.Results(ctx)
-	if err != nil {
-		return nil, Summary{}, err
-	}
-	var rows []Fig10Row
-	for _, r := range results {
-		rows = append(rows, Fig10Row{
-			App: r.App, CG: r.EnergyGain(r.CG), Harmonia: r.EnergyGain(r.Harmonia), Oracle: r.EnergyGain(r.Oracle),
-		})
-	}
-	return rows, Summarize(results), nil
-}
-
-// Fig12Power reproduces Figure 12: per-application power savings.
-func Fig12Power(ctx context.Context, e *Env) ([]Fig10Row, Summary, error) {
-	results, err := e.Results(ctx)
-	if err != nil {
-		return nil, Summary{}, err
-	}
-	var rows []Fig10Row
-	for _, r := range results {
-		rows = append(rows, Fig10Row{
-			App: r.App, CG: r.PowerGain(r.CG), Harmonia: r.PowerGain(r.Harmonia), Oracle: r.PowerGain(r.Oracle),
-		})
-	}
-	return rows, Summarize(results), nil
-}
-
-// Fig13Row is one application's performance outcome in Figure 13
-// (fractional slowdown over baseline; negative = speedup).
-type Fig13Row struct {
-	App                  string
-	CG, Harmonia, Oracle float64
-}
-
-// Fig13Performance reproduces Figure 13.
-func Fig13Performance(ctx context.Context, e *Env) ([]Fig13Row, Summary, error) {
-	results, err := e.Results(ctx)
-	if err != nil {
-		return nil, Summary{}, err
-	}
-	var rows []Fig13Row
-	for _, r := range results {
-		rows = append(rows, Fig13Row{
-			App: r.App, CG: r.Slowdown(r.CG), Harmonia: r.Slowdown(r.Harmonia), Oracle: r.Slowdown(r.Oracle),
-		})
-	}
-	return rows, Summarize(results), nil
-}
-
 // ComputeOnlyResult is the Section 7.2 compute-DVFS-only study.
 type ComputeOnlyResult struct {
 	ED2Gain  float64

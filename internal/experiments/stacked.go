@@ -7,7 +7,6 @@ import (
 	"harmonia/internal/core"
 	"harmonia/internal/metrics"
 	"harmonia/internal/policy"
-	"harmonia/internal/session"
 	"harmonia/internal/thermal"
 	"harmonia/internal/workloads"
 )
@@ -37,39 +36,42 @@ var stackedApps = []string{"DeviceMemory", "SPMV", "miniFE", "XSBench", "BPT"}
 
 // StackedEnvelopeStudy runs the baseline and Harmonia inside a stacked-
 // package thermal guard and compares peak temperature, throttling, and
-// performance (Section 7.3, insight 6).
+// performance (Section 7.3, insight 6). Each application's unguarded
+// baseline reference runs once and serves both policies.
 func StackedEnvelopeStudy(e *Env, throttleC float64) (StackedResult, error) {
-	res := StackedResult{ThrottleC: throttleC}
+	pred := e.Predictor()
 	policies := []struct {
 		name string
 		make func() policy.Policy
 	}{
 		{"baseline", func() policy.Policy { return policy.NewBaseline() }},
-		{"harmonia", func() policy.Policy { return core.New(core.Options{Predictor: e.Predictor()}) }},
+		{"harmonia", func() policy.Policy { return core.New(core.Options{Predictor: pred}) }},
 	}
-	for _, p := range policies {
-		row := StackedRow{Policy: p.name}
-		var slows []float64
-		for _, name := range stackedApps {
-			ref, err := e.session(policy.NewBaseline()).Run(workloads.ByName(name))
-			if err != nil {
-				return res, err
-			}
+	res := StackedResult{ThrottleC: throttleC, Rows: make([]StackedRow, len(policies))}
+	slows := make([][]float64, len(policies))
+	for _, name := range stackedApps {
+		ref, err := e.session(policy.NewBaseline()).Run(workloads.ByName(name))
+		if err != nil {
+			return res, err
+		}
+		for i, p := range policies {
 			die := thermal.New(thermal.StackedParams())
 			guard := thermal.NewThrottle(p.make(), die, e.Power, throttleC)
-			sess := &session.Session{Sim: e.Runner(), Power: e.Power, Policy: guard}
-			rep, err := sess.Run(workloads.ByName(name))
+			rep, err := e.session(guard).Run(workloads.ByName(name))
 			if err != nil {
 				return res, err
 			}
+			row := &res.Rows[i]
+			row.Policy = p.name
 			if guard.PeakC > row.PeakC {
 				row.PeakC = guard.PeakC
 			}
 			row.ThrottledKernels += guard.ThrottledKernels
-			slows = append(slows, rep.TotalTime()/ref.TotalTime())
+			slows[i] = append(slows[i], rep.TotalTime()/ref.TotalTime())
 		}
-		row.Slowdown = metrics.GeoMean(slows) - 1
-		res.Rows = append(res.Rows, row)
+	}
+	for i := range res.Rows {
+		res.Rows[i].Slowdown = metrics.GeoMean(slows[i]) - 1
 	}
 	return res, nil
 }

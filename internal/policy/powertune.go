@@ -55,11 +55,6 @@ const DefaultTDP = 250
 // the system sweeps (Section 3.1).
 var dpmLadder = []hw.MHz{300, 500, 900, 1000}
 
-// NewPowerTune returns the TDP-constrained baseline with the stock cap.
-func NewPowerTune(pm *power.Model) *PowerTune {
-	return &PowerTune{TDPWatts: DefaultTDP, Power: pm}
-}
-
 // NewPowerTuneWithTDP returns a PowerTune manager with a custom cap.
 func NewPowerTuneWithTDP(pm *power.Model, tdpWatts float64) *PowerTune {
 	return &PowerTune{TDPWatts: tdpWatts, Power: pm}

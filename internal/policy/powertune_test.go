@@ -37,7 +37,7 @@ func TestPowerTuneBoostsWithHeadroom(t *testing.T) {
 	// Section 7.1: "the baseline power management always runs at the
 	// boost frequency of 1GHz for all applications" — headroom is
 	// consistently available at the stock 250 W cap.
-	p := NewPowerTune(power.Default())
+	p := NewPowerTuneWithTDP(power.Default(), DefaultTDP)
 	for _, k := range workloads.AllKernels() {
 		for i, f := range drivePT(p, k, 6) {
 			if f != 1000 {
@@ -133,7 +133,7 @@ func TestPowerTuneLadderIsDPMTable(t *testing.T) {
 }
 
 func TestPowerTuneName(t *testing.T) {
-	if got := NewPowerTune(power.Default()).Name(); got != "powertune@250W" {
+	if got := NewPowerTuneWithTDP(power.Default(), DefaultTDP).Name(); got != "powertune@250W" {
 		t.Errorf("Name = %q", got)
 	}
 }

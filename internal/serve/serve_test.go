@@ -365,6 +365,11 @@ func TestFaultedRunDiffersAndReplays(t *testing.T) {
 	if clean.Report == nil || faulted1.Report == nil || faulted2.Report == nil {
 		t.Fatal("missing reports")
 	}
+	// The naive controller's runs carry its own name, not the hardened
+	// controller's.
+	if clean.Policy != "harmonia-naive" || clean.Report.Policy != "harmonia-naive" {
+		t.Errorf("naive run recorded as %q, report %q; want harmonia-naive", clean.Policy, clean.Report.Policy)
+	}
 	if clean.Report.ED2 == faulted1.Report.ED2 {
 		t.Errorf("full-intensity faults did not change the naive controller's ED2")
 	}

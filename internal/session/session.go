@@ -483,17 +483,6 @@ func (r *Report) ED2() float64 { return r.Sample().ED2() }
 // ED returns the application's energy-delay product.
 func (r *Report) ED() float64 { return r.Sample().ED() }
 
-// KernelSample aggregates the runs of one kernel into a metrics sample.
-func (r *Report) KernelSample(kernel string) metrics.Sample {
-	var out metrics.Sample
-	for i := range r.Runs {
-		if run := &r.Runs[i]; run.Kernel == kernel {
-			out = out.Add(run.Sample())
-		}
-	}
-	return out
-}
-
 // Residency returns the fraction of execution time each value of the
 // tunable was in effect (the quantity of Figures 15-16). Keys are tunable
 // values (CU count, or MHz).
@@ -506,26 +495,6 @@ func (r *Report) Residency(t hw.Tunable) map[int]float64 {
 	for i := range r.Runs {
 		run := &r.Runs[i]
 		out[t.Value(run.Config)] += run.Result.Time / total
-	}
-	return out
-}
-
-// KernelResidency is Residency restricted to one kernel's invocations.
-func (r *Report) KernelResidency(kernel string, t hw.Tunable) map[int]float64 {
-	total := 0.0
-	for i := range r.Runs {
-		if run := &r.Runs[i]; run.Kernel == kernel {
-			total += run.Result.Time
-		}
-	}
-	out := make(map[int]float64)
-	if total <= 0 {
-		return out
-	}
-	for i := range r.Runs {
-		if run := &r.Runs[i]; run.Kernel == kernel {
-			out[t.Value(run.Config)] += run.Result.Time / total
-		}
 	}
 	return out
 }

@@ -98,32 +98,6 @@ func TestResidencySumsToOne(t *testing.T) {
 	}
 }
 
-func TestKernelResidencyAndSample(t *testing.T) {
-	app := workloads.SRAD()
-	rep, err := New(policy.NewBaseline()).Run(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := rep.KernelSample("SRAD.Main")
-	if s.Seconds <= 0 {
-		t.Error("kernel sample has no time")
-	}
-	res := rep.KernelResidency("SRAD.Main", hw.TunableCUs)
-	sum := 0.0
-	for _, frac := range res {
-		sum += frac
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("kernel residency sums to %v", sum)
-	}
-	if got := rep.KernelResidency("no.such", hw.TunableCUs); len(got) != 0 {
-		t.Errorf("residency of unknown kernel = %v", got)
-	}
-	if got := rep.KernelSample("no.such"); got.Seconds != 0 {
-		t.Errorf("sample of unknown kernel = %v", got)
-	}
-}
-
 func TestRunRejectsInvalidApplication(t *testing.T) {
 	if _, err := New(policy.NewBaseline()).Run(&workloads.Application{Name: "x"}); err == nil {
 		t.Error("invalid application accepted")

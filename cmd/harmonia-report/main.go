@@ -136,7 +136,7 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string) int {
 			r.ED2Gain*100, r.Slowdown*100)
 	}
 	if want("accuracy") {
-		acc := experiments.PredictorAccuracy(e)
+		acc := experiments.Table3Model(e).Accuracy
 		fmt.Fprintf(stdout, "Predictor accuracy — MAE bandwidth %.4f, compute %.4f (paper: 0.0303 / 0.0571)\n\n",
 			acc.BandwidthMAE, acc.ComputeMAE)
 	}
@@ -144,14 +144,14 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string) int {
 		fmt.Fprintln(stdout, experiments.Fig14String(experiments.Fig14Graph500Phases(e)))
 	}
 	if want("fig15") {
-		r, err := experiments.Fig15MemFreqResidency(e)
+		r, err := experiments.Fig15MemFreqResidency(ctx, e)
 		if err != nil {
 			return fail(err)
 		}
 		fmt.Fprintln(stdout, r)
 	}
 	if want("fig16") {
-		r, err := experiments.Fig16TunableResidency(e)
+		r, err := experiments.Fig16TunableResidency(ctx, e)
 		if err != nil {
 			return fail(err)
 		}
@@ -195,7 +195,7 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string) int {
 		fmt.Fprintln(stdout, experiments.TDPString(rows))
 	}
 	if want("stacked") {
-		r, err := experiments.StackedEnvelopeStudy(e, 85)
+		r, err := experiments.StackedEnvelopeStudy(ctx, e, 85)
 		if err != nil {
 			return fail(err)
 		}

@@ -6,14 +6,15 @@
 // Usage:
 //
 //	harmonia-serve [-addr :8792] [-workers N] [-run-ttl 1h] [-max-runs 4096]
-//	               [-pretrain] [-journal wal.jsonl] [-queue-depth 0]
+//	               [-journal wal.jsonl] [-queue-depth 0]
 //	               [-request-timeout 0] [-drain-timeout 30s]
 //	               [-rate 0] [-burst 0] [-breaker-threshold 5]
 //	               [-breaker-cooldown 10s] [-http-timeout 1m]
 //	               [-quality-samples 8] [-debug-addr localhost:8793]
 //
-// Simulation results are always memoized across served runs (the memo
-// is bit-identical to re-simulating; fault-injected runs bypass it).
+// The sensitivity predictor is trained at startup, and simulation
+// results are always memoized across served runs (the memo is
+// bit-identical to re-simulating; fault-injected runs bypass it).
 // All logging goes to stderr: the daemon's own lines and the service's
 // structured request, run and error lines.
 //
@@ -73,11 +74,10 @@ import (
 
 func main() {
 	var (
-		addr     = flag.String("addr", ":8792", "listen address")
-		workers  = flag.Int("workers", 0, "evaluation worker pool size (0 = GOMAXPROCS)")
-		runTTL   = flag.Duration("run-ttl", time.Hour, "how long finished runs stay pollable (negative = forever)")
-		maxRuns  = flag.Int("max-runs", 4096, "cap on retained run records (negative = unbounded)")
-		pretrain = flag.Bool("pretrain", true, "train the sensitivity predictor at startup instead of on the first harmonia request")
+		addr    = flag.String("addr", ":8792", "listen address")
+		workers = flag.Int("workers", 0, "evaluation worker pool size (0 = GOMAXPROCS)")
+		runTTL  = flag.Duration("run-ttl", time.Hour, "how long finished runs stay pollable (negative = forever)")
+		maxRuns = flag.Int("max-runs", 4096, "cap on retained run records (negative = unbounded)")
 
 		journalPath = flag.String("journal", "", "write-ahead journal path for checkpoint/resume (empty = no journal)")
 		queueDepth  = flag.Int("queue-depth", 0, "admission bound on queued+executing runs; beyond it submissions get 429 (0 = 1024 + 4x workers)")
@@ -97,13 +97,11 @@ func main() {
 
 	reg := harmonia.NewTelemetry()
 	sys := harmonia.NewSystem(harmonia.WithTelemetry(reg), harmonia.WithSimCache())
-	if *pretrain {
-		t0 := time.Now()
-		if _, err := sys.TrainedPredictor(); err != nil {
-			logger.Fatalf("training sensitivity predictor: %v", err)
-		}
-		logger.Printf("predictor trained in %s", time.Since(t0).Round(time.Millisecond))
+	t0 := time.Now()
+	if _, err := sys.TrainedPredictor(); err != nil {
+		logger.Fatalf("training sensitivity predictor: %v", err)
 	}
+	logger.Printf("predictor trained in %s", time.Since(t0).Round(time.Millisecond))
 
 	var (
 		journal *resilience.Journal

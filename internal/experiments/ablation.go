@@ -10,7 +10,6 @@ import (
 	"harmonia/internal/oracle"
 	"harmonia/internal/policy"
 	"harmonia/internal/power"
-	"harmonia/internal/session"
 	"harmonia/internal/workloads"
 )
 
@@ -50,10 +49,10 @@ func MemVoltageScalingStudy(ctx context.Context, e *Env) (MemVoltageResult, erro
 	scaledParams := power.DefaultParams()
 	scaledParams.MemVoltageScaling = true
 	pred := e.Predictor()
-	harmonia := func(*workloads.Application, int) []policy.Policy {
+	harmonia := func(int, *workloads.Application, int) []policy.Policy {
 		return []policy.Policy{core.New(core.Options{Predictor: pred})}
 	}
-	memPower := func(r *session.Report) float64 { return r.Energy.Mem / r.TotalTime() }
+	memPower := func(o outcome) float64 { return o.rails.Mem / o.Seconds }
 	var res MemVoltageResult
 	for _, rail := range []struct {
 		pm        *power.Model
@@ -66,7 +65,7 @@ func MemVoltageScalingStudy(ctx context.Context, e *Env) (MemVoltageResult, erro
 		if err != nil {
 			return res, err
 		}
-		*rail.card = metrics.GeoMeanImprovement(ratios(cs, 0, (*session.Report).AveragePower))
+		*rail.card = metrics.GeoMeanImprovement(ratios(cs, 0, func(o outcome) float64 { return o.Watts }))
 		*rail.mem = metrics.GeoMeanImprovement(ratios(cs, 0, memPower))
 	}
 	return res, nil
@@ -101,13 +100,13 @@ func ObjectiveStudy(ctx context.Context, e *Env) (ObjectiveResult, error) {
 		obj  oracle.Objective
 		gain *float64
 		slow *float64
-		of   func(metrics.Sample) float64
+		of   func(outcome) float64
 	}{
-		{oracle.MinED2, &res.ED2Gain, &res.ED2Slowdown, func(s metrics.Sample) float64 { return s.ED2() }},
-		{oracle.MinED, &res.EDGain, &res.EDSlowdown, func(s metrics.Sample) float64 { return s.ED() }},
-		{oracle.MinEnergy, &res.EnergyGain, &res.EnergySlowdown, func(s metrics.Sample) float64 { return s.Energy() }},
+		{oracle.MinED2, &res.ED2Gain, &res.ED2Slowdown, outcome.ED2},
+		{oracle.MinED, &res.EDGain, &res.EDSlowdown, outcome.ED},
+		{oracle.MinEnergy, &res.EnergyGain, &res.EnergySlowdown, outcome.Energy},
 	}
-	cs, err := e.compare(ctx, e.Power, workloads.Suite(), func(app *workloads.Application, share int) []policy.Policy {
+	cs, err := e.compare(ctx, e.Power, workloads.Suite(), func(_ int, app *workloads.Application, share int) []policy.Policy {
 		ps := make([]policy.Policy, len(slots))
 		for i, sl := range slots {
 			ps[i] = oracle.NewFor(sl.obj, e.Runner(), e.Power, app).WithWorkers(share)
@@ -118,8 +117,8 @@ func ObjectiveStudy(ctx context.Context, e *Env) (ObjectiveResult, error) {
 		return res, err
 	}
 	for i, sl := range slots {
-		*sl.gain = metrics.GeoMeanImprovement(ratios(cs, i, func(r *session.Report) float64 { return sl.of(r.Sample()) }))
-		*sl.slow = metrics.GeoMean(ratios(cs, i, (*session.Report).TotalTime)) - 1
+		*sl.gain = metrics.GeoMeanImprovement(ratios(cs, i, sl.of))
+		*sl.slow = metrics.GeoMean(ratios(cs, i, outcome.seconds)) - 1
 	}
 	return res, nil
 }
@@ -151,7 +150,7 @@ type TDPRow struct {
 // TDPStudy sweeps board power caps through the stock PowerTune manager,
 // demonstrating the fixed-envelope regime of the paper's introduction.
 func TDPStudy(ctx context.Context, e *Env, caps []float64) ([]TDPRow, error) {
-	cs, err := e.compare(ctx, e.Power, workloads.Suite(), func(*workloads.Application, int) []policy.Policy {
+	cs, err := e.compare(ctx, e.Power, workloads.Suite(), func(int, *workloads.Application, int) []policy.Policy {
 		ps := make([]policy.Policy, len(caps))
 		for i, cap := range caps {
 			ps[i] = policy.NewPowerTuneWithTDP(e.Power, cap)
@@ -165,13 +164,13 @@ func TDPStudy(ctx context.Context, e *Env, caps []float64) ([]TDPRow, error) {
 	for i, cap := range caps {
 		peak := 0.0
 		for _, c := range cs {
-			if p := c.runs[i].AveragePower(); p > peak {
+			if p := c.runs[i].Watts; p > peak {
 				peak = p
 			}
 		}
 		rows[i] = TDPRow{
 			TDPWatts:  cap,
-			Slowdown:  metrics.GeoMean(ratios(cs, i, (*session.Report).TotalTime)) - 1,
+			Slowdown:  metrics.GeoMean(ratios(cs, i, outcome.seconds)) - 1,
 			PeakPower: peak,
 		}
 	}
@@ -213,7 +212,7 @@ func ControllerKnobStudy(ctx context.Context, e *Env) ([]KnobRow, error) {
 		{"no smoothing", core.Options{SmoothAlpha: 1}},
 	}
 	pred := e.Predictor()
-	cs, err := e.compare(ctx, e.Power, workloads.Suite(), func(*workloads.Application, int) []policy.Policy {
+	cs, err := e.compare(ctx, e.Power, workloads.Suite(), func(int, *workloads.Application, int) []policy.Policy {
 		ps := make([]policy.Policy, len(variants))
 		for i, v := range variants {
 			opts := v.opts
@@ -229,8 +228,8 @@ func ControllerKnobStudy(ctx context.Context, e *Env) ([]KnobRow, error) {
 	for i, v := range variants {
 		rows[i] = KnobRow{
 			Label:    v.label,
-			ED2Gain:  metrics.GeoMeanImprovement(ratios(cs, i, (*session.Report).ED2)),
-			Slowdown: metrics.GeoMean(ratios(cs, i, (*session.Report).TotalTime)) - 1,
+			ED2Gain:  metrics.GeoMeanImprovement(ratios(cs, i, outcome.ED2)),
+			Slowdown: metrics.GeoMean(ratios(cs, i, outcome.seconds)) - 1,
 		}
 	}
 	return rows, nil

@@ -3,13 +3,13 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"harmonia/internal/batch"
 	"harmonia/internal/core"
 	"harmonia/internal/hw"
-	"harmonia/internal/metrics"
 	"harmonia/internal/policy"
 	"harmonia/internal/session"
 	"harmonia/internal/timeline"
@@ -88,15 +88,10 @@ type Fig15Result struct {
 	Overall   Residency
 }
 
-// runGraph500 executes Graph500 under a fresh Harmonia controller.
-func runGraph500(e *Env) (*session.Report, error) {
-	app := workloads.Graph500()
-	return e.session(e.harmonia()).Run(app)
-}
-
-// Fig15MemFreqResidency reproduces Figure 15.
-func Fig15MemFreqResidency(e *Env) (Fig15Result, error) {
-	rep, err := runGraph500(e)
+// Fig15MemFreqResidency reproduces Figure 15 from one Graph500 run under
+// a fresh Harmonia controller.
+func Fig15MemFreqResidency(ctx context.Context, e *Env) (Fig15Result, error) {
+	rep, err := e.session(e.harmonia()).RunContext(ctx, workloads.Graph500())
 	if err != nil {
 		return Fig15Result{}, err
 	}
@@ -150,9 +145,10 @@ type Fig16Result struct {
 	MemFreq Residency
 }
 
-// Fig16TunableResidency reproduces Figure 16.
-func Fig16TunableResidency(e *Env) (Fig16Result, error) {
-	rep, err := runGraph500(e)
+// Fig16TunableResidency reproduces Figure 16 from one Graph500 run under
+// a fresh Harmonia controller.
+func Fig16TunableResidency(ctx context.Context, e *Env) (Fig16Result, error) {
+	rep, err := e.session(e.harmonia()).RunContext(ctx, workloads.Graph500())
 	if err != nil {
 		return Fig16Result{}, err
 	}
@@ -216,7 +212,7 @@ func Fig17PowerSharing(ctx context.Context, e *Env) (Fig17Result, error) {
 		apps[i] = workloads.ByName(name)
 	}
 	pred := e.Predictor()
-	cs, err := e.compare(ctx, e.Power, apps, func(*workloads.Application, int) []policy.Policy {
+	cs, err := e.compare(ctx, e.Power, apps, func(int, *workloads.Application, int) []policy.Policy {
 		return []policy.Policy{core.New(core.Options{Predictor: pred})}
 	})
 	if err != nil {
@@ -225,8 +221,8 @@ func Fig17PowerSharing(ctx context.Context, e *Env) (Fig17Result, error) {
 	var gpuSaved, memSaved float64
 	for i, c := range cs {
 		base, hm := c.base, c.runs[0]
-		bGPU, bMem := base.Energy.GPU/base.TotalTime(), base.Energy.Mem/base.TotalTime()
-		hGPU, hMem := hm.Energy.GPU/hm.TotalTime(), hm.Energy.Mem/hm.TotalTime()
+		bGPU, bMem := base.rails.GPU/base.Seconds, base.rails.Mem/base.Seconds
+		hGPU, hMem := hm.rails.GPU/hm.Seconds, hm.rails.Mem/hm.Seconds
 		norm := bGPU + bMem
 		res.Rows = append(res.Rows, Fig17Row{
 			App:         fig17Apps[i],
@@ -280,27 +276,25 @@ type Fig18Row struct {
 var fig18Apps = []string{"CoMD", "Graph500", "LUD", "SPMV", "Streamcluster", "XSBench"}
 
 // Fig18CGvsFG reproduces Figure 18: the relative contributions of
-// coarse-grain and fine-grain tuning.
+// coarse-grain and fine-grain tuning. The gains come from the suite
+// evaluation, Env.Results, whose CG-only and Harmonia runs are the ones
+// the figure compares; each application then runs once more under a
+// flight-recorded Harmonia controller for the action census.
 func Fig18CGvsFG(ctx context.Context, e *Env) ([]Fig18Row, error) {
+	results, err := e.Results(ctx)
+	if err != nil {
+		return nil, err
+	}
 	return batch.Map(ctx, e.Workers, fig18Apps,
 		func(cellCtx context.Context, _ int, name string) (Fig18Row, error) {
-			base, err := e.session(policy.NewBaseline()).RunContext(cellCtx, workloads.ByName(name))
-			if err != nil {
-				return Fig18Row{}, err
-			}
-			cgRep, err := e.session(e.cgOnly()).RunContext(cellCtx, workloads.ByName(name))
-			if err != nil {
-				return Fig18Row{}, err
-			}
 			hm := e.session(e.harmonia())
 			hm.Timeline = timeline.New()
-			hmRep, err := hm.RunContext(cellCtx, workloads.ByName(name))
-			if err != nil {
+			if _, err := hm.RunContext(cellCtx, workloads.ByName(name)); err != nil {
 				return Fig18Row{}, err
 			}
-			cgGain := metrics.Improvement(base.ED2(), cgRep.ED2())
-			hmGain := metrics.Improvement(base.ED2(), hmRep.ED2())
-			row := Fig18Row{App: name, CGGain: cgGain, FGIncrement: hmGain - cgGain}
+			r := results[slices.IndexFunc(results, func(r AppResult) bool { return r.App == name })]
+			cgGain := r.ED2Gain(r.CG)
+			row := Fig18Row{App: name, CGGain: cgGain, FGIncrement: r.ED2Gain(r.Harmonia) - cgGain}
 			for _, a := range timeline.Census(hm.Timeline.Snapshot().Decisions) {
 				switch a.Source {
 				case "cg":

@@ -17,7 +17,9 @@ import (
 
 	"harmonia/internal/batch"
 	"harmonia/internal/core"
+	"harmonia/internal/daq"
 	"harmonia/internal/gpusim"
+	"harmonia/internal/metrics"
 	"harmonia/internal/oracle"
 	"harmonia/internal/policy"
 	"harmonia/internal/power"
@@ -75,13 +77,13 @@ func (e *Env) Runner() gpusim.Runner {
 }
 
 // Predictor returns the Env's trained sensitivity predictor, training it
-// on first use exactly as DefaultPredictor does.
+// on first use on the per-configuration rows of every catalog kernel.
 func (e *Env) Predictor() *sensitivity.Predictor {
 	e.predOnce.Do(func() {
 		set := sensitivity.BuildConfigTrainingSetN(e.Runner(), workloads.AllKernels(), e.Workers)
 		p, err := sensitivity.Train(set)
 		if err != nil {
-			panic(err) // fixed known-good training set; see DefaultPredictor
+			panic(err) // the catalog is a fixed, known-good training set
 		}
 		e.pred, e.trainRows = p, set.Len()
 	})
@@ -98,16 +100,6 @@ func (e *Env) harmonia() policy.Policy {
 	return core.New(core.Options{Predictor: e.Predictor()})
 }
 
-// cgOnly returns a fresh coarse-grain-only controller.
-func (e *Env) cgOnly() policy.Policy {
-	return core.New(core.Options{Predictor: e.Predictor(), DisableFG: true})
-}
-
-// computeOnly returns a fresh compute-frequency-only controller.
-func (e *Env) computeOnly() policy.Policy {
-	return core.NewComputeOnly(e.Predictor())
-}
-
 // fanout splits the Env's worker budget across an outer fan-out of n
 // jobs: workers is the batch.Map pool width and share is the sweep
 // width each job may hand to nested oracles. Before budgets, every
@@ -119,39 +111,50 @@ func (e *Env) fanout(n int) (workers, share int) {
 	return w, inner.Workers()
 }
 
+// outcome is what a comparison keeps of one run: its whole-run sample
+// and its exact per-rail energy, not its per-boundary records.
+type outcome struct {
+	metrics.Sample
+	rails daq.Energy
+}
+
+// seconds is the run's execution time, as ratios takes it.
+func (o outcome) seconds() float64 { return o.Seconds }
+
 // comparison is one application's stock-PowerTune baseline run and its
 // runs under the policies a study built for it, in the order built.
 type comparison struct {
-	base *session.Report
-	runs []*session.Report
+	base outcome
+	runs []outcome
 }
 
 // compare runs each application once under the baseline and once under
 // each policy build makes for it, every run on power model pm. The
-// applications fan out on the Env's batch pool and build receives the
-// sweep share a nested oracle may use. Every session runs under its
-// cell's context, so cancellation lands between runs. Comparisons come
-// back in apps order, so the worker count never changes a number.
+// applications fan out on the Env's batch pool; build receives the
+// application's index in apps and the sweep share a nested oracle may
+// use. Every session runs under its cell's context, so cancellation
+// lands between kernel boundaries. Comparisons come back in apps order,
+// so the worker count never changes a number.
 func (e *Env) compare(ctx context.Context, pm *power.Model, apps []*workloads.Application,
-	build func(app *workloads.Application, share int) []policy.Policy) ([]comparison, error) {
+	build func(i int, app *workloads.Application, share int) []policy.Policy) ([]comparison, error) {
 	outer, share := e.fanout(len(apps))
 	return batch.Map(ctx, outer, apps,
-		func(cellCtx context.Context, _ int, app *workloads.Application) (comparison, error) {
-			var reps []*session.Report
-			for _, p := range append([]policy.Policy{policy.NewBaseline()}, build(app, share)...) {
+		func(cellCtx context.Context, i int, app *workloads.Application) (comparison, error) {
+			var outs []outcome
+			for _, p := range append([]policy.Policy{policy.NewBaseline()}, build(i, app, share)...) {
 				rep, err := (&session.Session{Sim: e.Runner(), Power: pm, Policy: p}).RunContext(cellCtx, app)
 				if err != nil {
 					return comparison{}, err
 				}
-				reps = append(reps, rep)
+				outs = append(outs, outcome{rep.Sample(), rep.Energy})
 			}
-			return comparison{base: reps[0], runs: reps[1:]}, nil
+			return comparison{base: outs[0], runs: outs[1:]}, nil
 		})
 }
 
 // ratios returns, app by app, f of each comparison's run i over f of its
 // baseline run.
-func ratios(cs []comparison, i int, f func(*session.Report) float64) []float64 {
+func ratios(cs []comparison, i int, f func(outcome) float64) []float64 {
 	out := make([]float64, len(cs))
 	for j, c := range cs {
 		out[j] = f(c.runs[i]) / f(c.base)

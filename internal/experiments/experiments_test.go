@@ -436,7 +436,7 @@ func TestComputeOnlyDVFSIsMarginal(t *testing.T) {
 }
 
 func TestPredictorAccuracyNearPaper(t *testing.T) {
-	acc := PredictorAccuracy(env(t))
+	acc := Table3Model(env(t)).Accuracy
 	if acc.BandwidthMAE > 0.10 {
 		t.Errorf("bandwidth MAE = %.3f (paper: 0.0303)", acc.BandwidthMAE)
 	}
@@ -469,7 +469,7 @@ func TestFig14InstructionSwing(t *testing.T) {
 }
 
 func TestFig15MemoryResidencyDithers(t *testing.T) {
-	r, err := Fig15MemFreqResidency(env(t))
+	r, err := Fig15MemFreqResidency(context.Background(), env(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +489,7 @@ func TestFig15MemoryResidencyDithers(t *testing.T) {
 }
 
 func TestFig16ComputePinnedMemoryMoves(t *testing.T) {
-	r, err := Fig16TunableResidency(env(t))
+	r, err := Fig16TunableResidency(context.Background(), env(t))
 	if err != nil {
 		t.Fatal(err)
 	}

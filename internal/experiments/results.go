@@ -5,11 +5,10 @@ import (
 	"fmt"
 	"strings"
 
-	"harmonia/internal/batch"
+	"harmonia/internal/core"
 	"harmonia/internal/floats"
 	"harmonia/internal/metrics"
 	"harmonia/internal/policy"
-	"harmonia/internal/sensitivity"
 	"harmonia/internal/workloads"
 )
 
@@ -52,55 +51,38 @@ func (a AppResult) Slowdown(s metrics.Sample) float64 {
 }
 
 // Results runs the full 14-application evaluation under the baseline,
-// CG-only, Harmonia, oracle, and compute-DVFS-only policies. The sweep is
-// cached on the Env. Every policy gets a fresh controller per application
-// so no state leaks between runs.
+// CG-only, Harmonia, oracle, and compute-DVFS-only policies through
+// Env.compare, one fresh controller per application and policy, so no
+// state leaks between runs and the worker count never changes a number.
 //
-// Applications fan out across the Env's batch pool (one job per app;
-// Env.Workers bounds it) with results assembled in suite order, so the
-// parallel evaluation is bit-identical to the serial one.
-//
-// ctx cancels the fan-out at the next kernel boundary. The evaluation
-// is memoized on the Env: the first caller's ctx governs the one run
-// that actually executes, and a canceled first run sticks as the
-// memoized error.
+// ctx cancels the evaluation at the next kernel boundary. The
+// evaluation is memoized on the Env: the first caller's ctx governs the
+// one run that actually executes, and a canceled first run sticks as
+// the memoized error.
 func (e *Env) Results(ctx context.Context) ([]AppResult, error) {
 	e.resultsOnce.Do(func() {
-		// Train the predictor before fanning out so the one-time sweep
-		// isn't raced into by every worker at once.
-		e.Predictor()
-		// The Env budget splits across the app fan-out: each job's
-		// oracle sweeps with its share rather than full GOMAXPROCS.
-		outer, share := e.fanout(len(workloads.Suite()))
-		results, err := batch.Map(ctx, outer, workloads.Suite(),
-			func(cellCtx context.Context, _ int, app *workloads.Application) (AppResult, error) {
-				res := AppResult{App: app.Name, Stress: app.Stress}
-				runs := []struct {
-					dst    *metrics.Sample
-					policy policy.Policy
-				}{
-					{&res.Baseline, policy.NewBaseline()},
-					{&res.CG, e.cgOnly()},
-					{&res.Harmonia, e.harmonia()},
-					{&res.Oracle, e.oracleFor(app, share)},
-					{&res.ComputeOnly, e.computeOnly()},
-				}
-				// Five policy runs per cell: cancellation should land
-				// between runs, not only at batch.Map's cell boundary.
-				for _, r := range runs {
-					rep, err := e.session(r.policy).RunContext(cellCtx, app)
-					if err != nil {
-						return res, err
-					}
-					*r.dst = rep.Sample()
-				}
-				return res, nil
-			})
+		pred := e.Predictor()
+		suite := workloads.Suite()
+		cs, err := e.compare(ctx, e.Power, suite, func(_ int, app *workloads.Application, share int) []policy.Policy {
+			return []policy.Policy{
+				core.New(core.Options{Predictor: pred, DisableFG: true}),
+				core.New(core.Options{Predictor: pred}),
+				e.oracleFor(app, share),
+				core.NewComputeOnly(pred),
+			}
+		})
 		if err != nil {
 			e.resultsErr = err
 			return
 		}
-		e.results = results
+		e.results = make([]AppResult, len(cs))
+		for i, c := range cs {
+			e.results[i] = AppResult{
+				App: suite[i].Name, Stress: suite[i].Stress, Baseline: c.base.Sample,
+				CG: c.runs[0].Sample, Harmonia: c.runs[1].Sample,
+				Oracle: c.runs[2].Sample, ComputeOnly: c.runs[3].Sample,
+			}
+		}
 	})
 	return e.results, e.resultsErr
 }
@@ -180,12 +162,6 @@ func ComputeOnlyStudy(ctx context.Context, e *Env) (ComputeOnlyResult, error) {
 	}
 	s := Summarize(results)
 	return ComputeOnlyResult{ED2Gain: s.ED2ComputeOnly, Slowdown: s.SlowdownComputeOnly}, nil
-}
-
-// PredictorAccuracy reproduces Section 7.2's predictor-error report.
-func PredictorAccuracy(e *Env) sensitivity.Accuracy {
-	kernelPts := sensitivity.BuildTrainingSet(e.Runner(), workloads.AllKernels())
-	return sensitivity.Evaluate(e.Predictor(), kernelPts)
 }
 
 // ResultsTable renders the full Figures 10-13 data as one table.

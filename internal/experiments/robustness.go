@@ -50,81 +50,81 @@ var DefaultIntensities = []float64{0, 0.25, 0.5, 1}
 // baseline algorithm differences. The study is deterministic: the same
 // seed reproduces the same fault sequences and the same numbers —
 // applications fan out on the Env's batch pool with results assembled
-// in suite order, and each job owns its injector and controller, so
-// the parallel sweep is bit-identical to the serial one.
+// in suite order, and each run owns its injector and controller, so
+// the parallel sweep is bit-identical to the serial one. Every session
+// runs under its cell's context, so cancellation lands between kernel
+// boundaries.
 func Robustness(ctx context.Context, e *Env, seed int64, intensities []float64) (RobustnessResult, error) {
 	if len(intensities) == 0 {
 		intensities = DefaultIntensities
 	}
 	out := RobustnessResult{Seed: seed}
-	suite := workloads.Suite()
+	pred := e.Predictor()
 
-	// Clean-platform ED2 and time per application. By the clean-path
-	// equivalence property the hardened and naive controllers produce
-	// identical clean runs, so one run serves as both denominators.
-	type cleanPoint struct{ ed2, time float64 }
-	clean, err := batch.Map(ctx, e.Workers, suite,
-		func(_ context.Context, _ int, app *workloads.Application) (cleanPoint, error) {
-			rep, err := e.session(e.harmonia()).Run(app)
-			if err != nil {
-				return cleanPoint{}, err
+	// One cell per application: its clean run, then the naive and
+	// hardened runs at every intensity, as ratios to the clean run. By
+	// the clean-path equivalence property the hardened and naive
+	// controllers produce identical clean runs, so one run serves as
+	// both denominators.
+	type faultPoint struct{ ed2N, ed2H, tN, tH float64 }
+	perApp, err := batch.Map(ctx, e.Workers, workloads.Suite(),
+		func(cellCtx context.Context, i int, app *workloads.Application) ([]faultPoint, error) {
+			run := func(cfg faults.Config, hardened bool) (*session.Report, error) {
+				sess := e.session(core.New(core.Options{Predictor: pred, DisableHardening: !hardened}))
+				if cfg.Enabled() {
+					sess.Faults = faults.New(cfg)
+					// Fault-injected runs bypass the simulation memo:
+					// the injected path is exactly the raw platform.
+					sess.Sim = e.Sim
+				}
+				return sess.RunContext(cellCtx, app)
 			}
-			return cleanPoint{ed2: rep.ED2(), time: rep.TotalTime()}, nil
+			clean, err := run(faults.Config{}, true)
+			if err != nil {
+				return nil, err
+			}
+			// Per-application seed: every app sees its own deterministic
+			// fault stream, stable across intensities and controllers.
+			appSeed := seed + int64(i+1)*7919
+			pts := make([]faultPoint, len(intensities))
+			for j, intensity := range intensities {
+				cfg := faults.Profile(appSeed, intensity)
+				repN, err := run(cfg, false)
+				if err != nil {
+					return nil, err
+				}
+				repH, err := run(cfg, true)
+				if err != nil {
+					return nil, err
+				}
+				pts[j] = faultPoint{
+					ed2N: repN.ED2() / clean.ED2(),
+					ed2H: repH.ED2() / clean.ED2(),
+					tN:   repN.TotalTime() / clean.TotalTime(),
+					tH:   repH.TotalTime() / clean.TotalTime(),
+				}
+			}
+			return pts, nil
 		})
 	if err != nil {
 		return out, err
 	}
 
-	type faultPoint struct{ ed2N, ed2H, tN, tH float64 }
-	for _, intensity := range intensities {
-		pt := RobustnessPoint{Intensity: intensity}
-		perApp, err := batch.Map(ctx, e.Workers, suite,
-			func(_ context.Context, i int, app *workloads.Application) (faultPoint, error) {
-				// Per-application seed: every app sees its own deterministic
-				// fault stream, stable across intensities and controllers.
-				appSeed := seed + int64(i+1)*7919
-				cfg := faults.Profile(appSeed, intensity)
-
-				runOne := func(hardened bool) (*session.Report, error) {
-					sess := e.session(core.New(core.Options{Predictor: e.Predictor(), DisableHardening: !hardened}))
-					if cfg.Enabled() {
-						sess.Faults = faults.New(cfg)
-						// Fault-injected runs bypass the simulation memo:
-						// the injected path is exactly the raw platform.
-						sess.Sim = e.Sim
-					}
-					return sess.Run(app)
-				}
-				repN, err := runOne(false)
-				if err != nil {
-					return faultPoint{}, err
-				}
-				repH, err := runOne(true)
-				if err != nil {
-					return faultPoint{}, err
-				}
-				return faultPoint{
-					ed2N: repN.ED2() / clean[i].ed2,
-					ed2H: repH.ED2() / clean[i].ed2,
-					tN:   repN.TotalTime() / clean[i].time,
-					tH:   repH.TotalTime() / clean[i].time,
-				}, nil
-			})
-		if err != nil {
-			return out, err
-		}
+	for j, intensity := range intensities {
 		var ed2N, ed2H, tN, tH []float64
-		for _, p := range perApp {
-			ed2N = append(ed2N, p.ed2N)
-			ed2H = append(ed2H, p.ed2H)
-			tN = append(tN, p.tN)
-			tH = append(tH, p.tH)
+		for _, pts := range perApp {
+			ed2N = append(ed2N, pts[j].ed2N)
+			ed2H = append(ed2H, pts[j].ed2H)
+			tN = append(tN, pts[j].tN)
+			tH = append(tH, pts[j].tH)
 		}
-		pt.NaiveED2 = metrics.GeoMean(ed2N)
-		pt.HardenedED2 = metrics.GeoMean(ed2H)
-		pt.NaiveSlowdown = metrics.GeoMean(tN) - 1
-		pt.HardenedSlowdown = metrics.GeoMean(tH) - 1
-		out.Points = append(out.Points, pt)
+		out.Points = append(out.Points, RobustnessPoint{
+			Intensity:        intensity,
+			NaiveED2:         metrics.GeoMean(ed2N),
+			HardenedED2:      metrics.GeoMean(ed2H),
+			NaiveSlowdown:    metrics.GeoMean(tN) - 1,
+			HardenedSlowdown: metrics.GeoMean(tH) - 1,
+		})
 	}
 	return out, nil
 }

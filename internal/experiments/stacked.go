@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -36,42 +37,35 @@ var stackedApps = []string{"DeviceMemory", "SPMV", "miniFE", "XSBench", "BPT"}
 
 // StackedEnvelopeStudy runs the baseline and Harmonia inside a stacked-
 // package thermal guard and compares peak temperature, throttling, and
-// performance (Section 7.3, insight 6). Each application's unguarded
-// baseline reference runs once and serves both policies.
-func StackedEnvelopeStudy(e *Env, throttleC float64) (StackedResult, error) {
+// performance (Section 7.3, insight 6). The guarded runs go through
+// Env.compare, whose baseline run of each application is the unguarded
+// reference both policies' slowdowns are measured against.
+func StackedEnvelopeStudy(ctx context.Context, e *Env, throttleC float64) (StackedResult, error) {
 	pred := e.Predictor()
-	policies := []struct {
-		name string
-		make func() policy.Policy
-	}{
-		{"baseline", func() policy.Policy { return policy.NewBaseline() }},
-		{"harmonia", func() policy.Policy { return core.New(core.Options{Predictor: pred}) }},
+	apps := make([]*workloads.Application, len(stackedApps))
+	for i, name := range stackedApps {
+		apps[i] = workloads.ByName(name)
 	}
-	res := StackedResult{ThrottleC: throttleC, Rows: make([]StackedRow, len(policies))}
-	slows := make([][]float64, len(policies))
-	for _, name := range stackedApps {
-		ref, err := e.session(policy.NewBaseline()).Run(workloads.ByName(name))
-		if err != nil {
-			return res, err
+	res := StackedResult{ThrottleC: throttleC, Rows: []StackedRow{{Policy: "baseline"}, {Policy: "harmonia"}}}
+	// guards[i] holds application i's two guards, in Rows order.
+	guards := make([][]*thermal.Throttle, len(apps))
+	cs, err := e.compare(ctx, e.Power, apps, func(i int, _ *workloads.Application, _ int) []policy.Policy {
+		guard := func(p policy.Policy) *thermal.Throttle {
+			return thermal.NewThrottle(p, thermal.New(thermal.StackedParams()), e.Power, throttleC)
 		}
-		for i, p := range policies {
-			die := thermal.New(thermal.StackedParams())
-			guard := thermal.NewThrottle(p.make(), die, e.Power, throttleC)
-			rep, err := e.session(guard).Run(workloads.ByName(name))
-			if err != nil {
-				return res, err
-			}
-			row := &res.Rows[i]
-			row.Policy = p.name
-			if guard.PeakC > row.PeakC {
-				row.PeakC = guard.PeakC
-			}
-			row.ThrottledKernels += guard.ThrottledKernels
-			slows[i] = append(slows[i], rep.TotalTime()/ref.TotalTime())
-		}
+		guards[i] = []*thermal.Throttle{guard(policy.NewBaseline()), guard(core.New(core.Options{Predictor: pred}))}
+		return []policy.Policy{guards[i][0], guards[i][1]}
+	})
+	if err != nil {
+		return res, err
 	}
-	for i := range res.Rows {
-		res.Rows[i].Slowdown = metrics.GeoMean(slows[i]) - 1
+	for j := range res.Rows {
+		row := &res.Rows[j]
+		for _, g := range guards {
+			row.PeakC = max(row.PeakC, g[j].PeakC)
+			row.ThrottledKernels += g[j].ThrottledKernels
+		}
+		row.Slowdown = metrics.GeoMean(ratios(cs, j, outcome.seconds)) - 1
 	}
 	return res, nil
 }

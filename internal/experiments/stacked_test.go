@@ -1,9 +1,12 @@
 package experiments
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestStackedEnvelopeCoordinationWins(t *testing.T) {
-	r, err := StackedEnvelopeStudy(env(t), 85)
+	r, err := StackedEnvelopeStudy(context.Background(), env(t), 85)
 	if err != nil {
 		t.Fatal(err)
 	}

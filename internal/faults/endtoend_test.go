@@ -7,6 +7,7 @@ import (
 
 	"harmonia/internal/core"
 	"harmonia/internal/faults"
+	"harmonia/internal/gpusim"
 	"harmonia/internal/sensitivity"
 	"harmonia/internal/session"
 	"harmonia/internal/workloads"
@@ -25,7 +26,10 @@ func TestSameSeedFaultRunsByteIdentical(t *testing.T) {
 	if app == nil {
 		t.Fatal("Graph500 missing from suite")
 	}
-	pred := sensitivity.DefaultPredictor()
+	pred, err := sensitivity.Train(sensitivity.BuildConfigTrainingSet(gpusim.Default(), workloads.AllKernels()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := func() []byte {
 		s := session.New(core.New(core.Options{Predictor: pred}))
 		s.Faults = faults.New(faults.Profile(42, 1))

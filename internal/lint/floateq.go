@@ -11,31 +11,18 @@ import (
 // false against everything, so a poisoned value silently falls through
 // equality-guarded paths. Intentional exact comparisons belong in the
 // approved helpers (internal/floats, which the default policy exempts)
-// or in a function named in AllowFuncs.
-type FloatEq struct {
-	// AllowFuncs names enclosing functions permitted to compare floats
-	// exactly, as "pkgpath.Func" or "pkgpath.Recv.Method".
-	AllowFuncs map[string]bool
-}
-
-// NewFloatEq returns the analyzer with an empty allowlist: the approved
-// helpers in internal/floats are exempt through DefaultPolicy.
-func NewFloatEq() *FloatEq {
-	return &FloatEq{AllowFuncs: map[string]bool{}}
-}
+// or behind a //lint:ignore floateq directive that says why.
+type FloatEq struct{}
 
 // Name implements Analyzer.
 func (*FloatEq) Name() string { return "floateq" }
 
 // Run implements Analyzer.
-func (a *FloatEq) Run(pass *Pass) {
+func (*FloatEq) Run(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
-				continue
-			}
-			if a.AllowFuncs[funcFullName(pass.Pkg.Path, fn)] {
 				continue
 			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {

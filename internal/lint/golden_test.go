@@ -137,17 +137,15 @@ func TestGoldenDeterTaint(t *testing.T) {
 	checkGolden(t, "detertaint", renderDiags(root, diags))
 }
 
-// TestGoldenFloatEq exercises both escape hatches: approxEqual is
-// allowlisted through AllowFuncs, and Suppressed carries a directive.
+// TestGoldenFloatEq: exact float comparisons are findings, integer ones
+// are not, and Suppressed's directive is the escape hatch.
 func TestGoldenFloatEq(t *testing.T) {
 	loader, root := fixtureEnv(t)
 	pkgs, err := loader.LoadDirs(fixtureDir(root, "floatfix"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewFloatEq()
-	a.AllowFuncs[fixturePath("floatfix")+".approxEqual"] = true
-	diags := Run(pkgs, []Analyzer{a}, DefaultPolicy())
+	diags := Run(pkgs, []Analyzer{&FloatEq{}}, DefaultPolicy())
 	checkGolden(t, "floateq", renderDiags(root, diags))
 }
 

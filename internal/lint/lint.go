@@ -215,7 +215,7 @@ func DefaultPolicy() Policy {
 
 // Analyzers returns the four domain analyzers in stable order.
 func Analyzers() []Analyzer {
-	return []Analyzer{&Nondeterminism{}, NewFloatEq(), &ErrDrop{}, &CtxFlow{}}
+	return []Analyzer{&Nondeterminism{}, &FloatEq{}, &ErrDrop{}, &CtxFlow{}}
 }
 
 // directive is one parsed //lint:ignore comment.

@@ -1,5 +1,5 @@
-// Package floatfix is a lint fixture: true positives, an allowlisted
-// helper, and a suppressed case for the floateq analyzer.
+// Package floatfix is a lint fixture: true positives, a clean case, and
+// a suppressed case for the floateq analyzer.
 package floatfix
 
 // Same compares floats exactly. (true positive)
@@ -12,11 +12,6 @@ func Changed(xs []float64) bool {
 	return xs[0] != 1.0
 }
 
-// approxEqual is named in the golden test's AllowFuncs. (allowlisted)
-func approxEqual(a, b float64) bool {
-	return a == b
-}
-
 // IntsAreFine compares integers. (clean)
 func IntsAreFine(a, b int) bool {
 	return a == b
@@ -27,5 +22,3 @@ func Suppressed(v float64) bool {
 	//lint:ignore floateq fixture demonstrating a justified sentinel comparison
 	return v == -1
 }
-
-var _ = approxEqual

@@ -23,7 +23,13 @@ var (
 )
 
 func predictor() *sensitivity.Predictor {
-	predOnce.Do(func() { pred = sensitivity.DefaultPredictor() })
+	predOnce.Do(func() {
+		p, err := sensitivity.Train(sensitivity.BuildConfigTrainingSet(gpusim.Default(), workloads.AllKernels()))
+		if err != nil {
+			panic(err)
+		}
+		pred = p
+	})
 	return pred
 }
 

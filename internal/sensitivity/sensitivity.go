@@ -503,23 +503,3 @@ func Evaluate(p *Predictor, points []TrainingPoint) Accuracy {
 		CUFreqMAE:    regress.MeanAbsError(wantCF, gotCF),
 	}
 }
-
-// TrainDefault trains the predictor on the full workload suite with the
-// default simulator, using per-configuration training rows so that
-// runtime predictions are in-distribution at any operating point,
-// returning any training failure as an error.
-func TrainDefault() (*Predictor, error) {
-	return Train(BuildConfigTrainingSet(gpusim.Default(), workloads.AllKernels()))
-}
-
-// DefaultPredictor is TrainDefault for callers that cannot propagate an
-// error; it is what the experiments and the public API use when no
-// custom model is supplied. The default suite is a fixed, known-good
-// training set, so a failure is a programming error and panics.
-func DefaultPredictor() *Predictor {
-	p, err := TrainDefault()
-	if err != nil {
-		panic(err)
-	}
-	return p
-}

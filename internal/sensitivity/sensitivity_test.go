@@ -17,7 +17,7 @@ import (
 // instance across tests. trainPts holds the per-kernel averaged points
 // (the paper's Section 4.2 reduction, used by the Table 3 experiment);
 // trainPred is the shipped runtime predictor, trained per-configuration
-// like DefaultPredictor.
+// like experiments.Env's.
 var (
 	trainOnce sync.Once
 	trainPts  []TrainingPoint

@@ -13,8 +13,6 @@ import (
 // policies[i%len(policies)]).
 type Batch struct {
 	ID string
-	// seq orders batches for eviction, like Run.seq.
-	seq int
 
 	apps     []string
 	policies []string
@@ -152,13 +150,11 @@ func (b *Batch) JSON() BatchJSON {
 // cells. restored marks a journal replay; muted suppresses the onDone
 // callback of a replayed batch the journal already records as done.
 func newBatch(apps, policies []string, cells []*Run, restored, muted bool) func(string, int, time.Time) *Batch {
-	return func(id string, seq int, now time.Time) *Batch {
-		return &Batch{ID: id, seq: seq, apps: apps, policies: policies, cells: cells,
+	return func(id string, _ int, now time.Time) *Batch {
+		return &Batch{ID: id, apps: apps, policies: policies, cells: cells,
 			restored: restored, muted: muted, createdAt: now, done: make(chan struct{})}
 	}
 }
-
-func (b *Batch) order() int { return b.seq }
 
 // batchRegistry is the batch store plus each batch's completion watcher.
 type batchRegistry struct {

@@ -44,10 +44,8 @@ func terminalStatus(status string) bool {
 // by mu; Done closes when the run reaches a terminal state.
 type Run struct {
 	ID string
-	// seq is the registry's creation sequence number. Ordering uses it
-	// rather than the ID string: IDs are zero-padded to six digits, so
-	// string order breaks when the counter rolls past run-999999
-	// ("run-1000000" < "run-999999" lexicographically).
+	// seq is the registry's creation sequence number; it seeds the
+	// run's span IDs.
 	seq int
 
 	mu         sync.Mutex
@@ -252,12 +250,8 @@ func (r *Run) JSON() RunJSON {
 
 // record is what a store retains: a run or a batch.
 type record interface {
-	// order is the record's creation sequence number.
-	order() int
 	terminalSince(cutoff time.Time) bool
 }
-
-func (r *Run) order() int { return r.seq }
 
 // store is the in-memory retention store runs and batches share,
 // modelled on a production exporter's retention manager: finished
@@ -275,7 +269,10 @@ type store[R record] struct {
 
 	mu   sync.Mutex
 	recs map[string]R
-	seq  int
+	// ids holds the retained records' IDs in creation-sequence order,
+	// so listing and eviction never sort.
+	ids []string
+	seq int
 }
 
 // newStore returns an empty store minting IDs as prefix-000001. ttl <= 0
@@ -294,18 +291,22 @@ func (g *store[R]) create(mk func(id string, seq int, now time.Time) R) R {
 	g.seq++
 	id := fmt.Sprintf("%s-%06d", g.prefix, g.seq)
 	g.recs[id] = mk(id, g.seq, now)
+	g.ids = append(g.ids, id)
 	return g.recs[id]
 }
 
-// restore stores the record mk builds under its original journal ID and
-// advances the sequence counter past it, so IDs minted after a replay
-// never collide with replayed ones.
+// restore stores the record mk builds under its original journal ID, at
+// its place in the sequence (a journal may hold concurrent submissions'
+// records out of creation order), and advances the sequence counter past
+// it, so IDs minted after a replay never collide with replayed ones.
 func (g *store[R]) restore(id string, mk func(id string, seq int, now time.Time) R) R {
 	now := g.now()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	seq := seqOf(id)
 	g.seq = max(g.seq, seq)
+	i, _ := slices.BinarySearchFunc(g.ids, seq, func(id string, seq int) int { return seqOf(id) - seq })
+	g.ids = slices.Insert(g.ids, i, id)
 	g.recs[id] = mk(id, seq, now)
 	return g.recs[id]
 }
@@ -337,11 +338,10 @@ func (g *store[R]) list() []R {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.evictLocked(g.now())
-	out := make([]R, 0, len(g.recs))
-	for _, rec := range g.recs {
-		out = append(out, rec)
+	out := make([]R, len(g.ids))
+	for i, id := range g.ids {
+		out[len(out)-1-i] = g.recs[id]
 	}
-	slices.SortFunc(out, func(a, b R) int { return b.order() - a.order() })
 	return out
 }
 
@@ -353,42 +353,38 @@ func (g *store[R]) size() int {
 }
 
 // evictLocked drops finished records older than TTL, then — if the
-// store still exceeds the cap — the oldest finished records beyond it.
-// Callers hold g.mu.
+// store still exceeds the cap — the oldest finished records beyond it,
+// each in one walk of the records in creation order. Callers hold g.mu.
 func (g *store[R]) evictLocked(now time.Time) {
-	before := len(g.recs)
+	before := len(g.ids)
 	if g.ttl > 0 {
 		cutoff := now.Add(-g.ttl)
-		for id, rec := range g.recs {
-			if rec.terminalSince(cutoff) {
-				delete(g.recs, id)
-			}
-		}
+		g.dropLocked(func(rec R) bool { return rec.terminalSince(cutoff) })
 	}
-	if g.max > 0 && len(g.recs) > g.max {
-		// A store at its cap runs this on every create and read, so it
-		// sorts (seq, ID) pairs rather than calling into each record.
-		type aged struct {
-			seq int
-			id  string
-		}
-		finished := make([]aged, 0, len(g.recs))
-		for id, rec := range g.recs {
-			if rec.terminalSince(now) {
-				finished = append(finished, aged{rec.order(), id})
+	if excess := len(g.ids) - g.max; g.max > 0 && excess > 0 {
+		g.dropLocked(func(rec R) bool {
+			if excess == 0 || !rec.terminalSince(now) {
+				return false
 			}
-		}
-		slices.SortFunc(finished, func(a, b aged) int { return a.seq - b.seq })
-		for _, f := range finished {
-			if len(g.recs) <= g.max {
-				break
-			}
-			delete(g.recs, f.id)
-		}
+			excess--
+			return true
+		})
 	}
-	if n := before - len(g.recs); n > 0 && g.onEvict != nil {
+	if n := before - len(g.ids); n > 0 && g.onEvict != nil {
 		g.onEvict(n)
 	}
+}
+
+// dropLocked deletes every record drop reports true for, asking in
+// creation order. Callers hold g.mu.
+func (g *store[R]) dropLocked(drop func(R) bool) {
+	g.ids = slices.DeleteFunc(g.ids, func(id string) bool {
+		if !drop(g.recs[id]) {
+			return false
+		}
+		delete(g.recs, id)
+		return true
+	})
 }
 
 // registry is the run store.

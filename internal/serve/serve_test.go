@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -591,6 +592,47 @@ func TestCapEvictionSurvivesSeqRollover(t *testing.T) {
 			return b.ID
 		})
 	})
+}
+
+// TestRestoreOutOfOrderKeepsSequence: two concurrent submissions can
+// journal their runs out of creation order, so restore places each
+// replayed record at its sequence number. Listing stays newest first,
+// cap eviction drops the oldest finished records first, and a fresh ID
+// follows the highest replayed one.
+func TestRestoreOutOfOrderKeepsSequence(t *testing.T) {
+	reg := newRegistry(0, 0, time.Now)
+	var runs []*Run
+	for _, id := range []string{"run-000003", "run-000001", "run-1000000", "run-000002"} {
+		runs = append(runs, reg.restore(id, func(id string, seq int, now time.Time) *Run {
+			return newRun(id, seq, "app", "pol", now)
+		}))
+	}
+	runs = append(runs, reg.create("app", "pol"))
+	listed := func() []string {
+		var ids []string
+		for _, run := range reg.list() {
+			ids = append(ids, run.ID)
+		}
+		return ids
+	}
+	want := []string{"run-1000001", "run-1000000", "run-000003", "run-000002", "run-000001"}
+	if got := listed(); !slices.Equal(got, want) {
+		t.Fatalf("list = %v, want %v", got, want)
+	}
+
+	// Every run but run-000002 finishes; a cap of two then evicts the
+	// three oldest finished runs and keeps the in-flight one.
+	for _, run := range runs {
+		if run.ID != "run-000002" {
+			run.start(time.Now())
+			run.finish(nil, nil, time.Now())
+		}
+	}
+	reg.max = 2
+	want = []string{"run-1000001", "run-000002"}
+	if got := listed(); !slices.Equal(got, want) {
+		t.Errorf("after cap eviction list = %v, want %v", got, want)
+	}
 }
 
 // capEvictsOldestFirst creates four finished records in a store capped

@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"math"
 	"os"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -68,19 +71,31 @@ func TestArtifactsPartitionReport(t *testing.T) {
 	}
 }
 
-// TestExperimentsTablesMatchReport: EXPERIMENTS.md copies two tables
-// from the report, the per-application results of Figures 10-13 and
-// Figure 18. Every row the document prints must carry the numbers the
-// report prints for that application, and the document must print a row
-// for every application the report does.
+// TestExperimentsTablesMatchReport: EXPERIMENTS.md and README.md copy
+// numbers from the report. EXPERIMENTS.md copies two tables whole, the
+// per-application results of Figures 10-13 and Figure 18: every row the
+// document prints must carry the numbers the report prints for that
+// application, and the document must print a row for every application
+// the report does. The headline tables of both documents, EXPERIMENTS.md's
+// Table 3 table and its Section 7.2 accuracy line copy the report's
+// summary, per-application, Table 3 and accuracy lines: each of their
+// numbers must stand for the report value it copies (see headlineClaims).
 func TestExperimentsTablesMatchReport(t *testing.T) {
 	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme, err := os.ReadFile("../../README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
 	report, err := os.ReadFile("testdata/report.golden")
 	if err != nil {
 		t.Fatal(err)
+	}
+	docs := map[string][]byte{"EXPERIMENTS.md": doc, "README.md": readme}
+	for _, tc := range headlineClaims(t, report) {
+		checkClaims(t, docs[tc.doc], tc)
 	}
 	for _, tc := range []struct {
 		name, docHeader, reportTitle string
@@ -147,15 +162,8 @@ func reportRows(t *testing.T, report []byte, title string, cols []int) map[strin
 // XSBench).
 func docRows(t *testing.T, doc []byte, header string, n int) map[string][]string {
 	t.Helper()
-	_, table, ok := strings.Cut(string(doc), header+"\n")
-	if !ok {
-		t.Fatalf("EXPERIMENTS.md has no table %q", header)
-	}
 	rows := map[string][]string{}
-	for _, line := range strings.Split(table, "\n")[1:] { // [0] is the |---| rule
-		if !strings.HasPrefix(line, "|") {
-			break
-		}
+	for _, line := range tableRows(t, doc, header) {
 		cells := strings.Split(line, "|")
 		app := strings.Fields(cells[1])[0]
 		for _, c := range cells[2 : 2+n] {
@@ -163,6 +171,190 @@ func docRows(t *testing.T, doc []byte, header string, n int) map[string][]string
 		}
 	}
 	return rows
+}
+
+// tableRows returns the row lines of the Markdown table whose header
+// line is header.
+func tableRows(t *testing.T, doc []byte, header string) []string {
+	t.Helper()
+	_, table, ok := strings.Cut(string(doc), header+"\n")
+	if !ok {
+		t.Fatalf("no table %q", header)
+	}
+	var rows []string
+	for _, line := range strings.Split(table, "\n")[1:] { // [0] is the |---| rule
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		rows = append(rows, line)
+	}
+	return rows
+}
+
+// claims are the lines of one document that copy numbers from the
+// report: the rows of the table whose header line is header, in order,
+// or, when header is empty, single lines. Each claim is the start of
+// its line, and the report values the line's numbers copy, in order. A
+// table row's numbers are those of its third cell, the measured value
+// (EXPERIMENTS.md's "Measured", README.md's "This repo"); a single
+// line's are all of its numbers.
+type claims struct {
+	doc, header string
+	lines       []claim
+}
+
+type claim struct {
+	prefix string
+	want   []float64
+}
+
+// headlineClaims lists the headline and Table 3 numbers EXPERIMENTS.md
+// and README.md copy from the report. Each value keeps the sign
+// convention of the line that prints it: the report's "slowdown -1.45%"
+// is a performance change of +1.45 %, and its MAE ratios are percents.
+func headlineClaims(t *testing.T, report []byte) []claims {
+	t.Helper()
+	one := func(re string) float64 { return reportValue(t, report, re) }
+	// The per-application Harmonia performance change and power saving.
+	apps := reportRows(t, report, "Figures 10-13 — per-application results vs baseline", []int{6, 9})
+	app := func(name string, col int) float64 {
+		x, err := strconv.ParseFloat(apps[name][col], 64)
+		if err != nil {
+			t.Fatalf("report's %s row: %v", name, err)
+		}
+		return x
+	}
+	var (
+		harmonia    = one(`, Harmonia (\S+)% \(non-stress`)
+		best        = one(`best ED2: BPT (\S+)%`)
+		gap         = one(`; oracle gap (\S+)%`)
+		perfChange  = -one(`, energy saving \S+%, slowdown (\S+)%`)
+		powerSaving = one(`Harmonia power saving (\S+)%`)
+		worstCG     = one(`worst CG slowdown: Streamcluster (\S+)%`)
+		computeOnly = one(`Compute-DVFS-only study — ED2 gain (\S+)%`)
+	)
+	return []claims{
+		{"EXPERIMENTS.md", "| Quantity | Paper | Measured | Regenerator |", []claim{
+			{"| Harmonia avg ED² gain (geomean", []float64{harmonia}},
+			{"| Harmonia avg ED² gain excluding stress", []float64{one(`\(non-stress (\S+)%\)`)}},
+			{"| Best per-app ED² gain", []float64{best}},
+			{"| CG-only avg ED² gain", []float64{one(`geomean ED2: CG (\S+)%`)}},
+			{"| Oracle avg ED² gain", []float64{one(`\), oracle (\S+)%, compute-only`), gap}},
+			{"| Harmonia avg power saving", []float64{powerSaving, app("DeviceMemory", 1)}},
+			{"| Harmonia avg energy saving", []float64{one(`, energy saving (\S+)%, slowdown`)}},
+			{"| Harmonia avg performance change", []float64{perfChange}},
+			{"| Worst CG-only slowdown", []float64{worstCG}},
+			{"| Apps that get *faster*", []float64{-app("BPT", 0), -app("CFD", 0), -app("XSBench", 0)}},
+			{"| Compute-DVFS-only ED² gain", []float64{computeOnly,
+				one(`Compute-DVFS-only study — ED2 gain \S+%, slowdown (\S+)%`)}},
+		}},
+		{"EXPERIMENTS.md", "| Quantity | Paper | Measured |", []claim{
+			{"| Bandwidth model correlation", []float64{one(`bandwidth model: .*\n    correlation (\S+)`)}},
+			{"| Compute model correlation", []float64{one(`compute model: .*\n    correlation (\S+)`)}},
+			{"| Bandwidth prediction error", []float64{100 * one(`MAE: bandwidth (\S+),`)}},
+			{"| Compute prediction error", []float64{100 * one(`MAE: bandwidth \S+, compute (\S+) `)}},
+			{"| Training vectors", []float64{one(`training rows: (\d+)`)}},
+		}},
+		{"EXPERIMENTS.md", "", []claim{
+			{"Bandwidth MAE ", []float64{100 * one(`Predictor accuracy — MAE bandwidth (\S+),`),
+				100 * one(`Predictor accuracy — MAE bandwidth \S+, compute (\S+) `)}},
+		}},
+		{"README.md", "| | Paper | This repo |", []claim{
+			{"| Harmonia avg ED² gain |", []float64{harmonia}},
+			{"| Best app |", []float64{best}},
+			{"| Gap to exhaustive oracle |", []float64{gap}},
+			{"| Avg performance change |", []float64{perfChange}},
+			{"| Avg power saving |", []float64{powerSaving}},
+			{"| CG-only outlier repaired by FG |", []float64{-worstCG}},
+			{"| Compute-DVFS-only ED² gain |", []float64{computeOnly}},
+		}},
+	}
+}
+
+// reportValue returns the number re's one group reads at the one place
+// re matches the report.
+func reportValue(t *testing.T, report []byte, re string) float64 {
+	t.Helper()
+	m := regexp.MustCompile(re).FindAllSubmatch(report, -1)
+	if len(m) != 1 {
+		t.Fatalf("%q matches the report %d times, want once", re, len(m))
+	}
+	x, err := strconv.ParseFloat(string(m[0][1]), 64)
+	if err != nil {
+		t.Fatalf("%q: %v", re, err)
+	}
+	return x
+}
+
+// docNumber is a number as the documents print one: a sign (the
+// typographic minus included), digits grouped in thousands by spaces,
+// and decimals.
+var docNumber = regexp.MustCompile(`[-+−]?\d+(?: \d{3})*(?:\.\d+)?`)
+
+// checkClaims checks that doc makes every claim of c, and that a
+// table's rows are exactly c's lines, so a row added to it is checked
+// too.
+func checkClaims(t *testing.T, doc []byte, c claims) {
+	t.Helper()
+	var lines []string
+	if c.header != "" {
+		lines = tableRows(t, doc, c.header)
+		if len(lines) != len(c.lines) {
+			t.Errorf("%s: table %q has %d rows, the test checks %d", c.doc, c.header, len(lines), len(c.lines))
+			return
+		}
+	} else {
+		for _, cl := range c.lines {
+			var found []string
+			for _, line := range strings.Split(string(doc), "\n") {
+				if strings.HasPrefix(line, cl.prefix) {
+					found = append(found, line)
+				}
+			}
+			if len(found) != 1 {
+				t.Errorf("%s: %d lines start with %q, want 1", c.doc, len(found), cl.prefix)
+				return
+			}
+			lines = append(lines, found[0])
+		}
+	}
+	for i, cl := range c.lines {
+		line := lines[i]
+		if !strings.HasPrefix(line, cl.prefix) {
+			t.Errorf("%s: row %d reads %q, want one starting %q", c.doc, i, line, cl.prefix)
+			continue
+		}
+		if c.header != "" {
+			line = strings.Split(line, "|")[3]
+		}
+		got := docNumber.FindAllString(line, -1)
+		if len(got) != len(cl.want) {
+			t.Errorf("%s: %q prints %d numbers %q, the report %d", c.doc, cl.prefix, len(got), got, len(cl.want))
+			continue
+		}
+		for j, s := range got {
+			if !standsFor(s, cl.want[j]) {
+				t.Errorf("%s: %q prints %s where the report reads %v", c.doc, cl.prefix, s, cl.want[j])
+			}
+		}
+	}
+}
+
+// standsFor reports whether the printed number s stands for x: whether
+// x lies within half a unit of s's last printed digit, so that 0.905
+// printed as 0.91 matches.
+func standsFor(s string, x float64) bool {
+	s = strings.NewReplacer("−", "-", " ", "").Replace(s)
+	got, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return false
+	}
+	decimals := 0
+	if i := strings.IndexByte(s, '.'); i >= 0 {
+		decimals = len(s) - i - 1
+	}
+	half := 0.5 * math.Pow(10, -float64(decimals))
+	return math.Abs(got-x) <= half*(1+1e-9)
 }
 
 // number is a table cell's leading value as the report spells it: the

@@ -94,8 +94,7 @@ type (
 	ControllerOptions = core.Options
 
 	// FaultConfig parameterizes the platform fault-injection layer
-	// (WithFaultInjection / RunWithFaults). The zero value injects
-	// nothing.
+	// (RunWithFaults). The zero value injects nothing.
 	FaultConfig = faults.Config
 
 	// Telemetry is a metrics registry (counters, gauges, histograms
@@ -148,10 +147,10 @@ const (
 // A System is safe for concurrent use: many goroutines may call
 // RunContext/Run and the controller constructors on one shared System
 // (the timing and power models are immutable calibration constants, the
-// predictor trains exactly once, and the predictor and fault
-// configuration are fixed at construction). The exceptions are the
-// explicitly mutating setters — EnableMemVoltageScaling and direct
-// writes to Sim/Power — which must happen before the System is shared.
+// predictor trains exactly once or is fixed at construction, and faults
+// are armed per run). The exceptions are the explicitly mutating
+// setters — EnableMemVoltageScaling and direct writes to Sim/Power —
+// which must happen before the System is shared.
 type System struct {
 	Sim   *gpusim.Model
 	Power *powermodel.Model
@@ -161,9 +160,6 @@ type System struct {
 	pred      *sensitivity.Predictor
 	trainOnce sync.Once
 	trainErr  error
-
-	// faults is set by WithFaultInjection at construction only.
-	faults *faults.Config
 
 	telemetry *telemetry.Registry
 
@@ -177,14 +173,6 @@ type System struct {
 // Option configures a System at construction (the v2 construction
 // style; see NewSystem).
 type Option func(*System)
-
-// WithFaultInjection arms the platform fault-injection layer at
-// construction: every run executes under a fresh, seed-deterministic
-// injector built from fc, unless overridden per run with RunWithFaults
-// or RunWithoutFaults.
-func WithFaultInjection(fc FaultConfig) Option {
-	return func(s *System) { s.faults = &fc }
-}
 
 // WithPredictor installs a pre-trained sensitivity predictor, skipping
 // the lazy training sweep (e.g. one trained with TrainPredictor on
@@ -216,7 +204,7 @@ func WithSimCache() Option {
 // adjusted by the given options:
 //
 //	sys := harmonia.NewSystem(
-//	    harmonia.WithFaultInjection(harmonia.FaultProfile(42, 0.5)),
+//	    harmonia.WithSimCache(),
 //	    harmonia.WithTelemetry(harmonia.NewTelemetry()),
 //	)
 func NewSystem(opts ...Option) *System {
@@ -393,16 +381,10 @@ type runSettings struct {
 }
 
 // RunWithFaults executes this run under a fresh, seed-deterministic
-// injector built from fc, overriding whatever fault configuration the
-// System was constructed with.
+// injector built from fc. Faults are armed per run only: a run without
+// this option is fault-free.
 func RunWithFaults(fc FaultConfig) RunOption {
 	return func(rs *runSettings) { rs.faults = &fc }
-}
-
-// RunWithoutFaults executes this run fault-free even when the System
-// was constructed with WithFaultInjection.
-func RunWithoutFaults() RunOption {
-	return func(rs *runSettings) { rs.faults = nil }
 }
 
 // RunWithTrace records this run's span tree onto rec (see
@@ -488,10 +470,9 @@ func (s *System) QualityEngine(maxSamples, workers int) *QualityEngine {
 // report. Cancellation is honoured at every kernel-invocation boundary:
 // a canceled context stops the run before the next kernel launches and
 // returns the context's error. RunContext is safe for concurrent use on
-// one System — each call gets its own session, fault injector, and DAQ,
-// and the fault configuration it starts from is fixed at construction.
+// one System — each call gets its own session, fault injector, and DAQ.
 func (s *System) RunContext(ctx context.Context, app *Application, p Policy, opts ...RunOption) (*Report, error) {
-	rs := runSettings{faults: s.faults}
+	var rs runSettings
 	for _, opt := range opts {
 		opt(&rs)
 	}

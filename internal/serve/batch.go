@@ -253,40 +253,31 @@ func (s *Server) handleCreateBatch(w http.ResponseWriter, r *http.Request) {
 	wait := req.Wait == nil || *req.Wait
 
 	// Admission is all-or-nothing: the whole matrix gets slots or the
-	// batch is shed with nothing scheduled.
-	probe, shed := s.admit(len(jobs))
-	if shed != nil {
-		s.writeShed(w, shed)
-		return
-	}
+	// batch is shed with nothing scheduled. The matrix shares one
+	// admission, so its first cell carries the half-open probe slot if
+	// the breaker granted one.
 	var b *Batch
-	func() {
-		// admit left the drain read-lock held; release it only after the
-		// enqueues so shutdown cannot drain between reservation and send.
-		defer s.admitted()
+	if shed := s.submit(jobs, func() {
 		runs := make([]*Run, len(jobs))
 		for i, j := range jobs {
-			runs[i] = s.reg.create(j.app.Name, j.pol.Name())
+			runs[i] = s.reg.create(j.app.Name, j.pol.Name(), r)
 			s.bind(j, runs[i], r, wait)
 		}
-		s.retained.Set(float64(s.reg.size()))
 		b = s.batches.create(req.Apps, req.Policies, runs)
 		s.batchesTotal.Inc()
 		s.batchCells.Add(float64(len(jobs)))
-
 		// Journal the batch before its cells so replay never sees a cell
-		// pointing at an unknown batch, and enqueue after the records
-		// exist so a poller never sees a dangling ID. Admitted enqueues
-		// cannot block or fail.
+		// pointing at an unknown batch. submit enqueues only after every
+		// record exists and is journaled, so a poller never sees a
+		// dangling ID.
 		s.journalBatch(b)
-		for i, j := range jobs {
+		for _, j := range jobs {
 			s.journalSubmit(j, b.ID)
-			// The matrix shares one admission; its first cell carries the
-			// half-open probe slot if this submission was granted it.
-			j.probe = probe && i == 0
-			s.enqueue(j)
 		}
-	}()
+	}); shed != nil {
+		s.writeShed(w, shed)
+		return
+	}
 
 	if !wait {
 		writeJSON(w, http.StatusAccepted, b.JSON())

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"net/http"
 	"slices"
 	"strconv"
 	"strings"
@@ -40,13 +41,22 @@ func terminalStatus(status string) bool {
 	return false
 }
 
-// Run is one evaluation request's lifecycle record. Fields are guarded
-// by mu; Done closes when the run reaches a terminal state.
+// Run is one evaluation request's lifecycle record. Fields below mu are
+// guarded by it; Done closes when the run reaches a terminal state.
 type Run struct {
 	ID string
 	// seq is the registry's creation sequence number; it seeds the
 	// run's span IDs.
 	seq int
+	// tracer records the run's span tree (GET /v1/runs/{id}/spans) and
+	// timeline flight-records it (GET /v1/runs/{id}/timeline and the
+	// /live SSE stream). Both are set before the record is visible and
+	// never change: registry.create builds them for a submitted run, and
+	// replay for a journal-replayed re-execution. Both are nil for
+	// journal-restored terminal records, whose execution predates this
+	// process.
+	tracer   *trace.Recorder
+	timeline *timeline.Recorder
 
 	mu         sync.Mutex
 	app        string
@@ -55,7 +65,6 @@ type Run struct {
 	err        string
 	stack      string
 	createdAt  time.Time
-	startedAt  time.Time
 	finishedAt time.Time
 	// A run that finished here keeps only what its endpoints serve: the
 	// report body, built once at finish, and the DAQ samples /trace
@@ -66,39 +75,37 @@ type Run struct {
 	// pointers into report, or a restored run's journaled numbers.
 	headline *headline
 	restored bool
-	// tracer records the run's span tree (GET /v1/runs/{id}/spans) and
-	// timeline flight-records it (GET /v1/runs/{id}/timeline and the
-	// /live SSE stream). Both are nil for journal-restored terminal
-	// records, whose execution predates this process; journal-replayed
-	// re-executions get fresh ones.
-	tracer   *trace.Recorder
-	timeline *timeline.Recorder
 
 	done chan struct{}
 }
 
-// setRecorders installs the run's span and flight recorders; called
-// between create and enqueue, before any worker touches the record.
-func (r *Run) setRecorders(tr *trace.Recorder, tl *timeline.Recorder) {
-	r.mu.Lock()
-	r.tracer, r.timeline = tr, tl
-	r.mu.Unlock()
+// newRecorders returns a run's span and flight recorders. The span IDs
+// are seeded by the run's registry sequence number. r is the submitting
+// request, or nil for a journal-replayed re-execution: a request adds
+// its ID as a header attribute next to run_id, and an inbound W3C
+// traceparent header donates the trace ID, joining the run's spans to
+// the caller's distributed trace.
+func newRecorders(id string, seq int, r *http.Request) (*trace.Recorder, *timeline.Recorder) {
+	attrs := []trace.Attr{{Key: "run_id", Value: id}}
+	var opts []trace.Option
+	if r != nil {
+		if rid := requestIDFrom(r.Context()); rid != "" {
+			attrs = append(attrs, trace.Attr{Key: "request_id", Value: rid})
+		}
+		if tid, parent, ok := trace.ParseTraceparent(r.Header.Get("traceparent")); ok {
+			opts = append(opts, trace.WithTraceID(tid))
+			attrs = append(attrs, trace.Attr{Key: "parent_span_id", Value: parent})
+		}
+	}
+	return trace.New(uint64(seq), append(opts, trace.WithAttrs(attrs...))...), timeline.New()
 }
 
 // Tracer returns the run's span recorder, or nil for restored records.
-func (r *Run) Tracer() *trace.Recorder {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tracer
-}
+func (r *Run) Tracer() *trace.Recorder { return r.tracer }
 
 // Timeline returns the run's flight recorder, or nil for restored
 // terminal records.
-func (r *Run) Timeline() *timeline.Recorder {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.timeline
-}
+func (r *Run) Timeline() *timeline.Recorder { return r.timeline }
 
 // headline is the ED²/time/energy triple a journal Done record
 // preserves for a finished run.
@@ -123,10 +130,9 @@ func newRun(id string, seq int, app, policy string, now time.Time) *Run {
 func (r *Run) Done() <-chan struct{} { return r.done }
 
 // start marks the run running.
-func (r *Run) start(now time.Time) {
+func (r *Run) start() {
 	r.mu.Lock()
 	r.status = StatusRunning
-	r.startedAt = now
 	r.mu.Unlock()
 }
 
@@ -394,7 +400,14 @@ func newRegistry(ttl time.Duration, max int, now func() time.Time) *registry {
 	return &registry{newStore[*Run]("run", ttl, max, now)}
 }
 
-// create stores a queued run record under a fresh sequential ID.
-func (g *registry) create(app, policy string) *Run {
-	return g.store.create(func(id string, seq int, now time.Time) *Run { return newRun(id, seq, app, policy, now) })
+// create stores a queued run record under a fresh sequential ID. The
+// record gets its recorders, built from r (see newRecorders), before
+// the store lock is released, so a spans, timeline or live request
+// that finds the run always finds them.
+func (g *registry) create(app, policy string, r *http.Request) *Run {
+	return g.store.create(func(id string, seq int, now time.Time) *Run {
+		run := newRun(id, seq, app, policy, now)
+		run.tracer, run.timeline = newRecorders(id, seq, r)
+		return run
+	})
 }

@@ -124,7 +124,9 @@ func (s *Server) replay(st *resilience.State) {
 			// A replayed re-execution records fresh recorders: the flight
 			// recorder is a pure function of the run's inputs, so the
 			// replay's timeline is byte-identical to the one the crashed
-			// process lost.
+			// process lost. They are in place before New returns, so no
+			// request can find the run without them.
+			run.tracer, run.timeline = newRecorders(run.ID, run.seq, nil)
 			s.bind(j, run, nil, false)
 			resub = append(resub, j)
 			s.journalReplayed.With("resubmitted").Inc()
@@ -142,7 +144,6 @@ func (s *Server) replay(st *resilience.State) {
 		}
 		s.batches.startWatcher(s.batches.restore(bs.ID, newBatch(bs.Apps, bs.Policies, cells, true, bs.Done)))
 	}
-	s.retained.Set(float64(s.reg.size()))
 	if len(resub) == 0 {
 		return
 	}

@@ -579,6 +579,51 @@ func TestSlowClientReaped(t *testing.T) {
 	}
 }
 
+// panicOnceWriter panics on its first Write, as a handler that hits a
+// bug while writing its response would.
+type panicOnceWriter struct {
+	*httptest.ResponseRecorder
+	panicked bool
+}
+
+func (w *panicOnceWriter) Write(b []byte) (int, error) {
+	if !w.panicked {
+		w.panicked = true
+		panic("chaos: response write failed")
+	}
+	return w.ResponseRecorder.Write(b)
+}
+
+// TestHandlerPanicCountedAs500: a panicking HTTP handler is recovered
+// into a 500 and a logged stack, the request is counted under its
+// route with code 500 like any other, and the daemon keeps serving.
+func TestHandlerPanicCountedAs500(t *testing.T) {
+	srv, _, _ := newChaosServer(t, Options{Workers: 1})
+	w := &panicOnceWriter{ResponseRecorder: httptest.NewRecorder()}
+	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if !strings.Contains(w.Body.String(), "internal error") {
+		t.Errorf("panicked request's body = %q, want the internal-error JSON", w.Body.String())
+	}
+	if w.Header().Get("X-Request-Id") == "" {
+		t.Error("panicked request lost its X-Request-Id header")
+	}
+
+	metrics := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(metrics, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if metrics.Code != http.StatusOK {
+		t.Fatalf("GET /metrics after a handler panic = %d", metrics.Code)
+	}
+	for _, want := range []string{
+		`harmonia_http_requests_total{method="GET",path="/healthz",code="500"} 1`,
+		`harmonia_http_request_duration_seconds_count{path="/healthz"} 1`,
+		`harmonia_serve_panics_total 1`,
+	} {
+		if !strings.Contains(metrics.Body.String(), want) {
+			t.Errorf("/metrics lacks %s:\n%s", want, metrics.Body.String())
+		}
+	}
+}
+
 // TestChaosMixedWorkloadSoak is the chaos harness: a mixed stream of
 // good runs, failing runs, panicking runs, batches, and polls against a
 // journaling server, then a drain mid-flight. It asserts the daemon

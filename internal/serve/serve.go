@@ -22,6 +22,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,7 +35,6 @@ import (
 	"harmonia/internal/resilience"
 	"harmonia/internal/session"
 	"harmonia/internal/telemetry"
-	"harmonia/internal/timeline"
 	"harmonia/internal/trace"
 )
 
@@ -70,12 +70,6 @@ type Options struct {
 	// time.Now.
 	Now func() time.Time
 
-	// BaseContext is the ancestor of every detached run context;
-	// canceling it cancels in-flight work at the next kernel boundary.
-	// Nil means context.Background(). Shutdown and Close cancel the
-	// server's derived context regardless.
-	//lint:ignore ctxflow BaseContext is the http.Server-style lifetime option, the sanctioned way to hand the server its root
-	BaseContext context.Context
 	// RequestTimeout bounds each run from admission to completion; runs
 	// over it are canceled at the next kernel boundary and fail. Zero
 	// means no per-run deadline.
@@ -133,7 +127,6 @@ type Server struct {
 	now    func() time.Time
 	reqSeq atomic.Uint64
 
-	mux     *http.ServeMux
 	handler http.Handler
 
 	jobs       chan *job
@@ -154,9 +147,9 @@ type Server struct {
 	wg      sync.WaitGroup
 	// runsWG tracks admitted runs to their terminal state; drain waits
 	// on it. drainMu orders admission — the Add AND the enqueue, both
-	// under the RLock admit takes and admitted releases — against
-	// Shutdown's Lock, so once shutdown begins no admitted job can land
-	// in the channel behind the drain.
+	// under the read-lock submit holds — against Shutdown's Lock, so
+	// once shutdown begins no admitted job can land in the channel
+	// behind the drain.
 	runsWG    sync.WaitGroup
 	drainMu   sync.RWMutex
 	draining  bool
@@ -261,11 +254,6 @@ func New(sys *harmonia.System, opts Options) *Server {
 	if now == nil {
 		now = time.Now
 	}
-	base := opts.BaseContext
-	if base == nil {
-		//lint:ignore ctxflow the documented nil-BaseContext default; Shutdown/Close cancel the derived context regardless
-		base = context.Background()
-	}
 	var breaker *resilience.Breaker
 	if opts.BreakerThreshold >= 0 {
 		breaker = resilience.NewBreaker(resilience.BreakerOptions{
@@ -273,7 +261,8 @@ func New(sys *harmonia.System, opts Options) *Server {
 			Cooldown:  opts.BreakerCooldown,
 		})
 	}
-	ctx, cancel := context.WithCancel(base)
+	//lint:ignore ctxflow the server-lifetime root every run context descends from; Shutdown and Close cancel it
+	ctx, cancel := context.WithCancel(context.Background())
 	share := runtime.GOMAXPROCS(0) / workers
 	if share < 1 {
 		share = 1
@@ -468,7 +457,7 @@ func (s *Server) worker() {
 // daemon stay up.
 func (s *Server) execute(j *job) {
 	defer s.jobDone(j)
-	j.run.start(s.now())
+	j.run.start()
 	started := s.now()
 	rep, err, stack := s.runJob(j)
 	now := s.now()
@@ -477,7 +466,7 @@ func (s *Server) execute(j *job) {
 		j.run.finishPanic(err, stack, now)
 		s.panicsTotal.Inc()
 		s.slog.Error("run panic quarantined", "run_id", j.run.ID, "error", err.Error())
-		s.breakerFeed(false)
+		s.breaker.Failure()
 	case err != nil:
 		j.run.finish(nil, err, now)
 		if isCancellation(err) {
@@ -486,11 +475,11 @@ func (s *Server) execute(j *job) {
 			// breaker doesn't wedge half-open forever.
 			s.releaseProbe(j)
 		} else {
-			s.breakerFeed(false)
+			s.breaker.Failure()
 		}
 	default:
 		j.run.finish(rep, nil, now)
-		s.breakerFeed(true)
+		s.breaker.Success()
 	}
 	s.logRun(j.run, now.Sub(started))
 	s.journalOutcome(j.run)
@@ -534,7 +523,6 @@ func (s *Server) jobDone(j *job) {
 	}
 	s.pending.Add(-1)
 	s.inflight.Add(-1)
-	s.retained.Set(float64(s.reg.size()))
 	s.runsWG.Done()
 }
 
@@ -545,31 +533,14 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// breakerFeed reports one run outcome to the circuit breaker and
-// refreshes its gauges.
-func (s *Server) breakerFeed(ok bool) {
-	if s.breaker == nil {
-		return
-	}
-	if ok {
-		s.breaker.Success()
-	} else {
-		s.breaker.Failure()
-	}
-	s.breakerState.Set(float64(s.breaker.State()))
-	s.breakerTrips.Set(float64(s.breaker.Trips()))
-}
-
 // releaseProbe hands a job's half-open probe slot back to the breaker
 // when the job resolved nothing about backend health (cancellation, or
 // failed during shutdown without ever running). A no-op for non-probe
 // jobs.
 func (s *Server) releaseProbe(j *job) {
-	if !j.probe || s.breaker == nil {
-		return
+	if j.probe {
+		s.breaker.CancelProbe()
 	}
-	s.breaker.CancelProbe()
-	s.breakerState.Set(float64(s.breaker.State()))
 }
 
 // shedError is an admission rejection: which HTTP status to shed with,
@@ -621,78 +592,60 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeError(w, statusFor(err), "%s", err.Error())
 }
 
-// admit reserves n admission slots or explains the rejection. On
-// success the runs are committed — n runsWG entries and n pending slots
-// are held, probe reports whether this submission owns the breaker's
-// half-open probe slot (assign it to exactly one of the jobs), and the
-// drain read-lock is STILL HELD: the caller must enqueue exactly n jobs
-// and then call admitted(), so every admitted enqueue is ordered before
-// shutdown can start draining (enqueues of admitted jobs cannot fail or
-// block). Checks run cheapest-first; the queue bound precedes the token
-// bucket so a queue_full shed spends no token, and the breaker goes
-// last so its probe slot is only consumed by a submission that will
-// actually execute (a token spent on a breaker rejection is refunded).
-func (s *Server) admit(n int) (probe bool, shed *shedError) {
+// submit is the one admission path: it admits the submission of jobs or
+// explains the rejection. Checks run cheapest-first: the draining flag,
+// then the queue bound, which precedes the token bucket so a queue_full
+// shed spends no token, then the breaker, last so its half-open probe
+// slot is only consumed by a submission that will actually execute (a
+// token spent on a breaker rejection is refunded). An admitted
+// submission reserves its pending slots and runsWG entries, runs record
+// (which creates, binds and journals the jobs' run records), gives its
+// first job the probe slot if the breaker granted one, and enqueues
+// every job. All of it happens under the drain read-lock, which the
+// defer releases: shutdown's forced path cannot drain the channel
+// between a reservation and its enqueue and then hang on the stranded
+// job's runsWG entry. pending never exceeds queueDepth == cap(jobs), so
+// no send blocks.
+func (s *Server) submit(jobs []*job, record func()) *shedError {
 	s.drainMu.RLock()
+	defer s.drainMu.RUnlock()
+	n := int64(len(jobs))
 	if s.draining {
-		s.drainMu.RUnlock()
-		return false, &shedError{status: http.StatusServiceUnavailable, reason: "draining",
+		return &shedError{status: http.StatusServiceUnavailable, reason: "draining",
 			retryAfter: time.Second, msg: "server is draining for shutdown"}
 	}
-	if p := s.pending.Add(int64(n)); p > s.queueDepth {
-		s.pending.Add(int64(-n))
-		s.drainMu.RUnlock()
-		return false, &shedError{status: http.StatusTooManyRequests, reason: "queue_full",
+	if p := s.pending.Add(n); p > s.queueDepth {
+		s.pending.Add(-n)
+		return &shedError{status: http.StatusTooManyRequests, reason: "queue_full",
 			retryAfter: time.Second,
-			msg:        fmt.Sprintf("admission queue full (%d of %d slots pending)", p-int64(n), s.queueDepth)}
+			msg:        fmt.Sprintf("admission queue full (%d of %d slots pending)", p-n, s.queueDepth)}
 	}
 	if ok, retry := s.limiter.Allow(); !ok {
-		s.pending.Add(int64(-n))
-		s.drainMu.RUnlock()
-		return false, &shedError{status: http.StatusTooManyRequests, reason: "rate_limited",
+		s.pending.Add(-n)
+		return &shedError{status: http.StatusTooManyRequests, reason: "rate_limited",
 			retryAfter: retry, msg: "rate limit exceeded"}
 	}
-	if s.breaker != nil {
-		ok, pr, retry := s.breaker.Allow()
-		if !ok {
-			s.pending.Add(int64(-n))
-			s.limiter.Refund()
-			s.breakerState.Set(float64(s.breaker.State()))
-			s.drainMu.RUnlock()
-			return false, &shedError{status: http.StatusServiceUnavailable, reason: "breaker_open",
-				retryAfter: retry, msg: "circuit breaker open: backend is failing"}
-		}
-		probe = pr
-		s.breakerState.Set(float64(s.breaker.State()))
+	ok, probe, retry := s.breaker.Allow()
+	if !ok {
+		s.pending.Add(-n)
+		s.limiter.Refund()
+		return &shedError{status: http.StatusServiceUnavailable, reason: "breaker_open",
+			retryAfter: retry, msg: "circuit breaker open: backend is failing"}
 	}
-	s.runsWG.Add(n)
+	s.runsWG.Add(len(jobs))
 	s.inflight.Add(float64(n))
-	return probe, nil
+	record()
+	jobs[0].probe = probe
+	for _, j := range jobs {
+		s.jobs <- j
+	}
+	return nil
 }
 
-// admitted releases the drain read-lock a successful admit left held.
-// Call it once the admitted jobs are enqueued; holding the lock across
-// the enqueue is what stops shutdown's forced path from draining the
-// channel between a reservation and its enqueue and then hanging on the
-// stranded job's runsWG entry.
-func (s *Server) admitted() { s.drainMu.RUnlock() }
-
-// enqueue hands an admitted job to the pool. pending <= queueDepth ==
-// cap(jobs) and running jobs have already left the channel, so the send
-// never blocks.
-func (s *Server) enqueue(j *job) {
-	s.jobs <- j
-}
-
-// bind ties a resolved job to its run record. The run gets a fresh span
-// recorder and flight recorder, whose span IDs are seeded by the run's
-// registry sequence number. r is the submitting request, or nil for a
-// journal-replayed re-execution: a request adds its ID as a header
-// attribute next to run_id, and an inbound W3C traceparent header
-// donates the trace ID, joining the run's spans to the caller's
-// distributed trace. A waiting submitter that disconnects cancels the
-// run at its next kernel boundary; a detached or replayed run only
-// stops at shutdown. The per-run deadline, when set, bounds either.
+// bind ties a resolved job to its run record and the run's recorders. A
+// waiting submitter that disconnects cancels the run at its next kernel
+// boundary; a detached or journal-replayed run (r is nil) only stops at
+// shutdown. The per-run deadline, when set, bounds either.
 func (s *Server) bind(j *job, run *Run, r *http.Request, wait bool) {
 	j.run, j.ctx = run, s.baseCtx
 	if wait {
@@ -701,21 +654,7 @@ func (s *Server) bind(j *job, run *Run, r *http.Request, wait bool) {
 	if s.requestTimeout > 0 {
 		j.ctx, j.cancel = context.WithTimeout(j.ctx, s.requestTimeout)
 	}
-	attrs := []trace.Attr{{Key: "run_id", Value: run.ID}}
-	var opts []trace.Option
-	if r != nil {
-		if rid := requestIDFrom(r.Context()); rid != "" {
-			attrs = append(attrs, trace.Attr{Key: "request_id", Value: rid})
-		}
-		if tid, parent, ok := trace.ParseTraceparent(r.Header.Get("traceparent")); ok {
-			opts = append(opts, trace.WithTraceID(tid))
-			attrs = append(attrs, trace.Attr{Key: "parent_span_id", Value: parent})
-		}
-	}
-	tr := trace.New(uint64(run.seq), append(opts, trace.WithAttrs(attrs...))...)
-	tl := timeline.New()
-	run.setRecorders(tr, tl)
-	j.opts = append(j.opts, harmonia.RunWithTrace(tr), harmonia.RunWithTimeline(tl))
+	j.opts = append(j.opts, harmonia.RunWithTrace(run.tracer), harmonia.RunWithTimeline(run.timeline))
 }
 
 // writeShed rejects a submission with Retry-After and counts it.
@@ -732,78 +671,52 @@ func (s *Server) writeShed(w http.ResponseWriter, e *shedError) {
 	writeError(w, e.status, "%s", e.msg)
 }
 
-// buildMux registers every route. Paths are passed twice — once as the
-// mux pattern, once as the bounded-cardinality metrics label.
+// buildMux registers every route, each named once: its metrics label
+// is the pattern without the method. The handler it installs wraps the
+// mux in the one request wrapper.
 func (s *Server) buildMux() {
 	mux := http.NewServeMux()
-	route := func(pattern, label string, h http.HandlerFunc) {
-		mux.Handle(pattern, s.instrument(label, h))
+	route := func(pattern string, h http.HandlerFunc) {
+		_, label, _ := strings.Cut(pattern, " ")
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			w.(*statusWriter).route = label
+			h(w, r)
+		})
 	}
-	route("POST /v1/runs", "/v1/runs", s.handleCreateRun)
-	route("GET /v1/runs", "/v1/runs", s.handleListRuns)
-	route("POST /v1/batch", "/v1/batch", s.handleCreateBatch)
-	route("GET /v1/batch/{id}", "/v1/batch/{id}", s.handleGetBatch)
-	route("GET /v1/runs/{id}", "/v1/runs/{id}", s.handleGetRun)
-	route("GET /v1/runs/{id}/trace", "/v1/runs/{id}/trace", s.handleGetTrace)
-	route("GET /v1/runs/{id}/spans", "/v1/runs/{id}/spans", s.handleGetSpans)
-	route("GET /v1/runs/{id}/timeline", "/v1/runs/{id}/timeline", s.handleGetTimeline)
-	route("GET /v1/runs/{id}/live", "/v1/runs/{id}/live", s.handleLive)
-	route("GET /v1/stats/quality", "/v1/stats/quality", s.handleQualityStats)
-	route("GET /v1/apps", "/v1/apps", s.handleApps)
-	route("GET /v1/configs", "/v1/configs", s.handleConfigs)
-	route("GET /healthz", "/healthz", s.handleHealthz)
-	route("GET /readyz", "/readyz", s.handleReadyz)
-	route("GET /metrics", "/metrics", s.handleMetrics)
-	s.mux = mux
-	s.handler = s.traced(s.logged(s.recovered(mux)))
+	route("POST /v1/runs", s.handleCreateRun)
+	route("GET /v1/runs", s.handleListRuns)
+	route("POST /v1/batch", s.handleCreateBatch)
+	route("GET /v1/batch/{id}", s.handleGetBatch)
+	route("GET /v1/runs/{id}", s.handleGetRun)
+	route("GET /v1/runs/{id}/trace", s.handleGetTrace)
+	route("GET /v1/runs/{id}/spans", s.handleGetSpans)
+	route("GET /v1/runs/{id}/timeline", s.handleGetTimeline)
+	route("GET /v1/runs/{id}/live", s.handleLive)
+	route("GET /v1/stats/quality", s.handleQualityStats)
+	route("GET /v1/apps", s.handleApps)
+	route("GET /v1/configs", s.handleConfigs)
+	route("GET /healthz", s.handleHealthz)
+	route("GET /readyz", s.handleReadyz)
+	route("GET /metrics", s.handleMetrics)
+	s.handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { s.serveRequest(mux, w, r) })
 }
 
-// ctxKeyRequestID carries the request ID minted (or accepted) by the
-// traced middleware through the request context.
+// ctxKeyRequestID carries the request ID serveRequest minted (or
+// accepted) through the request context.
 type ctxKeyRequestID struct{}
 
-// requestIDFrom returns the request's ID, or "" outside the middleware.
+// requestIDFrom returns the request's ID, or "" outside serveRequest.
 func requestIDFrom(ctx context.Context) string {
 	v, _ := ctx.Value(ctxKeyRequestID{}).(string)
 	return v
 }
 
-// traced is the outermost middleware: it mints a request ID (honoring
-// an inbound X-Request-ID), echoes it on the response, and stores it in
-// the context so run submission can stamp it onto the run's trace and
-// the access log can correlate lines with spans.
-func (s *Server) traced(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rid := r.Header.Get("X-Request-Id")
-		if rid == "" {
-			rid = fmt.Sprintf("req-%06d", s.reqSeq.Add(1))
-		}
-		w.Header().Set("X-Request-Id", rid)
-		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), ctxKeyRequestID{}, rid)))
-	})
-}
-
-// recovered is the panic backstop for HTTP handlers: a panicking
-// handler yields one 500 and a logged stack instead of a dead
-// connection (and, without http.Server's own recovery, a dead daemon).
-func (s *Server) recovered(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if p := recover(); p != nil {
-				s.panicsTotal.Inc()
-				s.slog.Error("panic serving request", "method", r.Method, "path", r.URL.Path,
-					"panic", fmt.Sprint(p), "stack", string(debug.Stack()))
-				writeError(w, http.StatusInternalServerError, "internal error")
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
-}
-
-// statusWriter captures the response code for logging and metrics.
+// statusWriter captures the response code, and the label of the route
+// that matched, for metrics and the request log.
 type statusWriter struct {
 	http.ResponseWriter
-	code int
+	code  int
+	route string
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -817,39 +730,56 @@ func (w *statusWriter) Unwrap() http.ResponseWriter {
 	return w.ResponseWriter
 }
 
-// logged emits one structured slog line per request, correlated with
-// the request ID the traced middleware minted and — when the caller
-// sent a W3C traceparent — the distributed trace ID the run's spans
-// will join.
-func (s *Server) logged(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		t0 := time.Now()
-		next.ServeHTTP(sw, r)
-		attrs := []any{
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", sw.code,
-			"duration", time.Since(t0).Round(time.Microsecond).String(),
-			"request_id", requestIDFrom(r.Context()),
-		}
-		if tid, _, ok := trace.ParseTraceparent(r.Header.Get("traceparent")); ok {
-			attrs = append(attrs, "trace_id", tid)
-		}
-		s.slog.Info("request", attrs...)
-	})
+// serveRequest is the one request wrapper. It mints a request ID
+// (honoring an inbound X-Request-ID), echoes it on the response, and
+// stores it in the context so run submission can stamp it onto the
+// run's trace. It serves the request through mux with a panic backstop,
+// then, on one clock reading, counts a request that matched a route and
+// observes its latency under the route's label, and emits one
+// structured log line, correlated with the request ID and, when the
+// caller sent a W3C traceparent, the distributed trace ID the run's
+// spans join.
+func (s *Server) serveRequest(mux http.Handler, w http.ResponseWriter, r *http.Request) {
+	rid := r.Header.Get("X-Request-Id")
+	if rid == "" {
+		rid = fmt.Sprintf("req-%06d", s.reqSeq.Add(1))
+	}
+	w.Header().Set("X-Request-Id", rid)
+	r = r.WithContext(context.WithValue(r.Context(), ctxKeyRequestID{}, rid))
+	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+	t0 := time.Now()
+	s.recovered(mux, sw, r)
+	elapsed := time.Since(t0)
+	if sw.route != "" {
+		s.httpReqs.With(r.Method, sw.route, strconv.Itoa(sw.code)).Inc()
+		s.httpDur.With(sw.route).Observe(elapsed.Seconds())
+	}
+	attrs := []any{
+		"method", r.Method,
+		"path", r.URL.Path,
+		"status", sw.code,
+		"duration", elapsed.Round(time.Microsecond).String(),
+		"request_id", rid,
+	}
+	if tid, _, ok := trace.ParseTraceparent(r.Header.Get("traceparent")); ok {
+		attrs = append(attrs, "trace_id", tid)
+	}
+	s.slog.Info("request", attrs...)
 }
 
-// instrument wraps one route with request counting and latency
-// observation under its pattern label.
-func (s *Server) instrument(label string, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		t0 := time.Now()
-		next.ServeHTTP(sw, r)
-		s.httpReqs.With(r.Method, label, fmt.Sprintf("%d", sw.code)).Inc()
-		s.httpDur.With(label).Observe(time.Since(t0).Seconds())
-	})
+// recovered is the panic backstop for HTTP handlers: a panicking
+// handler yields one 500 and a logged stack instead of a dead
+// connection (and, without http.Server's own recovery, a dead daemon).
+func (s *Server) recovered(h http.Handler, w http.ResponseWriter, r *http.Request) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.panicsTotal.Inc()
+			s.slog.Error("panic serving request", "method", r.Method, "path", r.URL.Path,
+				"panic", fmt.Sprint(p), "stack", string(debug.Stack()))
+			writeError(w, http.StatusInternalServerError, "internal error")
+		}
+	}()
+	h.ServeHTTP(w, r)
 }
 
 // writeJSON writes v as indented JSON with the given status.
@@ -984,21 +914,13 @@ func (s *Server) handleCreateRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	wait := req.Wait == nil || *req.Wait
-	probe, shed := s.admit(1)
-	if shed != nil {
+	if shed := s.submit([]*job{j}, func() {
+		s.bind(j, s.reg.create(req.App, j.pol.Name(), r), r, wait)
+		s.journalSubmit(j, "")
+	}); shed != nil {
 		s.writeShed(w, shed)
 		return
 	}
-	func() {
-		// admit left the drain read-lock held; release it only after the
-		// enqueue so shutdown cannot drain between reservation and send.
-		defer s.admitted()
-		s.bind(j, s.reg.create(req.App, j.pol.Name()), r, wait)
-		s.retained.Set(float64(s.reg.size()))
-		s.journalSubmit(j, "")
-		j.probe = probe
-		s.enqueue(j)
-	}()
 	run := j.run
 	if !wait {
 		writeJSON(w, http.StatusAccepted, run.JSON())
@@ -1047,14 +969,21 @@ func errRunNotFound(kind, id string) error {
 	return fmt.Errorf("%w: no %s %q (expired or never created)", harmonia.ErrRunNotFound, kind, id)
 }
 
-// handleGetRun is GET /v1/runs/{id}.
-func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
+// runFor returns the run the request's {id} names, or answers 404 and
+// returns nil.
+func (s *Server) runFor(w http.ResponseWriter, r *http.Request) *Run {
 	run, ok := s.reg.get(r.PathValue("id"))
 	if !ok {
 		writeErr(w, errRunNotFound("run", r.PathValue("id")))
-		return
 	}
-	writeJSON(w, http.StatusOK, run.JSON())
+	return run
+}
+
+// handleGetRun is GET /v1/runs/{id}.
+func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
+	if run := s.runFor(w, r); run != nil {
+		writeJSON(w, http.StatusOK, run.JSON())
+	}
 }
 
 // handleGetSpans is GET /v1/runs/{id}/spans: the run's span tree, built
@@ -1064,9 +993,8 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 // still executing: the tree holds every completed boundary, and the run
 // span exports ended=false.
 func (s *Server) handleGetSpans(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.reg.get(r.PathValue("id"))
-	if !ok {
-		writeErr(w, errRunNotFound("run", r.PathValue("id")))
+	run := s.runFor(w, r)
+	if run == nil {
 		return
 	}
 	rec := run.Tracer()
@@ -1097,9 +1025,8 @@ func (s *Server) handleGetSpans(w http.ResponseWriter, r *http.Request) {
 // handleGetTrace is GET /v1/runs/{id}/trace: the 1 kHz power trace as
 // CSV (default) or JSON (?format=json), straight from internal/export.
 func (s *Server) handleGetTrace(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.reg.get(r.PathValue("id"))
-	if !ok {
-		writeErr(w, errRunNotFound("run", r.PathValue("id")))
+	run := s.runFor(w, r)
+	if run == nil {
 		return
 	}
 	samples, ok := run.Samples()
@@ -1213,8 +1140,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics is GET /metrics in Prometheus text exposition format.
+// The retained-runs and breaker gauges are set here, where they are
+// served, rather than at every change.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.retained.Set(float64(s.reg.size()))
+	s.breakerState.Set(float64(s.breaker.State()))
+	s.breakerTrips.Set(float64(s.breaker.Trips()))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.tel.WritePrometheus(w); err != nil {
 		s.slog.Error("writing metrics", "error", err.Error())

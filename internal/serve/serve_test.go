@@ -501,8 +501,8 @@ func TestRegistryCapEviction(t *testing.T) {
 	evicted := 0
 	reg.onEvict = func(n int) { evicted += n }
 	for i := 0; i < 4; i++ {
-		run := reg.create("app", "pol")
-		run.start(time.Now())
+		run := reg.create("app", "pol", nil)
+		run.start()
 		run.finish(nil, nil, time.Now())
 	}
 	if got := reg.size(); got > 3 {
@@ -515,6 +515,19 @@ func TestRegistryCapEviction(t *testing.T) {
 	}
 	if evicted == 0 {
 		t.Error("onEvict never fired")
+	}
+}
+
+// TestCreatedRunHasRecorders: a run is visible to GET /v1/runs/{id}/spans,
+// /timeline and /live from the moment create stores it, so the record
+// create returns must already carry both recorders. Without them those
+// endpoints answer 409, as if the live run had been restored from a
+// previous process's journal.
+func TestCreatedRunHasRecorders(t *testing.T) {
+	reg := newRegistry(0, 0, time.Now)
+	run := reg.create("app", "pol", nil)
+	if run.Tracer() == nil || run.Timeline() == nil {
+		t.Errorf("created run has tracer %p and timeline %p, want both", run.Tracer(), run.Timeline())
 	}
 }
 
@@ -552,7 +565,7 @@ func TestListOrderSurvivesSeqRollover(t *testing.T) {
 	reg.seq = 999997 // two runs this side of the six-digit pad, then past it
 	var created []*Run
 	for i := 0; i < 4; i++ {
-		created = append(created, reg.create("app", "pol"))
+		created = append(created, reg.create("app", "pol", nil))
 	}
 	if created[1].ID != "run-999999" || created[2].ID != "run-1000000" {
 		t.Fatalf("unexpected IDs around rollover: %s, %s", created[1].ID, created[2].ID)
@@ -576,8 +589,8 @@ func TestCapEvictionSurvivesSeqRollover(t *testing.T) {
 	reg := newRegistry(0, 2, time.Now)
 	t.Run("runs", func(t *testing.T) {
 		capEvictsOldestFirst(t, reg.store, func() string {
-			run := reg.create("app", "pol")
-			run.start(time.Now())
+			run := reg.create("app", "pol", nil)
+			run.start()
 			run.finish(nil, nil, time.Now())
 			return run.ID
 		})
@@ -607,7 +620,7 @@ func TestRestoreOutOfOrderKeepsSequence(t *testing.T) {
 			return newRun(id, seq, "app", "pol", now)
 		}))
 	}
-	runs = append(runs, reg.create("app", "pol"))
+	runs = append(runs, reg.create("app", "pol", nil))
 	listed := func() []string {
 		var ids []string
 		for _, run := range reg.list() {
@@ -624,7 +637,7 @@ func TestRestoreOutOfOrderKeepsSequence(t *testing.T) {
 	// three oldest finished runs and keeps the in-flight one.
 	for _, run := range runs {
 		if run.ID != "run-000002" {
-			run.start(time.Now())
+			run.start()
 			run.finish(nil, nil, time.Now())
 		}
 	}

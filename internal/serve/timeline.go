@@ -28,9 +28,8 @@ var (
 // coarser resolution before writing. Safe to call while the run is
 // still executing — the snapshot is a consistent prefix.
 func (s *Server) handleGetTimeline(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.reg.get(r.PathValue("id"))
-	if !ok {
-		writeErr(w, errRunNotFound("run", r.PathValue("id")))
+	run := s.runFor(w, r)
+	if run == nil {
 		return
 	}
 	tl := run.Timeline()
@@ -91,9 +90,8 @@ func (s *Server) handleQualityStats(w http.ResponseWriter, r *http.Request) {
 // the run finishes. A client connecting after the run finished still
 // receives every retained event exactly once, then "done".
 func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.reg.get(r.PathValue("id"))
-	if !ok {
-		writeErr(w, errRunNotFound("run", r.PathValue("id")))
+	run := s.runFor(w, r)
+	if run == nil {
 		return
 	}
 	tl := run.Timeline()
@@ -102,8 +100,8 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 			"run %s has no recorded timeline (restored from a previous process's journal)", run.ID)
 		return
 	}
-	// ResponseController unwraps the logging/instrumentation middleware
-	// wrappers to reach the connection's Flusher.
+	// ResponseController unwraps the request wrapper's statusWriter to
+	// reach the connection's Flusher.
 	fl := http.NewResponseController(w)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -155,9 +153,6 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 // the timeline through the decision-quality engine.
 func (s *Server) finishTimeline(j *job) {
 	tl := j.run.Timeline()
-	if tl == nil {
-		return
-	}
 	tl.Finish()
 	decs, dropped, _ := tl.Counts()
 	s.timelineEvents.Add(float64(decs))

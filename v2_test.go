@@ -68,9 +68,8 @@ func TestConcurrentControllerConstruction(t *testing.T) {
 
 func TestFunctionalOptions(t *testing.T) {
 	pre := PaperTable3()
-	fc := FaultProfile(42, 0.5)
 	reg := NewTelemetry()
-	s := NewSystem(WithPredictor(pre), WithFaultInjection(fc), WithTelemetry(reg))
+	s := NewSystem(WithPredictor(pre), WithTelemetry(reg))
 
 	if got, err := s.TrainedPredictor(); err != nil || got != pre {
 		t.Errorf("WithPredictor not honoured: %p/%v, want %p", got, err, pre)
@@ -82,60 +81,28 @@ func TestFunctionalOptions(t *testing.T) {
 	if c := s.Harmonia(); c == nil {
 		t.Error("Harmonia returned nil")
 	}
-	// WithFaultInjection must behave exactly like arming the same
-	// faults per run.
-	app := App("Graph500")
-	rep1, err := s.Run(app, s.Baseline())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := NewSystem()
-	rep2, err := plain.RunContext(context.Background(), app, plain.Baseline(), RunWithFaults(fc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(rep1.ED2()) != math.Float64bits(rep2.ED2()) {
-		t.Errorf("construction-armed faults %v != per-run faults %v", rep1.ED2(), rep2.ED2())
-	}
 }
 
+// TestRunOptionsOverrideSystemFaults: faults are armed per run only, so
+// a RunWithFaults run leaves the next plain run on the same System
+// bit-identical to a fresh System's.
 func TestRunOptionsOverrideSystemFaults(t *testing.T) {
-	fc := FaultProfile(42, 1)
-	s := NewSystem(WithFaultInjection(fc))
 	app := App("Graph500")
-
-	clean := NewSystem()
-	wantClean, err := clean.Run(app, clean.Baseline())
+	s := NewSystem()
+	if _, err := s.RunContext(context.Background(), app, s.Baseline(), RunWithFaults(FaultProfile(7, 1))); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Run(app, s.Baseline())
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// RunWithoutFaults must fully suppress construction-time faults.
-	got, err := s.RunContext(context.Background(), app, s.Baseline(), RunWithoutFaults())
+	fresh := NewSystem()
+	want, err := fresh.Run(app, fresh.Baseline())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Float64bits(got.ED2()) != math.Float64bits(wantClean.ED2()) {
-		t.Errorf("RunWithoutFaults ED2 = %v, want clean %v", got.ED2(), wantClean.ED2())
-	}
-
-	// RunWithFaults must override with a different profile without
-	// touching the System's armed config for later runs.
-	other := FaultProfile(7, 1)
-	if _, err := s.RunContext(context.Background(), app, s.Baseline(), RunWithFaults(other)); err != nil {
-		t.Fatal(err)
-	}
-	armed, err := s.Run(app, s.Baseline())
-	if err != nil {
-		t.Fatal(err)
-	}
-	armedWant := NewSystem(WithFaultInjection(fc))
-	want, err := armedWant.Run(app, armedWant.Baseline())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(armed.ED2()) != math.Float64bits(want.ED2()) {
-		t.Errorf("per-run fault option leaked into System state")
+	if math.Float64bits(got.ED2()) != math.Float64bits(want.ED2()) {
+		t.Errorf("plain run after a faulted one: ED2 %v, want a fresh System's %v", got.ED2(), want.ED2())
 	}
 }
 

@@ -29,7 +29,7 @@ import (
 var artifacts = []string{
 	"fig1", "table1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "table2", "table3",
 	"results", "computeonly", "accuracy", "fig14", "fig15", "fig16", "fig17", "fig18",
-	"memvolt", "objective", "tdp", "stacked", "knobs", "timeline",
+	"memvolt", "objective", "tdp", "stacked", "knobs", "timeline", "robustness",
 }
 
 func main() {
@@ -217,6 +217,13 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string) int {
 			return fail(err)
 		}
 		fmt.Fprintln(stdout, sum)
+	}
+	if want("robustness") {
+		r, err := experiments.Robustness(ctx, e, 42, nil)
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprintln(stdout, r)
 	}
 	return 0
 }

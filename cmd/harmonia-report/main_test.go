@@ -72,14 +72,15 @@ func TestArtifactsPartitionReport(t *testing.T) {
 }
 
 // TestExperimentsTablesMatchReport: EXPERIMENTS.md and README.md copy
-// numbers from the report. EXPERIMENTS.md copies two tables whole, the
-// per-application results of Figures 10-13 and Figure 18: every row the
-// document prints must carry the numbers the report prints for that
-// application, and the document must print a row for every application
-// the report does. The headline tables of both documents, EXPERIMENTS.md's
-// Table 3 table and its Section 7.2 accuracy line copy the report's
-// summary, per-application, Table 3 and accuracy lines: each of their
-// numbers must stand for the report value it copies (see headlineClaims).
+// numbers from the report. EXPERIMENTS.md copies three tables whole,
+// the per-application results of Figures 10-13, Figure 18 and the
+// robustness study: every row the document prints must carry the
+// numbers the report prints for that application (or fault intensity),
+// and the document must print a row for every one the report does. The
+// headline tables of both documents, EXPERIMENTS.md's Table 3 table and
+// its Section 7.2 accuracy line copy the report's summary,
+// per-application, Table 3 and accuracy lines: each of their numbers
+// must stand for the report value it copies (see headlineClaims).
 func TestExperimentsTablesMatchReport(t *testing.T) {
 	doc, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
@@ -117,6 +118,14 @@ func TestExperimentsTablesMatchReport(t *testing.T) {
 			"| App | CG gain | FG increment | CG/FG/revert actions | Paper's reading |",
 			"Figure 18 — relative contributions of CG versus FG tuning (ED2 gain)",
 			[]int{1, 2, 3},
+		},
+		{
+			// Naive and hardened ED² degradation, naive and hardened
+			// slowdown, by fault intensity.
+			"robustness",
+			"| intensity | naive ED² | hardened ED² | naive slowdown | hardened slowdown |",
+			"Robustness study (seed 42): geomean degradation vs clean run",
+			[]int{1, 2, 4, 5},
 		},
 	} {
 		want := reportRows(t, report, tc.reportTitle, tc.reportCols)
@@ -358,9 +367,9 @@ func standsFor(s string, x float64) bool {
 }
 
 // number is a table cell's leading value as the report spells it: the
-// document's typographic minus becomes "-", and an explicit "+", a "%"
-// and any trailing note ("(faster)") go.
+// document's typographic minus becomes "-", and an explicit "+", a
+// trailing "%", "×" or "x" and any trailing note ("(faster)") go.
 func number(cell string) string {
 	v := strings.Fields(strings.ReplaceAll(cell, "−", "-"))[0]
-	return strings.TrimPrefix(strings.TrimSuffix(v, "%"), "+")
+	return strings.TrimPrefix(strings.TrimRight(v, "%×x"), "+")
 }

@@ -184,10 +184,11 @@ func main() {
 		drainCtx, cancel := context.WithTimeout(context.Background(), *drainTO)
 		defer cancel()
 		// Drain the service first — in-flight runs finish or are
-		// canceled at kernel boundaries, queued jobs are failed, batch
-		// watchers reaped, the journal flushed and closed — then close
-		// the listener. Synchronous HTTP waiters got their responses
-		// when their runs went terminal, so the HTTP shutdown is quick.
+		// canceled at kernel boundaries, queued jobs are failed and
+		// their live streams ended, the journal flushed and closed —
+		// then close the listener. Synchronous HTTP waiters got their
+		// responses when their runs went terminal, so the HTTP shutdown
+		// is quick.
 		if err := srv.Shutdown(drainCtx); err != nil {
 			logger.Printf("drain: %v (remaining runs were canceled)", err)
 		} else {

@@ -18,37 +18,35 @@ type Batch struct {
 	policies []string
 	cells    []*Run
 	restored bool
-	// muted suppresses the onDone callback: a replayed batch the
+	// muted stops the batch journaling batchdone: a replayed batch the
 	// journal already records as done must not journal a second
-	// batchdone line. Set before the watcher starts, never mutated.
+	// batchdone line. Set at creation, never mutated.
 	muted bool
 
 	mu         sync.Mutex
 	createdAt  time.Time
 	finishedAt time.Time
+	// left counts the cells not yet settled.
+	left int
 
 	done chan struct{}
 }
 
-// Done returns a channel closed when every cell has reached a terminal
-// state.
+// Done returns a channel closed when the last cell has settled.
 func (b *Batch) Done() <-chan struct{} { return b.done }
 
-// watch waits for all child runs, stamps the batch finished, and
-// reports completion (the server journals it). It runs on its own
-// goroutine, started at creation and tracked by the registry's
-// WaitGroup so shutdown can prove no watcher leaked.
-func (b *Batch) watch(now func() time.Time, onDone func(*Batch)) {
-	for _, run := range b.cells {
-		<-run.Done()
-	}
+// cellDone counts one cell settled and reports whether it was the last:
+// that cell stamps the batch finished and closes Done.
+func (b *Batch) cellDone(now time.Time) bool {
 	b.mu.Lock()
-	b.finishedAt = now()
-	b.mu.Unlock()
-	close(b.done)
-	if onDone != nil && !b.muted {
-		onDone(b)
+	defer b.mu.Unlock()
+	b.left--
+	if b.left > 0 {
+		return false
 	}
+	b.finishedAt = now
+	close(b.done)
+	return true
 }
 
 // terminalSince reports whether the batch finished at or before cutoff.
@@ -147,51 +145,42 @@ func (b *Batch) JSON() BatchJSON {
 }
 
 // newBatch returns the store constructor of a batch over the given
-// cells. restored marks a journal replay; muted suppresses the onDone
-// callback of a replayed batch the journal already records as done.
+// cells. restored marks a journal replay; muted stops a replayed batch
+// the journal already records as done from journaling batchdone again.
+// The batch counts its cells that are not yet terminal, and a batch
+// whose every cell is (a replayed batch whose cells all have journaled
+// outcomes) is finished when it is built.
 func newBatch(apps, policies []string, cells []*Run, restored, muted bool) func(string, int, time.Time) *Batch {
 	return func(id string, _ int, now time.Time) *Batch {
-		return &Batch{ID: id, apps: apps, policies: policies, cells: cells,
+		b := &Batch{ID: id, apps: apps, policies: policies, cells: cells,
 			restored: restored, muted: muted, createdAt: now, done: make(chan struct{})}
+		for _, run := range cells {
+			// A cell a hand-edited journal lists twice, or in two
+			// batches, counts once, toward the first batch listing it.
+			if run.batch == nil && !terminalStatus(run.Status()) {
+				run.batch = b
+				b.left++
+			}
+		}
+		if b.left == 0 {
+			b.finishedAt = now
+			close(b.done)
+		}
+		return b
 	}
 }
 
-// batchRegistry is the batch store plus each batch's completion watcher.
-type batchRegistry struct {
-	*store[*Batch]
-	// onDone, when non-nil, observes each batch reaching its terminal
-	// state (the server journals a batchdone record there).
-	onDone func(*Batch)
-	// watchers tracks the per-batch watcher goroutines so shutdown can
-	// wait for all of them (the goroutine-leak gate).
-	watchers sync.WaitGroup
-}
+// batchRegistry is the batch store.
+type batchRegistry struct{ *store[*Batch] }
 
 func newBatchRegistry(ttl time.Duration, max int, now func() time.Time) *batchRegistry {
-	return &batchRegistry{store: newStore[*Batch]("batch", ttl, max, now)}
+	return &batchRegistry{newStore[*Batch]("batch", ttl, max, now)}
 }
 
-// create stores a batch over the given cells and starts its watcher.
+// create stores a batch over the given cells.
 func (g *batchRegistry) create(apps, policies []string, cells []*Run) *Batch {
-	return g.startWatcher(g.store.create(newBatch(apps, policies, cells, false, false)))
+	return g.store.create(newBatch(apps, policies, cells, false, false))
 }
-
-// startWatcher launches b's completion watcher under the registry's
-// WaitGroup and returns b. A restored batch whose every cell is already
-// terminal completes at once (its watcher ranges over closed Done
-// channels).
-func (g *batchRegistry) startWatcher(b *Batch) *Batch {
-	g.watchers.Add(1)
-	go func() {
-		defer g.watchers.Done()
-		b.watch(g.now, g.onDone)
-	}()
-	return b
-}
-
-// wait blocks until every watcher goroutine has exited (all batches
-// terminal). Only meaningful once no new batches can be created.
-func (g *batchRegistry) wait() { g.watchers.Wait() }
 
 // BatchRequest is the body of POST /v1/batch: the cross product of apps
 // and policies, each cell sharing the request's config, TDP, and fault
@@ -287,7 +276,7 @@ func (s *Server) handleCreateBatch(w http.ResponseWriter, r *http.Request) {
 	case <-b.Done():
 	case <-r.Context().Done():
 		// Cell workers share the request context and will fail their
-		// runs; the watcher then closes Done.
+		// runs; the last cell's settle then closes Done.
 		<-b.Done()
 	}
 	out := b.JSON()

@@ -217,8 +217,8 @@ func TestBatchRegistryTTLEviction(t *testing.T) {
 	clock := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 	g := newBatchRegistry(time.Minute, 0, func() time.Time { return clock })
 	run := newRun("run-000001", 1, "app", "pol", clock)
-	b := g.create([]string{"app"}, []string{"pol"}, []*Run{run})
 	run.finish(nil, nil, clock)
+	b := g.create([]string{"app"}, []string{"pol"}, []*Run{run})
 	<-b.Done()
 	if _, ok := g.get(b.ID); !ok {
 		t.Fatal("fresh batch should be retained")

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"slices"
@@ -57,6 +58,10 @@ type Run struct {
 	// process.
 	tracer   *trace.Recorder
 	timeline *timeline.Recorder
+	// batch is the batch the run is an unfinished cell of, or nil.
+	// newBatch sets it before any cell is enqueued, and only settle
+	// reads it.
+	batch *Batch
 
 	mu         sync.Mutex
 	app        string
@@ -136,13 +141,18 @@ func (r *Run) start() {
 	r.mu.Unlock()
 }
 
-// finish records the outcome and releases waiters. A successful run
-// keeps its report body, its power samples and its headline, not rep.
+// finish records the outcome and releases waiters: done, failed, or
+// panicked for a *panicked error, whose stack the record keeps. A
+// successful run keeps its report body, its power samples and its
+// headline, not rep.
 func (r *Run) finish(rep *session.Report, err error, now time.Time) {
+	var p *panicked
 	r.mu.Lock()
 	r.finishedAt = now
 	r.status = StatusDone
 	switch {
+	case errors.As(err, &p):
+		r.status, r.err, r.stack = StatusPanicked, err.Error(), p.stack
 	case err != nil:
 		r.status, r.err = StatusFailed, err.Error()
 	case rep != nil:
@@ -152,18 +162,6 @@ func (r *Run) finish(rep *session.Report, err error, now time.Time) {
 		r.report, r.samples = &body, slices.Clone(rep.Trace)
 		r.headline = &headline{ed2: &body.ED2, timeS: &body.TimeS, energyJ: &body.EnergyJ}
 	}
-	r.mu.Unlock()
-	close(r.done)
-}
-
-// finishPanic quarantines the run: terminal "panicked" state carrying
-// the recovered value and the goroutine stack, no report.
-func (r *Run) finishPanic(err error, stack string, now time.Time) {
-	r.mu.Lock()
-	r.finishedAt = now
-	r.status = StatusPanicked
-	r.err = err.Error()
-	r.stack = stack
 	r.mu.Unlock()
 	close(r.done)
 }

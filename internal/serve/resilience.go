@@ -9,7 +9,6 @@
 package serve
 
 import (
-	"errors"
 	"time"
 
 	"harmonia/internal/resilience"
@@ -74,6 +73,14 @@ func (s *Server) journalOutcome(run *Run) {
 		s.journalAppend(rec)
 	case StatusFailed, StatusPanicked, StatusInterrupted:
 		s.journalAppend(resilience.Record{T: resilience.RecFail, ID: run.ID, Status: status, Err: errMsg})
+	}
+}
+
+// journalBatchDone records that every cell of b settled, unless b was
+// replayed from a journal that already says so.
+func (s *Server) journalBatchDone(b *Batch) {
+	if !b.muted {
+		s.journalAppend(resilience.Record{T: resilience.RecBatchDone, ID: b.ID})
 	}
 }
 
@@ -142,7 +149,12 @@ func (s *Server) replay(st *resilience.State) {
 				cells = append(cells, run)
 			}
 		}
-		s.batches.startWatcher(s.batches.restore(bs.ID, newBatch(bs.Apps, bs.Policies, cells, true, bs.Done)))
+		b := s.batches.restore(bs.ID, newBatch(bs.Apps, bs.Policies, cells, true, bs.Done))
+		select {
+		case <-b.Done(): // every cell was terminal: finished when built
+			s.journalBatchDone(b)
+		default:
+		}
 	}
 	if len(resub) == 0 {
 		return
@@ -160,9 +172,8 @@ func (s *Server) replay(st *resilience.State) {
 			select {
 			case s.jobs <- j:
 			case <-s.baseCtx.Done():
-				j.run.finish(nil, errors.New("server shut down before the replayed run was rescheduled"), s.now())
-				s.journalOutcome(j.run)
-				s.jobDone(j)
+				s.settle(j, nil, unscheduled("server shut down before the replayed run was rescheduled"), 0)
+				s.release(j)
 			}
 		}
 	}()

@@ -6,6 +6,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -391,8 +392,9 @@ func TestCrashRestartReplayByteIdentical(t *testing.T) {
 
 	// A third daemon over the now-complete journal restores everything
 	// terminally with no re-execution. The batch reads done once its
-	// cells are, but its watcher journals the batch outcome after that;
-	// closing daemon B waits for the watcher and closes its journal.
+	// cells are, but its last cell's settle journals the batch outcome
+	// after that; closing daemon B waits for that settle and closes its
+	// journal.
 	srvB.Close()
 	jC, stC, err := resilience.OpenJournal(walB)
 	if err != nil {
@@ -518,8 +520,33 @@ func TestReplayRefusesWhatPostRefuses(t *testing.T) {
 	}
 }
 
-// TestShutdownReapsBatchWatchers: after Shutdown returns, the batch
-// watcher goroutines are gone (the goroutine-leak gate).
+// TestReplayedBatchCountsEachCellOnce: a batch record that lists one
+// unfinished cell twice (a hand-edited journal) still finishes when
+// that cell does, since the batch counts the cell once.
+func TestReplayedBatchCountsEachCellOnce(t *testing.T) {
+	wal := filepath.Join(t.TempDir(), "wal.jsonl")
+	seed := `{"t":"batch","id":"batch-000001","apps":["SRAD","LUD"],"policies":["baseline"],"runs":["run-000001","run-000001"]}` + "\n" +
+		`{"t":"run","id":"run-000001","app":"SRAD","policy":"baseline","batch":"batch-000001"}` + "\n"
+	if err := os.WriteFile(wal, []byte(seed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, st, err := resilience.OpenJournal(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ts, _ := newChaosServer(t, Options{Workers: 1, Journal: j, Replay: st})
+	waitFor(t, 10*time.Second, "the replayed batch to finish", func() bool {
+		var b BatchJSON
+		getJSON(t, ts.URL+"/v1/batch/batch-000001", &b)
+		return b.FinishedAt != nil
+	})
+	srv.Close()
+	auditJournal(t, wal)
+}
+
+// TestShutdownReapsBatchWatchers: after Shutdown returns, no goroutine
+// the server started outlives it (the goroutine-leak gate). A batch
+// starts none of its own: its last cell's settle finishes it.
 func TestShutdownReapsBatchWatchers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	srv, ts, _ := newChaosServer(t, Options{Workers: 2})
@@ -536,6 +563,178 @@ func TestShutdownReapsBatchWatchers(t *testing.T) {
 		runtime.GC()
 		return runtime.NumGoroutine() <= before+2
 	})
+}
+
+// blockUntilCancelled is a backend that holds every run until its
+// context is cancelled.
+func blockUntilCancelled(ctx context.Context, _ *harmonia.Application, _ harmonia.Policy, _ ...harmonia.RunOption) (*session.Report, error) {
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestShutdownEndsUnrunLiveStreams: a job that Close fails before any
+// worker ran it settles like an executed one, so its timeline finishes
+// and every /live stream on it ends with "done". One worker holds the
+// first run until Close cancels it, with eight runs queued behind it:
+// submitted ones, which shutdown's drain fails, and replayed batch cells
+// on a one-slot queue, which the replay resubmitter fails when it cannot
+// hand them to a worker before the cancellation.
+func TestShutdownEndsUnrunLiveStreams(t *testing.T) {
+	const runs = 9
+	t.Run("queued", func(t *testing.T) {
+		srv, ts, _ := newChaosServer(t, Options{Workers: 1, runFn: blockUntilCancelled})
+		var ids []string
+		for i := 0; i < runs; i++ {
+			status, run := postRun(t, ts, `{"app":"SRAD","policy":"baseline","wait":false}`)
+			if status != http.StatusAccepted {
+				t.Fatalf("POST /v1/runs = %d", status)
+			}
+			ids = append(ids, run.ID)
+		}
+		closeEndsLiveStreams(t, srv, ts, ids)
+	})
+	t.Run("replayed", func(t *testing.T) {
+		// A journal holding a nine-cell batch and no outcome, as a daemon
+		// that crashed before finishing any cell leaves it.
+		wal := filepath.Join(t.TempDir(), "wal.jsonl")
+		j, st, err := resilience.OpenJournal(wal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := resilience.Record{T: resilience.RecBatch, ID: "batch-000001", Policies: []string{"baseline"}}
+		var cells []resilience.Record
+		for i, app := range harmonia.Suite()[:runs] {
+			id := fmt.Sprintf("run-%06d", i+1)
+			batch.Apps, batch.Runs = append(batch.Apps, app.Name), append(batch.Runs, id)
+			cells = append(cells, resilience.Record{T: resilience.RecRun, ID: id, App: app.Name,
+				Policy: "baseline", Batch: batch.ID})
+		}
+		for _, rec := range append([]resilience.Record{batch}, cells...) {
+			st.Apply(rec)
+			if err := j.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv, ts, _ := newChaosServer(t, Options{Workers: 1, QueueDepth: 1, Journal: j, Replay: st,
+			runFn: blockUntilCancelled})
+		closeEndsLiveStreams(t, srv, ts, batch.Runs)
+		auditJournal(t, wal)
+	})
+}
+
+// closeEndsLiveStreams opens GET /v1/runs/{id}/live on every run, closes
+// the server, and checks that each stream receives its done event within
+// two seconds and that every retained run's timeline reads finished.
+func closeEndsLiveStreams(t *testing.T, srv *Server, ts *httptest.Server, ids []string) {
+	t.Helper()
+	ended := make(chan struct{}, len(ids))
+	for _, id := range ids {
+		resp, err := http.Get(ts.URL + "/v1/runs/" + id + "/live")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /v1/runs/%s/live = %d", id, resp.StatusCode)
+		}
+		go func() {
+			sc := bufio.NewScanner(resp.Body)
+			for sc.Scan() {
+				if sc.Text() == "event: done" {
+					ended <- struct{}{}
+					return
+				}
+			}
+		}()
+	}
+	srv.Close()
+	timeout := time.After(2 * time.Second)
+wait:
+	for n := 0; n < len(ids); n++ {
+		select {
+		case <-ended:
+		case <-timeout:
+			t.Errorf("%d of %d live streams still open 2s after Close", len(ids)-n, len(ids))
+			break wait
+		}
+	}
+	for _, run := range srv.reg.list() {
+		if _, _, done, _ := run.Timeline().Since(0); !done {
+			t.Errorf("run %s (%s) has an unfinished timeline after Close", run.ID, run.Status())
+		}
+	}
+}
+
+// auditJournal checks the journal at path against the order settle
+// writes it in: every run has an outcome record, and every batch has a
+// batchdone record after the outcome records of all of its cells.
+func auditJournal(t *testing.T, path string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := resilience.ReadState(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("journal unreadable: %v", err)
+	}
+	for id, rs := range st.Runs {
+		if !rs.Terminal() {
+			t.Errorf("journal lost the outcome of %s", id)
+		}
+	}
+	outcome, batchDone := map[string]int{}, map[string]int{}
+	for i, line := range bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n")) {
+		var rec resilience.Record
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("journal line %d: %v", i+1, err)
+		}
+		switch rec.T {
+		case resilience.RecDone, resilience.RecFail:
+			outcome[rec.ID] = i + 1
+		case resilience.RecBatchDone:
+			batchDone[rec.ID] = i + 1
+		}
+	}
+	for id, bs := range st.Batches {
+		if !bs.Done {
+			t.Errorf("batch %s has no batchdone record", id)
+			continue
+		}
+		for _, run := range bs.Runs {
+			if outcome[run] > batchDone[id] {
+				t.Errorf("batch %s: batchdone (line %d) precedes the outcome of cell %s (line %d)",
+					id, batchDone[id], run, outcome[run])
+			}
+		}
+	}
+}
+
+// TestBatchDoneFollowsCellOutcomes: a batch journals batchdone from its
+// last cell's settle, after that cell's outcome record, so no batchdone
+// record precedes the outcome of one of its cells. Two workers race
+// through four-cell batches on a backend that returns at once.
+func TestBatchDoneFollowsCellOutcomes(t *testing.T) {
+	wal := filepath.Join(t.TempDir(), "wal.jsonl")
+	j, st, err := resilience.OpenJournal(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ts, _ := newChaosServer(t, Options{Workers: 2, Journal: j, Replay: st,
+		runFn: func(context.Context, *harmonia.Application, harmonia.Policy, ...harmonia.RunOption) (*session.Report, error) {
+			return nil, nil
+		}})
+	for i := 0; i < 400; i++ {
+		if status, b := postBatch(t, ts, `{"apps":["SRAD","LUD"],"policies":["baseline","fixed"],"config":"16/700/925"}`); status != http.StatusOK || b.Status != StatusDone {
+			t.Fatalf("batch %d = %d %s", i, status, b.Status)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("drain failed: %v", err)
+	}
+	auditJournal(t, wal)
 }
 
 // TestSlowClientReaped: the slowloris hardening — a client that sends
@@ -705,16 +904,9 @@ func chaosIteration(t *testing.T) {
 			t.Errorf("run %s left non-terminal after drain: %s", out.ID, out.Status)
 		}
 	}
-	// The WAL must account for every admitted run.
-	_, final, err := resilience.OpenJournal(wal)
-	if err != nil {
-		t.Fatalf("journal corrupt after chaos: %v", err)
-	}
-	for id, rs := range final.Runs {
-		if !rs.Terminal() {
-			t.Errorf("journal lost the outcome of %s", id)
-		}
-	}
+	// The WAL must account for every admitted run, and close every batch
+	// after all of its cells.
+	auditJournal(t, wal)
 	ts.Close()
 	waitFor(t, 5*time.Second, "chaos goroutines to settle", func() bool {
 		runtime.GC()

@@ -345,9 +345,6 @@ func New(sys *harmonia.System, opts Options) *Server {
 		s.runFn = opts.runFn
 	}
 	s.reg.onEvict = func(n int) { s.evicted.Add(float64(n)) }
-	s.batches.onDone = func(b *Batch) {
-		s.journalAppend(resilience.Record{T: resilience.RecBatchDone, ID: b.ID})
-	}
 	s.buildMux()
 	if opts.Replay != nil {
 		s.replay(opts.Replay)
@@ -362,8 +359,8 @@ func New(sys *harmonia.System, opts Options) *Server {
 // Shutdown drains the server: new submissions are shed, /readyz turns
 // 503, and in-flight runs get until ctx's deadline to finish. Past the
 // deadline, remaining runs are canceled at their next kernel boundary
-// and queued jobs failed. Either way the batch watchers are reaped and
-// the journal closed before returning, so a clean exit proves no
+// and queued jobs failed. Either way every admitted job has settled and
+// the journal is closed before returning, so a clean exit proves no
 // goroutine leaked. Idempotent; later calls return the first result.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.closeOnce.Do(func() { s.closeErr = s.shutdown(ctx) })
@@ -405,28 +402,23 @@ func (s *Server) shutdown(ctx context.Context) error {
 	s.cancel()
 	s.wg.Wait()
 
-	// Fail whatever never got picked up (forced path only) so no waiter
-	// hangs. Admitted enqueues happen under the drain read-lock, so every
-	// admitted job is already executed or sitting in the channel — but
-	// the journal-replay resubmitter races its sends against the
-	// base-context cancellation, so drain until the run accounting
-	// settles (drained closes) instead of trusting one pass over the
-	// channel.
+	// Settle whatever never got picked up (forced path only) so no waiter
+	// or live stream hangs. Admitted enqueues happen under the drain
+	// read-lock, so every admitted job is already executed or sitting in
+	// the channel — but the journal-replay resubmitter races its sends
+	// against the base-context cancellation, so drain until the run
+	// accounting settles (drained closes) instead of trusting one pass
+	// over the channel.
 drain:
 	for {
 		select {
 		case j := <-s.jobs:
-			s.releaseProbe(j)
-			j.run.finish(nil, errors.New("server shut down before the run was scheduled"), s.now())
-			s.journalOutcome(j.run)
-			s.jobDone(j)
+			s.settle(j, nil, unscheduled("server shut down before the run was scheduled"), 0)
+			s.release(j)
 		case <-drained:
 			break drain
 		}
 	}
-	// Every cell is terminal now, so each batch watcher exits; waiting
-	// here is the goroutine-leak gate.
-	s.batches.wait()
 	if cerr := s.journal.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
@@ -451,39 +443,57 @@ func (s *Server) worker() {
 	}
 }
 
-// execute runs one job to a terminal state. A backend panic is
-// quarantined onto the run record — terminal "panicked" status with the
-// captured stack — and fed to the circuit breaker; the worker and the
-// daemon stay up.
+// execute runs one job, settles it, scores a successful run's timeline
+// against the oracle when quality analysis is on, and then releases the
+// job, so a drain waits for the analysis too.
 func (s *Server) execute(j *job) {
-	defer s.jobDone(j)
 	j.run.start()
 	started := s.now()
-	rep, err, stack := s.runJob(j)
+	rep, err := s.runJob(j)
+	s.settle(j, rep, err, s.now().Sub(started))
+	if s.qualityEngine != nil && err == nil {
+		s.analyzeRun(j)
+	}
+	s.release(j)
+}
+
+// settle ends one admitted job exactly once, whether a worker ran it or
+// shutdown or the replay resubmitter failed it unrun; it is the only
+// caller of Run.finish. Recording the outcome releases the run's
+// waiters. A cancelled probe hands its slot back: it said nothing about
+// backend health, and the breaker must not wedge half-open. Counting
+// the run toward its batch only after journaling its outcome puts the
+// batch's batchdone after every cell's outcome, and finishing the
+// timeline ends the run's live streams.
+func (s *Server) settle(j *job, rep *session.Report, err error, elapsed time.Duration) {
 	now := s.now()
+	j.run.finish(rep, err, now)
 	switch {
-	case stack != "":
-		j.run.finishPanic(err, stack, now)
+	case errors.As(err, new(*panicked)):
 		s.panicsTotal.Inc()
 		s.slog.Error("run panic quarantined", "run_id", j.run.ID, "error", err.Error())
 		s.breaker.Failure()
-	case err != nil:
-		j.run.finish(nil, err, now)
-		if isCancellation(err) {
-			// A cancelled run said nothing about backend health; if it
-			// held the half-open probe slot, hand the slot back so the
-			// breaker doesn't wedge half-open forever.
-			s.releaseProbe(j)
-		} else {
-			s.breaker.Failure()
+	case isCancellation(err):
+		if j.probe {
+			s.breaker.CancelProbe()
 		}
+	case err != nil:
+		s.breaker.Failure()
 	default:
-		j.run.finish(rep, nil, now)
 		s.breaker.Success()
 	}
-	s.logRun(j.run, now.Sub(started))
+	s.logRun(j.run, elapsed)
 	s.journalOutcome(j.run)
-	s.finishTimeline(j)
+	if b := j.run.batch; b != nil && b.cellDone(now) {
+		s.journalBatchDone(b)
+	}
+	tl := j.run.Timeline()
+	tl.Finish()
+	decs, dropped, _ := tl.Counts()
+	s.timelineEvents.Add(float64(decs))
+	if dropped > 0 {
+		s.timelineDropped.Add(float64(dropped))
+	}
 }
 
 // logRun emits one structured line per finished run, carrying the trace
@@ -501,23 +511,30 @@ func (s *Server) logRun(run *Run, elapsed time.Duration) {
 	s.slog.Info("run finished", attrs...)
 }
 
-// runJob invokes the backend with panic capture: a panic comes back as
-// (nil, err, stack) instead of unwinding the worker.
-func (s *Server) runJob(j *job) (rep *session.Report, err error, stack string) {
-	defer func() {
-		if p := recover(); p != nil {
-			rep = nil
-			err = fmt.Errorf("backend panic: %v", p)
-			stack = string(debug.Stack())
-		}
-	}()
-	rep, err = s.runFn(j.ctx, j.app, j.pol, j.opts...)
-	return rep, err, ""
+// panicked is a backend panic as an error: the recovered value and the
+// stack of the goroutine that panicked. Run.finish quarantines a run
+// that ends with one as "panicked", keeping the stack.
+type panicked struct {
+	value any
+	stack string
 }
 
-// jobDone settles one admitted job's accounting: deadline timer, the
-// pending/inflight counters, and the drain WaitGroup.
-func (s *Server) jobDone(j *job) {
+func (p *panicked) Error() string { return fmt.Sprintf("backend panic: %v", p.value) }
+
+// runJob invokes the backend with panic capture: a panic comes back as
+// a *panicked error instead of unwinding the worker.
+func (s *Server) runJob(j *job) (rep *session.Report, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			rep, err = nil, &panicked{value: p, stack: string(debug.Stack())}
+		}
+	}()
+	return s.runFn(j.ctx, j.app, j.pol, j.opts...)
+}
+
+// release frees a settled job's admission: its deadline timer, its
+// pending slot, the inflight gauge and its drain WaitGroup entry.
+func (s *Server) release(j *job) {
 	if j.cancel != nil {
 		j.cancel()
 	}
@@ -526,21 +543,19 @@ func (s *Server) jobDone(j *job) {
 	s.runsWG.Done()
 }
 
+// unscheduled is the error of a job that shutdown or the replay
+// resubmitter ends before any worker ran it. It unwraps to
+// context.Canceled: the job said nothing about backend health.
+type unscheduled string
+
+func (e unscheduled) Error() string { return string(e) }
+func (unscheduled) Unwrap() error   { return context.Canceled }
+
 // isCancellation reports whether err is the caller or deadline going
 // away rather than the backend misbehaving; cancellations don't feed
 // the circuit breaker.
 func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// releaseProbe hands a job's half-open probe slot back to the breaker
-// when the job resolved nothing about backend health (cancellation, or
-// failed during shutdown without ever running). A no-op for non-probe
-// jobs.
-func (s *Server) releaseProbe(j *job) {
-	if j.probe {
-		s.breaker.CancelProbe()
-	}
 }
 
 // shedError is an admission rejection: which HTTP status to shed with,

@@ -8,7 +8,6 @@ import (
 	"strconv"
 
 	"harmonia/internal/telemetry"
-	"harmonia/internal/timeline"
 )
 
 // Telemetry bucket layouts for the decision-quality families. Oracle
@@ -147,27 +146,11 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// finishTimeline settles a finished job's flight recorder: marks it
-// complete (waking live streams), counts its events into telemetry,
-// and — when quality analysis is enabled and the run succeeded — feeds
-// the timeline through the decision-quality engine.
-func (s *Server) finishTimeline(j *job) {
-	tl := j.run.Timeline()
-	tl.Finish()
-	decs, dropped, _ := tl.Counts()
-	s.timelineEvents.Add(float64(decs))
-	if dropped > 0 {
-		s.timelineDropped.Add(float64(dropped))
-	}
-	if s.qualityEngine != nil && j.run.Status() == StatusDone {
-		s.analyzeRun(j, tl)
-	}
-}
-
-// analyzeRun scores one finished run's timeline against the oracle and
-// folds the result into the quality aggregate and telemetry families.
-func (s *Server) analyzeRun(j *job, tl *timeline.Recorder) {
-	res, err := s.qualityEngine.Analyze(j.app, tl.Snapshot())
+// analyzeRun scores one successful run's timeline against the oracle
+// and folds the result into the quality aggregate and telemetry
+// families.
+func (s *Server) analyzeRun(j *job) {
+	res, err := s.qualityEngine.Analyze(j.app, j.run.Timeline().Snapshot())
 	if err != nil {
 		s.slog.Error("quality analysis", "run_id", j.run.ID, "error", err.Error())
 		return

@@ -9,11 +9,11 @@
 # cmd/harmonia-report/testdata/report.golden); every benchmark once; the
 # race-detector pass; a focused race pass over the concurrent service
 # layer and the telemetry registry, run three times because one
-# function admits every submission; repeated race passes over the
-# memo's result slots, the parallel fit and the serial sweep's
-# allocation gate; and a bounded chaos soak of the resilience layer
-# (make soak). Timing lives in the layered benchmark, perfbench (make
-# bench).
+# function admits every submission and one ends every admitted job;
+# repeated race passes over the memo's result slots, the parallel fit
+# and the serial sweep's allocation gate; and a bounded chaos soak of
+# the resilience layer (make soak). Timing lives in the layered
+# benchmark, perfbench (make bench).
 set -eux
 cd "$(dirname "$0")/.."
 unformatted="$(gofmt -l .)"
@@ -52,8 +52,11 @@ go test -run '^$' -bench . -benchtime 1x ./...
 # machine internal/eventsim alone runs past go test's default 10m
 # per-binary alarm under the race detector (about 15 minutes).
 go test -race -timeout 30m ./...
-# One function, submit, admits every run and batch and orders the
-# enqueue against shutdown's drain, so its interleavings get three runs.
+# Two single functions carry the service's concurrency: submit admits
+# every run and batch and orders the enqueue against shutdown's drain,
+# and settle ends every admitted job, whether a worker, shutdown's drain
+# or the replay resubmitter ends it, and finishes a batch with its last
+# cell. Their interleavings get three runs.
 go test -race -count=3 ./internal/serve/... ./internal/telemetry/...
 # The memo's by-value result slots under concurrent fillers and readers,
 # repeated so that the empty/filling/ready interleavings get exercised.

@@ -1,12 +1,12 @@
 // Command harmonia-profile reproduces the paper's CodeXL-style
-// measurement flow (Section 6): run an application's kernels for several
+// measurement flow (Section 6): run an application's kernels for its
 // iterations at a chosen configuration, sample the Table 2 performance
 // counters at every kernel boundary, and print per-kernel statistics.
 //
 // Usage:
 //
 //	harmonia-profile -app Graph500
-//	harmonia-profile -suite -cus 16 -cufreq 700 -memfreq 925
+//	harmonia-profile -suite -config 16/700/925
 package main
 
 import (
@@ -23,24 +23,17 @@ func main() {
 	var (
 		appName = flag.String("app", "", "application to profile (empty with -suite profiles everything)")
 		suite   = flag.Bool("suite", false, "profile every kernel in the suite")
-		iters   = flag.Int("iters", 0, "iteration override (0 = application default)")
-		cus     = flag.Int("cus", 32, "active CU count")
-		cufreq  = flag.Int("cufreq", 1000, "compute frequency (MHz)")
-		memfreq = flag.Int("memfreq", 1375, "memory bus frequency (MHz)")
+		config  = flag.String("config", "32/1000/1375", "configuration to profile at, as <cus>/<cufreq>/<memfreq>")
 	)
 	flag.Parse()
 
-	cfg := hw.Config{
-		Compute: hw.ComputeConfig{CUs: *cus, Freq: hw.MHz(*cufreq)},
-		Memory:  hw.MemConfig{BusFreq: hw.MHz(*memfreq)},
-	}
-	if !cfg.Valid() {
-		fmt.Fprintf(os.Stderr, "harmonia-profile: %v is not on the legal configuration grid\n", cfg)
+	cfg, err := hw.ParseConfig(*config)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "harmonia-profile:", err)
 		os.Exit(1)
 	}
 
 	p := profiler.New()
-	p.Iterations = *iters
 
 	switch {
 	case *suite:

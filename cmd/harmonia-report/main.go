@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	harmonia-report [-only results] [-timeline-app SRAD]
+//	harmonia-report [-only results]
 package main
 
 import (
@@ -48,7 +48,6 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string) int {
 	fs := flag.NewFlagSet("harmonia-report", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	only := fs.String("only", "", "regenerate a single artifact ("+strings.Join(artifacts, ", ")+")")
-	tlApp := fs.String("timeline-app", "SRAD", "application the timeline artifact flight-records")
 	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
 		return 0
 	} else if err != nil {
@@ -212,7 +211,7 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string) int {
 		fmt.Fprintln(stdout, experiments.KnobString(rows))
 	}
 	if want("timeline") {
-		sum, err := experiments.TimelineStudy(ctx, e, *tlApp)
+		sum, err := experiments.TimelineStudy(ctx, e)
 		if err != nil {
 			return fail(err)
 		}

@@ -7,22 +7,16 @@
 //
 // Usage:
 //
-//	harmonia-sweep -kernel LUD.Internal [-curves] [-workers N]
-//	harmonia-sweep -faults [-fault-seed 42] [-fault-intensities 0,0.25,0.5,1]
+//	harmonia-sweep -kernel LUD.Internal [-curves]
+//	harmonia-sweep -list
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"strconv"
-	"strings"
-	"syscall"
 
 	"harmonia"
-	"harmonia/internal/batch"
 	"harmonia/internal/experiments"
 	"harmonia/internal/hw"
 	"harmonia/internal/metrics"
@@ -30,42 +24,11 @@ import (
 
 func main() {
 	var (
-		kernelName  = flag.String("kernel", "LUD.Internal", "kernel to sweep (App.Kernel)")
-		curves      = flag.Bool("curves", false, "print every balance-curve point")
-		list        = flag.Bool("list", false, "list available kernels and exit")
-		workers     = flag.Int("workers", 0, "parallel sweep workers (0 = GOMAXPROCS, 1 = serial; results are identical either way)")
-		faultsSweep = flag.Bool("faults", false, "run the fault-injection robustness study instead of a kernel sweep")
-		faultSeed   = flag.Int64("fault-seed", 42, "fault-injection seed for -faults")
-		intensities = flag.String("fault-intensities", "", "comma-separated fault intensities for -faults (default 0,0.25,0.5,1)")
+		kernelName = flag.String("kernel", "LUD.Internal", "kernel to sweep (App.Kernel)")
+		curves     = flag.Bool("curves", false, "print every balance-curve point")
+		list       = flag.Bool("list", false, "list available kernels and exit")
 	)
 	flag.Parse()
-
-	if *faultsSweep {
-		var grid []float64
-		if *intensities != "" {
-			for _, f := range strings.Split(*intensities, ",") {
-				v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-				if err != nil || v < 0 {
-					fmt.Fprintf(os.Stderr, "harmonia-sweep: bad intensity %q\n", f)
-					os.Exit(1)
-				}
-				grid = append(grid, v)
-			}
-		}
-		env := experiments.NewEnv()
-		env.Workers = *workers
-		// A robustness sweep runs the whole suite per intensity; an
-		// interrupt cancels at the next kernel boundary.
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		res, err := experiments.Robustness(ctx, env, *faultSeed, grid)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "harmonia-sweep: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(res)
-		return
-	}
 
 	if *list {
 		for _, k := range harmonia.AllKernels() {
@@ -88,7 +51,6 @@ func main() {
 
 	sys := harmonia.NewSystem(harmonia.WithSimCache())
 	lab := sys.Lab()
-	lab.Workers = *workers
 
 	fig3 := experiments.Fig3BalanceCurves(lab, *kernelName)
 	fmt.Println(fig3)
@@ -101,7 +63,8 @@ func main() {
 		}
 	}
 
-	// Objective winners across the full space.
+	// Objective winners across the full space, through the Lab's
+	// simulation memo; the first configuration in space order wins a tie.
 	type best struct {
 		name   string
 		metric func(metrics.Sample) float64
@@ -117,20 +80,10 @@ func main() {
 	for i := range objectives {
 		objectives[i].val = -1
 	}
-	// Evaluate every configuration on the batch pool (input-order
-	// results, so the winner scan below is deterministic regardless of
-	// worker count), through the Lab's simulation memo.
-	space := hw.ConfigSpace()
 	runner := lab.Runner()
-	//lint:ignore errdrop the eval closure never errors and the background context is never canceled
-	samples, _ := batch.Map(context.Background(), *workers, space,
-		func(_ context.Context, _ int, cfg harmonia.Config) (metrics.Sample, error) {
-			r := runner.Run(kernel, 0, cfg)
-			rails := sys.Power.Rails(cfg, r.Activity())
-			return metrics.Sample{Seconds: r.Time, Watts: rails.Card()}, nil
-		})
-	for ci, cfg := range space {
-		s := samples[ci]
+	for _, cfg := range hw.ConfigSpace() {
+		r := runner.Run(kernel, 0, cfg)
+		s := metrics.Sample{Seconds: r.Time, Watts: sys.Power.Rails(cfg, r.Activity()).Card()}
 		for i := range objectives {
 			v := objectives[i].metric(s)
 			if objectives[i].val < 0 || v < objectives[i].val {

@@ -1,7 +1,11 @@
 package eventsim
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"strings"
+	"sync"
 	"testing"
 
 	"harmonia/internal/gpusim"
@@ -12,15 +16,23 @@ import (
 // grid caps workgroup counts so the cycle-driven runs stay fast.
 const grid = 400
 
-func kernel(t *testing.T, name string) *workloads.Kernel {
-	t.Helper()
+// lookup returns the suite kernel of that name, or nil.
+func lookup(name string) *workloads.Kernel {
 	for _, k := range workloads.AllKernels() {
 		if k.Name == name {
 			return k
 		}
 	}
-	t.Fatalf("kernel %q missing", name)
 	return nil
+}
+
+func kernel(t *testing.T, name string) *workloads.Kernel {
+	t.Helper()
+	k := lookup(name)
+	if k == nil {
+		t.Fatalf("kernel %q missing", name)
+	}
+	return k
 }
 
 // truncated returns a phase-free copy of the kernel with the grid capped,
@@ -39,6 +51,64 @@ func cfg(cus int, cf, mf hw.MHz) hw.Config {
 		Compute: hw.ComputeConfig{CUs: cus, Freq: cf},
 		Memory:  hw.MemConfig{BusFreq: mf},
 	}
+}
+
+// The cross-check matrix: the kernels and configurations at which the
+// event-driven machine and the interval model are compared.
+var (
+	crossKernels = []string{
+		"MaxFlops.Main", "DeviceMemory.Stream", "Sort.BottomScan",
+		"CoMD.AdvanceVelocity", "CoMD.EAM_Force_1", "Stencil.Step",
+		"SPMV.CSRVector", "miniFE.Dot", "Streamcluster.PGain",
+	}
+	crossConfigs = []hw.Config{
+		hw.MaxConfig(),
+		cfg(32, 1000, 475),
+		cfg(32, 300, 1375),
+		cfg(8, 1000, 1375),
+		cfg(16, 600, 925),
+	}
+)
+
+// crossPoint is one point of the matrix, simulated on both machines.
+type crossPoint struct {
+	kernel   string
+	cfg      hw.Config
+	event    Result
+	interval float64 // the interval model's time (s)
+}
+
+func (p crossPoint) ratio() float64 { return p.event.Time / p.interval }
+
+// crossMatrix simulates every point of the matrix once per test binary,
+// phase-free with the grid capped, in kernel-major order. Every test
+// that compares the two simulators at these points reads it.
+var crossMatrix = sync.OnceValue(func() []crossPoint {
+	ev, iv := New(), gpusim.Default()
+	var pts []crossPoint
+	for _, name := range crossKernels {
+		k := lookup(name)
+		if k == nil {
+			panic("cross-check kernel " + name + " missing")
+		}
+		k = truncated(k)
+		for _, c := range crossConfigs {
+			pts = append(pts, crossPoint{name, c, ev.Run(k, 0, c, grid), iv.Run(k, 0, c).Time})
+		}
+	}
+	return pts
+})
+
+// crossAt returns the matrix point of the named kernel at c.
+func crossAt(t *testing.T, name string, c hw.Config) crossPoint {
+	t.Helper()
+	for _, p := range crossMatrix() {
+		if p.kernel == name && p.cfg == c {
+			return p
+		}
+	}
+	t.Fatalf("%s @ %v is not in the cross-check matrix", name, c)
+	return crossPoint{}
 }
 
 func TestBasicResultSanity(t *testing.T) {
@@ -138,34 +208,37 @@ func TestOccupancyLimitsLatencyHiding(t *testing.T) {
 	}
 }
 
-// The headline validation: the event-driven machine and the interval
-// model agree on execution time within a modest band across kernels and
-// configurations, and agree exactly on orderings.
+// The headline validation: at every point of the matrix the
+// event-driven machine and the interval model agree on execution time
+// within ±25 %, a ratio in (0.75, 1.33). go test -v prints the matrix,
+// and EXPERIMENTS.md's summary of it must match the computed one.
 func TestCrossValidationAgainstIntervalModel(t *testing.T) {
-	ev := New()
-	iv := gpusim.Default()
-	kernels := []string{
-		"MaxFlops.Main", "DeviceMemory.Stream", "Sort.BottomScan",
-		"CoMD.AdvanceVelocity", "Stencil.Step", "SPMV.CSRVector",
-	}
-	configs := []hw.Config{
-		hw.MaxConfig(),
-		cfg(32, 1000, 475),
-		cfg(32, 300, 1375),
-		cfg(8, 1000, 1375),
-		cfg(16, 600, 925),
-	}
-	for _, name := range kernels {
-		k := truncated(kernel(t, name))
-		for _, c := range configs {
-			et := ev.Run(k, 0, c, grid).Time
-			it := iv.Run(k, 0, c).Time
-			ratio := et / it
-			if ratio < 0.65 || ratio > 1.5 {
-				t.Errorf("%s @ %v: event %.4fms vs interval %.4fms (ratio %.2f)",
-					name, c, et*1e3, it*1e3, ratio)
-			}
+	pts := crossMatrix()
+	var table strings.Builder
+	fmt.Fprintf(&table, "%-24s %-36s %12s %12s %7s\n", "kernel", "config", "event (ms)", "interval", "ratio")
+	worstLo, worstHi, within := 1.0, 1.0, 0
+	for _, p := range pts {
+		ratio := p.ratio()
+		fmt.Fprintf(&table, "%-24s %-36v %12.4f %12.4f %7.2f\n", p.kernel, p.cfg, p.event.Time*1e3, p.interval*1e3, ratio)
+		if ratio > 0.75 && ratio < 1.33 {
+			within++
+		} else {
+			t.Errorf("%s @ %v: event %.4fms vs interval %.4fms (ratio %.2f, want within (0.75, 1.33))",
+				p.kernel, p.cfg, p.event.Time*1e3, p.interval*1e3, ratio)
 		}
+		worstLo, worstHi = min(worstLo, ratio), max(worstHi, ratio)
+	}
+	fmt.Fprintf(&table, "\n%d/%d points within ±25%% (worst ratios %.2f / %.2f)", within, len(pts), worstLo, worstHi)
+	t.Log("\n" + table.String())
+
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("**%d/%d sampled (kernel × configuration) points agree within ±25 %%** (worst ratios %.2f/%.2f)",
+		within, len(pts), worstLo, worstHi)
+	if !strings.Contains(strings.Join(strings.Fields(string(doc)), " "), want) {
+		t.Errorf("EXPERIMENTS.md does not state the computed cross-check %q", want)
 	}
 }
 
@@ -173,23 +246,19 @@ func TestCrossValidationBoundednessOrdering(t *testing.T) {
 	// Both simulators must agree on which kernel suffers more from the
 	// memory-frequency floor: the streaming kernel, not the
 	// occupancy-limited one (Figure 7's contrast).
-	ev := New()
-	iv := gpusim.Default()
-	loss := func(run func(k *workloads.Kernel, c hw.Config) float64, k *workloads.Kernel) float64 {
-		return run(k, cfg(32, 1000, 475))/run(k, hw.MaxConfig()) - 1
+	loss := func(name string, time func(crossPoint) float64) float64 {
+		return time(crossAt(t, name, cfg(32, 1000, 475)))/time(crossAt(t, name, hw.MaxConfig())) - 1
 	}
-	evRun := func(k *workloads.Kernel, c hw.Config) float64 { return ev.Run(k, 0, c, grid).Time }
-	ivRun := func(k *workloads.Kernel, c hw.Config) float64 { return iv.Run(k, 0, c).Time }
-
-	scan := truncated(kernel(t, "Sort.BottomScan"))
-	adv := truncated(kernel(t, "CoMD.AdvanceVelocity"))
 	for _, r := range []struct {
 		name string
-		run  func(k *workloads.Kernel, c hw.Config) float64
-	}{{"event", evRun}, {"interval", ivRun}} {
-		if loss(r.run, adv) <= loss(r.run, scan)+0.05 {
-			t.Errorf("%s sim: AdvanceVelocity loss %.2f not above BottomScan loss %.2f",
-				r.name, loss(r.run, adv), loss(r.run, scan))
+		time func(crossPoint) float64
+	}{
+		{"event", func(p crossPoint) float64 { return p.event.Time }},
+		{"interval", func(p crossPoint) float64 { return p.interval }},
+	} {
+		adv, scan := loss("CoMD.AdvanceVelocity", r.time), loss("Sort.BottomScan", r.time)
+		if adv <= scan+0.05 {
+			t.Errorf("%s sim: AdvanceVelocity loss %.2f not above BottomScan loss %.2f", r.name, adv, scan)
 		}
 	}
 }

@@ -2,27 +2,22 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
 	"harmonia/internal/session"
 	"harmonia/internal/timeline"
 	"harmonia/internal/workloads"
 )
 
-// TimelineStudy flight-records one application's run under the Harmonia
-// controller and returns the timeline summary: per-kernel time/energy
-// shares, hardware transition count, and the controller's action census
-// (how many boundaries were CG jumps vs FG steps vs holds). The same
+// TimelineStudy flight-records SRAD's run under the Harmonia controller
+// and returns the timeline summary: per-kernel time/energy shares,
+// hardware transition count, and the controller's action census (how
+// many boundaries were CG jumps vs FG steps vs holds). The same
 // instrumentation backs GET /v1/runs/{id}/timeline on the daemon; this
 // is the offline, single-run rendering of it.
-func TimelineStudy(ctx context.Context, e *Env, appName string) (timeline.Summary, error) {
-	app := workloads.ByName(appName)
-	if app == nil {
-		return timeline.Summary{}, fmt.Errorf("unknown application %q", appName)
-	}
+func TimelineStudy(ctx context.Context, e *Env) (timeline.Summary, error) {
 	rec := timeline.New()
 	sess := &session.Session{Sim: e.Runner(), Power: e.Power, Policy: e.harmonia(), Timeline: rec}
-	if _, err := sess.RunContext(ctx, app); err != nil {
+	if _, err := sess.RunContext(ctx, workloads.SRAD()); err != nil {
 		return timeline.Summary{}, err
 	}
 	return rec.Snapshot().Summary(), nil

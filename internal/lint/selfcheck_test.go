@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -28,15 +30,26 @@ func TestRepoIsLintClean(t *testing.T) {
 	// The cmd binaries are part of the clean surface: the interprocedural
 	// analyzers need their mains as call-graph roots, and a violation in
 	// a main is as real as one in a library. Guard against a loader
-	// regression silently dropping them.
+	// regression silently dropping one: every directory under cmd/ must
+	// load.
+	entries, err := os.ReadDir(filepath.Join(root, "cmd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, e := range entries {
+		if e.IsDir() {
+			want++
+		}
+	}
 	cmds := 0
 	for _, pkg := range pkgs {
 		if strings.HasPrefix(pkg.Path, ModulePath+"/cmd/") {
 			cmds++
 		}
 	}
-	if cmds < 8 {
-		t.Fatalf("loaded only %d cmd/... packages; the binaries must be part of the lint surface", cmds)
+	if cmds != want || want == 0 {
+		t.Fatalf("loaded %d cmd/... packages of the %d directories under cmd/; the binaries must be part of the lint surface", cmds, want)
 	}
 	diags := Run(pkgs, Analyzers(), DefaultPolicy())
 	for _, d := range diags {

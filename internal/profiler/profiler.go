@@ -46,8 +46,6 @@ type KernelProfile struct {
 // Profiler collects kernel profiles on a simulator.
 type Profiler struct {
 	Sim *gpusim.Model
-	// Iterations overrides the application's iteration count when > 0.
-	Iterations int
 }
 
 // New returns a profiler on the default simulator.
@@ -91,15 +89,12 @@ func (p *Profiler) ProfileKernel(k *workloads.Kernel, iterations int, cfg hw.Con
 	return prof
 }
 
-// ProfileApp measures every kernel of an application at cfg.
+// ProfileApp measures every kernel of an application at cfg, across the
+// application's iterations.
 func (p *Profiler) ProfileApp(app *workloads.Application, cfg hw.Config) []KernelProfile {
-	iters := app.Iterations
-	if p.Iterations > 0 {
-		iters = p.Iterations
-	}
 	out := make([]KernelProfile, 0, len(app.Kernels))
 	for _, k := range app.Kernels {
-		out = append(out, p.ProfileKernel(k, iters, cfg))
+		out = append(out, p.ProfileKernel(k, app.Iterations, cfg))
 	}
 	return out
 }

@@ -62,7 +62,6 @@ func TestProfileAppAndSuite(t *testing.T) {
 	if len(profs) != len(app.Kernels) {
 		t.Fatalf("got %d profiles, want %d", len(profs), len(app.Kernels))
 	}
-	p.Iterations = 2 // keep the suite sweep fast
 	suite := p.ProfileSuite(hw.MaxConfig())
 	if len(suite) != len(workloads.AllKernels()) {
 		t.Fatalf("suite profiles = %d, want %d", len(suite), len(workloads.AllKernels()))

@@ -131,7 +131,9 @@ func newRun(id string, seq int, app, policy string, now time.Time) *Run {
 	}
 }
 
-// Done returns a channel closed when the run reaches a terminal state.
+// Done returns a channel closed once the run has ended: its outcome
+// recorded and journaled, its timeline finished and counted, and a batch
+// cell counted toward its batch. A restored record is ended from birth.
 func (r *Run) Done() <-chan struct{} { return r.done }
 
 // start marks the run running.
@@ -141,10 +143,10 @@ func (r *Run) start() {
 	r.mu.Unlock()
 }
 
-// finish records the outcome and releases waiters: done, failed, or
-// panicked for a *panicked error, whose stack the record keeps. A
-// successful run keeps its report body, its power samples and its
-// headline, not rep.
+// finish records the outcome: done, failed, or panicked for a
+// *panicked error, whose stack the record keeps. A successful run keeps
+// its report body, its power samples and its headline, not rep. It
+// wakes no waiter: settle closes Done once the run is wholly ended.
 func (r *Run) finish(rep *session.Report, err error, now time.Time) {
 	var p *panicked
 	r.mu.Lock()
@@ -163,7 +165,6 @@ func (r *Run) finish(rep *session.Report, err error, now time.Time) {
 		r.headline = &headline{ed2: &body.ED2, timeS: &body.TimeS, energyJ: &body.EnergyJ}
 	}
 	r.mu.Unlock()
-	close(r.done)
 }
 
 // finishRestored stamps a journal-replayed outcome onto the record:

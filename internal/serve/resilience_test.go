@@ -737,6 +737,58 @@ func TestBatchDoneFollowsCellOutcomes(t *testing.T) {
 	auditJournal(t, wal)
 }
 
+// slowRunLog delays every "run finished" log line: settle writes it
+// after recording a run's outcome and before finishing its timeline.
+type slowRunLog struct{}
+
+func (slowRunLog) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte("run finished")) {
+		time.Sleep(time.Millisecond)
+	}
+	return len(p), nil
+}
+
+// TestWaitersWakeAfterTimelineFinished: no waiter wakes before its
+// run's timeline is finished and counted. Each round waits on one run's
+// Done in process, sends one synchronous POST /v1/runs and one
+// synchronous POST /v1/batch, and reads every run involved as its
+// waiter returns. The slowed log line holds settle between recording
+// the outcome and finishing the timeline, so a Done closed any earlier
+// than the timeline's finish wakes the in-process waiter inside it.
+func TestWaitersWakeAfterTimelineFinished(t *testing.T) {
+	srv, ts, _ := newChaosServer(t, Options{Workers: 1, Logger: log.New(slowRunLog{}, "", 0),
+		runFn: func(context.Context, *harmonia.Application, harmonia.Policy, ...harmonia.RunOption) (*session.Report, error) {
+			return nil, nil
+		}})
+	get := func(id string) *Run {
+		run, ok := srv.reg.get(id)
+		if !ok {
+			t.Fatalf("run %q missing", id)
+		}
+		return run
+	}
+	finished := func(id string) bool {
+		_, _, done, _ := get(id).Timeline().Since(0)
+		return done
+	}
+	for i := 0; i < 50; i++ {
+		_, async := postRun(t, ts, `{"app":"SRAD","policy":"baseline","wait":false}`)
+		<-get(async.ID).Done()
+		if !finished(async.ID) {
+			t.Fatalf("round %d: run %s woke its waiter with its timeline open", i, async.ID)
+		}
+		if _, r := postRun(t, ts, `{"app":"SRAD","policy":"baseline"}`); !finished(r.ID) {
+			t.Fatalf("round %d: POST /v1/runs returned run %s with its timeline open", i, r.ID)
+		}
+		_, b := postBatch(t, ts, `{"apps":["SRAD","LUD"],"policies":["baseline"]}`)
+		for _, c := range b.Cells {
+			if !finished(c.RunID) {
+				t.Fatalf("round %d: POST /v1/batch returned cell %s with its timeline open", i, c.RunID)
+			}
+		}
+	}
+}
+
 // TestSlowClientReaped: the slowloris hardening — a client that sends
 // headers one byte at a time is cut off by ReadHeaderTimeout instead of
 // holding a connection open indefinitely. Exercises the same http.Server

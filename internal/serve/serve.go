@@ -459,12 +459,14 @@ func (s *Server) execute(j *job) {
 
 // settle ends one admitted job exactly once, whether a worker ran it or
 // shutdown or the replay resubmitter failed it unrun; it is the only
-// caller of Run.finish. Recording the outcome releases the run's
-// waiters. A cancelled probe hands its slot back: it said nothing about
-// backend health, and the breaker must not wedge half-open. Counting
-// the run toward its batch only after journaling its outcome puts the
-// batch's batchdone after every cell's outcome, and finishing the
-// timeline ends the run's live streams.
+// caller of Run.finish. A cancelled probe hands its slot back: it said
+// nothing about backend health, and the breaker must not wedge
+// half-open. Finishing the timeline ends the run's live streams.
+// Counting the run toward its batch only after journaling its outcome
+// and counting its timeline puts the batch's batchdone after every
+// cell's outcome, and wakes the batch's waiters only when every cell's
+// timeline is finished. Closing the run's Done last does the same for
+// the run's own waiters.
 func (s *Server) settle(j *job, rep *session.Report, err error, elapsed time.Duration) {
 	now := s.now()
 	j.run.finish(rep, err, now)
@@ -484,9 +486,6 @@ func (s *Server) settle(j *job, rep *session.Report, err error, elapsed time.Dur
 	}
 	s.logRun(j.run, elapsed)
 	s.journalOutcome(j.run)
-	if b := j.run.batch; b != nil && b.cellDone(now) {
-		s.journalBatchDone(b)
-	}
 	tl := j.run.Timeline()
 	tl.Finish()
 	decs, dropped, _ := tl.Counts()
@@ -494,6 +493,10 @@ func (s *Server) settle(j *job, rep *session.Report, err error, elapsed time.Dur
 	if dropped > 0 {
 		s.timelineDropped.Add(float64(dropped))
 	}
+	if b := j.run.batch; b != nil && b.cellDone(now) {
+		s.journalBatchDone(b)
+	}
+	close(j.run.done)
 }
 
 // logRun emits one structured line per finished run, carrying the trace

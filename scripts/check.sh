@@ -3,8 +3,10 @@
 # vet and tests; the harmonia-lint domain analyzers (the whole module,
 # failing on any finding, timed against a 10s budget); the plain test
 # pass (tier 1, which runs every observability, flight-recorder and
-# hot-path gate of DESIGN.md §13.4, and the byte gates: golden float
-# bits, the pinned exposition, span tree and served bodies, and
+# hot-path gate of DESIGN.md §13.4; the simulator cross-check, gpusim
+# against eventsim at 45 kernel x configuration points; and the byte
+# gates: golden float bits, eventsim's pinned results at those points,
+# the pinned exposition, span tree and served bodies, and
 # harmonia-report's output against
 # cmd/harmonia-report/testdata/report.golden); every benchmark once; the
 # race-detector pass; a focused race pass over the concurrent service

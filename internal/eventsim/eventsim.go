@@ -72,8 +72,10 @@ type Result struct {
 	DRAMBytes float64
 	// IssueSlots counts wavefront VALU instructions issued.
 	IssueSlots int64
-	// StallCycles counts cycles where at least one SIMD had resident
-	// waves but could not issue (all waiting on memory).
+	// StallCycles counts SIMD-cycles: one for each cycle and each SIMD
+	// that had resident waves but could not issue (all waiting on
+	// memory). Over SIMDs × Cycles it is the stalled share Counters
+	// reports.
 	StallCycles int64
 	// MemBusyCycles counts cycles with at least one memory request in
 	// flight anywhere in the memory system.

@@ -194,17 +194,32 @@ func TestClockDomainCrossingEmerges(t *testing.T) {
 }
 
 func TestOccupancyLimitsLatencyHiding(t *testing.T) {
-	// A low-occupancy kernel (Sort.BottomScan: 3 waves/SIMD) must show
-	// proportionally more stall cycles than a full-occupancy streaming
-	// kernel at the same configuration class.
-	s := New()
-	scan := s.Run(kernel(t, "Sort.BottomScan"), 0, hw.MaxConfig(), grid)
-	adv := s.Run(kernel(t, "CoMD.AdvanceVelocity"), 0, hw.MaxConfig(), grid)
-	scanStall := float64(scan.StallCycles) / float64(scan.Cycles)
-	advStall := float64(adv.StallCycles) / float64(adv.Cycles)
-	_ = advStall
-	if scanStall <= 0 {
-		t.Errorf("BottomScan shows no stalls at 30%% occupancy (stall frac %v)", scanStall)
+	// Resident waves are what hide memory latency: the same kernel
+	// forced down to one wave per SIMD, by a VGPR footprint of the
+	// whole register file, must stall a larger share of its
+	// SIMD-cycles and run longer than at its natural occupancy (the
+	// matrix's point at the maximum configuration).
+	ev := New()
+	simdCycles := func(r Result) float64 {
+		return float64(hw.MaxConfig().Compute.CUs*hw.SIMDsPerCU) * float64(r.Cycles)
+	}
+	for _, name := range []string{"CoMD.AdvanceVelocity", "Sort.BottomScan", "DeviceMemory.Stream"} {
+		natural := crossAt(t, name, hw.MaxConfig()).event
+		k := truncated(kernel(t, name))
+		waves := k.OccupancyWaves()
+		k.VGPRs = hw.VGPRsPerSIMD
+		if waves <= 1 || k.OccupancyWaves() != 1 {
+			t.Fatalf("%s: occupancy %d waves/SIMD, forced %d; want more than 1, then 1", name, waves, k.OccupancyWaves())
+		}
+		forced := ev.Run(k, 0, hw.MaxConfig(), grid)
+		natShare := float64(natural.StallCycles) / simdCycles(natural)
+		forShare := float64(forced.StallCycles) / simdCycles(forced)
+		t.Logf("%s: %d waves/SIMD stall %.3f in %.4f ms; 1 wave/SIMD stall %.3f in %.4f ms",
+			name, waves, natShare, natural.Time*1e3, forShare, forced.Time*1e3)
+		if forShare <= natShare || forced.Time <= natural.Time {
+			t.Errorf("%s: one wave per SIMD stalls %.3f of SIMD-cycles in %.4f ms, want more than %.3f in %.4f ms at %d waves",
+				name, forShare, forced.Time*1e3, natShare, natural.Time*1e3, waves)
+		}
 	}
 }
 

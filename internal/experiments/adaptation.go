@@ -8,9 +8,7 @@ import (
 	"strings"
 
 	"harmonia/internal/batch"
-	"harmonia/internal/core"
 	"harmonia/internal/hw"
-	"harmonia/internal/policy"
 	"harmonia/internal/session"
 	"harmonia/internal/timeline"
 	"harmonia/internal/workloads"
@@ -203,29 +201,23 @@ type Fig17Result struct {
 // fig17Apps is the application subset shown in the paper's Figure 17.
 var fig17Apps = []string{"BPT", "CoMD", "Graph500", "Sort", "SPMV", "Stencil", "XSBench", "miniFE"}
 
-// Fig17PowerSharing reproduces Figure 17. Rows and the savings
-// accumulation keep the paper's app order regardless of worker count.
+// Fig17PowerSharing reproduces Figure 17 from the suite evaluation,
+// Env.Results, whose baseline and Harmonia runs keep their per-rail
+// energy. Rows and the savings accumulation keep the paper's app order.
 func Fig17PowerSharing(ctx context.Context, e *Env) (Fig17Result, error) {
 	var res Fig17Result
-	apps := make([]*workloads.Application, len(fig17Apps))
-	for i, name := range fig17Apps {
-		apps[i] = workloads.ByName(name)
-	}
-	pred := e.Predictor()
-	cs, err := e.compare(ctx, e.Power, apps, func(int, *workloads.Application, int) []policy.Policy {
-		return []policy.Policy{core.New(core.Options{Predictor: pred})}
-	})
+	results, err := e.Results(ctx)
 	if err != nil {
 		return res, err
 	}
 	var gpuSaved, memSaved float64
-	for i, c := range cs {
-		base, hm := c.base, c.runs[0]
-		bGPU, bMem := base.rails.GPU/base.Seconds, base.rails.Mem/base.Seconds
-		hGPU, hMem := hm.rails.GPU/hm.Seconds, hm.rails.Mem/hm.Seconds
+	for _, name := range fig17Apps {
+		r := results[slices.IndexFunc(results, func(r AppResult) bool { return r.App == name })]
+		bGPU, bMem := r.BaselineRails.GPU/r.Baseline.Seconds, r.BaselineRails.Mem/r.Baseline.Seconds
+		hGPU, hMem := r.HarmoniaRails.GPU/r.Harmonia.Seconds, r.HarmoniaRails.Mem/r.Harmonia.Seconds
 		norm := bGPU + bMem
 		res.Rows = append(res.Rows, Fig17Row{
-			App:         fig17Apps[i],
+			App:         name,
 			BaselineGPU: bGPU / norm, BaselineMem: bMem / norm,
 			HarmoniaGPU: hGPU / norm, HarmoniaMem: hMem / norm,
 		})

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"harmonia/internal/core"
+	"harmonia/internal/daq"
 	"harmonia/internal/floats"
 	"harmonia/internal/metrics"
 	"harmonia/internal/policy"
@@ -23,6 +24,10 @@ type AppResult struct {
 	Harmonia    metrics.Sample
 	Oracle      metrics.Sample
 	ComputeOnly metrics.Sample
+
+	// BaselineRails and HarmoniaRails are the baseline and Harmonia
+	// runs' exact per-rail energy, Figure 17's power split.
+	BaselineRails, HarmoniaRails daq.Energy
 }
 
 // ED2Gain returns the fractional ED² improvement of a policy sample over
@@ -81,6 +86,7 @@ func (e *Env) Results(ctx context.Context) ([]AppResult, error) {
 				App: suite[i].Name, Stress: suite[i].Stress, Baseline: c.base.Sample,
 				CG: c.runs[0].Sample, Harmonia: c.runs[1].Sample,
 				Oracle: c.runs[2].Sample, ComputeOnly: c.runs[3].Sample,
+				BaselineRails: c.base.rails, HarmoniaRails: c.runs[1].rails,
 			}
 		}
 	})

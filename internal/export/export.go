@@ -12,6 +12,7 @@ import (
 
 	"harmonia/internal/daq"
 	"harmonia/internal/session"
+	"harmonia/internal/timeline"
 )
 
 // ReportJSON is the serialized form of a session report.
@@ -48,15 +49,7 @@ type KernelRunJSON struct {
 
 // Report converts a session report to its serializable form.
 func Report(r *session.Report) ReportJSON {
-	out := ReportJSON{
-		App:     r.App,
-		Policy:  r.Policy,
-		TimeS:   r.TotalTime(),
-		EnergyJ: r.TotalEnergy(),
-		AvgW:    r.AveragePower(),
-		ED2:     r.ED2(),
-		Rails:   RailsJSON{GPU: r.Energy.GPU, Mem: r.Energy.Mem, Other: r.Energy.Other},
-	}
+	out := Header(r)
 	for _, run := range r.Runs {
 		out.Runs = append(out.Runs, KernelRunJSON{
 			Kernel:  run.Kernel,
@@ -69,6 +62,47 @@ func Report(r *session.Report) ReportJSON {
 			VALUPct: run.Result.Counters.VALUBusy,
 			MemPct:  run.Result.Counters.MemUnitBusy,
 		})
+	}
+	return out
+}
+
+// Header is Report without the per-kernel rows: the whole-run numbers
+// and the per-rail energy.
+func Header(r *session.Report) ReportJSON {
+	return ReportJSON{
+		App:     r.App,
+		Policy:  r.Policy,
+		TimeS:   r.TotalTime(),
+		EnergyJ: r.TotalEnergy(),
+		AvgW:    r.AveragePower(),
+		ED2:     r.ED2(),
+		Rails:   RailsJSON{GPU: r.Energy.GPU, Mem: r.Energy.Mem, Other: r.Energy.Other},
+	}
+}
+
+// Rows builds the per-kernel rows from a run's flight-recorder
+// decisions. A boundary's decision holds the same values Report reads
+// from the session report (kernel, iteration, the configuration the
+// hardware ran, time, card power, busy counters), so the rows of a
+// timeline that dropped no decision are Report's rows, bit for bit.
+// No decisions give nil rows, as a report without runs does.
+func Rows(decs []timeline.Decision) []KernelRunJSON {
+	if len(decs) == 0 {
+		return nil
+	}
+	out := make([]KernelRunJSON, len(decs))
+	for i, d := range decs {
+		out[i] = KernelRunJSON{
+			Kernel:  d.Kernel,
+			Iter:    d.Iter,
+			CUs:     d.Config.CUs,
+			CUMHz:   d.Config.CUMHz,
+			MemMHz:  d.Config.MemMHz,
+			TimeS:   d.TimeS,
+			CardW:   d.CardW,
+			VALUPct: d.VALUBusy,
+			MemPct:  d.MemUnitBusy,
+		}
 	}
 	return out
 }

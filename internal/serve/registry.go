@@ -71,9 +71,11 @@ type Run struct {
 	stack      string
 	createdAt  time.Time
 	finishedAt time.Time
-	// A run that finished here keeps only what its endpoints serve: the
-	// report body, built once at finish, and the DAQ samples /trace
+	// A run that finished here keeps only what its endpoints serve: its
+	// report's header, built once at finish, and the DAQ samples /trace
 	// serves (the timeline's buckets cannot rebuild their timestamps).
+	// The report's per-kernel rows are not kept: Body builds them from
+	// the timeline, which holds one decision per boundary.
 	report  *export.ReportJSON
 	samples []daq.Sample
 	// headline is the result numbers batch cells and the journal show:
@@ -145,7 +147,7 @@ func (r *Run) start() {
 
 // finish records the outcome: done, failed, or panicked for a
 // *panicked error, whose stack the record keeps. A successful run keeps
-// its report body, its power samples and its headline, not rep. It
+// its report's header, its power samples and its headline, not rep. It
 // wakes no waiter: settle closes Done once the run is wholly ended.
 func (r *Run) finish(rep *session.Report, err error, now time.Time) {
 	var p *panicked
@@ -158,11 +160,11 @@ func (r *Run) finish(rep *session.Report, err error, now time.Time) {
 	case err != nil:
 		r.status, r.err = StatusFailed, err.Error()
 	case rep != nil:
-		body := export.Report(rep)
+		head := export.Header(rep)
 		// The DAQ leaves room past the trace's end; a run kept for its
 		// endpoints keeps only the samples.
-		r.report, r.samples = &body, slices.Clone(rep.Trace)
-		r.headline = &headline{ed2: &body.ED2, timeS: &body.TimeS, energyJ: &body.EnergyJ}
+		r.report, r.samples = &head, slices.Clone(rep.Trace)
+		r.headline = &headline{ed2: &head.ED2, timeS: &head.TimeS, energyJ: &head.EnergyJ}
 	}
 	r.mu.Unlock()
 }
@@ -224,15 +226,40 @@ type RunJSON struct {
 	// Restored marks a record replayed from the journal by a restarted
 	// daemon; restored done runs carry headline numbers but no full
 	// report or trace.
-	Restored   bool               `json:"restored,omitempty"`
-	CreatedAt  time.Time          `json:"created_at"`
-	FinishedAt *time.Time         `json:"finished_at,omitempty"`
-	Report     *export.ReportJSON `json:"report,omitempty"`
+	Restored   bool       `json:"restored,omitempty"`
+	CreatedAt  time.Time  `json:"created_at"`
+	FinishedAt *time.Time `json:"finished_at,omitempty"`
+	// Report is a finished run's full report. Only Body fills it: GET
+	// /v1/runs/{id} and the synchronous POST /v1/runs answer carry it,
+	// the run list and the accepted answer do not.
+	Report *export.ReportJSON `json:"report,omitempty"`
 }
 
-// JSON snapshots the run for serialization. The trace is served
-// separately (GET /v1/runs/{id}/trace), not embedded.
+// JSON snapshots the run's record for serialization, without its
+// report. The trace is served separately (GET /v1/runs/{id}/trace),
+// not embedded.
 func (r *Run) JSON() RunJSON {
+	out, _ := r.snapshot()
+	return out
+}
+
+// Body snapshots the run's record with its report: the header finish
+// kept, and per-kernel rows built on this read from the timeline's
+// decisions. The timeline has a lock of its own and a finished run's
+// decisions never change, so they are read outside the run's.
+func (r *Run) Body() RunJSON {
+	out, head := r.snapshot()
+	if head != nil {
+		body := *head
+		body.Runs = export.Rows(r.timeline.Decisions())
+		out.Report = &body
+	}
+	return out
+}
+
+// snapshot copies the run's record and returns its report header, or
+// nil for a run without a report, both under one hold of the lock.
+func (r *Run) snapshot() (RunJSON, *export.ReportJSON) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := RunJSON{
@@ -249,8 +276,7 @@ func (r *Run) JSON() RunJSON {
 		t := r.finishedAt
 		out.FinishedAt = &t
 	}
-	out.Report = r.report
-	return out
+	return out, r.report
 }
 
 // record is what a store retains: a run or a batch.

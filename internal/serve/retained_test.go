@@ -12,6 +12,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"harmonia"
+	"harmonia/internal/timeline"
 )
 
 // spanClock matches the wall-clock fields of a native span document,
@@ -92,11 +95,14 @@ func TestServedBodiesPinned(t *testing.T) {
 }
 
 // TestServedRunRetainedBytes bounds what a finished served run keeps
-// on the heap: the live heap after GC grows by at most 100 KB per
-// finished SRAD Harmonia run on a one-worker server. Warm-up runs first
-// pay for predictor training and the telemetry families.
+// on the heap: the live heap after GC grows by at most 45 KB per
+// finished SRAD Harmonia run on a one-worker server. A run that reads
+// its report's per-kernel rows from its timeline retains about 39 KB;
+// one that also kept the rows, a second record of each boundary,
+// would retain 49–52 KB and fail. Warm-up runs first pay for predictor
+// training and the telemetry families.
 func TestServedRunRetainedBytes(t *testing.T) {
-	const runs, boundKB = 64, 100
+	const runs, boundKB = 64, 45
 	ts, _, _ := newTestServer(t, Options{Workers: 1})
 	post := func() {
 		if status, run := postRun(t, ts, `{"app":"SRAD","policy":"harmonia"}`); status != http.StatusOK || run.Status != StatusDone {
@@ -120,5 +126,20 @@ func TestServedRunRetainedBytes(t *testing.T) {
 	t.Logf("%.1f KB retained per finished run", perRunKB)
 	if perRunKB > boundKB {
 		t.Fatalf("a finished run retains %.1f KB, want <= %d KB", perRunKB, boundKB)
+	}
+}
+
+// TestSuiteFitsTimelineCap pins what a served report's per-kernel rows
+// rest on. A finished run keeps no rows: GET /v1/runs/{id} and the
+// synchronous POST /v1/runs answer build them from the run's timeline,
+// whose event cap drops every decision past timeline.DefaultMaxEvents.
+// So no suite application may reach the cap, or its served report
+// would silently lose its last rows.
+func TestSuiteFitsTimelineCap(t *testing.T) {
+	for _, app := range harmonia.Suite() {
+		if n := app.Iterations * len(app.Kernels); n >= timeline.DefaultMaxEvents {
+			t.Errorf("%s has %d kernel boundaries, at or past the timeline's %d-event cap",
+				app.Name, n, timeline.DefaultMaxEvents)
+		}
 	}
 }

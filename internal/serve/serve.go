@@ -956,7 +956,7 @@ func (s *Server) handleCreateRun(w http.ResponseWriter, r *http.Request) {
 			<-run.Done()
 		}
 	}
-	out := run.JSON()
+	out := run.Body()
 	status := http.StatusOK
 	switch out.Status {
 	case StatusFailed, StatusInterrupted:
@@ -973,10 +973,9 @@ func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 	out := struct {
 		Runs []RunJSON `json:"runs"`
 	}{Runs: make([]RunJSON, 0, len(runs))}
+	// The list is a summary; GET /v1/runs/{id} serves a run's report.
 	for _, run := range runs {
-		j := run.JSON()
-		j.Report = nil // the list is a summary; fetch /v1/runs/{id} for the report
-		out.Runs = append(out.Runs, j)
+		out.Runs = append(out.Runs, run.JSON())
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -1000,7 +999,7 @@ func (s *Server) runFor(w http.ResponseWriter, r *http.Request) *Run {
 // handleGetRun is GET /v1/runs/{id}.
 func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 	if run := s.runFor(w, r); run != nil {
-		writeJSON(w, http.StatusOK, run.JSON())
+		writeJSON(w, http.StatusOK, run.Body())
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"slices"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"harmonia"
+	"harmonia/internal/export"
 	"harmonia/internal/telemetry"
 )
 
@@ -77,41 +79,47 @@ func getJSON(t *testing.T, url string, v any) int {
 }
 
 // TestServedRunBitIdenticalToSystemRun is the acceptance gate: a served
-// Graph500 run under the harmonia policy must reproduce System.Run
-// bit for bit (encoding/json round-trips float64 exactly, so comparing
-// the decoded fields compares the bits).
+// run of every suite application under the harmonia policy must
+// reproduce System.Run bit for bit (encoding/json round-trips float64
+// exactly, so comparing the decoded fields compares the bits), with
+// one per-kernel row per boundary, equal to the library report's rows.
 func TestServedRunBitIdenticalToSystemRun(t *testing.T) {
 	ts, _, _ := newTestServer(t, Options{})
-	status, served := postRun(t, ts, `{"app":"Graph500","policy":"harmonia"}`)
-	if status != http.StatusOK {
-		t.Fatalf("POST /v1/runs = %d", status)
-	}
-	if served.Status != StatusDone || served.Report == nil {
-		t.Fatalf("run not done: %+v", served)
-	}
-
 	direct := harmonia.NewSystem()
-	rep, err := direct.Run(harmonia.App("Graph500"), direct.Harmonia())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := []struct {
-		name      string
-		want, got float64
-	}{
-		{"ed2", rep.ED2(), served.Report.ED2},
-		{"time_s", rep.TotalTime(), served.Report.TimeS},
-		{"energy_j", rep.TotalEnergy(), served.Report.EnergyJ},
-		{"avg_power_w", rep.AveragePower(), served.Report.AvgW},
-	}
-	for _, p := range pairs {
-		if math.Float64bits(p.want) != math.Float64bits(p.got) {
-			t.Errorf("%s: served %v (bits %x) != direct %v (bits %x)",
-				p.name, p.got, math.Float64bits(p.got), p.want, math.Float64bits(p.want))
+	for _, app := range harmonia.Suite() {
+		status, served := postRun(t, ts, `{"app":"`+app.Name+`","policy":"harmonia"}`)
+		if status != http.StatusOK {
+			t.Fatalf("POST /v1/runs %s = %d", app.Name, status)
 		}
-	}
-	if len(served.Report.Runs) != len(rep.Runs) {
-		t.Errorf("served %d kernel runs, direct %d", len(served.Report.Runs), len(rep.Runs))
+		if served.Status != StatusDone || served.Report == nil {
+			t.Fatalf("%s run not done: %+v", app.Name, served)
+		}
+
+		rep, err := direct.Run(app, direct.Harmonia())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs := []struct {
+			name      string
+			want, got float64
+		}{
+			{"ed2", rep.ED2(), served.Report.ED2},
+			{"time_s", rep.TotalTime(), served.Report.TimeS},
+			{"energy_j", rep.TotalEnergy(), served.Report.EnergyJ},
+			{"avg_power_w", rep.AveragePower(), served.Report.AvgW},
+		}
+		for _, p := range pairs {
+			if math.Float64bits(p.want) != math.Float64bits(p.got) {
+				t.Errorf("%s %s: served %v (bits %x) != direct %v (bits %x)",
+					app.Name, p.name, p.got, math.Float64bits(p.got), p.want, math.Float64bits(p.want))
+			}
+		}
+		if got, want := len(served.Report.Runs), app.Iterations*len(app.Kernels); got != want {
+			t.Errorf("%s: served %d kernel runs, want one per boundary (%d)", app.Name, got, want)
+		}
+		if !reflect.DeepEqual(served.Report.Runs, export.Report(rep).Runs) {
+			t.Errorf("%s: served kernel runs differ from the direct report's", app.Name)
+		}
 	}
 }
 

@@ -183,11 +183,6 @@ func TestLabSharesSystemCache(t *testing.T) {
 	}
 }
 
-// runOnly exposes nothing of a runner but Run, so a session calls it at
-// every boundary with that boundary's own iteration: the reference the
-// bound path must reproduce.
-type runOnly struct{ gpusim.Runner }
-
 // boundTestApps returns the suite plus two synthetic applications made
 // from SRAD's kernels: one whose first kernel changes phase at every
 // iteration, more distinct phases than a run binds without allocating,
@@ -218,9 +213,12 @@ func boundTestApps() []*Application {
 // (kernel, phase) pair once per run, and on its reuse of a pair's last
 // boundary when the configuration repeats: on the raw model, on a warm
 // memo and under fault injection, every application runs under each of
-// the six served policies through the bound path and through a runner
-// the session can only call at every boundary, and the reports agree
-// bit for bit.
+// the six served policies, and every boundary of each report holds, bit
+// for bit, the result a fresh Model.Run gives at that boundary's own
+// kernel, iteration and configuration, and the rails the power model
+// gives for that result. Every other value of a run is a deterministic
+// function of those two, so the report is the one a session simulating
+// every boundary afresh would make.
 func TestBoundRunBitIdentical(t *testing.T) {
 	raw, memo := NewSystem(), NewSystem(WithSimCache())
 	policies := []struct {
@@ -247,6 +245,10 @@ func TestBoundRunBitIdentical(t *testing.T) {
 		return rep
 	}
 	for _, app := range boundTestApps() {
+		kernels := make(map[string]*Kernel, len(app.Kernels))
+		for _, k := range app.Kernels {
+			kernels[k.Name] = k
+		}
 		for _, p := range policies {
 			t.Run(app.Name+"/"+p.name, func(t *testing.T) {
 				for _, c := range []struct {
@@ -262,10 +264,14 @@ func TestBoundRunBitIdentical(t *testing.T) {
 					if c.sys == memo {
 						run(t, c.sys, c.sim, app, p.mk(c.sys, app), false) // warm the memo
 					}
-					bound := run(t, c.sys, c.sim, app, p.mk(c.sys, app), c.faulted)
-					ref := run(t, c.sys, runOnly{c.sim}, app, p.mk(c.sys, app), c.faulted)
-					if !sameBits(reflect.ValueOf(bound).Elem(), reflect.ValueOf(ref).Elem()) {
-						t.Fatalf("%s: bound report differs from the per-boundary reference", c.name)
+					rep := run(t, c.sys, c.sim, app, p.mk(c.sys, app), c.faulted)
+					for i := range rep.Runs {
+						r := &rep.Runs[i]
+						res := c.sys.Sim.Run(kernels[r.Kernel], r.Iter, r.Config)
+						rails := c.sys.Power.Rails(r.Config, res.Activity())
+						if !sameBits(reflect.ValueOf(*r.Result), reflect.ValueOf(res)) || !sameBits(reflect.ValueOf(r.Rails), reflect.ValueOf(rails)) {
+							t.Fatalf("%s: boundary %d (%s iter %d at %v) differs from a fresh simulation", c.name, i, r.Kernel, r.Iter, r.Config)
+						}
 					}
 				}
 			})
@@ -273,15 +279,15 @@ func TestBoundRunBitIdentical(t *testing.T) {
 	}
 }
 
-// countingRunner is a PreparedRunner whose prepared evaluators count
-// their calls, so a test sees how often a session simulates.
+// countingRunner is a runner whose prepared evaluators count their
+// calls, so a test sees how often a session simulates.
 type countingRunner struct {
-	gpusim.PreparedRunner
+	gpusim.Runner
 	calls *int
 }
 
 func (c countingRunner) Prepare(k *workloads.Kernel, iter int) func(hw.Config) gpusim.Result {
-	eval := c.PreparedRunner.Prepare(k, iter)
+	eval := c.Runner.Prepare(k, iter)
 	return func(cfg hw.Config) gpusim.Result {
 		*c.calls++
 		return eval(cfg)
@@ -321,7 +327,7 @@ func TestRepeatedConfigurationEvaluatesOnce(t *testing.T) {
 			}
 		}
 	}
-	memo := sys.runner().(gpusim.PreparedRunner)
+	memo := sys.runner()
 	for _, p := range policies {
 		calls := 0
 		for _, app := range suite {

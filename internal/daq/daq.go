@@ -36,11 +36,6 @@ type Energy struct {
 // Total returns total card energy in joules.
 func (e Energy) Total() float64 { return e.GPU + e.Mem + e.Other }
 
-// Add returns the sum of two energies.
-func (e Energy) Add(o Energy) Energy {
-	return Energy{GPU: e.GPU + o.GPU, Mem: e.Mem + o.Mem, Other: e.Other + o.Other}
-}
-
 // Recorder accumulates a power trace.
 type Recorder struct {
 	period     float64

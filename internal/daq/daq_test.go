@@ -119,15 +119,6 @@ func TestDefaultRate(t *testing.T) {
 	}
 }
 
-func TestEnergyAdd(t *testing.T) {
-	a := Energy{GPU: 1, Mem: 2, Other: 3}
-	b := Energy{GPU: 10, Mem: 20, Other: 30}
-	sum := a.Add(b)
-	if sum != (Energy{GPU: 11, Mem: 22, Other: 33}) {
-		t.Errorf("Add = %+v", sum)
-	}
-}
-
 // Property: exact energy equals the sum of piecewise energies, and the
 // sample count equals ceil(total/period) regardless of how the total
 // duration is split into intervals.

@@ -41,8 +41,19 @@ import (
 // returns bit-identical results. Implementations must be pure: the same
 // (kernel, iter, config) triple always yields the same Result, and
 // concurrent calls are safe.
+//
+// A result depends on the iteration only through the kernel's phase,
+// k.PhaseFor(iter): a session binds one evaluator to each (kernel,
+// phase) pair of a run and serves all its boundaries with it, and an
+// oracle keeps one answer per pair. Prepare returns that evaluator for
+// one invocation, with the work that does not depend on the
+// configuration done once: its results are bit-identical to Run's, and
+// it must be safe for concurrent use by sweep workers. The raw Model
+// hoists its Invariants; internal/simcache's Cached resolves the
+// invocation's memo entry once.
 type Runner interface {
 	Run(k *workloads.Kernel, iter int, cfg hw.Config) Result
+	Prepare(k *workloads.Kernel, iter int) func(cfg hw.Config) Result
 }
 
 // Model holds the simulator's calibration constants.
@@ -355,36 +366,17 @@ func (inv *Invariants) Run(cfg hw.Config) Result {
 	}
 }
 
-// PreparedRunner is implemented by runners that can hoist the
-// per-(kernel, iteration) invariant work out of repeated evaluations:
-// Prepare returns an evaluator bound to one invocation whose results
-// are bit-identical to Run's. The evaluator must be safe for concurrent
-// use by sweep workers, and its results may depend on iter only through
-// k.PhaseFor(iter): a session reuses one evaluator for every iteration
-// of a kernel that resolves to the same phase. internal/simcache's
-// Cached satisfies this with the invocation's memo entry, resolved
-// once; the raw Model satisfies it with hoisted Invariants.
-type PreparedRunner interface {
-	Runner
-	Prepare(k *workloads.Kernel, iter int) func(cfg hw.Config) Result
-}
-
-// Prepare returns r's evaluator for kernel k's iteration iter: r's own
-// Prepare when r is a PreparedRunner, and otherwise a closure calling
-// r.Run for that iteration.
-func Prepare(r Runner, k *workloads.Kernel, iter int) func(cfg hw.Config) Result {
-	if pr, ok := r.(PreparedRunner); ok {
-		return pr.Prepare(k, iter)
-	}
-	return func(cfg hw.Config) Result { return r.Run(k, iter, cfg) }
-}
+// PreparedRunner is an alias of Runner, which declares Prepare.
+//
+// Deprecated: use Runner.
+type PreparedRunner = Runner
 
 // RefRunner is implemented by runners that keep the results they
 // produce: PrepareRef returns an evaluator bound to one invocation that
 // returns a pointer to its result at cfg, bit-identical to Run's,
 // instead of a copy. The caller only reads the result, and only until
 // its next call to the same evaluator; the evaluator need not be safe
-// for concurrent use, and, as with Prepare, its results may depend on
+// for concurrent use, and, as with every Runner, its results depend on
 // iter only through k.PhaseFor(iter). internal/simcache's Cached
 // satisfies this with a pointer into the invocation's memo slot.
 type RefRunner interface {
@@ -393,7 +385,7 @@ type RefRunner interface {
 
 // PrepareRef returns r's by-reference evaluator for kernel k's
 // iteration iter: r's own PrepareRef when r is a RefRunner, and
-// otherwise Prepare(r, k, iter) simulating into one result the
+// otherwise r.Prepare(k, iter) simulating into one result the
 // evaluator owns and overwrites at every call, which is why the
 // pointer is good only until the next call. A caller that generates one
 // invocation's results serially, as a training job does, can read each
@@ -402,7 +394,7 @@ func PrepareRef(r Runner, k *workloads.Kernel, iter int) func(cfg hw.Config) *Re
 	if rr, ok := r.(RefRunner); ok {
 		return rr.PrepareRef(k, iter)
 	}
-	eval := Prepare(r, k, iter)
+	eval := r.Prepare(k, iter)
 	res := new(Result)
 	return func(cfg hw.Config) *Result {
 		*res = eval(cfg)
@@ -410,14 +402,14 @@ func PrepareRef(r Runner, k *workloads.Kernel, iter int) func(cfg hw.Config) *Re
 	}
 }
 
-// Prepare returns a single-invocation evaluator over hoisted
-// Invariants, implementing PreparedRunner.
+// Prepare implements Runner: a single-invocation evaluator over
+// hoisted Invariants.
 func (m *Model) Prepare(k *workloads.Kernel, iter int) func(cfg hw.Config) Result {
 	inv := m.Invariants(k, iter)
 	return func(cfg hw.Config) Result { return inv.Run(cfg) }
 }
 
-var _ PreparedRunner = (*Model)(nil)
+var _ Runner = (*Model)(nil)
 
 // MachineUtilization is Harmonia's fine-grain performance proxy: the
 // VALU-issue throughput of the whole machine relative to its peak

@@ -21,11 +21,10 @@ import (
 //   - Static calls to module functions and methods resolve exactly
 //     (go/types object identity).
 //   - Calls through the module's small interface surfaces
-//     (policy.Policy, gpusim.Runner, gpusim.PreparedRunner,
-//     gpusim.RefRunner, and timeline.Annotator, which the session calls
-//     at every recorded kernel boundary) resolve to every module type
-//     implementing the interface — sound fan-out, not points-to
-//     precision.
+//     (policy.Policy, gpusim.Runner, gpusim.RefRunner, and
+//     timeline.Annotator, which the session calls at every recorded
+//     kernel boundary) resolve to every module type implementing the
+//     interface — sound fan-out, not points-to precision.
 //   - Function values passed as arguments (batch.Map callbacks) are
 //     not tracked through the call; effects inside a func literal are
 //     attributed to the function that lexically contains it, which
@@ -151,7 +150,6 @@ type ProgramOptions struct {
 var ifaceSurfaces = [][2]string{
 	{"harmonia/internal/policy", "Policy"},
 	{"harmonia/internal/gpusim", "Runner"},
-	{"harmonia/internal/gpusim", "PreparedRunner"},
 	{"harmonia/internal/gpusim", "RefRunner"},
 	{"harmonia/internal/timeline", "Annotator"},
 }

@@ -92,15 +92,3 @@ func GeoMean(xs []float64) float64 {
 func GeoMeanImprovement(ratios []float64) float64 {
 	return 1 - GeoMean(ratios)
 }
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}

@@ -139,15 +139,6 @@ func TestGeoMeanImprovement(t *testing.T) {
 	}
 }
 
-func TestMeanAndMaxAbs(t *testing.T) {
-	if got := Mean([]float64{1, 2, 3}); !almost(got, 2, 1e-12) {
-		t.Errorf("Mean = %v", got)
-	}
-	if got := Mean(nil); got != 0 {
-		t.Errorf("Mean(nil) = %v", got)
-	}
-}
-
 func TestED2FavorsPerformanceOverEnergy(t *testing.T) {
 	// A config that halves power but doubles time must lose on ED2:
 	// ED2 scales with t^3 via time but only linearly with power.

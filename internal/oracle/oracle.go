@@ -61,11 +61,6 @@ type Oracle struct {
 	objective Objective
 	kernels   map[string]*kernelDecisions
 	workers   int
-	// byPhase is set when sim is a gpusim.PreparedRunner, whose
-	// evaluators depend on the iteration only through the kernel's
-	// phase, so one answer serves every iteration of its phase. Any
-	// other runner's answers are kept per iteration.
-	byPhase bool
 
 	// When sim is a simcache runner, memo/model give the oracle access
 	// to the shared decision memo: the argmin of a deterministic sweep
@@ -86,30 +81,26 @@ type kernelDecisions struct {
 	answers []answer
 }
 
-// answerKey is what an answer serves: a phase, by its
-// workloads.Phase.Bits, and, when the oracle does not answer by phase,
-// one iteration (-1 when it does).
-type answerKey struct {
-	phase [3]uint64
-	iter  int
-}
-
-// answer is the configuration found for one key and how it was
-// produced: source for the iteration that first asked (first), and later
-// for every other iteration of the key, the source that iteration would
-// have had asking the decision memo itself. Sources are oracle-memo or
-// oracle-sweep, which TimelineDecision reports.
+// answer is the configuration found for one phase, by its
+// workloads.Phase.Bits: a runner's results depend on the iteration only
+// through the phase, so one answer serves every iteration of it. source
+// is how the answer was produced for the iteration that first asked
+// (first), and later, for every other iteration of the phase, the
+// source that iteration would have had asking the decision memo itself.
+// Sources are oracle-memo or oracle-sweep, which TimelineDecision
+// reports.
 type answer struct {
-	key           answerKey
+	phase         [3]uint64
 	cfg           hw.Config
 	first         int
 	source, later string
 }
 
-// find returns kd's answer for key, if it has one. The caller holds o.mu.
-func (kd *kernelDecisions) find(key answerKey) (answer, bool) {
+// find returns kd's answer for the phase with the given bits, if it has
+// one. The caller holds o.mu.
+func (kd *kernelDecisions) find(phase [3]uint64) (answer, bool) {
 	for _, a := range kd.answers {
-		if a.key == key {
+		if a.phase == phase {
 			return a, true
 		}
 	}
@@ -132,14 +123,12 @@ func NewFor(obj Objective, sim gpusim.Runner, pow *power.Model, apps ...*workloa
 			kernels[k.Name] = &kernelDecisions{k: k}
 		}
 	}
-	_, byPhase := sim.(gpusim.PreparedRunner)
 	o := &Oracle{
 		sim:       sim,
 		pow:       pow,
 		params:    pow.Params(),
 		objective: obj,
 		kernels:   kernels,
-		byPhase:   byPhase,
 	}
 	if cached, ok := sim.(simcache.Cached); ok {
 		o.memo, o.model = cached.Cache, cached.Model
@@ -186,9 +175,9 @@ func (o *Oracle) TimelineDecision(kernel string, iter int) (timeline.Detail, boo
 	if !ok {
 		return timeline.Detail{}, false
 	}
-	key := o.keyOf(kd.k, iter)
+	phase := kd.k.PhaseFor(iter).Bits()
 	o.mu.Lock()
-	a, ok := kd.find(key)
+	a, ok := kd.find(phase)
 	o.mu.Unlock()
 	if !ok {
 		return timeline.Detail{}, false
@@ -209,9 +198,9 @@ func (o *Oracle) Decide(kernel string, iter int) hw.Config {
 		return hw.MaxConfig()
 	}
 	k := kd.k
-	key := o.keyOf(k, iter)
+	phase := k.PhaseFor(iter).Bits()
 	o.mu.Lock()
-	a, ok := kd.find(key)
+	a, ok := kd.find(phase)
 	o.mu.Unlock()
 	if ok {
 		return a.cfg
@@ -220,14 +209,15 @@ func (o *Oracle) Decide(kernel string, iter int) hw.Config {
 	// computed by any oracle over the same cache.
 	if o.memo != nil {
 		if cfg, ok := o.memo.Decision(o.model, o.params, k, iter, int(o.objective), len(space)); ok {
-			return o.remember(kd, answer{key, cfg, iter, "oracle-memo", "oracle-memo"})
+			return o.remember(kd, answer{phase, cfg, iter, "oracle-memo", "oracle-memo"})
 		}
 	}
 	// Exhaustive profiling of the whole configuration space; the
 	// simulator is pure, so the search fans out over a worker pool with
 	// deterministic earliest-index tie-breaking. The lock is NOT held
 	// across the sweep: concurrent callers may race to compute the same
-	// key, but the sweep is deterministic so both find the same value.
+	// phase's answer, but the sweep is deterministic so both find the
+	// same value.
 	best, _, ok := sweep.Min(space, o.workers, o.evalFor(k, iter))
 	if !ok {
 		best = hw.MaxConfig()
@@ -235,31 +225,21 @@ func (o *Oracle) Decide(kernel string, iter int) hw.Config {
 	// A later iteration of the phase reports what asking the memo would
 	// have given it: the memo's answer when the memo holds this one, and
 	// otherwise a sweep of its own.
-	a = answer{key, best, iter, "oracle-sweep", "oracle-sweep"}
+	a = answer{phase, best, iter, "oracle-sweep", "oracle-sweep"}
 	if o.memo != nil && o.memo.StoreDecision(o.model, o.params, k, iter, int(o.objective), len(space), best) {
 		a.later = "oracle-memo"
 	}
 	return o.remember(kd, a)
 }
 
-// keyOf returns the key of k's answer at iter: its phase, and the
-// iteration itself unless the oracle answers by phase.
-func (o *Oracle) keyOf(k *workloads.Kernel, iter int) answerKey {
-	key := answerKey{phase: k.PhaseFor(iter).Bits(), iter: iter}
-	if o.byPhase {
-		key.iter = -1
-	}
-	return key
-}
-
-// remember records a as kd's answer for its key and returns its
+// remember records a as kd's answer for its phase and returns its
 // configuration. The first answer wins: a concurrent caller that raced
 // to the same (identical) configuration does not overwrite how it was
 // first produced.
 func (o *Oracle) remember(kd *kernelDecisions, a answer) hw.Config {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if _, ok := kd.find(a.key); !ok {
+	if _, ok := kd.find(a.phase); !ok {
 		kd.answers = append(kd.answers, a)
 	}
 	return a.cfg
@@ -268,13 +248,12 @@ func (o *Oracle) remember(kd *kernelDecisions, a answer) hw.Config {
 // Observe implements policy.Policy; the oracle needs no feedback.
 func (*Oracle) Observe(string, int, gpusim.Result) {}
 
-// evalFor returns the sweep evaluator for one kernel invocation. When
-// the runner supports prepared evaluation (gpusim.PreparedRunner), the
-// per-invocation work — invariant hoisting, memo-key projection — is
-// done once here instead of once per swept configuration; results are
-// bit-identical either way.
+// evalFor returns the sweep evaluator for one kernel invocation. The
+// runner's Prepare does the per-invocation work — invariant hoisting,
+// memo-entry lookup — once here instead of once per swept
+// configuration.
 func (o *Oracle) evalFor(k *workloads.Kernel, iter int) sweep.Eval {
-	run := gpusim.Prepare(o.sim, k, iter)
+	run := o.sim.Prepare(k, iter)
 	return func(cfg hw.Config) float64 { return o.score(run(cfg), cfg) }
 }
 

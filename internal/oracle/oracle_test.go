@@ -260,11 +260,9 @@ func TestFreshOracleReusesMemoizedDecisions(t *testing.T) {
 // lists are pinned by their SHA-256: the suite on a cold memo (the first
 // iteration of each phase sweeps, the rest read the memo), on the same
 // memo once warm (every answer read from it) and on the raw model (every
-// answer swept), the suite over a runner that exposes only Run and
-// whose results depend on the iteration beyond its phase, so each
-// iteration keeps its own answer, and an application
-// whose first kernel's phase carries a NaN on every other iteration, a
-// key the memo cannot hold, so each of those iterations reports a sweep.
+// answer swept), and an application whose first kernel's phase carries
+// a NaN on every other iteration, a key the memo cannot hold, so each
+// of those iterations reports a sweep.
 func TestFreshOracleDecidesEachPhaseOnce(t *testing.T) {
 	suite := workloads.Suite()
 	srad := workloads.ByName("SRAD")
@@ -311,7 +309,6 @@ func TestFreshOracleDecidesEachPhaseOnce(t *testing.T) {
 		{"cold-memo", memo, suite, 33, "8ed2ff4039298c1ec6ff6d135c689703e85e81722ea15b9a10360af5b5d39386", map[string]int{"oracle-sweep": 33, "oracle-memo": 1053}},
 		{"warm-memo", memo, suite, 33, "b92798bd0cc010c195c834bb74c5c73e6585905e15b0f5d462ab91ad7bc1abae", map[string]int{"oracle-memo": 1086}},
 		{"raw", gpusim.Default(), suite, 0, "91d9d59c3475df1edc001cd2ce75ed52ad65de7e9832e766f9d1037ba9dce11d", map[string]int{"oracle-sweep": 1086}},
-		{"by-iteration", oddIterations{gpusim.Default()}, suite, 0, "150478097a3abf1ce059c8047dba3be6dfd00e20b68feaead0f59f867f7437e1", map[string]int{"oracle-sweep": 1086}},
 		{"nan-phase", memo, nanPhase, 3, "8b2a60cbbaf6a35b12ff927a3963b51f8deaefa42ea6a8d6d375cf61f15de754", map[string]int{"oracle-sweep": 13, "oracle-memo": 35}},
 	} {
 		p0 := probes()
@@ -378,18 +375,4 @@ func TestFreshOracleKeepsOneAnswerPerPhase(t *testing.T) {
 			t.Errorf("%s iter %d: annotated %q (ok=%v), want %q (ok=%v)", c.kernel, c.iter, d.Source, ok, c.source, c.ok)
 		}
 	}
-}
-
-// oddIterations is a runner that exposes only Run and whose results
-// depend on the iteration, not only on its phase, as gpusim.Runner
-// allows: at odd iterations each kernel runs longer the more CUs it
-// has, which moves the ED² optimum.
-type oddIterations struct{ m *gpusim.Model }
-
-func (r oddIterations) Run(k *workloads.Kernel, iter int, cfg hw.Config) gpusim.Result {
-	res := r.m.Run(k, iter, cfg)
-	if iter%2 == 1 {
-		res.Time *= float64(cfg.Compute.CUs) / 8
-	}
-	return res
 }

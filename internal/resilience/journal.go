@@ -57,7 +57,9 @@ type Record struct {
 	Policies []string `json:"policies,omitempty"`
 	Runs     []string `json:"runs,omitempty"`
 
-	// Outcome fields (RecDone, RecFail).
+	// Outcome fields (RecDone, RecFail). In a State's folded run record,
+	// Status is "" while the run has no terminal record (interrupted by
+	// the crash), else "done", "failed", or "panicked".
 	Status  string   `json:"status,omitempty"`
 	Err     string   `json:"err,omitempty"`
 	ED2     *float64 `json:"ed2,omitempty"`
@@ -65,29 +67,8 @@ type Record struct {
 	EnergyJ *float64 `json:"energy_j,omitempty"`
 }
 
-// RunState is one run's journal-derived lifecycle.
-type RunState struct {
-	ID             string
-	App            string
-	Policy         string
-	Name           string
-	Config         string
-	TDPWatts       float64
-	FaultSeed      int64
-	FaultIntensity float64
-	Batch          string
-
-	// Status is "" while the run has no terminal record (interrupted by
-	// the crash), else "done", "failed", or "panicked".
-	Status  string
-	Err     string
-	ED2     *float64
-	TimeS   *float64
-	EnergyJ *float64
-}
-
-// Terminal reports whether the journal recorded an outcome for the run.
-func (r *RunState) Terminal() bool { return r.Status != "" }
+// Terminal reports whether a State's folded run record has an outcome.
+func (r *Record) Terminal() bool { return r.Status != "" }
 
 // BatchState is one batch's journal-derived lifecycle.
 type BatchState struct {
@@ -100,9 +81,11 @@ type BatchState struct {
 
 // State is a journal folded into resumable form.
 type State struct {
-	// Runs maps run ID to lifecycle; RunOrder preserves submission
-	// order (replay re-creates records in the order they were born).
-	Runs     map[string]*RunState
+	// Runs maps run ID to the run's folded record: its RecRun record
+	// with the outcome of a later RecDone or RecFail filled in. RunOrder
+	// preserves submission order (replay re-creates records in the
+	// order they were born).
+	Runs     map[string]*Record
 	RunOrder []string
 	// Batches maps batch ID to lifecycle; BatchOrder preserves
 	// submission order.
@@ -114,7 +97,7 @@ type State struct {
 
 // NewState returns an empty state.
 func NewState() *State {
-	return &State{Runs: make(map[string]*RunState), Batches: make(map[string]*BatchState)}
+	return &State{Runs: make(map[string]*Record), Batches: make(map[string]*BatchState)}
 }
 
 // Apply folds one record into the state. Unknown kinds and outcome
@@ -127,11 +110,9 @@ func (s *State) Apply(rec Record) {
 		if _, ok := s.Runs[rec.ID]; ok {
 			return
 		}
-		s.Runs[rec.ID] = &RunState{
-			ID: rec.ID, App: rec.App, Policy: rec.Policy, Name: rec.Name, Config: rec.Config,
-			TDPWatts: rec.TDPWatts, FaultSeed: rec.FaultSeed, FaultIntensity: rec.FaultIntensity,
-			Batch: rec.Batch,
-		}
+		// Outcome fields on a run line are not an outcome.
+		rec.Status, rec.Err, rec.ED2, rec.TimeS, rec.EnergyJ = "", "", nil, nil, nil
+		s.Runs[rec.ID] = &rec
 		s.RunOrder = append(s.RunOrder, rec.ID)
 	case RecDone:
 		if run, ok := s.Runs[rec.ID]; ok {

@@ -89,6 +89,22 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRunLineIsNotAnOutcome: a run record's outcome fields are cleared
+// when it is folded, so a malformed run line cannot pass for an outcome,
+// and a later done record still supplies one.
+func TestRunLineIsNotAnOutcome(t *testing.T) {
+	st := NewState()
+	st.Apply(Record{T: RecRun, ID: "r1", App: "SRAD", Policy: "baseline",
+		Status: "done", Err: "x", ED2: F64(1), TimeS: F64(2), EnergyJ: F64(3)})
+	if r := st.Runs["r1"]; r.Terminal() || r.Err != "" || r.ED2 != nil || r.TimeS != nil || r.EnergyJ != nil {
+		t.Fatalf("a run line's outcome fields were folded as an outcome: %+v", r)
+	}
+	st.Apply(Record{T: RecDone, ID: "r1", ED2: F64(4)})
+	if r := st.Runs["r1"]; r.Status != "done" || r.ED2 == nil || math.Float64bits(*r.ED2) != math.Float64bits(4) || r.App != "SRAD" {
+		t.Fatalf("done record folded wrong: %+v", r)
+	}
+}
+
 func TestJournalToleratesTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.jsonl")
 	full := `{"t":"run","id":"run-000001","app":"SRAD","policy":"baseline"}` + "\n" +

@@ -6,18 +6,9 @@ import (
 
 	"harmonia/internal/batch"
 	"harmonia/internal/gpusim"
-	"harmonia/internal/hw"
 	"harmonia/internal/simcache"
 	"harmonia/internal/workloads"
 )
-
-// runOnly exposes a model through Run alone, the least a gpusim.Runner
-// offers, so the sweep must adapt it to its by-reference evaluators.
-type runOnly struct{ m *gpusim.Model }
-
-func (r runOnly) Run(k *workloads.Kernel, iter int, cfg hw.Config) gpusim.Result {
-	return r.m.Run(k, iter, cfg)
-}
 
 // TestTrainingSweepProbeCounts: a cold training sweep reads each result
 // in place from the memo slot its probe filled, and must still count
@@ -26,12 +17,13 @@ func (r runOnly) Run(k *workloads.Kernel, iter int, cfg hw.Config) gpusim.Result
 // leaves 1,040 hits (Measure's five timings of each kernel, read again
 // by the sweep), 14,784 misses and 14,784 stored results; a second
 // sweep over the same memo hits on all 15,824 probes. Every column of
-// the set must be bit-identical to sweeps over the raw model and over a
-// runner that exposes only Run.
+// the set must be bit-identical to a sweep over the raw model, which
+// has no PrepareRef of its own, so the sweep reads it through
+// gpusim.PrepareRef's fallback.
 func TestTrainingSweepProbeCounts(t *testing.T) {
 	kernels := workloads.AllKernels()
 	m := gpusim.Default()
-	want := BuildConfigTrainingSetN(runOnly{m}, kernels, 1)
+	want := BuildConfigTrainingSetN(m, kernels, 1)
 	sameCols := func(name string, got *TrainingSet) {
 		t.Helper()
 		for j := range want.cols {
@@ -45,7 +37,6 @@ func TestTrainingSweepProbeCounts(t *testing.T) {
 			}
 		}
 	}
-	sameCols("raw model", BuildConfigTrainingSetN(m, kernels, 1))
 	for _, workers := range []int{1, 4} {
 		memo := simcache.New()
 		runner := simcache.For(m, memo)

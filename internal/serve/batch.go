@@ -272,13 +272,9 @@ func (s *Server) handleCreateBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, b.JSON())
 		return
 	}
-	select {
-	case <-b.Done():
-	case <-r.Context().Done():
-		// Cell workers share the request context and will fail their
-		// runs; the last cell's settle then closes Done.
-		<-b.Done()
-	}
+	// settle ends every admitted cell exactly once and finishes the
+	// batch with its last, so Done closes.
+	<-b.Done()
 	out := b.JSON()
 	status := http.StatusOK
 	if out.Status == StatusFailed {

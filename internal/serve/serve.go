@@ -31,6 +31,7 @@ import (
 	"harmonia"
 	"harmonia/internal/export"
 	"harmonia/internal/floats"
+	"harmonia/internal/policy"
 	"harmonia/internal/quality"
 	"harmonia/internal/resilience"
 	"harmonia/internal/session"
@@ -889,7 +890,7 @@ func (s *Server) resolve(req *RunRequest) (*job, error) {
 	case "powertune":
 		tdp := req.TDPWatts
 		if floats.Zero(tdp) {
-			tdp = 250
+			tdp = policy.DefaultTDP
 		}
 		if tdp < 0 {
 			return nil, badRequestf("tdp_watts must be positive, got %g", tdp)
@@ -944,18 +945,9 @@ func (s *Server) handleCreateRun(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, run.JSON())
 		return
 	}
-	select {
-	case <-run.Done():
-	case <-r.Context().Done():
-		// The worker sees the same context and will mark the run
-		// failed — unless the server shuts down with the job still
-		// queued, in which case Shutdown fails it.
-		select {
-		case <-run.Done():
-		case <-s.baseCtx.Done():
-			<-run.Done()
-		}
-	}
+	// settle ends every admitted job exactly once, in its worker, in
+	// shutdown's drain or in the replay resubmitter, so Done closes.
+	<-run.Done()
 	out := run.Body()
 	status := http.StatusOK
 	switch out.Status {

@@ -27,19 +27,18 @@ import (
 // Session binds a simulator, a power model, and a policy.
 type Session struct {
 	// Sim simulates kernel invocations: the raw interval model, or a
-	// memoizing simcache runner (bit-identical results either way). A
-	// gpusim.PreparedRunner, which both are, is prepared once per
-	// distinct (kernel, phase) pair of a run, and that evaluator serves
-	// the pair's boundaries: a warm memo entry is found once per run,
-	// and a run on the raw model derives each pair's Invariants once.
-	// The evaluator is called only when a boundary's configuration
-	// differs from the one its pair's last boundary ran; otherwise the
-	// boundary shares that boundary's result and copies its rails,
-	// which the runner's purity and the fixed power model make the same
-	// values. Any other runner is called at every boundary. A traced
-	// run takes the same path; it only asks a runner with Holds
-	// (simcache.Cached), before each boundary's evaluation, whether the
-	// memo holds its result.
+	// memoizing simcache runner (bit-identical results either way). It
+	// is prepared once per distinct (kernel, phase) pair of a run, and
+	// that evaluator serves the pair's boundaries: a warm memo entry is
+	// found once per run, and a run on the raw model derives each
+	// pair's Invariants once. The evaluator is called only when a
+	// boundary's configuration differs from the one its pair's last
+	// boundary ran; otherwise the boundary shares that boundary's
+	// result and copies its rails, which the runner's purity and the
+	// fixed power model make the same values. A traced run takes the
+	// same path; it only asks a runner with Holds (simcache.Cached),
+	// before each boundary's evaluation, whether the memo holds its
+	// result.
 	Sim    gpusim.Runner
 	Power  *power.Model
 	Policy policy.Policy
@@ -188,7 +187,6 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 		first [16]binding // room for every suite application's pairs (Graph500 has ten)
 		pairs = first[:0]
 	)
-	_, prepared := s.Sim.(gpusim.PreparedRunner)
 	if tr != nil {
 		if tl == nil {
 			// The span tree is built from the timeline's decisions, so a
@@ -280,23 +278,20 @@ func (s *Session) RunContext(ctx context.Context, app *workloads.Application) (*
 			// its result and rails are this boundary's. Otherwise the
 			// boundary simulates into a fresh slot; left counts it and
 			// the boundaries after it.
-			var prev *KernelRun
+			var (
+				prev *KernelRun
+				p    *binding
+			)
 			left := cap(rep.Runs) - len(rep.Runs) + 1
-			if prepared {
-				var p *binding
-				p, pairs = bind(pairs, s.Sim, j, k, iter)
-				if p.last >= 0 && rep.Runs[p.last].Config == actual {
-					prev = &rep.Runs[p.last]
-					run.Result = prev.Result
-				} else {
-					run.Result = slots.take(left)
-					*run.Result = p.eval(actual)
-				}
-				p.last = int32(len(rep.Runs) - 1)
+			p, pairs = bind(pairs, s.Sim, j, k, iter)
+			if p.last >= 0 && rep.Runs[p.last].Config == actual {
+				prev = &rep.Runs[p.last]
+				run.Result = prev.Result
 			} else {
 				run.Result = slots.take(left)
-				*run.Result = s.Sim.Run(k, iter, actual)
+				*run.Result = p.eval(actual)
 			}
+			p.last = int32(len(rep.Runs) - 1)
 			res := run.Result
 			tb.Clock[2] = tr.Now()
 			if prev != nil {
@@ -384,12 +379,12 @@ type holder interface {
 	Holds(k *workloads.Kernel, iter int, cfg hw.Config) bool
 }
 
-// results hands out a run's result slots: each evaluator or Sim.Run
-// call fills one. Slots come in chunks that are never reallocated, so
-// the pointers a report holds stay good, and none leads into a runner's
-// memo: writing through one report's result changes no other run. Each
-// chunk doubles the last, up to the boundaries the run has left, so a
-// run that simulates at every boundary allocates exactly one slot per
+// results hands out a run's result slots: each evaluator call fills
+// one. Slots come in chunks that are never reallocated, so the pointers
+// a report holds stay good, and none leads into a runner's memo:
+// writing through one report's result changes no other run. Each chunk
+// doubles the last, up to the boundaries the run has left, so a run
+// that simulates at every boundary allocates exactly one slot per
 // boundary.
 type results struct {
 	free []gpusim.Result // the current chunk's slots not yet taken
@@ -416,18 +411,17 @@ func (r *results) take(left int) *gpusim.Result {
 }
 
 // binding is one (kernel, phase) pair of a run, its prepared evaluator
-// and its last boundary. A PreparedRunner's evaluator depends on the
-// iteration only through the kernel's phase, so one serves every
+// and its last boundary. A runner's results depend on the iteration
+// only through the kernel's phase, so one evaluator serves every
 // boundary of the pair, and since the runner is pure and the power
 // model fixed, a boundary that runs the configuration of the pair's
 // last one has that boundary's result and rails: the session shares
 // the result and copies the rails instead of calling the evaluator and
-// the power model. kernel is
-// the kernel's position in the application, last the index in the
-// report's Runs of the pair's last boundary (-1 before its first), and
-// phase the phase's workloads.Phase.Bits. kernel and last are int32s so
-// that a binding stays 40 bytes: RunContext's frame holds sixteen of
-// them.
+// the power model. kernel is the kernel's position in the application,
+// last the index in the report's Runs of the pair's last boundary (-1
+// before its first), and phase the phase's workloads.Phase.Bits. kernel
+// and last are int32s so that a binding stays 40 bytes: RunContext's
+// frame holds sixteen of them.
 type binding struct {
 	kernel, last int32
 	phase        [3]uint64
@@ -445,7 +439,7 @@ func bind(pairs []binding, sim gpusim.Runner, j int, k *workloads.Kernel, iter i
 			return p, pairs
 		}
 	}
-	pairs = append(pairs, binding{kernel: int32(j), last: -1, phase: bits, eval: gpusim.Prepare(sim, k, iter)})
+	pairs = append(pairs, binding{kernel: int32(j), last: -1, phase: bits, eval: sim.Prepare(k, iter)})
 	return &pairs[len(pairs)-1], pairs
 }
 

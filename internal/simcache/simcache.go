@@ -456,14 +456,12 @@ func (c Cached) Holds(k *workloads.Kernel, iter int, cfg hw.Config) bool {
 	return c.Cache.Holds(c.Model, k, iter, cfg)
 }
 
-// Prepare implements gpusim.PreparedRunner: the returned evaluator
+// Prepare implements gpusim.Runner: the returned evaluator
 // probes the invocation's entry, resolved once, and falls through to the
 // model's hoisted Invariants on a miss, bit-identical to Run either way.
 func (c Cached) Prepare(k *workloads.Kernel, iter int) func(cfg hw.Config) gpusim.Result {
 	return c.Cache.Prepare(c.Model, k, iter)
 }
-
-var _ gpusim.PreparedRunner = Cached{}
 
 // PrepareRef implements gpusim.RefRunner: it is Prepare returning a
 // pointer to each result instead of a copy. A hit points at the ready
